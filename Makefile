@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-unit bench bench-quick perf-smoke
+.PHONY: test test-unit bench bench-quick perf-smoke e2e e2e-quick
 
 test:            ## tier-1 suite (unit + integration + benchmarks)
 	$(PYTHON) -m pytest -x -q
@@ -17,3 +17,9 @@ bench-quick:     ## CI-sized perf suite; prints the entry, writes nothing
 
 perf-smoke:      ## perf benchmarks as tests (fails on errors, not timing)
 	$(PYTHON) -m pytest -x -q benchmarks/test_perf_kernel.py
+
+e2e:             ## end-to-end benchmark (BENCHMARK.json): 5 workloads, ~95 s
+	$(PYTHON) benchmarks/e2e/run.py --seed 7
+
+e2e-quick:       ## the same at 1/20 size: checks the plumbing, not the numbers
+	$(PYTHON) benchmarks/e2e/run.py --quick

@@ -1241,6 +1241,7 @@ def _scenario_txn_chaos(seed: int) -> ScenarioReport:
     history must stay anomaly-free and every version durable, and the
     write skew must still be caught."""
     from ..txn import TxnAborted, TxnCoordinator, VersionedGroupStore
+    from ..txn.workload import Rendezvous
     from ..storage.transactions import TransactionManager
 
     name = "txn-chaos"
@@ -1293,7 +1294,7 @@ def _scenario_txn_chaos(seed: int) -> ScenarioReport:
         plans.append(ops)
 
     progress: Dict[str, object] = {"init": False, "workers": 0, "pairs": 0}
-    rendezvous = [False, False]
+    rendezvous = Rendezvous(sim)
 
     def init_body(task):
         outcome: Dict[str, str] = {}
@@ -1318,9 +1319,7 @@ def _scenario_txn_chaos(seed: int) -> ScenarioReport:
             try:
                 yield from coordinator.read(task, txn, skew_x)
                 yield from coordinator.read(task, txn, skew_y)
-                rendezvous[side] = True
-                while not (rendezvous[0] and rendezvous[1]):
-                    yield from task.sleep(5_000)
+                yield from rendezvous.arrive(task)
                 coordinator.write(
                     txn, skew_y if side == 0 else skew_x, (0).to_bytes(8, "little")
                 )

@@ -69,6 +69,12 @@ class MemoryRegion:
         self._check(offset, length)
         return self.memory.read(self.addr + offset, length)
 
+    def read_view(self, offset: int, length: int) -> memoryview:
+        """Zero-copy view of ``length`` bytes at ``offset`` relative to
+        the region; aliases live memory (:meth:`MemorySystem.read_view`)."""
+        self._check(offset, length)
+        return self.memory.read_view(self.addr + offset, length)
+
     def write(self, offset: int, data: bytes) -> None:
         """Write ``data`` at ``offset`` relative to the region."""
         self._check(offset, len(data))

@@ -22,7 +22,7 @@ back over the network.
 from __future__ import annotations
 
 import struct
-from typing import Generator, List, Optional, Tuple
+from typing import Generator, Iterator, List, Optional, Tuple
 
 from ..hw.cpu import Task
 from ..sim import Resource
@@ -68,10 +68,21 @@ class ReplicatedLog:
             self.layout.head_offset, struct.pack("<QQ", self.head, self.tail)
         )
 
+    def _scan_pending(self) -> Iterator[Tuple[int, LogRecord]]:
+        """Lazy scan of ``[head, tail)`` over a zero-copy view of the
+        local mirror's WAL area; consume it before the next yield."""
+        layout = self.layout
+        raw = self.group.client_region.read_view(layout.wal_offset, layout.wal_size)
+        return scan_records(raw, self.head, self.tail, layout.wal_size)
+
     def pending_records(self) -> List[Tuple[int, LogRecord]]:
         """Un-executed records ``[head, tail)`` from the local mirror."""
-        raw = self.group.client_region.read(self.layout.wal_offset, self.layout.wal_size)
-        return list(scan_records(raw, self.head, self.tail, self.layout.wal_size))
+        return list(self._scan_pending())
+
+    def head_record(self) -> Optional[Tuple[int, LogRecord]]:
+        """``(logical_offset, record)`` at the head, ``None`` if nothing
+        is pending. Decodes one record however many are pending."""
+        return next(self._scan_pending(), None)
 
     # -- the three verbs ------------------------------------------------------------
 
@@ -130,10 +141,10 @@ class ReplicatedLog:
         return record
 
     def _execute_locked(self, task: Task) -> Generator:
-        pending = self.pending_records()
-        if not pending:
+        head = self.head_record()
+        if head is None:
             return None
-        logical, record = pending[0]
+        logical, record = head
         for entry in record.entries:
             src = self.layout.wal_position(logical) + self._entry_data_offset(
                 record, entry

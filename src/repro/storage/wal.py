@@ -91,30 +91,42 @@ class LogRecord:
         return size + (-size % 8)
 
     @classmethod
-    def deserialize(cls, raw: bytes) -> Optional["LogRecord"]:
-        """Decode one record from ``raw``; ``None`` if no valid record
-        starts there (unwritten or torn space)."""
-        if len(raw) < _HEADER.size:
+    def deserialize(
+        cls, raw, start: int = 0, end: Optional[int] = None
+    ) -> Optional["LogRecord"]:
+        """Decode the record at ``raw[start:end]``; ``None`` if no valid
+        record starts there (unwritten or torn space).
+
+        ``raw`` is any buffer (bytes, bytearray, memoryview) and is
+        decoded in place: only entry payloads are copied out, so a
+        scan over a large ring does not copy the ring per record.
+        """
+        if end is None:
+            end = len(raw)
+        if end - start < _HEADER.size:
             return None
-        magic, crc, lsn, n_entries, body_len = _HEADER.unpack_from(raw, 0)
+        magic, crc, lsn, n_entries, body_len = _HEADER.unpack_from(raw, start)
         if magic != RECORD_MAGIC:
             return None
-        if _HEADER.size + body_len > len(raw):
+        cursor = start + _HEADER.size
+        if cursor + body_len > end:
             return None
-        body = raw[_HEADER.size : _HEADER.size + body_len]
-        expected = zlib.crc32(struct.pack("<QHI", lsn, n_entries, body_len) + body)
+        view = memoryview(raw)
+        expected = zlib.crc32(
+            view[cursor : cursor + body_len],
+            zlib.crc32(struct.pack("<QHI", lsn, n_entries, body_len)),
+        )
         if crc != expected:
             return None
         entries: List[LogEntry] = []
-        cursor = _HEADER.size
         for _ in range(n_entries):
-            if cursor + _ENTRY.size > len(raw):
+            if cursor + _ENTRY.size > end:
                 return None
             db_offset, length = _ENTRY.unpack_from(raw, cursor)
             cursor += _ENTRY.size
-            if cursor + length > len(raw):
+            if cursor + length > end:
                 return None
-            entries.append(LogEntry(db_offset, bytes(raw[cursor : cursor + length])))
+            entries.append(LogEntry(db_offset, bytes(view[cursor : cursor + length])))
             cursor += length
         return cls(lsn=lsn, entries=tuple(entries))
 
@@ -177,15 +189,17 @@ class RegionLayout:
 
 
 def scan_records(
-    raw: bytes, start: int, end: int, wal_size: int
+    raw, start: int, end: int, wal_size: int
 ) -> Iterator[Tuple[int, "LogRecord"]]:
     """Iterate ``(logical_offset, record)`` over WAL bytes.
 
-    ``raw`` is the whole WAL area; ``start``/``end`` are logical
-    (monotonic) offsets. Writers stamp :data:`WRAP_MAGIC` where a
-    record would have straddled the ring end; the scan follows those
-    markers and stops at torn/unwritten space.
+    ``raw`` is the whole WAL area (any buffer; a live memoryview is
+    fine, records are decoded in place and lazily); ``start``/``end``
+    are logical (monotonic) offsets. Writers stamp :data:`WRAP_MAGIC`
+    where a record would have straddled the ring end; the scan follows
+    those markers and stops at torn/unwritten space.
     """
+    raw = memoryview(raw)
     logical = start
     while logical < end:
         position = logical % wal_size
@@ -199,7 +213,7 @@ def scan_records(
             continue
         if magic != RECORD_MAGIC:
             return
-        record = LogRecord.deserialize(raw[position : position + room])
+        record = LogRecord.deserialize(raw, position, wal_size)
         if record is None:
             return
         yield logical, record

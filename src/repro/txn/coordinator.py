@@ -31,12 +31,18 @@ consistent hash. Isolation is Serializable Snapshot Isolation:
   group lock + replicated log, and finally publishes every version in
   one synchronous step — all-or-nothing visibility across groups.
 
-Commits are serialized through a cooperative flag rather than a sim
-resource, deliberately: a commit parked forever on a dead chain's ack
-event must be clearable by the failover path
-(:meth:`TxnCoordinator.reset_after_failover`) without unwinding a
-resource queue. ``begin`` also waits out an in-flight commit so no
-snapshot can land between timestamp assignment and publish.
+Commits are serialized through a wake-on-release latch: the holder's
+txid in ``_committing`` plus one plain ``Event`` every waiter parks
+on. Whoever clears the flag (``commit``'s unwind, or
+:meth:`TxnCoordinator.reset_after_failover`) succeeds that event and
+replaces it; waiters wake in the order they parked and re-check, so a
+parked waiter costs no kernel event and no CPU dispatch however long
+the install takes. Three things must hold: ``begin`` also waits out an
+in-flight commit, so no snapshot lands between timestamp assignment
+and publish; a commit parked forever on a dead chain's ack is cleared
+by the failover path without unwinding a queue of waiters — which is
+why this is a flag and an event, not a ``sim.Resource``; and a zombie
+of an older epoch releases only a latch that still carries its txid.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..hw.cpu import Task
 from ..obs.trace import TRACER
+from ..sim import Event
 from .available_copies import AvailabilityTracker, NoAvailableCopy
 from .mvcc import VersionedGroupStore
 from .ssi import CommittedTxn, SerializationGraph, key_in_range
@@ -144,6 +151,7 @@ class TxnCoordinator:
         self._clock = 0
         self._next_txid = 1
         self._committing: Optional[int] = None
+        self._latch_released = Event(self.sim, f"{name}.latch")
         self.epoch = 0
         self.active: Dict[int, Transaction] = {}
         self.graph = SerializationGraph()
@@ -187,8 +195,7 @@ class TxnCoordinator:
         Blocks while a commit is publishing so the snapshot cannot
         observe a half-visible transaction.
         """
-        while self._committing is not None:
-            yield from task.sleep(2_000)
+        yield from self._await_latch(task)
         txn = Transaction(
             txid=self._next_txid, snapshot_ts=self._tick(), epoch=self.epoch
         )
@@ -488,8 +495,7 @@ class TxnCoordinator:
             # for the offline checker — but it can never be a pivot
             # (no writes means no incoming rw edge matters).
             return self._finalize(txn)
-        while self._committing is not None:
-            yield from task.sleep(2_000)
+        yield from self._await_latch(task)
         self._check_active(txn)
         self._committing = txn.txid
         try:
@@ -537,8 +543,28 @@ class TxnCoordinator:
                 self.stores[index].publish(per_group[index], commit_ts, txn.txid)
             return self._finalize(txn, commit_ts)
         finally:
+            # A zombie of an older epoch no longer owns the latch: its
+            # late unwind must not release a successor's.
             if self._committing == txn.txid:
-                self._committing = None
+                self._release_latch()
+
+    def _await_latch(self, task: Task) -> Generator:
+        """Park until no commit holds the latch.
+
+        Costs nothing while parked: one wake per release, then a
+        re-check, because another woken waiter may have been
+        dispatched first and taken the latch.
+        """
+        while self._committing is not None:
+            yield from task.wait(self._latch_released)
+
+    def _release_latch(self) -> None:
+        """Clear the latch and wake every parked waiter, in the order
+        they parked."""
+        self._committing = None
+        released = self._latch_released
+        self._latch_released = Event(self.sim, released.name)
+        released.succeed()
 
     def _install_parallel(
         self,
@@ -624,7 +650,7 @@ class TxnCoordinator:
         self.epoch += 1
         for txn in list(self.active.values()):
             self._abort(txn, "failover")
-        self._committing = None
+        self._release_latch()
         store = self.stores[index]
         store.rebind(new_group)
         executed = yield from store.recover(task)

@@ -26,12 +26,12 @@ byte-diffs the output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional, Tuple
 
 from ..bench.harness import run_until
 from ..core.group import HyperLoopGroup
 from ..hw.host import Cluster
-from ..sim import MS, Simulator
+from ..sim import MS, Event, Simulator
 from ..storage.transactions import TransactionManager
 from .available_copies import AvailabilityTracker
 from .coordinator import TxnAborted, TxnCoordinator
@@ -39,7 +39,31 @@ from .mvcc import VersionedGroupStore
 from .retry import RetryStats, make_policy, run_with_retries
 from .ssi import describe_cycle
 
-__all__ = ["TxnWorkloadReport", "build_txn_system", "run_txn_workload"]
+__all__ = [
+    "Rendezvous",
+    "TxnWorkloadReport",
+    "build_txn_system",
+    "run_txn_workload",
+]
+
+
+class Rendezvous:
+    """Two-party meeting point on one shared event.
+
+    The first arriver parks on the event (no polling, so waiting costs
+    no kernel events); the second succeeds it and carries straight on.
+    """
+
+    def __init__(self, sim: Simulator):
+        self._met = Event(sim, "rendezvous")
+        self._waiting = False
+
+    def arrive(self, task) -> Generator:
+        if self._waiting:
+            self._met.succeed()
+        else:
+            self._waiting = True
+            yield from task.wait(self._met)
 
 
 @dataclass
@@ -260,9 +284,7 @@ def run_txn_workload(
             try:
                 yield from coordinator.read(task, txn, x_key)
                 yield from coordinator.read(task, txn, y_key)
-                rendezvous[side] = True
-                while not (rendezvous[0] and rendezvous[1]):
-                    yield from task.sleep(5_000)
+                yield from rendezvous.arrive(task)
                 coordinator.write(
                     txn, y_key if side == 0 else x_key, (0).to_bytes(8, "little")
                 )
@@ -274,7 +296,7 @@ def run_txn_workload(
 
         return body
 
-    skew_state = [[False, False] for _ in range(write_skew_pairs)]
+    skew_state = [Rendezvous(sim) for _ in range(write_skew_pairs)]
 
     cluster[0].os.spawn(init_body, name="txn.init")
     run_until(sim, lambda: progress["init"], deadline_ms=deadline_ms)

@@ -93,6 +93,24 @@ class TestReplicatedLog:
         assert log.head == log.tail
         assert not log.pending_records()
 
+    def test_head_record_is_first_pending_record(self):
+        sim, cluster = make_cluster()
+        group = hl_group(cluster)
+        log = ReplicatedLog(group, RegionLayout(wal_size=8192, db_size=8192))
+        assert log.head_record() is None
+
+        def body(task):
+            for i in range(3):
+                yield from log.append(task, [(i * 16, bytes([i]) * 16)])
+            before = (log.head_record(), log.pending_records())
+            yield from log.execute_and_advance(task)
+            return before, (log.head_record(), log.pending_records())
+
+        (head0, pending0), (head1, pending1) = drive(sim, cluster, body)
+        assert [record.lsn for _, record in pending0] == [0, 1, 2]
+        assert head0 == pending0[0]
+        assert pending1 == pending0[1:] and head1 == pending1[0]
+
     def test_execute_on_empty_log_returns_none(self):
         sim, cluster = make_cluster()
         group = hl_group(cluster)

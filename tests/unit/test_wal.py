@@ -125,3 +125,100 @@ class TestScan:
         end = logical_second + len(raw1)
         found = list(scan_records(bytes(area), len(raw0), end, wal_size))
         assert [record.lsn for _, record in found] == [1]
+
+
+def _slicing_scan(raw, start, end, wal_size):
+    """The pre-in-place scan, kept as the reference: it copies the rest
+    of the ring for every record it decodes."""
+    logical = start
+    while logical < end:
+        position = logical % wal_size
+        room = wal_size - position
+        if room < 4:
+            logical += room
+            continue
+        (magic,) = struct.unpack_from("<I", raw, position)
+        if magic == WRAP_MAGIC:
+            logical += room
+            continue
+        if magic != RECORD_MAGIC:
+            return
+        record = LogRecord.deserialize(bytes(raw[position : position + room]))
+        if record is None:
+            return
+        yield logical, record
+        logical += record.serialized_size
+
+
+class TestScanInPlace:
+    WAL_SIZE = 1 << 20
+
+    def _two_lap_ring(self):
+        """A 1 MiB ring written for two laps (so the scan crosses a
+        wrap marker), ending in a record whose tail was torn off."""
+        wal_size = self.WAL_SIZE
+        area = bytearray(wal_size)
+        tail = 0
+        starts = []
+        for lsn in range(1100):
+            record = LogRecord.make(
+                lsn, [(lsn * 8, bytes([lsn % 251]) * (900 + lsn % 700)), (8, b"tag")]
+            )
+            raw = record.serialize()
+            room = wal_size - tail % wal_size
+            if len(raw) > room:
+                struct.pack_into("<I", area, tail % wal_size, WRAP_MAGIC)
+                tail += room
+            position = tail % wal_size
+            area[position : position + len(raw)] = raw
+            starts.append(tail)
+            tail += len(raw)
+        assert tail > wal_size  # second lap reached
+        # Tear the last record: its header survives, its body does not.
+        torn = starts[-1] % wal_size
+        area[torn + 24 : torn + 64] = bytes(40)
+        # Scan what is still in the ring: from the first record of the
+        # final ring's worth of bytes.
+        head = next(offset for offset in starts if offset >= tail - wal_size)
+        return area, head, tail, starts
+
+    def test_matches_slicing_reference_over_wrap_and_torn_tail(self):
+        area, head, tail, starts = self._two_lap_ring()
+        found = list(scan_records(area, head, tail, self.WAL_SIZE))
+        assert found == list(_slicing_scan(area, head, tail, self.WAL_SIZE))
+        offsets = [offset for offset, _ in found]
+        assert offsets == [o for o in starts if o >= head][:-1]  # torn one dropped
+        assert offsets[0] < self.WAL_SIZE <= offsets[-1]  # crossed the marker
+        # Same answer from bytes, and from a live view of the ring.
+        assert list(scan_records(bytes(area), head, tail, self.WAL_SIZE)) == found
+        assert list(scan_records(memoryview(area), head, tail, self.WAL_SIZE)) == found
+
+    def test_scan_never_copies_the_ring(self):
+        import tracemalloc
+
+        area, head, tail, _ = self._two_lap_ring()
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            count = sum(1 for _ in scan_records(area, head, tail, self.WAL_SIZE))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert count > 300
+        # One decoded record is ~2 KiB; a single rest-of-ring slice
+        # would be hundreds of KiB.
+        assert peak - base < 32 * 1024
+
+    def test_deserialize_at_offset_equals_deserialize_of_slice(self):
+        record = LogRecord.make(9, [(16, b"abcdefgh"), (32, b"xyz")])
+        raw = record.serialize()
+        buffer = b"\xaa" * 24 + raw + b"\xbb" * 16
+        assert LogRecord.deserialize(buffer, 24) == record
+        assert LogRecord.deserialize(buffer, 24, 24 + len(raw)) == record
+        # A limit inside the record is a truncated record.
+        assert LogRecord.deserialize(buffer, 24, 24 + len(raw) - 8) is None
+        assert LogRecord.deserialize(buffer, 8) is None  # no magic there
