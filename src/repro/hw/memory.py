@@ -18,6 +18,7 @@ Durability is modelled explicitly:
 
 from __future__ import annotations
 
+import mmap
 from typing import Dict, List, Optional, Tuple
 
 from ..obs.trace import TRACER
@@ -126,12 +127,16 @@ class MemorySystem:
             raise ValueError("sizes must be positive")
         self.dram_size = dram_size
         self.nvm_size = nvm_size
-        self._bytes = bytearray(dram_size + nvm_size)
-        # All reads go through one long-lived memoryview: a slice of a
-        # memoryview costs a single copy (``tobytes``) where slicing
-        # the bytearray then wrapping in ``bytes`` costs two. Same-size
-        # slice assignment never resizes the bytearray, so the view
-        # stays valid for the lifetime of the system.
+        # Anonymous mapping: pages are backed (and zero-filled) by the
+        # OS on first touch, so an idle host costs no RSS and no memset.
+        # MAP_PRIVATE, not Python's default MAP_SHARED, so forked shard
+        # workers get copy-on-write memory instead of aliasing it.
+        self._bytes = mmap.mmap(
+            -1, dram_size + nvm_size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+        )
+        # All reads go through one long-lived memoryview: a slice of it
+        # costs a single copy (``tobytes``). The mapping is never
+        # resized, so the view stays valid for the system's lifetime.
         self._view = memoryview(self._bytes)
         self._size = dram_size + nvm_size
         self._dram = _Space(0, dram_size)
@@ -235,7 +240,15 @@ class MemorySystem:
         Callers (hosts/NICs) are responsible for dropping their own
         volatile state (caches, in-flight queues) alongside this.
         """
-        self._bytes[: self.dram_size] = bytes(self.dram_size)
+        # Hand the DRAM pages back to the OS (they read as zero when
+        # next touched) instead of writing zeros over all of them; the
+        # sub-page remainder of an unaligned DRAM size is zeroed by hand.
+        whole_pages = self.dram_size - self.dram_size % mmap.PAGESIZE
+        if whole_pages:
+            self._bytes.madvise(mmap.MADV_DONTNEED, 0, whole_pages)
+        self._bytes[whole_pages : self.dram_size] = bytes(
+            self.dram_size - whole_pages
+        )
         self.power_failures += 1
         if TRACER.enabled:
             TRACER.count("fault.memory.power_failures")

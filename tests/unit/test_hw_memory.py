@@ -1,5 +1,8 @@
 """Unit tests for the memory/NVM model (repro.hw.memory)."""
 
+import mmap
+import os
+
 import pytest
 
 from repro.hw.memory import MemoryError_, MemoryRegion, MemorySystem, WriteCache
@@ -43,6 +46,64 @@ class TestMemorySystem:
         assert mem.read(10, 8) == bytes(8)
         assert mem.read(5000, 7) == b"durable"
         assert mem.power_failures == 1
+
+
+def _rss_bytes() -> int:
+    """Current (not peak) resident set size of this process."""
+    with open("/proc/self/statm") as handle:
+        return int(handle.read().split()[1]) * mmap.PAGESIZE
+
+
+MIB = 1 << 20
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/statm"), reason="needs Linux /proc"
+)
+class TestLazyBacking:
+    """Host memory is an anonymous private mapping: untouched pages
+    cost neither RSS nor a memset (ROADMAP item 2a)."""
+
+    def test_default_system_costs_no_rss(self):
+        before = _rss_bytes()
+        mem = MemorySystem()
+        assert mem.size == 128 * MIB
+        assert _rss_bytes() - before < MIB
+
+    def test_power_failure_drops_dram_without_touching_it(self):
+        before = _rss_bytes()
+        mem = MemorySystem()
+        mem.write(0, b"\xAB" * MIB)
+        mem.write(mem.nvm_base, b"durable")
+        assert _rss_bytes() - before >= MIB // 2
+        mem.power_failure()
+        # Zero-filling 64 MiB of DRAM would have made it all resident.
+        assert _rss_bytes() < before + 2 * MIB
+        assert mem.read(0, MIB) == bytes(MIB)
+        assert mem.read(mem.nvm_base, 7) == b"durable"
+
+    def test_power_failure_zeroes_unaligned_dram_tail(self):
+        mem = MemorySystem(dram_size=mmap.PAGESIZE + 100, nvm_size=64)
+        mem.write(mmap.PAGESIZE + 90, b"tail")
+        mem.write(mem.nvm_base, b"nvm")
+        mem.power_failure()
+        assert mem.read(mmap.PAGESIZE + 90, 4) == bytes(4)
+        assert mem.read(mem.nvm_base, 3) == b"nvm"
+
+    def test_forked_child_writes_are_private(self):
+        """MAP_PRIVATE: a forked shard worker must not alias the
+        parent's simulated DRAM (Python's mmap default is MAP_SHARED)."""
+        mem = MemorySystem(dram_size=4096, nvm_size=4096)
+        mem.write(0, b"parent")
+        pid = os.fork()
+        if pid == 0:
+            mem.write(0, b"child!")
+            mem.write(5000, b"child!")
+            os._exit(0)
+        _, status = os.waitpid(pid, 0)
+        assert status == 0
+        assert mem.read(0, 6) == b"parent"
+        assert mem.read(5000, 6) == bytes(6)
 
 
 class TestAllocator:
