@@ -274,17 +274,31 @@ class NaiveGroup:
         return result
 
     def _run(self, task: Task, op: OpSpec) -> Generator:
-        yield from task.wait(self._flow.acquire())
+        """The blocking form of every verb: :meth:`submit`, then wait."""
+        ack = yield from self.submit(task, op)
+        return (yield from task.wait(ack))
+
+    def submit(self, task: Task, op: OpSpec) -> Generator:
+        """Post ``op``; returns its ack event (see
+        :meth:`HyperLoopGroup.submit <repro.core.group.HyperLoopGroup.submit>`).
+
+        All primitives share the one software chain here, so every op
+        executes and acks in post order. The flow slot is released
+        when the ack fires.
+        """
+        flow = self._flow
+        yield from task.wait(flow.acquire())
         try:
             cost = 300 + self.params.post_ns * (2 if op.kind == GWRITE else 1)
             yield from task.compute(cost)
             round_ = self._client_post(op)
-            ack = self.sim.event(name=f"{self.name}.op{round_}")
-            self._waiters[round_] = ack
-            result = yield from task.wait(ack)
-        finally:
-            self._flow.release()
-        return result
+        except BaseException:
+            flow.release()
+            raise
+        ack = self.sim.event(name=f"{self.name}.op{round_}")
+        ack.add_callback(lambda _ack: flow.release())
+        self._waiters[round_] = ack
+        return ack
 
     def _client_post(self, op: OpSpec) -> int:
         round_ = self.next_round

@@ -247,27 +247,22 @@ class HyperLoopGroup:
         Yields until the group ACK (tail WRITE_WITH_IMM) arrives;
         returns the operation's round number.
         """
-        self._check_range(offset, size)
-        result = yield from self._run(task, GWRITE, OpSpec(GWRITE, offset=offset, size=size))
+        result = yield from self._run(task, OpSpec(GWRITE, offset=offset, size=size))
         return result
 
     def gflush(self, task: Task) -> Generator:
         """Explicitly flush the chain (a zero-byte durable gwrite)."""
-        chain = self.chains[GWRITE]
-        if not chain.durable:
+        if not self.chains[GWRITE].durable:
             raise RuntimeError(
                 "gflush needs the gwrite chain built with durable=True"
             )
-        result = yield from self._run(task, GWRITE, OpSpec(GWRITE, offset=0, size=0))
+        result = yield from self._run(task, OpSpec(GWRITE, offset=0, size=0))
         return result
 
     def gmemcpy(self, task: Task, src_offset: int, dst_offset: int, size: int) -> Generator:
         """NIC-local copy of ``size`` bytes on every replica."""
-        self._check_range(src_offset, size)
-        self._check_range(dst_offset, size)
         result = yield from self._run(
             task,
-            GMEMCPY,
             OpSpec(GMEMCPY, src_offset=src_offset, dst_offset=dst_offset, size=size),
         )
         return result
@@ -286,76 +281,87 @@ class HyperLoopGroup:
         original 8-byte value at ``offset`` where the CAS executed, or
         ``None`` where the execute map skipped the replica.
         """
-        self._check_range(offset, 8)
-        if execute_map is not None and len(execute_map) != self.group_size:
-            raise ValueError("execute map must have one entry per replica")
         result = yield from self._run(
             task,
-            GCAS,
             OpSpec(GCAS, offset=offset, compare=compare, swap=swap, execute_map=execute_map),
         )
         return result
+
+    def _run(self, task: Task, op: OpSpec) -> Generator:
+        """The blocking form of every verb: :meth:`submit`, then wait."""
+        ack = yield from self.submit(task, op)
+        return (yield from task.wait(ack))
+
+    def submit(self, task: Task, op: OpSpec) -> Generator:
+        """Post ``op`` on its primitive's chain; returns its ack event.
+
+        The issue half of every group operation: take a flow slot,
+        charge the client CPU for building the metadata, post. The
+        caller waits on the returned event whenever it needs the
+        result (the event's value is what the blocking verb returns),
+        and may post more work first. Ordering is the RC queue pair's:
+        ops on the *same* chain execute and ack in post order; ops on
+        different chains are unordered, so an op that depends on one
+        from another chain must be posted only after that one's ack.
+
+        The flow slot is released when the ack fires, not when the
+        issuing task next runs — a batch larger than ``rounds // 2``
+        drains through its own slots instead of deadlocking on them.
+        """
+        primitive = op.kind
+        chain = self.chains.get(primitive)
+        if chain is None:
+            raise RuntimeError(f"group built without the {primitive} chain")
+        if primitive == GMEMCPY:
+            self._check_range(op.src_offset, op.size)
+            self._check_range(op.dst_offset, op.size)
+        else:
+            self._check_range(op.offset, 8 if primitive == GCAS else op.size)
+        if op.execute_map is not None and len(op.execute_map) != self.group_size:
+            raise ValueError("execute map must have one entry per replica")
+        flow = self._flow[primitive]
+        yield from task.wait(flow.acquire())
+        try:
+            yield from task.compute(chain.client_post_cost(op))
+            round_ = chain.client_post(op)
+        except BaseException:
+            flow.release()
+            raise
+        ack = self.sim.event(name=f"{self.name}.{primitive}.{round_}")
+        ack.add_callback(lambda _ack: flow.release())
+        self._waiters[primitive][round_] = ack
+        if TRACER.enabled:
+            self._trace_op(task, primitive, op, round_, ack)
+        return ack
+
+    def _trace_op(self, task: Task, primitive: str, op: OpSpec, round_: int, ack: Event) -> None:
+        # One complete ("X") span per op on the issuing task's lane,
+        # emitted when the ack fires: a task may have several ops in
+        # flight, so begin/end pairs would interleave within the tid.
+        posted = self.sim.now
+        pid = f"group:{self.name}"
+        TRACER.count("group.ops")
+        TRACER.record(
+            posted, "i", "group", "posted", pid=pid, tid=task.name, args={"round": round_}
+        )
+        ack.add_callback(
+            lambda _ack: TRACER.record(
+                posted,
+                "X",
+                "group",
+                f"{self.name}.{primitive}",
+                pid=pid,
+                tid=task.name,
+                dur=self.sim.now - posted,
+                args={"size": op.size, "round": round_},
+            )
+        )
 
     def _check_range(self, offset: int, size: int) -> None:
         if offset < 0 or size < 0 or offset + size > self.region_size:
             raise ValueError(
                 f"[{offset}, {offset + size}) outside region of {self.region_size}"
             )
-
-    def _run(self, task: Task, primitive: str, op: OpSpec) -> Generator:
-        chain = self.chains.get(primitive)
-        if chain is None:
-            raise RuntimeError(f"group built without the {primitive} chain")
-        flow = self._flow[primitive]
-        traced = TRACER.enabled
-        if traced:
-            # One span per op, on the issuing task's lane: a worker has
-            # at most one group op in flight, so spans never overlap
-            # within a tid. The round is attached at the "posted"
-            # instant and on the end event (it is unknown at begin).
-            TRACER.record(
-                self.sim.now,
-                "B",
-                "group",
-                f"{self.name}.{primitive}",
-                pid=f"group:{self.name}",
-                tid=task.name,
-                args={"size": op.size},
-            )
-            TRACER.count("group.ops")
-        round_ = None
-        try:
-            yield from task.wait(flow.acquire())
-            try:
-                yield from task.compute(chain.client_post_cost(op))
-                round_ = chain.client_post(op)
-                if traced:
-                    TRACER.record(
-                        self.sim.now,
-                        "i",
-                        "group",
-                        "posted",
-                        pid=f"group:{self.name}",
-                        tid=task.name,
-                        args={"round": round_},
-                    )
-                ack = self.sim.event(name=f"{self.name}.{primitive}.{round_}")
-                self._waiters[primitive][round_] = ack
-                result = yield from task.wait(ack)
-            finally:
-                flow.release()
-        finally:
-            if traced:
-                TRACER.record(
-                    self.sim.now,
-                    "E",
-                    "group",
-                    f"{self.name}.{primitive}",
-                    pid=f"group:{self.name}",
-                    tid=task.name,
-                    args=None if round_ is None else {"round": round_},
-                )
-        return result
 
     # -- client completion handling ------------------------------------------------------
 

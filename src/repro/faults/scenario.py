@@ -89,11 +89,26 @@ def _finish(name, seed, sim, injector, ops, invariants, notes=()) -> ScenarioRep
     )
 
 
-def _exercised(injector: FaultInjector, *keys: str) -> InvariantResult:
-    """The plan actually fired — scenarios must not pass vacuously."""
+def _exercised(
+    injector: FaultInjector, *keys: str, commits_hit: Optional[int] = None
+) -> InvariantResult:
+    """The plan actually fired — scenarios must not pass vacuously.
+
+    The txn crash scenarios also pass ``commits_hit``, the number of
+    transactions the chain died under (abandoned or epoch-aborted and
+    replayed): the crash must land on an in-flight commit, however
+    fast the commit protocol is. Their crashes are armed by op count
+    (``at_op``) and fire between two transactions, so the *next*
+    commit's install runs into the dead chain at any protocol speed;
+    the ``sleep(50_000)``/``sleep(100_000)`` in their writer loops are
+    poll periods of the supervising task, not fault offsets.
+    """
     detail = " ".join(f"{key}={injector.counters.get(key, 0)}" for key in keys)
-    total = sum(injector.counters.get(key, 0) for key in keys)
-    return InvariantResult("fault-exercised", total > 0, detail)
+    ok = sum(injector.counters.get(key, 0) for key in keys) > 0
+    if commits_hit is not None:
+        detail += f" commits_hit={commits_hit}"
+        ok = ok and commits_hit > 0
+    return InvariantResult("fault-exercised", ok, detail)
 
 
 # -- gWRITE-stream scenarios (drop / partition / stall) ----------------------------
@@ -1029,7 +1044,11 @@ def _scenario_txn_failover(seed: int) -> ScenarioReport:
     sim.run(until=sim.now + 5 * MS)
 
     invariants = [
-        _exercised(injector, "host_crash"),
+        _exercised(
+            injector,
+            "host_crash",
+            commits_hit=progress["reissued"] + progress["retried"],
+        ),
         InvariantResult(
             "failed-replica-detected",
             progress["failed_index"] == 1,
@@ -1203,7 +1222,11 @@ def _scenario_txn_insert(seed: int) -> ScenarioReport:
         if any(key.startswith(b"n") for key in txn.writes)
     )
     invariants = [
-        _exercised(injector, "host_crash"),
+        _exercised(
+            injector,
+            "host_crash",
+            commits_hit=progress["reissued"] + progress["retried"],
+        ),
         InvariantResult(
             "failed-replica-detected",
             progress["failed_index"] == 1,
@@ -1543,7 +1566,11 @@ def _scenario_txn_double_failover(seed: int) -> ScenarioReport:
         else -1
     )
     invariants = [
-        _exercised(injector, "host_crash"),
+        _exercised(
+            injector,
+            "host_crash",
+            commits_hit=progress["reissued"] + progress["retried"],
+        ),
         InvariantResult(
             "both-replicas-detected",
             progress["failed"] == [1, 1],
@@ -1743,7 +1770,11 @@ def _scenario_txn_reset_crash(seed: int) -> ScenarioReport:
     sim.run(until=sim.now + 5 * MS)
 
     invariants = [
-        _exercised(injector, "host_crash"),
+        _exercised(
+            injector,
+            "host_crash",
+            commits_hit=progress["reissued"] + progress["retried"],
+        ),
         InvariantResult(
             "crashes-in-order",
             progress["failed_hosts"] == ["host2", "host3"],

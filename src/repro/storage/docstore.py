@@ -2,12 +2,12 @@
 
 The data path follows the paper's modified MongoDB exactly:
 
-* every mutation appends a journal (write-ahead log) record via
-  ``Append`` (gWRITE + gFLUSH),
-* the transaction is then *executed* on all replicas via
-  ``ExecuteAndAdvance`` (gMEMCPY per entry + head advance),
-  surrounded by ``wrLock`` / ``wrUnlock`` so concurrent readers never
-  observe a torn document (§5.2),
+* every mutation is one :meth:`TransactionManager.transact
+  <repro.storage.transactions.TransactionManager.transact>`: a journal
+  (write-ahead log) record via ``Append`` (gWRITE + gFLUSH), then
+  *executed* on all replicas via ``ExecuteAndAdvance`` (gMEMCPY per
+  entry + head advance) under ``wrLock`` / ``wrUnlock`` so concurrent
+  readers never observe a torn document (§5.2),
 * reads are one-sided RDMA READs from a replica — lock-free by
   default, or guarded by a per-replica ``rdLock`` for sessions that
   need them.
@@ -27,8 +27,7 @@ from typing import Dict, Generator, List, Optional, Sequence
 from ..hw.cpu import Task
 from ..sim import US
 from .encoding import DocumentError, Value, decode_document, encode_document
-from .locks import LockManager
-from .log import ReplicatedLog
+from .transactions import TransactionManager
 from .wal import RegionLayout
 
 __all__ = ["ReplicatedDocStore", "DocStoreError"]
@@ -73,16 +72,12 @@ class ReplicatedDocStore:
         name: str = "doc",
     ):
         self.group = group
-        self.layout = layout or RegionLayout(
-            wal_size=group.region_size // 4,
-            db_size=group.region_size - group.region_size // 4 - 128,
-        )
+        self.txn = TransactionManager(group, layout, writer_id)
+        self.layout = self.txn.layout
+        self.locks = self.txn.locks
         self.slot_size = slot_size
         self.parse_ns = parse_ns
         self.name = name
-        self.writer_id = writer_id
-        self.log = ReplicatedLog(group, self.layout)
-        self.locks = LockManager(group, lock_offset=self.layout.lock_offset)
         self.n_slots = self.layout.db_size // slot_size
         if self.n_slots < 1:
             raise DocStoreError("DB area too small for a single slot")
@@ -139,7 +134,7 @@ class ReplicatedDocStore:
         slot = self._free_slots.pop()
         fields = {"_id": doc_id, **fields}
         payload = self._encode_slot(encode_document(fields))
-        yield from self._apply(task, slot, payload)
+        yield from self.txn.transact(task, [(self._slot_db_offset(slot), payload)])
         self._directory[doc_id] = slot
         bisect.insort(self._ordered_ids, doc_id)
         yield from self._index_update(task, doc_id, None, fields)
@@ -153,7 +148,7 @@ class ReplicatedDocStore:
         old_fields = self._local_document(doc_id)
         fields = {"_id": doc_id, **fields}
         payload = self._encode_slot(encode_document(fields))
-        yield from self._apply(task, slot, payload)
+        yield from self.txn.transact(task, [(self._slot_db_offset(slot), payload)])
         yield from self._index_update(task, doc_id, old_fields, fields)
         self.updates += 1
 
@@ -163,22 +158,11 @@ class ReplicatedDocStore:
         slot = self._require(doc_id)
         old_fields = self._local_document(doc_id)
         payload = self._encode_slot(b"", tombstone=True)
-        yield from self._apply(task, slot, payload)
+        yield from self.txn.transact(task, [(self._slot_db_offset(slot), payload)])
         del self._directory[doc_id]
         self._ordered_ids.remove(doc_id)
         self._free_slots.append(slot)
         yield from self._index_update(task, doc_id, old_fields, None)
-
-    def _apply(self, task: Task, slot: int, payload: bytes) -> Generator:
-        """Journal then execute one slot write, under the group lock."""
-        yield from self.log.append(
-            task, [(self._slot_db_offset(slot), payload)]
-        )
-        yield from self.locks.wr_lock(task, self.writer_id)
-        try:
-            yield from self.log.execute_and_advance(task)
-        finally:
-            yield from self.locks.wr_unlock(task, self.writer_id)
 
     def _require(self, doc_id: bytes) -> int:
         slot = self._directory.get(doc_id)

@@ -22,8 +22,9 @@ independent, which is what lets every replica serve consistent reads.
 
 from __future__ import annotations
 
-from typing import Generator, List
+from typing import Generator, List, Optional
 
+from ..core.chain import GCAS, OpSpec
 from ..hw.cpu import Task
 
 __all__ = ["LockManager", "LockTimeout"]
@@ -34,6 +35,11 @@ _WRITER_MASK = (1 << 32) - 1
 
 class LockTimeout(RuntimeError):
     """Lock acquisition exceeded its retry budget."""
+
+
+def _check_writer(writer_id: int) -> None:
+    if not 0 < writer_id <= _WRITER_MASK:
+        raise ValueError(f"writer id out of range: {writer_id}")
 
 
 class LockManager:
@@ -48,14 +54,38 @@ class LockManager:
 
     # -- write (group) locks ---------------------------------------------------------
 
-    def wr_lock(self, task: Task, writer_id: int, max_retries: int = 100) -> Generator:
-        """Acquire the group write lock for ``writer_id`` (1..2^32-1)."""
-        if not 0 < writer_id <= _WRITER_MASK:
-            raise ValueError(f"writer id out of range: {writer_id}")
+    def lock_op(self, writer_id: int) -> OpSpec:
+        """The gCAS that takes the group write lock for ``writer_id``
+        (1..2^32-1). Post it beside other work and hand its result map
+        to :meth:`wr_lock`, which undoes and retries if it lost."""
+        _check_writer(writer_id)
+        return OpSpec(GCAS, offset=self.lock_offset, compare=0, swap=writer_id)
+
+    def unlock_op(self, writer_id: int) -> OpSpec:
+        """The gCAS that releases ``writer_id``'s group write lock;
+        judge its result map with :meth:`check_unlocked`."""
+        return OpSpec(GCAS, offset=self.lock_offset, compare=writer_id, swap=0)
+
+    def wr_lock(
+        self,
+        task: Task,
+        writer_id: int,
+        max_retries: int = 100,
+        result: Optional[List[Optional[int]]] = None,
+    ) -> Generator:
+        """Acquire the group write lock for ``writer_id``.
+
+        ``result`` is the result map of a :meth:`lock_op` the caller
+        already posted (overlapped with other work): the first attempt
+        judges it instead of paying its own round trip.
+        """
+        _check_writer(writer_id)
         attempts = 0
         while True:
-            result = yield from self.group.gcas(task, self.lock_offset, 0, writer_id)
+            if result is None:
+                result = yield from self.group.gcas(task, self.lock_offset, 0, writer_id)
             succeeded = [value == 0 for value in result]
+            result = None
             if all(succeeded):
                 self.acquisitions += 1
                 return
@@ -76,6 +106,11 @@ class LockManager:
     def wr_unlock(self, task: Task, writer_id: int) -> Generator:
         """Release the group write lock held by ``writer_id``."""
         result = yield from self.group.gcas(task, self.lock_offset, writer_id, 0)
+        self.check_unlocked(writer_id, result)
+
+    @staticmethod
+    def check_unlocked(writer_id: int, result: List[Optional[int]]) -> None:
+        """Raise unless an :meth:`unlock_op` found our id everywhere."""
         if any(value != writer_id for value in result):
             raise RuntimeError(
                 f"wr_unlock({writer_id}): lock word was {result}, not ours"

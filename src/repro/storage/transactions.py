@@ -15,9 +15,25 @@ were designed to offload (§3.1):
   NVM before execution begins; a crash after the append but before
   (or during) execution is repaired by redo recovery.
 
+The recipe is three ack waits however many keys it writes, each a
+batch of group ops posted back to back (see :mod:`repro.storage.log`
+for the ordering rule that makes this safe):
+
+1. record + header on the gWRITE chain, the lock gCAS beside them;
+2. every entry's gMEMCPY;
+3. the head-advance gWRITE, the unlock gCAS beside it.
+
+A lock gCAS that loses on any replica (a reader or another writer
+holds it) falls into :meth:`LockManager.wr_lock`'s undo-and-retry
+loop; the record is already durable, exactly as when the lock was
+taken after the append.
+
 The coordinator may crash at any point; :meth:`recover` re-executes
 whatever the durable log says is pending — redo is idempotent because
-entries are plain byte copies.
+entries are plain byte copies. The windows: lock held, record not yet
+durable → a stale lock and nothing to redo; record durable, copies
+partial → redo; unlock durable before the head advance → the record
+is pending with the lock free, and redo re-applies it.
 """
 
 from __future__ import annotations
@@ -79,23 +95,15 @@ class TransactionManager:
         for offset, data in changes:
             if offset < 0 or offset + len(data) > self.layout.db_size:
                 raise ValueError(f"change at {offset} outside the DB area")
-        record = yield from self.log.append(task, list(changes))
-        if execute:
-            yield from self.locks.wr_lock(task, self.writer_id)
-            try:
-                yield from self.drain(task)
-            except GeneratorExit:
-                # Abandoned mid-transaction (the chain died under us
-                # and the parked task is being reclaimed). Unlocking
-                # requires yielding, which a closing generator cannot
-                # do — the failover path breaks the stale lock instead
-                # (see VersionedGroupStore.recover).
-                raise
-            except BaseException:
-                yield from self.locks.wr_unlock(task, self.writer_id)
-                raise
-            else:
-                yield from self.locks.wr_unlock(task, self.writer_id)
+        if not execute:
+            record = yield from self.log.append(task, list(changes))
+        else:
+            # Wait 1 of 3: record and tail on the gWRITE chain, the
+            # lock gCAS beside them on its own chain.
+            record, (held,) = yield from self.log.append_beside(
+                task, list(changes), [self.locks.lock_op(self.writer_id)]
+            )
+            yield from self.drain_locked(task, held)
         self.committed += 1
         return record.lsn
 
@@ -105,12 +113,38 @@ class TransactionManager:
         Caller must hold the write lock (or be the recovery path with
         writes paused).
         """
-        executed = 0
-        while True:
-            record = yield from self.log.execute_and_advance(task)
-            if record is None:
-                return executed
-            executed += 1
+        executed, _ = yield from self.log.drain(task)
+        return executed
+
+    def drain_locked(self, task: Task, held: Optional[list] = None) -> Generator:
+        """wrLock, ExecuteAndAdvance everything pending, wrUnlock.
+        Returns the count.
+
+        ``held`` is the result map of a lock gCAS the caller already
+        posted; if it lost anywhere, :meth:`LockManager.wr_lock` undoes
+        it and retries. Waits 2 and 3 of the recipe: every pending
+        entry's gMEMCPY back to back, then the head advance with the
+        unlock gCAS beside it — if only the unlock lands before a
+        crash, the record stays pending and redo re-applies it.
+        """
+        locks, writer_id = self.locks, self.writer_id
+        yield from locks.wr_lock(task, writer_id, result=held)
+        try:
+            executed, (released,) = yield from self.log.drain(
+                task, beside=[locks.unlock_op(writer_id)]
+            )
+        except GeneratorExit:
+            # Abandoned mid-transaction (the chain died under us and
+            # the parked task is being reclaimed). Unlocking requires
+            # yielding, which a closing generator cannot do — the
+            # failover path breaks the stale lock instead (see
+            # VersionedGroupStore.recover).
+            raise
+        except BaseException:
+            yield from locks.wr_unlock(task, writer_id)
+            raise
+        locks.check_unlocked(writer_id, released)
+        return executed
 
     # -- reads ---------------------------------------------------------------------
 
@@ -173,9 +207,4 @@ class TransactionManager:
             yield from self.group.gcas(
                 task, self.layout.lock_offset, holder, 0
             )
-        yield from self.locks.wr_lock(task, self.writer_id)
-        try:
-            executed = yield from self.drain(task)
-        finally:
-            yield from self.locks.wr_unlock(task, self.writer_id)
-        return executed
+        return (yield from self.drain_locked(task))

@@ -3,8 +3,9 @@
 Each :class:`VersionedGroupStore` owns the keys placed on one
 ``HyperLoopGroup``. Durable state rides the existing §5 recipe — a
 commit's writes for the group become one WAL record installed through
-``TransactionManager.transact`` (gWRITE append, gCAS group lock,
-gMEMCPY ExecuteAndAdvance, gCAS unlock) — so every replicated-log
+``TransactionManager.transact`` (gWRITE append with the gCAS group lock
+beside it, gMEMCPY ExecuteAndAdvance, head advance with the gCAS unlock
+beside it: three ack waits however many keys) — so every replicated-log
 guarantee (atomic record application, redo idempotence, durability
 before execution) carries over unchanged.
 
@@ -228,9 +229,10 @@ class VersionedGroupStore:
         """Point the store at the repaired group.
 
         The replicated log's client-side state (head/tail/next_lsn) is
-        authoritative and survives; the repair installed the full
-        region image, so the new client mirror and replica WALs match
-        it. The WAL mutex is replaced wholesale — a commit parked on
+        authoritative and survives — it covers exactly what the dead
+        chain acked, not what a parked appender had in flight; the
+        repair installed the full region image, so the new client
+        mirror and replica WALs match it. The WAL mutex is replaced wholesale — a commit parked on
         the dead chain's ack event may hold the old one forever.
         """
         self.manager.group = new_group
@@ -256,12 +258,7 @@ class VersionedGroupStore:
         holder = int.from_bytes(raw, "little") & 0xFFFF_FFFF
         if holder == manager.writer_id:
             yield from self.group.gcas(task, manager.layout.lock_offset, holder, 0)
-        yield from manager.locks.wr_lock(task, manager.writer_id)
-        try:
-            executed = yield from manager.drain(task)
-        finally:
-            yield from manager.locks.wr_unlock(task, manager.writer_id)
-        return executed
+        return (yield from manager.drain_locked(task))
 
     def __repr__(self) -> str:
         return (

@@ -661,3 +661,200 @@ class TestSecondaryIndexes:
             return len(docs)
 
         assert drive(sim, cluster, body, until_ms=5000) == 2
+
+
+BACKENDS = {"hyperloop": HyperLoopGroup, "naive": NaiveGroup}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestPostThenWaitRecipe:
+    """The §5 recipe as three ack waits: {record, header, lock gCAS} →
+    {n × gMEMCPY} → {head advance, unlock gCAS}."""
+
+    def _manager(self, backend, rounds=16):
+        from repro.storage.transactions import TransactionManager
+
+        sim, cluster = make_cluster(seed=23)
+        group = BACKENDS[backend](
+            cluster[0], cluster.hosts[1:4], region_size=1 << 16, rounds=rounds, name="p"
+        )
+        return sim, cluster, group, TransactionManager(group, writer_id=7)
+
+    @staticmethod
+    def _set_lock_word(group, manager, replica, value):
+        group.replicas[replica].memory.write(
+            group.replica_mrs[replica].addr + manager.layout.lock_offset,
+            value.to_bytes(8, "little"),
+        )
+
+    def test_batch_larger_than_the_flow_window_completes(self, backend):
+        """12 changes = 12 gMEMCPYs back to back on a rounds=16 group
+        (8 flow slots): the install must not deadlock on its own slots."""
+        sim, cluster, group, manager = self._manager(backend)
+        changes = [(64 * index, bytes([index + 1]) * 48) for index in range(12)]
+
+        def body(task):
+            first = yield from manager.transact(task, changes)
+            second = yield from manager.transact(task, changes[:1])
+            return first, second
+
+        assert drive(sim, cluster, body) == (0, 1)
+        for replica in range(3):
+            for offset, data in changes:
+                position = manager.layout.db_position(offset)
+                assert group.read_replica(replica, position, len(data)) == data
+            assert manager.locks.holder(replica) == 0
+        assert manager.log.head == manager.log.tail
+        assert manager.locks.conflicts == 0 and not group.errors
+
+    def test_lost_overlapped_lock_cas_undoes_backs_off_and_retries(self, backend):
+        """Replica 1's lock word is held by someone else when the
+        overlapped lock gCAS arrives, and freed 20 us later: the CAS
+        wins on replicas 0 and 2 only → undo there, back off, retry
+        until it is free — with the record applied exactly once."""
+        sim, cluster, group, manager = self._manager(backend)
+        self._set_lock_word(group, manager, 1, 99)
+        sim.call_at(sim.now + 20 * US, self._set_lock_word, group, manager, 1, 0)
+        copies = []
+        submit = group.submit
+
+        def counting_submit(task, op):
+            if op.kind == "gmemcpy":
+                copies.append(op)
+            return (yield from submit(task, op))
+
+        group.submit = counting_submit
+
+        def body(task):
+            lsn = yield from manager.transact(task, [(0, b"exactly-once")])
+            return lsn, sim.now
+
+        lsn, finished = drive(sim, cluster, body)
+        assert lsn == 0 and finished > 20 * US
+        assert manager.locks.conflicts >= 1 and manager.locks.acquisitions == 1
+        assert len(copies) == 1  # executed once, after the lock was really held
+        assert manager.log.head == manager.log.tail and manager.log.next_lsn == 1
+        position = manager.layout.db_position(0)
+        for replica in range(3):
+            assert group.read_replica(replica, position, 12) == b"exactly-once"
+            assert manager.locks.holder(replica) == 0
+
+    def test_append_abandoned_on_a_dead_chain_leaves_the_client_tail_alone(self, backend):
+        """The chain head dies as the second record is posted: record
+        and header are lost in flight and the appender parks forever.
+        Failover keeps the client's head/tail/next_lsn and rebuilds
+        the mirror from a survivor, so they must still describe only
+        what the whole chain acked."""
+        sim, cluster, group, manager = self._manager(backend)
+        log = manager.log
+        submit = group.submit
+
+        def crashing_submit(task, op):
+            ack = yield from submit(task, op)
+            if log.next_lsn == 1 and not cluster[1].down:
+                cluster[1].crash()
+            return ack
+
+        group.submit = crashing_submit
+        done = []
+
+        def body(task):
+            yield from log.append(task, [(0, b"acked")])
+            done.append(log.tail)
+            yield from manager.transact(task, [(64, b"lost in flight")])
+            done.append(log.tail)
+
+        cluster[0].os.spawn(body, "appender")
+        sim.run(until=sim.now + 1 * MS)
+        assert len(done) == 1 and cluster[1].down
+        assert (log.head, log.tail, log.next_lsn) == (0, done[0], 1)
+        assert [record.lsn for _, record in log.pending_records()] == [0]
+        for replica in (1, 2):
+            survivors = ReplicatedLog.recover_replica(group, manager.layout, replica)
+            assert [record.lsn for record in survivors] == [0]
+
+    def test_truncate_queues_behind_an_append_in_flight(self, backend):
+        """A header posted by truncate while an append's record and
+        header are in flight would land behind them with the old tail
+        and uncover the acked record; truncate takes the WAL mutex, so
+        replicas and client agree once both are done."""
+        sim, cluster, group, manager = self._manager(backend)
+        log = manager.log
+        submit = group.submit
+        order = []
+
+        def truncator(task):
+            yield from log.truncate(task)
+            order.append("truncate")
+
+        def spawning_submit(task, op):
+            ack = yield from submit(task, op)
+            if log.next_lsn == 1 and not order:
+                order.append("record posted")
+                cluster[0].os.spawn(truncator, "truncator")
+            return ack
+
+        group.submit = spawning_submit
+
+        def body(task):
+            yield from log.append(task, [(0, b"first")])
+            yield from log.append(task, [(64, b"second")])
+            order.append("append")
+            return True
+
+        assert drive(sim, cluster, body)
+        sim.run(until=sim.now + 1 * MS)
+        assert order == ["record posted", "append", "truncate"]
+        assert log.head == log.tail > 0
+        for replica in range(3):
+            header = group.read_replica(replica, manager.layout.head_offset, 16)
+            assert struct.unpack("<QQ", header) == (log.head, log.tail)
+
+    def test_durable_tail_never_covers_a_torn_record(self, backend):
+        """Record and header are posted back to back; cut a replica's
+        power (DRAM and un-flushed NIC windows lost, NIC dark) anywhere
+        between the record's post and the header's ack: whatever tail
+        its NVM holds, every record under it deserializes."""
+
+        def run(fail_at=None, victim=None):
+            sim, cluster, group, manager = self._manager(backend, rounds=64)
+            log, marks = manager.log, {}
+            submit = group.submit
+
+            def marking_submit(task, op):
+                ack = yield from submit(task, op)
+                if log.next_lsn == 1:  # posts of the second append
+                    marks.setdefault("posted", sim.now)
+                    ack.add_callback(lambda _ack: marks.__setitem__("acked", sim.now))
+                return ack
+
+            group.submit = marking_submit
+
+            def body(task):
+                yield from log.append(task, [(0, b"first" * 20)])
+                yield from log.append(task, [(512, b"second" * 40)])
+                return True
+
+            if fail_at is not None:
+                sim.call_at(fail_at, cluster[victim].crash)
+            cluster[0].os.spawn(body, "appender")
+            sim.run(until=sim.now + 1 * MS)  # the victim's chain stays dead
+            return group, manager, marks
+
+        _, _, marks = run()
+        posted, acked = marks["posted"], marks["acked"]
+        assert posted < acked
+        tails = set()
+        for step in range(25):
+            fail_at = posted + (acked - posted) * step // 24
+            for victim in (1, 2, 3):
+                group, manager, _ = run(fail_at, victim)
+                replica = victim - 1
+                header = group.read_replica(replica, manager.layout.head_offset, 16)
+                head, tail = struct.unpack("<QQ", header)
+                records = ReplicatedLog.recover_replica(group, manager.layout, replica)
+                assert head == 0
+                assert sum(record.serialized_size for record in records) == tail
+                assert [record.lsn for record in records] == list(range(len(records)))
+                tails.add(len(records))
+        assert tails == {1, 2}  # the sweep straddles the header landing

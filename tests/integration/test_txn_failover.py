@@ -11,6 +11,8 @@ The two hard cases from the ISSUE:
   traversed it again (ChainRepair's image install qualifies).
 """
 
+import pytest
+
 from repro.bench import run_until
 from repro.core import HyperLoopGroup
 from repro.faults.invariants import (
@@ -20,6 +22,7 @@ from repro.faults.invariants import (
 )
 from repro.hw import Cluster
 from repro.sim import MS, Simulator
+from repro.storage.log import ReplicatedLog
 from repro.storage.recovery import ChainRepair, HeartbeatMonitor
 from repro.storage.transactions import TransactionManager
 from repro.txn import (
@@ -74,7 +77,25 @@ def build_two_group_system(sim, cluster, name):
 
 
 class TestMid2pcCrash:
-    def test_replica_crash_mid_commit_replays_without_double_commit(self):
+    # Both crashes are triggered from the doomed commit's first group-A
+    # op (its WAL record), so they land mid-install however fast the
+    # protocol is (a fixed offset into the commit would not):
+    # * "mid-chain-on-record-ack" kills replica 1 the moment the record
+    #   is acked — the gMEMCPY and head-advance rounds are still to
+    #   come;
+    # * "head-on-record-post" kills the chain head the moment the
+    #   record is posted — record and header die in flight, no replica
+    #   holds them, and the client's tail must not cover them either
+    #   (the repair copies a survivor's image under the client's
+    #   head/tail).
+    @pytest.mark.parametrize(
+        "victim, crash_on_ack",
+        [(2, True), (1, False)],
+        ids=["mid-chain-on-record-ack", "head-on-record-post"],
+    )
+    def test_replica_crash_mid_commit_replays_without_double_commit(
+        self, victim, crash_on_ack
+    ):
         sim = Simulator(seed=31)
         cluster = Cluster(sim, n_hosts=8, n_cores=4)
         client = cluster[0]
@@ -104,7 +125,12 @@ class TestMid2pcCrash:
 
         assert drive(sim, cluster, seed)
 
-        progress = {"committing": False, "outcome": None, "rebound": False}
+        progress = {
+            "committing": False,
+            "crash_armed": False,
+            "outcome": None,
+            "rebound": False,
+        }
 
         def doomed(task):
             txn = yield from coordinator.begin(task)
@@ -126,21 +152,26 @@ class TestMid2pcCrash:
             yield from coordinator.reset_after_failover(task, 0, repairer.group)
             progress["rebound"] = True
 
-        # Kill group A's mid-chain replica 50us into the commit — a
-        # full 12-key two-group commit takes ~265us of sim time, so the
-        # crash lands inside the group A install and the commit parks
-        # on the dead chain's ack forever.
-        def crasher(task):
-            while not progress["committing"]:
-                yield from task.sleep(10_000)
-            yield from task.sleep(50_000)
-            cluster[2].crash()
+        # Either way the commit parks on the dead chain's ack forever.
+        submit = group_a.submit
+
+        def watched_submit(task, op):
+            ack = yield from submit(task, op)
+            if progress["committing"] and not progress["crash_armed"]:
+                progress["crash_armed"] = True
+                if crash_on_ack:
+                    ack.add_callback(lambda _ack: cluster[victim].crash())
+                else:
+                    cluster[victim].crash()
+            return ack
+
+        group_a.submit = watched_submit
 
         client.os.spawn(doomed, "mid2pc.doomed")
         client.os.spawn(recoverer, "mid2pc.recover")
-        client.os.spawn(crasher, "mid2pc.crash")
         run_until(sim, lambda: progress["rebound"], deadline_ms=20_000)
 
+        assert cluster[victim].down
         # The doomed attempt was aborted by the epoch reset, not
         # committed — and its parked generator must never finish it.
         assert coordinator.aborts_failover >= 1
@@ -166,6 +197,15 @@ class TestMid2pcCrash:
             chain = store.versions[key]
             assert len(chain) == 2  # seed version + replayed version
             assert chain[-1].value == b"\x03" * 8
+            # The acked replay is durable on every member of the
+            # repaired chain, not only in the client's version index.
+            for replica in range(store.group.group_size):
+                assert store.read_durable_offline(replica, key)[3] == b"\x03" * 8
+        for store in coordinator.stores:
+            log = store.manager.log
+            assert log.head == log.tail
+            for replica in range(store.group.group_size):
+                assert ReplicatedLog.recover_replica(store.group, log.layout, replica) == []
         assert check_no_serialization_anomaly(coordinator).ok
         assert check_read_your_writes(coordinator).ok
         assert check_txn_acked_writes(coordinator).ok

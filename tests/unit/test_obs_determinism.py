@@ -150,3 +150,77 @@ class TestExperimentOutputsUnchanged:
         assert tracer.dispatches > 0
         cats = {rec.cat for rec in tracer.iter_records()}
         assert {"kernel", "nic", "fabric", "scheduler", "group"} <= cats
+
+
+def two_group_commit(n_keys=6):
+    """A multi-key commit installed on two groups in parallel — every
+    install posts overlapped group ops. Returns everything a schedule
+    change would move: finish times, durable slots, dispatch totals."""
+    from repro.bench import run_until
+    from repro.hw import Cluster
+    from repro.txn import build_txn_system
+
+    sim = Simulator(seed=13)
+    cluster = Cluster(sim, n_hosts=4, n_cores=4)
+    coordinator = build_txn_system(sim, cluster, n_groups=2)
+    keys = [f"k{index:02d}".encode() for index in range(n_keys)]
+    assert {coordinator.locate(key) for key in keys} == {0, 1}
+    stamps = []
+
+    def body(task):
+        for value in (b"one", b"two"):
+            txn = yield from coordinator.begin(task)
+            for key in keys:
+                coordinator.write(txn, key, value * 5)
+            yield from coordinator.commit(task, txn)
+            stamps.append(sim.now)
+
+    task = cluster[0].os.spawn(body, "committer")
+    run_until(sim, lambda: task.process.triggered, deadline_ms=100)
+    durable = [
+        coordinator.stores[coordinator.locate(key)].read_durable_offline(2, key)
+        for key in keys
+    ]
+    switches = sum(host.os.context_switches for host in cluster.hosts)
+    return stamps, durable, switches, sim.now
+
+
+class TestOverlappedGroupOpsTraced:
+    def test_two_group_commit_identical_traced_vs_untraced(self):
+        untraced = two_group_commit()
+        with tracing():
+            traced = two_group_commit()
+        assert traced == untraced
+        assert len(traced[0]) == 2 and all(slot[3] == b"two" * 5 for slot in traced[1])
+
+    def test_overlapped_spans_export_as_valid_chrome_trace(self):
+        from repro.obs import to_chrome_trace, validate_chrome_trace
+
+        with tracing(record_kernel=False) as tracer:
+            two_group_commit()
+        document = to_chrome_trace(tracer)
+        assert validate_chrome_trace(document) == []
+        spans = [
+            event
+            for event in document["traceEvents"]
+            if event.get("cat") == "group" and event["ph"] == "X"
+        ]
+        # 2 commits × 2 groups × (record + header + lock + 3 copies +
+        # head advance + unlock), every one a complete span with its round.
+        assert len(spans) == 2 * 2 * 8 == tracer.counters["group.ops"]
+        assert all(event["dur"] > 0 and "round" in event["args"] for event in spans)
+        assert not any(
+            event["ph"] in "BE" for event in document["traceEvents"] if event.get("cat") == "group"
+        )
+        lanes = {(event["pid"], event["tid"]) for event in spans}
+        overlapped = 0
+        for lane in lanes:
+            ordered = sorted(
+                (event for event in spans if (event["pid"], event["tid"]) == lane),
+                key=lambda event: event["ts"],
+            )
+            overlapped += sum(
+                later["ts"] < earlier["ts"] + earlier["dur"]
+                for earlier, later in zip(ordered, ordered[1:])
+            )
+        assert overlapped > 0  # one task, several ops in flight
