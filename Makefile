@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-unit bench bench-quick perf-smoke e2e e2e-quick
+.PHONY: test test-unit bench bench-quick perf-smoke e2e e2e-quick figures-smoke
 
 test:            ## tier-1 suite (unit + integration + benchmarks)
 	$(PYTHON) -m pytest -x -q
@@ -23,3 +23,6 @@ e2e:             ## end-to-end benchmark (BENCHMARK.json): 5 workloads, ~95 s
 
 e2e-quick:       ## the same at 1/20 size: checks the plumbing, not the numbers
 	$(PYTHON) benchmarks/e2e/run.py --quick
+
+figures-smoke:   ## Fig 11 / Fig 12 shape assertions (simulated, exact; ~15 s)
+	$(PYTHON) -m pytest -q benchmarks/test_fig11_rocksdb.py benchmarks/test_fig12_mongodb.py

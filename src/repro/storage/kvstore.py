@@ -10,8 +10,12 @@ Mirrors how the paper modifies RocksDB:
   *off the critical path* to bring their in-memory snapshot in sync
   with the NVM log, so reads served from backups are eventually
   consistent (§5.1).
+* Writer threads meet at the WAL mutex and are group-committed there
+  (:mod:`repro.storage.log`): a put still returns only once its own
+  record and a tail covering it are durable on every replica.
 * A checkpoint serializes the memtable into the database area
-  (replicated) and truncates the log.
+  (replicated) and truncates the log to the cut the image was taken
+  at, so puts may race it.
 
 WAL records for the KV store carry serialized *operations* (put or
 delete), replayed into memtables — the log-as-operations style
@@ -204,10 +208,15 @@ class ReplicatedKVStore:
         """Dump the memtable into the DB area and truncate the log.
 
         This is the (coarse-grained, off-the-critical-path) analogue
-        of RocksDB dumping the memtable and truncating the WAL.
+        of RocksDB dumping the memtable and truncating the WAL. Puts
+        may race it: the image and the truncation point are one cut —
+        the memtable holds exactly the records below ``cut_tail`` —
+        so a put that lands while the image is being written stays in
+        the log behind it.
         """
+        cut_lsn, cut_tail = yield from self.log.cut(task)
         items = self.memtable.items()
-        blob = struct.pack("<IIq", _CHECKPOINT_MAGIC, len(items), self.log.next_lsn - 1)
+        blob = struct.pack("<IIq", _CHECKPOINT_MAGIC, len(items), cut_lsn)
         parts = [blob]
         for key, value in items:
             parts.append(struct.pack("<HI", len(key), len(value)) + key + value)
@@ -222,8 +231,8 @@ class ReplicatedKVStore:
             yield from self.group.gwrite(
                 task, self.layout.db_position(0) + offset, len(piece)
             )
-        self.checkpoint_lsn = self.log.next_lsn - 1
-        yield from self.log.truncate(task)
+        yield from self.log.truncate(task, up_to=cut_tail)
+        self.checkpoint_lsn = cut_lsn
 
     # -- replica-side sync (off the critical path) --------------------------------------
 

@@ -26,26 +26,77 @@ cross-chain dependencies wait for an ack: gMEMCPY after the record's,
 head advance after the gMEMCPYs'. ``append_beside``/``drain`` let a
 caller's own ops (the §5 lock and unlock gCAS) share those waits.
 
+Appends are **group-committed**, leader/follower as in RocksDB's
+write path. An appender queues its record at the WAL mutex and then
+takes the mutex; whoever gets it with its record still unwritten is
+the *leader* and writes everything queued behind it as well: the
+records laid out back to back from ``tail`` (consecutive LSNs, each
+with its own header and CRC, a wrap marker where one does not fit the
+contiguous room), adjacent ones merged into one gWRITE, then one
+header whose tail covers the batch, then every member's ``beside``
+ops — posted back to back, one ack wait. A *follower* that reaches
+the mutex finds its record written and returns. A batch is whatever
+queued while the previous one was in flight, so there is nothing to
+tune — no batch size, no linger timer — and a lone appender is a batch
+of one that posts exactly ``[marker,] record, header, beside ops``.
+The durability point does not move: an append returns only after its
+record and a header whose tail covers it are gWRITE(+gFLUSH)ed on
+every replica. A batch stops at the first waiter that is not an
+appender (``drain``, ``truncate``, :meth:`ReplicatedLog.cut`), so
+whoever holds the mutex sees a log in which every record under
+``tail`` has been handed back to its appender.
+
 The client keeps an authoritative local copy of the region (the
 group's ``client_region``), so record contents never need to be read
 back over the network. Its ``head``/``tail``/``next_lsn`` are
-authoritative too and survive a failover unchanged, so ``tail`` moves
-only once the whole chain has acked the record and its header — and
-every header write happens under the WAL mutex, because one posted
-behind an in-flight append's would carry the old tail.
+authoritative too and survive a failover unchanged, so ``tail`` and
+``next_lsn`` move only once the whole chain has acked the whole batch
+and its header — and every header write happens under the WAL mutex,
+because one posted behind an in-flight append's would carry the old
+tail.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Generator, Iterator, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Deque, Generator, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.chain import GMEMCPY, GWRITE, OpSpec
 from ..hw.cpu import Task
+from ..obs.trace import TRACER
 from ..sim import Resource
 from .wal import ENTRY_SIZE, HEADER_SIZE, LogRecord, RegionLayout, WRAP_MAGIC, scan_records
 
 __all__ = ["ReplicatedLog"]
+
+
+class _Append:
+    """One append queued at the WAL mutex. The leader that writes it
+    fills in ``result`` — ``(record, beside results)`` — or ``error``."""
+
+    __slots__ = ("changes", "ops", "result", "error")
+
+    def __init__(self, changes: List[Tuple[int, bytes]], ops: Sequence[OpSpec]):
+        self.changes = changes
+        self.ops = ops
+        self.result: Optional[Tuple[LogRecord, list]] = None
+        self.error: Optional[Exception] = None
+
+    @property
+    def settled(self) -> bool:
+        return self.result is not None or self.error is not None
+
+
+class _Gate:
+    """The WAL mutex and, in the order they queued at it, its takers:
+    an :class:`_Append` per appender, ``None`` for anyone else."""
+
+    __slots__ = ("mutex", "queue")
+
+    def __init__(self, sim):
+        self.mutex = Resource(sim, capacity=1, name="wal.mutex")
+        self.queue: Deque[Optional[_Append]] = deque()
 
 
 class ReplicatedLog:
@@ -74,9 +125,22 @@ class ReplicatedLog:
         self.next_lsn = 0
         # Appends and head advances are serialized, as in any WAL
         # implementation (RocksDB holds a mutex across log writes);
-        # concurrent application threads queue here.
-        self._mutex = Resource(group.sim, capacity=1, name="wal.mutex")
+        # concurrent application threads queue here, and the appenders
+        # among them ride one leader's write.
+        self._gate = _Gate(group.sim)
         self._write_header_local()
+
+    def rebind(self, new_group) -> None:
+        """Point the log at the group a failover built.
+
+        ``head``/``tail``/``next_lsn`` stay: they cover exactly what
+        the dead chain acked. The mutex and its queue are replaced
+        wholesale — a leader parked forever on the dead chain's ack
+        holds the old mutex, and its batch and whoever queued behind
+        it are zombies whose records ``tail`` never covered.
+        """
+        self.group = new_group
+        self._gate = _Gate(new_group.sim)
 
     # -- local mirror helpers ----------------------------------------------------
 
@@ -103,6 +167,44 @@ class ReplicatedLog:
         is pending. Decodes one record however many are pending."""
         return next(self._scan_pending(), None)
 
+    # -- the WAL mutex -------------------------------------------------------------
+
+    def _enter(self, task: Task, entry: Optional[_Append] = None) -> Generator:
+        """Queue at the WAL mutex and take it; returns the gate whose
+        mutex the caller releases.
+
+        Acquire and release pair on one captured gate: failover may
+        swap ``self._gate`` while the holder is parked on a dead
+        chain's ack, and its eventual unwind must release the mutex it
+        took. A non-appender queues ``None``, which ends the batch of
+        any leader ahead of it: the mutex is FIFO, so everything ahead
+        of a taker in the queue is gone by the time it is granted.
+        """
+        gate = self._gate
+        gate.queue.append(entry)
+        yield from task.wait(gate.mutex.acquire())
+        if gate is not self._gate:
+            # A zombie's unwind released the dead chain's mutex to us:
+            # pass it on and touch nothing of the rebound log.
+            gate.mutex.release()
+            raise RuntimeError("the WAL was rebound while this task waited for it")
+        if entry is None:
+            gate.queue.popleft()
+        return gate
+
+    def cut(self, task: Task) -> Generator:
+        """Wait out the appends ahead of the caller; returns
+        ``(last LSN, tail)`` of a consistent cut.
+
+        Every record below the returned tail has been handed back to
+        its appender, which has run on to its next yield, and nothing
+        above it has been written — true until the caller next yields
+        (a checkpoint snapshots its in-memory state in that step).
+        """
+        gate = yield from self._enter(task)
+        gate.mutex.release()
+        return self.next_lsn - 1, self.tail
+
     # -- the three verbs ------------------------------------------------------------
 
     def append(self, task: Task, changes: List[Tuple[int, bytes]]) -> Generator:
@@ -120,62 +222,105 @@ class ReplicatedLog:
         """:meth:`append` with ``ops`` posted behind the record and
         awaited in the same round trip (the §5 recipe posts its lock
         gCAS here). Returns ``(record, [result of each op])``."""
-        # Pair acquire/release on one object: failover may swap
-        # self._mutex while an appender is parked on a dead chain's
-        # ack, and its eventual unwind must release the mutex it took.
-        mutex = self._mutex
-        yield from task.wait(mutex.acquire())
+        entry = _Append(changes, ops)
+        gate = yield from self._enter(task, entry)
         try:
-            return (yield from self._append_locked(task, changes, ops))
+            if not entry.settled:
+                yield from self._lead(task, gate.queue)
         finally:
-            mutex.release()
+            gate.mutex.release()
+        if entry.error is not None:
+            raise entry.error
+        return entry.result
 
-    def _append_locked(
-        self, task: Task, changes: List[Tuple[int, bytes]], ops: Sequence[OpSpec]
-    ) -> Generator:
-        record = LogRecord.make(self.next_lsn, changes)
-        raw = record.serialize()
+    def _lead(self, task: Task, queue: Deque[Optional[_Append]]) -> Generator:
+        """Write the run of appends at the front of ``queue`` — the
+        caller's first — as one batch and settle every member."""
+        batch = []
+        while queue and queue[0] is not None:
+            batch.append(queue.popleft())
+        try:
+            yield from self._write_batch(task, batch)
+        except BaseException as exc:
+            # Nobody stays parked on a batch that will not be acked,
+            # and nothing of it is under the tail.
+            if isinstance(exc, Exception):
+                error = exc
+            else:  # the leader's generator was closed under it
+                error = RuntimeError("WAL append abandoned by the leader of its batch")
+            for member in batch:
+                if not member.settled:
+                    member.error = error
+            raise
+
+    def _write_batch(self, task: Task, batch: List[_Append]) -> Generator:
+        """Lay ``batch`` out from the tail, post it with one header
+        and every member's ops, wait once, then move the tail."""
         layout = self.layout
-        if len(raw) > layout.wal_size // 2:
-            raise ValueError("record too large for the WAL ring")
-        room = layout.contiguous_room(self.tail)
-        skip = room if len(raw) > room else 0
-        start = self.tail + skip
-        new_tail = start + len(raw)
-        if new_tail - self.head > layout.wal_size:
-            raise RuntimeError(
-                "WAL full: execute_and_advance/truncate has not kept up"
-            )
-        # [Wrap marker,] record and the header whose tail covers it go
-        # out back to back: the gWRITE chain executes in post order on
-        # every replica, so no replica ever holds the new tail without
-        # the record under it.
-        posts = []
-        if skip:
-            # Stamp a wrap marker and skip to the ring start.
-            marker_offset = layout.wal_position(self.tail)
-            self.group.write_local(marker_offset, struct.pack("<I", WRAP_MAGIC))
-            posts.append(OpSpec(GWRITE, offset=marker_offset, size=4))
-        offset = layout.wal_position(start)
-        self.group.write_local(offset, raw)
-        posts.append(OpSpec(GWRITE, offset=offset, size=len(raw)))
-        posts.append(self._header_op(tail=new_tail))
-        results = yield from self._post_and_wait(task, [*posts, *ops])
+        group = self.group
+        tail, lsn = self.tail, self.next_lsn
+        extents: List[List[int]] = []  # [region offset, size], adjacent runs merged
+        written = []
+
+        def stage(offset: int, data: bytes) -> None:
+            group.write_local(offset, data)
+            if extents and extents[-1][0] + extents[-1][1] == offset:
+                extents[-1][1] += len(data)
+            else:
+                extents.append([offset, len(data)])
+
+        for member in batch:
+            record = LogRecord.make(lsn, member.changes)
+            raw = record.serialize()
+            if len(raw) > layout.wal_size // 2:
+                member.error = ValueError("record too large for the WAL ring")
+                continue
+            room = layout.contiguous_room(tail)
+            skip = room if len(raw) > room else 0
+            start = tail + skip
+            if start + len(raw) - self.head > layout.wal_size:
+                # Judged against the tail the batch has reached so
+                # far; nothing of this member is staged.
+                member.error = RuntimeError(
+                    "WAL full: execute_and_advance/truncate has not kept up"
+                )
+                continue
+            if skip:
+                # Stamp a wrap marker and skip to the ring start.
+                stage(layout.wal_position(tail), struct.pack("<I", WRAP_MAGIC))
+            stage(layout.wal_position(start), raw)
+            tail = start + len(raw)
+            lsn += 1
+            written.append((member, record))
+        if not written:
+            return
+        # [Wrap marker,] records and the header whose tail covers them
+        # go out back to back: the gWRITE chain executes in post order
+        # on every replica, so no replica ever holds the new tail
+        # without every record under it.
+        posts = [OpSpec(GWRITE, offset=offset, size=size) for offset, size in extents]
+        posts.append(self._header_op(tail=tail))
+        cursor = len(posts)
+        for member, _ in written:
+            posts.extend(member.ops)
+        results = yield from self.post_and_wait(task, posts)
+        if TRACER.enabled:
+            TRACER.count("wal.batches")
+            TRACER.count("wal.records", len(written))
         # The client's tail never covers bytes the whole chain has not
         # acked: failover keeps head/tail/next_lsn and rebuilds the
-        # mirror from a survivor, which may hold none of what an
-        # appender abandoned on the dead chain's ack had in flight.
-        self.tail = new_tail
-        self.next_lsn += 1
-        return record, results[len(posts) :]
+        # mirror from a survivor, which may hold none of what a leader
+        # abandoned on the dead chain's ack had in flight.
+        self.tail = tail
+        self.next_lsn = lsn
+        for member, record in written:
+            member.result = (record, results[cursor : cursor + len(member.ops)])
+            cursor += len(member.ops)
 
     def execute_and_advance(self, task: Task) -> Generator:
         """Execute the record at the head on all replicas; returns it
         (or ``None`` if the log is empty)."""
-        # Local capture for the same reason as append(): release the
-        # mutex actually acquired even if failover swapped self._mutex.
-        mutex = self._mutex
-        yield from task.wait(mutex.acquire())
+        gate = yield from self._enter(task)
         try:
             head = self.head_record()
             if head is None:
@@ -183,7 +328,7 @@ class ReplicatedLog:
             yield from self._execute_locked(task, [head], ())
             return head[1]
         finally:
-            mutex.release()
+            gate.mutex.release()
 
     def drain(self, task: Task, beside: Sequence[OpSpec] = ()) -> Generator:
         """Execute every pending record in order, advancing the head
@@ -193,14 +338,13 @@ class ReplicatedLog:
         """
         if self.head == self.tail and not beside:
             return 0, []
-        mutex = self._mutex
-        yield from task.wait(mutex.acquire())
+        gate = yield from self._enter(task)
         try:
             pending = self.pending_records()
             results = yield from self._execute_locked(task, pending, beside)
             return len(pending), results
         finally:
-            mutex.release()
+            gate.mutex.release()
 
     def _execute_locked(
         self, task: Task, records: List[Tuple[int, LogRecord]], beside: Sequence[OpSpec]
@@ -222,13 +366,13 @@ class ReplicatedLog:
         # The copies share the gMEMCPY chain (ordered among themselves)
         # but the head advance rides the gWRITE chain: it is posted
         # only after every copy's ack.
-        yield from self._post_and_wait(task, copies)
+        yield from self.post_and_wait(task, copies)
         posts = []
         if records:
             logical, record = records[-1]
             self.head = logical + record.serialized_size
             posts.append(self._header_op())
-        results = yield from self._post_and_wait(task, [*posts, *beside])
+        results = yield from self.post_and_wait(task, [*posts, *beside])
         return results[len(posts) :]
 
     def truncate(self, task: Task, up_to: Optional[int] = None) -> Generator:
@@ -236,8 +380,7 @@ class ReplicatedLog:
         default: everything)."""
         # Under the mutex like every header write: an append in flight
         # has staged a tail this header must not post behind and undo.
-        mutex = self._mutex
-        yield from task.wait(mutex.acquire())
+        gate = yield from self._enter(task)
         try:
             target = self.tail if up_to is None else up_to
             if not self.head <= target <= self.tail:
@@ -245,9 +388,9 @@ class ReplicatedLog:
                     f"truncate target {target} outside [{self.head}, {self.tail}]"
                 )
             self.head = target
-            yield from self._post_and_wait(task, [self._header_op()])
+            yield from self.post_and_wait(task, [self._header_op()])
         finally:
-            mutex.release()
+            gate.mutex.release()
 
     def _header_op(self, tail: Optional[int] = None) -> OpSpec:
         """Stage the head and ``tail`` (default: the current one)
@@ -255,7 +398,7 @@ class ReplicatedLog:
         self._write_header_local(tail)
         return OpSpec(GWRITE, offset=self.layout.head_offset, size=16)
 
-    def _post_and_wait(self, task: Task, ops: Sequence[OpSpec]) -> Generator:
+    def post_and_wait(self, task: Task, ops: Sequence[OpSpec]) -> Generator:
         """Post ``ops`` back to back, wait once for all their acks;
         returns their results in post order."""
         if not ops:

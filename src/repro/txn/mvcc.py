@@ -22,8 +22,9 @@ before publishing.
 
 ``rebind``/``recover`` are the failover half: after ``ChainRepair``
 splices in a replacement, the store points its manager at the new
-group, replaces the WAL mutex (the old one may be held forever by a
-task parked on the dead chain's ack), breaks the stale group lock the
+group, has the log replace its WAL mutex and append queue (the old
+mutex may be held forever by a task parked on the dead chain's ack,
+:meth:`ReplicatedLog.rebind`), breaks the stale group lock the
 crashed commit may have left in the copied image, and drains pending
 records so the ring cannot fill with orphans.
 """
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..hw.cpu import Task
-from ..sim import Resource
 from ..storage.encoding import decode_version_record, encode_version_record
 from ..storage.transactions import TransactionManager
 
@@ -232,14 +232,13 @@ class VersionedGroupStore:
         authoritative and survives — it covers exactly what the dead
         chain acked, not what a parked appender had in flight; the
         repair installed the full region image, so the new client
-        mirror and replica WALs match it. The WAL mutex is replaced wholesale — a commit parked on
-        the dead chain's ack event may hold the old one forever.
+        mirror and replica WALs match it. What a commit parked on the
+        dead chain's ack may hold forever — the WAL mutex and the
+        appends queued at it — is :meth:`ReplicatedLog.rebind`'s to
+        replace.
         """
         self.manager.group = new_group
-        self.manager.log.group = new_group
-        self.manager.log._mutex = Resource(
-            new_group.sim, capacity=1, name="wal.mutex"
-        )
+        self.manager.log.rebind(new_group)
         self.manager.locks.group = new_group
 
     def recover(self, task: Task) -> Generator:

@@ -350,6 +350,74 @@ class TestKVStore:
         assert recovered[b"nk"] == b"nv-value"
 
 
+class TestCheckpointCut:
+    """A checkpoint's image and its truncation point are one cut, so
+    puts may race it (it used to snapshot the memtable, yield through
+    the image writes and then truncate to wherever the tail had got)."""
+
+    @staticmethod
+    def _run(writers, puts_per_writer, key_of):
+        sim, cluster = make_cluster(cores=8)
+        group = hl_group(cluster)
+        kv = ReplicatedKVStore(group, sync_interval=1 * MS)
+        acked = []  # (key, value) in the order the puts returned
+
+        def writer(index):
+            def body(task):
+                for step in range(puts_per_writer):
+                    key = key_of(index, step)
+                    value = f"w{index}/{step}".encode() * 8
+                    yield from kv.put(task, key, value)
+                    acked.append((key, value))
+
+            return body
+
+        def checkpointer(task):
+            for _ in range(2):
+                yield from task.sleep(60 * US)
+                yield from kv.checkpoint(task)
+                assert acked and len(acked) < writers * puts_per_writer  # it did race
+
+        tasks = [cluster[0].os.spawn(writer(index), f"w{index}") for index in range(writers)]
+        tasks.append(cluster[0].os.spawn(checkpointer, "checkpointer"))
+        run_until(sim, lambda: all(task.process.triggered for task in tasks), deadline_ms=100)
+        for task in tasks:
+            assert task.process.triggered
+            if not task.process.ok:
+                raise task.process.value
+        return cluster, kv, acked
+
+    def test_puts_racing_a_checkpoint_survive_power_failure(self):
+        cluster, kv, acked = self._run(
+            writers=3, puts_per_writer=30, key_of=lambda index, step: f"k{index}/{step}".encode()
+        )
+        assert kv.checkpoint_lsn >= 0 and kv.log.head > 0
+        assert kv.log.head < kv.log.tail  # puts landed behind the last cut
+        for host in cluster.hosts[1:4]:
+            host.power_failure()
+        expected = dict(acked)
+        assert len(expected) == 90
+        for replica in range(3):
+            assert kv.recover_from_replica(replica) == expected
+
+    def test_concurrent_writers_of_one_key_agree_on_the_last_writer(self):
+        """Eight writers share a batch and a key: the memtable, a WAL
+        replay and the order the puts returned in must name the same
+        last writer (LSN order = queue order = return order)."""
+
+        def key_of(index, step):
+            return b"shared" if step % 2 else f"own{index}".encode()
+
+        cluster, kv, acked = self._run(writers=8, puts_per_writer=12, key_of=key_of)
+        last = dict(acked)
+        assert len(last) == 9
+        assert dict(kv.memtable.items()) == last
+        for host in cluster.hosts[1:4]:
+            host.power_failure()
+        for replica in range(3):
+            assert kv.recover_from_replica(replica) == last
+
+
 class TestDocStore:
     def test_insert_read_update_delete(self):
         sim, cluster = make_cluster()

@@ -224,3 +224,53 @@ class TestOverlappedGroupOpsTraced:
                 for earlier, later in zip(ordered, ordered[1:])
             )
         assert overlapped > 0  # one task, several ops in flight
+
+
+def eight_writers_with_a_checkpoint(puts_per_writer=12):
+    """Group-committed WAL appends with a checkpoint cutting in mid-run:
+    batch membership depends on who queued while the previous batch was
+    in flight, so any tracing-induced reordering changes the result."""
+    from repro.bench import run_until
+    from repro.core import HyperLoopGroup
+    from repro.hw import Cluster
+    from repro.storage import ReplicatedKVStore
+
+    sim = Simulator(seed=19)
+    cluster = Cluster(sim, n_hosts=4, n_cores=8)
+    group = HyperLoopGroup(cluster[0], cluster.hosts[1:4], region_size=1 << 18, rounds=64, name="g")
+    kv = ReplicatedKVStore(group)
+    stamps = []
+
+    def writer(index):
+        def body(task):
+            for step in range(puts_per_writer):
+                key = f"k{(index + step) % 5}".encode()
+                yield from kv.put(task, key, f"{index}/{step}".encode() * 16)
+                stamps.append((sim.now, index, kv.log.next_lsn))
+
+        return body
+
+    def checkpointer(task):
+        yield from task.sleep(150_000)
+        yield from kv.checkpoint(task)
+        stamps.append((sim.now, "checkpoint", kv.checkpoint_lsn))
+
+    tasks = [cluster[0].os.spawn(writer(index), f"w{index}") for index in range(8)]
+    tasks.append(cluster[0].os.spawn(checkpointer, "checkpointer"))
+    run_until(sim, lambda: all(task.process.triggered for task in tasks), deadline_ms=100)
+    assert all(task.process.ok for task in tasks)
+    switches = sum(host.os.context_switches for host in cluster.hosts)
+    return stamps, kv.recover_from_replica(1), (kv.log.head, kv.log.tail), switches, sim.now
+
+
+class TestGroupCommitTraced:
+    def test_batches_and_checkpoint_cut_identical_traced_vs_untraced(self):
+        untraced = eight_writers_with_a_checkpoint()
+        with tracing() as tracer:
+            traced = eight_writers_with_a_checkpoint()
+        assert traced == untraced
+        stamps, recovered, (head, tail), _, _ = traced
+        assert len(stamps) == 8 * 12 + 1 and 0 < head < tail and len(recovered) == 5
+        # The run did batch: fewer leaders than records, all counted.
+        assert tracer.counters["wal.records"] == 8 * 12
+        assert tracer.counters["wal.batches"] < tracer.counters["wal.records"] // 2
