@@ -28,6 +28,7 @@ import bisect
 import struct
 from typing import Dict, Generator, List, Optional, Tuple
 
+from ..core.chain import GWRITE, OpSpec
 from ..hw.cpu import Task
 from ..sim import MS, US
 from .log import ReplicatedLog
@@ -224,13 +225,17 @@ class ReplicatedKVStore:
         if len(image) > self.layout.db_size:
             raise RuntimeError("checkpoint larger than the DB area")
         yield from task.compute(50 * US + len(image) // 8)
+        # The chunks go out back to back on the gWRITE chain and are
+        # waited for once; the truncating header is posted only after
+        # the whole image is acked.
+        base = self.layout.db_position(0)
         chunk = 8192
+        writes = []
         for offset in range(0, len(image), chunk):
             piece = image[offset : offset + chunk]
-            self.group.write_local(self.layout.db_position(0) + offset, piece)
-            yield from self.group.gwrite(
-                task, self.layout.db_position(0) + offset, len(piece)
-            )
+            self.group.write_local(base + offset, piece)
+            writes.append(OpSpec(GWRITE, offset=base + offset, size=len(piece)))
+        yield from self.log.post_and_wait(task, writes)
         yield from self.log.truncate(task, up_to=cut_tail)
         self.checkpoint_lsn = cut_lsn
 
