@@ -289,8 +289,18 @@ class HyperFanoutGroup:
         return self.replicas[replica].nic.cache.read(mr.addr + offset, size)
 
     def pread(self, task: Task, replica: int, offset: int, size: int) -> Generator:
+        """One-sided RDMA READ from a replica (no replica CPU)."""
         data = yield from self._reader.pread(task, replica, offset, size)
         return data
+
+    def post_reads(self, task: Task, replica: int, extents) -> Generator:
+        """Post one-sided READs of several ``(offset, size)`` extents as
+        one batch; returns the :class:`~repro.rdma.reader.PostedReads`
+        whose ``wait`` yields their bytes in order. Post and wait are
+        separate so a caller can have reads in flight on several groups
+        at once; :meth:`pread` is one extent, posted and waited for."""
+        posted = yield from self._reader.post(task, replica, extents)
+        return posted
 
     def gwrite(self, task: Task, offset: int, size: int) -> Generator:
         """Replicate via the primary NIC's fan-out; returns the round."""

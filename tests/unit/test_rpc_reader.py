@@ -4,6 +4,7 @@ import pytest
 
 from repro.bench import run_until
 from repro.hw import AccessFlags, Cluster
+from repro.obs import tracing
 from repro.rdma.reader import RemoteReader
 from repro.rdma.rpc import RpcServer
 from repro.sim import MS, Simulator, US
@@ -103,14 +104,14 @@ class TestRpc:
 
 
 class TestRemoteReader:
-    def _rig(self):
+    def _rig(self, region_size=4096):
         sim = Simulator(seed=8)
         cluster = Cluster(sim, n_hosts=3, n_cores=2)
         client = cluster[0]
         replicas = cluster.hosts[1:3]
         mrs = []
         for host in replicas:
-            region = host.memory.alloc(4096)
+            region = host.memory.alloc(region_size)
             mrs.append(host.dev.reg_mr(region, AccessFlags.ALL_REMOTE))
         reader = RemoteReader(client, replicas, mrs, "rd")
         return sim, cluster, client, replicas, mrs, reader
@@ -171,3 +172,187 @@ class TestRemoteReader:
         client.os.spawn(body("y"), "y")
         run_until(sim, lambda: len(done) == 2, deadline_ms=100)
         assert done["x"] == done["y"] == b"A" * 64
+
+
+class TestReadBatches:
+    """preadv: one channel hold, one doorbell, one wait per batch — and
+    a channel that always comes back."""
+
+    _rig = TestRemoteReader._rig
+
+    @staticmethod
+    def _pattern(index, size):
+        return bytes([65 + index % 26]) * size
+
+    def _run(self, sim, client, body):
+        done = {}
+
+        def wrapper(task):
+            done["r"] = yield from body(task)
+
+        task = client.os.spawn(wrapper, "c")
+        run_until(sim, lambda: task.process.triggered, deadline_ms=100)
+        assert task.process.ok, task.process.value
+        return done["r"]
+
+    def test_closed_reader_does_not_hand_its_bytes_to_the_next(self):
+        """A reader closed with its READ in flight (zombie reclaim after
+        a failover) frees the channel; the next reader must wait for its
+        *own* completion, not wake on the dead reader's CQE."""
+        sim, cluster, client, replicas, mrs, reader = self._rig(region_size=8192)
+        mrs[0].region.write(0, b"A" * 64)
+        mrs[0].region.write(4096, b"B" * 64)
+        qp = reader._channels[0].qp
+
+        def doomed(task):
+            yield from reader.pread(task, 0, 0, 64)
+
+        zombie = client.os.spawn(doomed, "zombie")
+
+        def successor(task):
+            while qp.send_posted == 0:
+                yield from task.sleep(500)
+            assert qp.send_cq.completions_total == 0  # posted, still in flight
+            zombie.process.generator.close()
+            return (yield from reader.pread(task, 0, 4096, 64))
+
+        assert self._run(sim, client, successor) == b"B" * 64
+        assert qp.send_cq.entries == [] and qp.send_cq.completions_total == 2
+
+    def test_batch_is_one_doorbell_and_adjacent_extents_one_read(self):
+        sim, cluster, client, replicas, mrs, reader = self._rig(region_size=8192)
+        for index in range(6):
+            mrs[1].region.write(index * 256, self._pattern(index, 256))
+        # Slots 0-2 are one run, slot 5 stands alone.
+        extents = [(0, 256), (256, 256), (512, 256), (1280, 256)]
+        with tracing(record_kernel=False) as tracer:
+            data = self._run(
+                sim, client, lambda task: reader.preadv(task, 1, extents)
+            )
+        assert data == [self._pattern(index, 256) for index in (0, 1, 2, 5)]
+        assert tracer.counters["reader.batches"] == 1
+        assert tracer.counters["reader.wqes"] == 2
+        assert tracer.counters["nic.doorbells"] == 1
+        assert tracer.counters["nic.wqe_executed"] == 2
+
+    @pytest.mark.parametrize(
+        "count, size, stride, batches",
+        [
+            (40, 64, 128, 2),  # 32 send slots: 32 + 8
+            (9, 8192, 8192 + 64, 2),  # 64 KiB bounce buffer: 8 + 1
+            (20, 8192, 8192, 3),  # adjacent, but still only 8 per buffer
+        ],
+    )
+    def test_batch_beyond_ring_or_buffer_goes_out_in_sub_batches(
+        self, count, size, stride, batches
+    ):
+        sim, cluster, client, replicas, mrs, reader = self._rig(
+            region_size=count * stride + 4096
+        )
+        for index in range(count):
+            mrs[0].region.write(index * stride, self._pattern(index, size))
+        mrs[0].region.write(count * stride, b"after" * 4)
+        qp = reader._channels[0].qp
+
+        def body(task):
+            many = yield from reader.preadv(
+                task, 0, [(index * stride, size) for index in range(count)]
+            )
+            entries_left = len(qp.send_cq.entries)
+            one = yield from reader.pread(task, 0, count * stride, 20)
+            return many, entries_left, one
+
+        with tracing(record_kernel=False) as tracer:
+            many, entries_left, one = self._run(sim, client, body)
+        assert many == [self._pattern(index, size) for index in range(count)]
+        assert entries_left == 0 and qp.send_cq.entries == []
+        assert one == b"after" * 4
+        assert tracer.counters["reader.batches"] == batches + 1
+
+    def test_posts_to_two_replicas_overlap(self):
+        sim, cluster, client, replicas, mrs, reader = self._rig()
+        mrs[0].region.write(0, b"zero")
+        mrs[1].region.write(0, b"one!")
+
+        def serial(task):
+            started = sim.now
+            yield from reader.pread(task, 0, 0, 4)
+            yield from reader.pread(task, 1, 0, 4)
+            return sim.now - started
+
+        def overlapped(task):
+            started = sim.now
+            first = yield from reader.post(task, 0, [(0, 4)])
+            second = yield from reader.post(task, 1, [(0, 4)])
+            data = (yield from first.wait(task)) + (yield from second.wait(task))
+            return data, sim.now - started
+
+        serial_ns = self._run(sim, client, serial)
+        data, overlapped_ns = self._run(sim, client, overlapped)
+        assert data == [b"zero", b"one!"]
+        assert overlapped_ns < 0.7 * serial_ns
+
+    def test_error_completion_raises_and_frees_the_channel(self):
+        sim, cluster, client, replicas, mrs, reader = self._rig()
+        mrs[0].region.write(0, b"fine")
+        good_rkey = mrs[0].rkey
+
+        def body(task):
+            mrs[0].rkey = good_rkey + 999  # the replica will refuse it
+            with pytest.raises(RuntimeError, match="pread failed"):
+                yield from reader.preadv(task, 0, [(0, 4), (64, 4)])
+            mrs[0].rkey = good_rkey
+            return (yield from reader.pread(task, 0, 0, 4))
+
+        assert self._run(sim, client, body) == b"fine"
+        assert reader._channels[0].qp.send_cq.entries == []
+
+    def test_close_while_queued_for_the_channel_passes_it_on(self):
+        sim, cluster, client, replicas, mrs, reader = self._rig()
+        mrs[0].region.write(0, b"data")
+        lock = reader._channels[0].lock
+        done = {}
+
+        def holder(task):
+            posted = yield from reader.post(task, 0, [(0, 4)])
+            yield from task.sleep(20_000)
+            done["holder"] = yield from posted.wait(task)
+
+        def queued(task):
+            yield from reader.pread(task, 0, 0, 4)
+
+        client.os.spawn(holder, "holder")
+        waiter = client.os.spawn(queued, "queued")
+        run_until(sim, lambda: lock.queue_length == 1, deadline_ms=1, chunk_ms=0.0001)
+        waiter.process.generator.close()
+        run_until(sim, lambda: "holder" in done, deadline_ms=100)
+        assert lock.in_use == 0 and lock.queue_length == 0
+        assert self._run(sim, client, lambda task: reader.pread(task, 0, 0, 4)) == b"data"
+
+    def test_abandoned_batch_is_waited_out_by_the_next_holder(self):
+        """Abandon a full ring of READs right after posting them: the
+        next batch must neither overflow the ring nor read stragglers'
+        bytes."""
+        sim, cluster, client, replicas, mrs, reader = self._rig(region_size=1 << 14)
+        for index in range(64):
+            mrs[0].region.write(index * 128, self._pattern(index, 64))
+        qp = reader._channels[0].qp
+
+        def body(task):
+            posted = yield from reader.post(
+                task, 0, [(index * 128, 64) for index in range(32)]
+            )
+            posted.abandon()
+            posted.abandon()  # idempotent
+            with pytest.raises(RuntimeError):
+                yield from posted.wait(task)
+            return (
+                yield from reader.preadv(
+                    task, 0, [(index * 128, 64) for index in range(32, 64)]
+                )
+            )
+
+        data = self._run(sim, client, body)
+        assert data == [self._pattern(index, 64) for index in range(32, 64)]
+        assert qp.send_cq.entries == [] and qp.send_cq.completions_total == 64
+        assert reader._channels[0].lock.in_use == 0
