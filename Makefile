@@ -1,13 +1,17 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-unit bench bench-quick perf-smoke e2e e2e-quick figures-smoke
+.PHONY: test test-unit gates bench bench-quick perf-smoke e2e e2e-quick figures-smoke
 
 test:            ## tier-1 suite (unit + integration + benchmarks)
 	$(PYTHON) -m pytest -x -q
 
 test-unit:       ## fast unit tests only
 	$(PYTHON) -m pytest -x -q tests/unit
+
+gates:           ## exact count gates: dispatches, WQEs, doorbells, chain ops per op (~10 s)
+	$(PYTHON) -m pytest -q tests/unit/test_txn_cost_gate.py tests/unit/test_txn_scan_gate.py \
+		tests/unit/test_wal_group_commit.py::TestBatchShape
 
 bench:           ## full perf suite; appends an entry to BENCH_kernel.json
 	$(PYTHON) -m repro.bench.perfsuite --label "$(or $(LABEL),local)"

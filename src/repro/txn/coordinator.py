@@ -20,7 +20,8 @@ consistent hash. Isolation is Serializable Snapshot Isolation:
   key indexes (plus the transaction's own buffered writes), serves
   the first ``limit`` keys at or after ``start`` visible at the
   snapshot — each durable slot cross-checked from an
-  Available-Copies-eligible replica of the owning group — and
+  Available-Copies-eligible replica of the owning group, one READ
+  batch per group and all groups' batches in flight at once — and
   records the covered *range* so a concurrent insert landing inside
   it raises a phantom rw-antidependency edge.
 * ``commit`` validates first-committer-wins on the write set (any
@@ -56,7 +57,7 @@ from ..hw.cpu import Task
 from ..obs.trace import TRACER
 from ..sim import Event
 from .available_copies import AvailabilityTracker, NoAvailableCopy
-from .mvcc import VersionedGroupStore
+from .mvcc import DurableReads, Version, VersionedGroupStore
 from .ssi import CommittedTxn, SerializationGraph, key_in_range
 
 __all__ = ["TxnCoordinator", "Transaction", "TxnAborted"]
@@ -366,80 +367,92 @@ class TxnCoordinator:
         range ``(start, last-returned)`` — or ``(start, None)`` when
         the keyspace ran out before ``limit`` — is recorded so later
         concurrent writes inside it raise phantom edges too.
+
+        Four steps — plan, post, wait, record. The walk to the
+        ``limit``-th visible key needs no network, so it runs first and
+        yields nowhere; the cross-check reads then go out as one batch
+        per group, all groups in flight together
+        (:meth:`_cross_check`); only when every batch is back — and the
+        transaction is still of this epoch — are reads, edges and
+        observations recorded, in key order. A scan therefore costs
+        one READ round trip however many keys and groups it covers,
+        and one that dies on the way records nothing.
         """
         self._check_active(txn)
         if limit < 1:
             raise ValueError("scan limit must be >= 1")
+        # Plan: walk the merged index to the limit-th visible key
+        # without yielding. Nothing consulted here can change while the
+        # reads below are in flight: versions at or below the snapshot
+        # are all published (begin waited out the latch), the key
+        # slices are copies, and the write buffer is this task's own.
         merged = set()
         for store in self.stores:
             merged.update(store.keys_from(start))
         merged.update(key for key in txn.writes if key >= start)
-        results: List[Tuple[bytes, bytes]] = []
-        replicas: Dict[int, int] = {}
-        last_key: Optional[bytes] = None
+        # (key, owning group or None for an own write, version served)
+        steps: List[Tuple[bytes, Optional[int], Optional[Version]]] = []
+        wanted: Dict[int, List[bytes]] = {}  # group -> keys to cross-check
+        served = 0
         for key in sorted(merged):
             if key in txn.writes:
+                steps.append((key, None, None))
+            else:
+                index = self.locate(key)
+                version = self.stores[index].version_at(key, txn.snapshot_ts)
+                steps.append((key, index, version))
+                if version is None:
+                    continue  # in the index, invisible at our snapshot
+                wanted.setdefault(index, []).append(key)
+            served += 1
+            if served == limit:
+                break
+        replicas, durable = yield from self._cross_check(task, txn, wanted)
+        # The yields may span a failover reset; a zombie scan must not
+        # record observations or edges.
+        self._check_active(txn)
+        # Record, in key order.
+        results: List[Tuple[bytes, bytes]] = []
+        for key, index, version in steps:
+            if index is None:
+                value = txn.writes[key]
                 self.observations.append(
                     {
                         "txid": txn.txid,
                         "kind": "own-write",
                         "key": key,
-                        "value": txn.writes[key],
+                        "value": value,
                         "replica": None,
                         "stale": False,
                     }
                 )
-                results.append((key, txn.writes[key]))
-                last_key = key
+            elif version is None:
+                # Read as absent. No network (nothing to serve), but
+                # the edge to its newer writer is a phantom.
+                txn.reads.setdefault(key, 0)
+                self._note_read_edges(txn, self.stores[index], key, phantom=True)
+                continue
             else:
-                index = self.locate(key)
-                store = self.stores[index]
-                version = store.version_at(key, txn.snapshot_ts)
-                if version is None:
-                    # In the index, invisible at our snapshot: read as
-                    # absent. No network (nothing to serve), but the
-                    # edge to its newer writer is a phantom.
-                    txn.reads.setdefault(key, 0)
-                    self._note_read_edges(txn, store, key, phantom=True)
-                    continue
-                if index not in replicas:
-                    try:
-                        replicas[index] = yield from self.tracker.choose(
-                            task, index
-                        )
-                    except NoAvailableCopy as exc:
-                        self._abort(txn, "unavailable")
-                        raise TxnAborted(
-                            txn.txid, "unavailable", str(exc)
-                        ) from None
-                durable = yield from store.read_durable(
-                    task, key, replicas[index]
-                )
-                # The yields may span a failover reset; a zombie scan
-                # must not record observations or edges.
-                self._check_active(txn)
+                value = version.value
+                slot = durable[key]
                 txn.reads.setdefault(key, version.commit_ts)
-                self._note_read_edges(txn, store, key)
+                self._note_read_edges(txn, self.stores[index], key)
                 self.observations.append(
                     {
                         "txid": txn.txid,
                         "kind": "scan",
                         "key": key,
-                        "value": version.value,
+                        "value": value,
                         "replica": replicas[index],
-                        "stale": durable is None
-                        or durable[0] < version.commit_ts,
+                        "stale": slot is None or slot[0] < version.commit_ts,
                     }
                 )
-                results.append((key, version.value))
-                last_key = key
-            if len(results) == limit:
-                break
+            results.append((key, value))
         # Next-key-locking convention: a full scan covers [start,
         # last-returned]; one that exhausted the keyspace covers
         # [start, +inf) — an insert anywhere past start would have
         # changed its answer.
-        end = last_key if len(results) == limit else None
+        end = results[-1][0] if len(results) == limit else None
         txn.scans.append((start, end))
         # Writes already buffered by concurrent transactions inside
         # the range are phantoms-in-waiting: note the edges now (the
@@ -453,7 +466,48 @@ class TxnCoordinator:
                     break
         if TRACER.enabled:
             TRACER.count("txn.scan")
+            TRACER.count("txn.scan_reads", len(durable))
         return results
+
+    def _cross_check(
+        self, task: Task, txn: Transaction, wanted: Dict[int, List[bytes]]
+    ) -> Generator:
+        """Read the durable slots of ``wanted`` (group -> keys), every
+        group's batch in flight at once. Returns ``(replicas, durable)``:
+        the replica that served each group, and the decoded slot (or
+        ``None``) of each key."""
+        groups = sorted(wanted)
+        # Every group's replica is chosen before any channel is taken:
+        # choosing may block for the whole Available-Copies bound, and
+        # must not do so holding a channel other readers queue on.
+        replicas: Dict[int, int] = {}
+        try:
+            for index in groups:
+                replicas[index] = yield from self.tracker.choose(task, index)
+        except NoAvailableCopy as exc:
+            self._abort(txn, "unavailable")
+            raise TxnAborted(txn.txid, "unavailable", str(exc)) from None
+        # Post each group's batch, then wait for all: the round trips
+        # overlap. This task holds several read channels at once, so it
+        # takes them in ascending group order — the order commit takes
+        # group locks in — or two scanners could each hold the channel
+        # the other is queued on.
+        durable: Dict[bytes, Optional[tuple]] = {}
+        posted: List[DurableReads] = []
+        try:
+            for index in groups:
+                reads = yield from self.stores[index].post_durable(
+                    task, wanted[index], replicas[index]
+                )
+                posted.append(reads)
+            for reads in posted:
+                durable.update((yield from reads.wait(task)))
+        finally:
+            # Whatever ended the scan early — an error completion, a
+            # reclaimed zombie's close() — gives every channel back.
+            for reads in posted:
+                reads.abandon()
+        return replicas, durable
 
     def abort(self, txn: Transaction, reason: str = "user") -> None:
         """Caller-initiated abort; idempotent."""

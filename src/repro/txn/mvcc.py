@@ -18,7 +18,11 @@ the newest **installed** version as a self-describing record
 (:func:`~repro.storage.encoding.encode_version_record`), so one-sided
 replica reads can distinguish a visible version from a newer one — or
 from an orphan left by a commit that installed durably but crashed
-before publishing.
+before publishing. Those reads have one form, many keys:
+:meth:`VersionedGroupStore.post_durable` posts the keys' slots as one
+READ batch and returns a :class:`DurableReads` to wait on, so a scan
+can have every group's batch in flight before it waits for any;
+``read_durable`` is the one-key case.
 
 ``rebind``/``recover`` are the failover half: after ``ChainRepair``
 splices in a replacement, the store points its manager at the new
@@ -39,7 +43,7 @@ from ..hw.cpu import Task
 from ..storage.encoding import decode_version_record, encode_version_record
 from ..storage.transactions import TransactionManager
 
-__all__ = ["Version", "VersionedGroupStore", "SlotExhausted"]
+__all__ = ["Version", "VersionedGroupStore", "DurableReads", "SlotExhausted"]
 
 
 class SlotExhausted(RuntimeError):
@@ -53,6 +57,45 @@ class Version:
     commit_ts: int
     txid: int
     value: bytes
+
+
+def _decode_slot(raw: bytes, key: bytes):
+    decoded = decode_version_record(raw)
+    if decoded is None or decoded[2] != key:
+        return None
+    return decoded
+
+
+class DurableReads:
+    """Slot reads in flight for a set of keys
+    (:meth:`VersionedGroupStore.post_durable`).
+
+    Holds the replica's read channel until :meth:`wait` has returned
+    (or raised) or :meth:`abandon` gives it up; abandoning afterwards,
+    or twice, does nothing.
+    """
+
+    __slots__ = ("_keys", "_slotted", "_posted")
+
+    def __init__(self, keys: Sequence[bytes], slotted: List[bytes], posted):
+        self._keys = keys
+        self._slotted = slotted
+        self._posted = posted  # None: no key has a slot, nothing in flight
+
+    def wait(self, task: Task) -> Generator:
+        """Collect the batch; returns ``{key: decoded record or None}``
+        for every key asked for (see
+        :meth:`VersionedGroupStore.read_durable` for ``None``)."""
+        found = dict.fromkeys(self._keys)
+        if self._posted is not None:
+            raws = yield from self._posted.wait(task)
+            for key, raw in zip(self._slotted, raws):
+                found[key] = _decode_slot(raw, key)
+        return found
+
+    def abandon(self) -> None:
+        if self._posted is not None:
+            self._posted.abandon()
 
 
 class VersionedGroupStore:
@@ -188,27 +231,41 @@ class VersionedGroupStore:
         """
         return tuple(self._ordered[bisect_left(self._ordered, start) :])
 
+    def post_durable(
+        self, task: Task, keys: Sequence[bytes], replica: int
+    ) -> Generator:
+        """Post one-sided reads of the keys' slots on a replica; returns
+        the :class:`DurableReads` to ``wait`` on.
+
+        The slots go out as one batch in slot order — load and commit
+        assign a group's slots in key order, so a scan's keys are
+        almost always one run of adjacent slots, which the reader
+        fetches with a single READ. Keys never assigned a slot cost no
+        network; a batch of only such keys takes no channel at all.
+        """
+        slots = self._slots
+        slotted = sorted((key for key in keys if key in slots), key=slots.__getitem__)
+        posted = None
+        if slotted:
+            position = self.manager.layout.db_position
+            posted = yield from self.group.post_reads(
+                task,
+                replica,
+                [(position(slots[key] * self.slot_size), self.slot_size) for key in slotted],
+            )
+        return DurableReads(keys, slotted, posted)
+
     def read_durable(self, task: Task, key: bytes, replica: int) -> Generator:
-        """One-sided read of the key's slot from a replica.
+        """One-sided read of the key's slot from a replica: the one-key
+        case of :meth:`post_durable`.
 
         Returns the decoded ``(commit_ts, txid, key, value)`` record,
         or ``None`` for an empty/torn slot, a slot the key was never
         assigned, or a record belonging to a different key (possible
         only through corruption — slots are never shared).
         """
-        index = self._slots.get(key)
-        if index is None:
-            return None
-        raw = yield from self.group.pread(
-            task,
-            replica,
-            self.manager.layout.db_position(index * self.slot_size),
-            self.slot_size,
-        )
-        decoded = decode_version_record(raw)
-        if decoded is None or decoded[2] != key:
-            return None
-        return decoded
+        reads = yield from self.post_durable(task, [key], replica)
+        return (yield from reads.wait(task))[key]
 
     def read_durable_offline(self, replica: int, key: bytes):
         """Test/invariant hook: decode a replica's slot without the sim."""
@@ -218,10 +275,7 @@ class VersionedGroupStore:
         raw = self.group.read_replica(
             replica, self.manager.layout.db_position(index * self.slot_size), self.slot_size
         )
-        decoded = decode_version_record(raw)
-        if decoded is None or decoded[2] != key:
-            return None
-        return decoded
+        return _decode_slot(raw, key)
 
     # -- failover ------------------------------------------------------------------
 

@@ -291,3 +291,89 @@ class TestAvailableCopiesRevalidation:
         assert drive(sim, cluster, read_once) == b"\x07" * 8
         assert check_read_your_writes(coordinator).ok
         assert check_txn_acked_writes(coordinator).ok
+
+
+class TestResetMidScan:
+    def test_zombie_scan_records_nothing_and_returns_its_channels(self):
+        """An epoch reset lands while a scan's read batches are in
+        flight: the scan wakes as a zombie, fails ``_check_active`` and
+        must leave no read, range, edge or observation behind — and no
+        read channel held."""
+        sim = Simulator(seed=53)
+        cluster = Cluster(sim, n_hosts=8, n_cores=4)
+        coordinator, tracker, factory, group_a = build_two_group_system(
+            sim, cluster, "midscan"
+        )
+        keys = [f"w{index:02d}".encode() for index in range(12)]
+        assert {coordinator.locate(key) for key in keys} == {0, 1}
+
+        def seed(task):
+            txn = yield from coordinator.begin(task)
+            for key in keys:
+                coordinator.write(txn, key, b"\x01" * 8)
+            yield from coordinator.commit(task, txn)
+            return True
+
+        assert drive(sim, cluster, seed)
+        readers = [store.group._reader for store in coordinator.stores]
+        posted_before = [
+            channel.qp.send_posted for reader in readers for channel in reader._channels
+        ]
+        seen = {}
+
+        def scanner(task):
+            # A concurrent writer inside the range: the scan would
+            # record an rw edge to it if it recorded anything.
+            writer = seen["writer"] = yield from coordinator.begin(task)
+            coordinator.write(writer, keys[3], b"\x02" * 8)
+            txn = seen["txn"] = yield from coordinator.begin(task)
+            try:
+                yield from coordinator.scan(task, txn, keys[0], 12)
+                seen["outcome"] = "scanned"
+            except TxnAborted as exc:
+                seen["outcome"] = f"aborted:{exc.reason}"
+
+        def resetter(task):
+            def in_flight():
+                now = [c.qp.send_posted for r in readers for c in r._channels]
+                return sum(now) - sum(posted_before)
+
+            while in_flight() < 2:  # one batch per group
+                yield from task.sleep(200)
+            seen["completed_at_reset"] = [
+                channel.qp.send_cq.completions_total
+                for reader in readers
+                for channel in reader._channels
+            ]
+            yield from coordinator.reset_after_failover(task, 0, group_a)
+            return True
+
+        cluster[0].os.spawn(scanner, "midscan.scanner")
+        assert drive(sim, cluster, resetter)
+        run_until(sim, lambda: "outcome" in seen, deadline_ms=100)
+
+        # The reset really landed with both batches still in flight.
+        assert seen["completed_at_reset"] == posted_before
+        assert seen["outcome"] == "aborted:failover"
+        txn = seen["txn"]
+        assert txn.reads == {} and txn.scans == []
+        assert [o for o in coordinator.observations if o["txid"] == txn.txid] == []
+        assert coordinator.graph.pivot(seen["writer"].txid) is None
+        assert not coordinator.graph._in and not coordinator.graph._out
+        assert coordinator.aborts_failover == 2  # scanner and writer
+
+        def read_both(task):
+            check = yield from coordinator.begin(task)
+            values = []
+            for group in (0, 1):
+                key = next(k for k in keys if coordinator.locate(k) == group)
+                values.append((yield from coordinator.read(task, check, key)))
+            yield from coordinator.commit(task, check)
+            return values
+
+        assert drive(sim, cluster, read_both) == [b"\x01" * 8] * 2
+        for reader in readers:
+            for channel in reader._channels:
+                assert channel.lock.in_use == 0 and channel.lock.queue_length == 0
+        assert check_read_your_writes(coordinator).ok
+        assert check_no_serialization_anomaly(coordinator).ok

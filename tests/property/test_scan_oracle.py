@@ -16,8 +16,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bench import run_until
 from repro.hw import Cluster
+from repro.obs import tracing
 from repro.sim import Simulator
-from repro.txn import TxnAborted, build_txn_system, describe_cycle, find_cycle
+from repro.txn import (
+    TxnAborted,
+    build_txn_system,
+    describe_cycle,
+    find_cycle,
+    key_in_range,
+)
 
 SEED_KEYS = [f"k{index:02d}".encode() for index in range(4)]
 POOL_KEYS = [f"p{index:02d}".encode() for index in range(8)]
@@ -46,10 +53,10 @@ def drive(sim, cluster, body, until_ms=30_000):
     return done["r"]
 
 
-def oracle_scan(coordinator, txn, start, limit):
+def oracle_scan(coordinator, txn, start, limit, universe=UNIVERSE):
     """Brute-force snapshot range read over the known key universe."""
     visible = {}
-    for key in UNIVERSE:
+    for key in universe:
         store = coordinator.stores[coordinator.locate(key)]
         version = store.version_at(key, txn.snapshot_ts)
         if version is not None:
@@ -57,6 +64,65 @@ def oracle_scan(coordinator, txn, start, limit):
     visible.update(txn.writes)  # own buffer wins, exactly like reads
     keys = sorted(key for key in visible if key >= start)[:limit]
     return [(key, visible[key]) for key in keys]
+
+
+def scan_records(coordinator, txn, since=0):
+    """Everything a scan leaves behind besides its result."""
+    return (
+        dict(txn.reads),
+        list(txn.scans),
+        [o for o in coordinator.observations[since:] if o["txid"] == txn.txid],
+        sorted(coordinator.graph._out.get(txn.txid, ())),
+    )
+
+
+def reference_scan(coordinator, txn, start, limit):
+    """The per-key loop the batched scan replaced, replayed on copies
+    of the transaction's state with offline slot reads in place of
+    RDMA: ``(result, records)`` a scan issued now must produce."""
+    reads, scans = dict(txn.reads), list(txn.scans)
+    observations = []
+    edges = set(coordinator.graph._out.get(txn.txid, ()))
+    others = [t for t in coordinator.active.values() if t.txid != txn.txid]
+
+    def note_read_edges(store, key):
+        latest = store.latest(key)
+        if latest is not None and latest.commit_ts > txn.snapshot_ts:
+            edges.add(latest.txid)
+        edges.update(other.txid for other in others if key in other.writes)
+
+    merged = set(key for key in txn.writes if key >= start)
+    for store in coordinator.stores:
+        merged.update(store.keys_from(start))
+    results = []
+    for key in sorted(merged):
+        if key in txn.writes:
+            kind, value, replica, stale = "own-write", txn.writes[key], None, False
+        else:
+            store = coordinator.stores[coordinator.locate(key)]
+            version = store.version_at(key, txn.snapshot_ts)
+            reads.setdefault(key, version.commit_ts if version else 0)
+            note_read_edges(store, key)
+            if version is None:
+                continue
+            durable = store.read_durable_offline(0, key)
+            kind, value, replica = "scan", version.value, 0
+            stale = durable is None or durable[0] < version.commit_ts
+        observations.append(
+            {"txid": txn.txid, "kind": kind, "key": key, "value": value,
+             "replica": replica, "stale": stale}
+        )
+        results.append((key, value))
+        if len(results) == limit:
+            break
+    end = results[-1][0] if len(results) == limit else None
+    scans.append((start, end))
+    edges.update(
+        other.txid
+        for other in others
+        if any(k not in reads and key_in_range(k, start, end) for k in other.writes)
+    )
+    return results, (reads, scans, observations, sorted(edges))
 
 
 @st.composite
@@ -142,11 +208,17 @@ def test_scans_match_brute_force_snapshot_oracle(schedule):
                 if txn.status != "active":
                     continue
                 expected = oracle_scan(coordinator, txn, action[2], action[3])
+                reference, records = reference_scan(
+                    coordinator, txn, action[2], action[3]
+                )
+                mark = len(coordinator.observations)
                 got = yield from coordinator.scan(
                     task, txn, action[2], action[3]
                 )
-                if got != expected:
+                if got != expected or got != reference:
                     mismatches.append((action, expected, got))
+                if scan_records(coordinator, txn, mark) != records:
+                    mismatches.append((action, records, scan_records(coordinator, txn, mark)))
             else:  # close
                 txn = open_txns.pop(action[1])
                 if txn.status == "active":
@@ -162,6 +234,42 @@ def test_scans_match_brute_force_snapshot_oracle(schedule):
     assert find_cycle(coordinator.history) is None, describe_cycle(
         coordinator.history
     )
+
+
+def test_scan_larger_than_one_read_batch_matches_the_oracle():
+    """One group, so the whole scan is one channel's batch: 40 slots in
+    one run (a single READ), then 40 scattered slots — more extents
+    than the reader's send ring holds, posted as two sub-batches."""
+    sim = Simulator(seed=23)
+    cluster = Cluster(sim, n_hosts=4, n_cores=4)
+    coordinator = build_txn_system(sim, cluster, n_groups=1, region_size=1 << 17)
+    universe = [b"k%03d" % index for index in range(80)]
+
+    def body(task):
+        txn = yield from coordinator.begin(task)
+        for key in universe:
+            coordinator.write(txn, key, b"seed" + key)
+        yield from coordinator.commit(task, txn)
+
+        txn = yield from coordinator.begin(task)
+        expected = oracle_scan(coordinator, txn, b"k020", 40, universe)
+        got = [(yield from coordinator.scan(task, txn, b"k020", 40))]
+        # Own writes on every odd key leave the even slots to read.
+        for key in universe[1::2]:
+            coordinator.write(txn, key, b"mine" + key)
+        expected_scattered = oracle_scan(coordinator, txn, b"k000", 80, universe)
+        got.append((yield from coordinator.scan(task, txn, b"k000", 80)))
+        return [expected, expected_scattered], got, txn
+
+    with tracing(record_kernel=False) as tracer:
+        expected, got, txn = drive(sim, cluster, body)
+    assert got == expected
+    assert [len(rows) for rows in got] == [40, 80]
+    assert tracer.counters["txn.scan_reads"] == 40 + 40
+    assert tracer.counters["reader.wqes"] == 1 + 40
+    assert tracer.counters["reader.batches"] == 1 + 2
+    scanned = [o for o in coordinator.observations if o["txid"] == txn.txid and o["kind"] == "scan"]
+    assert len(scanned) == 80 and not any(o["stale"] for o in scanned)
 
 
 def _phantom_write_skew(mode):

@@ -274,3 +274,77 @@ class TestGroupCommitTraced:
         # The run did batch: fewer leaders than records, all counted.
         assert tracer.counters["wal.records"] == 8 * 12
         assert tracer.counters["wal.batches"] < tracer.counters["wal.records"] // 2
+
+
+def four_scanners_and_an_inserter(scans_per_client=20):
+    """Batched scans — each holding one read channel per group while
+    its READ batches are in flight — racing an inserter that commits
+    into their ranges: who queues behind whom on a channel, and which
+    scan sees which insert, moves with any tracing-induced reordering."""
+    from repro.bench import run_until
+    from repro.hw import Cluster
+    from repro.txn import TxnAborted, build_txn_system
+
+    sim = Simulator(seed=37)
+    cluster = Cluster(sim, n_hosts=4, n_cores=4)
+    coordinator = build_txn_system(sim, cluster, n_groups=4)
+    stamps = []
+
+    def load(task):
+        txn = yield from coordinator.begin(task)
+        for index in range(0, 64, 2):
+            coordinator.write(txn, b"y%04d" % index, b"seed%04d" % index)
+        yield from coordinator.commit(task, txn)
+
+    def scanner(index):
+        def body(task):
+            for step in range(scans_per_client):
+                txn = yield from coordinator.begin(task)
+                start = b"y%04d" % ((7 * index + 5 * step) % 40)
+                try:
+                    rows = yield from coordinator.scan(task, txn, start, 12)
+                    yield from coordinator.commit(task, txn)
+                    stamps.append((sim.now, index, len(rows), rows[-1][0]))
+                except TxnAborted as exc:
+                    stamps.append((sim.now, index, exc.reason))
+
+        return body
+
+    def inserter(task):
+        for index in range(1, 40, 2):
+            txn = yield from coordinator.begin(task)
+            coordinator.insert(txn, b"y%04d" % index, b"new!%04d" % index)
+            try:
+                yield from coordinator.commit(task, txn)
+                stamps.append((sim.now, "insert", index))
+            except TxnAborted as exc:
+                stamps.append((sim.now, "insert", exc.reason))
+
+    loader = cluster[0].os.spawn(load, "load")
+    run_until(sim, lambda: loader.process.triggered, deadline_ms=100)
+    tasks = [cluster[0].os.spawn(scanner(index), f"s{index}") for index in range(4)]
+    tasks.append(cluster[0].os.spawn(inserter, "inserter"))
+    run_until(sim, lambda: all(task.process.triggered for task in tasks), deadline_ms=1_000)
+    assert all(task.process.ok for task in tasks)
+    observed = [
+        (obs["txid"], obs["key"], obs["replica"], obs["stale"])
+        for obs in coordinator.observations
+    ]
+    switches = sum(host.os.context_switches for host in cluster.hosts)
+    return stamps, observed, coordinator.counters(), switches, sim.now
+
+
+class TestBatchedScansTraced:
+    def test_scanners_and_inserter_identical_traced_vs_untraced(self):
+        untraced = four_scanners_and_an_inserter()
+        with tracing() as tracer:
+            traced = four_scanners_and_an_inserter()
+        assert traced == untraced
+        stamps, observed, counters, _, _ = traced
+        assert len(stamps) == 4 * 20 + 20
+        assert counters["commits"] + counters["aborts_phantom"] == 1 + 4 * 20 + 20
+        # The run did batch: fewer READs than slots cross-checked, and
+        # never more than one batch per group per scan.
+        assert tracer.counters["txn.scan_reads"] == len(observed)
+        assert tracer.counters["reader.wqes"] < tracer.counters["txn.scan_reads"]
+        assert tracer.counters["reader.batches"] <= 4 * tracer.counters["txn.scan"]

@@ -200,6 +200,37 @@ class TestOfflineChecker:
         assert describe_cycle(history) == "T1 -rw-> T2 -rw-> T1"
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_committed_reader_write_skew():
+    """Write skew through a reader that has already committed.
+
+    T1 ``r(x) w(y)`` commits; T2, concurrent with it, read ``y`` before
+    that and writes ``x`` after. Each read what the other overwrote —
+    a cycle of two rw edges — yet both commit: ``_finalize`` drops T1
+    from ``active``, so T2's write finds no reader of ``x`` left to
+    raise the edge that would make T2 a pivot. The PR that retains
+    committed readers (ROADMAP item 1a) deletes the marker.
+    """
+    sim, cluster, coordinator = make()
+
+    def body(task):
+        yield from seed_keys(coordinator, task, [b"x", b"y"])
+        first = yield from coordinator.begin(task)
+        second = yield from coordinator.begin(task)
+        yield from coordinator.read(task, first, b"x")
+        yield from coordinator.read(task, second, b"y")
+        coordinator.write(first, b"y", b"\x02" * 8)
+        yield from coordinator.commit(task, first)
+        coordinator.write(second, b"x", b"\x03" * 8)
+        yield from coordinator.commit(task, second)
+        return True
+
+    assert drive(sim, cluster, body)
+    assert find_cycle(coordinator.history) is None, describe_cycle(
+        coordinator.history
+    )
+
+
 class TestIsolation:
     def _write_skew(self, mode):
         sim, cluster, coordinator = make(mode=mode)
