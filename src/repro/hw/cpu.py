@@ -158,11 +158,15 @@ class Task:
         self.wakeups = 0
         self.slice_left = 0  # remaining quantum for this dispatch
         self._dispatch_event: Optional[Event] = None
-        self._preempt_event: Optional[Event] = None
-        # Built once: compute()/poll_wait() allocate one preempt event
-        # per grant and dispatch events per block, so per-call name
-        # formatting is measurable on scheduler-heavy runs.
-        self._preempt_name = name + ".preempt"
+        # The grant the task is running on, if any: the one event
+        # compute()/poll_wait() park on (see _start_grant). _preempted
+        # says whether the scheduler asked for the core back during it.
+        self._grant: Optional[Event] = None
+        self._preempted = False
+        # Built once: every grant and every block allocates one event,
+        # so per-call name formatting is measurable on scheduler-heavy
+        # runs.
+        self._grant_name = name + ".grant"
         self._dispatch_name = name + ".dispatch"
         self.process = None  # set by OperatingSystem.spawn
 
@@ -176,21 +180,12 @@ class Task:
         while remaining > 0:
             if self.state != RUNNING:
                 yield from self._await_dispatch()
-            grant = self.os._grant(self, remaining)
-            self._preempt_event = Event(self.sim, self._preempt_name)
             started = self.sim.now
-            if self.core is not None:
-                self.core._grant_started = started
-            timeout = self.sim.timeout(grant)
-            yield self.sim.any_of([timeout, self._preempt_event])
-            ran = self.sim.now - started
-            preempted = self._preempt_event.triggered
-            self._preempt_event = None
-            if self.core is not None:
-                self.core._grant_started = None
-            self._account(ran)
-            remaining -= ran
-            self.os._grant_ended(self, preempted=preempted, more_work=remaining > 0)
+            yield self._start_grant(self.os._grant(self, remaining))
+            remaining -= self._end_grant(started)
+            self.os._grant_ended(
+                self, preempted=self._preempted, more_work=remaining > 0
+            )
 
     def wait(self, event: Event) -> Generator:
         """Block until ``event`` triggers; returns its value.
@@ -232,27 +227,27 @@ class Task:
         Returns the event's value. ``check_ns`` is the detection cost
         once the event has fired.
         """
+        on_fire = self._on_polled_event
         while True:
             if self.state != RUNNING:
                 yield from self._await_dispatch()
             if event.triggered:
                 break
-            grant = self.os._grant(self, 1 << 62)
-            self._preempt_event = Event(self.sim, self._preempt_name)
             started = self.sim.now
-            if self.core is not None:
-                self.core._grant_started = started
-            timeout = self.sim.timeout(grant)
-            yield self.sim.any_of([timeout, self._preempt_event, event])
-            ran = self.sim.now - started
-            preempted = self._preempt_event.triggered
-            self._preempt_event = None
-            if self.core is not None:
-                self.core._grant_started = None
-            self._account(ran)
+            grant = self._start_grant(self.os._grant(self, 1 << 62))
+            # The awaited event ends the grant too. Registered per
+            # grant and withdrawn when the grant ends some other way,
+            # so a long wait leaves one callback on the event, not one
+            # per grant.
+            event.add_callback(on_fire)
+            try:
+                yield grant
+            finally:
+                event.remove_callback(on_fire)
+            self._end_grant(started)
             if event.triggered:
                 break
-            self.os._grant_ended(self, preempted=preempted, more_work=True)
+            self.os._grant_ended(self, preempted=self._preempted, more_work=True)
         if check_ns:
             yield from self.compute(check_ns)
         if not event.ok:
@@ -269,6 +264,48 @@ class Task:
         yield from self.sleep(0)
 
     # -- internals -----------------------------------------------------------
+
+    def _start_grant(self, length: int) -> Event:
+        """Run on the core for up to ``length`` ns; returns the event
+        to park on.
+
+        A grant is that one event. Three parties may end it, whoever
+        comes first: the length timer pushed here, the scheduler
+        (:meth:`OperatingSystem._on_preempt_check`, which also sets
+        ``_preempted``) and, under :meth:`poll_wait`, the awaited
+        event. The timer stays queued if it lost; firing on an event
+        that already triggered does nothing.
+        """
+        sim = self.sim
+        grant = self._grant = Event(sim, self._grant_name)
+        self._preempted = False
+        if self.core is not None:
+            self.core._grant_started = sim.now
+        sim._push(sim.now + length, self._grant_ran_out, (grant,))
+        return grant
+
+    @staticmethod
+    def _grant_ran_out(grant: Event) -> None:
+        if not grant._triggered:
+            grant.succeed()
+
+    def _on_polled_event(self, event: Event) -> None:
+        grant = self._grant
+        if grant is not None and not grant._triggered:
+            if event._ok:
+                grant.succeed()
+            else:
+                grant.fail(event._value)
+
+    def _end_grant(self, started: int) -> int:
+        """The grant is over, however it ended: account the time run.
+        ``_preempted`` keeps its answer until the next grant starts."""
+        self._grant = None
+        if self.core is not None:
+            self.core._grant_started = None
+        ran = self.sim.now - started
+        self._account(ran)
+        return ran
 
     def _await_dispatch(self) -> Generator:
         event = self._dispatch_event
@@ -582,10 +619,15 @@ class OperatingSystem:
             # Core drained in the meantime.
             self._dispatch_next(core)
         elif not current.interactive:
-            # Preempt the batch task; its compute loop will vacate.
-            event = current._preempt_event
-            if event is not None and not event.triggered:
-                event.succeed()
+            # Preempt the batch task; its compute loop will vacate. A
+            # grant whose timer has fired but whose task has not run
+            # yet still counts as preempted, hence the flag beside the
+            # event.
+            grant = current._grant
+            if grant is not None and not current._preempted:
+                current._preempted = True
+                if not grant._triggered:
+                    grant.succeed()
             else:
                 # Between grants (e.g. mid context switch): try again.
                 self._arm_preemption(core, fast_eligible=False)

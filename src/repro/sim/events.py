@@ -132,6 +132,18 @@ class Event:
         else:
             self._callbacks.append(callback)
 
+    def remove_callback(self, callback: Callable[["Event"], None]) -> None:
+        """Withdraw a callback registered with :meth:`add_callback`.
+
+        A no-op once the event has triggered (the callback has run) or
+        if the callback was never registered. A waiter that stopped
+        caring calls this so a long-lived event does not collect the
+        callbacks of everyone who ever looked at it.
+        """
+        callbacks = self._callbacks
+        if callbacks and callback in callbacks:
+            callbacks.remove(callback)
+
     def __repr__(self) -> str:
         state = "triggered" if self._triggered else "pending"
         label = f" {self.name!r}" if self.name else ""
