@@ -169,6 +169,8 @@ class HwCq:
         self.completions_total = 0
         self.wait_consumed = 0  # completions consumed by hardware WAITs
         self._threshold_waiters: List[Tuple[int, Event]] = []
+        # The armed channel event, if any: never more than one (see
+        # next_event), however many consumers wait on it.
         self._channel_waiters: List[Event] = []
         self._channel_name = self.name + ".channel"
 
@@ -185,14 +187,11 @@ class HwCq:
                     still_waiting.append((threshold, event))
             self._threshold_waiters = still_waiting
         if self._channel_waiters:
-            # Wake-then-poll: every waiter gets the pending-entry count
-            # and races to poll(). Handing a CQE to more than one
-            # waiter would double-deliver a completion the first
-            # consumer may already have drained.
-            waiters, self._channel_waiters = self._channel_waiters, []
-            pending = len(self.entries)
-            for event in waiters:
-                event.succeed(pending)
+            # Wake-then-poll: every waiter on the channel event gets
+            # the pending-entry count and races to poll(). Handing a
+            # CQE to more than one waiter would double-deliver a
+            # completion the first consumer may already have drained.
+            self._channel_waiters.pop().succeed(len(self.entries))
 
     def poll(self, max_entries: int = 16) -> List[Cqe]:
         """Drain up to ``max_entries`` completions (non-blocking)."""
@@ -207,13 +206,16 @@ class HwCq:
         :meth:`poll` to claim completions, and with several concurrent
         waiters only the poll winner gets each CQE. If entries are
         already pending the event is pre-triggered.
+
+        While the channel is armed every call returns the same event:
+        a consumer that asks again before anything arrived (it waits on
+        several CQs and another one woke it) parks nothing new here.
         """
-        event = Event(self.sim, self._channel_name)
         if self.entries:
-            event.succeed(len(self.entries))
-        else:
-            self._channel_waiters.append(event)
-        return event
+            return Event(self.sim, self._channel_name).succeed(len(self.entries))
+        if not self._channel_waiters:
+            self._channel_waiters.append(Event(self.sim, self._channel_name))
+        return self._channel_waiters[0]
 
     def invalidate_waiters(self) -> int:
         """Drop threshold waiters and void unfulfilled WAIT

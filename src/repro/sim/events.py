@@ -288,12 +288,25 @@ class _Condition(Event):
             self.succeed(self._result())
             return
         for event in self.events:
+            if self._triggered:
+                # A child that had already triggered decided it.
+                break
             event.add_callback(self._on_child)
 
     def _result(self) -> dict:
         return {
             event: event._value for event in self.events if event._triggered
         }
+
+    def _detach(self) -> None:
+        """The condition is decided: withdraw from the children that
+        have not triggered. A child may be long-lived (a CQ's channel
+        event, a shutdown flag) and waited on again and again; without
+        this it keeps one dead callback, and through it one dead
+        condition, per wait."""
+        on_child = self._on_child
+        for event in self.events:
+            event.remove_callback(on_child)
 
     def _on_child(self, event: Event) -> None:
         raise NotImplementedError
@@ -311,6 +324,7 @@ class AnyOf(_Condition):
     def _on_child(self, event: Event) -> None:
         if self._triggered:
             return
+        self._detach()
         if not event._ok:
             self.fail(event._value)
         else:
@@ -330,6 +344,7 @@ class AllOf(_Condition):
         if self._triggered:
             return
         if not event._ok:
+            self._detach()
             self.fail(event._value)
             return
         self._pending -= 1

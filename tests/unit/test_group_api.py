@@ -148,3 +148,39 @@ class TestStats:
         assert stats["ops_issued"] == 2
         assert stats["errors"] == 0
         assert stats["rounds_posted"] >= 8 * 3 * 3
+
+
+class TestIdleChains:
+    @pytest.mark.parametrize("client_mode", ["event", "polling"])
+    def test_unused_chains_collect_nothing_per_ack(self, cluster, client_mode):
+        """The ack handler waits on every chain's ack CQ at once. After
+        500 gWRITEs the gMEMCPY and gCAS ack CQs — never used — hold
+        the one armed channel event with the handler's one callback,
+        not one parked event per ack wake (pre-fix: ~500 each)."""
+        import gc
+
+        from repro.bench import run_until
+        from repro.sim import Event
+
+        group = HyperLoopGroup(
+            cluster[0], cluster.hosts[1:4], region_size=1 << 16, rounds=64,
+            client_mode=client_mode, client_core=0,
+        )
+        done = {}
+
+        def body(task):
+            for index in range(500):
+                group.write_local(0, index.to_bytes(8, "little"))
+                yield from group.gwrite(task, 0, 8)
+            done["ok"] = True
+
+        cluster[0].os.spawn(body, "c", pinned_core=1)
+        run_until(cluster[0].sim, lambda: "ok" in done, deadline_ms=500)
+        assert group.errors == []
+        for chain in group.chains.values():
+            assert len(chain.ack_qp.recv_cq._channel_waiters) <= 1, chain.primitive
+        crowded = [
+            obj for obj in gc.get_objects()
+            if isinstance(obj, Event) and obj._callbacks and len(obj._callbacks) > 2
+        ]
+        assert crowded == []

@@ -88,6 +88,62 @@ class TestChannel:
         cq.push(cqe())
         assert first.triggered and second.triggered
 
+    def test_armed_channel_is_one_event_however_often_it_is_asked(self):
+        """A consumer waiting on several CQs asks each for its channel
+        event on every wake; the quiet ones must not collect one parked
+        event per ask (pre-fix: 500 here)."""
+        sim = Simulator()
+        cq = HwCq(sim, 1)
+        first = cq.next_event()
+        assert all(cq.next_event() is first for _ in range(500))
+        assert cq._channel_waiters == [first]
+        cq.push(cqe(3))
+        assert first.triggered and cq._channel_waiters == []
+        # Re-armed with a fresh event once the old one has fired.
+        cq.poll()
+        again = cq.next_event()
+        assert again is not first and not again.triggered
+
+    def test_two_waiters_on_the_channel_both_wake_with_the_count(self):
+        """Wake-then-poll with two parked processes: both resume with
+        the pending-entry count, only the poll winner gets the CQE."""
+        sim = Simulator()
+        cq = HwCq(sim, 1)
+        woke = []
+
+        def consumer(label):
+            pending = yield cq.next_event()
+            woke.append((label, pending, [c.wr_id for c in cq.poll()]))
+
+        sim.spawn(consumer("a"))
+        sim.spawn(consumer("b"))
+        sim.call_in(5, cq.push, cqe(7))
+        sim.run()
+        assert woke == [("a", 1, [7]), ("b", 1, [])]
+
+    def test_any_of_over_cqs_leaves_nothing_on_the_quiet_ones(self):
+        sim = Simulator()
+        busy, idle = HwCq(sim, 1), HwCq(sim, 2)
+        served = []
+
+        def consumer():
+            while len(served) < 50:
+                yield sim.any_of([busy.next_event(), idle.next_event()])
+                served.extend(c.wr_id for c in busy.poll())
+
+        def producer():
+            for index in range(50):
+                yield sim.timeout(5)
+                busy.push(cqe(index))
+
+        sim.spawn(consumer())
+        sim.spawn(producer())
+        sim.run()
+        assert served == list(range(50))
+        assert len(idle._channel_waiters) == 1
+        # The last any_of has triggered: it withdrew from the idle CQ.
+        assert idle._channel_waiters[0]._callbacks == []
+
     def test_second_waiter_never_handed_a_drained_cqe(self):
         """Regression (pre-fix: the chained waiter got ``chan.value``,
         a CQE the first waiter may already have polled — a stale

@@ -71,6 +71,31 @@ class TestRpc:
         run_until(sim, lambda: len(done) == 2, deadline_ms=200)
         assert done[0] == b"echo:c0" and done[1] == b"echo:c1"
 
+    @pytest.mark.parametrize("mode", ["event", "polling"])
+    def test_idle_channels_collect_nothing_per_request(self, mode):
+        """``_next_request`` waits on every channel's CQ at once: 200
+        requests on one channel leave the two idle channels with their
+        one armed channel event and the server's one callback on it
+        (pre-fix: one parked event per request on each)."""
+        sim = Simulator(seed=8)
+        cluster = Cluster(sim, n_hosts=4, n_cores=2)
+        server = self._echo_server(cluster[3], mode=mode)
+        channels = [server.attach(cluster[index]) for index in range(3)]
+        done = {}
+
+        def client(task):
+            for index in range(200):
+                yield from channels[0].call(task, b"%d" % index)
+            done["r"] = 1
+
+        cluster[0].os.spawn(client, "c")
+        run_until(sim, lambda: "r" in done, deadline_ms=500)
+        assert server.requests_served == 200
+        for channel in channels:
+            waiters = channel.server_qp.recv_cq._channel_waiters
+            assert len(waiters) <= 1
+            assert all(len(event._callbacks) <= 1 for event in waiters)
+
     def test_server_pays_cpu(self):
         """The whole point of the native path: serving costs server CPU."""
         sim = Simulator(seed=6)

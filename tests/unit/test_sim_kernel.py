@@ -125,6 +125,46 @@ class TestEvents:
         assert slow not in fired
         return fired[fast]
 
+    def test_remove_callback(self):
+        sim = Simulator()
+        event = sim.event()
+        seen = []
+        keep, drop = seen.append, seen.extend
+        event.add_callback(keep)
+        event.add_callback(drop)
+        event.remove_callback(drop)
+        event.remove_callback(drop)  # absent: a no-op
+        event.succeed()
+        assert seen == [event]
+        event.remove_callback(keep)  # triggered: a no-op
+
+    def test_decided_any_of_withdraws_from_the_losers(self):
+        """A long-lived child waited on again and again keeps no dead
+        callback (and through it no dead AnyOf) per wait."""
+        sim = Simulator()
+        flag = sim.event()  # never fires
+        for _ in range(100):
+            tick = sim.event()
+            first = sim.any_of([tick, flag])
+            assert len(flag._callbacks) == 1
+            tick.succeed()
+            assert first.triggered and flag._callbacks == []
+
+    def test_any_of_over_a_triggered_child_registers_nowhere(self):
+        sim = Simulator()
+        done, pending = sim.event().succeed("v"), sim.event()
+        first = sim.any_of([done, pending])
+        assert first.triggered and first.value == {done: "v"}
+        assert pending._callbacks == []
+
+    def test_failed_all_of_withdraws_from_the_rest(self):
+        sim = Simulator()
+        bad, pending = sim.event(), sim.event()
+        both = sim.all_of([pending, bad])
+        bad.fail(ValueError("boom"))
+        assert both.triggered and not both.ok
+        assert pending._callbacks == []
+
     def test_all_of_waits_for_everything(self):
         sim = Simulator()
 
