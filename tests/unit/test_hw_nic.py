@@ -596,3 +596,129 @@ class TestRingManagement:
         run_until(sim, lambda: qp_a.send_cq.completions_total >= 1)
         assert a.nic.port.tx_messages == before
         assert qp_a.send_cq.poll()[0].wr_id == 3
+
+
+class TestSameTimestampArrivals:
+    """Eight messages reach one QP in the same nanosecond while another
+    QP of the NIC receives and sends: what runs when is decided by
+    queue order alone. The expectation below was recorded at the commit
+    before the receive path became a stage pipeline; the pipeline must
+    reproduce it record for record, and in the same number of kernel
+    dispatches."""
+
+    @staticmethod
+    def _run():
+        from repro.hw.nic import _WireMsg
+        from repro.obs import tracing
+
+        with tracing(record_kernel=False) as tracer:
+            sim = Simulator(seed=1)
+            cluster = Cluster(sim, n_hosts=2)
+            a, b = cluster[0], cluster[1]
+            qp_a1, qp_b1 = a.dev.create_qp(name="a1"), b.dev.create_qp(name="b1")
+            qp_a2, qp_b2 = a.dev.create_qp(name="a2"), b.dev.create_qp(name="b2")
+            qp_a1.connect(qp_b1)
+            qp_a2.connect(qp_b2)
+            buf_a = a.memory.alloc(8192, label="buf_a")
+            buf_b = b.memory.alloc(8192, label="buf_b")
+            mr_a = a.dev.reg_mr(buf_a, AccessFlags.ALL_REMOTE)
+            mr_b = b.dev.reg_mr(buf_b, AccessFlags.ALL_REMOTE)
+            buf_b.write(4096, b"from b!!")
+            qp_b1.post_recv(Wqe(local_addr=buf_b.addr + 2048, length=64, wr_id=1))
+            qp_b2.post_recv(Wqe(local_addr=buf_b.addr + 3072, length=64, wr_id=2))
+            sim.run(until=5 * US)  # engines idle, QP contexts cold
+
+            def msg(qp_src, qp_dst, kind, seq, **fields):
+                return _WireMsg(kind, qp_src.hw.qpn, qp_dst.hw.qpn, seq, **fields)
+
+            def remote(offset):
+                return dict(addr=buf_b.addr + offset, rkey=mr_b.rkey)
+
+            one = lambda kind, seq, **f: msg(qp_a1, qp_b1, kind, seq, **f)  # noqa: E731
+            two = lambda kind, seq, **f: msg(qp_a2, qp_b2, kind, seq, **f)  # noqa: E731
+            burst = [
+                one("write", 0, payload=b"w0" * 4, **remote(0)),
+                one("write", 1, payload=b"w1" * 4, **remote(8)),
+                one("read", 2, length=0, **remote(0)),
+                one("cas", 3, compare=0, swap=7, **remote(512)),
+                two("write", 0, payload=b"x0" * 4, **remote(64)),
+                two("send", 1, payload=b"two-sided"),
+                one("write_imm", 4, payload=b"wi" * 4, imm=9, **remote(16)),
+                one("read", 5, length=128, **remote(0)),
+                one("write", 6, payload=b"w6" * 4, **remote(24)),
+                one("send", 7, payload=b"parks: ring dry"),
+                two("read", 2, length=64, **remote(0)),
+                two("write", 3, payload=b"x3" * 4, **remote(72)),
+            ]
+
+            def arrive():
+                for message in burst:
+                    b.nic._on_wire("host0", message)
+                # The second QP has work of its own to send meanwhile.
+                qp_b2.post_send(
+                    Wqe(opcode=Opcode.WRITE, flags=FLAG_SIGNALED, length=8,
+                        local_addr=buf_b.addr + 4096, remote_addr=buf_a.addr,
+                        rkey=mr_a.rkey, wr_id=77)
+                )
+
+            sim.call_at(10 * US, arrive)
+            sim.call_at(
+                15 * US, qp_b1.post_recv,
+                Wqe(local_addr=buf_b.addr + 2560, length=64, wr_id=3),
+            )
+            sim.run(until=30 * US)
+            records = [
+                (r.ts, r.pid, r.tid, r.name, r.dur)
+                for r in tracer.iter_records()
+                if r.cat == "nic"
+            ]
+            state = {
+                "dispatches": tracer.dispatches,
+                "recv_cqes_b1": [(c.wr_id, c.opcode, c.imm) for c in qp_b1.recv_cq.poll()],
+                "recv_cqes_b2": [(c.wr_id, c.opcode, c.imm) for c in qp_b2.recv_cq.poll()],
+                "send_cqes_b2": [c.wr_id for c in qp_b2.send_cq.poll()],
+                "landed": b.nic.cache.read(buf_b.addr, 32),
+                "cas_word": b.nic.cache.read(buf_b.addr + 512, 8),
+                "at_a": a.nic.cache.read(buf_a.addr, 8),
+            }
+        return records, state
+
+    def test_interleaving_matches_the_recorded_one(self):
+        records, state = self._run()
+        assert state == EXPECTED_BURST_STATE
+        assert records == EXPECTED_BURST_RECORDS
+
+
+EXPECTED_BURST_STATE = {
+    "dispatches": 88,
+    "recv_cqes_b1": [(1, Opcode.WRITE_IMM, 9), (3, Opcode.SEND, None)],
+    "recv_cqes_b2": [(2, Opcode.SEND, None)],
+    "send_cqes_b2": [77],
+    "landed": b"w0w0w0w0w1w1w1w1wiwiwiwiw6w6w6w6",
+    "cas_word": (7).to_bytes(8, "little"),
+    "at_a": b"from b!!",
+}
+# (start ns, host, thread, span, duration ns), in the order emitted: a
+# span is emitted when it ends. Both QPs start cold, so each one's
+# first message pays the 800 ns context fetch; the CAS (250 ns) and the
+# 128-byte READ (2 ns) are what push the first QP off the 150 ns grid.
+EXPECTED_BURST_RECORDS = [
+    (0, "host1", "qp1/rx", "doorbell.recv", 0),
+    (0, "host1", "qp2/rx", "doorbell.recv", 0),
+    (10000, "host1", "qp2/tx", "doorbell.send", 0),
+    (10000, "host1", "qp2/tx", "WRITE", 150),
+    (10000, "host1", "qp1/rx", "rx.write", 950),
+    (10000, "host1", "qp2/rx", "rx.write", 950),
+    (10950, "host1", "qp1/rx", "rx.write", 150),
+    (10950, "host1", "qp2/rx", "rx.send", 150),
+    (11100, "host1", "qp1/rx", "rx.read", 150),
+    (11100, "host1", "qp2/rx", "rx.read", 150),
+    (11250, "host1", "qp1/rx", "rx.cas", 150),
+    (11251, "host1", "qp2/rx", "rx.write", 150),
+    (11650, "host1", "qp1/rx", "rx.write_imm", 150),
+    (11800, "host1", "qp1/rx", "rx.read", 150),
+    (11952, "host1", "qp1/rx", "rx.write", 150),
+    (12102, "host1", "qp1/rx", "rx.send", 150),
+    (11459, "host0", "qp2/rx", "rx.write", 950),
+    (15000, "host1", "qp1/rx", "doorbell.recv", 0),
+]
