@@ -288,7 +288,10 @@ class NicQp:
         self.send_consumer = 0
         self.recv_producer = 0
         self.recv_consumer = 0
+        # Messages waiting for the receive stages; ``_rx_idle`` says
+        # the stages are empty and an arrival may enter them directly.
         self.ingress: Store = Store(nic.sim, name=f"qp{qpn}.ingress")
+        self._rx_idle = False
         self._kick_event: Optional[Event] = None
         self._recv_kick_event: Optional[Event] = None
         # Kick events are re-created every engine lap; formatting their
@@ -324,9 +327,9 @@ class NicQp:
             self._tx_proc = self.nic.sim.spawn(
                 self._send_engine(), name=f"{self.nic.name}/qp{self.qpn}/tx"
             )
-            self.nic.sim.spawn(
-                self._ingress_engine(), name=f"{self.nic.name}/qp{self.qpn}/rx"
-            )
+            # The receive stages start like a message just finished:
+            # one hop, then whatever queued before the QP was connected.
+            self.nic.sim.call_in(0, self._rx_next)
 
     def ring_send_doorbell(self, producer: int) -> None:
         """Tell the NIC the send ring now holds ``producer`` WQEs."""
@@ -713,76 +716,103 @@ class NicQp:
                     )
                 )
 
-    # -- ingress engine --------------------------------------------------------------
+    # -- receive stages --------------------------------------------------------------
+    #
+    # arrive -> halt gate -> sequence check -> rx_process -> per-kind
+    # action -> next. One message per QP is in the stages at a time; the
+    # rest queue in ``ingress``. The stages are plain callbacks handed
+    # on through the event queue: one hop where a message is taken up,
+    # a timer and a hop behind it where the model charges time (see
+    # _rx_after). docs/INTERNALS.md, "NIC receive stages", has the table.
 
-    def _ingress_engine(self) -> Generator:
+    def _rx_arrive(self, msg: _WireMsg) -> None:
+        """A message came off the wire for this QP."""
+        if self._rx_idle:
+            self._rx_idle = False
+            self.nic.sim.call_in(0, self._rx_gate, msg)
+        else:
+            self.ingress.put(msg)
+
+    def _rx_next(self) -> None:
+        """The stages are free: take up the next queued message, or go
+        idle until one arrives."""
+        msg: Optional[_WireMsg] = self.ingress.try_get()
+        if msg is None:
+            self._rx_idle = True
+        else:
+            self.nic.sim.call_in(0, self._rx_gate, msg)
+
+    def _rx_after(self, delay: int, stage, *args: Any) -> None:
+        """Enter ``stage`` once ``delay`` ns of processing have passed:
+        a timer entry, and the stage one hop behind it at the time it
+        fires — what _exec_fire -> _exec_complete is on the send side.
+        Other work queued for that instant runs in between."""
         sim = self.nic.sim
-        params = self.nic.params
-        while True:
-            # Same-arrival coalescing: when deliveries are already
-            # queued (a batch of same-timestamp arrivals), take the
-            # head without allocating a get-event and park for one
-            # queue hop instead — the hop resumes at the exact slot a
-            # pre-triggered get() would, so interleaving with other
-            # same-time work is unchanged.
-            msg: Optional[_WireMsg] = self.ingress.try_get()
-            if msg is None:
-                msg = yield self.ingress.get()
-            else:
-                yield sim.hop()
-            if self.nic.halted:
-                # Stalled NIC: hold the message until resume (crashed
-                # NICs never enqueue — _on_wire drops at the port).
-                yield self.nic.halt_event()
-            if msg.kind in ("ack", "resp"):
-                self._on_response(msg)
-                continue
-            if msg.seq != self._rx_next_seq:
-                # RC in-order exactly-once execution. A replayed seq is
-                # a retransmit of an executed request whose reply was
-                # lost: re-send the cached reply without re-executing.
-                # A future seq is a gap the requester will retransmit
-                # into (go-back-N); drop it silently.
-                if msg.seq < self._rx_next_seq:
-                    cached = self._reply_cache.get(msg.seq)
-                    if cached is not None:
-                        self.nic.transmit(self.remote[0], cached[0], cached[1])
-                    if TRACER.enabled:
-                        TRACER.count("nic.rx_duplicates")
-                elif TRACER.enabled:
-                    TRACER.count("nic.rx_out_of_order")
-                continue
-            self._rx_next_seq += 1
-            rx_from = sim.now
-            yield sim.timeout(
-                params.rx_process_ns + self.nic.qp_context_penalty(self.qpn)
+        sim.call_in(delay, sim.call_in, 0, stage, *args)
+
+    def _rx_gate(self, msg: _WireMsg) -> None:
+        if self.nic.halted:
+            # Stalled NIC: hold the message until resume (crashed NICs
+            # never enqueue — _on_wire drops at the port). Checked once
+            # per message, here: past the gate a message runs to the end.
+            sim = self.nic.sim
+            self.nic.halt_event().add_callback(
+                lambda _resumed: sim.call_in(0, self._rx_check, msg)
             )
-            if TRACER.enabled:
-                TRACER.record(
-                    rx_from,
-                    "X",
-                    "nic",
-                    f"rx.{msg.kind}",
-                    pid=self.nic.name,
-                    tid=f"qp{self.qpn}/rx",
-                    dur=sim.now - rx_from,
-                    args={"len": len(msg.payload)},
-                )
-                TRACER.count("nic.rx_messages")
-            if msg.kind == "write":
-                self._rx_write(msg, imm=False)
-            elif msg.kind == "write_imm":
-                yield from self._rx_write_imm(msg)
-            elif msg.kind == "send":
-                yield from self._rx_send(msg)
-            elif msg.kind == "read":
-                yield sim.timeout(0 if msg.length == 0 else msg.length // 64)
-                self._rx_read(msg)
-            elif msg.kind == "cas":
-                yield sim.timeout(params.atomic_ns)
-                self._rx_cas(msg)
-            else:
-                raise ValueError(f"unknown wire message kind {msg.kind!r}")
+        else:
+            self._rx_check(msg)
+
+    def _rx_check(self, msg: _WireMsg) -> None:
+        if msg.kind in ("ack", "resp"):
+            self._on_response(msg)
+        elif msg.seq != self._rx_next_seq:
+            # RC in-order exactly-once execution. A replayed seq is a
+            # retransmit of an executed request whose reply was lost:
+            # re-send the cached reply without re-executing. A future
+            # seq is a gap the requester will retransmit into
+            # (go-back-N); drop it silently.
+            if msg.seq < self._rx_next_seq:
+                cached = self._reply_cache.get(msg.seq)
+                if cached is not None:
+                    self.nic.transmit(self.remote[0], cached[0], cached[1])
+                if TRACER.enabled:
+                    TRACER.count("nic.rx_duplicates")
+            elif TRACER.enabled:
+                TRACER.count("nic.rx_out_of_order")
+        else:
+            self._rx_next_seq += 1
+            delay = self.nic.params.rx_process_ns + self.nic.qp_context_penalty(self.qpn)
+            self._rx_after(delay, self._rx_execute, msg, self.nic.sim.now)
+            return
+        self._rx_next()
+
+    def _rx_execute(self, msg: _WireMsg, rx_from: int) -> None:
+        """Validated and steered: do what the message asks."""
+        if TRACER.enabled:
+            TRACER.record(
+                rx_from,
+                "X",
+                "nic",
+                f"rx.{msg.kind}",
+                pid=self.nic.name,
+                tid=f"qp{self.qpn}/rx",
+                dur=self.nic.sim.now - rx_from,
+                args={"len": len(msg.payload)},
+            )
+            TRACER.count("nic.rx_messages")
+        if msg.kind == "write":
+            self._rx_write(msg, imm=False)
+            self._rx_next()
+        elif msg.kind == "write_imm":
+            self._rx_deliver(msg, self._rx_write(msg, imm=True))
+        elif msg.kind == "send":
+            self._rx_deliver(msg, True)
+        elif msg.kind == "read":
+            self._rx_after(msg.length // 64, self._rx_read, msg)
+        elif msg.kind == "cas":
+            self._rx_after(self.nic.params.atomic_ns, self._rx_cas, msg)
+        else:
+            raise ValueError(f"unknown wire message kind {msg.kind!r}")
 
     def _reply(self, msg: _WireMsg, reply: _WireMsg, nbytes: int) -> None:
         remote_host, _ = self.remote
@@ -802,87 +832,67 @@ class NicQp:
             self._reply(msg, _WireMsg("ack", self.qpn, msg.src_qpn, msg.seq, status=status), 0)
         return ok
 
-    def _rx_write_imm(self, msg: _WireMsg) -> Generator:
-        ok = self._rx_write(msg, imm=True)
-        wqe = yield from self._consume_recv_wqe()
+    def _rx_deliver(self, msg: _WireMsg, ok: bool) -> None:
+        """Consume a recv WQE for a SEND or WRITE_IMM: CQE, then the
+        ack. A SEND's payload is scattered per the WQE; a WRITE_IMM's
+        has landed already (``ok``: whether it was allowed to)."""
+        if self.recv_consumer >= self.recv_producer:
+            # Ring dry: look again one hop after the recv doorbell rings.
+            sim = self.nic.sim
+            self._await_recv_kick().add_callback(
+                lambda _rung: sim.call_in(0, self._rx_deliver, msg, ok)
+            )
+            return
+        wqe = self._read_recv_wqe(self.recv_consumer)
+        self.recv_consumer += 1
+        if msg.kind == "send":
+            self._scatter(wqe, msg.payload)
+        status = WC_SUCCESS if ok else WC_REMOTE_ACCESS_ERROR
         self.recv_cq.push(
             Cqe(
                 wr_id=wqe.wr_id,
-                opcode=Opcode.WRITE_IMM,
-                status=WC_SUCCESS if ok else WC_REMOTE_ACCESS_ERROR,
+                opcode=Opcode.SEND if msg.kind == "send" else Opcode.WRITE_IMM,
+                status=status,
                 qpn=self.qpn,
                 byte_len=len(msg.payload),
                 imm=msg.imm,
             )
         )
-        self._reply(
-            msg,
-            _WireMsg(
-                "ack",
-                self.qpn,
-                msg.src_qpn,
-                msg.seq,
-                status=WC_SUCCESS if ok else WC_REMOTE_ACCESS_ERROR,
-            ),
-            0,
-        )
-
-    def _rx_send(self, msg: _WireMsg) -> Generator:
-        wqe = yield from self._consume_recv_wqe()
-        self._scatter(wqe, msg.payload)
-        self.recv_cq.push(
-            Cqe(
-                wr_id=wqe.wr_id,
-                opcode=Opcode.SEND,
-                status=WC_SUCCESS,
-                qpn=self.qpn,
-                byte_len=len(msg.payload),
-            )
-        )
-        self._reply(msg, _WireMsg("ack", self.qpn, msg.src_qpn, msg.seq), 0)
-
-    def _consume_recv_wqe(self) -> Generator:
-        while self.recv_consumer >= self.recv_producer:
-            yield self._await_recv_kick()
-        wqe = self._read_recv_wqe(self.recv_consumer)
-        self.recv_consumer += 1
-        return wqe
+        self._reply(msg, _WireMsg("ack", self.qpn, msg.src_qpn, msg.seq, status=status), 0)
+        self._rx_next()
 
     def _rx_read(self, msg: _WireMsg) -> None:
-        ok = self.nic.check_remote(msg.rkey, msg.addr, msg.length, AccessFlags.REMOTE_READ)
-        if not ok:
-            self._reply(
-                msg,
-                _WireMsg("resp", self.qpn, msg.src_qpn, msg.seq, status=WC_REMOTE_ACCESS_ERROR),
-                0,
-            )
-            return
-        # The durability mechanism (§4.2): a READ — including the
-        # 0-byte READ issued by gFLUSH — drains the volatile cache
-        # before the response, so the requester's completion implies
-        # all prior WRITEs on this NIC have reached the memory
-        # (persistence) domain.
-        self.nic.cache.flush_all()
-        data = self.nic.memory.read(msg.addr, msg.length)
-        self._reply(
-            msg, _WireMsg("resp", self.qpn, msg.src_qpn, msg.seq, payload=data), msg.length
-        )
+        if self.nic.check_remote(msg.rkey, msg.addr, msg.length, AccessFlags.REMOTE_READ):
+            # The durability mechanism (§4.2): a READ — including the
+            # 0-byte READ issued by gFLUSH — drains the volatile cache
+            # before the response, so the requester's completion
+            # implies all prior WRITEs on this NIC have reached the
+            # memory (persistence) domain.
+            self.nic.cache.flush_all()
+            data = self.nic.memory.read(msg.addr, msg.length)
+            reply = _WireMsg("resp", self.qpn, msg.src_qpn, msg.seq, payload=data)
+            self._reply(msg, reply, msg.length)
+        else:
+            self._reply_denied(msg)
+        self._rx_next()
 
     def _rx_cas(self, msg: _WireMsg) -> None:
-        ok = self.nic.check_remote(msg.rkey, msg.addr, 8, AccessFlags.REMOTE_ATOMIC)
-        if not ok:
-            self._reply(
-                msg,
-                _WireMsg("resp", self.qpn, msg.src_qpn, msg.seq, status=WC_REMOTE_ACCESS_ERROR),
-                0,
-            )
-            return
-        self.nic.cache.flush_range(msg.addr, 8)
-        original = self.nic.memory.read(msg.addr, 8)
-        if original == msg.compare.to_bytes(8, "little"):
-            self.nic.memory.write(msg.addr, msg.swap.to_bytes(8, "little"))
+        if self.nic.check_remote(msg.rkey, msg.addr, 8, AccessFlags.REMOTE_ATOMIC):
+            self.nic.cache.flush_range(msg.addr, 8)
+            original = self.nic.memory.read(msg.addr, 8)
+            if original == msg.compare.to_bytes(8, "little"):
+                self.nic.memory.write(msg.addr, msg.swap.to_bytes(8, "little"))
+            reply = _WireMsg("resp", self.qpn, msg.src_qpn, msg.seq, payload=original)
+            self._reply(msg, reply, 8)
+        else:
+            self._reply_denied(msg)
+        self._rx_next()
+
+    def _reply_denied(self, msg: _WireMsg) -> None:
         self._reply(
-            msg, _WireMsg("resp", self.qpn, msg.src_qpn, msg.seq, payload=original), 8
+            msg,
+            _WireMsg("resp", self.qpn, msg.src_qpn, msg.seq, status=WC_REMOTE_ACCESS_ERROR),
+            0,
         )
 
     def __repr__(self) -> str:
@@ -1047,7 +1057,7 @@ class Rnic:
         qp = self.qps.get(msg.dst_qpn)
         if qp is None:
             raise RuntimeError(f"{self.name}: message for unknown QP {msg.dst_qpn}")
-        qp.ingress.put(msg)
+        qp._rx_arrive(msg)
 
     # -- failure injection ---------------------------------------------------------------
 
