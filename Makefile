@@ -9,9 +9,9 @@ test:            ## tier-1 suite (unit + integration + benchmarks)
 test-unit:       ## fast unit tests only
 	$(PYTHON) -m pytest -x -q tests/unit
 
-gates:           ## exact count gates: dispatches, WQEs, doorbells, chain ops per op (~10 s)
+gates:           ## exact count gates: dispatches, WQEs, doorbells, chain ops, garbage per op (~20 s)
 	$(PYTHON) -m pytest -q tests/unit/test_txn_cost_gate.py tests/unit/test_txn_scan_gate.py \
-		tests/unit/test_wal_group_commit.py::TestBatchShape
+		tests/unit/test_wal_group_commit.py::TestBatchShape tests/unit/test_hot_path_budget.py
 
 bench:           ## full perf suite; appends an entry to BENCH_kernel.json
 	$(PYTHON) -m repro.bench.perfsuite --label "$(or $(LABEL),local)"
