@@ -937,6 +937,7 @@ class Rnic:
         # volatile state lost. Engines check ``halted`` once per lap.
         self.halted = False
         self.crashed = False
+        self.crashes = 0  # how often crash() has hit: stale-handle checks
         self._resume_event: Optional[Event] = None
         self._halt_name = name + ".halt"
         self.rx_dropped_while_crashed = 0
@@ -1105,6 +1106,7 @@ class Rnic:
         """
         self.halted = True
         self.crashed = True
+        self.crashes += 1
         lost = self.cache.drop()
         self._hot_qps.clear()
         for qp in self.qps.values():

@@ -163,6 +163,11 @@ class RemoteReader:
         buffer_region = client.memory.alloc(
             _BUFFER_SIZE * len(mrs), label=f"{name}.readbuf"
         )
+        # A crash of the client NIC drops READs in flight without
+        # completions: a channel's CQ can then never catch up with what
+        # was posted, and the reader is dead (see post).
+        self._nic = client.nic
+        self._nic_crashes = client.nic.crashes
         self._channels: List[_Channel] = []
         for index, replica in enumerate(replicas):
             qp = client.dev.create_qp(send_slots=32, recv_slots=8, name=f"{name}.rd{index}")
@@ -223,6 +228,12 @@ class RemoteReader:
             raise
         posted = PostedReads(channel, extents)
         try:
+            if self._nic.crashes != self._nic_crashes:
+                raise RuntimeError(
+                    "this reader outlived a crash of the client NIC, which "
+                    "dropped its READs in flight: build a fresh one "
+                    "(group.reattach_client)"
+                )
             qp = channel.qp
             if qp.send_cq.completions_total < qp.send_posted:
                 # The previous holder abandoned READs in flight. Let

@@ -381,3 +381,32 @@ class TestReadBatches:
         assert data == [self._pattern(index, 64) for index in range(32, 64)]
         assert qp.send_cq.entries == [] and qp.send_cq.completions_total == 64
         assert reader._channels[0].lock.in_use == 0
+
+    def test_reader_that_outlived_a_client_nic_crash_fails_loudly(self):
+        """``Rnic.crash`` drops READs in flight without completions, so
+        the channel's CQ can never reach its posted index again:
+        pre-fix the next ``post`` parked on that threshold forever
+        (this test ran to its deadline). It must raise, and name the
+        way back."""
+        sim, cluster, client, replicas, mrs, reader = self._rig()
+        mrs[0].region.write(0, b"data")
+        lock = reader._channels[0].lock
+
+        def body(task):
+            posted = yield from reader.post(task, 0, [(0, 4)])
+            yield from task.sleep(1_200)  # launched, not yet answered
+            assert posted._channel.qp.hw._pending
+            client.nic.crash()
+            posted.abandon()  # a failover handler giving up on it
+            yield from task.sleep(50_000)
+            client.nic.restart()
+            with pytest.raises(RuntimeError, match="reattach_client"):
+                yield from reader.pread(task, 0, 0, 4)
+            # ... on every channel, and none is left held.
+            with pytest.raises(RuntimeError, match="reattach_client"):
+                yield from reader.pread(task, 1, 0, 4)
+            fresh = RemoteReader(client, replicas, mrs, "again")
+            return (yield from fresh.pread(task, 0, 0, 4))
+
+        assert self._run(sim, client, body) == b"data"
+        assert lock.in_use == 0 and lock.queue_length == 0
