@@ -231,6 +231,76 @@ def test_committed_reader_write_skew():
     )
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_read_only_anomaly():
+    """Fekete's read-only anomaly (hole class S2).
+
+    A reads ``y``; B overwrites ``y`` and commits; C, begun after that,
+    reads ``x`` and the new ``y`` and commits read-only; A then writes
+    ``x`` and commits. C saw B but not A, A did not see B:
+    ``A -rw-> B -wr-> C -rw-> A``. Same root cause as the committed
+    reader above — by the time A writes ``x``, its reader C has left
+    ``active`` — so the same PR deletes this marker.
+    """
+    sim, cluster, coordinator = make()
+
+    def body(task):
+        yield from seed_keys(coordinator, task, [b"x", b"y"])
+        a = yield from coordinator.begin(task)
+        b = yield from coordinator.begin(task)
+        yield from coordinator.read(task, a, b"y")
+        coordinator.write(b, b"y", b"\x02" * 8)
+        yield from coordinator.commit(task, b)
+        c = yield from coordinator.begin(task)
+        yield from coordinator.read(task, c, b"x")
+        yield from coordinator.read(task, c, b"y")
+        yield from coordinator.commit(task, c)
+        coordinator.write(a, b"x", b"\x03" * 8)
+        yield from coordinator.commit(task, a)
+        return True
+
+    assert drive(sim, cluster, body)
+    assert find_cycle(coordinator.history) is None, describe_cycle(
+        coordinator.history
+    )
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_committed_pivot():
+    """The same cycle with the pivot committed first (hole class S3).
+
+    As above, but A commits its ``w(x)`` after C has begun and before C
+    reads. C's ``r(x)`` then raises ``C -rw-> A`` against an A that is
+    already committed with an out-edge to B; C has only an out-edge, so
+    ``graph.pivot(C)`` is ``None``, and a read-only commit never
+    validates at all. Retaining committed readers does not close this
+    one: it needs the rule that a new in-edge on a *committed*
+    transaction with an out-edge aborts the reader, and read-only
+    commits going through it.
+    """
+    sim, cluster, coordinator = make()
+
+    def body(task):
+        yield from seed_keys(coordinator, task, [b"x", b"y"])
+        a = yield from coordinator.begin(task)
+        b = yield from coordinator.begin(task)
+        yield from coordinator.read(task, a, b"y")
+        coordinator.write(b, b"y", b"\x02" * 8)
+        yield from coordinator.commit(task, b)
+        c = yield from coordinator.begin(task)
+        coordinator.write(a, b"x", b"\x03" * 8)
+        yield from coordinator.commit(task, a)
+        yield from coordinator.read(task, c, b"x")
+        yield from coordinator.read(task, c, b"y")
+        yield from coordinator.commit(task, c)
+        return True
+
+    assert drive(sim, cluster, body)
+    assert find_cycle(coordinator.history) is None, describe_cycle(
+        coordinator.history
+    )
+
+
 class TestIsolation:
     def _write_skew(self, mode):
         sim, cluster, coordinator = make(mode=mode)
