@@ -11,6 +11,7 @@ Examples::
     python -m repro fig12 --workload A
     python -m repro sweep          # the tenancy sweep headline table
     python -m repro bench --shards 4 --oracle-check   # sharded engine vs oracle
+    python -m repro bench diff old.json new.json      # two e2e results.json, compared
     python -m repro trace          # traced run -> Chrome-trace JSON + report
     python -m repro chaos --seed 7 # fault-injection matrix, invariant report
 """
@@ -118,6 +119,19 @@ def build_parser() -> argparse.ArgumentParser:
         default=100,
         help="mesh cross-group traffic share, per mille (with --shards)",
     )
+
+    diff = bench.add_subparsers(dest="bench_command").add_parser(
+        "diff",
+        help="compare two benchmarks/e2e/out/results.json files",
+        description=(
+            "Per workload: every end-to-end metric old -> new against its "
+            "BENCHMARK.json bound, the traced pass's counts that differ, "
+            "and the layer whose self time moved most."
+        ),
+    )
+    diff.add_argument("old", help="results.json of the parent commit")
+    diff.add_argument("new", help="results.json of the change")
+    diff.add_argument("--spec", default="BENCHMARK.json", help="metric bounds and directions")
 
     txn = sub.add_parser(
         "txn",
@@ -475,9 +489,71 @@ def _cmd_bench_shards(args) -> int:
     return 0
 
 
+def _cmd_bench_diff(args) -> int:
+    """``bench diff OLD NEW``: where two benchmark runs differ, and by
+    how much of what ``BENCHMARK.json`` allows."""
+    import json
+
+    def load(path):
+        with open(path) as handle:
+            results = json.load(handle)["results"]
+        return results.get("run1", results)  # --repeat-check wrote two suites
+
+    with open(args.spec) as handle:
+        spec = json.load(handle)["end_to_end"]
+    old, new = load(args.old), load(args.new)
+    outside = 0
+    rows, count_rows, layer_rows = [], [], []
+    for workload in (w for w in old if w in new):
+        one, two = old[workload], new[workload]
+        for metric in spec:
+            a = one["end_to_end"]["metrics"][metric["name"]]["value"]
+            b = two["end_to_end"]["metrics"][metric["name"]]["value"]
+            change = (b - a) / abs(a) if a else float(b != a)
+            worse = change if metric["better"] == "lower" else -change
+            verdict = "same" if a == b else "better" if worse < 0 else "inside"
+            if worse > metric["bound"]:
+                verdict = "OUTSIDE"
+                outside += 1
+            rows.append((
+                workload, metric["name"], f"{a:.4g}", f"{b:.4g}", f"{100 * change:+.1f}%",
+                f"{100 * metric['bound']:.0f}%", verdict,
+            ))
+        for name in sorted(set(one["counts"]) | set(two["counts"])):
+            a, b = one["counts"].get(name, 0), two["counts"].get(name, 0)
+            if a != b:
+                count_rows.append((workload, name, a, b, f"{b - a:+d}"))
+        layers = {
+            name: (metric["value"], two["per_layer"]["metrics"][name]["value"])
+            for name, metric in one["per_layer"]["metrics"].items()
+            if name.endswith(".self_ms") and name in two["per_layer"]["metrics"]
+        }
+        if layers:
+            name = max(layers, key=lambda n: abs(layers[n][1] - layers[n][0]))
+            a, b = layers[name]
+            layer_rows.append((
+                workload, name, f"{a:.1f}", f"{b:.1f}", f"{b - a:+.1f}",
+                f"{100 * (b - a) / a:+.1f}%" if a else "-",
+            ))
+    print(format_table(
+        "End to end, old -> new", ["workload", "metric", "old", "new", "change", "bound", ""], rows
+    ))
+    print(format_table(
+        "Traced-pass counts that differ" if count_rows else "Traced-pass counts: all identical",
+        ["workload", "count", "old", "new", "diff"], count_rows,
+    ))
+    print(format_table(
+        "Layer whose self time moved most", ["workload", "layer", "old ms", "new ms", "ms", "%"],
+        layer_rows,
+    ))
+    return 1 if outside else 0
+
+
 def _cmd_bench(args) -> int:
     import time
 
+    if args.bench_command == "diff":
+        return _cmd_bench_diff(args)
     if args.shards is not None:
         return _cmd_bench_shards(args)
 

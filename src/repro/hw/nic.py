@@ -5,7 +5,7 @@ paper's mechanism depends on, §4.1):
 
 * **WQEs are bytes in host memory.** Each send/recv ring is a
   :class:`~repro.hw.memory.MemoryRegion` of 64-byte
-  :class:`~repro.rdma.wqe.Wqe` structs. The engine re-reads a slot at
+  :class:`~repro.hw.wqe.Wqe` structs. The engine re-reads a slot at
   execution time, *through the NIC cache*, so an RDMA WRITE that lands
   in a ring changes what the NIC executes — remote work-request
   manipulation is literal, not simulated by fiat.

@@ -1,7 +1,7 @@
 """RDMA verbs layer: WQE/CQE formats and the userspace driver."""
 
 from .verbs import AccessFlags, Mr, POST_COST_NS, QueuePair, RdmaDevice
-from .wqe import (
+from ..hw.wqe import (
     Cqe,
     FLAG_SGL,
     FLAG_SIGNALED,

@@ -62,7 +62,7 @@ class Mr:
 class QueuePair:
     """Software handle for one RC queue pair.
 
-    Owns the ring memory; translates :class:`~repro.rdma.wqe.Wqe`
+    Owns the ring memory; translates :class:`~repro.hw.wqe.Wqe`
     objects to ring bytes and doorbells. Slot addresses are exposed so
     HyperLoop can hand them to remote clients for descriptor patching.
     """

@@ -1,5 +1,7 @@
 """Unit tests for the CLI (repro.cli)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -55,3 +57,49 @@ class TestExecution:
         code = main(["throughput", "--mbytes", "1", "--size", "8192"])
         assert code == 0
         assert "Kops/s" in capsys.readouterr().out
+
+
+class TestBenchDiff:
+    """``bench diff`` over two miniature ``results.json`` files (one
+    written plain, one as ``--repeat-check`` writes it)."""
+
+    DATA = Path(__file__).parent / "data"
+    SPEC = DATA.parents[2] / "BENCHMARK.json"
+
+    def _diff(self, capsys, old, new):
+        code = main([
+            "bench", "diff", str(self.DATA / old), str(self.DATA / new),
+            "--spec", str(self.SPEC),
+        ])
+        return code, capsys.readouterr().out
+
+    def test_names_the_metric_outside_its_bound_the_counts_and_the_layer(self, capsys):
+        code, out = self._diff(capsys, "bench_diff_old.json", "bench_diff_new.json")
+        assert code == 1  # setup_s on gwrite_chain is 40% worse, bound 25%
+        rows = {tuple(line.split()[:2]): line.split() for line in out.splitlines()}
+        assert rows["gwrite_chain", "setup_s"][2:] == [
+            "0.5", "0.7", "+40.0%", "25%", "OUTSIDE"
+        ]
+        assert rows["naive_tenancy", "peak_rss_mb"][2:] == [
+            "102.4", "35.9", "-64.9%", "5%", "better"
+        ]
+        assert rows["gwrite_chain", "sim_p50_us"][-1] == "same"
+        # Only the counts that differ, absent ones reading 0.
+        assert rows["gwrite_chain", "dispatches"][2:] == ["7024", "7000", "-24"]
+        assert rows["gwrite_chain", "counter.nic.rx_stages"][2:] == ["0", "3", "+3"]
+        assert ("naive_tenancy", "dispatches") not in rows
+        # The layer behind the delta, per workload.
+        assert rows["gwrite_chain", "hw.nic.self_ms"][2:] == [
+            "400.0", "310.0", "-90.0", "-22.5%"
+        ]
+        assert rows["naive_tenancy", "hw.cpu.self_ms"][-1] == "-26.6%"
+
+    def test_a_run_against_itself_is_all_same(self, capsys):
+        code, out = self._diff(capsys, "bench_diff_old.json", "bench_diff_old.json")
+        assert code == 0
+        assert "OUTSIDE" not in out and "better" not in out
+        assert "Traced-pass counts: all identical" in out
+
+    def test_plain_bench_still_parses(self):
+        args = build_parser().parse_args(["bench", "--seeds", "2", "--serial"])
+        assert args.bench_command is None and args.seeds == 2

@@ -1,8 +1,8 @@
-"""Unit tests for the WQE/CQE formats (repro.rdma.wqe)."""
+"""Unit tests for the WQE/CQE formats (repro.hw.wqe)."""
 
 import pytest
 
-from repro.rdma.wqe import (
+from repro.hw.wqe import (
     Cqe,
     FLAG_SGL,
     FLAG_SIGNALED,
