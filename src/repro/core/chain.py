@@ -59,6 +59,7 @@ SKIP_SENTINEL = 0xFFFF_FFFF_FFFF_FFFF
 execute-map skip)."""
 
 _SGE_ENTRY = 12  # packed (u64 addr, u32 len)
+_U64 = struct.Struct("<Q")
 
 
 @dataclass
@@ -89,6 +90,7 @@ class _ReplicaState:
     gather_tables: int = 0  # base address of R send-gather SGE tables
     scratch_addr: int = 0  # 64B sink for patches no WQE needs
     posted_rounds: int = 0
+    templates: Optional[list] = None  # packed round per ring (Chain._templates)
 
 
 class Chain:
@@ -288,20 +290,78 @@ class Chain:
 
         Returns the number of WQEs posted, so CPU-cost accounting can
         charge the maintenance task accurately.
+
+        The program is the same 64-byte images every round but for a
+        few 8-byte fields that move linearly with the round number
+        (``wr_id``) or the ring position (table and ack addresses, the
+        immediate): each ring's run is packed once (:meth:`_templates`)
+        and a round is that image with those fields patched, one write
+        per ring.
         """
         state = self.replicas[replica]
+        if state.templates is None:
+            state.templates = self._templates(replica)
         position = round_ % self.rounds
         posted = 0
+        for qp, count, image, patches in state.templates:
+            raw = bytearray(image)
+            for offset, base, per_position, per_round in patches:
+                _U64.pack_into(
+                    raw, offset, base + position * per_position + round_ * per_round
+                )
+            if qp is state.qp_prev:
+                qp.post_recv_packed(raw)
+            else:
+                qp.post_send_packed(raw, count)
+            posted += count
+        return posted
+
+    def _templates(self, replica: int):
+        """Per ring of ``replica``'s round: ``(qp, WQE count, packed
+        image at round 0, [(byte offset, base, per position, per
+        round)])`` — the fields that differ between rounds, found by
+        packing the program at three (round, position) points."""
+
+        def packed(round_, position):
+            return [
+                b"".join(wqe.pack() for wqe in wqes)
+                for _, wqes in self._round_program(replica, round_, position)
+            ]
+
+        origin, next_round, next_position = packed(0, 0), packed(1, 0), packed(0, 1)
+        templates = []
+        for ring, (qp, wqes) in enumerate(self._round_program(replica, 0, 0)):
+            image = origin[ring]
+            patches = []
+            for offset in range(0, len(image), 8):
+                (base,) = _U64.unpack_from(image, offset)
+                per_round = _U64.unpack_from(next_round[ring], offset)[0] - base
+                per_position = _U64.unpack_from(next_position[ring], offset)[0] - base
+                if per_round or per_position:
+                    patches.append((offset, base, per_position, per_round))
+            templates.append((qp, len(wqes), image, patches))
+        return templates
+
+    def _round_program(self, replica: int, round_: int, position: int):
+        """The WQEs of one round on one replica, ring by ring, in
+        posting order: ``[(qp, [wqe, ...]), ...]``."""
+        state = self.replicas[replica]
+        tables = position * 2 * _SGE_ENTRY
         # 1. RECV on the previous-node QP with the SGL scatter.
-        state.qp_prev.post_recv(
-            Wqe(
-                flags=FLAG_SGL,
-                local_addr=state.scatter_tables + position * 2 * _SGE_ENTRY,
-                length=2,
-                wr_id=round_,
+        program = [
+            (
+                state.qp_prev,
+                [
+                    Wqe(
+                        opcode=Opcode.RECV,
+                        flags=FLAG_VALID | FLAG_SGL,
+                        local_addr=state.scatter_tables + tables,
+                        length=2,
+                        wr_id=round_,
+                    )
+                ],
             )
-        )
-        posted += 1
+        ]
         # 2. Loopback program (gMEMCPY / gCAS).
         if self.uses_loopback:
             loop_wqes = [
@@ -326,8 +386,7 @@ class Chain:
                         wr_id=round_,
                     )
                 )
-            state.qp_loop.post_send_batch(loop_wqes, defer_ownership=True)
-            posted += len(loop_wqes)
+            program.append((state.qp_loop, loop_wqes))
         # 3. Downstream program on the next-node QP.
         watched_cq = (
             state.qp_loop.send_cq if self.uses_loopback else state.qp_prev.recv_cq
@@ -346,7 +405,7 @@ class Chain:
                     opcode=Opcode.WRITE_IMM,
                     flags=FLAG_VALID | FLAG_SGL,
                     length=1,
-                    local_addr=state.gather_tables + position * 2 * _SGE_ENTRY,
+                    local_addr=state.gather_tables + tables,
                     remote_addr=self.ack_region.addr + position * self.result_size,
                     rkey=self.ack_region.rkey,
                     compare=position,  # imm: ring position (lap-invariant)
@@ -374,13 +433,12 @@ class Chain:
                     opcode=Opcode.SEND,
                     flags=FLAG_VALID | FLAG_SGL,
                     length=2,
-                    local_addr=state.gather_tables + position * 2 * _SGE_ENTRY,
+                    local_addr=state.gather_tables + tables,
                     wr_id=round_,
                 )
             )
-        state.qp_next.post_send_batch(next_wqes, defer_ownership=True)
-        posted += len(next_wqes)
-        return posted
+        program.append((state.qp_next, next_wqes))
+        return program
 
     def retired_rounds(self, replica: int) -> int:
         """Rounds whose ring slots the NIC has fully consumed on every

@@ -158,6 +158,34 @@ class QueuePair:
         self.hw.ring_send_doorbell(self._send_posted)
         return first
 
+    def post_send_packed(self, raw: bytes, count: int) -> int:
+        """Post ``count`` already-serialized WQEs (ownership flags as
+        packed: HyperLoop driver only) that lie back to back in the
+        ring — one write, one doorbell. Returns the first slot index."""
+        if not self.device.hyperloop:
+            raise PermissionError(
+                "deferred ownership requires the modified (hyperloop) driver"
+            )
+        first = self._send_posted
+        if first + count - self.hw.send_consumer > self.send_slots:
+            raise RuntimeError(f"send ring overflow on qp{self.qpn}")
+        if first % self.send_slots + count > self.send_slots:
+            raise ValueError("a packed run may not wrap the ring")
+        self.device.nic.host_write(self.send_slot_addr(first), raw)
+        self._send_posted += count
+        self.hw.ring_send_doorbell(self._send_posted)
+        return first
+
+    def post_recv_packed(self, raw: bytes) -> int:
+        """Post one already-serialized receive WQE."""
+        index = self._recv_posted
+        if index - self.hw.recv_consumer >= self.recv_slots:
+            raise RuntimeError(f"recv ring overflow on qp{self.qpn}")
+        self.device.nic.host_write(self.recv_slot_addr(index), raw)
+        self._recv_posted += 1
+        self.hw.ring_recv_doorbell(self._recv_posted)
+        return index
+
     def post_recv(self, wqe: Wqe) -> int:
         """Post one receive WQE. Returns the absolute slot index."""
         wqe.opcode = Opcode.RECV

@@ -125,3 +125,127 @@ class TestBlobConstruction:
         chain = group.chains[GWRITE]
         for replica in range(3):
             assert chain.retired_rounds(replica) == 0
+
+
+def _post_round_field_by_field(chain, replica, round_):
+    """The per-field way to post a round — one ``Wqe`` built, packed and
+    written per slot — kept here as the reference for the packed
+    template ``Chain.post_replica_round`` writes instead."""
+    from repro.core.chain import _SGE_ENTRY
+    from repro.hw.wqe import FLAG_SGL, FLAG_SIGNALED, FLAG_VALID
+
+    state = chain.replicas[replica]
+    tail = replica == chain.g - 1
+    position = round_ % chain.rounds
+    tables = position * 2 * _SGE_ENTRY
+    state.qp_prev.post_recv(
+        Wqe(flags=FLAG_SGL, local_addr=state.scatter_tables + tables, length=2, wr_id=round_)
+    )
+    posted = 1
+    if chain.uses_loopback:
+        loop = [
+            Wqe(opcode=Opcode.WAIT, flags=FLAG_VALID, compare=1, swap=state.qp_prev.recv_cq.cqn),
+            Wqe(opcode=Opcode.NOP, flags=0, wr_id=round_),
+        ]
+        if chain.primitive == GMEMCPY and chain.durable:
+            region = chain.group.replica_mrs[replica]
+            loop.append(
+                Wqe(opcode=Opcode.READ, flags=FLAG_VALID | FLAG_SIGNALED, length=0,
+                    local_addr=state.scratch_addr, remote_addr=region.addr,
+                    rkey=region.rkey, wr_id=round_)
+            )
+        state.qp_loop.post_send_batch(loop, defer_ownership=True)
+        posted += len(loop)
+    watched = state.qp_loop.send_cq if chain.uses_loopback else state.qp_prev.recv_cq
+    down = [Wqe(opcode=Opcode.WAIT, flags=FLAG_VALID, compare=1, swap=watched.cqn)]
+    if tail:
+        down.append(
+            Wqe(opcode=Opcode.WRITE_IMM, flags=FLAG_VALID | FLAG_SGL, length=1,
+                local_addr=state.gather_tables + tables,
+                remote_addr=chain.ack_region.addr + position * chain.result_size,
+                rkey=chain.ack_region.rkey, compare=position, wr_id=round_)
+        )
+    else:
+        if chain.primitive == GWRITE:
+            down.append(Wqe(opcode=Opcode.NOP, flags=0, wr_id=round_))
+            if chain.durable:
+                region = chain.group.replica_mrs[replica + 1]
+                down.append(
+                    Wqe(opcode=Opcode.READ, flags=FLAG_VALID, length=0,
+                        local_addr=state.scratch_addr, remote_addr=region.addr,
+                        rkey=region.rkey, wr_id=round_)
+                )
+        down.append(
+            Wqe(opcode=Opcode.SEND, flags=FLAG_VALID | FLAG_SGL, length=2,
+                local_addr=state.gather_tables + tables, wr_id=round_)
+        )
+    state.qp_next.post_send_batch(down, defer_ownership=True)
+    return posted + len(down)
+
+
+class TestPackedRounds:
+    @staticmethod
+    def _build(durable, rounds=8):
+        sim = Simulator(seed=41)
+        cluster = Cluster(sim, n_hosts=4, n_cores=2)
+        return HyperLoopGroup(
+            cluster[0], cluster.hosts[1:4], region_size=1 << 16, rounds=rounds,
+            durable=durable, autostart=False, name="lg",
+        )
+
+    @staticmethod
+    def _image(group):
+        """Every byte a replica's round program lives in, plus the
+        driver-side posting state."""
+        image = {}
+        for kind, chain in group.chains.items():
+            for state in chain.replicas:
+                qps = [q for q in (state.qp_prev, state.qp_next, state.qp_loop) if q]
+                image[kind, state.index] = (
+                    [qp.send_ring.read(0, qp.send_ring.length) for qp in qps],
+                    [qp.recv_ring.read(0, qp.recv_ring.length) for qp in qps],
+                    state.host.memory.read(
+                        state.scatter_tables, state.scratch_addr + 64 - state.scatter_tables
+                    ),
+                    state.staging_mr.region.read(0, state.staging_mr.region.length),
+                    [(qp.send_posted, qp.recv_posted, qp.hw.send_producer, qp.hw.recv_producer)
+                     for qp in qps],
+                    state.posted_rounds,
+                )
+        return image
+
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_every_round_is_byte_identical_to_the_per_field_path(self, durable, monkeypatch):
+        """Every chain kind x replica position (head, middle, tail) x
+        ``durable``: rings, SGE tables, staging and producer indices
+        after setup are what posting each WQE field by field leaves."""
+        from repro.core.chain import Chain
+
+        packed = self._image(self._build(durable))
+        monkeypatch.setattr(Chain, "post_replica_round", _post_round_field_by_field)
+        reference = self._image(self._build(durable))
+        assert set(packed) == {(k, i) for k in (GWRITE, GMEMCPY, GCAS) for i in range(3)}
+        for key in reference:
+            assert packed[key] == reference[key], key
+
+    def test_a_later_lap_patches_the_same_fields(self):
+        """Round numbers past the first lap (``wr_id`` keeps counting,
+        positions repeat) — posted over retired slots on both paths."""
+        from repro.core.chain import Chain
+
+        def relap(group):
+            for chain in group.chains.values():
+                for state in chain.replicas:
+                    for qp in (state.qp_prev, state.qp_next, state.qp_loop):
+                        if qp:  # pretend the NIC consumed the first lap
+                            qp.hw.send_consumer = qp.send_posted
+                            qp.hw.recv_consumer = qp.recv_posted
+                    for round_ in range(chain.rounds, chain.rounds + 5):
+                        chain.post_replica_round(state.index, round_)
+            return self._image(group)
+
+        packed = relap(self._build(True))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Chain, "post_replica_round", _post_round_field_by_field)
+            reference = relap(self._build(True))
+        assert packed == reference
