@@ -324,22 +324,21 @@ class Chain:
 
         def packed(round_, position):
             return [
-                b"".join(wqe.pack() for wqe in wqes)
-                for _, wqes in self._round_program(replica, round_, position)
+                (qp, len(wqes), b"".join(wqe.pack() for wqe in wqes))
+                for qp, wqes in self._round_program(replica, round_, position)
             ]
 
-        origin, next_round, next_position = packed(0, 0), packed(1, 0), packed(0, 1)
+        next_round, next_position = packed(1, 0), packed(0, 1)
         templates = []
-        for ring, (qp, wqes) in enumerate(self._round_program(replica, 0, 0)):
-            image = origin[ring]
+        for ring, (qp, count, image) in enumerate(packed(0, 0)):
             patches = []
             for offset in range(0, len(image), 8):
                 (base,) = _U64.unpack_from(image, offset)
-                per_round = _U64.unpack_from(next_round[ring], offset)[0] - base
-                per_position = _U64.unpack_from(next_position[ring], offset)[0] - base
+                per_round = _U64.unpack_from(next_round[ring][2], offset)[0] - base
+                per_position = _U64.unpack_from(next_position[ring][2], offset)[0] - base
                 if per_round or per_position:
                     patches.append((offset, base, per_position, per_round))
-            templates.append((qp, len(wqes), image, patches))
+            templates.append((qp, count, image, patches))
         return templates
 
     def _round_program(self, replica: int, round_: int, position: int):

@@ -161,7 +161,7 @@ class Task:
         # The grant the task is running on, if any: the one event
         # compute()/poll_wait() park on (see _start_grant). _preempted
         # says whether the scheduler asked for the core back during it.
-        self._grant: Optional[Event] = None
+        self._grant_event: Optional[Event] = None
         self._preempted = False
         # Built once: every grant and every block allocates one event,
         # so per-call name formatting is measurable on scheduler-heavy
@@ -277,7 +277,7 @@ class Task:
         that already triggered does nothing.
         """
         sim = self.sim
-        grant = self._grant = Event(sim, self._grant_name)
+        grant = self._grant_event = Event(sim, self._grant_name)
         self._preempted = False
         if self.core is not None:
             self.core._grant_started = sim.now
@@ -290,7 +290,7 @@ class Task:
             grant.succeed()
 
     def _on_polled_event(self, event: Event) -> None:
-        grant = self._grant
+        grant = self._grant_event
         if grant is not None and not grant._triggered:
             if event._ok:
                 grant.succeed()
@@ -300,7 +300,7 @@ class Task:
     def _end_grant(self, started: int) -> int:
         """The grant is over, however it ended: account the time run.
         ``_preempted`` keeps its answer until the next grant starts."""
-        self._grant = None
+        self._grant_event = None
         if self.core is not None:
             self.core._grant_started = None
         ran = self.sim.now - started
@@ -623,7 +623,7 @@ class OperatingSystem:
             # grant whose timer has fired but whose task has not run
             # yet still counts as preempted, hence the flag beside the
             # event.
-            grant = current._grant
+            grant = current._grant_event
             if grant is not None and not current._preempted:
                 current._preempted = True
                 if not grant._triggered:

@@ -140,9 +140,11 @@ class Event:
         caring calls this so a long-lived event does not collect the
         callbacks of everyone who ever looked at it.
         """
-        callbacks = self._callbacks
-        if callbacks and callback in callbacks:
-            callbacks.remove(callback)
+        if self._callbacks:
+            try:
+                self._callbacks.remove(callback)
+            except ValueError:
+                pass
 
     def __repr__(self) -> str:
         state = "triggered" if self._triggered else "pending"

@@ -634,8 +634,12 @@ class TestSameTimestampArrivals:
             def remote(offset):
                 return dict(addr=buf_b.addr + offset, rkey=mr_b.rkey)
 
-            one = lambda kind, seq, **f: msg(qp_a1, qp_b1, kind, seq, **f)  # noqa: E731
-            two = lambda kind, seq, **f: msg(qp_a2, qp_b2, kind, seq, **f)  # noqa: E731
+            def one(kind, seq, **fields):
+                return msg(qp_a1, qp_b1, kind, seq, **fields)
+
+            def two(kind, seq, **fields):
+                return msg(qp_a2, qp_b2, kind, seq, **fields)
+
             burst = [
                 one("write", 0, payload=b"w0" * 4, **remote(0)),
                 one("write", 1, payload=b"w1" * 4, **remote(8)),

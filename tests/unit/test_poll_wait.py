@@ -129,6 +129,93 @@ class TestPollWait:
         assert task.process.value == "caught boom"
 
 
+class TestGrants:
+    """A grant is one event: who may end it, and what it leaves."""
+
+    def test_a_long_poll_keeps_one_callback_on_the_awaited_event(self):
+        """Every grant of the wait registers on the awaited event and
+        withdraws when the grant ends some other way: sharing the core
+        with a hog for 100 ms is dozens of grants, one live callback."""
+        sim = Simulator(seed=5)
+        os_ = make_os(sim, n_cores=1)
+        os_.spawn_stress("hog")
+        event = sim.event()
+        seen = []
+
+        def poller(task):
+            yield from task.poll_wait(event)
+
+        task = os_.spawn(poller, "p")
+
+        def sample():
+            seen.append(len(event._callbacks))
+            if sim.now < 90 * MS:
+                sim.call_in(1 * MS, sample)
+
+        sim.call_in(1 * MS, sample)
+        sim.call_in(100 * MS, event.succeed)
+        sim.run(until=120 * MS)
+        assert task.process.triggered
+        assert max(seen) == 1 and min(seen) == 0  # 0: the poller is off-core
+
+    def test_a_stale_grant_timer_is_a_no_op(self):
+        """A grant the awaited event ended leaves its length timer in
+        the queue; firing later, it must wake nobody."""
+        sim = Simulator()
+        os_ = make_os(sim)
+        wakes = []
+
+        def poller(task):
+            yield from task.poll_wait(sim.timeout(10 * US), check_ns=0)
+            wakes.append(sim.now)
+            yield from task.wait(sim.timeout(50 * MS))  # outlives the timer
+            wakes.append(sim.now)
+
+        os_.spawn(poller, "p")
+        sim.run()
+        # 5 us to be dispatched, 10 us of polling; the timer of that
+        # grant fires 2 ms in (the interactive credit), during the sleep.
+        assert wakes == [15 * US, 50 * MS + 15 * US]
+
+    def test_a_preempt_check_between_timer_and_resume_still_preempts(self):
+        """The scheduler's check can land in the nanosecond a grant's
+        timer fired, before the task has run again. That grant counts
+        as preempted (no second check is armed); a further check finds
+        it already preempted and re-arms, as for a task between
+        grants."""
+        sim = Simulator()
+        os_ = make_os(sim)
+        core = os_.cores[0]
+        armed = []
+        os_._arm_preemption = lambda core, fast_eligible: armed.append(sim.now)
+
+        def batch(task):
+            yield from task.compute(5 * MS)  # 2 ms of credit, then batch
+
+        def interactive(task):
+            yield from task.compute(1 * US)
+
+        hog = os_.spawn(batch, "hog", pinned_core=0)
+        sim.run(until=3 * MS)
+        assert not hog.interactive and hog._grant_event is not None
+        os_.spawn(interactive, "waiter", pinned_core=0)
+        sim.run(until=4 * MS)
+        assert list(core.interactive_queue) and armed == [3 * MS]
+        grant, ends = hog._grant_event, 5 * MS + 5 * US  # + the first dispatch
+        observed = []
+
+        def check():
+            os_._on_preempt_check(core)
+            observed.append((grant.triggered, hog._preempted, len(armed)))
+
+        sim.call_at(ends, check)
+        sim.call_at(ends, check)
+        sim.run(until=ends)
+        # The timer (queued first) had fired both times; the first
+        # check marks the grant, the second re-arms.
+        assert observed == [(True, True, 1), (True, True, 2)]
+
+
 class TestBurstyTenant:
     def test_alternates_compute_and_sleep(self):
         sim = Simulator(seed=6)
