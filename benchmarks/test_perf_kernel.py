@@ -29,15 +29,6 @@ def test_kernel_events_benchmark_runs():
     assert result["final_now"] == 2600
 
 
-def test_kernel_events_fast_and_generic_agree():
-    fast = bench_kernel_events(n_procs=10, events_per_proc=100)
-    generic = bench_kernel_events(
-        n_procs=10, events_per_proc=100, fast_dispatch=False
-    )
-    assert fast["final_now"] == generic["final_now"]
-    assert fast["events"] == generic["events"]
-
-
 def test_gwrite_benchmark_runs():
     result = bench_gwrite(total_bytes=1 << 19, message_size=4096)
     assert result["ops"] == 128

@@ -133,27 +133,6 @@ def microbench_latency(
     """
     if primitive not in ("gwrite", "gmemcpy", "gcas"):
         raise ValueError(f"unknown primitive {primitive!r}")
-    from ..sim.shard import maybe_contained
-
-    contained = maybe_contained(
-        "repro.bench.experiments:microbench_latency",
-        dict(
-            system=system,
-            primitive=primitive,
-            message_size=message_size,
-            group_size=group_size,
-            n_ops=n_ops,
-            stress_per_core=stress_per_core,
-            n_cores=n_cores,
-            durable=durable,
-            pipeline_depth=pipeline_depth,
-            rounds=rounds,
-            seed=seed,
-            deadline_ms=deadline_ms,
-        ),
-    )
-    if contained is not None:
-        return contained[0]
     sim = Simulator(seed=seed)
     cluster = Cluster(sim, n_hosts=group_size + 1, n_cores=n_cores)
     replicas = cluster.hosts[1 : group_size + 1]
@@ -228,24 +207,6 @@ def microbench_throughput(
     """§6.1 throughput benchmark (Figure 9): write ``total_bytes`` in
     ``message_size`` chunks with ``pipeline_depth`` concurrent client
     workers; report Kops/s and replica critical-path CPU."""
-    from ..sim.shard import maybe_contained
-
-    contained = maybe_contained(
-        "repro.bench.experiments:microbench_throughput",
-        dict(
-            system=system,
-            message_size=message_size,
-            total_bytes=total_bytes,
-            group_size=group_size,
-            pipeline_depth=pipeline_depth,
-            n_cores=n_cores,
-            stress_per_core=stress_per_core,
-            seed=seed,
-            deadline_ms=deadline_ms,
-        ),
-    )
-    if contained is not None:
-        return contained[0]
     sim = Simulator(seed=seed)
     cluster = Cluster(sim, n_hosts=group_size + 1, n_cores=n_cores)
     replicas = cluster.hosts[1 : group_size + 1]

@@ -33,7 +33,6 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..sim.shard import apply_repro_env, capture_repro_env
 from .harness import LatencyRecorder, LatencyStats, merge_stats, stats_from_sketch
 from .sketch import PercentileSketch
 
@@ -224,16 +223,7 @@ def run_parallel(
     # chunksize=1: sweep points have wildly uneven runtimes (a 10:1
     # tenancy config simulates far more events than an unloaded one),
     # so fine-grained dispatch is what keeps the pool busy.
-    # The initializer mirrors every REPRO_* variable into the workers:
-    # under spawn (or an env mutated after import) the pool would
-    # otherwise silently drop REPRO_FAST_DISPATCH / REPRO_SHARDS, and
-    # "flip the whole sweep to the oracle engine with one env var"
-    # is the contract INTERNALS documents.
-    with context.Pool(
-        processes=min(workers, len(specs)),
-        initializer=apply_repro_env,
-        initargs=(capture_repro_env(),),
-    ) as pool:
+    with context.Pool(processes=min(workers, len(specs))) as pool:
         return pool.map(_execute, specs, chunksize=1)
 
 

@@ -71,16 +71,14 @@ def bench_kernel_events(
     n_procs: int = 200,
     events_per_proc: int = 2000,
     seed: int = 7,
-    fast_dispatch: bool = True,
 ) -> Dict[str, Any]:
     """Pure event-loop throughput: timeout-yielding processes.
 
     The workload is all kernel — no NIC, no memory model — so the
     events/sec figure isolates dispatch, scheduling and timeout
-    pooling. ``fast_dispatch=False`` measures the generic trigger path
-    for comparison.
+    pooling.
     """
-    sim = Simulator(seed=seed, fast_dispatch=fast_dispatch)
+    sim = Simulator(seed=seed)
 
     def ticker(index: int):
         delay = 1 + (index % 13)

@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--install",
         choices=["parallel", "sequential"],
         default=None,
-        help="commit-install mode (default: REPRO_TXN_INSTALL or parallel)",
+        help="commit-install mode (default: parallel)",
     )
     txn.add_argument(
         "--ycsb",

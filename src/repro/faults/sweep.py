@@ -277,19 +277,7 @@ def run_chaos_point(name: str, seed: int, **kwargs: Any) -> ScenarioReport:
     ``name`` is either a registered scenario or :data:`GENERATED`;
     workers resolve this function by import path, so a sweep ships only
     ``(scenario, seed)`` tuples across the pool.
-
-    With ``REPRO_SHARDS`` set, the point replays in a shard worker
-    process under the window-bounded kernel loop (chaos scenarios are
-    single replication cliques, so they contain rather than split) and
-    the report must byte-match the inline run.
     """
-    from ..sim.shard import maybe_contained
-
-    contained = maybe_contained(
-        "repro.faults.sweep:run_chaos_point", dict(name=name, seed=seed, **kwargs)
-    )
-    if contained is not None:
-        return contained[0]
     if name == GENERATED:
         return run_generated(seed, **kwargs)
     if kwargs:
@@ -567,19 +555,7 @@ def parse_replay(spec: str) -> Tuple[str, int, Optional[List[int]]]:
 def run_replay(
     spec: str, sabotage: Optional[str] = None
 ) -> ScenarioReport:
-    """Re-run a failure from its replay spec.
-
-    Honors ``REPRO_SHARDS`` containment like :func:`run_chaos_point`,
-    so ``REPRO_SHARDS=1`` replays the regression corpus under the
-    sharded engine's windowed dispatch (see ``nightly.yml``).
-    """
-    from ..sim.shard import maybe_contained
-
-    contained = maybe_contained(
-        "repro.faults.sweep:run_replay", dict(spec=spec, sabotage=sabotage)
-    )
-    if contained is not None:
-        return contained[0]
+    """Re-run a failure from its replay spec."""
     name, seed, keep = parse_replay(spec)
     if name == GENERATED:
         return run_generated(seed, keep=keep, sabotage=sabotage)

@@ -299,7 +299,7 @@ class NicQp:
         self._kick_name = f"qp{qpn}.kick"
         self._rkick_name = f"qp{qpn}.rkick"
         self._run_name = f"qp{qpn}.run"
-        # Batched-run state (fast dispatch only): while a run of
+        # Batched-run state: while a run of
         # consecutive ready non-WAIT WQEs drains, the tx engine
         # generator sleeps on ``_run_event`` and these fields carry the
         # WQE currently in flight between the chain callbacks.
@@ -473,45 +473,24 @@ class NicQp:
                     TRACER.count("nic.wait_triggers")
                 self.send_consumer += 1
                 continue
-            if sim._fast_dispatch:
-                # Batched run: drain this and every consecutive ready
-                # non-WAIT WQE behind it in one engine wakeup. The
-                # chain callbacks (_exec_fire/_exec_complete) mirror
-                # the claimed-timeout hops of the per-WQE path below
-                # push for push, so execution/launch times, context
-                # penalties, and trace records are identical — the
-                # generator just isn't resumed per WQE. It wakes here
-                # again at the first boundary (empty ring, invalid
-                # slot, WAIT, or halt) and re-evaluates the loop head
-                # at exactly the time the per-WQE path would.
-                yield self._start_run(wqe)
-                continue
-            exec_from = sim.now
-            yield sim.timeout(
-                params.wqe_process_ns + self.nic.qp_context_penalty(self.qpn)
-            )
-            self._launch(wqe)
-            if TRACER.enabled:
-                TRACER.record(
-                    exec_from,
-                    "X",
-                    "nic",
-                    Opcode.NAMES.get(wqe.opcode, f"op{wqe.opcode}"),
-                    pid=self.nic.name,
-                    tid=f"qp{self.qpn}/tx",
-                    dur=sim.now - exec_from,
-                    args={"wr_id": wqe.wr_id, "len": wqe.length},
-                )
-                TRACER.count("nic.wqe_executed")
-            self.send_consumer += 1
+            # Batched run: drain this and every consecutive ready
+            # non-WAIT WQE behind it in one engine wakeup. The chain
+            # callbacks (_exec_fire/_exec_complete) make the same pushes
+            # a per-WQE ``yield sim.timeout(process + penalty)`` would,
+            # so execution/launch times, context penalties, and trace
+            # records are those of a per-WQE engine — the generator
+            # just isn't resumed per WQE. It wakes here again at the
+            # first boundary (empty ring, invalid slot, WAIT, or halt)
+            # and re-evaluates the loop head.
+            yield self._start_run(wqe)
 
-    # -- batched send run (fast dispatch) -----------------------------------------
+    # -- batched send run ---------------------------------------------------------
 
     def _start_run(self, wqe: Wqe) -> Event:
         """Begin a batched run with ``wqe``; returns the engine's sleep
-        event. Mirrors ``yield sim.timeout(process + penalty)``: the
+        event. Stands for ``yield sim.timeout(process + penalty)``: the
         processing-complete trigger is scheduled *now*, penalty
-        assessed at the same instant the per-WQE path would."""
+        assessed at this instant."""
         sim = self.nic.sim
         event = Event(sim, self._run_name)
         self._run_event = event
@@ -527,7 +506,7 @@ class NicQp:
         Mirrors the claimed Timeout._fire: verify the engine is still
         parked on this run (an interrupt abandons it, exactly like an
         unclaimed fire), then hop through the queue so the launch runs
-        in the slot the per-WQE path's resume would occupy."""
+        in the slot a per-WQE engine's resume would occupy."""
         proc = self._tx_proc
         event = self._run_event
         if event is None or proc._waiting_on is not event:
@@ -539,7 +518,7 @@ class NicQp:
     def _exec_complete(self) -> None:
         """Launch the in-flight WQE and extend or end the run.
 
-        This body is the per-WQE path's resume slot: launch, trace,
+        This body is a per-WQE engine's resume slot: launch, trace,
         consumer advance, then the loop-head checks — all in one
         dispatch, in the same order the generator performs them. A
         ready non-WAIT successor chains the next _exec_fire without
@@ -575,7 +554,7 @@ class NicQp:
                 return
         # Boundary: wake the engine generator in this same dispatch so
         # it re-runs its loop head (halt gate, kick wait, WAIT branch)
-        # exactly where the per-WQE path would.
+        # exactly where a per-WQE engine would.
         proc = self._tx_proc
         event = self._run_event
         self._run_event = None

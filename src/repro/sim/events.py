@@ -15,15 +15,14 @@ Hot path
 Timeouts are, by an enormous margin, the most common event in any run
 (every NIC engine step, every task sleep, every modelled delay is one),
 so :class:`Timeout` carries a dispatch fast path: when a process yields
-a fresh timeout that nothing else observes, the kernel skips the
-generic trigger machinery — no callback registration, no
+a fresh timeout that nothing else observes, the kernel *claims* it and
+skips the trigger machinery — no callback registration, no
 ``_trigger`` walk — and the scheduled entry resumes the process
-directly. The fast path performs exactly the same number of heap
-operations in exactly the same order as the generic path, so event
-interleavings (and therefore experiment results) are bit-for-bit
-identical either way; ``Simulator(fast_dispatch=False)`` forces the
-generic path and the equivalence is asserted by
-``tests/unit/test_kernel_perf.py``.
+directly. A claim makes exactly the queue pushes, in exactly the
+order, that registering a callback and triggering would make, so it
+never changes an event interleaving. The schedule entry is a *fire
+marker* — the timeout itself with ``None`` args — which the run loop
+handles with :meth:`Timeout._fire` inlined.
 """
 
 from __future__ import annotations
@@ -185,24 +184,20 @@ class Timeout(Event):
         self.delay = delay
         self._tvalue = value
         self._proc = None
-        if sim._fast_dispatch:
-            # Fast-dispatch arm: schedule a *fire marker* — the Timeout
-            # itself with ``None`` args — which the batched run loop
-            # recognizes and handles with Timeout._fire inlined, saving
-            # a Python call on the hottest dispatch in any run.
-            if delay == 0 and sim._batch is not None:
-                sim._batch.append((self, None))
-            else:
-                sim._sequence += 1
-                heappush(sim._queue, (sim.now + delay, sim._sequence, self, None))
+        # Schedule a *fire marker* — the Timeout itself with ``None``
+        # args — which the run loop recognizes and handles with
+        # Timeout._fire inlined, saving a Python call on the hottest
+        # dispatch in any run.
+        if delay == 0 and sim._batch is not None:
+            sim._batch.append((self, None))
         else:
             sim._sequence += 1
-            heappush(sim._queue, (sim.now + delay, sim._sequence, self._fire, ()))
+            heappush(sim._queue, (sim.now + delay, sim._sequence, self, None))
 
     def _fire(self) -> None:
         """Scheduled trigger. If a process claimed this timeout (it
         yielded it bare), resume the process directly; otherwise fall
-        back to the generic trigger machinery."""
+        back to the ordinary trigger machinery."""
         proc = self._proc
         value = self._tvalue
         if proc is None:
@@ -220,12 +215,12 @@ class Timeout(Event):
         callbacks = self._callbacks
         sim = self.sim
         batch = sim._batch
-        # Resume via the queue (same timestamp, FIFO) exactly like the
-        # generic path — or, while the kernel is draining this
-        # timestamp's batch, append to it directly: the append lands in
-        # seq order, so dispatch order is unchanged. Passing ``self``
-        # lets the process recycle this timeout into the pool once the
-        # generator has been resumed.
+        # Resume via the queue (same timestamp, FIFO) exactly like an
+        # unclaimed wait's Process._on_event — or, while the kernel is
+        # draining this timestamp's batch, append to it directly: the
+        # append lands in seq order, so dispatch order is unchanged.
+        # Passing ``self`` lets the process recycle this timeout into
+        # the pool once the generator has been resumed.
         if callbacks:
             self._callbacks = None
             if batch is not None:
@@ -237,7 +232,7 @@ class Timeout(Event):
                 )
             # Observers registered after the claim (rare): notify them
             # in registration order, after the process resume was
-            # enqueued — the same order the generic path produces.
+            # enqueued — the same order an unclaimed wait produces.
             for callback in callbacks:
                 callback(self)
         else:

@@ -11,10 +11,12 @@ The kernel is the ceiling on every experiment's wall-clock time, so
 its inner loop is deliberately hand-optimized (see
 ``docs/INTERNALS.md``, *Performance*): bare timeouts dispatch through
 a claimed fast path with zero callback machinery, timeout objects are
-pooled and recycled, and generator resumption happens without
-per-step closure allocation. ``Simulator(fast_dispatch=False)`` runs
-the generic path instead; both produce bit-for-bit identical event
-orderings (asserted by ``tests/unit/test_kernel_perf.py``).
+pooled and recycled, same-timestamp work is dispatched in batches off
+the heap, and generator resumption happens without per-step closure
+allocation. :meth:`Simulator.run` is the only dispatch loop; its
+order is exactly the ``(time, seq)`` order of a one-pop-at-a-time
+loop, which the tests keep as a reference
+(``tests/reference/one_pop.py``) and diff against.
 
 Example
 -------
@@ -33,8 +35,6 @@ Example
 
 from __future__ import annotations
 
-import heapq
-import os
 import random
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -96,9 +96,9 @@ class Process(Event):
     def _resume(self, send_value: Any, recycle: Optional[Timeout]) -> None:
         """Advance the generator with ``send_value``.
 
-        ``recycle`` is the claimed Timeout that produced this resume
-        (fast path), returned to the simulator's pool once the step has
-        run; the generic path passes ``None``.
+        ``recycle`` is the claimed Timeout that produced this resume,
+        returned to the simulator's pool once the step has run; every
+        other resume passes ``None``.
         """
         sim = self.sim
         try:
@@ -124,7 +124,6 @@ class Process(Event):
             and target._proc is None
             and not target._triggered
             and not target._callbacks
-            and sim._fast_dispatch
         ):
             target._proc = self
             self._waiting_on = target
@@ -155,16 +154,15 @@ class Process(Event):
 
         Fast path: a fresh, unobserved Timeout is *claimed* — its
         scheduled entry will resume this process directly, skipping
-        callback registration and the generic trigger walk. The claim
-        preserves heap-operation order exactly, so fast and generic
-        dispatch produce identical event interleavings.
+        callback registration and the trigger walk. The claim makes
+        the same queue pushes in the same order as registering a
+        callback would, so it never changes an event interleaving.
         """
         if (
             target.__class__ is Timeout
             and target._proc is None
             and not target._triggered
             and not target._callbacks
-            and self.sim._fast_dispatch
         ):
             target._proc = self
             self._waiting_on = target
@@ -241,36 +239,9 @@ class Simulator:
         Seed for the simulator's root RNG. Components should derive
         their own streams via :meth:`rng` so experiment results are
         reproducible regardless of construction order.
-    fast_dispatch:
-        Enable the claimed-timeout fast path, timeout pooling, and the
-        batched same-timestamp run loop (default). Disabling it routes
-        every event through the generic one-pop-at-a-time trigger
-        machinery; results are bit-for-bit identical either way — the
-        flag exists for the equivalence tests and as an escape hatch.
-        ``None`` (the default) reads the ``REPRO_FAST_DISPATCH``
-        environment variable (``0``/``false``/``no`` disable), which
-        lets sweep worker *processes* be flipped to the generic oracle
-        without plumbing the flag through every runner signature.
-    window_ns:
-        Conservative time-window mode (the sharded engine's run loop,
-        see :mod:`repro.sim.shard`): ``run()`` advances in windows of
-        at most ``window_ns`` beyond the next pending event and invokes
-        the :attr:`on_window` barrier hook between windows. Event
-        dispatch order — and therefore every simulated result — is
-        bit-for-bit identical to the unwindowed loop; the mode exists
-        so a shard can stop at lookahead boundaries to exchange
-        cross-shard messages. ``None`` (the default) reads
-        ``REPRO_WINDOW_NS`` (unset/``0`` disable), which lets shard
-        worker processes window default-constructed simulators without
-        plumbing the flag through every experiment signature.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        fast_dispatch: Optional[bool] = None,
-        window_ns: Optional[int] = None,
-    ):
+    def __init__(self, seed: int = 0):
         self.now: int = 0
         self.seed = seed
         self._queue: list = []
@@ -278,37 +249,22 @@ class Simulator:
         self._running = False
         self._process_count = 0
         self._root_rng = random.Random(seed)
-        if fast_dispatch is None:
-            fast_dispatch = os.environ.get(
-                "REPRO_FAST_DISPATCH", "1"
-            ).lower() not in ("0", "false", "no")
-        self._fast_dispatch = fast_dispatch
-        if window_ns is None:
-            raw = os.environ.get("REPRO_WINDOW_NS", "")
-            window_ns = int(raw) if raw.isdigit() else 0
-        self.window_ns = int(window_ns) if window_ns else 0
-        # Barrier hook for the windowed run loop: called once after
-        # every window (a shard uses it to count sync rounds and, in
-        # the in-process containment path, to exchange messages).
-        self.on_window: Optional[Callable[["Simulator"], None]] = None
-        self.sync_rounds = 0
         # When False, a bounded run leaves the clock at the last
-        # dispatched event instead of advancing to ``until`` — the
-        # windowed loop needs intermediate slices unpinned so the final
-        # clock matches the plain loop exactly.
+        # dispatched event instead of advancing to ``until`` — a shard
+        # worker runs in window slices and needs them unpinned so its
+        # final clock matches an unsliced run exactly.
         self._advance_clock = True
         self._timeout_pool: list = []
         self._hop: Optional[Hop] = None
-        # Active same-timestamp dispatch batch (fast path only). While
-        # run() is draining one timestamp, every push targeting the
-        # current time appends here instead of touching the heap; the
-        # batch is dispatched in append order, which equals seq order,
-        # so interleavings match the generic path exactly.
+        # Active same-timestamp dispatch batch. While run() is
+        # draining one timestamp, every push targeting the current
+        # time appends here instead of touching the heap; the batch is
+        # dispatched in append order, which equals seq order, so
+        # interleavings match a one-pop-at-a-time loop exactly.
         self._batch: Optional[list] = None
-        # Observability hook: None on the fast path. A tracer attaches
-        # itself only to simulators constructed while tracing is
-        # enabled (or via Tracer.install), so untraced runs never see
-        # the instrumented loop.
+        # Observability hook: None unless a tracer attached itself
+        # (simulators constructed while tracing is enabled, or via
+        # Tracer.install); run() then hands every dispatch to it.
         self._obs = None
         if TRACER.enabled:
             TRACER.install(self)
@@ -366,8 +322,8 @@ class Simulator:
             timeout._triggered = False
             timeout.delay = delay
             timeout._tvalue = value
-            # The pool only fills on the fast path, so rearms always
-            # schedule the batched loop's fire marker (timeout, None).
+            # Schedule the run loop's fire marker (timeout, None),
+            # exactly as Timeout.__init__ does.
             if delay == 0 and self._batch is not None:
                 self._batch.append((timeout, None))
             else:
@@ -380,7 +336,7 @@ class Simulator:
         return Timeout(self, delay, value)
 
     def _recycle_timeout(self, timeout: Timeout) -> None:
-        """Return a consumed fast-path timeout to the pool."""
+        """Return a consumed claimed timeout to the pool."""
         pool = self._timeout_pool
         if len(pool) < _TIMEOUT_POOL_MAX:
             pool.append(timeout)
@@ -455,67 +411,24 @@ class Simulator:
         the clock is advanced exactly to it even if the last event fired
         earlier, so back-to-back ``run(until=...)`` calls tile time.
 
-        The fast path dispatches in *same-timestamp batches*: all heap
-        entries sharing the head timestamp are popped into a local list
-        and dispatched by index, and pushes targeting the current time
-        (claimed-timeout resumes, zero-delay calls) append to that list
-        instead of round-tripping through the heap. Appends happen in
-        seq-assignment order, so the dispatch order is identical to the
-        one-pop-at-a-time generic loop (``fast_dispatch=False``), which
-        is kept verbatim below as the equivalence oracle.
+        Dispatch happens in *same-timestamp batches*: all heap entries
+        sharing the head timestamp are popped and dispatched, and
+        pushes targeting the current time (claimed-timeout resumes,
+        zero-delay calls) append to a local list instead of
+        round-tripping through the heap. Appends happen in
+        seq-assignment order, so the dispatch order is exactly the
+        ``(time, seq)`` order of a one-pop-at-a-time loop (the
+        reference loop in ``tests/reference/one_pop.py``).
 
-        With :attr:`window_ns` set, dispatch is additionally sliced
-        into conservative time windows (identical order, see
-        :meth:`_run_windowed`).
+        An enabled tracer attached to this simulator observes every
+        dispatch: it is looked up once per call, and each dispatch then
+        goes through :meth:`~repro.obs.trace.Tracer.dispatch`, which
+        times and records it around the same call.
         """
-        if self.window_ns:
-            return self._run_windowed(until)
-        return self._run_plain(until)
-
-    def _run_windowed(self, until: Optional[int]) -> int:
-        """Conservative time-window run loop (the sharded engine mode).
-
-        Each iteration advances from the next pending event time ``T``
-        through exactly one window ``(now, T + window_ns]`` using the
-        normal dispatch loop, then fires the :attr:`on_window` barrier
-        hook. Because the inner slices are plain bounded runs, the
-        dispatch order — and every simulated result — is bit-for-bit
-        identical to an unwindowed run; only the points at which
-        control returns to the caller's barrier differ. Intermediate
-        slices leave the clock unpinned so that, like the plain loop,
-        a run without ``until`` ends at the last dispatched event.
-        """
-        queue = self._queue
-        try:
-            self._advance_clock = False
-            while queue:
-                head = queue[0][0]
-                if until is not None and head > until:
-                    break
-                end = head + self.window_ns
-                if until is not None and end > until:
-                    end = until
-                self._run_plain(end)
-                self.sync_rounds += 1
-                hook = self.on_window
-                if hook is not None:
-                    hook(self)
-        finally:
-            self._advance_clock = True
-        if until is not None and until > self.now:
-            self.now = until
-        return self.now
-
-    def _run_plain(self, until: Optional[int]) -> int:
-        obs = self._obs
-        if obs is not None and obs.enabled:
-            # Checked once per run() call, never per event: the traced
-            # loop is a swapped copy, not a branch in the hot path.
-            return obs.run_traced(self, until)
         if self._running:
             raise SimulationError("run() is not reentrant")
-        if not self._fast_dispatch:
-            return self._run_generic(until)
+        obs = self._obs
+        observe = obs.dispatch if obs is not None and obs.enabled else None
         self._running = True
         queue = self._queue
         pop = heappop
@@ -536,12 +449,14 @@ class Simulator:
                 # timestamp. All of them carry seqs assigned before any
                 # dispatch below runs, so they precede every same-time
                 # push made during dispatch — which lands in ``batch``
-                # (phase 2), in push order. That is exactly the generic
-                # loop's (time, seq) order.
+                # (phase 2), in push order. That is exactly the
+                # one-pop loop's (time, seq) order.
                 while True:
                     entry = pop(queue)
                     args = entry[3]
-                    if args is None:
+                    if observe is not None:
+                        observe(time, entry[2], args)
+                    elif args is None:
                         # Claimed-timeout fire marker: entry[2] is the
                         # Timeout itself and this is Timeout._fire
                         # inlined — the single hottest dispatch in any
@@ -576,7 +491,9 @@ class Simulator:
                 # for the current time during dispatch runs in this
                 # same batch, in push order.
                 for index, (fn, args) in enumerate(batch):
-                    if args is None:
+                    if observe is not None:
+                        observe(time, fn, args)
+                    elif args is None:
                         timeout = fn
                         proc = timeout._proc
                         value = timeout._tvalue
@@ -607,45 +524,11 @@ class Simulator:
             if index + 1 < len(batch):
                 # An exception escaped mid-batch: push the undispatched
                 # tail back so the queue state stays consistent (the
-                # entry that raised is consumed, like the generic loop).
+                # entry that raised is consumed, like a one-pop loop).
                 for fn, args in batch[index + 1 :]:
                     self._sequence += 1
                     heappush(queue, (self.now, self._sequence, fn, args))
             del batch[:]
-            self._running = False
-        return self.now
-
-    def _run_generic(self, until: Optional[int]) -> int:
-        """The unbatched event loop: pop one entry, dispatch, repeat.
-
-        This is the dispatch oracle — ``fast_dispatch=False`` runs it,
-        and the batched loop above must produce bit-for-bit identical
-        event orderings (asserted by the equivalence tests).
-        """
-        self._running = True
-        queue = self._queue
-        pop = heappop
-        try:
-            if until is None:
-                now = self.now
-                while queue:
-                    time, _seq, fn, args = pop(queue)
-                    if time != now:
-                        now = self.now = time
-                    fn(*args)
-            else:
-                now = self.now
-                while queue:
-                    time = queue[0][0]
-                    if time > until:
-                        break
-                    _t, _seq, fn, args = pop(queue)
-                    if time != now:
-                        now = self.now = time
-                    fn(*args)
-                if self._advance_clock and until > self.now:
-                    self.now = until
-        finally:
             self._running = False
         return self.now
 

@@ -30,12 +30,6 @@ The pieces, bottom-up:
   computes the window end, and broadcasts it with each shard's inbox
   sorted by ``(deliver_ns, src, seq)``. Identical inputs per shard →
   identical simulation regardless of host scheduling.
-* :func:`maybe_contained` — the ``REPRO_SHARDS`` containment hook:
-  re-runs an experiment/chaos callable in a shard worker process under
-  the window-bounded kernel loop, which is how the regression corpus
-  is replayed "under the sharded engine" (replication cliques cannot
-  split, but the worker protocol, windowed dispatch, and result
-  shipping all still apply).
 
 Determinism invariants (asserted by
 ``tests/integration/test_shard_equivalence.py``):
@@ -58,7 +52,6 @@ from __future__ import annotations
 import hashlib
 import importlib
 import multiprocessing
-import os
 import time as _time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -69,42 +62,14 @@ __all__ = [
     "ShardRun",
     "PROGRAMS",
     "DEFAULT_LOOKAHEAD_NS",
-    "capture_repro_env",
-    "apply_repro_env",
     "partition_topology",
     "resolve_program",
     "run_oracle",
     "run_sharded",
-    "maybe_contained",
 ]
 
 DEFAULT_LOOKAHEAD_NS = 1300
 """Default conservative lookahead: ``Fabric.propagation_ns``."""
-
-SHARDS_VAR = "REPRO_SHARDS"
-ROLE_VAR = "REPRO_SHARD_ROLE"
-WINDOW_VAR = "REPRO_WINDOW_NS"
-
-
-# -- environment propagation ------------------------------------------------
-
-
-def capture_repro_env() -> Dict[str, str]:
-    """Every ``REPRO_*`` variable in this process's environment.
-
-    Shipped to spawned workers (sweep pools and shard workers alike)
-    so knobs like ``REPRO_FAST_DISPATCH=0`` and ``REPRO_SHARDS``
-    behave identically however many processes a run fans out across.
-    """
-    return {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
-
-
-def apply_repro_env(env: Dict[str, str]) -> None:
-    """Make this process's ``REPRO_*`` environment exactly ``env``."""
-    for key in [k for k in os.environ if k.startswith("REPRO_")]:
-        if key not in env:
-            del os.environ[key]
-    os.environ.update(env)
 
 
 def _context():
@@ -240,7 +205,6 @@ def _shard_worker(
     all_hosts: List[str],
     params: Dict[str, Any],
     seed: int,
-    env: Dict[str, str],
     trace_cfg: Optional[Tuple[Optional[int], bool]],
 ) -> None:
     """One shard's process: build, then lockstep with the coordinator.
@@ -258,8 +222,6 @@ def _shard_worker(
     unwindowed run of the same events would report.
     """
     wall0 = _time.perf_counter()
-    apply_repro_env(env)
-    os.environ[ROLE_VAR] = f"shard{shard_index}"
     from ..obs.trace import TRACER, ship_records
 
     if trace_cfg is not None:
@@ -269,9 +231,9 @@ def _shard_worker(
     from .kernel import Simulator
 
     program = resolve_program(program_name)
-    # window_ns=0: the coordinator drives the windows explicitly.
-    sim = Simulator(seed=seed, window_ns=0)
+    sim = Simulator(seed=seed)
     fabric, state = program.build(sim, local, all_hosts, params)
+    sync_rounds = 0
     sim._advance_clock = False
     try:
         while True:
@@ -284,7 +246,7 @@ def _shard_worker(
             for boundary_message in inbox:
                 fabric.inject(boundary_message)
             sim.run(until=window_end)
-            sim.sync_rounds += 1
+            sync_rounds += 1
     finally:
         sim._advance_clock = True
     if trace_cfg is not None:
@@ -296,7 +258,7 @@ def _shard_worker(
         "shard": shard_index,
         "hosts": len(local),
         "events": sim._sequence,
-        "sync_rounds": sim.sync_rounds,
+        "sync_rounds": sync_rounds,
         "now_ns": sim.now,
         "wall_s": _time.perf_counter() - wall0,
     }
@@ -312,9 +274,7 @@ def run_oracle(
 ) -> ShardRun:
     """Single-process reference run: the whole world on one simulator.
 
-    This is the oracle every sharded layout must match bit for bit —
-    the same role the generic dispatch loop plays for batched dispatch.
-    """
+    This is the oracle every sharded layout must match bit for bit."""
     wall0 = _time.perf_counter()
     program = resolve_program(program_name)
     params = dict(params or {})
@@ -395,7 +355,6 @@ def run_sharded(
     if TRACER.enabled:
         trace_cfg = (TRACER.capacity, TRACER.record_kernel)
 
-    env = capture_repro_env()
     context = _context()
     connections = []
     processes = []
@@ -411,7 +370,6 @@ def run_sharded(
                 list(all_hosts),
                 params,
                 seed,
-                env,
                 trace_cfg,
             ),
             daemon=True,
@@ -489,70 +447,3 @@ def run_sharded(
         shard_stats=shard_stats,
         wall_s=_time.perf_counter() - wall0,
     )
-
-
-# -- containment ------------------------------------------------------------
-
-
-def maybe_contained(target: str, kwargs: Dict[str, Any]) -> Optional[Tuple[Any]]:
-    """``REPRO_SHARDS`` containment hook for experiment entry points.
-
-    When ``REPRO_SHARDS`` is set (and this process is not already a
-    shard/containment worker), run ``target`` — a ``module:callable``
-    path — in a worker process whose default-constructed simulators
-    use the window-bounded run loop (``REPRO_WINDOW_NS`` = lookahead).
-    That replays the unchanged experiment under the sharded engine's
-    dispatch machinery: replication cliques cannot split across
-    processes, but the windowed kernel loop, worker shipping, and env
-    propagation are all exercised and the results must byte-match.
-
-    Returns ``None`` when containment does not apply (caller proceeds
-    inline) or a 1-tuple holding the worker's result. Worker
-    exceptions re-raise here.
-    """
-    flag = os.environ.get(SHARDS_VAR, "")
-    if not flag or flag == "0":
-        return None
-    if os.environ.get(ROLE_VAR):
-        return None
-    env = capture_repro_env()
-    env[ROLE_VAR] = "contained"
-    env[WINDOW_VAR] = str(DEFAULT_LOOKAHEAD_NS)
-    context = _context()
-    parent_conn, child_conn = context.Pipe()
-    process = context.Process(
-        target=_contained_worker, args=(child_conn, target, kwargs, env), daemon=True
-    )
-    process.start()
-    child_conn.close()
-    try:
-        ok, payload = parent_conn.recv()
-    except EOFError:
-        process.join()
-        raise RuntimeError(
-            f"contained run of {target} died (exit code {process.exitcode})"
-        ) from None
-    finally:
-        parent_conn.close()
-        process.join()
-    if not ok:
-        if isinstance(payload, BaseException):
-            raise payload
-        raise RuntimeError(f"contained run of {target} failed: {payload}")
-    return (payload,)
-
-
-def _contained_worker(conn, target: str, kwargs: Dict[str, Any], env: Dict[str, str]):
-    """Containment child: apply env, resolve, call, ship the result."""
-    apply_repro_env(env)
-    module_name, _, attr = target.partition(":")
-    try:
-        fn = getattr(importlib.import_module(module_name), attr)
-        result = fn(**kwargs)
-        conn.send((True, result))
-    except BaseException as exc:  # noqa: BLE001 - shipped to the parent
-        try:
-            conn.send((False, exc))
-        except Exception:
-            conn.send((False, repr(exc)))
-    conn.close()

@@ -49,7 +49,6 @@ of an older epoch releases only a latch that still carries its txid.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -117,12 +116,10 @@ class TxnCoordinator:
         ``"parallel"`` (default) overlaps per-group commit installs
         under a deterministic join barrier; ``"sequential"`` is the
         oracle — one group at a time in sorted order, the pre-PR-9
-        latency-sum path. ``None`` reads ``REPRO_TXN_INSTALL`` from
-        the environment (same env-toggle discipline as
-        ``REPRO_FAST_DISPATCH``), so a whole run can be flipped to the
-        oracle without touching call sites. Commit *outcomes* are
-        bit-identical either way — only install latency differs — and
-        the parallel-install tests diff the two paths to prove it.
+        latency-sum path. ``None`` means ``"parallel"``. Commit
+        *outcomes* are bit-identical either way — only install latency
+        differs — and the parallel-install tests diff the two paths to
+        prove it.
     """
 
     def __init__(
@@ -138,7 +135,7 @@ class TxnCoordinator:
         if mode not in ("ssi", "si"):
             raise ValueError(f"bad isolation mode {mode!r}")
         if install is None:
-            install = os.environ.get("REPRO_TXN_INSTALL", "parallel")
+            install = "parallel"
         if install not in ("parallel", "sequential"):
             raise ValueError(f"bad install mode {install!r}")
         self.install_mode = install

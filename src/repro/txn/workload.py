@@ -19,8 +19,7 @@ concurrent worker tasks:
 Everything is a pure function of ``(seed, parameters)``: key choices
 and values come from named ``sim.rng`` streams, timestamps from the
 virtual clock, and the report renders no wall-clock state — CI runs
-the workload twice (and across ``REPRO_FAST_DISPATCH`` modes) and
-byte-diffs the output.
+the workload twice and byte-diffs the output.
 """
 
 from __future__ import annotations

@@ -23,10 +23,7 @@ Determinism: the operation stream comes from ``YcsbWorkload``'s own
 named streams (pure functions of ``(mix, seed)``), the retry jitter
 from ``sim.rng("txn-retry")``, and reports render no wall-clock state.
 The suite runs per-mix points through the :mod:`repro.bench.parallel`
-pool, so its rendering is byte-identical for 1 worker and 8, across
-``REPRO_FAST_DISPATCH`` modes, and under ``REPRO_SHARDS=1``
-containment (``run_ycsb_point`` honors ``maybe_contained`` exactly
-like the chaos runner).
+pool, so its rendering is byte-identical for 1 worker and 8.
 """
 
 from __future__ import annotations
@@ -325,17 +322,8 @@ def run_ycsb_mix(
 def run_ycsb_point(name: str, seed: int = 7, **params: Any) -> YcsbTxnReport:
     """The ``ycsb`` runner target (see ``repro.bench.parallel.RUNNERS``).
 
-    ``name`` is the mix letter; honors ``REPRO_SHARDS`` containment so
-    the nightly sharded-replay lane can byte-compare the suite against
-    the inline engine, exactly like the chaos runner.
+    ``name`` is the mix letter.
     """
-    from ..sim.shard import maybe_contained
-
-    contained = maybe_contained(
-        "repro.txn.ycsb:run_ycsb_point", dict(name=name, seed=seed, **params)
-    )
-    if contained is not None:
-        return contained[0]
     return run_ycsb_mix(mix=name, seed=seed, **params)
 
 

@@ -3,24 +3,22 @@
 The PR-5 rewrite pops every queue entry sharing one timestamp and
 dispatches the batch without re-touching the heap per event; NIC
 engines additionally chain consecutive WQEs and coalesce deliveries.
-All of it is only admissible because it is *invisible*:
-``fast_dispatch=False`` keeps the original one-pop-at-a-time loop as
-the oracle, and these tests assert bit-for-bit identical event orders
-— on randomized process soups, with tracing off and on, on a real NIC
-workload, and across the parallel sweep runner (worker processes
-flipped to the oracle via ``REPRO_FAST_DISPATCH``).
+All of it is only admissible because it is *invisible*: the
+one-pop-at-a-time loop in ``tests/reference/one_pop.py`` is the
+oracle, and these tests assert bit-for-bit identical event orders —
+on randomized process soups, with tracing off and on, and on a real
+NIC workload.
 """
 
-import os
 import random
 
 import pytest
 
-from repro.bench.parallel import make_specs, run_parallel, run_serial
 from repro.hw import Cluster
 from repro.obs import TRACER
 from repro.rdma import AccessFlags, FLAG_SIGNALED, Opcode, Wqe
 from repro.sim import AnyOf, Event, Simulator, US
+from tests.reference.one_pop import run_one_pop
 
 
 @pytest.fixture(autouse=True)
@@ -32,7 +30,12 @@ def _tracer_off():
     TRACER.reset()
 
 
-def _random_soup(seed, fast_dispatch, traced=False):
+def _run(sim, oracle, until=None):
+    """Drive ``sim`` with the batched loop, or the one-pop oracle."""
+    return run_one_pop(sim, until) if oracle else sim.run(until=until)
+
+
+def _random_soup(seed, oracle, traced=False):
     """A randomized process soup covering every dispatch shape.
 
     Zero-delay timeouts, hops, event ping-pong, AnyOf composition,
@@ -40,7 +43,7 @@ def _random_soup(seed, fast_dispatch, traced=False):
     from one seeded RNG so same-timestamp contention (the regime the
     batched loop rewrites) is maximal. Returns the resume log.
     """
-    sim = Simulator(seed=seed, fast_dispatch=fast_dispatch)
+    sim = Simulator(seed=seed)
     if traced:
         TRACER.enable()
         TRACER.install(sim)
@@ -100,47 +103,43 @@ def _random_soup(seed, fast_dispatch, traced=False):
     for index, proc in enumerate(victims):
         sim.call_at(interrupt_at, lambda p=proc, i=index: p.interrupt(f"chaos{i}"))
     sim.call_at(plan.randrange(1, 15), lambda: log.append((sim.now, "cb", 0, None)))
-    sim.run()
+    _run(sim, oracle)
     log.append(("final", sim.now))
     return log
+
+
+def _kernel_trace():
+    """Everything the tracer recorded that a dispatch order decides."""
+    records = [(rec.ts, rec.name, rec.tid) for rec in TRACER.iter_records()]
+    return TRACER.dispatches, records
 
 
 class TestRandomizedEquivalence:
     @pytest.mark.parametrize("seed", [1, 7, 23, 91, 404, 1759])
     def test_batched_matches_generic(self, seed):
-        assert _random_soup(seed, True) == _random_soup(seed, False)
+        assert _random_soup(seed, False) == _random_soup(seed, True)
 
     @pytest.mark.parametrize("seed", [7, 404])
     def test_batched_matches_generic_traced(self, seed):
-        """The traced batched loop (obs on) must reproduce the same
-        interleaving as the traced legacy loop *and* as untraced runs."""
-        untraced = _random_soup(seed, True)
-        batched = _random_soup(seed, True, traced=True)
-        batched_dispatches = TRACER.dispatches
-        assert batched_dispatches > 0
+        """The observed batched loop (obs on) must reproduce the same
+        interleaving, records and dispatch count as the observed
+        one-pop oracle *and* the untraced runs."""
+        untraced = _random_soup(seed, False)
+        batched = _random_soup(seed, False, traced=True)
+        batched_trace = _kernel_trace()
+        assert TRACER.dispatches > 0
         TRACER.disable()
         TRACER.reset()
-        generic = _random_soup(seed, False, traced=True)
-        assert TRACER.dispatches > 0
+        generic = _random_soup(seed, True, traced=True)
+        assert _kernel_trace() == batched_trace
         assert batched == generic == untraced
 
-    def test_env_var_flips_default_dispatch_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAST_DISPATCH", "0")
-        assert Simulator()._fast_dispatch is False
-        monkeypatch.setenv("REPRO_FAST_DISPATCH", "1")
-        assert Simulator()._fast_dispatch is True
-        monkeypatch.delenv("REPRO_FAST_DISPATCH")
-        assert Simulator()._fast_dispatch is True
-        # An explicit argument always wins over the environment.
-        monkeypatch.setenv("REPRO_FAST_DISPATCH", "0")
-        assert Simulator(fast_dispatch=True)._fast_dispatch is True
 
-
-def _nic_workload(fast_dispatch):
+def _nic_workload(oracle):
     """Posts, doorbells, WAIT chaining, and a channel consumer on a
     real two-host cluster; returns every observable: consumer wakeups,
     polled completions with timestamps, and remote memory bytes."""
-    sim = Simulator(seed=17, fast_dispatch=fast_dispatch)
+    sim = Simulator(seed=17)
     cluster = Cluster(sim, n_hosts=2, n_cores=2)
     a, b = cluster[0], cluster[1]
     qp_a = a.dev.create_qp(name="a")
@@ -195,7 +194,7 @@ def _nic_workload(fast_dispatch):
             yield sim.timeout(2 * US)
 
     sim.spawn(producer())
-    sim.run(until=10_000 * US)
+    _run(sim, oracle, until=10_000 * US)
     log.append(("memory", b.nic.cache.read(buf_b.addr, 96)))
     log.append(("final", sim.now, qp_a.send_cq.completions_total))
     return log
@@ -203,40 +202,15 @@ def _nic_workload(fast_dispatch):
 
 class TestNicWorkloadEquivalence:
     def test_nic_batched_matches_generic(self):
-        assert _nic_workload(True) == _nic_workload(False)
+        assert _nic_workload(False) == _nic_workload(True)
 
     def test_nic_batched_matches_generic_traced(self):
         TRACER.enable()
-        batched = _nic_workload(True)
+        batched = _nic_workload(False)
+        batched_trace = _kernel_trace()
         assert TRACER.dispatches > 0
+        TRACER.enable()  # resets
+        generic = _nic_workload(True)
+        assert _kernel_trace() == batched_trace
         TRACER.disable()
-        TRACER.reset()
-        assert batched == _nic_workload(False)
-
-
-QUICK = dict(
-    system="hyperloop",
-    message_size=256,
-    n_ops=30,
-    stress_per_core=1,
-    pipeline_depth=2,
-    n_cores=4,
-    rounds=256,
-)
-
-
-class TestParallelEquivalence:
-    def test_worker_processes_match_generic_oracle(self, monkeypatch):
-        """A sweep's worker processes run batched by default; the same
-        sweep with workers flipped to the generic loop (via the
-        ``REPRO_FAST_DISPATCH`` environment, inherited at pool start)
-        must produce identical normalized results."""
-        specs = make_specs("latency", base_seed=7, n_seeds=2, **QUICK)
-        batched = run_parallel(specs, workers=2)
-        monkeypatch.setenv("REPRO_FAST_DISPATCH", "0")
-        generic = run_parallel(specs, workers=2)
-        assert batched == generic
-        # And both match the in-process serial reference (which here
-        # runs generic too, proving the env gate reaches this process).
-        serial = run_serial(specs)
-        assert serial == generic
+        assert batched == generic == _nic_workload(False)

@@ -2,15 +2,14 @@
 
 The acceptance bar (DESIGN.md decision 7 applied to the runner): for a
 fixed seed set, experiment output is bit-for-bit identical serial vs
-parallel, and identical with the kernel's fast dispatch on or off.
-Merging is order-independent.
+parallel, and identical under the kernel's batched run loop and the
+one-pop reference loop. Merging is order-independent.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.bench import experiments as experiments_module
 from repro.bench.harness import LatencyRecorder, LatencyStats, merge_stats
 from repro.bench.parallel import (
     RunResult,
@@ -23,6 +22,7 @@ from repro.bench.parallel import (
     run_serial,
 )
 from repro.sim import Simulator
+from tests.reference.one_pop import run_one_pop
 
 # One cheap-but-real configuration used by every runner test: a full
 # HyperLoop group with background tenants, shrunk to tens of ops.
@@ -98,15 +98,11 @@ class TestSerialParallelEquivalence:
 
 class TestHotPathEquivalence:
     def test_experiment_output_identical_fast_vs_generic(self, monkeypatch):
-        """Before/after the rewrite: the generic dispatch path stands in
-        for the pre-PR kernel and must reproduce the exact results."""
+        """A whole experiment run by the one-pop reference loop must
+        reproduce the batched loop's results exactly."""
         spec = quick_specs(n_seeds=1)[0]
         fast = run_serial([spec])
-
-        def generic_simulator(seed=0):
-            return Simulator(seed=seed, fast_dispatch=False)
-
-        monkeypatch.setattr(experiments_module, "Simulator", generic_simulator)
+        monkeypatch.setattr(Simulator, "run", run_one_pop)
         generic = run_serial([spec])
         assert fast == generic
 

@@ -6,7 +6,8 @@ wakeup — regimes where a stale waiter list or a drained-CQE handoff
 would first show. These tests drive ``poll``, ``next_event``, and
 ``threshold_event`` consumers *concurrently* against bursts of
 completions arriving at one timestamp, and pin exactly-once delivery
-plus batched-vs-generic interleaving identity.
+plus interleaving identity between the batched loop and the one-pop
+reference (``tests/reference/one_pop.py``).
 """
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from repro.hw.nic import HwCq
 from repro.hw.wqe import Cqe, Opcode
 from repro.sim import Simulator
+from tests.reference.one_pop import run_one_pop
 
 
 def cqe(wr_id=0):
@@ -26,11 +28,15 @@ def _burst(sim, cq, at, wr_ids):
         sim.call_at(at, lambda w=wr_id: cq.push(cqe(w)))
 
 
-def _mixed_consumers(fast_dispatch):
+def _run(sim, oracle, until):
+    return run_one_pop(sim, until) if oracle else sim.run(until=until)
+
+
+def _mixed_consumers(oracle):
     """A channel consumer, a threshold waiter, and a periodic poller
     racing over bursts of same-timestamp completions. Returns the full
     observation log."""
-    sim = Simulator(seed=9, fast_dispatch=fast_dispatch)
+    sim = Simulator(seed=9)
     cq = HwCq(sim, 1, name="shared")
     log = []
 
@@ -64,22 +70,22 @@ def _mixed_consumers(fast_dispatch):
     _burst(sim, cq, at=10, wr_ids=[0, 1, 2])
     _burst(sim, cq, at=10, wr_ids=[3])  # same timestamp, later seq
     _burst(sim, cq, at=25, wr_ids=[4, 5, 6, 7, 8])
-    sim.run(until=200)
+    _run(sim, oracle, until=200)
     log.append(("final", sim.now, cq.completions_total, len(cq.entries)))
     return log
 
 
 class TestMixedConsumerInterleaving:
     def test_batched_matches_generic(self):
-        assert _mixed_consumers(True) == _mixed_consumers(False)
+        assert _mixed_consumers(False) == _mixed_consumers(True)
 
     def test_exactly_once_delivery(self):
-        log = _mixed_consumers(True)
+        log = _mixed_consumers(False)
         delivered = sorted(e[2] for e in log if e[1] in ("chan", "poll"))
         assert delivered == list(range(9)), "every CQE exactly once"
 
     def test_thresholds_fire_at_burst_timestamps(self):
-        log = _mixed_consumers(True)
+        log = _mixed_consumers(False)
         fired = {e[2]: (e[0], e[3]) for e in log if e[1] == "thresh"}
         # Threshold 3 is met inside the t=10 burst, threshold 7 inside
         # the t=25 burst; the value is completions_total at fire time.
@@ -92,8 +98,8 @@ class TestSameTimestampChannelRaces:
         """Both waiters wake on a same-timestamp burst; between them
         they claim each CQE exactly once via poll."""
 
-        def run(fast_dispatch):
-            sim = Simulator(seed=4, fast_dispatch=fast_dispatch)
+        def run(oracle):
+            sim = Simulator(seed=4)
             cq = HwCq(sim, 1)
             seen = []
 
@@ -110,20 +116,20 @@ class TestSameTimestampChannelRaces:
             sim.spawn(consumer("b"))
             _burst(sim, cq, at=7, wr_ids=[0, 1])
             _burst(sim, cq, at=7, wr_ids=[2, 3])
-            sim.run(until=100)
+            _run(sim, oracle, until=100)
             return seen
 
-        batched, generic = run(True), run(False)
+        batched, generic = run(False), run(True)
         assert batched == generic
         assert sorted(wr for _t, _l, wr in batched) == [0, 1, 2, 3]
 
     def test_threshold_and_channel_same_push(self):
         """One push satisfies a threshold waiter and a channel waiter
-        in the same batch; wake order matches the generic loop and the
+        in the same batch; wake order matches the one-pop loop and the
         channel waiter sees a count, not the CQE."""
 
-        def run(fast_dispatch):
-            sim = Simulator(seed=2, fast_dispatch=fast_dispatch)
+        def run(oracle):
+            sim = Simulator(seed=2)
             cq = HwCq(sim, 1)
             order = []
 
@@ -143,10 +149,10 @@ class TestSameTimestampChannelRaces:
             sim.spawn(via_threshold())
             sim.spawn(via_channel())
             sim.call_at(12, lambda: cq.push(cqe(42)))
-            sim.run(until=50)
+            _run(sim, oracle, until=50)
             return order
 
-        batched, generic = run(True), run(False)
+        batched, generic = run(False), run(True)
         assert batched == generic
         assert (12, "polled", [42]) in batched
 

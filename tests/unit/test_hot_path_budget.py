@@ -177,7 +177,7 @@ def test_an_op_leaves_nothing_for_the_collector_however_long_the_run(world_class
         assert alive_long - alive_short <= 2 * world.long_run
 
 
-# Per 200 warm gWRITEs of the lone client (default dispatch mode).
+# Per 200 warm gWRITEs of the lone client.
 # Before: 10,349 resumes (6,600 of them NicQp._ingress_engine), 13,637
 # event objects, the same 21,829 dispatches.
 RESUMES = 3_749
@@ -221,11 +221,9 @@ def test_a_warm_gwrite_costs_the_pinned_resumes_and_allocations():
         home: count for home, count in calls.items()
         if isinstance(home, tuple) and home[0] == "hw/nic.py"
     }
-    # The receive path resumes nothing in either dispatch mode; the
-    # send engine is the NIC's one process.
+    # The receive path resumes nothing; the send engine is the NIC's
+    # one process.
     assert set(nic_resumes) == {("hw/nic.py", "_send_engine")}
-    if not Simulator()._fast_dispatch:
-        return  # the generic send engine resumes per WQE, by design
     assert calls["resumes"] == RESUMES  # 18.7 per op, was 51.7
     assert calls["event objects"] == EVENT_OBJECTS  # 39.1 per op, was 68.2
 

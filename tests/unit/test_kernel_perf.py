@@ -1,19 +1,25 @@
 """Unit tests for the kernel fast paths (dispatch, pooling, ordering).
 
 The hot-path rewrite is only admissible because it is *invisible*:
-identical seeds must produce bit-for-bit identical event orders, with
-``fast_dispatch=True`` (claimed timeouts, pooling) and with the
-generic trigger machinery. These tests pin that contract.
+identical seeds must produce bit-for-bit identical event orders under
+``Simulator.run`` (batches, claimed timeouts, pooling) and under the
+one-pop reference loop (``tests/reference/one_pop.py``). These tests
+pin that contract.
 """
 
 import pytest
 
 from repro.sim import Event, Interrupt, Simulator, Timeout
+from tests.reference.one_pop import run_one_pop
 
 
-def _trace_run(fast_dispatch, n_procs=20, steps=50):
+def _run(sim, oracle):
+    return run_one_pop(sim) if oracle else sim.run()
+
+
+def _trace_run(oracle, n_procs=20, steps=50):
     """A mixed workload recording (time, actor, step) at every resume."""
-    sim = Simulator(seed=3, fast_dispatch=fast_dispatch)
+    sim = Simulator(seed=3)
     trace = []
 
     def actor(index):
@@ -24,25 +30,25 @@ def _trace_run(fast_dispatch, n_procs=20, steps=50):
 
     for index in range(n_procs):
         sim.spawn(actor(index))
-    sim.run()
+    _run(sim, oracle)
     return trace
 
 
 class TestDeterminism:
     def test_same_seed_same_event_order(self):
-        assert _trace_run(True) == _trace_run(True)
+        assert _trace_run(False) == _trace_run(False)
 
     def test_fast_dispatch_matches_generic_path(self):
-        # The acceptance bar for the rewrite: the claimed-timeout fast
-        # path and the legacy trigger machinery produce the same
-        # interleaving, element for element.
-        assert _trace_run(True) == _trace_run(False)
+        # The acceptance bar for the rewrite: the batched loop and the
+        # one-pop reference produce the same interleaving, element for
+        # element.
+        assert _trace_run(False) == _trace_run(True)
 
     def test_fast_dispatch_matches_generic_with_zero_delays(self):
         # Zero-delay timeouts maximize same-timestamp contention, the
         # regime where a sequence-number slip would show first.
-        def run(fast):
-            sim = Simulator(seed=5, fast_dispatch=fast)
+        def run(oracle):
+            sim = Simulator(seed=5)
             order = []
 
             def proc(name):
@@ -52,10 +58,10 @@ class TestDeterminism:
 
             for name in "abcdef":
                 sim.spawn(proc(name))
-            sim.run()
+            _run(sim, oracle)
             return order
 
-        assert run(True) == run(False)
+        assert run(False) == run(True)
 
 
 class TestFifoTieBreak:
@@ -165,17 +171,6 @@ class TestTimeoutPooling:
         sim.run()
         assert sim._timeout_pool == []
 
-    def test_legacy_mode_never_claims_or_pools(self):
-        sim = Simulator(fast_dispatch=False)
-
-        def proc():
-            for _ in range(5):
-                yield sim.timeout(2)
-
-        sim.spawn(proc())
-        sim.run()
-        assert sim._timeout_pool == []
-
     def test_interrupt_while_waiting_on_claimed_timeout(self):
         sim = Simulator()
         outcome = []
@@ -216,19 +211,6 @@ class TestTimeoutPooling:
             sim.timeout(-1)
         # ...and nothing was scheduled by the rejected call.
         assert not sim._queue
-
-    def test_negative_delay_rejected_in_generic_mode(self):
-        sim = Simulator(fast_dispatch=False)
-        with pytest.raises(ValueError):
-            sim.timeout(-1)
-
-        def proc():
-            yield sim.timeout(1)
-
-        sim.spawn(proc())
-        sim.run()
-        with pytest.raises(ValueError):
-            sim.timeout(-1)
 
 
 class TestEventSlots:

@@ -2,11 +2,10 @@
 
 Two directions, both bit-for-bit:
 
-* **Tracing off** — a simulator built with the tracer dark runs the
-  original loop, so event order matches the seed kernel exactly (the
-  fast-vs-generic harness from ``test_kernel_perf`` stands in for the
-  pre-obs kernel, same as it stood in for the pre-rewrite one).
-* **Tracing on** — ``run_traced`` pops the same heap entries in the
+* **Tracing off** — a simulator built with the tracer dark skips the
+  observer, so event order matches the one-pop reference loop
+  (``tests/reference/one_pop.py``) exactly.
+* **Tracing on** — ``Tracer.dispatch`` sees the same entries in the
   same order, never schedules events, never consumes randomness: the
   event interleaving and full experiment outputs (stats *and* raw
   samples) are identical to an untraced run of the same seed.
@@ -19,6 +18,7 @@ import pytest
 from repro.bench.experiments import microbench_latency
 from repro.obs import TRACER, tracing
 from repro.sim import Event, Simulator
+from tests.reference.one_pop import run_one_pop
 
 
 @pytest.fixture(autouse=True)
@@ -30,10 +30,12 @@ def _tracer_off():
     TRACER.reset()
 
 
-def mixed_run(fast_dispatch=True, until=None, chunk=None):
+def mixed_run(oracle=False, until=None, chunk=None):
     """Timeouts + triggered events + callbacks: every dispatch shape
-    the traced loop must reproduce. Returns the resume log + final now."""
-    sim = Simulator(seed=11, fast_dispatch=fast_dispatch)
+    the observed loop must reproduce. Returns the resume log + final
+    now; ``oracle`` drives it with the one-pop reference loop."""
+    sim = Simulator(seed=11)
+    run = (lambda until=None: run_one_pop(sim, until)) if oracle else sim.run
     log = []
     gate = Event(sim)
 
@@ -57,11 +59,11 @@ def mixed_run(fast_dispatch=True, until=None, chunk=None):
     sim.call_at(20, lambda: gate.succeed("open"))
     if chunk:
         while sim._queue and (until is None or sim.now < until):
-            sim.run(until=min(sim.now + chunk, until) if until else sim.now + chunk)
+            run(until=min(sim.now + chunk, until) if until else sim.now + chunk)
             if until is None and not sim._queue:
                 break
     else:
-        sim.run(until=until)
+        run(until=until)
     return log, sim.now
 
 
@@ -85,9 +87,9 @@ def latency_output(**overrides):
 class TestTracingOffMatchesSeedKernel:
     def test_fast_dispatch_matches_generic_with_obs_merged(self):
         # Same acceptance bar the hot-path rewrite had to clear: with
-        # the observability layer merged but dark, the fast and generic
-        # loops still interleave identically.
-        assert mixed_run(True) == mixed_run(False)
+        # the observability layer merged but dark, the batched loop
+        # still interleaves exactly like the one-pop reference.
+        assert mixed_run() == mixed_run(oracle=True)
 
     def test_repeated_runs_identical(self):
         assert mixed_run() == mixed_run()
@@ -101,10 +103,10 @@ class TestTracingOnIsInvisible:
         assert traced == untraced
 
     def test_generic_dispatch_path_also_identical(self):
-        untraced = mixed_run(fast_dispatch=False)
+        untraced = mixed_run(oracle=True)
         with tracing():
-            traced = mixed_run(fast_dispatch=False)
-        assert traced == untraced
+            traced = mixed_run(oracle=True)
+        assert traced == untraced == mixed_run()
 
     def test_until_semantics_identical(self):
         untraced = mixed_run(until=17)
@@ -120,7 +122,7 @@ class TestTracingOnIsInvisible:
 
     def test_chunked_runs_identical(self):
         # run_until()-style repeated run(until=now+chunk) calls: the
-        # traced loop must honour the same clock-advance rules.
+        # observed loop must honour the same clock-advance rules.
         untraced = mixed_run(until=120, chunk=7)
         with tracing():
             traced = mixed_run(until=120, chunk=7)

@@ -155,13 +155,3 @@ def test_parallel_installs_match_the_sequential_oracle():
     # finishes the same schedule in strictly less virtual time.
     assert parallel["sim_ns"] < sequential["sim_ns"]
 
-
-def test_env_toggle_selects_the_oracle(monkeypatch):
-    monkeypatch.setenv("REPRO_TXN_INSTALL", "sequential")
-    sim = Simulator(seed=1)
-    cluster = Cluster(sim, n_hosts=4, n_cores=4)
-    coordinator = build_txn_system(sim, cluster, n_groups=2)
-    assert coordinator.install_mode == "sequential"
-    monkeypatch.setenv("REPRO_TXN_INSTALL", "parallel")
-    coordinator = build_txn_system(sim, cluster, n_groups=2)
-    assert coordinator.install_mode == "parallel"

@@ -2,28 +2,18 @@
 
 The suite rendering must be a pure function of ``(mixes, seed,
 params)``: byte-identical when run twice, across pool worker counts,
-with the batched dispatch loop flipped to its one-pop oracle
-(``REPRO_FAST_DISPATCH=0``), and under ``REPRO_SHARDS=1`` containment
-(each mix point re-run in a worker process). All six Cooper mixes run
-— D and E drive the coordinator's insert and snapshot-scan paths —
-and unknown mixes fail with the full supported vocabulary.
+and with the batched dispatch loop swapped for the one-pop reference
+loop (``tests/reference/one_pop.py``). All six Cooper mixes run — D
+and E drive the coordinator's insert and snapshot-scan paths — and
+unknown mixes fail with the full supported vocabulary.
 """
-
-import os
 
 import pytest
 
+from repro.sim import Simulator
 from repro.txn import run_ycsb, run_ycsb_mix
 from repro.txn.ycsb import TXN_MIXES
-
-
-@pytest.fixture(autouse=True)
-def _clean_env():
-    for name in ("REPRO_FAST_DISPATCH", "REPRO_SHARDS"):
-        os.environ.pop(name, None)
-    yield
-    for name in ("REPRO_FAST_DISPATCH", "REPRO_SHARDS"):
-        os.environ.pop(name, None)
+from tests.reference.one_pop import run_one_pop
 
 
 SMALL = dict(n_keys=24, n_txns=12, n_workers=2)
@@ -77,22 +67,11 @@ def test_dynamic_mixes_render_identically_across_runs():
     assert base.ok
 
 
-def test_dynamic_mixes_identical_across_dispatch_modes():
+def test_dynamic_mixes_identical_across_dispatch_modes(monkeypatch):
     base = run_ycsb(mixes=("D", "E"), seed=7, workers=1, **SMALL)
-    os.environ["REPRO_FAST_DISPATCH"] = "0"
+    monkeypatch.setattr(Simulator, "run", run_one_pop)
     oracle = run_ycsb(mixes=("D", "E"), seed=7, workers=1, **SMALL)
     assert oracle.render() == base.render()
-
-
-def test_dynamic_mix_point_identical_under_containment():
-    base = run_ycsb_mix(mix="E", seed=7, **SMALL)
-    os.environ["REPRO_SHARDS"] = "1"
-    from repro.txn import run_ycsb_point
-
-    contained = run_ycsb_point("E", seed=7, **SMALL)
-    assert "REPRO_SHARD_ROLE" not in os.environ  # worker env never leaks
-    assert contained.render() == base.render()
-    assert contained == base
 
 
 def test_suite_renders_identically_across_runs_and_workers():
@@ -104,19 +83,8 @@ def test_suite_renders_identically_across_runs_and_workers():
     assert base.ok
 
 
-def test_suite_identical_across_dispatch_modes():
+def test_suite_identical_across_dispatch_modes(monkeypatch):
     base = run_ycsb(mixes=("A", "F"), seed=7, workers=1, **SMALL)
-    os.environ["REPRO_FAST_DISPATCH"] = "0"
+    monkeypatch.setattr(Simulator, "run", run_one_pop)
     oracle = run_ycsb(mixes=("A", "F"), seed=7, workers=1, **SMALL)
     assert oracle.render() == base.render()
-
-
-def test_mix_point_identical_under_containment():
-    base = run_ycsb_mix(mix="A", seed=7, **SMALL)
-    os.environ["REPRO_SHARDS"] = "1"
-    from repro.txn import run_ycsb_point
-
-    contained = run_ycsb_point("A", seed=7, **SMALL)
-    assert "REPRO_SHARD_ROLE" not in os.environ  # worker env never leaks
-    assert contained.render() == base.render()
-    assert contained == base

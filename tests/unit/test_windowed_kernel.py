@@ -1,87 +1,186 @@
-"""The window-bounded run loop must be invisible to the simulation.
+"""Slicing a run must be invisible to the simulation.
 
-``Simulator(window_ns=W)`` chops ``run()`` into conservative windows —
-the sharded engine's building block — but a single-process simulation
-must produce bit-identical state, logs, and clock whatever W is, with
-``sync_rounds`` the only observable difference.
+A sharded-engine worker (:mod:`repro.sim.shard`) drives its simulator
+in window slices: ``run(until=window_end)`` with ``_advance_clock =
+False``, so an intermediate slice leaves the clock at the last
+dispatched event instead of pinning it to the window end. That is all
+the worker relies on from the kernel. Run once, and again in random
+slices, a random process soup and a small NIC world must dispatch the
+identical ``(time, actor)`` sequence, end at the identical clock, and
+record identical traces.
 """
 
-import os
+import random
 
 import pytest
 
-from repro.sim.kernel import Simulator
+from repro.hw import Cluster
+from repro.obs import TRACER
+from repro.rdma import AccessFlags, FLAG_SIGNALED, Opcode, Wqe
+from repro.sim import AnyOf, Event, Simulator, US
 
 
-def _workload(sim):
-    """A mixed workload with same-timestamp collisions and callbacks."""
+@pytest.fixture(autouse=True)
+def _tracer_off():
+    TRACER.disable()
+    TRACER.reset()
+    yield
+    TRACER.disable()
+    TRACER.reset()
+
+
+def _soup(sim):
+    """Timeouts (many zero-delay), hops, gates, AnyOf, callbacks and
+    interrupts, all drawn from one seeded plan."""
+    plan = random.Random(sim.seed)
     log = []
+    gates = [Event(sim, f"gate{i}") for i in range(3)]
 
-    def proc(name, gap, count):
-        for index in range(count):
-            yield sim.timeout(gap)
-            log.append((sim.now, name, index))
+    def ticker(index):
+        rng = sim.rng(f"tick/{index}")
+        for step in range(plan.randrange(10, 40)):
+            log.append((sim.now, "tick", index, step))
+            if step % 5 == 4:
+                yield sim.hop()
+            else:
+                yield sim.timeout(rng.randrange(0, 9))
 
-    for name, gap in (("a", 7), ("b", 13), ("c", 7), ("d", 91)):
-        sim.spawn(proc(name, gap, 40), name=name)
-    sim.call_at(500, lambda: log.append((sim.now, "callback", -1)))
+    def waiter(index):
+        result = yield AnyOf(sim, [gates[index % 3], sim.timeout(plan.randrange(5, 60))])
+        log.append((sim.now, "any", index, len(result)))
+
+    def victim(index):
+        try:
+            yield sim.timeout(1000)
+            log.append((sim.now, "victim", index, "survived"))
+        except Exception:
+            log.append((sim.now, "victim", index, "interrupted"))
+
+    for index in range(plan.randrange(4, 9)):
+        sim.spawn(ticker(index), name=f"tick{index}")
+    for index in range(plan.randrange(2, 5)):
+        sim.spawn(waiter(index), name=f"any{index}")
+    victim_proc = sim.spawn(victim(0), name="victim")
+    for i, gate in enumerate(gates):
+        sim.call_at(plan.randrange(3, 40), lambda g=gate, i=i: g.succeed(i))
+    sim.call_at(plan.randrange(2, 30), lambda: victim_proc.interrupt("chaos"))
     return log
 
 
-def _run(window_ns, until=None):
-    sim = Simulator(seed=3, window_ns=window_ns)
-    log = _workload(sim)
-    sim.run(until=until)
-    return log, sim.now, sim._sequence, sim.sync_rounds
+def _nic_world(sim):
+    """A burst of signaled WRITEs, then a trickle, with a CQ consumer."""
+    cluster = Cluster(sim, n_hosts=2, n_cores=2)
+    a, b = cluster[0], cluster[1]
+    qp_a = a.dev.create_qp(name="a")
+    qp_b = b.dev.create_qp(name="b")
+    qp_a.connect(qp_b)
+    buf_a = a.memory.alloc(4096, label="buf_a")
+    buf_b = b.memory.alloc(4096, label="buf_b")
+    a.dev.reg_mr(buf_a, AccessFlags.ALL_REMOTE)
+    mr_b = b.dev.reg_mr(buf_b, AccessFlags.ALL_REMOTE)
+    log = []
+
+    def post(index):
+        qp_a.post_send(
+            Wqe(
+                opcode=Opcode.WRITE,
+                flags=FLAG_SIGNALED,
+                length=8,
+                local_addr=buf_a.addr,
+                remote_addr=buf_b.addr + index * 8,
+                rkey=mr_b.rkey,
+                wr_id=index,
+            )
+        )
+
+    def consumer():
+        while len(log) < 10:
+            event = qp_a.send_cq.next_event()
+            if not event.triggered:
+                yield event
+            for entry in qp_a.send_cq.poll():
+                log.append((sim.now, entry.wr_id, entry.ok))
+
+    def producer():
+        for index in range(6):
+            post(index)
+        yield sim.timeout(20 * US)
+        for index in range(6, 10):
+            post(index)
+            yield sim.timeout(3 * US)
+
+    sim.spawn(consumer(), name="consumer")
+    sim.spawn(producer(), name="producer")
+    return log
 
 
-def test_windowed_run_matches_plain():
-    plain = _run(0)
-    for window in (1, 13, 100, 1300, 10**9):
-        windowed = _run(window)
-        assert windowed[:3] == plain[:3], f"window_ns={window} diverged"
+def _run(build, seed, slice_seed=None, traced=False):
+    """Run ``build``'s world to completion, whole or in random slices.
+
+    Returns the world's log, the final clock and, when traced, the
+    dispatch count plus every record the tracer kept."""
+    if traced:
+        TRACER.enable()
+    sim = Simulator(seed=seed)
+    log = build(sim)
+    if slice_seed is None:
+        sim.run()
+    else:
+        cuts = random.Random(slice_seed)
+        sim._advance_clock = False
+        try:
+            while sim._queue:
+                sim.run(until=sim._queue[0][0] + cuts.choice((0, 1, 3, 17, 400)))
+        finally:
+            sim._advance_clock = True
+    trace = None
+    if traced:
+        TRACER.disable()
+        trace = (
+            TRACER.dispatches,
+            [
+                (rec.ts, rec.ph, rec.cat, rec.name, rec.pid, rec.tid, rec.dur, rec.args)
+                for rec in TRACER.iter_records()
+            ],
+        )
+        TRACER.reset()
+    return log, sim.now, trace
 
 
-def test_windowed_run_with_until_matches_plain():
-    plain = _run(0, until=700)
-    windowed = _run(50, until=700)
-    assert windowed[:3] == plain[:3]
-    assert windowed[1] == 700  # clock pinned to until either way
+@pytest.mark.parametrize("seed", [3, 29, 404])
+def test_sliced_soup_matches_whole_run(seed):
+    whole = _run(_soup, seed)
+    for slice_seed in (1, 2, 3):
+        assert _run(_soup, seed, slice_seed) == whole
 
 
-def test_sync_rounds_counts_windows():
-    plain = _run(0)
-    assert plain[3] == 0
-    windowed = _run(100)
-    assert windowed[3] > 1
-    # Wider windows, fewer rounds.
-    assert _run(1000)[3] < windowed[3]
+@pytest.mark.parametrize("seed", [3, 404])
+def test_sliced_soup_traces_match_whole_run(seed):
+    whole = _run(_soup, seed, traced=True)
+    dispatches, records = whole[2]
+    actors = [(rec[0], rec[5]) for rec in records if rec[2] == "kernel"]
+    assert dispatches == len(actors) > 0
+    assert any(actor for _, actor in actors)  # resumes name their process
+    assert _run(_soup, seed, slice_seed=7, traced=True) == whole
+    assert whole[:2] == _run(_soup, seed)[:2]
 
 
-def test_window_from_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_WINDOW_NS", "250")
-    sim = Simulator(seed=1)
-    assert sim.window_ns == 250
-    monkeypatch.delenv("REPRO_WINDOW_NS")
-    assert Simulator(seed=1).window_ns == 0
-    # Explicit argument beats the environment.
-    monkeypatch.setenv("REPRO_WINDOW_NS", "250")
-    assert Simulator(seed=1, window_ns=0).window_ns == 0
+def test_sliced_nic_world_matches_whole_run():
+    whole = _run(_nic_world, 17)
+    assert len(whole[0]) == 10
+    assert _run(_nic_world, 17, slice_seed=5) == whole
 
 
-def test_on_window_hook_fires_once_per_round_with_monotonic_clock():
-    sim = Simulator(seed=2, window_ns=64)
-    _workload(sim)
-    bounds = []
-    sim.on_window = lambda s: bounds.append(s.now)
-    sim.run()
-    assert bounds == sorted(bounds)
-    assert len(bounds) == sim.sync_rounds
+def test_sliced_nic_world_traces_match_whole_run():
+    whole = _run(_nic_world, 17, traced=True)
+    cats = {rec[2] for rec in whole[2][1]}
+    assert {"kernel", "nic"} <= cats
+    assert _run(_nic_world, 17, slice_seed=11, traced=True) == whole
 
 
 def test_advance_clock_flag_leaves_clock_at_last_event():
     sim = Simulator(seed=4)
-    log = _workload(sim)
+    log = _soup(sim)
     sim._advance_clock = False
     try:
         sim.run(until=10_000)
@@ -89,4 +188,8 @@ def test_advance_clock_flag_leaves_clock_at_last_event():
         sim._advance_clock = True
     # All events fired, but the clock was not pinned to `until`.
     assert log
+    assert not sim._queue
     assert sim.now < 10_000
+    # With the flag set, a bounded run pins the clock to `until`.
+    sim.run(until=20_000)
+    assert sim.now == 20_000
