@@ -39,6 +39,7 @@ can import it without cycles.
 
 from __future__ import annotations
 
+import gc
 import time
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -165,7 +166,20 @@ class Tracer:
 
     def enable(self, capacity: Optional[int] = None) -> "Tracer":
         """Reset and start collecting. Simulators constructed from now
-        on hand every dispatch to :meth:`dispatch`."""
+        on hand every dispatch to :meth:`dispatch`.
+
+        Garbage is collected first. A finished simulation's suspended
+        tasks run their ``finally`` blocks when the collector reclaims
+        them, and those blocks reach instrumentation points (a task's
+        exit dispatches the next one on its core). Reclaimed after this
+        call, they would write another world's records into this trace
+        whenever the collector happened to run — which is how a shard
+        worker's trace once diverged from the oracle's.
+        """
+        while gc.collect():
+            # Until nothing is left: a reclaimed task's finally block
+            # can free more of its world for one more pass.
+            pass
         self.reset(capacity)
         self.enabled = True
         return self

@@ -6,14 +6,16 @@ engines additionally chain consecutive WQEs and coalesce deliveries.
 All of it is only admissible because it is *invisible*: the
 one-pop-at-a-time loop in ``tests/reference/one_pop.py`` is the
 oracle, and these tests assert bit-for-bit identical event orders —
-on randomized process soups, with tracing off and on, and on a real
-NIC workload.
+on randomized process soups, with tracing off and on, on a real NIC
+workload, and across the parallel sweep runner's worker processes.
 """
 
+import multiprocessing
 import random
 
 import pytest
 
+from repro.bench.parallel import make_specs, run_parallel, run_serial
 from repro.hw import Cluster
 from repro.obs import TRACER
 from repro.rdma import AccessFlags, FLAG_SIGNALED, Opcode, Wqe
@@ -214,3 +216,34 @@ class TestNicWorkloadEquivalence:
         assert _kernel_trace() == batched_trace
         TRACER.disable()
         assert batched == generic == _nic_workload(False)
+
+
+QUICK = dict(
+    system="hyperloop",
+    message_size=256,
+    n_ops=30,
+    stress_per_core=1,
+    pipeline_depth=2,
+    n_cores=4,
+    rounds=256,
+)
+
+
+def _loop_is_one_pop():
+    return Simulator.run is run_one_pop
+
+
+class TestParallelEquivalence:
+    def test_worker_processes_match_generic_oracle(self, monkeypatch):
+        """A sweep's worker processes run the batched loop; the same
+        sweep with the one-pop reference patched in before the pool
+        forks (so every worker inherits it) must produce identical
+        normalized results, and both match the in-process serial run."""
+        specs = make_specs("latency", base_seed=7, n_seeds=2, **QUICK)
+        batched = run_parallel(specs, workers=2, mp_context="fork")
+        monkeypatch.setattr(Simulator, "run", run_one_pop)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply(_loop_is_one_pop)
+        generic = run_parallel(specs, workers=2, mp_context="fork")
+        assert batched == generic
+        assert run_serial(specs) == generic

@@ -12,10 +12,13 @@ Three contracts are pinned here:
    pool heavily, and pool behaviour is identical traced vs untraced.
 """
 
+import gc
+
 import pytest
 
+from repro.hw.cpu import OperatingSystem, SchedParams
 from repro.obs.trace import TRACER, Tracer, TraceRecord, subsystem_of, tracing
-from repro.sim import Event, Simulator, Timeout
+from repro.sim import MS, Event, Simulator, Timeout
 
 
 @pytest.fixture(autouse=True)
@@ -221,6 +224,32 @@ class TestEnableDisableLifecycle:
         TRACER.enable()
         assert TRACER.counters == {}
         assert TRACER.enabled
+
+    def test_a_dead_world_reclaimed_later_writes_nothing(self):
+        # A finished world whose tasks are still suspended: "a" holds
+        # the only core mid-compute, "b" waits behind it. Reclaiming
+        # "a" runs its exit, which dispatches "b" — a scheduler record.
+        def abandon():
+            sim = Simulator(seed=1)
+            os_ = OperatingSystem(sim, n_cores=1, params=SchedParams(), name="dead")
+
+            def spin(task):
+                yield from task.compute(10 * MS)
+
+            os_.spawn(spin, "a")
+            os_.spawn(spin, "b")
+            sim.run(until=MS)
+
+        gc.disable()
+        try:
+            abandon()
+            with tracing() as tracer:
+                # The collector runs at an arbitrary allocation; here,
+                # in the middle of the trace.
+                gc.collect()
+        finally:
+            gc.enable()
+        assert [rec for rec in tracer.iter_records() if rec.pid == "dead"] == []
 
     def test_disable_keeps_data_readable(self):
         with tracing() as tracer:

@@ -5,19 +5,23 @@ in window slices: ``run(until=window_end)`` with ``_advance_clock =
 False``, so an intermediate slice leaves the clock at the last
 dispatched event instead of pinning it to the window end. That is all
 the worker relies on from the kernel. Run once, and again in random
-slices, a random process soup and a small NIC world must dispatch the
-identical ``(time, actor)`` sequence, end at the identical clock, and
-record identical traces.
+slices or fixed lookahead windows, a random process soup and a small
+NIC world must dispatch the identical ``(time, actor)`` sequence, end
+at the identical clock, and record identical traces; and every worker
+of a sharded run must count the coordinator's windows as its rounds.
 """
 
 import random
 
 import pytest
 
+from repro.bench.mesh import mesh_params
 from repro.hw import Cluster
 from repro.obs import TRACER
 from repro.rdma import AccessFlags, FLAG_SIGNALED, Opcode, Wqe
 from repro.sim import AnyOf, Event, Simulator, US
+from repro.sim.shard import run_oracle, run_sharded
+from tests.reference.windows import run_in_windows
 
 
 @pytest.fixture(autouse=True)
@@ -176,6 +180,42 @@ def test_sliced_nic_world_traces_match_whole_run():
     cats = {rec[2] for rec in whole[2][1]}
     assert {"kernel", "nic"} <= cats
     assert _run(_nic_world, 17, slice_seed=11, traced=True) == whole
+
+
+def _windowed(seed, window_ns, until=None):
+    """``_soup`` run in fixed lookahead windows (``None``: whole)."""
+    sim = Simulator(seed=seed)
+    log = _soup(sim)
+    if window_ns is None:
+        sim.run(until=until)
+    else:
+        run_in_windows(sim, until, window_ns)
+    return log, sim.now, sim._sequence
+
+
+def test_windowed_run_matches_plain():
+    plain = _windowed(29, None)
+    for window in (1, 13, 100, 1300, 10**9):
+        assert _windowed(29, window) == plain, f"window_ns={window} diverged"
+
+
+def test_windowed_run_with_until_matches_plain():
+    plain = _windowed(29, None, until=40)
+    assert _windowed(29, 5, until=40) == plain
+    assert plain[1] == 40  # clock pinned to until either way
+
+
+def test_sync_rounds_counts_windows():
+    # The coordinator counts the windows it broadcasts; every worker
+    # counts the slices it ran. They are the same rounds.
+    params = mesh_params(hosts=6, messages=8, group_size=2)
+    assert run_oracle("mesh", seed=5, params=params).sync_rounds == 0
+    for shards in (2, 3):
+        run = run_sharded("mesh", shards, seed=5, params=params)
+        assert run.sync_rounds > 1
+        assert [stats["sync_rounds"] for stats in run.shard_stats] == [
+            run.sync_rounds
+        ] * shards
 
 
 def test_advance_clock_flag_leaves_clock_at_last_event():
