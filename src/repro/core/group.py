@@ -23,15 +23,22 @@ All operations are generator methods to be driven from an OS
 critical path (it builds metadata and posts work), replica CPUs are
 not. Replica-side CPU involvement is limited to a maintenance task
 that refills consumed pre-posted rounds off the critical path.
+
+A group pays only for the primitives it runs: each primitive's
+:class:`~repro.core.chain.Chain` — its QPs, rings and pre-posted
+rounds on every replica — is built by the first operation that uses
+it (:meth:`HyperLoopGroup.chain`), not at construction. A group that
+only ever replicates a log (the §5.1 RocksDB port: gWRITE + gFLUSH)
+never builds the gMEMCPY and gCAS chains.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Sequence
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..hw.cpu import Task
 from ..hw.host import Host
-from ..hw.nic import AccessFlags
+from ..hw.nic import AccessFlags, CompletionChannel
 from ..obs.trace import TRACER
 from ..rdma.reader import RemoteReader
 from ..sim import Event, Resource, US
@@ -42,6 +49,10 @@ __all__ = ["HyperLoopGroup"]
 
 class HyperLoopGroup:
     """A replication group offloaded to NICs.
+
+    Construction allocates the replicated regions and the read path;
+    a primitive's chain is built by its first operation, so
+    :attr:`chains` holds only the chains used so far.
 
     Parameters
     ----------
@@ -58,6 +69,10 @@ class HyperLoopGroup:
         Interleave gFLUSH with every gwrite/gmemcpy (§4.2).
     nvm:
         Place replica regions in NVM (battery-backed DRAM).
+    primitives:
+        The chains the group *may* build. Each is built on its first
+        operation (or an explicit :meth:`chain` call); an operation
+        on a primitive not listed raises ``RuntimeError``.
     client_mode:
         ``"event"`` — the client completion handler blocks on the CQ
         channel (normal tenants); ``"polling"`` — it busy-polls
@@ -86,6 +101,9 @@ class HyperLoopGroup:
             raise ValueError("a group needs at least one replica")
         if client_mode not in ("event", "polling"):
             raise ValueError(f"bad client_mode {client_mode!r}")
+        for primitive in primitives:
+            if primitive not in (GWRITE, GMEMCPY, GCAS):
+                raise ValueError(f"unknown primitive {primitive!r}")
         self.client = client
         self.replicas = list(replicas)
         self.region_size = region_size
@@ -109,16 +127,18 @@ class HyperLoopGroup:
             )
             self.replica_mrs.append(host.dev.reg_mr(region, AccessFlags.ALL_REMOTE))
         self._reader = RemoteReader(client, self.replicas, self.replica_mrs, name)
-        self.chains: Dict[str, Chain] = {
-            primitive: Chain(self, primitive, durable, rounds)
-            for primitive in primitives
-        }
+        self.primitives: Tuple[str, ...] = tuple(primitives)
+        # Built chains only, keyed in ``primitives`` order (see chain()).
+        self.chains: Dict[str, Chain] = {}
+        # The ack handler's one wake-up: every built chain's ack CQ and
+        # client send CQ join it.
+        self._completions = CompletionChannel(client.sim, f"{name}.acks")
         self._flow: Dict[str, Resource] = {
             primitive: Resource(client.sim, capacity=max(rounds // 2, 1))
-            for primitive in self.chains
+            for primitive in self.primitives
         }
         self._waiters: Dict[str, Dict[int, Event]] = {
-            primitive: {} for primitive in self.chains
+            primitive: {} for primitive in self.primitives
         }
         self._tasks: List[Task] = []
         self._started = False
@@ -261,7 +281,7 @@ class HyperLoopGroup:
 
     def gflush(self, task: Task) -> Generator:
         """Explicitly flush the chain (a zero-byte durable gwrite)."""
-        if not self.chains[GWRITE].durable:
+        if not self.durable:
             raise RuntimeError(
                 "gflush needs the gwrite chain built with durable=True"
             )
@@ -296,6 +316,29 @@ class HyperLoopGroup:
         )
         return result
 
+    def chain(self, primitive: str) -> Chain:
+        """The chain for ``primitive``, built on first use.
+
+        Building pre-posts every round on every replica and starts the
+        chain's NIC engines at the current instant; its ack CQ and
+        client send CQ join the ack handler's completion channel, so a
+        handler already parked wakes for it like for the others.
+        """
+        chain = self.chains.get(primitive)
+        if chain is not None:
+            return chain
+        if primitive not in self.primitives:
+            raise RuntimeError(f"group built without the {primitive} chain")
+        chain = Chain(self, primitive, self.durable, self.rounds)
+        self._completions.attach(chain.ack_qp.recv_cq)
+        self._completions.attach(chain.client_qp.send_cq)
+        # A fresh dict, not an insert: the maintenance tasks may be
+        # suspended inside a loop over the old one. Declared order, so
+        # every loop over the chains is independent of first use.
+        built = {**self.chains, primitive: chain}
+        self.chains = {p: built[p] for p in self.primitives if p in built}
+        return chain
+
     def _run(self, task: Task, op: OpSpec) -> Generator:
         """The blocking form of every verb: :meth:`submit`, then wait."""
         ack = yield from self.submit(task, op)
@@ -304,8 +347,9 @@ class HyperLoopGroup:
     def submit(self, task: Task, op: OpSpec) -> Generator:
         """Post ``op`` on its primitive's chain; returns its ack event.
 
-        The issue half of every group operation: take a flow slot,
-        charge the client CPU for building the metadata, post. The
+        The issue half of every group operation: build the chain if
+        this is its first op (:meth:`chain`), take a flow slot, charge
+        the client CPU for building the metadata, post. The
         caller waits on the returned event whenever it needs the
         result (the event's value is what the blocking verb returns),
         and may post more work first. Ordering is the RC queue pair's:
@@ -318,8 +362,7 @@ class HyperLoopGroup:
         drains through its own slots instead of deadlocking on them.
         """
         primitive = op.kind
-        chain = self.chains.get(primitive)
-        if chain is None:
+        if primitive not in self.primitives:
             raise RuntimeError(f"group built without the {primitive} chain")
         if primitive == GMEMCPY:
             self._check_range(op.src_offset, op.size)
@@ -328,6 +371,7 @@ class HyperLoopGroup:
             self._check_range(op.offset, 8 if primitive == GCAS else op.size)
         if op.execute_map is not None and len(op.execute_map) != self.group_size:
             raise ValueError("execute map must have one entry per replica")
+        chain = self.chain(primitive)
         flow = self._flow[primitive]
         yield from task.wait(flow.acquire())
         try:
@@ -376,10 +420,13 @@ class HyperLoopGroup:
 
     def _ack_handler_body(self) -> Generator:
         """One client completion thread serving every chain's ack CQ
-        (one poller / one epoll loop, as a real client would run)."""
+        (one poller / one epoll loop, as a real client would run).
+
+        It sleeps on the group's completion channel, which each chain
+        joins when it is built, and serves pending chains in declared
+        ``primitives`` order."""
         poll_slice = 200  # ns of CPU per poll check in polling mode
-        chains = list(self.chains.values())
-        expected = {chain.primitive: 0 for chain in chains}
+        expected = dict.fromkeys(self.primitives, 0)
 
         def handle(task: Task, chain: Chain) -> Generator:
             cqes = chain.ack_qp.recv_cq.poll(64)
@@ -403,44 +450,40 @@ class HyperLoopGroup:
                     waiter.succeed(result)
 
         def drain_send_errors(task: Task) -> Generator:
-            # Lossy fabrics only: the client chain WQEs are posted
-            # non-signaled, so the only CQEs that ever land on the
-            # client send CQ are errors — the NIC's RC retransmission
-            # path reporting WC_RETRY_EXCEEDED after its budget. Surface
-            # them to the op layer; on a clean fabric this queue stays
-            # empty forever and is never polled.
-            for chain in chains:
-                cqes = chain.client_qp.send_cq.poll(64)
-                if cqes:
-                    yield from task.compute(300 * len(cqes))
+            # The client chain WQEs are posted non-signaled, so the
+            # only CQEs that ever land on a client send CQ are errors —
+            # on a lossy fabric, the NIC's RC retransmission path
+            # reporting WC_RETRY_EXCEEDED after its budget. Surface them
+            # to the op layer; on a clean fabric these queues stay empty.
+            for chain in self.chains.values():
+                cq = chain.client_qp.send_cq
+                if not cq.entries:
+                    continue
+                cqes = cq.poll(64)
+                yield from task.compute(300 * len(cqes))
                 for cqe in cqes:
                     if not cqe.ok:
                         self.errors.append(
                             f"{chain.primitive} send error: {cqe!r}"
                         )
 
+        def ready() -> List[Chain]:
+            return [c for c in self.chains.values() if c.ack_qp.recv_cq.entries]
+
         def body(task: Task) -> Generator:
             while True:
                 if self._stopping:
                     return
-                lossy = self.client.nic.fabric.lossy
-                if lossy:
-                    yield from drain_send_errors(task)
-                pending = [c for c in chains if c.ack_qp.recv_cq.entries]
+                yield from drain_send_errors(task)
+                pending = ready()
                 if not pending:
-                    waits = [c.ack_qp.recv_cq.next_event() for c in chains]
-                    if lossy:
-                        waits.extend(
-                            c.client_qp.send_cq.next_event() for c in chains
-                        )
-                    any_ack = self.sim.any_of(waits)
+                    wake = self._completions.next_event()
                     if self.client_mode == "polling":
-                        yield from task.poll_wait(any_ack, check_ns=poll_slice)
+                        yield from task.poll_wait(wake, check_ns=poll_slice)
                     else:
-                        yield from task.wait(any_ack)
-                    if lossy:
-                        yield from drain_send_errors(task)
-                    pending = [c for c in chains if c.ack_qp.recv_cq.entries]
+                        yield from task.wait(wake)
+                    yield from drain_send_errors(task)
+                    pending = ready()
                 for chain in pending:
                     yield from handle(task, chain)
 

@@ -4,7 +4,7 @@ from .cpu import Core, OperatingSystem, SchedParams, Task
 from .memory import MemoryRegion, MemorySystem, WriteCache
 from .network import Fabric, Port
 from .wqe import Cqe, Opcode, Wqe, WQE_SIZE
-from .nic import AccessFlags, HwCq, NicParams, NicQp, Rnic
+from .nic import AccessFlags, CompletionChannel, HwCq, NicParams, NicQp, Rnic
 from .host import Cluster, Host
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "NicQp",
     "NicParams",
     "HwCq",
+    "CompletionChannel",
     "AccessFlags",
     "Wqe",
     "Cqe",

@@ -51,7 +51,16 @@ from ..sim import Event, Simulator, Store
 from .memory import MemoryRegion, MemorySystem, WriteCache
 from .network import Fabric
 
-__all__ = ["NicParams", "Rnic", "NicQp", "HwCq", "SGE_SIZE", "pack_sges", "AccessFlags"]
+__all__ = [
+    "NicParams",
+    "Rnic",
+    "NicQp",
+    "HwCq",
+    "CompletionChannel",
+    "SGE_SIZE",
+    "pack_sges",
+    "AccessFlags",
+]
 
 
 SGE_SIZE = 12  # packed (addr: u64, length: u32)
@@ -152,13 +161,67 @@ class _Registration:
         return in_range and (self.access & needed) == needed
 
 
+class CompletionChannel:
+    """A completion event channel shared by any number of CQs
+    (``ibv_comp_channel``).
+
+    A CQ :meth:`attach`\\ ed to the channel notifies it on every
+    :meth:`HwCq.push`; one consumer serving several CQs — the group's
+    ack handler over its chains' CQs, an RPC server over its
+    connections — waits on the channel instead of on each CQ, and a CQ
+    attached while the consumer is parked wakes it like the others.
+
+    Wake-then-poll semantics: the event's value is the number of
+    entries pending on the CQ that fired, never a CQE — consumers must
+    :meth:`HwCq.poll` to claim completions, and with several
+    concurrent waiters only the poll winner gets each CQE. While the
+    channel is armed every :meth:`next_event` returns the same event,
+    so asking again before anything arrived parks nothing new.
+    """
+
+    __slots__ = ("sim", "name", "cqs", "_armed")
+
+    def __init__(self, sim: Simulator, name: str):
+        self.sim = sim
+        self.name = name
+        self.cqs: List["HwCq"] = []
+        self._armed: Optional[Event] = None
+
+    def attach(self, cq: "HwCq") -> None:
+        """Bind ``cq`` to this channel (a CQ has at most one)."""
+        if cq.channel is not None:
+            raise ValueError(f"{cq.name} already has a completion channel")
+        cq.channel = self
+        self.cqs.append(cq)
+
+    def next_event(self) -> Event:
+        """Event firing at the next push on any attached CQ;
+        pre-triggered if one of them already holds entries."""
+        for cq in self.cqs:
+            if cq.entries:
+                return Event(self.sim, self.name).succeed(len(cq.entries))
+        armed = self._armed
+        if armed is None:
+            armed = self._armed = Event(self.sim, self.name)
+        return armed
+
+    def notify(self, cq: "HwCq") -> None:
+        """``cq`` took a completion: fire the armed event, if any."""
+        armed = self._armed
+        if armed is not None:
+            self._armed = None
+            armed.succeed(len(cq.entries))
+
+
 class HwCq:
     """A hardware completion queue.
 
     Tracks the all-time number of CQEs pushed (``completions_total``),
     which is what WAIT WQEs compare their thresholds against, and
-    offers both polling (:meth:`poll`) and an event channel
-    (:meth:`next_event`) for software consumers.
+    offers polling (:meth:`poll`) plus one wake-up mechanism for
+    software consumers: the :class:`CompletionChannel` the CQ is bound
+    to, which every :meth:`push` notifies. :meth:`next_event` is the
+    one-CQ case — it binds a channel of the CQ's own on first use.
     """
 
     def __init__(self, sim: Simulator, cqn: int, name: str = ""):
@@ -169,10 +232,7 @@ class HwCq:
         self.completions_total = 0
         self.wait_consumed = 0  # completions consumed by hardware WAITs
         self._threshold_waiters: List[Tuple[int, Event]] = []
-        # The armed channel event, if any: never more than one (see
-        # next_event), however many consumers wait on it.
-        self._channel_waiters: List[Event] = []
-        self._channel_name = self.name + ".channel"
+        self.channel: Optional[CompletionChannel] = None
 
     def push(self, cqe: Cqe) -> None:
         """Deliver a completion; wakes threshold waiters and channel."""
@@ -186,12 +246,8 @@ class HwCq:
                 else:
                     still_waiting.append((threshold, event))
             self._threshold_waiters = still_waiting
-        if self._channel_waiters:
-            # Wake-then-poll: every waiter on the channel event gets
-            # the pending-entry count and races to poll(). Handing a
-            # CQE to more than one waiter would double-deliver a
-            # completion the first consumer may already have drained.
-            self._channel_waiters.pop().succeed(len(self.entries))
+        if self.channel is not None:
+            self.channel.notify(self)
 
     def poll(self, max_entries: int = 16) -> List[Cqe]:
         """Drain up to ``max_entries`` completions (non-blocking)."""
@@ -199,32 +255,25 @@ class HwCq:
         return taken
 
     def next_event(self) -> Event:
-        """Event firing at the next :meth:`push` (completion channel).
-
-        Wake-then-poll semantics: the event's value is the number of
-        entries pending at wake time, never a CQE — consumers must
-        :meth:`poll` to claim completions, and with several concurrent
-        waiters only the poll winner gets each CQE. If entries are
-        already pending the event is pre-triggered.
-
-        While the channel is armed every call returns the same event:
-        a consumer that asks again before anything arrived (it waits on
-        several CQs and another one woke it) parks nothing new here.
-        """
-        if self.entries:
-            return Event(self.sim, self._channel_name).succeed(len(self.entries))
-        if not self._channel_waiters:
-            self._channel_waiters.append(Event(self.sim, self._channel_name))
-        return self._channel_waiters[0]
+        """The CQ's channel's :meth:`~CompletionChannel.next_event`:
+        fires at the next :meth:`push`, pre-triggered if entries are
+        pending. A CQ with no channel gets one of its own here; one
+        attached to a shared channel wakes on any of that channel's
+        CQs, as an ``ibv_comp_channel`` does."""
+        channel = self.channel
+        if channel is None:
+            CompletionChannel(self.sim, self.name + ".channel").attach(self)
+            channel = self.channel
+        return channel.next_event()
 
     def invalidate_waiters(self) -> int:
         """Drop threshold waiters and void unfulfilled WAIT
         reservations (NIC crash: WAIT state is on-NIC volatile, so a
         pre-crash WAIT must not be satisfiable by post-restart
-        completions against its stale reservation). Channel waiters
-        are software-side and survive — the driver's ``next_event``
-        legitimately wakes on post-restart completions. Returns the
-        number of waiters dropped."""
+        completions against its stale reservation). The channel is
+        software-side and survives — the driver legitimately wakes on
+        post-restart completions. Returns the number of waiters
+        dropped."""
         dropped = len(self._threshold_waiters)
         self._threshold_waiters.clear()
         if self.wait_consumed > self.completions_total:

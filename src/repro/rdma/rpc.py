@@ -18,6 +18,7 @@ from typing import Callable, Generator, List, Optional
 
 from ..hw.cpu import Task
 from ..hw.host import Host
+from ..hw.nic import CompletionChannel
 from ..hw.wqe import FLAG_VALID, Opcode, Wqe
 from ..sim import Resource
 
@@ -58,6 +59,9 @@ class RpcServer:
         self.name = name
         self._buffers = host.memory.alloc(_SLOTS * _MAX_MSG, label=f"{name}.bufs")
         self._channels: List["RpcChannel"] = []
+        # The epoll: every channel's server recv CQ joins it, also one
+        # attached while the server is parked on it.
+        self._requests = CompletionChannel(host.sim, f"{name}.requests")
         self._next_slot = 0
         self.requests_served = 0
         self.task = host.os.spawn(self._body, name=name, pinned_core=pinned_core)
@@ -66,6 +70,7 @@ class RpcServer:
         """Create a channel from ``client_host`` to this server."""
         channel = RpcChannel(client_host, self, name or f"{self.name}.ch{len(self._channels)}")
         self._channels.append(channel)
+        self._requests.attach(channel.server_qp.recv_cq)
         for _ in range(4):
             self._post_recv(channel)
         return channel
@@ -110,12 +115,11 @@ class RpcServer:
                 cqes = channel.server_qp.recv_cq.poll(1)
                 if cqes:
                     return cqes[0], channel
-            events = [c.server_qp.recv_cq.next_event() for c in self._channels]
-            any_event = self.host.sim.any_of(events)
+            wake = self._requests.next_event()
             if self.mode == "polling":
-                yield from task.poll_wait(any_event)
+                yield from task.poll_wait(wake)
             else:
-                yield from task.wait(any_event)
+                yield from task.wait(wake)
 
 
 class RpcChannel:

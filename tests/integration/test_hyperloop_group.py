@@ -387,7 +387,7 @@ class TestMixedWorkload:
             return True
 
         drive(sim, cluster, body, until=500 * MS)
-        assert group.chains["gwrite"].next_round == n_ops
+        assert group.chain("gwrite").next_round == n_ops
         assert not group.errors
         # Maintenance did run (replica CPU > 0) but stays under 2% of
         # a core per replica (doorbell laps + timer bookkeeping only).

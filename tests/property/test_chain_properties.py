@@ -38,7 +38,7 @@ rounds = st.integers(0, 1000)
 @given(rounds, offsets, st.integers(0, 4096))
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_gwrite_patch_fields(round_, offset, size):
-    chain = group().chains[GWRITE]
+    chain = group().chain(GWRITE)
     spec = OpSpec(GWRITE, offset=offset, size=min(size, _REGION - offset))
     for replica in range(2):  # non-tail
         patch = Wqe.unpack(chain.build_patch(replica, round_, spec))
@@ -53,7 +53,7 @@ def test_gwrite_patch_fields(round_, offset, size):
 @given(rounds, offsets, offsets, st.integers(0, 4096))
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_gmemcpy_patch_is_strictly_local(round_, src, dst, size):
-    chain = group().chains[GMEMCPY]
+    chain = group().chain(GMEMCPY)
     spec = OpSpec(GMEMCPY, src_offset=src, dst_offset=dst, size=size)
     for replica in range(3):
         patch = Wqe.unpack(chain.build_patch(replica, round_, spec))
@@ -73,7 +73,7 @@ def test_gmemcpy_patch_is_strictly_local(round_, src, dst, size):
 )
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_gcas_patch_respects_execute_map(round_, offset, compare, swap, execute_map):
-    chain = group().chains[GCAS]
+    chain = group().chain(GCAS)
     spec = OpSpec(GCAS, offset=offset, compare=compare, swap=swap, execute_map=execute_map)
     for replica in range(3):
         patch = Wqe.unpack(chain.build_patch(replica, round_, spec))
@@ -94,7 +94,7 @@ def test_gcas_patch_respects_execute_map(round_, offset, compare, swap, execute_
 @given(rounds, offsets, st.integers(0, 1024))
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_payload_structure(round_, offset, size):
-    chain = group().chains[GWRITE]
+    chain = group().chain(GWRITE)
     spec = OpSpec(GWRITE, offset=offset, size=min(size, _REGION - offset))
     payload = chain.build_payload(round_, spec)
     assert len(payload) == chain.payload_size
@@ -110,7 +110,7 @@ def test_payload_structure(round_, offset, size):
 def test_op_slots_never_collide_within_a_lap(round_, replica):
     """Within one ring lap, different rounds' op slots are distinct
     addresses; across laps they wrap to the same address."""
-    chain = group().chains[GWRITE]
+    chain = group().chain(GWRITE)
     if replica == 2:
         return  # tail has no op slot in the gwrite chain
     base = chain.op_slot_addr(replica, round_)

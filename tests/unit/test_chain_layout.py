@@ -21,45 +21,45 @@ def group():
 
 class TestLayout:
     def test_blob_sizes(self, group):
-        chain = group.chains[GWRITE]
+        chain = group.chain(GWRITE)
         assert chain.result_size == 3 * 8
         assert chain.blob_size == 3 * 8 + 3 * WQE_SIZE
         assert chain.payload_size == chain.blob_size + WQE_SIZE
 
     def test_slots_per_round(self, group):
         # durable gwrite: WAIT + WRITE + flush READ + SEND
-        assert group.chains[GWRITE].spr_next == 4
+        assert group.chain(GWRITE).spr_next == 4
         # gmemcpy/gcas downstream: WAIT + SEND
-        assert group.chains[GMEMCPY].spr_next == 2
+        assert group.chain(GMEMCPY).spr_next == 2
         # durable gmemcpy loopback: WAIT + copy + flush READ
-        assert group.chains[GMEMCPY].spr_loop == 3
+        assert group.chain(GMEMCPY).spr_loop == 3
         # gcas loopback: WAIT + CAS
-        assert group.chains[GCAS].spr_loop == 2
+        assert group.chain(GCAS).spr_loop == 2
 
     def test_loopback_only_where_needed(self, group):
-        assert not group.chains[GWRITE].uses_loopback
-        assert group.chains[GMEMCPY].uses_loopback
-        assert group.chains[GCAS].uses_loopback
+        assert not group.chain(GWRITE).uses_loopback
+        assert group.chain(GMEMCPY).uses_loopback
+        assert group.chain(GCAS).uses_loopback
 
     def test_op_slot_addresses_fall_in_the_right_ring(self, group):
-        chain = group.chains[GWRITE]
+        chain = group.chain(GWRITE)
         for replica in range(2):  # non-tail replicas
             for round_ in range(20):
                 addr = chain.op_slot_addr(replica, round_)
                 ring = chain.replicas[replica].qp_next.send_ring
                 assert ring.addr <= addr < ring.addr + ring.length
-        cas_chain = group.chains[GCAS]
+        cas_chain = group.chain(GCAS)
         for replica in range(3):
             addr = cas_chain.op_slot_addr(replica, 5)
             ring = cas_chain.replicas[replica].qp_loop.send_ring
             assert ring.addr <= addr < ring.addr + ring.length
 
     def test_op_slots_wrap_with_ring(self, group):
-        chain = group.chains[GWRITE]
+        chain = group.chain(GWRITE)
         assert chain.op_slot_addr(0, 0) == chain.op_slot_addr(0, chain.rounds)
 
     def test_staging_slots_are_disjoint_per_round(self, group):
-        chain = group.chains[GWRITE]
+        chain = group.chain(GWRITE)
         state = chain.replicas[0]
         addresses = {
             chain.staging_slot_addr(state, round_) for round_ in range(chain.rounds)
@@ -69,7 +69,7 @@ class TestLayout:
 
 class TestBlobConstruction:
     def test_gwrite_patch_targets_next_replica(self, group):
-        chain = group.chains[GWRITE]
+        chain = group.chain(GWRITE)
         patch = Wqe.unpack(chain.build_patch(0, 0, OpSpec(GWRITE, offset=100, size=50)))
         assert patch.opcode == Opcode.WRITE
         assert patch.valid
@@ -79,11 +79,11 @@ class TestBlobConstruction:
         assert patch.rkey == group.replica_mrs[1].rkey
 
     def test_gwrite_tail_patch_is_blank(self, group):
-        chain = group.chains[GWRITE]
+        chain = group.chain(GWRITE)
         assert chain.build_patch(2, 0, OpSpec(GWRITE, offset=0, size=8)) == bytes(WQE_SIZE)
 
     def test_gmemcpy_patch_is_local_loopback_write(self, group):
-        chain = group.chains[GMEMCPY]
+        chain = group.chain(GMEMCPY)
         patch = Wqe.unpack(
             chain.build_patch(1, 0, OpSpec(GMEMCPY, src_offset=0, dst_offset=4096, size=64))
         )
@@ -93,7 +93,7 @@ class TestBlobConstruction:
         assert patch.rkey == group.replica_mrs[1].rkey
 
     def test_gcas_patch_execute_map(self, group):
-        chain = group.chains[GCAS]
+        chain = group.chain(GCAS)
         spec = OpSpec(GCAS, offset=8, compare=1, swap=2, execute_map=[True, False, True])
         executed = Wqe.unpack(chain.build_patch(0, 0, spec))
         skipped = Wqe.unpack(chain.build_patch(1, 0, spec))
@@ -103,14 +103,14 @@ class TestBlobConstruction:
         assert skipped.signaled  # a NOP must still advance the WAIT
 
     def test_gcas_result_lands_in_staging(self, group):
-        chain = group.chains[GCAS]
+        chain = group.chain(GCAS)
         patch = Wqe.unpack(chain.build_patch(1, 3, OpSpec(GCAS, offset=0, compare=0, swap=1)))
         state = chain.replicas[1]
         expected = chain.staging_slot_addr(state, 3) + 1 * 8
         assert patch.local_addr == expected
 
     def test_payload_is_blob_plus_head_patch(self, group):
-        chain = group.chains[GWRITE]
+        chain = group.chain(GWRITE)
         spec = OpSpec(GWRITE, offset=0, size=16)
         payload = chain.build_payload(0, spec)
         assert len(payload) == chain.payload_size
@@ -122,7 +122,7 @@ class TestBlobConstruction:
         assert payload[-WQE_SIZE:] == head_patch
 
     def test_retired_rounds_starts_at_zero(self, group):
-        chain = group.chains[GWRITE]
+        chain = group.chain(GWRITE)
         for replica in range(3):
             assert chain.retired_rounds(replica) == 0
 
@@ -188,10 +188,13 @@ class TestPackedRounds:
     def _build(durable, rounds=8):
         sim = Simulator(seed=41)
         cluster = Cluster(sim, n_hosts=4, n_cores=2)
-        return HyperLoopGroup(
+        group = HyperLoopGroup(
             cluster[0], cluster.hosts[1:4], region_size=1 << 16, rounds=rounds,
             durable=durable, autostart=False, name="lg",
         )
+        for primitive in group.primitives:
+            group.chain(primitive)
+        return group
 
     @staticmethod
     def _image(group):

@@ -63,7 +63,17 @@ class TestConstruction:
             cluster[0], cluster.hosts[1:4], region_size=1 << 16,
             rounds=8, primitives=("gwrite",), autostart=False,
         )
-        assert set(group.chains) == {"gwrite"}
+        assert group.primitives == ("gwrite",)
+        assert group.chains == {}  # built on first use
+        with pytest.raises(RuntimeError, match="gcas"):
+            group.chain("gcas")
+
+    def test_unknown_primitive_rejected_at_construction(self, cluster):
+        with pytest.raises(ValueError, match="gscan"):
+            HyperLoopGroup(
+                cluster[0], cluster.hosts[1:4], region_size=1 << 16,
+                rounds=8, primitives=("gwrite", "gscan"), autostart=False,
+            )
 
     def test_regions_in_nvm_by_default(self, cluster):
         group = HyperLoopGroup(
@@ -147,19 +157,23 @@ class TestStats:
         stats = group.stats()
         assert stats["ops_issued"] == 2
         assert stats["errors"] == 0
-        assert stats["rounds_posted"] >= 8 * 3 * 3
+        # 8 rounds x 3 replicas on the two chains used; gMEMCPY's was
+        # never built.
+        assert stats["rounds_posted"] == 8 * 3 * 2
 
 
 class TestIdleChains:
     @pytest.mark.parametrize("client_mode", ["event", "polling"])
     def test_unused_chains_collect_nothing_per_ack(self, cluster, client_mode):
-        """The ack handler waits on every chain's ack CQ at once. After
-        500 gWRITEs the gMEMCPY and gCAS ack CQs — never used — hold
-        the one armed channel event with the handler's one callback,
-        not one parked event per ack wake (pre-fix: ~500 each)."""
+        """After 500 gWRITEs the gMEMCPY and gCAS chains — never used —
+        were never built, and the ack handler's completion channel
+        holds at most one armed event with the handler's one callback,
+        not one parked event per ack wake (before the channel was one
+        event: ~500 on each idle ack CQ)."""
         import gc
 
         from repro.bench import run_until
+        from repro.core.chain import GWRITE
         from repro.sim import Event
 
         group = HyperLoopGroup(
@@ -177,8 +191,12 @@ class TestIdleChains:
         cluster[0].os.spawn(body, "c", pinned_core=1)
         run_until(cluster[0].sim, lambda: "ok" in done, deadline_ms=500)
         assert group.errors == []
-        for chain in group.chains.values():
-            assert len(chain.ack_qp.recv_cq._channel_waiters) <= 1, chain.primitive
+        assert list(group.chains) == [GWRITE]
+        chain = group.chains[GWRITE]
+        channel = group._completions
+        assert channel.cqs == [chain.ack_qp.recv_cq, chain.client_qp.send_cq]
+        armed = channel._armed
+        assert armed is None or len(armed._callbacks) <= 1
         crowded = [
             obj for obj in gc.get_objects()
             if isinstance(obj, Event) and obj._callbacks and len(obj._callbacks) > 2

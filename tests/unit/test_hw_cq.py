@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hw.nic import HwCq
+from repro.hw.nic import CompletionChannel, HwCq
 from repro.hw.wqe import Cqe, Opcode
 from repro.sim import Simulator
 
@@ -96,9 +96,9 @@ class TestChannel:
         cq = HwCq(sim, 1)
         first = cq.next_event()
         assert all(cq.next_event() is first for _ in range(500))
-        assert cq._channel_waiters == [first]
+        assert cq.channel._armed is first
         cq.push(cqe(3))
-        assert first.triggered and cq._channel_waiters == []
+        assert first.triggered and cq.channel._armed is None
         # Re-armed with a fresh event once the old one has fired.
         cq.poll()
         again = cq.next_event()
@@ -140,9 +140,8 @@ class TestChannel:
         sim.spawn(producer())
         sim.run()
         assert served == list(range(50))
-        assert len(idle._channel_waiters) == 1
         # The last any_of has triggered: it withdrew from the idle CQ.
-        assert idle._channel_waiters[0]._callbacks == []
+        assert idle.channel._armed._callbacks == []
 
     def test_second_waiter_never_handed_a_drained_cqe(self):
         """Regression (pre-fix: the chained waiter got ``chan.value``,
@@ -189,6 +188,60 @@ class TestChannel:
         sim.spawn(producer())
         sim.run(until=200)
         assert sorted(wr_id for _label, wr_id in seen) == [0, 1, 2]
+
+
+class TestSharedChannel:
+    """One CompletionChannel over several CQs (ibv_comp_channel)."""
+
+    def test_any_attached_cq_fires_the_one_armed_event(self):
+        sim = Simulator()
+        channel = CompletionChannel(sim, "ch")
+        first, second = HwCq(sim, 1), HwCq(sim, 2)
+        channel.attach(first)
+        channel.attach(second)
+        event = channel.next_event()
+        assert channel.next_event() is event and not event.triggered
+        second.push(cqe(4))
+        second.push(cqe(5))
+        assert event.triggered and event.value == 1
+        # Asked again with entries pending anywhere: pre-triggered.
+        again = channel.next_event()
+        assert again.triggered and again.value == 2
+        assert channel._armed is None
+
+    def test_a_cq_attached_while_parked_wakes_the_waiter(self):
+        sim = Simulator()
+        channel = CompletionChannel(sim, "ch")
+        woke = []
+
+        def consumer():
+            yield channel.next_event()
+            woke.append(sim.now)
+
+        late = HwCq(sim, 9)
+        sim.spawn(consumer())
+        sim.call_in(10, channel.attach, late)
+        sim.call_in(20, late.push, cqe())
+        sim.run()
+        assert woke == [20]
+
+    def test_next_event_of_an_attached_cq_is_its_channels(self):
+        sim = Simulator()
+        channel = CompletionChannel(sim, "ch")
+        cq = HwCq(sim, 1)
+        channel.attach(cq)
+        assert cq.next_event() is channel.next_event()
+
+    def test_a_cq_has_one_channel(self):
+        sim = Simulator()
+        cq = HwCq(sim, 1)
+        cq.next_event()  # binds a channel of its own
+        with pytest.raises(ValueError, match="already"):
+            CompletionChannel(sim, "ch").attach(cq)
+
+    def test_an_empty_channel_parks(self):
+        sim = Simulator()
+        assert not CompletionChannel(sim, "ch").next_event().triggered
 
 
 class TestWaitConsumption:

@@ -8,6 +8,7 @@ from repro.obs import tracing
 from repro.rdma.reader import RemoteReader
 from repro.rdma.rpc import RpcServer
 from repro.sim import MS, Simulator, US
+from tests.host_deadline import host_deadline
 
 
 class TestRpc:
@@ -73,10 +74,11 @@ class TestRpc:
 
     @pytest.mark.parametrize("mode", ["event", "polling"])
     def test_idle_channels_collect_nothing_per_request(self, mode):
-        """``_next_request`` waits on every channel's CQ at once: 200
-        requests on one channel leave the two idle channels with their
-        one armed channel event and the server's one callback on it
-        (pre-fix: one parked event per request on each)."""
+        """``_next_request`` waits on one completion channel that every
+        connection's CQ joins: 200 requests on one connection leave at
+        most one armed event with the server's one callback on it
+        (before the per-CQ event was shared: one parked event per
+        request on each idle connection)."""
         sim = Simulator(seed=8)
         cluster = Cluster(sim, n_hosts=4, n_cores=2)
         server = self._echo_server(cluster[3], mode=mode)
@@ -91,10 +93,47 @@ class TestRpc:
         cluster[0].os.spawn(client, "c")
         run_until(sim, lambda: "r" in done, deadline_ms=500)
         assert server.requests_served == 200
-        for channel in channels:
-            waiters = channel.server_qp.recv_cq._channel_waiters
-            assert len(waiters) <= 1
-            assert all(len(event._callbacks) <= 1 for event in waiters)
+        assert [c.server_qp.recv_cq for c in channels] == server._requests.cqs
+        armed = server._requests._armed
+        assert armed is None or len(armed._callbacks) <= 1
+
+    def test_a_server_with_no_channel_sleeps(self):
+        """Nothing attached: the server parks on its completion channel
+        and costs no CPU. (It used to wait on ``any_of([])``, which is
+        born triggered, and spin at one instant: ``run`` never
+        returned.)"""
+        sim = Simulator(seed=9)
+        cluster = Cluster(sim, n_hosts=1, n_cores=2)
+        server = self._echo_server(cluster[0])
+        with host_deadline(seconds=2):
+            assert sim.run(until=5_000) == 5_000
+        # Still parked: a deadline raised inside the server's generator
+        # would have ended its process instead of escaping ``run``.
+        assert server.task.process.alive
+        assert server.task.cpu_ns == 0 and server.requests_served == 0
+
+    def test_a_channel_attached_after_the_server_parked_is_served(self):
+        """The server parks on the connections it had; a call on one
+        attached later must still wake it (it used to wait on the CQs
+        of its channels at park time, and this call was never served)."""
+        sim = Simulator(seed=10)
+        cluster = Cluster(sim, n_hosts=3, n_cores=2)
+        server = self._echo_server(cluster[2])
+        server.attach(cluster[0])
+        sim.run(until=1 * MS)  # parked on channel 0 alone
+        late = server.attach(cluster[1])
+        done = {}
+
+        def client(task):
+            started = sim.now
+            reply = yield from late.call(task, b"late")
+            done["r"] = (reply, sim.now - started)
+
+        cluster[1].os.spawn(client, "c")
+        sim.run(until=51 * MS)
+        assert server.requests_served == 1
+        reply, latency_ns = done["r"]
+        assert reply == b"echo:late" and latency_ns < 1 * MS
 
     def test_server_pays_cpu(self):
         """The whole point of the native path: serving costs server CPU."""
