@@ -359,7 +359,7 @@ class OperatingSystem:
         self.name = name
         self.params = params or SchedParams()
         self.cores = [Core(self, i) for i in range(n_cores)]
-        self.tasks: List[Task] = []
+        self.tasks: List[Task] = []  # live: a task leaves when its body ends
         self._rng = sim.rng(f"os/{name}")
         self._placement_cursor = 0
 
@@ -421,6 +421,7 @@ class OperatingSystem:
             return result
         finally:
             self._exit(task)
+            self.tasks.remove(task)
 
     # -- scheduling core -------------------------------------------------------
 

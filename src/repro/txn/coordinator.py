@@ -32,6 +32,17 @@ consistent hash. Isolation is Serializable Snapshot Isolation:
   group lock + replicated log, and finally publishes every version in
   one synchronous step — all-or-nothing visibility across groups.
 
+Bookkeeping is bounded by what is live. A read's observation (what
+it served, from which replica, whether the durable copy was behind
+the snapshot) goes on ``Transaction.observations`` and dies with the
+transaction; the coordinator keeps only what the read-your-writes
+invariant consumes — a count of snapshot reads, the stale ones, and
+own-write reads of keys the committed write set lacks. A committed
+transaction leaves the SSI graph once its commit timestamp is below
+the watermark, the oldest live snapshot: every rw edge joins two
+transactions whose ``[snapshot, commit]`` intervals overlap, so from
+then on no pivot check can reach it (Cahill's cleanup rule).
+
 Commits are serialized through a wake-on-release latch: the holder's
 txid in ``_committing`` plus one plain ``Event`` every waiter parks
 on. Whoever clears the flag (``commit``'s unwind, or
@@ -49,6 +60,7 @@ of an older epoch releases only a latch that still carries its txid.
 from __future__ import annotations
 
 import hashlib
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -87,6 +99,10 @@ class Transaction:
     # Range reads: (start, last-returned-key-or-None) per scan — the
     # predicate footprint phantom detection checks writes against.
     scans: List[Tuple[bytes, Optional[bytes]]] = field(default_factory=list)
+    # What each read served, in order: kind (own-write | miss |
+    # snapshot | scan), key, value, replica, and whether the durable
+    # copy consulted was behind the snapshot.
+    observations: List[Dict[str, object]] = field(default_factory=list)
     abort_reason: Optional[str] = None
 
     def reads_range(self, key: bytes) -> bool:
@@ -154,10 +170,16 @@ class TxnCoordinator:
         self.active: Dict[int, Transaction] = {}
         self.graph = SerializationGraph()
         self.history: List[CommittedTxn] = []
-        # Read observations for the read-your-writes / staleness
-        # invariants: what each read served, from where, and whether
-        # the durable copy consulted was behind the snapshot.
-        self.observations: List[Dict[str, object]] = []
+        # Committed transactions not yet retired from the graph, as a
+        # heap of (commit_ts, txid): each leaves at the watermark
+        # (_retire).
+        self._retiring: List[Tuple[int, int]] = []
+        # What the read-your-writes invariant needs of the observations:
+        # snapshot reads served, the stale ones, and own-write reads of
+        # a key a committed transaction's write set lacks.
+        self.reads_observed = 0
+        self.stale_reads: List[Dict[str, object]] = []
+        self.read_violations: List[Dict[str, object]] = []
         self.commits = 0
         self.aborts_ww = 0
         self.aborts_ssi = 0
@@ -225,16 +247,7 @@ class TxnCoordinator:
         """
         self._check_active(txn)
         if key in txn.writes:
-            self.observations.append(
-                {
-                    "txid": txn.txid,
-                    "kind": "own-write",
-                    "key": key,
-                    "value": txn.writes[key],
-                    "replica": None,
-                    "stale": False,
-                }
-            )
+            self._observe(txn, "own-write", key, txn.writes[key])
             return txn.writes[key]
         index = self.locate(key)
         store = self.stores[index]
@@ -242,16 +255,7 @@ class TxnCoordinator:
             # Never written anywhere: the initial state, no network.
             txn.reads.setdefault(key, 0)
             self._note_read_edges(txn, store, key)
-            self.observations.append(
-                {
-                    "txid": txn.txid,
-                    "kind": "miss",
-                    "key": key,
-                    "value": None,
-                    "replica": None,
-                    "stale": False,
-                }
-            )
+            self._observe(txn, "miss", key, None)
             return None
         try:
             replica = yield from self.tracker.choose(task, index)
@@ -271,19 +275,35 @@ class TxnCoordinator:
             stale = durable is None or durable[0] < version.commit_ts
         txn.reads.setdefault(key, seen_ts)
         self._note_read_edges(txn, store, key)
-        self.observations.append(
-            {
-                "txid": txn.txid,
-                "kind": "snapshot",
-                "key": key,
-                "value": value,
-                "replica": replica,
-                "stale": stale,
-            }
-        )
+        self._observe(txn, "snapshot", key, value, replica, stale)
         if TRACER.enabled:
             TRACER.count("txn.read")
         return value
+
+    def _observe(
+        self,
+        txn: Transaction,
+        kind: str,
+        key: bytes,
+        value: Optional[bytes],
+        replica: Optional[int] = None,
+        stale: bool = False,
+    ) -> None:
+        """Record what a read served on its transaction, and fold it
+        into the coordinator's read-your-writes state."""
+        obs = {
+            "txid": txn.txid,
+            "kind": kind,
+            "key": key,
+            "value": value,
+            "replica": replica,
+            "stale": stale,
+        }
+        txn.observations.append(obs)
+        if kind != "own-write":
+            self.reads_observed += 1
+        if stale:
+            self.stale_reads.append(obs)
 
     def _note_read_edges(
         self,
@@ -413,16 +433,7 @@ class TxnCoordinator:
         for key, index, version in steps:
             if index is None:
                 value = txn.writes[key]
-                self.observations.append(
-                    {
-                        "txid": txn.txid,
-                        "kind": "own-write",
-                        "key": key,
-                        "value": value,
-                        "replica": None,
-                        "stale": False,
-                    }
-                )
+                self._observe(txn, "own-write", key, value)
             elif version is None:
                 # Read as absent. No network (nothing to serve), but
                 # the edge to its newer writer is a phantom.
@@ -434,15 +445,9 @@ class TxnCoordinator:
                 slot = durable[key]
                 txn.reads.setdefault(key, version.commit_ts)
                 self._note_read_edges(txn, self.stores[index], key)
-                self.observations.append(
-                    {
-                        "txid": txn.txid,
-                        "kind": "scan",
-                        "key": key,
-                        "value": value,
-                        "replica": replicas[index],
-                        "stale": slot is None or slot[0] < version.commit_ts,
-                    }
+                self._observe(
+                    txn, "scan", key, value, replicas[index],
+                    slot is None or slot[0] < version.commit_ts,
                 )
             results.append((key, value))
         # Next-key-locking convention: a full scan covers [start,
@@ -517,6 +522,7 @@ class TxnCoordinator:
         txn.abort_reason = reason
         self.active.pop(txn.txid, None)
         self.graph.forget(txn.txid)
+        self._retire()
         counter = {
             "ww-conflict": "aborts_ww",
             "ssi-pivot": "aborts_ssi",
@@ -664,6 +670,11 @@ class TxnCoordinator:
             commit_ts = self._tick()
         txn.status = "committed"
         self.active.pop(txn.txid, None)
+        for obs in txn.observations:
+            if obs["kind"] == "own-write" and obs["key"] not in txn.writes:
+                self.read_violations.append(obs)
+        heapq.heappush(self._retiring, (commit_ts, txn.txid))
+        self._retire()
         self.history.append(
             CommittedTxn(
                 txid=txn.txid,
@@ -687,6 +698,19 @@ class TxnCoordinator:
             )
         return commit_ts
 
+    def _retire(self) -> None:
+        """Drop from the SSI graph every committed transaction that no
+        live one is concurrent with: commit below the watermark, the
+        oldest live snapshot (all of them once nothing is live)."""
+        retiring = self._retiring
+        if not retiring:
+            return
+        watermark = min(
+            (txn.snapshot_ts for txn in self.active.values()), default=None
+        )
+        while retiring and (watermark is None or retiring[0][0] < watermark):
+            self.graph.forget(heapq.heappop(retiring)[1])
+
     # -- failover ------------------------------------------------------------------
 
     def reset_after_failover(self, task: Task, index: int, new_group) -> Generator:
@@ -694,9 +718,11 @@ class TxnCoordinator:
 
         Every transaction of the old epoch aborts (a commit parked on
         the dead chain's ack never resumes; resumable stragglers die
-        at their next ``_check_active``), the commit latch is cleared,
-        the store rebinds, and its WAL recovers (stale lock broken,
-        pending records drained). Returns drained-record count.
+        at their next ``_check_active``), which leaves nothing live
+        and so retires every committed transaction from the SSI graph;
+        the commit latch is cleared, the store rebinds, and its WAL
+        recovers (stale lock broken, pending records drained). Returns
+        drained-record count.
         """
         self.epoch += 1
         for txn in list(self.active.values()):

@@ -50,7 +50,7 @@ class SlotExhausted(RuntimeError):
     """The group's DB area has no free slot for a new key."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Version:
     """One committed version of a key."""
 

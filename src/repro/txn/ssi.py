@@ -63,7 +63,7 @@ def key_in_range(
     return key >= start and (end is None or key <= end)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommittedTxn:
     """One committed transaction, as the history records it.
 
@@ -109,6 +109,10 @@ class SerializationGraph:
         self._in.setdefault(writer, set()).add(reader)
         if phantom:
             self._phantom.add((reader, writer))
+
+    def __len__(self) -> int:
+        """Transactions the graph holds state for (until ``forget``)."""
+        return len(self._in.keys() | self._out.keys())
 
     def forget(self, txid: int) -> None:
         """Drop a finished transaction and every edge touching it."""

@@ -332,9 +332,7 @@ def run_txn_workload(
         aborts_other=coordinator.aborts_unavailable
         + coordinator.aborts_failover
         + coordinator.aborts_user,
-        reads=sum(
-            1 for obs in coordinator.observations if obs["kind"] != "own-write"
-        ),
+        reads=coordinator.reads_observed,
         failovers=coordinator.tracker.failovers,
         anomaly=describe_cycle(coordinator.history),
         sim_ms=sim.now / MS,

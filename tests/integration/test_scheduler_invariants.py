@@ -75,15 +75,19 @@ class TestInvariants:
         sim.run(until=100 * MS)
         assert checks["n"] > 500
 
-        # 4. Total CPU handed out never exceeds cores x time.
-        total_cpu = sum(task.cpu_ns for task in os_.tasks)
+        # 4. Total CPU handed out never exceeds cores x time (finished
+        # tasks have left os_.tasks: count every task spawned).
+        total_cpu = sum(task.cpu_ns for task in tasks)
         assert total_cpu <= 3 * sim.now
         # 5. The machine was actually busy (hogs exist).
         assert sum(core.busy_ns for core in os_.cores) > 2 * sim.now * 0.8
         # 6. Short-lived workers all finished despite the hogs.
-        for task in os_.tasks:
-            if task.name.startswith("worker"):
-                assert task.process.triggered and task.process.ok
+        workers = [task for task in tasks if task.name.startswith("worker")]
+        assert len(workers) == 6
+        for task in workers:
+            assert task.process.triggered and task.process.ok
+        # 7. The OS holds exactly the tasks still running their bodies.
+        assert os_.tasks == [task for task in tasks if not task.process.triggered]
 
     def test_no_starvation_of_batch_under_interactive_storm(self):
         """Frequent interactive wakeups must not starve a batch task
@@ -110,7 +114,7 @@ class TestInvariants:
             rng = sim.rng("chaos")
             tasks = build_chaos(sim, os_, rng)
             sim.run(until=50 * MS)
-            return [task.cpu_ns for task in os_.tasks]
+            return [task.cpu_ns for task in tasks]
 
         assert run(5) == run(5)
         assert run(5) != run(6)

@@ -357,7 +357,7 @@ class TestResetMidScan:
         assert seen["outcome"] == "aborted:failover"
         txn = seen["txn"]
         assert txn.reads == {} and txn.scans == []
-        assert [o for o in coordinator.observations if o["txid"] == txn.txid] == []
+        assert txn.observations == []
         assert coordinator.graph.pivot(seen["writer"].txid) is None
         assert not coordinator.graph._in and not coordinator.graph._out
         assert coordinator.aborts_failover == 2  # scanner and writer

@@ -88,7 +88,7 @@ def recorded(coordinator, txn):
     return (
         dict(txn.reads),
         list(txn.scans),
-        [obs for obs in coordinator.observations if obs["txid"] == txn.txid],
+        list(txn.observations),
         sorted(coordinator.graph._out.get(txn.txid, ())),
     )
 
@@ -238,11 +238,7 @@ class TestConcurrentScanners:
         def body(task):
             txn = yield from coordinator.begin(task)
             rows = yield from coordinator.scan(task, txn, b"y0010", 12)
-            replicas = {
-                obs["replica"]
-                for obs in coordinator.observations
-                if obs["txid"] == txn.txid
-            }
+            replicas = {obs["replica"] for obs in txn.observations}
             return rows, replicas
 
         with tracing(record_kernel=False) as tracer:

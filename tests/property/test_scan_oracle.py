@@ -71,7 +71,7 @@ def scan_records(coordinator, txn, since=0):
     return (
         dict(txn.reads),
         list(txn.scans),
-        [o for o in coordinator.observations[since:] if o["txid"] == txn.txid],
+        txn.observations[since:],
         sorted(coordinator.graph._out.get(txn.txid, ())),
     )
 
@@ -211,7 +211,7 @@ def test_scans_match_brute_force_snapshot_oracle(schedule):
                 reference, records = reference_scan(
                     coordinator, txn, action[2], action[3]
                 )
-                mark = len(coordinator.observations)
+                mark = len(txn.observations)
                 got = yield from coordinator.scan(
                     task, txn, action[2], action[3]
                 )
@@ -268,7 +268,7 @@ def test_scan_larger_than_one_read_batch_matches_the_oracle():
     assert tracer.counters["txn.scan_reads"] == 40 + 40
     assert tracer.counters["reader.wqes"] == 1 + 40
     assert tracer.counters["reader.batches"] == 1 + 2
-    scanned = [o for o in coordinator.observations if o["txid"] == txn.txid and o["kind"] == "scan"]
+    scanned = [o for o in txn.observations if o["kind"] == "scan"]
     assert len(scanned) == 80 and not any(o["stale"] for o in scanned)
 
 

@@ -291,6 +291,7 @@ def four_scanners_and_an_inserter(scans_per_client=20):
     cluster = Cluster(sim, n_hosts=4, n_cores=4)
     coordinator = build_txn_system(sim, cluster, n_groups=4)
     stamps = []
+    scans = []  # every scanning transaction, in begin order
 
     def load(task):
         txn = yield from coordinator.begin(task)
@@ -302,6 +303,7 @@ def four_scanners_and_an_inserter(scans_per_client=20):
         def body(task):
             for step in range(scans_per_client):
                 txn = yield from coordinator.begin(task)
+                scans.append(txn)
                 start = b"y%04d" % ((7 * index + 5 * step) % 40)
                 try:
                     rows = yield from coordinator.scan(task, txn, start, 12)
@@ -330,8 +332,10 @@ def four_scanners_and_an_inserter(scans_per_client=20):
     assert all(task.process.ok for task in tasks)
     observed = [
         (obs["txid"], obs["key"], obs["replica"], obs["stale"])
-        for obs in coordinator.observations
+        for txn in scans
+        for obs in txn.observations
     ]
+    assert len(observed) == coordinator.reads_observed  # the inserter reads nothing
     switches = sum(host.os.context_switches for host in cluster.hosts)
     return stamps, observed, coordinator.counters(), switches, sim.now
 
