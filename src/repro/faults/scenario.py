@@ -14,6 +14,8 @@ CI chaos job runs the matrix twice and diffs the output.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -23,6 +25,9 @@ from ..hw.host import Cluster
 from ..sim import MS, Simulator
 from ..storage.kvstore import ReplicatedKVStore
 from ..storage.recovery import ChainRepair, ClientReattach, HeartbeatMonitor
+from ..storage.transactions import TransactionManager
+from ..txn import AvailabilityTracker, TxnAborted, TxnCoordinator, VersionedGroupStore
+from ..txn.workload import Rendezvous
 from ..workloads.ycsb import WORKLOADS, YcsbWorkload
 from .invariants import (
     InvariantResult,
@@ -100,8 +105,8 @@ def _exercised(
     fast the commit protocol is. Their crashes are armed by op count
     (``at_op``) and fire between two transactions, so the *next*
     commit's install runs into the dead chain at any protocol speed;
-    the ``sleep(50_000)``/``sleep(100_000)`` in their writer loops are
-    poll periods of the supervising task, not fault offsets.
+    the 50 µs and 100 µs polls of :func:`_supervised` are poll periods
+    of the supervising task, not fault offsets.
     """
     detail = " ".join(f"{key}={injector.counters.get(key, 0)}" for key in keys)
     ok = sum(injector.counters.get(key, 0) for key in keys) > 0
@@ -109,6 +114,183 @@ def _exercised(
         detail += f" commits_hit={commits_hit}"
         ok = ok and commits_hit > 0
     return InvariantResult("fault-exercised", ok, detail)
+
+
+# -- shared world pieces -------------------------------------------------------------
+#
+# Construction order is part of every report: the injector's ``call_at``
+# timers and the monitors' beat tasks take event sequence numbers, so
+# building the same world in another order changes same-nanosecond ties.
+# Every scenario builds groups, then stores and coordinator, then the
+# injector, monitors and repairers.
+
+
+def _group(client, hosts, name, region_size=1 << 14):
+    return HyperLoopGroup(client, hosts, region_size=region_size, rounds=16, name=name)
+
+
+def _factory(client, prefix):
+    """``ChainRepair``'s group factory: ``prefix1``, ``prefix2``, ... in build order."""
+    generation = itertools.count(1)
+    return lambda members: _group(client, members, f"{prefix}{next(generation)}")
+
+
+def _injector(sim, cluster, plan) -> FaultInjector:
+    return FaultInjector(
+        sim, cluster.fabric, {host.name: host for host in cluster.hosts}, plan
+    )
+
+
+def _monitor(client, hosts, name) -> HeartbeatMonitor:
+    """Beats every 2ms; a replica is suspected after 3 missed beats."""
+    return HeartbeatMonitor(client, hosts, interval=2 * MS, miss_threshold=3, name=name)
+
+
+def _stream(rng, n_ops, region_size=1 << 14, slot=256):
+    """``n_ops`` random ``(offset, payload)`` gWRITEs, one per slot-aligned offset."""
+    ops = []
+    for _ in range(n_ops):
+        offset = rng.randrange(region_size // slot) * slot
+        size = rng.randrange(16, slot)
+        ops.append((offset, bytes([rng.randrange(1, 256)]) * size))
+    return ops
+
+
+def _stream_checks(group, model, acked) -> List[InvariantResult]:
+    return [
+        check_acked_writes(group, acked),
+        check_model_match(group, model),
+        check_replicas_identical(group),
+        check_no_errors(group),
+    ]
+
+
+def _paced_writer(group, ops, model, acked, injector, done, pace_ns=0):
+    """An unsupervised writer: each op in turn, ``pace_ns`` apart."""
+
+    def body(task):
+        for offset, data in ops:
+            group.write_local(offset, data)
+            model[offset : offset + len(data)] = data
+            yield from group.gwrite(task, offset, len(data))
+            acked[offset] = data
+            injector.notify_op()
+            if pace_ns:
+                yield from task.sleep(pace_ns)
+        done.append(True)
+
+    return body
+
+
+_EPOCH_ABORTS = ("aborted:failover", "aborted:stale-epoch")
+
+
+def _supervised(n_ops, launch, view, paused, blocked, settled, progress, injector):
+    """The writer of every recovery scenario: ``n_ops`` ops in order,
+    each run as an abandonable probe task until it lands.
+
+    Each attempt waits out ``blocked()`` in 100 µs polls, notes the
+    membership ``view()`` and spawns the probe with
+    ``launch(index, view, outcome)``. It then polls every 50 µs until
+    the probe ends, the membership changes or ``paused()``. A probe
+    still running then died with its chain — never acked, it stays
+    parked on the dead chain's ack event — and the op is re-issued on
+    the new membership (``progress["reissued"]``). A transaction the
+    probe reports aborted by ``failover`` or ``stale-epoch`` lost to an
+    epoch bump and is replayed (``progress["retried"]``). A landed op
+    runs ``settled(index)`` and counts toward the plan's ``at_op``
+    triggers.
+    """
+
+    def writer(task):
+        for index in range(n_ops):
+            while True:
+                while blocked():
+                    yield from task.sleep(100_000)
+                current = view()
+                outcome: Dict[str, str] = {}
+                sub = launch(index, current, outcome)
+                while not sub.process.triggered and view() == current and not paused():
+                    yield from task.sleep(50_000)
+                if not sub.process.triggered:
+                    progress["reissued"] += 1
+                elif outcome.get("result") in _EPOCH_ABORTS:
+                    progress["retried"] += 1
+                else:
+                    break
+            settled(index)
+            injector.notify_op()
+        progress["done"] = True
+
+    return writer
+
+
+def _gwrite_writer(
+    name, ops, recovery, progress, injector, paused=None, blocked=None, launched=None
+):
+    """:func:`_supervised` over a gWRITE stream on ``recovery.group``
+    (a :class:`ChainRepair` or :class:`ClientReattach`); returns the
+    writer and the ``model`` and ``acked`` map its landed ops fill.
+    ``paused`` defaults to the repair pause and ``blocked`` to
+    ``paused``; ``launched(index)`` runs right after each probe is
+    spawned."""
+    paused = paused or (lambda: recovery.paused)
+    model = bytearray(recovery.group.region_size)
+    acked: Dict[int, bytes] = {}
+
+    def launch(index, group, outcome):
+        offset, data = ops[index]
+        group.write_local(offset, data)
+        sub = recovery.client.os.spawn(
+            lambda task: group.gwrite(task, offset, len(data)), name=f"{name}.op{index}"
+        )
+        if launched is not None:
+            launched(index)
+        return sub
+
+    def settled(index):
+        offset, data = ops[index]
+        model[offset : offset + len(data)] = data
+        acked[offset] = data
+
+    writer = _supervised(
+        len(ops),
+        launch,
+        lambda: recovery.group,
+        paused,
+        blocked or paused,
+        settled,
+        progress,
+        injector,
+    )
+    return writer, model, acked
+
+
+def _repairs(monitor, repairer, spares, detects, after=None):
+    """The detector: one detect -> repair round per spare, in order.
+
+    Each round waits for a replica the monitor has not reported yet,
+    appends ``(detect time, monitor index)`` to ``detects``, stops its
+    beats and splices ``spares[round]`` in for it in the current chain.
+    ``after(task, round)`` then runs; a generator it returns runs to
+    completion before the next round.
+    """
+
+    def body(task):
+        for round_, spare in enumerate(spares):
+            index = yield from monitor.wait_for_suspicion(
+                task, exclude={handled for _, handled in detects}
+            )
+            detects.append((task.sim.now, index))
+            monitor.stop_beats(index)
+            failed = repairer.group.replicas.index(monitor.replicas[index])
+            yield from repairer.repair(
+                task, failed, spare, copy_from=0 if failed != 0 else 1
+            )
+            if after is not None:
+                yield from after(task, round_) or ()
+
+    return body
 
 
 # -- gWRITE-stream scenarios (drop / partition / stall) ----------------------------
@@ -125,46 +307,23 @@ def _gwrite_scenario(
 ) -> ScenarioReport:
     sim = Simulator(seed=seed)
     cluster = Cluster(sim, n_hosts=4, n_cores=4)
-    region_size = 1 << 14
-    group = HyperLoopGroup(
-        cluster[0], cluster.hosts[1:4], region_size=region_size, rounds=16, name=name
-    )
-    injector = FaultInjector(
-        sim, cluster.fabric, {host.name: host for host in cluster.hosts}, plan
-    )
-    rng = sim.rng("chaos-ops")
-    slot = 256
-    ops = []
-    for _ in range(n_ops):
-        offset = rng.randrange(region_size // slot) * slot
-        size = rng.randrange(16, slot)
-        ops.append((offset, bytes([rng.randrange(1, 256)]) * size))
+    group = _group(cluster[0], cluster.hosts[1:4], name)
+    injector = _injector(sim, cluster, plan)
+    ops = _stream(sim.rng("chaos-ops"), n_ops)
 
-    model = bytearray(region_size)
+    model = bytearray(group.region_size)
     acked: Dict[int, bytes] = {}
     done: List[bool] = []
-
-    def body(task):
-        for offset, data in ops:
-            group.write_local(offset, data)
-            model[offset : offset + len(data)] = data
-            yield from group.gwrite(task, offset, len(data))
-            acked[offset] = data
-            injector.notify_op()
-            if pace_ns:
-                yield from task.sleep(pace_ns)
-        done.append(True)
-
-    cluster[0].os.spawn(body, name=f"{name}.writer")
+    cluster[0].os.spawn(
+        _paced_writer(group, ops, model, acked, injector, done, pace_ns),
+        name=f"{name}.writer",
+    )
     run_until(sim, lambda: bool(done), deadline_ms=deadline_ms)
     sim.run(until=sim.now + 2 * MS)  # drain stragglers (duplicates, late acks)
 
     invariants = [
         _exercised(injector, *exercised),
-        check_acked_writes(group, acked),
-        check_model_match(group, model),
-        check_replicas_identical(group),
-        check_no_errors(group),
+        *_stream_checks(group, model, acked),
     ]
     return _finish(name, seed, sim, injector, len(ops), invariants)
 
@@ -212,9 +371,7 @@ def _scenario_lossy(seed: int) -> ScenarioReport:
     sim = Simulator(seed=seed)
     cluster = Cluster(sim, n_hosts=4, n_cores=4)
     region_size = 1 << 14
-    group = HyperLoopGroup(
-        cluster[0], cluster.hosts[1:4], region_size=region_size, rounds=16, name=name
-    )
+    group = _group(cluster[0], cluster.hosts[1:4], name)
     plan = (
         FaultPlan(label=name)
         .add("drop", probability=0.01)
@@ -222,9 +379,7 @@ def _scenario_lossy(seed: int) -> ScenarioReport:
         .add("duplicate", probability=0.02, duplicates=1)
         .add("delay", probability=0.05, extra_delay_ns=2_000)
     )
-    injector = FaultInjector(
-        sim, cluster.fabric, {host.name: host for host in cluster.hosts}, plan
-    )
+    injector = _injector(sim, cluster, plan)
     model = bytearray(region_size)
     n_workers = 2
     ops_per_worker = 18
@@ -324,34 +479,17 @@ def _failover_scenario(
     cluster = Cluster(sim, n_hosts=5, n_cores=4)
     client = cluster[0]
     replicas = cluster.hosts[1:4]
-    spare = cluster[4]
     region_size = 1 << 14
-    generation = [0]
-
-    def factory(members):
-        generation[0] += 1
-        return HyperLoopGroup(
-            client,
-            members,
-            region_size=region_size,
-            rounds=16,
-            name=f"{name}.g{generation[0]}",
-        )
-
-    group = HyperLoopGroup(
-        client, replicas, region_size=region_size, rounds=16, name=f"{name}.g0"
-    )
+    group = _group(client, replicas, f"{name}.g0")
     crash_at_op = 25
     plan = FaultPlan(label=name).add(action, target="host2", at_op=crash_at_op)
     for event in extra_events:
         plan.add(**event)
-    injector = FaultInjector(
-        sim, cluster.fabric, {host.name: host for host in cluster.hosts}, plan
+    injector = _injector(sim, cluster, plan)
+    monitor = _monitor(client, replicas, f"{name}.hb")
+    repairer = ChainRepair(
+        client, group, _factory(client, f"{name}.g"), on_phase=injector.notify_phase
     )
-    monitor = HeartbeatMonitor(
-        client, replicas, interval=2 * MS, miss_threshold=3, name=f"{name}.hb"
-    )
-    repairer = ChainRepair(client, group, factory, on_phase=injector.notify_phase)
 
     # Update stream keyed by YCSB workload A over fixed-size slots.
     slots = 48
@@ -366,88 +504,38 @@ def _failover_scenario(
         offset = (op.key % slots) * slot_bytes
         ops.append((offset, bytes([data_rng.randrange(1, 256)]) * value_bytes))
 
-    model = bytearray(region_size)
-    acked: Dict[int, bytes] = {}
-    progress: Dict[str, object] = {
-        "done": False,
-        "repaired": False,
-        "detect_ns": None,
-        "failed_index": None,
-        "reissued": 0,
-    }
-
-    def one_shot(target_group, offset, size):
-        def body(task):
-            yield from target_group.gwrite(task, offset, size)
-
-        return body
-
-    def writer(task):
-        for index, (offset, data) in enumerate(ops):
-            while True:
-                while repairer.paused:
-                    yield from task.sleep(100_000)
-                current = repairer.group
-                current.write_local(offset, data)
-                sub = client.os.spawn(
-                    one_shot(current, offset, len(data)), name=f"{name}.op{index}"
-                )
-                while (
-                    not sub.process.triggered
-                    and repairer.group is current
-                    and not repairer.paused
-                ):
-                    yield from task.sleep(50_000)
-                if sub.process.triggered:
-                    break
-                # The chain died under this op: it was never acked, so
-                # replay it on the repaired group (the abandoned probe
-                # task stays parked on the dead chain's ack event).
-                progress["reissued"] += 1
-            model[offset : offset + len(data)] = data
-            acked[offset] = data
-            injector.notify_op()
-        progress["done"] = True
-
-    def detector(task):
-        index = yield from monitor.wait_for_suspicion(task)
-        progress["detect_ns"] = sim.now
-        progress["failed_index"] = index
-        monitor.stop_beats(index)
-        yield from repairer.repair(
-            task, index, spare, copy_from=0 if index != 0 else 1
-        )
-        progress["repaired"] = True
-
+    progress: Dict[str, object] = {"done": False, "reissued": 0}
+    detects: List = []
+    writer, model, acked = _gwrite_writer(name, ops, repairer, progress, injector)
     client.os.spawn(writer, name=f"{name}.writer")
-    client.os.spawn(detector, name=f"{name}.detector")
+    client.os.spawn(
+        _repairs(monitor, repairer, [cluster[4]], detects), name=f"{name}.detector"
+    )
     run_until(
         sim,
-        lambda: progress["done"] and progress["repaired"],
+        lambda: progress["done"] and repairer.repairs == 1,
         deadline_ms=5_000,
     )
     sim.run(until=sim.now + 5 * MS)  # quiesce: drain the repaired chain
 
     final = repairer.group
     crash_ns = injector.fired[0][0] if injector.fired else 0
+    detect_ns, failed_index = detects[0] if detects else (None, None)
     invariants = [
         _exercised(injector, action, *extra_exercised),
         InvariantResult(
             "failed-replica-detected",
-            progress["failed_index"] == 1,
-            f"suspected index {progress['failed_index']}",
+            failed_index == 1,
+            f"suspected index {failed_index}",
         ),
-        check_suspicion_bound(monitor, crash_ns, progress["detect_ns"]),
+        check_suspicion_bound(monitor, crash_ns, detect_ns),
         InvariantResult(
             "repair-completed",
             repairer.repairs == 1 and final is not group,
             f"repairs={repairer.repairs} membership="
             + ",".join(host.name for host in final.replicas),
         ),
-        check_acked_writes(final, acked),
-        check_model_match(final, model),
-        check_replicas_identical(final),
-        check_no_errors(final),
+        *_stream_checks(final, model, acked),
     ]
     notes = [f"writes re-issued after failure: {progress['reissued']}"]
     return _finish(name, seed, sim, injector, n_ops, invariants, notes)
@@ -521,114 +609,28 @@ def _scenario_double_crash(seed: int) -> ScenarioReport:
     client = cluster[0]
     replicas = cluster.hosts[1:4]
     spares = [cluster[4], cluster[5]]
-    region_size = 1 << 14
-    generation = [0]
-
-    def factory(members):
-        generation[0] += 1
-        return HyperLoopGroup(
-            client,
-            members,
-            region_size=region_size,
-            rounds=16,
-            name=f"{name}.g{generation[0]}",
-        )
-
-    group = HyperLoopGroup(
-        client, replicas, region_size=region_size, rounds=16, name=f"{name}.g0"
-    )
+    group = _group(client, replicas, f"{name}.g0")
     plan = (
         FaultPlan(label=name)
         .add("host_crash", target="host2", at_op=15)
         .add("host_crash", target="host3", at_op=30)
     )
-    injector = FaultInjector(
-        sim, cluster.fabric, {host.name: host for host in cluster.hosts}, plan
-    )
+    injector = _injector(sim, cluster, plan)
     # The first spare joins after repair 1, so it is monitored from the
     # start (idle beats are harmless and never suspected).
-    candidates = list(replicas) + [spares[0]]
-    monitor = HeartbeatMonitor(
-        client, candidates, interval=2 * MS, miss_threshold=3, name=f"{name}.hb"
+    monitor = _monitor(client, list(replicas) + [spares[0]], f"{name}.hb")
+    repairer = ChainRepair(
+        client, group, _factory(client, f"{name}.g"), on_phase=injector.notify_phase
     )
-    repairer = ChainRepair(client, group, factory, on_phase=injector.notify_phase)
+    ops = _stream(sim.rng("chaos-ops"), 45)
 
-    rng = sim.rng("chaos-ops")
-    slot = 256
-    n_ops = 45
-    ops = []
-    for _ in range(n_ops):
-        offset = rng.randrange(region_size // slot) * slot
-        size = rng.randrange(16, slot)
-        ops.append((offset, bytes([rng.randrange(1, 256)]) * size))
-
-    model = bytearray(region_size)
-    acked: Dict[int, bytes] = {}
-    progress: Dict[str, object] = {
-        "done": False,
-        "detects": [],
-        "failed_hosts": [],
-        "reissued": 0,
-    }
-
-    def one_shot(target_group, offset, size):
-        def body(task):
-            yield from target_group.gwrite(task, offset, size)
-
-        return body
-
-    def writer(task):
-        for index, (offset, data) in enumerate(ops):
-            while True:
-                while repairer.paused:
-                    yield from task.sleep(100_000)
-                current = repairer.group
-                current.write_local(offset, data)
-                sub = client.os.spawn(
-                    one_shot(current, offset, len(data)), name=f"{name}.op{index}"
-                )
-                while (
-                    not sub.process.triggered
-                    and repairer.group is current
-                    and not repairer.paused
-                ):
-                    yield from task.sleep(50_000)
-                if sub.process.triggered:
-                    break
-                progress["reissued"] += 1
-            model[offset : offset + len(data)] = data
-            acked[offset] = data
-            injector.notify_op()
-        progress["done"] = True
-
-    def detector(task):
-        handled = set()
-        for round_ in range(2):
-            while True:
-                found = None
-                for index in range(len(candidates)):
-                    if index not in handled and monitor.suspected(index):
-                        found = index
-                        break
-                if found is not None:
-                    break
-                yield from task.sleep(monitor.interval)
-            handled.add(found)
-            progress["detects"].append(sim.now)
-            failed_host = candidates[found]
-            progress["failed_hosts"].append(failed_host.name)
-            monitor.stop_beats(found)
-            current = repairer.group
-            failed_index = current.replicas.index(failed_host)
-            yield from repairer.repair(
-                task,
-                failed_index,
-                spares[round_],
-                copy_from=0 if failed_index != 0 else 1,
-            )
-
+    progress: Dict[str, object] = {"done": False, "reissued": 0}
+    detects: List = []
+    writer, model, acked = _gwrite_writer(name, ops, repairer, progress, injector)
     client.os.spawn(writer, name=f"{name}.writer")
-    client.os.spawn(detector, name=f"{name}.detector")
+    client.os.spawn(
+        _repairs(monitor, repairer, spares, detects), name=f"{name}.detector"
+    )
     run_until(
         sim,
         lambda: progress["done"] and repairer.repairs == 2,
@@ -638,11 +640,12 @@ def _scenario_double_crash(seed: int) -> ScenarioReport:
 
     final = repairer.group
     crash_times = [when for when, _ in injector.fired]
+    failed_hosts = [monitor.replicas[index].name for _, index in detects]
     suspicion = [
         check_suspicion_bound(
             monitor,
             crash_times[index] if index < len(crash_times) else 0,
-            progress["detects"][index] if index < len(progress["detects"]) else 0,
+            detects[index][0] if index < len(detects) else 0,
             name=f"suspicion-bound-{index + 1}",
         )
         for index in range(2)
@@ -656,8 +659,8 @@ def _scenario_double_crash(seed: int) -> ScenarioReport:
         ),
         InvariantResult(
             "failed-replicas-detected",
-            progress["failed_hosts"] == ["host2", "host3"],
-            "detected " + ",".join(progress["failed_hosts"]),
+            failed_hosts == ["host2", "host3"],
+            "detected " + ",".join(failed_hosts),
         ),
         *suspicion,
         InvariantResult(
@@ -668,13 +671,10 @@ def _scenario_double_crash(seed: int) -> ScenarioReport:
             f"repairs={repairer.repairs} membership="
             + ",".join(host.name for host in final.replicas),
         ),
-        check_acked_writes(final, acked),
-        check_model_match(final, model),
-        check_replicas_identical(final),
-        check_no_errors(final),
+        *_stream_checks(final, model, acked),
     ]
     notes = [f"writes re-issued after failures: {progress['reissued']}"]
-    return _finish(name, seed, sim, injector, n_ops, invariants, notes)
+    return _finish(name, seed, sim, injector, len(ops), invariants, notes)
 
 
 def _scenario_client_crash(seed: int) -> ScenarioReport:
@@ -687,22 +687,7 @@ def _scenario_client_crash(seed: int) -> ScenarioReport:
     sim = Simulator(seed=seed)
     cluster = Cluster(sim, n_hosts=4, n_cores=4)
     client = cluster[0]
-    region_size = 1 << 14
-    generation = [0]
-
-    def factory(members):
-        generation[0] += 1
-        return HyperLoopGroup(
-            client,
-            members,
-            region_size=region_size,
-            rounds=16,
-            name=f"{name}.g{generation[0]}",
-        )
-
-    group = HyperLoopGroup(
-        client, cluster.hosts[1:4], region_size=region_size, rounds=16, name=f"{name}.g0"
-    )
+    group = _group(client, cluster.hosts[1:4], f"{name}.g0")
     # The crash must land while a gwrite is *in flight* (an op-count
     # trigger fires synchronously between ops), so it hangs off a
     # phase the writer notifies right after posting op 15; the restart
@@ -718,62 +703,15 @@ def _scenario_client_crash(seed: int) -> ScenarioReport:
             phase_delay_ms=1.0,
         )
     )
-    injector = FaultInjector(
-        sim, cluster.fabric, {host.name: host for host in cluster.hosts}, plan
-    )
-    reattacher = ClientReattach(client, group, factory)
+    injector = _injector(sim, cluster, plan)
+    reattacher = ClientReattach(client, group, _factory(client, f"{name}.g"))
+    ops = _stream(sim.rng("chaos-ops"), 30)
 
-    rng = sim.rng("chaos-ops")
-    slot = 256
-    n_ops = 30
-    ops = []
-    for _ in range(n_ops):
-        offset = rng.randrange(region_size // slot) * slot
-        size = rng.randrange(16, slot)
-        ops.append((offset, bytes([rng.randrange(1, 256)]) * size))
+    progress: Dict[str, object] = {"done": False, "outage": False, "reissued": 0}
 
-    model = bytearray(region_size)
-    acked: Dict[int, bytes] = {}
-    progress: Dict[str, object] = {
-        "done": False,
-        "outage": False,
-        "reattached": False,
-        "reissued": 0,
-    }
-
-    def one_shot(target_group, offset, size):
-        def body(task):
-            yield from target_group.gwrite(task, offset, size)
-
-        return body
-
-    def writer(task):
-        for index, (offset, data) in enumerate(ops):
-            while True:
-                while client.down or progress["outage"]:
-                    yield from task.sleep(100_000)
-                current = reattacher.group
-                current.write_local(offset, data)
-                sub = client.os.spawn(
-                    one_shot(current, offset, len(data)), name=f"{name}.op{index}"
-                )
-                if index == 15:
-                    injector.notify_phase("mid-op")  # crash lands on this op
-                while (
-                    not sub.process.triggered
-                    and reattacher.group is current
-                    and not client.down
-                ):
-                    yield from task.sleep(50_000)
-                if sub.process.triggered:
-                    break
-                # The op died with the client (never acked): replay it
-                # once the re-attached group is up.
-                progress["reissued"] += 1
-            model[offset : offset + len(data)] = data
-            acked[offset] = data
-            injector.notify_op()
-        progress["done"] = True
+    def launched(index):
+        if index == 15:
+            injector.notify_phase("mid-op")  # crash lands on this op
 
     def recoverer(task):
         while not client.down:
@@ -783,14 +721,25 @@ def _scenario_client_crash(seed: int) -> ScenarioReport:
         while client.down:
             yield from task.sleep(200_000)
         yield from reattacher.reattach(task)
-        progress["reattached"] = True
         progress["outage"] = False
 
+    # An op that died with the client (never acked) is replayed once
+    # the re-attached group is up.
+    writer, model, acked = _gwrite_writer(
+        name,
+        ops,
+        reattacher,
+        progress,
+        injector,
+        paused=lambda: client.down,
+        blocked=lambda: client.down or progress["outage"],
+        launched=launched,
+    )
     client.os.spawn(writer, name=f"{name}.writer")
     client.os.spawn(recoverer, name=f"{name}.recover")
     run_until(
         sim,
-        lambda: progress["done"] and progress["reattached"],
+        lambda: progress["done"] and reattacher.reattaches == 1,
         deadline_ms=5_000,
     )
     sim.run(until=sim.now + 2 * MS)
@@ -803,13 +752,10 @@ def _scenario_client_crash(seed: int) -> ScenarioReport:
             reattacher.reattaches == 1 and final is not group,
             f"reattaches={reattacher.reattaches}",
         ),
-        check_acked_writes(final, acked),
-        check_model_match(final, model),
-        check_replicas_identical(final),
-        check_no_errors(final),
+        *_stream_checks(final, model, acked),
     ]
     notes = [f"writes re-issued after client crash: {progress['reissued']}"]
-    return _finish(name, seed, sim, injector, n_ops, invariants, notes)
+    return _finish(name, seed, sim, injector, len(ops), invariants, notes)
 
 
 # -- power-failure durability scenario ---------------------------------------------
@@ -822,17 +768,12 @@ def _scenario_power_failure(seed: int) -> ScenarioReport:
     name = "power-failure"
     sim = Simulator(seed=seed)
     cluster = Cluster(sim, n_hosts=4, n_cores=4)
-    region_size = 1 << 15
-    group = HyperLoopGroup(
-        cluster[0], cluster.hosts[1:4], region_size=region_size, rounds=16, name=name
-    )
+    group = _group(cluster[0], cluster.hosts[1:4], name, region_size=1 << 15)
     n_ops = 24
     plan = FaultPlan(label=name).add(
         "host_power_failure", target="host2", at_op=n_ops
     )
-    injector = FaultInjector(
-        sim, cluster.fabric, {host.name: host for host in cluster.hosts}, plan
-    )
+    injector = _injector(sim, cluster, plan)
     store = ReplicatedKVStore(group, start_sync_tasks=False, name=f"{name}.kv")
     committed: Dict[bytes, bytes] = {}
     value_rng = sim.rng("pf-values")
@@ -876,7 +817,6 @@ def _txn_spec_runner(coordinator, spec, outcome):
     Spawned as a probe sub-task so the caller can abandon it if its
     chain dies mid-commit (the coordinator's epoch guard keeps the
     zombie from committing after failover)."""
-    from ..txn import TxnAborted
 
     def bump(value):
         current = int.from_bytes(value or b"\x00", "little")
@@ -908,141 +848,150 @@ def _txn_spec_runner(coordinator, spec, outcome):
     return body
 
 
-def _scenario_txn_failover(seed: int) -> ScenarioReport:
-    """A replica of a transaction participant group dies while commits
-    are flowing: the heartbeat monitor suspects it, ChainRepair splices
-    in the spare, the coordinator's failover reset aborts the parked
-    epoch and drains the WAL, and the workload resumes — with the
-    committed history still anomaly-free, snapshot reads never stale,
-    and every published version durable on the repaired chain."""
-    from ..txn import AvailabilityTracker, TxnCoordinator, VersionedGroupStore
-    from ..storage.transactions import TransactionManager
+def _keys(n):
+    return [f"k{index:02d}".encode() for index in range(n)]
 
-    name = "txn-failover"
-    sim = Simulator(seed=seed)
-    cluster = Cluster(sim, n_hosts=8, n_cores=4)
-    client = cluster[0]
-    group_a_hosts = cluster.hosts[1:4]
-    group_b_hosts = cluster.hosts[4:7]
-    spare = cluster[7]
-    region_size = 1 << 14
-    generation = [0]
 
-    def factory(members):
-        generation[0] += 1
-        return HyperLoopGroup(
-            client,
-            members,
-            region_size=region_size,
-            rounds=16,
-            name=f"{name}.a{generation[0]}",
-        )
-
-    group_a = HyperLoopGroup(
-        client, group_a_hosts, region_size=region_size, rounds=16, name=f"{name}.a0"
-    )
-    group_b = HyperLoopGroup(
-        client, group_b_hosts, region_size=region_size, rounds=16, name=f"{name}.b"
-    )
-    stores = [
-        VersionedGroupStore(TransactionManager(group_a, writer_id=1), name=f"{name}.s0"),
-        VersionedGroupStore(TransactionManager(group_b, writer_id=2), name=f"{name}.s1"),
-    ]
-    tracker = AvailabilityTracker()
-    coordinator = TxnCoordinator(stores, mode="ssi", tracker=tracker, name=name)
-
-    crash_at_op = 6
-    plan = FaultPlan(label=name).add("host_crash", target="host2", at_op=crash_at_op)
-    injector = FaultInjector(
-        sim, cluster.fabric, {host.name: host for host in cluster.hosts}, plan
-    )
-    monitor = HeartbeatMonitor(
-        client, group_a_hosts, interval=2 * MS, miss_threshold=3, name=f"{name}.hb"
-    )
-    pause_hook = tracker.on_repair_phase(0)
-
-    def on_phase(phase):
-        pause_hook(phase)
-        injector.notify_phase(phase)
-
-    repairer = ChainRepair(client, group_a, factory, on_phase=on_phase)
-
-    keys = [f"k{index:02d}".encode() for index in range(8)]
-    rng = sim.rng("chaos-ops")
-    n_ops = 18
-    specs = [("init", tuple(keys))]
-    for _ in range(n_ops - 1):
+def _txn_mix(rng, keys, n):
+    """``n`` transaction specs, each a read-modify-write or a transfer."""
+    specs = []
+    for _ in range(n):
         if rng.random() < 0.5:
             specs.append(("rmw", rng.choice(keys)))
         else:
             first, second = rng.sample(keys, 2)
             specs.append(("transfer", first, second))
+    return specs
+
+
+def _txn_coordinator(client, hosts, names, name, tracker=None):
+    """The txn world: one group per host set, a versioned store on
+    each (writer ids 1, 2, ...), and an SSI coordinator over them."""
+    groups = [_group(client, members, label) for members, label in zip(hosts, names)]
+    stores = [
+        VersionedGroupStore(
+            TransactionManager(group, writer_id=index + 1), name=f"{name}.s{index}"
+        )
+        for index, group in enumerate(groups)
+    ]
+    return groups, TxnCoordinator(stores, mode="ssi", tracker=tracker, name=name)
+
+
+def _txn_repairers(client, groups, factory, tracker, injector):
+    """One ChainRepair per group; its phases pause the group's
+    snapshot reads and reach the injector's ``at_phase`` triggers."""
+    repairers = []
+    for index, group in enumerate(groups):
+
+        def on_phase(phase, hook=tracker.on_repair_phase(index)):
+            hook(phase)
+            injector.notify_phase(phase)
+
+        repairers.append(ChainRepair(client, group, factory, on_phase=on_phase))
+    return repairers
+
+
+def _txn_writer(name, coordinator, specs, repairers, progress, injector):
+    """:func:`_supervised` over transaction specs. Writes also wait
+    out each group's failover reset: ``progress["rebound"][g]`` is set
+    once the coordinator has rebound group ``g`` after a repair."""
+
+    def launch(index, current, outcome):
+        return repairers[0].client.os.spawn(
+            _txn_spec_runner(coordinator, specs[index], outcome),
+            name=f"{name}.t{index}",
+        )
+
+    def paused():
+        return any(repairer.paused for repairer in repairers)
+
+    def blocked():
+        return paused() or any(
+            repairer.repairs > 0 and not rebound
+            for repairer, rebound in zip(repairers, progress["rebound"])
+        )
+
+    return _supervised(
+        len(specs),
+        launch,
+        lambda: tuple(repairer.group for repairer in repairers),
+        paused,
+        blocked,
+        lambda index: None,
+        progress,
+        injector,
+    )
+
+
+def _txn_checks(coordinator) -> List[InvariantResult]:
+    return [
+        check_no_serialization_anomaly(coordinator),
+        check_read_your_writes(coordinator),
+        check_txn_acked_writes(coordinator),
+    ]
+
+
+def _txn_crash_scenario(name, seed, workload, verdict) -> ScenarioReport:
+    """A replica of participant group A (host2) dies at the sixth
+    transaction: the heartbeat monitor suspects it, ChainRepair splices
+    in the spare, the coordinator's failover reset aborts the parked
+    epoch and drains the WAL, and the workload resumes. A transaction
+    whose chain died under it (its commit parked on a dead ack, never
+    acknowledged) is abandoned and replayed once the coordinator has
+    rebound.
+
+    ``workload(rng)`` gives the transaction specs;
+    ``verdict(coordinator, tracker, progress)`` gives the scenario's
+    own invariants (checked after repair) and its notes."""
+    sim = Simulator(seed=seed)
+    cluster = Cluster(sim, n_hosts=8, n_cores=4)
+    client = cluster[0]
+    group_a_hosts = cluster.hosts[1:4]
+    tracker = AvailabilityTracker()
+    (group_a, group_b), coordinator = _txn_coordinator(
+        client,
+        [group_a_hosts, cluster.hosts[4:7]],
+        [f"{name}.a0", f"{name}.b"],
+        name,
+        tracker,
+    )
+    plan = FaultPlan(label=name).add("host_crash", target="host2", at_op=6)
+    injector = _injector(sim, cluster, plan)
+    monitor = _monitor(client, group_a_hosts, f"{name}.hb")
+    [repairer] = _txn_repairers(
+        client, [group_a], _factory(client, f"{name}.a"), tracker, injector
+    )
+    specs = workload(sim.rng("chaos-ops"))
 
     progress: Dict[str, object] = {
         "done": False,
-        "repaired": False,
-        "rebound": False,
-        "failed_index": None,
+        "rebound": [False],
         "drained": None,
         "reissued": 0,
         "retried": 0,
     }
+    detects: List = []
 
-    def writer(task):
-        for index, spec in enumerate(specs):
-            while True:
-                while repairer.paused or (
-                    repairer.repairs > 0 and not progress["rebound"]
-                ):
-                    yield from task.sleep(100_000)
-                current = repairer.group
-                outcome: Dict[str, str] = {}
-                sub = client.os.spawn(
-                    _txn_spec_runner(coordinator, spec, outcome),
-                    name=f"{name}.t{index}",
-                )
-                while (
-                    not sub.process.triggered
-                    and repairer.group is current
-                    and not repairer.paused
-                ):
-                    yield from task.sleep(50_000)
-                if sub.process.triggered:
-                    result = outcome.get("result", "")
-                    if result in ("aborted:failover", "aborted:stale-epoch"):
-                        progress["retried"] += 1
-                        continue  # epoch casualty — replay on the new chain
-                    break
-                # The chain died under this transaction (commit parked
-                # on a dead ack, never acknowledged): abandon the probe
-                # and replay once the coordinator has rebound.
-                progress["reissued"] += 1
-            injector.notify_op()
-        progress["done"] = True
-
-    def detector(task):
-        index = yield from monitor.wait_for_suspicion(task)
-        progress["failed_index"] = index
-        monitor.stop_beats(index)
-        yield from repairer.repair(
-            task, index, spare, copy_from=0 if index != 0 else 1
-        )
-        progress["repaired"] = True
-        drained = yield from coordinator.reset_after_failover(
-            task, 0, repairer.group
-        )
+    def reset(task, round_):
+        drained = yield from coordinator.reset_after_failover(task, 0, repairer.group)
         progress["drained"] = drained
-        progress["rebound"] = True
+        progress["rebound"][0] = True
 
+    writer = _txn_writer(name, coordinator, specs, [repairer], progress, injector)
     client.os.spawn(writer, name=f"{name}.writer")
-    client.os.spawn(detector, name=f"{name}.detector")
+    client.os.spawn(
+        _repairs(monitor, repairer, [cluster[7]], detects, reset),
+        name=f"{name}.detector",
+    )
     run_until(
         sim,
-        lambda: progress["done"] and progress["rebound"],
+        lambda: progress["done"] and all(progress["rebound"]),
         deadline_ms=10_000,
     )
     sim.run(until=sim.now + 5 * MS)
 
+    failed_index = detects[0][1] if detects else None
+    extra, notes = verdict(coordinator, tracker, progress)
     invariants = [
         _exercised(
             injector,
@@ -1051,26 +1000,42 @@ def _scenario_txn_failover(seed: int) -> ScenarioReport:
         ),
         InvariantResult(
             "failed-replica-detected",
-            progress["failed_index"] == 1,
-            f"suspected index {progress['failed_index']}",
+            failed_index == 1,
+            f"suspected index {failed_index}",
         ),
         InvariantResult(
             "repair-completed",
-            repairer.repairs == 1 and progress["rebound"] is True,
+            repairer.repairs == 1 and all(progress["rebound"]),
             f"repairs={repairer.repairs} wal_drained={progress['drained']}",
         ),
-        check_no_serialization_anomaly(coordinator),
-        check_read_your_writes(coordinator),
-        check_txn_acked_writes(coordinator),
+        *extra,
+        *_txn_checks(coordinator),
         check_no_errors(group_b, name="no-group-errors-b"),
     ]
-    notes = [
-        f"committed={coordinator.commits} "
-        f"failover_aborts={coordinator.aborts_failover} "
-        f"reissued={progress['reissued']} retried={progress['retried']} "
-        f"read_failovers={tracker.failovers}"
-    ]
     return _finish(name, seed, sim, injector, len(specs), invariants, notes)
+
+
+def _scenario_txn_failover(seed: int) -> ScenarioReport:
+    """A replica of a transaction participant group dies while commits
+    are flowing: the heartbeat monitor suspects it, ChainRepair splices
+    in the spare, the coordinator's failover reset aborts the parked
+    epoch and drains the WAL, and the workload resumes — with the
+    committed history still anomaly-free, snapshot reads never stale,
+    and every published version durable on the repaired chain."""
+
+    def workload(rng):
+        keys = _keys(8)
+        return [("init", tuple(keys))] + _txn_mix(rng, keys, 17)
+
+    def verdict(coordinator, tracker, progress):
+        return [], [
+            f"committed={coordinator.commits} "
+            f"failover_aborts={coordinator.aborts_failover} "
+            f"reissued={progress['reissued']} retried={progress['retried']} "
+            f"read_failovers={tracker.failovers}"
+        ]
+
+    return _txn_crash_scenario("txn-failover", seed, workload, verdict)
 
 
 def _scenario_txn_insert(seed: int) -> ScenarioReport:
@@ -1080,181 +1045,45 @@ def _scenario_txn_insert(seed: int) -> ScenarioReport:
     the spare, and the replayed insert commits on the repaired chain —
     with scans over the mixed keyspace staying anomaly-free and every
     acked insert durable."""
-    from ..txn import AvailabilityTracker, TxnCoordinator, VersionedGroupStore
-    from ..storage.transactions import TransactionManager
 
-    name = "txn-insert"
-    sim = Simulator(seed=seed)
-    cluster = Cluster(sim, n_hosts=8, n_cores=4)
-    client = cluster[0]
-    group_a_hosts = cluster.hosts[1:4]
-    group_b_hosts = cluster.hosts[4:7]
-    spare = cluster[7]
-    region_size = 1 << 14
-    generation = [0]
+    def workload(rng):
+        # The crash fires when the sixth spec's notify lands, so spec 6 —
+        # an insert by construction of the kind cycle below — finds the
+        # replica dead while its commit install is on the wire.
+        keys = _keys(6)
+        specs = [("init", tuple(keys))]
+        inserted = 0
+        for index in range(1, 16):
+            kind = ("scan", "rmw", "insert")[index % 3]  # index 6 -> insert
+            if kind == "insert":
+                specs.append(("insert", f"n{inserted:02d}".encode()))
+                inserted += 1
+            elif kind == "scan":
+                specs.append(("scan", rng.choice(keys), 4))
+            else:
+                specs.append(("rmw", rng.choice(keys)))
+        return specs
 
-    def factory(members):
-        generation[0] += 1
-        return HyperLoopGroup(
-            client,
-            members,
-            region_size=region_size,
-            rounds=16,
-            name=f"{name}.a{generation[0]}",
+    def verdict(coordinator, tracker, progress):
+        committed_inserts = sum(
+            1
+            for txn in coordinator.history
+            if any(key.startswith(b"n") for key in txn.writes)
         )
-
-    group_a = HyperLoopGroup(
-        client, group_a_hosts, region_size=region_size, rounds=16, name=f"{name}.a0"
-    )
-    group_b = HyperLoopGroup(
-        client, group_b_hosts, region_size=region_size, rounds=16, name=f"{name}.b"
-    )
-    stores = [
-        VersionedGroupStore(TransactionManager(group_a, writer_id=1), name=f"{name}.s0"),
-        VersionedGroupStore(TransactionManager(group_b, writer_id=2), name=f"{name}.s1"),
-    ]
-    tracker = AvailabilityTracker()
-    coordinator = TxnCoordinator(stores, mode="ssi", tracker=tracker, name=name)
-
-    # The crash fires when the sixth spec's notify lands, so spec 6 —
-    # an insert by construction of the kind cycle below — finds the
-    # replica dead while its commit install is on the wire.
-    crash_at_op = 6
-    plan = FaultPlan(label=name).add("host_crash", target="host2", at_op=crash_at_op)
-    injector = FaultInjector(
-        sim, cluster.fabric, {host.name: host for host in cluster.hosts}, plan
-    )
-    monitor = HeartbeatMonitor(
-        client, group_a_hosts, interval=2 * MS, miss_threshold=3, name=f"{name}.hb"
-    )
-    pause_hook = tracker.on_repair_phase(0)
-
-    def on_phase(phase):
-        pause_hook(phase)
-        injector.notify_phase(phase)
-
-    repairer = ChainRepair(client, group_a, factory, on_phase=on_phase)
-
-    keys = [f"k{index:02d}".encode() for index in range(6)]
-    rng = sim.rng("chaos-ops")
-    n_ops = 16
-    specs = [("init", tuple(keys))]
-    inserted = 0
-    for index in range(1, n_ops):
-        kind = ("scan", "rmw", "insert")[index % 3]  # index 6 -> insert
-        if kind == "insert":
-            specs.append(("insert", f"n{inserted:02d}".encode()))
-            inserted += 1
-        elif kind == "scan":
-            specs.append(("scan", rng.choice(keys), 4))
-        else:
-            specs.append(("rmw", rng.choice(keys)))
-
-    progress: Dict[str, object] = {
-        "done": False,
-        "repaired": False,
-        "rebound": False,
-        "failed_index": None,
-        "drained": None,
-        "reissued": 0,
-        "retried": 0,
-    }
-
-    def writer(task):
-        for index, spec in enumerate(specs):
-            while True:
-                while repairer.paused or (
-                    repairer.repairs > 0 and not progress["rebound"]
-                ):
-                    yield from task.sleep(100_000)
-                current = repairer.group
-                outcome: Dict[str, str] = {}
-                sub = client.os.spawn(
-                    _txn_spec_runner(coordinator, spec, outcome),
-                    name=f"{name}.t{index}",
-                )
-                while (
-                    not sub.process.triggered
-                    and repairer.group is current
-                    and not repairer.paused
-                ):
-                    yield from task.sleep(50_000)
-                if sub.process.triggered:
-                    result = outcome.get("result", "")
-                    if result in ("aborted:failover", "aborted:stale-epoch"):
-                        progress["retried"] += 1
-                        continue  # epoch casualty — replay on the new chain
-                    break
-                # The chain died under this commit (an insert's install
-                # parked on a dead ack): abandon the probe — the epoch
-                # guard keeps its orphan slot unpublished — and replay
-                # once the coordinator has rebound.
-                progress["reissued"] += 1
-            injector.notify_op()
-        progress["done"] = True
-
-    def detector(task):
-        index = yield from monitor.wait_for_suspicion(task)
-        progress["failed_index"] = index
-        monitor.stop_beats(index)
-        yield from repairer.repair(
-            task, index, spare, copy_from=0 if index != 0 else 1
-        )
-        progress["repaired"] = True
-        drained = yield from coordinator.reset_after_failover(
-            task, 0, repairer.group
-        )
-        progress["drained"] = drained
-        progress["rebound"] = True
-
-    client.os.spawn(writer, name=f"{name}.writer")
-    client.os.spawn(detector, name=f"{name}.detector")
-    run_until(
-        sim,
-        lambda: progress["done"] and progress["rebound"],
-        deadline_ms=10_000,
-    )
-    sim.run(until=sim.now + 5 * MS)
-
-    committed_inserts = sum(
-        1
-        for txn in coordinator.history
-        if any(key.startswith(b"n") for key in txn.writes)
-    )
-    invariants = [
-        _exercised(
-            injector,
-            "host_crash",
-            commits_hit=progress["reissued"] + progress["retried"],
-        ),
-        InvariantResult(
-            "failed-replica-detected",
-            progress["failed_index"] == 1,
-            f"suspected index {progress['failed_index']}",
-        ),
-        InvariantResult(
-            "repair-completed",
-            repairer.repairs == 1 and progress["rebound"] is True,
-            f"repairs={repairer.repairs} wal_drained={progress['drained']}",
-        ),
-        InvariantResult(
+        replayed = InvariantResult(
             "inserts-replayed",
             committed_inserts >= 1,
             f"insert-bearing commits: {committed_inserts}",
-        ),
-        check_no_serialization_anomaly(coordinator),
-        check_read_your_writes(coordinator),
-        check_txn_acked_writes(coordinator),
-        check_no_errors(group_b, name="no-group-errors-b"),
-    ]
-    notes = [
-        f"committed={coordinator.commits} inserts={committed_inserts} "
-        f"failover_aborts={coordinator.aborts_failover} "
-        f"phantom_aborts={coordinator.aborts_phantom} "
-        f"reissued={progress['reissued']} retried={progress['retried']} "
-        f"read_failovers={tracker.failovers}"
-    ]
-    return _finish(name, seed, sim, injector, len(specs), invariants, notes)
+        )
+        return [replayed], [
+            f"committed={coordinator.commits} inserts={committed_inserts} "
+            f"failover_aborts={coordinator.aborts_failover} "
+            f"phantom_aborts={coordinator.aborts_phantom} "
+            f"reissued={progress['reissued']} retried={progress['retried']} "
+            f"read_failovers={tracker.failovers}"
+        ]
+
+    return _txn_crash_scenario("txn-insert", seed, workload, verdict)
 
 
 def _scenario_txn_chaos(seed: int) -> ScenarioReport:
@@ -1263,58 +1092,27 @@ def _scenario_txn_chaos(seed: int) -> ScenarioReport:
     duplicates). RC retransmission must absorb the noise; the committed
     history must stay anomaly-free and every version durable, and the
     write skew must still be caught."""
-    from ..txn import TxnAborted, TxnCoordinator, VersionedGroupStore
-    from ..txn.workload import Rendezvous
-    from ..storage.transactions import TransactionManager
-
     name = "txn-chaos"
     sim = Simulator(seed=seed)
     cluster = Cluster(sim, n_hosts=4, n_cores=4)
     client = cluster[0]
-    region_size = 1 << 14
-    groups = [
-        HyperLoopGroup(
-            client,
-            cluster.hosts[1:4],
-            region_size=region_size,
-            rounds=16,
-            name=f"{name}.g{index}",
-        )
-        for index in range(2)
-    ]
-    stores = [
-        VersionedGroupStore(
-            TransactionManager(group, writer_id=index + 1), name=f"{name}.s{index}"
-        )
-        for index, group in enumerate(groups)
-    ]
-    coordinator = TxnCoordinator(stores, mode="ssi", name=name)
-
+    groups, coordinator = _txn_coordinator(
+        client, [cluster.hosts[1:4]] * 2, [f"{name}.g0", f"{name}.g1"], name
+    )
     plan = (
         FaultPlan(label=name)
         .add("drop", probability=0.01)
         .add("delay", probability=0.04, extra_delay_ns=2_000)
         .add("duplicate", probability=0.02, duplicates=1)
     )
-    injector = FaultInjector(
-        sim, cluster.fabric, {host.name: host for host in cluster.hosts}, plan
-    )
+    injector = _injector(sim, cluster, plan)
 
-    keys = [f"k{index:02d}".encode() for index in range(8)]
+    keys = _keys(8)
     skew_x, skew_y = b"wsx", b"wsy"
     rng = sim.rng("chaos-ops")
     n_workers = 2
     ops_per_worker = 6
-    plans = []
-    for _ in range(n_workers):
-        ops = []
-        for _ in range(ops_per_worker):
-            if rng.random() < 0.5:
-                ops.append(("rmw", rng.choice(keys)))
-            else:
-                first, second = rng.sample(keys, 2)
-                ops.append(("transfer", first, second))
-        plans.append(ops)
+    plans = [_txn_mix(rng, keys, ops_per_worker) for _ in range(n_workers)]
 
     progress: Dict[str, object] = {"init": False, "workers": 0, "pairs": 0}
     rendezvous = Rendezvous(sim)
@@ -1373,9 +1171,7 @@ def _scenario_txn_chaos(seed: int) -> ScenarioReport:
             coordinator.aborts_ssi >= 1,
             f"ssi aborts={coordinator.aborts_ssi}",
         ),
-        check_no_serialization_anomaly(coordinator),
-        check_read_your_writes(coordinator),
-        check_txn_acked_writes(coordinator),
+        *_txn_checks(coordinator),
         *[
             check_no_errors(group, name=f"no-group-errors-{index}")
             for index, group in enumerate(groups)
@@ -1398,46 +1194,16 @@ def _scenario_txn_double_failover(seed: int) -> ScenarioReport:
     the epoch bumps twice, every parked commit is cleared, and the
     committed history must still be anomaly-free with nothing acked
     lost and no snapshot read served stale."""
-    from ..txn import AvailabilityTracker, TxnCoordinator, VersionedGroupStore
-    from ..storage.transactions import TransactionManager
-
     name = "txn-double-failover"
     sim = Simulator(seed=seed)
     cluster = Cluster(sim, n_hosts=10, n_cores=4)
     client = cluster[0]
     group_hosts = [cluster.hosts[1:4], cluster.hosts[4:7]]
     spares = [cluster[7], cluster[8]]
-    region_size = 1 << 14
-    generation = [0]
-
-    def factory(members):
-        generation[0] += 1
-        return HyperLoopGroup(
-            client,
-            members,
-            region_size=region_size,
-            rounds=16,
-            name=f"{name}.r{generation[0]}",
-        )
-
-    groups = [
-        HyperLoopGroup(
-            client,
-            hosts,
-            region_size=region_size,
-            rounds=16,
-            name=f"{name}.g{index}",
-        )
-        for index, hosts in enumerate(group_hosts)
-    ]
-    stores = [
-        VersionedGroupStore(
-            TransactionManager(group, writer_id=index + 1), name=f"{name}.s{index}"
-        )
-        for index, group in enumerate(groups)
-    ]
     tracker = AvailabilityTracker()
-    coordinator = TxnCoordinator(stores, mode="ssi", tracker=tracker, name=name)
+    groups, coordinator = _txn_coordinator(
+        client, group_hosts, [f"{name}.g0", f"{name}.g1"], name, tracker
+    )
 
     # Both crashes trigger off the same op count, so the two failure
     # windows open together and the repairs genuinely overlap.
@@ -1447,110 +1213,48 @@ def _scenario_txn_double_failover(seed: int) -> ScenarioReport:
         .add("host_crash", target="host2", at_op=crash_at_op)
         .add("host_crash", target="host5", at_op=crash_at_op)
     )
-    injector = FaultInjector(
-        sim, cluster.fabric, {host.name: host for host in cluster.hosts}, plan
-    )
+    injector = _injector(sim, cluster, plan)
     monitors = [
-        HeartbeatMonitor(
-            client, hosts, interval=2 * MS, miss_threshold=3, name=f"{name}.hb{index}"
-        )
+        _monitor(client, hosts, f"{name}.hb{index}")
         for index, hosts in enumerate(group_hosts)
     ]
-    repairers = []
-    for index, group in enumerate(groups):
-        pause_hook = tracker.on_repair_phase(index)
-
-        def on_phase(phase, hook=pause_hook):
-            hook(phase)
-            injector.notify_phase(phase)
-
-        repairers.append(ChainRepair(client, group, factory, on_phase=on_phase))
-
-    keys = [f"k{index:02d}".encode() for index in range(8)]
-    rng = sim.rng("chaos-ops")
-    n_ops = 14
-    specs = [("init", tuple(keys))]
-    for _ in range(n_ops - 1):
-        if rng.random() < 0.5:
-            specs.append(("rmw", rng.choice(keys)))
-        else:
-            first, second = rng.sample(keys, 2)
-            specs.append(("transfer", first, second))
+    repairers = _txn_repairers(
+        client, groups, _factory(client, f"{name}.r"), tracker, injector
+    )
+    keys = _keys(8)
+    specs = [("init", tuple(keys))] + _txn_mix(sim.rng("chaos-ops"), keys, 13)
 
     progress: Dict[str, object] = {
         "done": False,
-        "failed": [None, None],
-        "repaired": [False, False],
         "rebound": [False, False],
         "drained": [None, None],
         "reset_span": [[None, None], [None, None]],
         "reissued": 0,
         "retried": 0,
     }
+    detects: List[List] = [[], []]
 
-    def blocked() -> bool:
-        return any(repairer.paused for repairer in repairers) or any(
-            repairers[g].repairs > 0 and not progress["rebound"][g]
-            for g in range(2)
+    def reset(g, task, round_):
+        # Rendezvous: both chains spliced before either resets, so
+        # the two reset_after_failover calls are in flight at once.
+        # Fine-grained poll: a reset only lasts tens of µs, so a
+        # coarse wakeup would let one finish before the other starts.
+        while not all(repairer.repairs for repairer in repairers):
+            yield from task.sleep(5_000)
+        progress["reset_span"][g][0] = sim.now
+        drained = yield from coordinator.reset_after_failover(
+            task, g, repairers[g].group
         )
+        progress["reset_span"][g][1] = sim.now
+        progress["drained"][g] = drained
+        progress["rebound"][g] = True
 
-    def writer(task):
-        for index, spec in enumerate(specs):
-            while True:
-                while blocked():
-                    yield from task.sleep(100_000)
-                current = tuple(repairer.group for repairer in repairers)
-                outcome: Dict[str, str] = {}
-                sub = client.os.spawn(
-                    _txn_spec_runner(coordinator, spec, outcome),
-                    name=f"{name}.t{index}",
-                )
-                while (
-                    not sub.process.triggered
-                    and tuple(r.group for r in repairers) == current
-                    and not any(r.paused for r in repairers)
-                ):
-                    yield from task.sleep(50_000)
-                if sub.process.triggered:
-                    result = outcome.get("result", "")
-                    if result in ("aborted:failover", "aborted:stale-epoch"):
-                        progress["retried"] += 1
-                        continue  # epoch casualty — replay post-reset
-                    break
-                progress["reissued"] += 1  # chain died under the probe
-            injector.notify_op()
-        progress["done"] = True
-
-    def detector(g: int):
-        monitor, repairer = monitors[g], repairers[g]
-
-        def body(task):
-            index = yield from monitor.wait_for_suspicion(task)
-            progress["failed"][g] = index
-            monitor.stop_beats(index)
-            yield from repairer.repair(
-                task, index, spares[g], copy_from=0 if index != 0 else 1
-            )
-            progress["repaired"][g] = True
-            # Rendezvous: both chains spliced before either resets, so
-            # the two reset_after_failover calls are in flight at once.
-            # Fine-grained poll: a reset only lasts tens of µs, so a
-            # coarse wakeup would let one finish before the other starts.
-            while not all(progress["repaired"]):
-                yield from task.sleep(5_000)
-            progress["reset_span"][g][0] = sim.now
-            drained = yield from coordinator.reset_after_failover(
-                task, g, repairer.group
-            )
-            progress["reset_span"][g][1] = sim.now
-            progress["drained"][g] = drained
-            progress["rebound"][g] = True
-
-        return body
-
+    writer = _txn_writer(name, coordinator, specs, repairers, progress, injector)
     client.os.spawn(writer, name=f"{name}.writer")
     for g in range(2):
-        client.os.spawn(detector(g), name=f"{name}.detector{g}")
+        after = functools.partial(reset, g)
+        detector = _repairs(monitors[g], repairers[g], [spares[g]], detects[g], after)
+        client.os.spawn(detector, name=f"{name}.detector{g}")
     run_until(
         sim,
         lambda: progress["done"] and all(progress["rebound"]),
@@ -1558,6 +1262,7 @@ def _scenario_txn_double_failover(seed: int) -> ScenarioReport:
     )
     sim.run(until=sim.now + 5 * MS)
 
+    failed = [detect[0][1] if detect else None for detect in detects]
     spans = progress["reset_span"]
     complete = all(span[0] is not None and span[1] is not None for span in spans)
     overlap_ns = (
@@ -1573,8 +1278,8 @@ def _scenario_txn_double_failover(seed: int) -> ScenarioReport:
         ),
         InvariantResult(
             "both-replicas-detected",
-            progress["failed"] == [1, 1],
-            f"suspected indices {progress['failed']}",
+            failed == [1, 1],
+            f"suspected indices {failed}",
         ),
         InvariantResult(
             "both-repairs-completed",
@@ -1588,9 +1293,7 @@ def _scenario_txn_double_failover(seed: int) -> ScenarioReport:
             complete and overlap_ns >= 0,
             f"overlap={overlap_ns / MS:.3f}ms" if complete else "incomplete",
         ),
-        check_no_serialization_anomaly(coordinator),
-        check_read_your_writes(coordinator),
-        check_txn_acked_writes(coordinator),
+        *_txn_checks(coordinator),
     ]
     notes = [
         f"committed={coordinator.commits} epoch={coordinator.epoch} "
@@ -1608,41 +1311,20 @@ def _scenario_txn_reset_crash(seed: int) -> ScenarioReport:
     dead ack forever. A second detect/repair round must splice again,
     break the parked reset's stale lock, and finish the drain — with
     the history anomaly-free and every acked write durable."""
-    from ..txn import AvailabilityTracker, TxnCoordinator, VersionedGroupStore
-    from ..storage.transactions import TransactionManager
-
     name = "txn-reset-crash"
     sim = Simulator(seed=seed)
     cluster = Cluster(sim, n_hosts=10, n_cores=4)
     client = cluster[0]
     replicas = cluster.hosts[1:4]
-    group_b_hosts = cluster.hosts[4:7]
     spares = [cluster[7], cluster[8]]
-    region_size = 1 << 14
-    generation = [0]
-
-    def factory(members):
-        generation[0] += 1
-        return HyperLoopGroup(
-            client,
-            members,
-            region_size=region_size,
-            rounds=16,
-            name=f"{name}.a{generation[0]}",
-        )
-
-    group_a = HyperLoopGroup(
-        client, replicas, region_size=region_size, rounds=16, name=f"{name}.a0"
-    )
-    group_b = HyperLoopGroup(
-        client, group_b_hosts, region_size=region_size, rounds=16, name=f"{name}.b"
-    )
-    stores = [
-        VersionedGroupStore(TransactionManager(group_a, writer_id=1), name=f"{name}.s0"),
-        VersionedGroupStore(TransactionManager(group_b, writer_id=2), name=f"{name}.s1"),
-    ]
     tracker = AvailabilityTracker()
-    coordinator = TxnCoordinator(stores, mode="ssi", tracker=tracker, name=name)
+    (group_a, group_b), coordinator = _txn_coordinator(
+        client,
+        [replicas, cluster.hosts[4:7]],
+        [f"{name}.a0", f"{name}.b"],
+        name,
+        tracker,
+    )
 
     # host2 dies mid-commit; host3 (a survivor carried into the
     # repaired chain) dies the moment the first reset starts — the
@@ -1653,70 +1335,23 @@ def _scenario_txn_reset_crash(seed: int) -> ScenarioReport:
         .add("host_crash", target="host2", at_op=5)
         .add("host_crash", target="host3", at_phase="reset", phase_delay_ms=0.0)
     )
-    injector = FaultInjector(
-        sim, cluster.fabric, {host.name: host for host in cluster.hosts}, plan
+    injector = _injector(sim, cluster, plan)
+    monitor = _monitor(client, list(replicas) + [spares[0]], f"{name}.hb")
+    [repairer] = _txn_repairers(
+        client, [group_a], _factory(client, f"{name}.a"), tracker, injector
     )
-    candidates = list(replicas) + [spares[0]]
-    monitor = HeartbeatMonitor(
-        client, candidates, interval=2 * MS, miss_threshold=3, name=f"{name}.hb"
-    )
-    pause_hook = tracker.on_repair_phase(0)
-
-    def on_phase(phase):
-        pause_hook(phase)
-        injector.notify_phase(phase)
-
-    repairer = ChainRepair(client, group_a, factory, on_phase=on_phase)
-
-    keys = [f"k{index:02d}".encode() for index in range(8)]
-    rng = sim.rng("chaos-ops")
-    n_ops = 14
-    specs = [("init", tuple(keys))]
-    for _ in range(n_ops - 1):
-        if rng.random() < 0.5:
-            specs.append(("rmw", rng.choice(keys)))
-        else:
-            first, second = rng.sample(keys, 2)
-            specs.append(("transfer", first, second))
+    keys = _keys(8)
+    specs = [("init", tuple(keys))] + _txn_mix(sim.rng("chaos-ops"), keys, 13)
 
     progress: Dict[str, object] = {
         "done": False,
-        "failed_hosts": [],
         "resets_started": 0,
         "resets_done": [],
-        "rebound": False,
+        "rebound": [False],
         "reissued": 0,
         "retried": 0,
     }
-
-    def writer(task):
-        for index, spec in enumerate(specs):
-            while True:
-                while repairer.paused or (
-                    repairer.repairs > 0 and not progress["rebound"]
-                ):
-                    yield from task.sleep(100_000)
-                current = repairer.group
-                outcome: Dict[str, str] = {}
-                sub = client.os.spawn(
-                    _txn_spec_runner(coordinator, spec, outcome),
-                    name=f"{name}.t{index}",
-                )
-                while (
-                    not sub.process.triggered
-                    and repairer.group is current
-                    and not repairer.paused
-                ):
-                    yield from task.sleep(50_000)
-                if sub.process.triggered:
-                    result = outcome.get("result", "")
-                    if result in ("aborted:failover", "aborted:stale-epoch"):
-                        progress["retried"] += 1
-                        continue
-                    break
-                progress["reissued"] += 1
-            injector.notify_op()
-        progress["done"] = True
+    detects: List = []
 
     def reset_probe(round_: int):
         def body(task):
@@ -1724,51 +1359,32 @@ def _scenario_txn_reset_crash(seed: int) -> ScenarioReport:
                 task, 0, repairer.group
             )
             progress["resets_done"].append((round_, drained))
-            progress["rebound"] = True
+            progress["rebound"][0] = True
 
         return body
 
-    def detector(task):
-        handled = set()
-        for round_ in range(2):
-            while True:
-                found = None
-                for index in range(len(candidates)):
-                    if index not in handled and monitor.suspected(index):
-                        found = index
-                        break
-                if found is not None:
-                    break
-                yield from task.sleep(monitor.interval)
-            handled.add(found)
-            failed_host = candidates[found]
-            progress["failed_hosts"].append(failed_host.name)
-            monitor.stop_beats(found)
-            current = repairer.group
-            failed_index = current.replicas.index(failed_host)
-            yield from repairer.repair(
-                task,
-                failed_index,
-                spares[round_],
-                copy_from=0 if failed_index != 0 else 1,
-            )
-            # The reset runs as an abandonable probe: round 1's parks
-            # forever on the freshly-crashed survivor's ack (the
-            # "reset" phase fires host3's crash with zero delay), and
-            # this task must stay free to run the second round.
-            injector.notify_phase("reset")
-            progress["resets_started"] += 1
-            client.os.spawn(reset_probe(round_), name=f"{name}.reset{round_}")
+    def reset(task, round_):
+        # The reset runs as an abandonable probe: round 1's parks
+        # forever on the freshly-crashed survivor's ack (the
+        # "reset" phase fires host3's crash with zero delay), and
+        # the detector must stay free to run the second round.
+        injector.notify_phase("reset")
+        progress["resets_started"] += 1
+        client.os.spawn(reset_probe(round_), name=f"{name}.reset{round_}")
 
+    writer = _txn_writer(name, coordinator, specs, [repairer], progress, injector)
     client.os.spawn(writer, name=f"{name}.writer")
-    client.os.spawn(detector, name=f"{name}.detector")
+    client.os.spawn(
+        _repairs(monitor, repairer, spares, detects, reset), name=f"{name}.detector"
+    )
     run_until(
         sim,
-        lambda: progress["done"] and progress["rebound"],
+        lambda: progress["done"] and all(progress["rebound"]),
         deadline_ms=20_000,
     )
     sim.run(until=sim.now + 5 * MS)
 
+    failed_hosts = [monitor.replicas[index].name for _, index in detects]
     invariants = [
         _exercised(
             injector,
@@ -1777,8 +1393,8 @@ def _scenario_txn_reset_crash(seed: int) -> ScenarioReport:
         ),
         InvariantResult(
             "crashes-in-order",
-            progress["failed_hosts"] == ["host2", "host3"],
-            f"failed hosts {progress['failed_hosts']}",
+            failed_hosts == ["host2", "host3"],
+            f"failed hosts {failed_hosts}",
         ),
         InvariantResult(
             "first-reset-interrupted",
@@ -1789,12 +1405,10 @@ def _scenario_txn_reset_crash(seed: int) -> ScenarioReport:
         ),
         InvariantResult(
             "two-repair-rounds",
-            repairer.repairs == 2 and progress["rebound"] is True,
+            repairer.repairs == 2 and all(progress["rebound"]),
             f"repairs={repairer.repairs}",
         ),
-        check_no_serialization_anomaly(coordinator),
-        check_read_your_writes(coordinator),
-        check_txn_acked_writes(coordinator),
+        *_txn_checks(coordinator),
         check_no_errors(group_b, name="no-group-errors-b"),
     ]
     notes = [

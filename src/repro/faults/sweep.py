@@ -36,22 +36,19 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..bench.harness import run_until
 from ..bench.parallel import RunResult, RunSpec, derive_seed, run_parallel
-from ..core.group import HyperLoopGroup
 from ..hw.host import Cluster
 from ..sim import MS, Simulator
-from .invariants import (
-    InvariantResult,
-    check_acked_writes,
-    check_model_match,
-    check_no_errors,
-    check_replicas_identical,
-    tally_invariants,
-)
+from .invariants import InvariantResult, tally_invariants
 from .plan import FaultInjector, FaultPlan
 from .scenario import (
     COMPOUND_SCENARIOS,
     ScenarioReport,
     _finish,
+    _group,
+    _injector,
+    _paced_writer,
+    _stream,
+    _stream_checks,
     run_scenario,
 )
 
@@ -212,36 +209,19 @@ def run_generated(
     sim = Simulator(seed=seed)
     cluster = Cluster(sim, n_hosts=4, n_cores=4)
     region_size = 1 << 12
-    group = HyperLoopGroup(
-        cluster[0], cluster.hosts[1:4], region_size=region_size, rounds=16, name=name
-    )
-    injector = FaultInjector(
-        sim, cluster.fabric, {host.name: host for host in cluster.hosts}, plan
-    )
-    rng = sim.rng("chaos-ops")
-    slot = 128
+    group = _group(cluster[0], cluster.hosts[1:4], name, region_size=region_size)
+    injector = _injector(sim, cluster, plan)
     n_ops = 20
-    ops = []
-    for _ in range(n_ops):
-        offset = rng.randrange(region_size // slot) * slot
-        size = rng.randrange(16, slot)
-        ops.append((offset, bytes([rng.randrange(1, 256)]) * size))
+    ops = _stream(sim.rng("chaos-ops"), n_ops, region_size=region_size, slot=128)
 
     model = bytearray(region_size)
     acked: Dict[int, bytes] = {}
     done: List[bool] = []
-
-    def body(task):
-        for offset, data in ops:
-            group.write_local(offset, data)
-            model[offset : offset + len(data)] = data
-            yield from group.gwrite(task, offset, len(data))
-            acked[offset] = data
-            injector.notify_op()
-            yield from task.sleep(100_000)  # pace ops across fault windows
-        done.append(True)
-
-    cluster[0].os.spawn(body, name=f"{name}.writer")
+    # Ops are paced 100 µs apart to spread them across fault windows.
+    cluster[0].os.spawn(
+        _paced_writer(group, ops, model, acked, injector, done, pace_ns=100_000),
+        name=f"{name}.writer",
+    )
     hang = None
     try:
         run_until(sim, lambda: bool(done), deadline_ms=10_000)
@@ -257,10 +237,7 @@ def run_generated(
 
     invariants = [
         InvariantResult("no-hang", hang is None, hang or f"{n_ops} ops completed"),
-        check_acked_writes(group, acked),
-        check_model_match(group, model),
-        check_replicas_identical(group),
-        check_no_errors(group),
+        *_stream_checks(group, model, acked),
     ]
     if sabotage is not None:
         invariants.append(SABOTAGES[sabotage](injector))

@@ -23,7 +23,7 @@ membership change rather than patching one in place.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Generator, Optional, Sequence
+from typing import Callable, Collection, Generator, Optional, Sequence
 
 from ..hw.cpu import Task
 from ..hw.host import Host
@@ -120,14 +120,14 @@ class HeartbeatMonitor:
         reference = last if last else 0
         return now - reference > deadline
 
-    def wait_for_suspicion(self, task: Task, poll_interval: Optional[int] = None) -> Generator:
-        """Block until some replica is suspected; returns its index."""
-        period = poll_interval or self.interval
+    def wait_for_suspicion(self, task: Task, exclude: Collection[int] = ()) -> Generator:
+        """Block until some replica not in ``exclude`` is suspected;
+        returns its index. Polls once per beat interval."""
         while True:
             for index in range(len(self.replicas)):
-                if self.suspected(index):
+                if index not in exclude and self.suspected(index):
                     return index
-            yield from task.sleep(period)
+            yield from task.sleep(self.interval)
 
 
 class ChainRepair:

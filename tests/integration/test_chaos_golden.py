@@ -1,0 +1,64 @@
+"""Golden pins of every chaos scenario's report.
+
+A chaos report is a pure function of ``(scenario, seed)``, so the
+SHA-256 of ``report.render()`` pins everything a scenario builds and
+schedules: fault timing, detection latency, repair rounds, re-issued
+ops and the invariants' details. A refactor of the scenario harness
+must leave every digest unchanged; a change that moves a simulated
+schedule on purpose re-records the table below (the failure message
+prints the new report so the diff can be reviewed first).
+"""
+
+import hashlib
+
+import pytest
+
+from repro.faults import SCENARIOS, run_scenario
+
+GOLDEN = {
+    ("drop", 7): "cbd276fa5b9e44896ac0bdff6b3ef533830348bf761034e821deb57670f9a112",
+    ("lossy", 7): "4fe7a5661ad727714d7da5389062ed84a52d5bfccee0ebf14de3e126cef8c42a",
+    ("partition", 7): "82dfa56c78dab5f12466b20fb926566cf74cc4d1c931131dd54992eeb0ebf736",
+    ("stall", 7): "b2720567a9d7708e56e7c50777b5229dec980e88a64b04efc6266a896c285b88",
+    ("nic-crash", 7): "c08970a668b3a928c48d0a507c8d575b0542e34006e964e0caee2ced74798ac0",
+    ("host-crash", 7): "23b40868f222f3eb2b2fbda34de1300a82caa98dafa7739f674a7ff3e7412317",
+    ("power-failure", 7): "c34a7d58ade3cfc0e4b8b9c99250b70871061e3589de9242734cb65eb6c31cf7",
+    ("partition-repair", 7): "12ed134443e982bf1c8c7b0244d477102d22acb1c3effd00aa8b772f1c298101",
+    ("double-crash", 7): "610dc482783072933d11b7af28a850f2a40f24d657851213938dba697cbfd23f",
+    ("stall-lossy", 7): "4e8cbb5bfcc3de57c4d4b92866d43edaf71f191550a248156725c60204bd97e3",
+    ("client-crash", 7): "2ff47b5e9ff879c7fcbbb6ff469340e34e2349cad8e30e9cd1c69a1cc452cac9",
+    ("txn-failover", 7): "3c8160cbf3aa603f58c810a1a8cc80ce75b0d1bc33c6024d122c57729e028ab4",
+    ("txn-insert", 7): "7368a140cbd1864243100fee2b906c52ed51ab346c8f47b3a05ced70e84eb637",
+    ("txn-chaos", 7): "1a943cad87eb9c28b7b51760bbc5bd3757e9cad1cdc736fbcbc76636776c7ff7",
+    ("txn-double-failover", 7): "9f010deff2dc0b216bddf66abe3f01a38c559ce5f0554e45c8389a540c4c9b6d",
+    ("txn-reset-crash", 7): "10ebdbc3e5a621decbe8e091f4252c00e219eae9c38e45b5bb2980f40c2f061f",
+    ("drop", 42): "535a4549705bcf35b956d8345b63f4a525b5bd4f672ebfc7f9852cb22f57caa7",
+    ("lossy", 42): "df6c7576824b17652b256b3292e55a381244f5c068cecd4b9c7bfa0c42265b0f",
+    ("partition", 42): "16246d6b2a8beaf2666b379682a85577bdcd745f6ed77692374ca62c77e5d3b9",
+    ("stall", 42): "3c8a83f688f4e0185c645a21b286e0c68305c88061d68fca5da231bc3c1530e6",
+    ("nic-crash", 42): "7ec647a8b6e9c824103cbd04cfcc553b157501caf1661f45fea9827cb7477c6b",
+    ("host-crash", 42): "6375a1564fbb2f3013be6116e37f3c0312ba7d3ca24cfc7b6a486b6a8d68f2a5",
+    ("power-failure", 42): "f455b97be3b235a9882779a75dcee3b95f3faeb0e8085d80cce46ea7ade5543b",
+    ("partition-repair", 42): "e5d0668e510c01ea09da059f0aff8cd07eaf5fde15fd592b6a7a5a4576ed4325",
+    ("double-crash", 42): "91f015289835cca84c267943baf03c6908da50d4c321fbd76779d2e261b5182d",
+    ("stall-lossy", 42): "7542df6f40c11b0fce16d8e7e08c2a49c56ba8b52e822e6eab8d85fa99d835b3",
+    ("client-crash", 42): "814ffb711af2d2644078b9e86d2f96b8033b5f44ebc7f686533ed24763667e26",
+    ("txn-failover", 42): "86e95e0f6fb9224837c6c218b2fa334e32482d1d775119ac379ce3b6aec837f4",
+    ("txn-insert", 42): "4628a4190f7dbe488b61664dd91aa70aceef17a101857665b46f92badec4279d",
+    ("txn-chaos", 42): "aa193a1b6e29b97b8482361d03f9f084a1fb09c88eae388d3b18f5ec40f557cc",
+    ("txn-double-failover", 42): "f13a3d67d1d812b0db604136e70a18eddb0d7c49512aa5c623703dd8424bed45",
+    ("txn-reset-crash", 42): "f581db2a86ac567d5a714bad16761cd656cd480f7f5461d5de310d7b3eb7bba9",
+}
+
+
+def test_every_scenario_is_pinned():
+    assert {name for name, _ in GOLDEN} == set(SCENARIOS)
+
+
+@pytest.mark.parametrize("name,seed", list(GOLDEN))
+def test_report_matches_golden(name, seed):
+    report = run_scenario(name, seed)
+    rendered = report.render()
+    assert report.passed, rendered
+    digest = hashlib.sha256(rendered.encode()).hexdigest()
+    assert digest == GOLDEN[(name, seed)], f"report drifted:\n{rendered}"

@@ -94,6 +94,32 @@ class TestHeartbeatMonitor:
         # Detection within miss_threshold + slack intervals of the stop.
         assert observed["at"] - 4 * MS <= 6 * MS
 
+    def test_wait_for_suspicion_skips_excluded_replicas(self):
+        sim, cluster = make_cluster(n_hosts=4)
+        monitor = HeartbeatMonitor(
+            cluster[0], cluster.hosts[1:], interval=1 * MS, miss_threshold=3
+        )
+        monitor.stop_beats(0)
+        sim.run(until=8 * MS)
+        assert monitor.suspected(0) and not monitor.suspected(1)
+        observed = {}
+
+        def body(task):
+            observed["index"] = yield from monitor.wait_for_suspicion(task, exclude={0})
+            observed["at"] = sim.now
+
+        cluster[0].os.spawn(body, "detector")
+        sim.run(until=10 * MS)
+        assert "index" not in observed, "returned an excluded replica"
+        monitor.stop_beats(1)
+        sim.run(until=30 * MS)
+        assert observed["index"] == 1
+        # Suspected once miss_threshold intervals pass without a beat;
+        # the wait polls once per interval, so it returns within one
+        # interval of that moment.
+        suspected_from = monitor.last_beat(1) + 3 * MS
+        assert suspected_from < observed["at"] <= suspected_from + 1 * MS
+
 
 class TestChainRepair:
     def test_repair_replaces_failed_replica(self):
