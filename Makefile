@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-unit gates bench bench-quick perf-smoke e2e e2e-quick figures-smoke
+.PHONY: test test-unit gates perf-smoke e2e e2e-quick figures-smoke
 
 test:            ## tier-1 suite (unit + integration + benchmarks)
 	$(PYTHON) -m pytest -x -q
@@ -14,13 +14,7 @@ gates:           ## exact count gates: dispatches, WQEs, doorbells, chain ops, g
 		tests/unit/test_wal_group_commit.py::TestBatchShape tests/unit/test_hot_path_budget.py \
 		tests/unit/test_group_lazy_chains.py tests/unit/test_txn_bounded_state.py
 
-bench:           ## full perf suite; appends an entry to BENCH_kernel.json
-	$(PYTHON) -m repro.bench.perfsuite --label "$(or $(LABEL),local)"
-
-bench-quick:     ## CI-sized perf suite; prints the entry, writes nothing
-	$(PYTHON) -m repro.bench.perfsuite --quick --output -
-
-perf-smoke:      ## perf benchmarks as tests (fails on errors, not timing)
+perf-smoke:      ## kernel and NIC microbenchmarks as tests (fails on errors, not timing)
 	$(PYTHON) -m pytest -x -q benchmarks/test_perf_kernel.py
 
 e2e:             ## end-to-end benchmark (BENCHMARK.json): 5 workloads, ~95 s

@@ -20,6 +20,7 @@ from __future__ import annotations
 import struct
 from typing import Dict, Generator, List, Sequence
 
+from ..core.chain import check_range
 from ..hw.cpu import Task
 from ..hw.host import Host
 from ..hw.nic import AccessFlags
@@ -168,6 +169,7 @@ class FanoutGroup:
 
     def gwrite(self, task: Task, offset: int, size: int) -> Generator:
         """Replicate via the primary's fan-out."""
+        check_range(offset, size, self.region_size)
         yield from task.wait(self._flow.acquire())
         try:
             yield from task.compute(700)

@@ -83,6 +83,11 @@ class NaiveGroup:
     Parameters mirror :class:`~repro.core.group.HyperLoopGroup`;
     additionally ``replica_mode`` selects event-driven or polling
     daemons and ``replica_cores`` optionally pins each daemon.
+
+    :meth:`stop` has HyperLoop's contract and its polling-mode limit:
+    the daemons and the ack handler test the flag when they wake, so
+    a poller parked on its CQ keeps its core until the next
+    completion arrives.
     """
 
     def __init__(
@@ -140,6 +145,7 @@ class NaiveGroup:
         self._tasks: List[Task] = []
         self._replica_tasks: List[Task] = []
         self._started = False
+        self._stopping = False
         if autostart:
             self.start()
 
@@ -226,6 +232,12 @@ class NaiveGroup:
         )
         self._tasks.append(task)
 
+    def stop(self) -> None:
+        """Retire the group: the replica daemons and the ack handler
+        return at their next wakeup (see
+        :meth:`HyperLoopGroup.stop <repro.core.group.HyperLoopGroup.stop>`)."""
+        self._stopping = True
+
     # -- public operations (same surface as HyperLoopGroup) ----------------------------
 
     def write_local(self, offset: int, data: bytes) -> None:
@@ -292,9 +304,11 @@ class NaiveGroup:
         :meth:`HyperLoopGroup.submit <repro.core.group.HyperLoopGroup.submit>`).
 
         All primitives share the one software chain here, so every op
-        executes and acks in post order. The flow slot is released
+        executes and acks in post order. The op is checked like
+        HyperLoop's before it takes a flow slot; the slot is released
         when the ack fires.
         """
+        op.check(self.region_size, self.g)
         flow = self._flow
         yield from task.wait(flow.acquire())
         try:
@@ -446,7 +460,7 @@ class NaiveGroup:
         def body(task: Task) -> Generator:
             handled = 0
             cq = plumbing.qp_prev.recv_cq
-            while True:
+            while not self._stopping:
                 if self.replica_mode == "polling":
                     yield from task.poll_wait(
                         cq.next_event(), check_ns=params.poll_slice_ns
@@ -477,7 +491,7 @@ class NaiveGroup:
         def body(task: Task) -> Generator:
             expected = 0
             cq = self.ack_qp.recv_cq
-            while True:
+            while not self._stopping:
                 if self.client_mode == "polling":
                     yield from task.poll_wait(
                         cq.next_event(), check_ns=params.poll_slice_ns

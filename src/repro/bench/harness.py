@@ -5,13 +5,19 @@ build a cluster, spawn client tasks that record per-op latencies into
 a :class:`LatencyRecorder`, drive the simulation with
 :func:`run_until`, and print paper-style rows with
 :func:`format_table`.
+
+Two host-speed microbenchmarks live here too, for work below the
+group layer that the end-to-end workloads cannot isolate:
+:func:`bench_kernel_events` (the dispatch loop alone) and
+:func:`bench_nic_hotpath` (the NIC send engine alone).
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..sim import MS, Simulator
 from .sketch import SKETCH_THRESHOLD, PercentileSketch
@@ -22,6 +28,8 @@ __all__ = [
     "merge_stats",
     "stats_from_sketch",
     "run_until",
+    "bench_kernel_events",
+    "bench_nic_hotpath",
     "format_table",
     "CpuMeter",
 ]
@@ -229,6 +237,97 @@ def run_until(
         raise TimeoutError(
             f"experiment did not complete within {deadline_ms} ms of virtual time"
         )
+
+
+def bench_kernel_events(
+    n_procs: int = 200,
+    events_per_proc: int = 2000,
+    seed: int = 7,
+) -> Dict[str, Any]:
+    """Pure event-loop throughput: timeout-yielding processes.
+
+    The workload is all kernel — no NIC, no memory model — so the
+    events/sec figure isolates dispatch, scheduling and timeout
+    pooling.
+    """
+    sim = Simulator(seed=seed)
+
+    def ticker(index: int):
+        delay = 1 + (index % 13)
+        for _ in range(events_per_proc):
+            yield sim.timeout(delay)
+
+    for index in range(n_procs):
+        sim.spawn(ticker(index))
+    started = time.perf_counter()
+    sim.run()
+    wall = time.perf_counter() - started
+    events = n_procs * events_per_proc
+    return {
+        "events": events,
+        "wall_s": wall,
+        "events_per_sec": events / wall,
+        "final_now": sim.now,
+    }
+
+
+def bench_nic_hotpath(
+    n_ops: int = 4000, burst: int = 16, seed: int = 5
+) -> Dict[str, Any]:
+    """Send-engine throughput: bursts of signaled WRITEs on a QP pair.
+
+    Bursts keep several consecutive WQEs ready in the send queue, the
+    regime the batched dispatch loop and the chained-execution engine
+    rewrite — so this figure moves with NIC-path changes that the pure
+    kernel benchmark cannot see.
+    """
+    from ..hw import Cluster
+    from ..rdma import AccessFlags, FLAG_SIGNALED, Opcode, Wqe
+
+    sim = Simulator(seed=seed)
+    cluster = Cluster(sim, n_hosts=2)
+    a, b = cluster[0], cluster[1]
+    qp_a = a.dev.create_qp(name="a")
+    qp_b = b.dev.create_qp(name="b")
+    qp_a.connect(qp_b)
+    buf_a = a.memory.alloc(4096, label="bench_a")
+    buf_b = b.memory.alloc(4096, label="bench_b")
+    a.dev.reg_mr(buf_a, AccessFlags.ALL_REMOTE)
+    mr_b = b.dev.reg_mr(buf_b, AccessFlags.ALL_REMOTE)
+    done = 0
+
+    def driver():
+        nonlocal done
+        while done < n_ops:
+            for index in range(burst):
+                qp_a.post_send(
+                    Wqe(
+                        opcode=Opcode.WRITE,
+                        flags=FLAG_SIGNALED,
+                        length=64,
+                        local_addr=buf_a.addr,
+                        remote_addr=buf_b.addr + (index % 8) * 64,
+                        rkey=mr_b.rkey,
+                        wr_id=done + index,
+                    )
+                )
+            target = done + burst
+            while done < target:
+                event = qp_a.send_cq.next_event()
+                if not event.triggered:
+                    yield event
+                done += len(qp_a.send_cq.poll())
+
+    sim.spawn(driver())
+    started = time.perf_counter()
+    sim.run()
+    wall = time.perf_counter() - started
+    return {
+        "ops": done,
+        "wall_s": wall,
+        "wqe_per_sec": done / wall,
+        "final_now": sim.now,
+    }
 
 
 def format_table(

@@ -48,7 +48,15 @@ from ..hw.wqe import (
 )
 from ..rdma.verbs import Mr, QueuePair
 
-__all__ = ["Chain", "OpSpec", "GWRITE", "GMEMCPY", "GCAS", "SKIP_SENTINEL"]
+__all__ = [
+    "Chain",
+    "OpSpec",
+    "check_range",
+    "GWRITE",
+    "GMEMCPY",
+    "GCAS",
+    "SKIP_SENTINEL",
+]
 
 GWRITE = "gwrite"
 GMEMCPY = "gmemcpy"
@@ -74,6 +82,28 @@ class OpSpec:
     compare: int = 0
     swap: int = 0
     execute_map: Optional[Sequence[bool]] = None
+
+    def check(self, region_size: int, group_size: int) -> None:
+        """Raise ``ValueError`` if the op reaches outside a region of
+        ``region_size`` bytes or its execute map does not have one
+        entry per replica. Every group runs this at post, before it
+        takes a flow slot."""
+        if self.kind == GMEMCPY:
+            check_range(self.src_offset, self.size, region_size)
+            check_range(self.dst_offset, self.size, region_size)
+        else:
+            check_range(self.offset, 8 if self.kind == GCAS else self.size, region_size)
+        if self.execute_map is not None and len(self.execute_map) != group_size:
+            raise ValueError("execute map must have one entry per replica")
+
+
+def check_range(offset: int, size: int, region_size: int) -> None:
+    """Raise ``ValueError`` unless ``[offset, offset + size)`` lies in a
+    region of ``region_size`` bytes."""
+    if offset < 0 or size < 0 or offset + size > region_size:
+        raise ValueError(
+            f"[{offset}, {offset + size}) outside region of {region_size}"
+        )
 
 
 @dataclass

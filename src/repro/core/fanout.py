@@ -39,6 +39,7 @@ from ..hw.wqe import FLAG_SGL, FLAG_SIGNALED, FLAG_VALID, Opcode, Wqe, WQE_SIZE
 from ..rdma.reader import RemoteReader
 from ..rdma.verbs import Mr, QueuePair
 from ..sim import Event, Resource, US
+from .chain import check_range
 
 __all__ = ["HyperFanoutGroup"]
 
@@ -304,8 +305,7 @@ class HyperFanoutGroup:
 
     def gwrite(self, task: Task, offset: int, size: int) -> Generator:
         """Replicate via the primary NIC's fan-out; returns the round."""
-        if offset < 0 or size < 0 or offset + size > self.region_size:
-            raise ValueError(f"[{offset}, {offset + size}) outside region")
+        check_range(offset, size, self.region_size)
         yield from task.wait(self._flow.acquire())
         try:
             yield from task.compute(700 + self.payload_size // 8)

@@ -364,13 +364,7 @@ class HyperLoopGroup:
         primitive = op.kind
         if primitive not in self.primitives:
             raise RuntimeError(f"group built without the {primitive} chain")
-        if primitive == GMEMCPY:
-            self._check_range(op.src_offset, op.size)
-            self._check_range(op.dst_offset, op.size)
-        else:
-            self._check_range(op.offset, 8 if primitive == GCAS else op.size)
-        if op.execute_map is not None and len(op.execute_map) != self.group_size:
-            raise ValueError("execute map must have one entry per replica")
+        op.check(self.region_size, self.group_size)
         chain = self.chain(primitive)
         flow = self._flow[primitive]
         yield from task.wait(flow.acquire())
@@ -409,12 +403,6 @@ class HyperLoopGroup:
                 args={"size": op.size, "round": round_},
             )
         )
-
-    def _check_range(self, offset: int, size: int) -> None:
-        if offset < 0 or size < 0 or offset + size > self.region_size:
-            raise ValueError(
-                f"[{offset}, {offset + size}) outside region of {self.region_size}"
-            )
 
     # -- client completion handling ------------------------------------------------------
 

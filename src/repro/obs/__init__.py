@@ -40,7 +40,7 @@ from .export import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from .report import render_attribution, render_counters, render_report, summary
+from .report import render_attribution, render_counters, render_report
 
 __all__ = [
     "TRACER",
@@ -60,5 +60,4 @@ __all__ = [
     "render_attribution",
     "render_counters",
     "render_report",
-    "summary",
 ]

@@ -9,27 +9,9 @@ the metrics registry instrumentation points feed.
 
 from __future__ import annotations
 
-from typing import Any, Dict
-
 from .trace import Tracer
 
-__all__ = ["summary", "render_attribution", "render_counters", "render_report"]
-
-
-def summary(tracer: Tracer) -> Dict[str, Any]:
-    """Machine-readable digest (what perfsuite embeds in its entry)."""
-    total = tracer.total_wall_ns()
-    return {
-        "dispatches": tracer.dispatches,
-        "records": len(tracer),
-        "dropped": tracer.dropped,
-        "top_cost_center": tracer.top_cost_center(),
-        "wall_ms_total": round(total / 1e6, 3),
-        "wall_ns_by_subsystem": dict(
-            sorted(tracer.wall_ns.items(), key=lambda kv: -kv[1])
-        ),
-        "counters": dict(sorted(tracer.counters.items())),
-    }
+__all__ = ["render_attribution", "render_counters", "render_report"]
 
 
 def render_attribution(tracer: Tracer, top_sites: int = 8) -> str:

@@ -35,6 +35,15 @@ class TestMicrobench:
         assert result.stats.count == 40
         assert not result.errors
 
+    def test_fig8_reference_point(self):
+        """§6.1 Fig 8: 1 KiB HyperLoop gWRITE at the default seed and
+        load. A simulation result, identical on every host: a change
+        that moves it changed the simulated schedule."""
+        result = microbench_latency("hyperloop", message_size=1024, n_ops=500)
+        assert round(result.stats.p50, 3) == 9.536
+        assert round(result.stats.p99, 4) == 19.5755
+        assert not result.errors
+
     def test_throughput(self):
         result = microbench_throughput(
             "hyperloop", 4096, total_bytes=1 << 20, n_cores=4, pipeline_depth=4

@@ -34,6 +34,21 @@ class TestFanout:
             assert group.read_replica(replica, 0, 12) == b"fan-out-data"
         assert not group.errors
 
+    def test_out_of_range_rejected(self):
+        sim, cluster, group = make()
+        done = {}
+
+        def body(task):
+            with pytest.raises(ValueError):
+                yield from group.gwrite(task, (1 << 16) - 96, 512)
+            yield from task.sleep(0)
+            done["y"] = True
+
+        cluster[0].os.spawn(body, "c")
+        run_until(sim, lambda: "y" in done, deadline_ms=5000)
+        assert group.next_round == 0
+        assert group._flow.in_use == 0
+
     def test_needs_two_replicas(self):
         sim = Simulator(seed=32)
         cluster = Cluster(sim, n_hosts=2, n_cores=2)

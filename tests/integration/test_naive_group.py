@@ -8,9 +8,10 @@ operations, same results — differing only in who does the work
 import pytest
 
 from repro.baseline import NaiveGroup
-from repro.core import HyperLoopGroup
+from repro.core import GWRITE, HyperLoopGroup, OpSpec
 from repro.hw import Cluster
 from repro.sim import MS, Simulator, US
+from repro.storage.recovery import ChainRepair
 
 
 def make_group(n_replicas=3, seed=13, **kwargs):
@@ -147,6 +148,55 @@ class TestNaiveGmemcpyGcas:
 
         result = drive(sim, cluster, body)
         assert result == [50, 50, 50]
+
+
+class TestNaiveFailover:
+    def test_stop_retires_every_task_at_its_next_wakeup(self):
+        sim, cluster, group = make_group()
+
+        def body(task):
+            group.write_local(0, b"last-op")
+            ack = yield from group.submit(task, OpSpec(GWRITE, offset=0, size=7))
+            group.stop()
+            return (yield from task.wait(ack))
+
+        assert drive(sim, cluster, body) == [None, None, None]
+        assert all(task.process.triggered for task in group._tasks)
+        for replica in range(3):
+            assert group.read_replica(replica, 0, 7) == b"last-op"
+
+    def test_chain_repair_onto_a_spare(self):
+        """ChainRepair retires the old group with ``stop()`` and
+        rebuilds the chain over the survivors plus a spare."""
+        sim = Simulator(seed=13)
+        cluster = Cluster(sim, n_hosts=5, n_cores=4)
+        client, spare = cluster[0], cluster[4]
+
+        def factory(members):
+            return NaiveGroup(client, members, region_size=1 << 14, rounds=32, name="n2")
+
+        group = factory(cluster.hosts[1:4])
+        repairer = ChainRepair(client, group, factory)
+
+        def writes(target, task, first):
+            for i in range(first, first + 20):
+                target.write_local(i * 64, bytes([i + 1]) * 64)
+                yield from target.gwrite(task, i * 64, 64)
+
+        def body(task):
+            yield from writes(group, task, 0)
+            cluster[2].crash()
+            new_group = yield from repairer.repair(task, 1, spare, copy_from=0)
+            yield from writes(new_group, task, 20)
+            return new_group
+
+        new_group = drive(sim, cluster, body)
+        assert group._stopping and repairer.repairs == 1
+        assert [host.name for host in new_group.replicas] == ["host1", "host3", "host4"]
+        images = [new_group.read_replica(r, 0, 1 << 14) for r in range(3)]
+        assert images[0] == images[1] == images[2]
+        assert images[0][: 40 * 64] == b"".join(bytes([i + 1]) * 64 for i in range(40))
+        assert not group.errors and not new_group.errors
 
 
 class TestEquivalence:

@@ -157,17 +157,20 @@ class TestSubmit:
         assert run(True) == run(False)
 
 
+@pytest.mark.parametrize("kind", GROUPS)
 class TestSubmitValidation:
-    def test_range_and_execute_map_checked_before_posting(self):
-        sim, cluster, group = make("hyperloop")
+    def test_range_and_execute_map_checked_before_posting(self, kind):
+        sim, cluster, group = make(kind)
 
         def body(task):
             errors = 0
             for op in (
                 OpSpec(GWRITE, offset=(1 << 14) - 4, size=8),
+                OpSpec(GMEMCPY, src_offset=1 << 14, dst_offset=0, size=64),
                 OpSpec(GMEMCPY, src_offset=0, dst_offset=(1 << 14) - 4, size=8),
                 OpSpec(GCAS, offset=(1 << 14) - 4),
                 OpSpec(GCAS, offset=0, execute_map=[True]),
+                OpSpec(GCAS, offset=0, execute_map=[True] * 5),
             ):
                 try:
                     yield from group.submit(task, op)
@@ -175,9 +178,12 @@ class TestSubmitValidation:
                     errors += 1
             return errors
 
-        assert drive(sim, cluster, body) == 4
-        assert sum(chain.next_round for chain in group.chains.values()) == 0
-        assert all(flow.in_use == 0 for flow in group._flow.values())
+        assert drive(sim, cluster, body) == 6
+        if kind == "naive":
+            assert group.next_round == 0
+        else:
+            assert sum(chain.next_round for chain in group.chains.values()) == 0
+        assert all(flow_of(group, p).in_use == 0 for p in (GWRITE, GMEMCPY, GCAS))
 
 
 class TestSubmitSpans:
