@@ -270,6 +270,10 @@ class HyperLoopGroup:
         posted = yield from self._reader.post(task, replica, extents)
         return posted
 
+    def read_backlog(self, replica: int) -> int:
+        """Read batches holding or queued on ``replica``'s channel."""
+        return self._reader.backlog(replica)
+
     def gwrite(self, task: Task, offset: int, size: int) -> Generator:
         """Replicate ``size`` bytes at ``offset`` to all replicas.
 

@@ -183,6 +183,11 @@ class RemoteReader:
                 )
             )
 
+    def backlog(self, replica: int) -> int:
+        """Batches holding or queued on a replica's channel."""
+        lock = self._channels[replica].lock
+        return lock.in_use + lock.queue_length
+
     def pread(self, task: Task, replica: int, offset: int, size: int) -> Generator:
         """RDMA READ ``size`` bytes at ``offset`` of a replica's region.
 

@@ -3,10 +3,13 @@
 Replicated data stays readable while sites fail, but only from copies
 known to be current. The classic Available-Copies discipline (per the
 RepCRec exemplars) is implemented against this repo's failure
-machinery:
+machinery. Any eligible copy may serve a read, so a read goes to the
+eligible replica whose read channel has the smallest backlog (holder
+plus queued batches), ties to the lowest index: concurrent readers
+spread over every copy, and a lone reader still reads replica 0.
 
-* A **crashed or NIC-halted** replica serves nothing — reads fail
-  over to the lowest-index surviving replica.
+* A **crashed or NIC-halted** replica serves nothing — reads go to
+  the surviving replicas.
 * A group **mid-ChainRepair** serves nothing — reads block until the
   catch-up window closes (``ChainRepair`` reports ``"repair"`` /
   ``"repair-done"`` through its phase hook).
@@ -44,8 +47,10 @@ class AvailabilityTracker:
 
     Stores register with :meth:`attach`; ``ChainRepair``'s phase hook
     is bridged in with :meth:`on_repair_phase` so reads pause during
-    catch-up. Counters (``failovers``, ``blocks``) are deterministic
-    observables the chaos invariants assert on.
+    catch-up. Counters are deterministic observables: ``failovers``
+    (reads replica 0 was not eligible for) and ``blocks``, which the
+    chaos invariants assert on, and ``served[group][replica]`` (reads
+    routed to each copy).
     """
 
     def __init__(self, poll_ns: int = 100_000, max_wait_ns: int = 500 * MS):
@@ -55,11 +60,13 @@ class AvailabilityTracker:
         self.max_wait_ns = max_wait_ns
         self.failovers = 0
         self.blocks = 0
+        self.served: List[List[int]] = []
 
     def attach(self, store) -> int:
         """Register a :class:`VersionedGroupStore`; returns its index."""
         self._stores.append(store)
         self._paused.append(False)
+        self.served.append([0] * store.group.group_size)
         return len(self._stores) - 1
 
     def on_repair_phase(self, index: int) -> Callable[[str], None]:
@@ -87,18 +94,20 @@ class AvailabilityTracker:
 
     def choose(self, task: Task, index: int) -> Generator:
         """Pick a replica for a snapshot read, blocking while none is
-        eligible. Returns the replica index; raises
+        eligible: the eligible one with the least read backlog, ties to
+        the lowest index. Returns the replica index; raises
         :class:`NoAvailableCopy` after ``max_wait_ns`` of blocking."""
         deadline = task.sim.now + self.max_wait_ns
         blocked = False
         while True:
             candidates = self.readable(index)
             if candidates:
-                replica = candidates[0]
-                if replica != 0:
+                if candidates[0] != 0:
                     self.failovers += 1
                     if TRACER.enabled:
                         TRACER.count("txn.read_failover")
+                replica = min(candidates, key=self._stores[index].group.read_backlog)
+                self.served[index][replica] += 1
                 return replica
             if not blocked:
                 blocked = True

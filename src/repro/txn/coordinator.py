@@ -8,9 +8,9 @@ consistent hash. Isolation is Serializable Snapshot Isolation:
   (monotonic, unique — never wall time); every read observes the
   newest version committed at or before it.
 * ``read`` serves the transaction's own buffered write first
-  (read-your-writes), then routes to the owning group, picks a
-  replica under the Available-Copies rules, and cross-checks the
-  one-sided durable read against the version chain.
+  (read-your-writes), then routes to the owning group, picks the
+  least-busy eligible replica under the Available-Copies rules, and
+  cross-checks the one-sided durable read against the version chain.
 * ``write`` buffers locally; nothing touches the wire before commit.
   ``insert`` is a write to a previously-unseen key — placement is the
   same consistent hash, and the key's DB slot is assigned at commit
@@ -239,8 +239,9 @@ class TxnCoordinator:
 
         Own buffered writes win (read-your-writes). Otherwise the
         owning group serves the newest version at the snapshot,
-        reading the durable slot from an Available-Copies-eligible
-        replica as a cross-check: the slot may legitimately hold a
+        reading the durable slot as a cross-check from the
+        Available-Copies-eligible replica whose read channel is least
+        busy (replica 0 when idle): the slot may legitimately hold a
         *newer* record (installed after our snapshot, or an orphan of
         an unfinished commit) — both invisible here — but never an
         older one, which would mean a stale copy served a read.
@@ -377,7 +378,9 @@ class TxnCoordinator:
         the per-group ordered indexes with the transaction's own
         buffered writes. Every snapshot-visible result is cross-checked
         against the durable slot of an Available-Copies-eligible
-        replica (chosen once per group per scan). Keys present in an
+        replica, chosen once per group per scan as the one with the
+        least-busy read channel, so concurrent scanners spread over
+        every copy. Keys present in an
         index but invisible at the snapshot are skipped, but still
         recorded as absent reads — the rw edge to their post-snapshot
         writer is exactly a phantom the scan must precede. The covered
@@ -493,7 +496,9 @@ class TxnCoordinator:
         # overlap. This task holds several read channels at once, so it
         # takes them in ascending group order — the order commit takes
         # group locks in — or two scanners could each hold the channel
-        # the other is queued on.
+        # the other is queued on. It takes one channel per group, any
+        # replica's: every wait-for edge still points to a higher group
+        # index, so no cycle can form.
         durable: Dict[bytes, Optional[tuple]] = {}
         posted: List[DurableReads] = []
         try:

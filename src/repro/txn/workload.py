@@ -79,6 +79,7 @@ class TxnWorkloadReport:
     aborts_other: int
     reads: int
     failovers: int
+    served: List[List[int]]  # reads routed per group per replica
     anomaly: str
     sim_ms: float
     mix: List[Tuple[str, int, int]] = field(default_factory=list)
@@ -102,8 +103,9 @@ class TxnWorkloadReport:
             f"    attempted={self.attempted} committed={self.commits} "
             f"aborted={self.aborts} "
             f"(ww={self.aborts_ww} ssi={self.aborts_ssi} other={self.aborts_other})",
-            f"    reads={self.reads} failovers={self.failovers} "
-            f"sim_time={self.sim_ms:.3f}ms",
+            f"    reads={self.reads} failovers={self.failovers} served="
+            + ",".join("/".join(map(str, group)) for group in self.served)
+            + f" sim_time={self.sim_ms:.3f}ms",
         ]
         for name, attempts, committed in self.mix:
             rate = 100.0 * (attempts - committed) / attempts if attempts else 0.0
@@ -180,8 +182,8 @@ def run_txn_workload(
     / "backoff"); write-skew litmus pairs never retry — the point is
     that exactly one per pair aborts. ``install`` forwards to
     :class:`TxnCoordinator` (parallel vs sequential commit installs);
-    ``retry="none", install="sequential"`` reproduces the PR 7
-    workload byte-for-byte.
+    ``retry="none", install="sequential"`` is the no-retry control
+    CI pins.
     """
     sim = Simulator(seed=seed)
     cluster = Cluster(sim, n_hosts=4, n_cores=4)
@@ -334,6 +336,7 @@ def run_txn_workload(
         + coordinator.aborts_user,
         reads=coordinator.reads_observed,
         failovers=coordinator.tracker.failovers,
+        served=coordinator.tracker.served,
         anomaly=describe_cycle(coordinator.history),
         sim_ms=sim.now / MS,
         mix=mix,

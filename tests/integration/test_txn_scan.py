@@ -149,9 +149,14 @@ class TestExitPaths:
         seen = {}
 
         def holder(task):
-            posted = yield from group_one.post_reads(task, 0, [(0, 8)])
+            # Every replica's channel: the scan has no idle copy to
+            # read instead, and queues on replica 0's.
+            posted = []
+            for replica in range(group_one.group_size):
+                posted.append((yield from group_one.post_reads(task, replica, [(0, 8)])))
             yield from task.sleep(40_000)
-            yield from posted.wait(task)
+            for reads in posted:
+                yield from reads.wait(task)
             seen["held"] = True
 
         def scanner(task):

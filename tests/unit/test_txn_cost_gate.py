@@ -5,7 +5,7 @@ same number of kernel dispatches and scheduler dispatches every time,
 and exactly the pinned number per committed transaction. Anything that
 manufactures events per wait — a sleep-poll on the commit latch cost
 18,923 scheduler dispatches here, one chain round trip per install
-step 4,700, instead of 3,233 — turns this red on any host, without a
+step 4,700, instead of 3,212 — turns this red on any host, without a
 timer.
 
 A legitimate change to the kernel, NIC, group or txn layers moves the
@@ -24,8 +24,8 @@ from repro.txn import build_txn_system, run_ycsb_mix
 N_CLIENTS = 4
 TXNS_PER_CLIENT = 40
 
-KERNEL_DISPATCHES = 137_709
-CPU_DISPATCHES = 3_233
+KERNEL_DISPATCHES = 137_612
+CPU_DISPATCHES = 3_212
 
 
 def _measure():
@@ -45,7 +45,7 @@ def test_ycsb_a_dispatch_counts_repeat_and_match_the_pin():
     assert (kernel, cpu) == _measure()[:2]
     assert report.committed == N_CLIENTS * TXNS_PER_CLIENT
     assert report.gave_up == 0 and report.errors == []
-    # 860.68 kernel / 20.2 scheduler dispatches per committed txn.
+    # 860.08 kernel / 20.1 scheduler dispatches per committed txn.
     assert (kernel, cpu) == (KERNEL_DISPATCHES, CPU_DISPATCHES)
 
 

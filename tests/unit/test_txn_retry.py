@@ -1,4 +1,4 @@
-"""Retry-policy semantics: schedules, budgets, and the PR 7 control.
+"""Retry-policy semantics: schedules, budgets, and the no-retry control.
 
 Three regression surfaces from the ISSUE:
 
@@ -9,9 +9,9 @@ Three regression surfaces from the ISSUE:
   budget *before* retrying — every attempt spends at least
   ``max_wait_ns`` of virtual time blocked, so retries cannot busy-spin
   a dead group;
-* the no-retry control with sequential installs (the PR 7 code
-  path) keeps its pinned seed-7 outcome: 24/29 committed, the
-  aborts all ssi-pivot, no anomaly.
+* the no-retry control with sequential installs keeps its pinned
+  seed-7 outcome: 24/29 committed, four ssi-pivot aborts and one
+  ww-conflict, no anomaly.
 """
 
 import random
@@ -130,25 +130,26 @@ def test_backoff_workload_renders_identically_across_runs():
     assert first.retry_attempts - first.retries == 24
 
 
-# -- the PR 7 control ---------------------------------------------------------------
+# -- the no-retry control -----------------------------------------------------------
 
 
-def test_no_retry_sequential_reproduces_pr7_numbers():
-    """``retry="none", install="sequential"`` is the pre-PR-9 workload.
+def test_no_retry_sequential_control_keeps_its_seed_7_numbers():
+    """``retry="none", install="sequential"``: no retries, one group's
+    install at a time.
 
-    The pinned seed-7 outcome: 24 of 29 committed, five ssi-pivot
-    aborts (two from the write-skew pairs, three mix casualties), no
-    ww-conflict, no anomaly. (PR 7 recorded 26/29 with three ssi-pivot
-    aborts under the 2 us sleep-poll commit latch, PR 13 24/29 with
-    three ssi-pivot and two ww-conflict aborts; the wake-on-release
-    latch and then the three-wait install changed the simulated
-    schedule, not the control's semantics.)
+    The pinned seed-7 outcome: 24 of 29 committed, four ssi-pivot
+    aborts (two from the write-skew pairs, two mix casualties) and one
+    ww-conflict, no anomaly. (The first version of this workload
+    recorded 26/29 with three ssi-pivot aborts under the 2 us
+    sleep-poll commit latch; the wake-on-release latch, the three-wait
+    install and reads spread over every eligible replica each moved
+    the simulated schedule, not the control's semantics.)
     """
     report = run_txn_workload(seed=7, retry="none", install="sequential")
     assert report.attempted == 29
     assert report.commits == 24
-    assert report.aborts_ssi == 5
-    assert report.aborts_ww == 0
+    assert report.aborts_ssi == 4
+    assert report.aborts_ww == 1
     assert report.aborts_other == 0
     assert report.anomaly == "none"
     assert report.errors == []

@@ -22,14 +22,17 @@ from repro.bench import run_until
 from repro.hw import Cluster
 from repro.obs import tracing
 from repro.sim import Simulator
-from repro.txn import build_txn_system, run_ycsb_mix
+from repro.txn import build_txn_system, run_ycsb_mix, ycsb
 
 N_CLIENTS = 4
 TXNS_PER_CLIENT = 40
 
-KERNEL_DISPATCHES = 50_301
-CPU_DISPATCHES = 2_968
-WQES_EXECUTED = 3_586
+KERNEL_DISPATCHES = 49_579
+CPU_DISPATCHES = 2_441
+WQES_EXECUTED = 3_620
+# Reads routed to each replica of each group: concurrent scans spread
+# over every copy, and replica 0 (the idle choice) serves most.
+SERVED = [[165, 109, 71], [186, 123, 70], [148, 73, 23], [199, 119, 62]]
 
 ONE_READ_NS = 4_757
 
@@ -94,7 +97,14 @@ def test_one_key_is_exactly_one_read_round_trip(op):
     assert ns == ONE_READ_NS
 
 
-def _measure_ycsb_e():
+def _measure_ycsb_e(monkeypatch):
+    built = []
+
+    def build(*args, **kwargs):
+        built.append(build_txn_system(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(ycsb, "build_txn_system", build)
     with tracing(record_kernel=False) as tracer:
         report = run_ycsb_mix(
             mix="E",
@@ -109,18 +119,26 @@ def _measure_ycsb_e():
         counters["cpu.dispatches"],
         counters["nic.wqe_executed"],
     )
-    return counts, counters, report
+    return counts, counters, report, built[0]
 
 
-def test_ycsb_e_counts_repeat_and_match_the_pin():
-    counts, counters, report = _measure_ycsb_e()
-    assert counts == _measure_ycsb_e()[0]
+def test_ycsb_e_counts_repeat_and_match_the_pin(monkeypatch):
+    counts, counters, report, coordinator = _measure_ycsb_e(monkeypatch)
+    assert counts == _measure_ycsb_e(monkeypatch)[0]
     assert report.committed == N_CLIENTS * TXNS_PER_CLIENT
     assert report.gave_up == 0 and report.errors == []
     # Per-key round trips cost 72,691 / 5,057 / 4,969 here.
     assert counts == (KERNEL_DISPATCHES, CPU_DISPATCHES, WQES_EXECUTED)
-    # 2,749 slots cross-checked by 1,364 READs in 1,341 batches: a
+    # 2,757 slots cross-checked by 1,398 READs in 1,348 batches: a
     # group's share of a scan is almost always one run of slots.
-    assert counters["txn.scan_reads"] == 2_749
-    assert counters["reader.wqes"] == 1_364
-    assert counters["reader.batches"] == 1_341
+    assert counters["txn.scan_reads"] == 2_757
+    assert counters["reader.wqes"] == 1_398
+    assert counters["reader.batches"] == 1_348
+    tracker = coordinator.tracker
+    assert tracker.served == SERVED
+    assert all(count > 0 for group in tracker.served for count in group)
+    assert tracker.failovers == 0
+    # Mid-chain and tail copies served reads, and none was behind the
+    # snapshot: the Available-Copies property those reads rely on.
+    assert coordinator.stale_reads == []
+    assert coordinator.read_violations == []
