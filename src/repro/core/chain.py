@@ -45,6 +45,7 @@ from ..hw.wqe import (
     Opcode,
     Wqe,
     WQE_SIZE,
+    pack_wqe,
 )
 from ..rdma.verbs import Mr, QueuePair
 
@@ -68,6 +69,9 @@ execute-map skip)."""
 
 _SGE_ENTRY = 12  # packed (u64 addr, u32 len)
 _U64 = struct.Struct("<Q")
+_NO_PATCH = bytes(WQE_SIZE)
+# The client's ack RECV: no buffer, the WRITE_WITH_IMM carries its data.
+_ACK_RECV = pack_wqe(Opcode.RECV, FLAG_VALID, 0, 0, 0, 0, 0, 0, 0, 0)
 
 
 @dataclass
@@ -143,6 +147,7 @@ class Chain:
         self.result_size = self.g * 8
         self.blob_size = self.result_size + self.g * WQE_SIZE
         self.payload_size = self.blob_size + WQE_SIZE
+        self._result_map = _U64.pack(SKIP_SENTINEL) * self.g
         self.next_round = 0  # next round index the client will use
         # Validation state for Available-Copies reads: when this chain
         # was built (virtual time) and when its newest round was acked.
@@ -157,7 +162,6 @@ class Chain:
         self.ack_qp: QueuePair = None
         self.client_staging: Mr = None
         self.ack_region: Mr = None
-        self._ack_recv_template: Optional[Wqe] = None
         self._setup()
 
     # -- layout ----------------------------------------------------------------
@@ -496,70 +500,54 @@ class Chain:
 
     def post_ack_recv(self) -> None:
         """Post one client-side RECV for a tail WRITE_IMM ack."""
-        self.ack_qp.post_recv(Wqe(local_addr=0, length=0))
+        self.ack_qp.post_recv_packed(_ACK_RECV)
 
     # -- client-side per-operation construction ------------------------------------
 
     def build_patch(self, replica: int, round_: int, op: OpSpec) -> bytes:
         """The 64-byte WQE image the client writes onto a replica's op
         slot for this operation."""
-        state = self.replicas[replica]
         region = self.group.replica_mrs[replica]
+        # pack_wqe fields: opcode, flags, length, local_addr,
+        # remote_addr, rkey, lkey, compare, swap, wr_id.
         if op.kind == GWRITE:
             if self._is_tail(replica):
-                return bytes(WQE_SIZE)  # tail has no forward op
+                return _NO_PATCH  # tail has no forward op
             next_region = self.group.replica_mrs[replica + 1]
-            return Wqe(
-                opcode=Opcode.WRITE,
-                flags=FLAG_VALID,
-                length=op.size,
-                local_addr=region.addr + op.offset,
-                remote_addr=next_region.addr + op.offset,
-                rkey=next_region.rkey,
-                wr_id=round_,
-            ).pack()
+            return pack_wqe(
+                Opcode.WRITE, FLAG_VALID, op.size, region.addr + op.offset,
+                next_region.addr + op.offset, next_region.rkey, 0, 0, 0, round_,
+            )
         if op.kind == GMEMCPY:
             flags = FLAG_VALID | (0 if self.durable else FLAG_SIGNALED)
-            return Wqe(
-                opcode=Opcode.WRITE,
-                flags=flags,
-                length=op.size,
-                local_addr=region.addr + op.src_offset,
-                remote_addr=region.addr + op.dst_offset,
-                rkey=region.rkey,
-                wr_id=round_,
-            ).pack()
+            return pack_wqe(
+                Opcode.WRITE, flags, op.size, region.addr + op.src_offset,
+                region.addr + op.dst_offset, region.rkey, 0, 0, 0, round_,
+            )
         if op.kind == GCAS:
             execute = op.execute_map[replica] if op.execute_map else True
-            result_slot = self.staging_slot_addr(state, round_) + replica * 8
-            return Wqe(
-                opcode=Opcode.CAS if execute else Opcode.NOP,
-                flags=FLAG_VALID | FLAG_SIGNALED,
-                length=8,
-                local_addr=result_slot,
-                remote_addr=region.addr + op.offset,
-                rkey=region.rkey,
-                compare=op.compare,
-                swap=op.swap,
-                wr_id=round_,
-            ).pack()
+            result_slot = self.staging_slot_addr(self.replicas[replica], round_) + replica * 8
+            return pack_wqe(
+                Opcode.CAS if execute else Opcode.NOP, FLAG_VALID | FLAG_SIGNALED, 8,
+                result_slot, region.addr + op.offset, region.rkey, 0, op.compare,
+                op.swap, round_,
+            )
         raise ValueError(f"bad op kind {op.kind!r}")
 
     def build_payload(self, round_: int, op: OpSpec) -> bytes:
         """The full wire payload for the head replica:
         ``result map ++ all patches ++ head patch`` (Figure 5)."""
-        result_map = struct.pack("<Q", SKIP_SENTINEL) * self.g
-        patches = b"".join(
-            self.build_patch(replica, round_, op) for replica in range(self.g)
-        )
-        blob = result_map + patches
-        return blob + blob[self.patch_offset(0) : self.patch_offset(0) + WQE_SIZE]
+        patches = [self.build_patch(replica, round_, op) for replica in range(self.g)]
+        return b"".join([self._result_map, *patches, patches[0]])
 
     def client_post(self, op: OpSpec) -> int:
         """Build and post one operation. Returns its round number.
 
         Pure driver work — the calling task is responsible for
-        charging CPU (see :meth:`client_post_cost`).
+        charging CPU (see :meth:`client_post_cost`). The payload is one
+        host write; the client WQEs are packed back to back and posted
+        with one more write (two where the run wraps the ring) and one
+        doorbell.
         """
         round_ = self.next_round
         self.next_round += 1
@@ -567,42 +555,21 @@ class Chain:
         payload = self.build_payload(round_, op)
         staging_addr = self.client_staging.addr + position * self.payload_size
         self.group.client.nic.host_write(staging_addr, payload)
-        wqes: List[Wqe] = []
         head = self.group.replica_mrs[0]
+        wqes = []
         if op.kind == GWRITE and op.size > 0:
-            wqes.append(
-                Wqe(
-                    opcode=Opcode.WRITE,
-                    flags=FLAG_VALID,
-                    length=op.size,
-                    local_addr=self.group.client_region.addr + op.offset,
-                    remote_addr=head.addr + op.offset,
-                    rkey=head.rkey,
-                    wr_id=round_,
-                )
-            )
+            wqes.append(pack_wqe(
+                Opcode.WRITE, FLAG_VALID, op.size, self.group.client_region.addr + op.offset,
+                head.addr + op.offset, head.rkey, 0, 0, 0, round_,
+            ))
         if op.kind == GWRITE and self.durable:
-            wqes.append(
-                Wqe(
-                    opcode=Opcode.READ,
-                    flags=FLAG_VALID,
-                    length=0,
-                    local_addr=staging_addr,
-                    remote_addr=head.addr,
-                    rkey=head.rkey,
-                    wr_id=round_,
-                )
-            )
-        wqes.append(
-            Wqe(
-                opcode=Opcode.SEND,
-                flags=FLAG_VALID,
-                length=len(payload),
-                local_addr=staging_addr,
-                wr_id=round_,
-            )
-        )
-        self.client_qp.post_send_batch(wqes)
+            wqes.append(pack_wqe(
+                Opcode.READ, FLAG_VALID, 0, staging_addr, head.addr, head.rkey, 0, 0, 0, round_,
+            ))
+        wqes.append(pack_wqe(
+            Opcode.SEND, FLAG_VALID, len(payload), staging_addr, 0, 0, 0, 0, 0, round_,
+        ))
+        self.client_qp.post_send_packed(b"".join(wqes), len(wqes))
         if TRACER.enabled:
             TRACER.record(
                 self.group.sim.now,

@@ -134,9 +134,9 @@ class MemorySystem:
         self._bytes = mmap.mmap(
             -1, dram_size + nvm_size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
         )
-        # All reads go through one long-lived memoryview: a slice of it
-        # costs a single copy (``tobytes``). The mapping is never
-        # resized, so the view stays valid for the system's lifetime.
+        # Zero-copy views (read_view) are slices of one long-lived
+        # memoryview. The mapping is never resized, so the view stays
+        # valid for the system's lifetime.
         self._view = memoryview(self._bytes)
         self._size = dram_size + nvm_size
         self._dram = _Space(0, dram_size)
@@ -159,15 +159,17 @@ class MemorySystem:
         """Bounds-checked read of ``length`` bytes at ``addr``."""
         if addr < 0 or length < 0 or addr + length > self._size:
             self._check(addr, length)
-        return self._view[addr : addr + length].tobytes()
+        # Slicing the mapping is one copy, and cheaper than a view
+        # slice plus ``tobytes`` at every size the NIC reads.
+        return self._bytes[addr : addr + length]
 
     def read_view(self, addr: int, length: int) -> memoryview:
         """Bounds-checked zero-copy view of ``length`` bytes at ``addr``.
 
         The view aliases live memory: it reflects later writes and must
         not be held across a :meth:`power_failure`. Use for transient
-        parsing (e.g. WQE decode) where the copy in :meth:`read` would
-        be pure overhead.
+        parsing of a large area (e.g. a WAL scan over the log's mirror)
+        where the copy in :meth:`read` would be pure overhead.
         """
         if addr < 0 or length < 0 or addr + length > self._size:
             self._check(addr, length)
@@ -311,10 +313,6 @@ class WriteCache:
     def read(self, addr: int, length: int) -> bytes:
         """Coherent read (CPU and NIC see the same bytes)."""
         return self.memory.read(addr, length)
-
-    def read_view(self, addr: int, length: int) -> memoryview:
-        """Coherent zero-copy read; see :meth:`MemorySystem.read_view`."""
-        return self.memory.read_view(addr, length)
 
     def flush_range(self, addr: int, length: int) -> int:
         """Mark every write overlapping ``[addr, addr+length)`` durable.

@@ -17,7 +17,7 @@ the RDMA transport layer lives above this.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..obs.trace import TRACER
 from ..sim import Simulator, TokenBucket
@@ -45,14 +45,6 @@ def wire_bytes(payload: int) -> int:
     """Bytes actually serialized on the wire for a payload."""
     segments = max(1, -(-payload // MTU))
     return payload + segments * WIRE_HEADER_BYTES
-
-
-@dataclass
-class _Delivery:
-    src: str
-    dst: str
-    payload: Any
-    nbytes: int
 
 
 class BoundaryMessage(NamedTuple):
@@ -231,46 +223,65 @@ class Fabric:
         # t_sent is threaded through to _deliver so a traced run can
         # render the full wire span (serialize + propagate) without
         # storing any per-message state on the fabric.
-        t_sent = self.sim.now
+        sim = self.sim
+        t_sent = sim.now
         if src == dst:
             # On-adapter loopback: just the NIC-internal turnaround.
             # Loopback traffic never touches the wire, so the fault
             # filter does not apply.
-            self.sim.call_in(100, self._deliver, dst_port, src, payload, t_sent)
+            sim.call_in(100, self._deliver, dst_port, src, payload, t_sent)
             return
-        extra_delay = self.propagation_ns
-        deliver = self._deliver
+        deliver, args = self._deliver, (dst_port, src, payload, t_sent)
+        delay = self.propagation_ns
         if self._fault_filter is not None:
-            verdict = self._fault_filter(src, dst, payload, nbytes)
-            if verdict is not None:
-                if verdict.drop:
-                    self.dropped_messages += 1
-                    self._note_fault(t_sent, "drop", src, dst)
-                    return
-                if verdict.extra_delay_ns:
-                    self.delayed_messages += 1
-                    extra_delay += verdict.extra_delay_ns
-                    self._note_fault(
-                        t_sent, "delay", src, dst, {"extra_ns": verdict.extra_delay_ns}
-                    )
-                if verdict.corrupt:
-                    self.corrupted_messages += 1
-                    deliver = self._deliver_corrupt
-                    self._note_fault(t_sent, "corrupt", src, dst)
-                elif verdict.duplicates > 0:
-                    copies = verdict.duplicates
-                    self.duplicated_messages += copies
-                    self._note_fault(t_sent, "duplicate", src, dst, {"copies": copies})
+            verdict = self._judge(src, dst, payload, nbytes, t_sent)
+            if verdict is None:
+                return
+            extra_delay, corrupt, copies = verdict
+            delay += extra_delay
+            if corrupt:
+                deliver = self._deliver_corrupt
+            elif copies:
+                deliver, args = self._deliver_copies, args + (copies,)
+        # The delivery is queued now for the instant serialization plus
+        # propagation ends — the sequence point a drain-time event
+        # firing into a delivery callback would take.
+        sim._push(src_port.egress.reserve(wire_bytes(nbytes)) + delay, deliver, args)
 
-                    def deliver(port, from_, msg, sent, _inner=self._deliver, _n=copies):
-                        _inner(port, from_, msg, sent)
-                        for copy in range(1, _n + 1):
-                            self.sim.call_in(
-                                copy * _DUPLICATE_GAP_NS, _inner, port, from_, msg, sent
-                            )
+    def _judge(
+        self, src: str, dst: str, payload: Any, nbytes: int, t_sent: int
+    ) -> Optional[Tuple[int, bool, int]]:
+        """Consult the fault filter for one wire message and count what
+        it decided: ``None`` if the message is dropped, else ``(extra
+        delay ns, corrupt, duplicate copies)``."""
+        verdict = self._fault_filter(src, dst, payload, nbytes)
+        if verdict is None:
+            return 0, False, 0
+        if verdict.drop:
+            self.dropped_messages += 1
+            self._note_fault(t_sent, "drop", src, dst)
+            return None
+        if verdict.extra_delay_ns:
+            self.delayed_messages += 1
+            self._note_fault(t_sent, "delay", src, dst, {"extra_ns": verdict.extra_delay_ns})
+        corrupt, copies = bool(verdict.corrupt), 0
+        if corrupt:
+            self.corrupted_messages += 1
+            self._note_fault(t_sent, "corrupt", src, dst)
+        elif verdict.duplicates > 0:
+            copies = verdict.duplicates
+            self.duplicated_messages += copies
+            self._note_fault(t_sent, "duplicate", src, dst, {"copies": copies})
+        return verdict.extra_delay_ns, corrupt, copies
 
-        done = src_port.egress.transmit(wire_bytes(nbytes), extra_delay=extra_delay)
-        done.add_callback(lambda _evt: deliver(dst_port, src, payload, t_sent))
+    def _deliver_copies(
+        self, port: Port, src: str, payload: Any, t_sent: int, copies: int
+    ) -> None:
+        """A duplicated message: the original now, then ``copies`` more
+        at the switch's re-serialization spacing."""
+        self._deliver(port, src, payload, t_sent)
+        for copy in range(1, copies + 1):
+            self.sim.call_in(copy * _DUPLICATE_GAP_NS, self._deliver, port, src, payload, t_sent)
 
     # -- shard boundary ----------------------------------------------------
 
@@ -290,37 +301,19 @@ class Fabric:
         src_port.tx_messages += 1
         src_port.tx_bytes += nbytes
         t_sent = self.sim.now
-        # Unlike the local path, propagation is NOT folded into the
-        # egress completion: the message must be emitted at
-        # serialization end — one full lookahead before it delivers —
-        # so the coordinator can route it to the owning shard in time.
-        extra_delay = 0
-        corrupt = False
-        copies = 0
+        extra_delay, corrupt, copies = 0, False, 0
         if self._fault_filter is not None:
-            verdict = self._fault_filter(src, dst, payload, nbytes)
-            if verdict is not None:
-                if verdict.drop:
-                    self.dropped_messages += 1
-                    self._note_fault(t_sent, "drop", src, dst)
-                    return
-                if verdict.extra_delay_ns:
-                    self.delayed_messages += 1
-                    extra_delay += verdict.extra_delay_ns
-                    self._note_fault(
-                        t_sent, "delay", src, dst, {"extra_ns": verdict.extra_delay_ns}
-                    )
-                if verdict.corrupt:
-                    self.corrupted_messages += 1
-                    corrupt = True
-                    self._note_fault(t_sent, "corrupt", src, dst)
-                elif verdict.duplicates > 0:
-                    copies = verdict.duplicates
-                    self.duplicated_messages += copies
-                    self._note_fault(t_sent, "duplicate", src, dst, {"copies": copies})
-        done = src_port.egress.transmit(wire_bytes(nbytes), extra_delay=extra_delay)
-        done.add_callback(
-            lambda _evt: self._emit(src, dst, payload, nbytes, t_sent, corrupt, copies)
+            verdict = self._judge(src, dst, payload, nbytes, t_sent)
+            if verdict is None:
+                return
+            extra_delay, corrupt, copies = verdict
+        # Unlike the local path, propagation is NOT folded into the
+        # queued entry: the message must be emitted at serialization
+        # end — one full lookahead before it delivers — so the
+        # coordinator can route it to the owning shard in time.
+        done = src_port.egress.reserve(wire_bytes(nbytes)) + extra_delay
+        self.sim._push(
+            done, self._emit, (src, dst, payload, nbytes, t_sent, corrupt, copies)
         )
 
     def _emit(

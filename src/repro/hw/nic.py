@@ -64,19 +64,15 @@ __all__ = [
 
 
 SGE_SIZE = 12  # packed (addr: u64, length: u32)
+_SGE = struct.Struct("<QI")
+# Watched rings are indexed by 64 KiB chunk of the address space: a
+# ring of 4,096 rounds spans 16 entries, not the 256 of 4 KiB pages.
+_WATCH_SHIFT = 16
 
 
 def pack_sges(entries: List[Tuple[int, int]]) -> bytes:
     """Pack a scatter/gather list for an SGL-mode WQE."""
-    return b"".join(struct.pack("<QI", addr, length) for addr, length in entries)
-
-
-def _unpack_sges(data: bytes, count: int) -> List[Tuple[int, int]]:
-    out = []
-    for i in range(count):
-        addr, length = struct.unpack_from("<QI", data, i * SGE_SIZE)
-        out.append((addr, length))
-    return out
+    return b"".join(_SGE.pack(addr, length) for addr, length in entries)
 
 
 class AccessFlags:
@@ -129,14 +125,16 @@ class NicParams:
     requester would have retry-exceeded long before."""
 
 
-@dataclass
+@dataclass(slots=True)
 class _WireMsg:
-    """One RC transport message (request or response)."""
+    """One RC transport message (request or response). Built
+    positionally on the hot path: one per message on the wire."""
 
     kind: str  # send | write | write_imm | read | cas | ack | resp
     src_qpn: int
     dst_qpn: int
     seq: int = 0
+    status: int = WC_SUCCESS
     payload: bytes = b""
     addr: int = 0
     length: int = 0
@@ -144,7 +142,6 @@ class _WireMsg:
     compare: int = 0
     swap: int = 0
     imm: Optional[int] = None
-    status: int = WC_SUCCESS
 
 
 @dataclass
@@ -293,7 +290,7 @@ class HwCq:
         return f"<HwCq {self.name} total={self.completions_total} pending={len(self.entries)}>"
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingSend:
     """A launched send-queue WQE awaiting ordered completion."""
 
@@ -303,7 +300,7 @@ class _PendingSend:
     status: int = WC_SUCCESS
     resp_payload: bytes = b""
     # Retransmission state (consulted only on a lossy fabric).
-    msg: Optional["_WireMsg"] = None
+    msg: Optional[_WireMsg] = None
     nbytes: int = 0
     retries: int = 0
 
@@ -440,22 +437,17 @@ class NicQp:
         # descriptors constantly. ``decode_cached`` turns repeat bytes
         # into a dict hit; the returned Wqe is shared and read-only.
         offset = (index % self.send_slots) * WQE_SIZE
-        raw = self.nic.cache.read_view(self.send_ring.addr + offset, WQE_SIZE)
-        return decode_cached(raw)
+        return decode_cached(self.nic.cache.read(self.send_ring.addr + offset, WQE_SIZE))
 
     def _read_recv_wqe(self, index: int) -> Wqe:
         offset = (index % self.recv_slots) * WQE_SIZE
-        raw = self.nic.cache.read_view(self.recv_ring.addr + offset, WQE_SIZE)
-        return decode_cached(raw)
+        return decode_cached(self.nic.cache.read(self.recv_ring.addr + offset, WQE_SIZE))
 
     def _gather(self, wqe: Wqe) -> bytes:
         """Collect a send/write payload, honouring SGL mode."""
         if wqe.flags & FLAG_SGL:
             table = self.nic.cache.read(wqe.local_addr, wqe.length * SGE_SIZE)
-            parts = [
-                self.nic.cache.read(addr, length)
-                for addr, length in _unpack_sges(table, wqe.length)
-            ]
+            parts = [self.nic.cache.read(addr, length) for addr, length in _SGE.iter_unpack(table)]
             return b"".join(parts)
         return self.nic.cache.read(wqe.local_addr, wqe.length)
 
@@ -464,7 +456,7 @@ class NicQp:
         if wqe.flags & FLAG_SGL:
             table = self.nic.cache.read(wqe.local_addr, wqe.length * SGE_SIZE)
             cursor = 0
-            for addr, length in _unpack_sges(table, wqe.length):
+            for addr, length in _SGE.iter_unpack(table):
                 chunk = payload[cursor : cursor + length]
                 if not chunk:
                     break
@@ -613,57 +605,48 @@ class NicQp:
 
     def _launch(self, wqe: Wqe) -> None:
         """Transmit one non-WAIT WQE; completion arrives later in order."""
-        pending = _PendingSend(wqe=wqe, seq=-1)
-        self._pending.append(pending)
-        if wqe.opcode == Opcode.NOP:
+        opcode = wqe.opcode
+        if opcode == Opcode.NOP:
             # Never touches the wire: no sequence number, or the
             # responder's in-order check would see a gap.
-            pending.done = True
+            self._pending.append(_PendingSend(wqe, -1, True))
             self._drain_pending()
             return
         seq = self._next_seq
         self._next_seq += 1
-        pending.seq = seq
+        pending = _PendingSend(wqe, seq)
+        self._pending.append(pending)
         remote_host, remote_qpn = self.remote
-        if wqe.opcode == Opcode.SEND:
+        # _WireMsg fields: kind, src_qpn, dst_qpn, seq, status, payload,
+        # addr, length, rkey, compare, swap, imm.
+        if opcode == Opcode.SEND:
             payload = self._gather(wqe)
-            msg = _WireMsg("send", self.qpn, remote_qpn, seq, payload=payload)
+            msg = _WireMsg("send", self.qpn, remote_qpn, seq, WC_SUCCESS, payload)
             nbytes = len(payload)
-        elif wqe.opcode in (Opcode.WRITE, Opcode.WRITE_IMM):
+        elif opcode == Opcode.WRITE:
             payload = self._gather(wqe)
-            kind = "write_imm" if wqe.opcode == Opcode.WRITE_IMM else "write"
             msg = _WireMsg(
-                kind,
-                self.qpn,
-                remote_qpn,
-                seq,
-                payload=payload,
-                addr=wqe.remote_addr,
-                rkey=wqe.rkey,
-                imm=wqe.imm if wqe.opcode == Opcode.WRITE_IMM else None,
+                "write", self.qpn, remote_qpn, seq, WC_SUCCESS, payload,
+                wqe.remote_addr, 0, wqe.rkey,
             )
             nbytes = len(payload)
-        elif wqe.opcode == Opcode.READ:
+        elif opcode == Opcode.WRITE_IMM:
+            payload = self._gather(wqe)
             msg = _WireMsg(
-                "read",
-                self.qpn,
-                remote_qpn,
-                seq,
-                addr=wqe.remote_addr,
-                length=wqe.length,
-                rkey=wqe.rkey,
+                "write_imm", self.qpn, remote_qpn, seq, WC_SUCCESS, payload,
+                wqe.remote_addr, 0, wqe.rkey, 0, 0, wqe.imm,
+            )
+            nbytes = len(payload)
+        elif opcode == Opcode.READ:
+            msg = _WireMsg(
+                "read", self.qpn, remote_qpn, seq, WC_SUCCESS, b"",
+                wqe.remote_addr, wqe.length, wqe.rkey,
             )
             nbytes = 0
-        elif wqe.opcode == Opcode.CAS:
+        elif opcode == Opcode.CAS:
             msg = _WireMsg(
-                "cas",
-                self.qpn,
-                remote_qpn,
-                seq,
-                addr=wqe.remote_addr,
-                rkey=wqe.rkey,
-                compare=wqe.compare,
-                swap=wqe.swap,
+                "cas", self.qpn, remote_qpn, seq, WC_SUCCESS, b"",
+                wqe.remote_addr, 0, wqe.rkey, wqe.compare, wqe.swap,
             )
             nbytes = 8
         else:
@@ -757,7 +740,8 @@ class NicQp:
         """A message came off the wire for this QP."""
         if self._rx_idle:
             self._rx_idle = False
-            self.nic.sim.call_in(0, self._rx_gate, msg)
+            sim = self.nic.sim
+            sim._push(sim.now, self._rx_gate, (msg,))
         else:
             self.ingress.put(msg)
 
@@ -768,15 +752,19 @@ class NicQp:
         if msg is None:
             self._rx_idle = True
         else:
-            self.nic.sim.call_in(0, self._rx_gate, msg)
+            sim = self.nic.sim
+            sim._push(sim.now, self._rx_gate, (msg,))
 
     def _rx_after(self, delay: int, stage, *args: Any) -> None:
         """Enter ``stage`` once ``delay`` ns of processing have passed:
         a timer entry, and the stage one hop behind it at the time it
         fires — what _exec_fire -> _exec_complete is on the send side.
-        Other work queued for that instant runs in between."""
+        Other work queued for that instant runs in between. The timer
+        entry is the hop's own push (``Simulator._push`` carrying the
+        stage), so the pair costs two dispatches and no closure."""
         sim = self.nic.sim
-        sim.call_in(delay, sim.call_in, 0, stage, *args)
+        at = sim.now + delay
+        sim._push(at, sim._push, (at, stage, args))
 
     def _rx_gate(self, msg: _WireMsg) -> None:
         if self.nic.halted:
@@ -857,7 +845,7 @@ class NicQp:
             self.nic.dma_write(msg.addr, msg.payload)
         status = WC_SUCCESS if ok else WC_REMOTE_ACCESS_ERROR
         if not imm:
-            self._reply(msg, _WireMsg("ack", self.qpn, msg.src_qpn, msg.seq, status=status), 0)
+            self._reply(msg, _WireMsg("ack", self.qpn, msg.src_qpn, msg.seq, status), 0)
         return ok
 
     def _rx_deliver(self, msg: _WireMsg, ok: bool) -> None:
@@ -886,7 +874,7 @@ class NicQp:
                 imm=msg.imm,
             )
         )
-        self._reply(msg, _WireMsg("ack", self.qpn, msg.src_qpn, msg.seq, status=status), 0)
+        self._reply(msg, _WireMsg("ack", self.qpn, msg.src_qpn, msg.seq, status), 0)
         self._rx_next()
 
     def _rx_read(self, msg: _WireMsg) -> None:
@@ -898,7 +886,7 @@ class NicQp:
             # memory (persistence) domain.
             self.nic.cache.flush_all()
             data = self.nic.memory.read(msg.addr, msg.length)
-            reply = _WireMsg("resp", self.qpn, msg.src_qpn, msg.seq, payload=data)
+            reply = _WireMsg("resp", self.qpn, msg.src_qpn, msg.seq, WC_SUCCESS, data)
             self._reply(msg, reply, msg.length)
         else:
             self._reply_denied(msg)
@@ -910,7 +898,7 @@ class NicQp:
             original = self.nic.memory.read(msg.addr, 8)
             if original == msg.compare.to_bytes(8, "little"):
                 self.nic.memory.write(msg.addr, msg.swap.to_bytes(8, "little"))
-            reply = _WireMsg("resp", self.qpn, msg.src_qpn, msg.seq, payload=original)
+            reply = _WireMsg("resp", self.qpn, msg.src_qpn, msg.seq, WC_SUCCESS, original)
             self._reply(msg, reply, 8)
         else:
             self._reply_denied(msg)
@@ -919,7 +907,7 @@ class NicQp:
     def _reply_denied(self, msg: _WireMsg) -> None:
         self._reply(
             msg,
-            _WireMsg("resp", self.qpn, msg.src_qpn, msg.seq, status=WC_REMOTE_ACCESS_ERROR),
+            _WireMsg("resp", self.qpn, msg.src_qpn, msg.seq, WC_REMOTE_ACCESS_ERROR),
             0,
         )
 
@@ -956,7 +944,11 @@ class Rnic:
         self._next_cqn = 1
         self._next_rkey = 0x1000
         self._registrations: Dict[int, _Registration] = {}
-        self._watched_rings: List[Tuple[int, int, NicQp]] = []
+        # Watched rings by chunk: chunk -> [(registration order, ring
+        # start, ring end, qp)], so a DMA write looks only at the rings
+        # that share a chunk with it.
+        self._watched: Dict[int, List[Tuple[int, int, int, NicQp]]] = {}
+        self._next_watch = 0
         self._drain_scheduled = False
         self._hot_qps: "OrderedDict[int, None]" = OrderedDict()
         self.qp_cache_misses = 0
@@ -1008,7 +1000,10 @@ class Rnic:
         change a pre-posted WQE, the stalled engine re-examines it.
         """
         ring = qp.send_ring if which == "send" else qp.recv_ring
-        self._watched_rings.append((ring.addr, ring.end, qp))
+        entry = (self._next_watch, ring.addr, ring.end, qp)
+        self._next_watch += 1
+        for chunk in range(ring.addr >> _WATCH_SHIFT, ((ring.end - 1) >> _WATCH_SHIFT) + 1):
+            self._watched.setdefault(chunk, []).append(entry)
 
     # -- data movement ----------------------------------------------------------------
 
@@ -1043,9 +1038,21 @@ class Rnic:
         self.cache.write(addr, data)
         self._schedule_drain()
         end = addr + len(data)
-        for ring_start, ring_end, qp in self._watched_rings:
-            if addr < ring_end and ring_start < end:
-                qp.kick()
+        first, last = addr >> _WATCH_SHIFT, (end - 1) >> _WATCH_SHIFT
+        if first == last:
+            for _order, ring_start, ring_end, qp in self._watched.get(first, ()):
+                if addr < ring_end and ring_start < end:
+                    qp.kick()
+            return
+        # Several chunks: kick each overlapped ring once, in the order
+        # the rings were watched.
+        hits = {}
+        for chunk in range(first, last + 1):
+            for order, ring_start, ring_end, qp in self._watched.get(chunk, ()):
+                if addr < ring_end and ring_start < end:
+                    hits[order] = qp
+        for order in sorted(hits):
+            hits[order].kick()
 
     def host_write(self, addr: int, data: bytes) -> None:
         """CPU store to a region the NIC may also be caching.

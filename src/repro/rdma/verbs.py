@@ -161,7 +161,8 @@ class QueuePair:
     def post_send_packed(self, raw: bytes, count: int) -> int:
         """Post ``count`` already-serialized WQEs (ownership flags as
         packed: HyperLoop driver only) that lie back to back in the
-        ring — one write, one doorbell. Returns the first slot index."""
+        ring — one write (two where the run wraps the ring), one
+        doorbell. Returns the first slot index."""
         if not self.device.hyperloop:
             raise PermissionError(
                 "deferred ownership requires the modified (hyperloop) driver"
@@ -169,9 +170,13 @@ class QueuePair:
         first = self._send_posted
         if first + count - self.hw.send_consumer > self.send_slots:
             raise RuntimeError(f"send ring overflow on qp{self.qpn}")
-        if first % self.send_slots + count > self.send_slots:
-            raise ValueError("a packed run may not wrap the ring")
-        self.device.nic.host_write(self.send_slot_addr(first), raw)
+        nic = self.device.nic
+        split = (self.send_slots - first % self.send_slots) * WQE_SIZE
+        if split >= len(raw):
+            nic.host_write(self.send_slot_addr(first), raw)
+        else:
+            nic.host_write(self.send_slot_addr(first), raw[:split])
+            nic.host_write(self.send_ring.addr, raw[split:])
         self._send_posted += count
         self.hw.ring_send_doorbell(self._send_posted)
         return first

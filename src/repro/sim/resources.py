@@ -132,10 +132,12 @@ class Store:
 class TokenBucket:
     """A serialization-rate model: bytes per nanosecond with FIFO order.
 
-    ``transmit(nbytes)`` returns an event that fires when the last byte
-    of the message has left, accounting for everything queued ahead of
-    it. This models a link or engine that serializes work at a fixed
-    rate without spawning a process per message.
+    ``reserve(nbytes)`` books the serializer and returns the virtual
+    time the last byte of the message has left, accounting for
+    everything queued ahead of it. This models a link or engine that
+    serializes work at a fixed rate without spawning a process per
+    message; callers schedule what happens at drain time themselves
+    (``Fabric.send`` pushes the delivery straight into the queue).
     """
 
     def __init__(self, sim: Simulator, bytes_per_ns: float, name: str = ""):
@@ -145,24 +147,18 @@ class TokenBucket:
         self.bytes_per_ns = bytes_per_ns
         self.name = name
         self._free_at = 0  # virtual time the serializer becomes idle
-        self._tx_name = name + ".tx"
 
     @property
     def busy_until(self) -> int:
         """Virtual time at which all queued work will have drained."""
         return max(self._free_at, self.sim.now)
 
-    def transmit(self, nbytes: int, extra_delay: int = 0) -> Event:
-        """Serialize ``nbytes``; the event fires at drain time.
-
-        ``extra_delay`` (e.g. propagation latency) is added after
-        serialization and does not occupy the serializer.
-        """
+    def reserve(self, nbytes: int) -> int:
+        """Queue ``nbytes`` behind the work already booked; returns the
+        drain time (when the serializer is done with them)."""
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
-        start = max(self._free_at, self.sim.now)
-        duration = int(round(nbytes / self.bytes_per_ns))
-        self._free_at = start + duration
-        done = Event(self.sim, self._tx_name)
-        self.sim.call_at(self._free_at + extra_delay, done.succeed, None)
-        return done
+        now = self.sim.now
+        start = self._free_at if self._free_at > now else now
+        self._free_at = start + int(round(nbytes / self.bytes_per_ns))
+        return self._free_at

@@ -1,0 +1,119 @@
+"""The live-coordinator oracle: random interleavings of a few
+transactions, checked for serializability (ROADMAP item 1a).
+
+Each case is a schedule drawn from a seeded stream (``case`` names the
+stream, so a case replays bit for bit on any host): three or four
+transactions, each ``begin`` then one to three of read / write /
+insert / scan over four keys, then ``commit`` or ``abort``, merged in a
+random order that keeps every transaction's own order. One client task
+runs the merged schedule against a real two-group ``TxnCoordinator``
+(the ``make``/``drive`` shape of ``tests/unit/test_txn_ssi.py``), so
+the transactions overlap exactly as their steps interleave. What
+committed goes to the offline checker.
+
+Under ``mode="si"`` the driver must find cycles: that is its proof of
+teeth. Under ``mode="ssi"`` no case may end on a cycle. Today some do
+(the committed-reader, read-only and committed-pivot holes that the
+three strict xfails of ``test_txn_ssi.py`` pin), so that test is a
+strict xfail as well; the fix of item 1 deletes the marker.
+"""
+
+import random
+
+import pytest
+
+from repro.bench import run_until
+from repro.hw import Cluster
+from repro.sim import Simulator
+from repro.txn import TxnAborted, build_txn_system, describe_cycle
+
+# Two keys exist from the start; the other two are born by inserts.
+SEEDED = [b"k0", b"k1"]
+KEYS = SEEDED + [b"k2", b"k3"]
+CASES = range(100)
+
+
+def schedule(case):
+    """The merged step list of one case: ``(txn index, step, key)``."""
+    rng = random.Random(f"txn-interleavings/{case}")
+    plans = []
+    for index in range(rng.choice((3, 4))):
+        steps = [(index, "begin", None)]
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.choice(("read", "read", "write", "insert", "scan"))
+            steps.append((index, kind, rng.choice(KEYS)))
+        steps.append((index, "commit" if rng.random() < 0.85 else "abort", None))
+        plans.append(steps)
+    merged = []
+    while plans:
+        steps = rng.choice(plans)
+        merged.append(steps.pop(0))
+        if not steps:
+            plans.remove(steps)
+    return merged
+
+
+def run_case(case, mode):
+    """Run one case; returns the offline checker's verdict on what
+    committed (``"none"`` or the cycle) and the committed count."""
+    sim = Simulator(seed=23)
+    cluster = Cluster(sim, n_hosts=4, n_cores=4)
+    coordinator = build_txn_system(sim, cluster, n_groups=2, mode=mode)
+    done = {}
+
+    def body(task):
+        txn = yield from coordinator.begin(task)
+        for key in SEEDED:
+            coordinator.write(txn, key, b"seed" + key)
+        yield from coordinator.commit(task, txn)
+        txns = {}
+        for index, kind, key in schedule(case):
+            if kind == "begin":
+                txns[index] = yield from coordinator.begin(task)
+                continue
+            txn = txns[index]
+            if txn.status != "active":
+                continue
+            value = b"T%d%s" % (txn.txid, key or b"")
+            try:
+                if kind == "read":
+                    yield from coordinator.read(task, txn, key)
+                elif kind == "write":
+                    coordinator.write(txn, key, value)
+                elif kind == "insert":
+                    store = coordinator.stores[coordinator.locate(key)]
+                    if key in txn.writes or store.version_at(key, txn.snapshot_ts) is None:
+                        coordinator.insert(txn, key, value)
+                    else:  # visible at the snapshot: an insert would be a caller bug
+                        coordinator.write(txn, key, value)
+                elif kind == "scan":
+                    yield from coordinator.scan(task, txn, key, 2)
+                elif kind == "commit":
+                    yield from coordinator.commit(task, txn)
+                else:
+                    coordinator.abort(txn)
+            except TxnAborted:
+                pass
+        done["ok"] = True
+
+    task = cluster[0].os.spawn(body, "client")
+    run_until(sim, lambda: "ok" in done or task.process.triggered, deadline_ms=20_000)
+    if task.process.triggered and not task.process.ok:
+        raise task.process.value
+    return describe_cycle(coordinator.history), len(coordinator.history) - 1
+
+
+def verdicts(mode):
+    """``{case: (cycle or "none", committed)}`` over every case."""
+    return {case: run_case(case, mode) for case in CASES}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: SSI holes S1-S3")
+def test_ssi_commits_no_cycle_on_any_interleaving():
+    cycles = {case: cycle for case, (cycle, _) in verdicts("ssi").items() if cycle != "none"}
+    assert cycles == {}
+
+
+def test_si_interleavings_find_cycles():
+    cycles = [case for case, (cycle, _) in verdicts("si").items() if cycle != "none"]
+    assert cycles

@@ -33,6 +33,7 @@ import pytest
 
 from repro import Cluster, HyperLoopGroup, NaiveGroup, Simulator
 from repro.bench import run_until
+from repro.hw.network import FaultVerdict
 from repro.hw.wqe import _DECODE_CACHE
 from repro.obs import tracing
 from repro.sim.events import Event, Timeout, _Condition
@@ -182,9 +183,11 @@ def test_an_op_leaves_nothing_for_the_collector_however_long_the_run(world_class
 # Before: 10,349 resumes (6,600 of them NicQp._ingress_engine), 13,637
 # event objects, the same 21,829 dispatches. 7,812 event objects while
 # the ack handler built an AnyOf over its CQs' events per wake; it now
-# waits on one completion channel.
+# waits on one completion channel. 7,412 while every fabric message
+# (20 per gWRITE) fired a drain-time Event into its delivery; the
+# delivery is now queued directly.
 RESUMES = 3_749
-EVENT_OBJECTS = 7_412
+EVENT_OBJECTS = 3_412
 DISPATCHES = 21_829
 PINNED_OPS = 200
 
@@ -228,7 +231,42 @@ def test_a_warm_gwrite_costs_the_pinned_resumes_and_allocations():
     # one process.
     assert set(nic_resumes) == {("hw/nic.py", "_send_engine")}
     assert calls["resumes"] == RESUMES  # 18.7 per op, was 51.7
-    assert calls["event objects"] == EVENT_OBJECTS  # 37.1 per op, was 68.2
+    assert calls["event objects"] == EVENT_OBJECTS  # 17.1 per op, was 68.2
+
+
+def test_a_fabric_message_constructs_no_event():
+    """Serialization, propagation and delivery of a wire message are one
+    queue entry, with or without a fault verdict."""
+    sim = Simulator(seed=5)
+    cluster = Cluster(sim, n_hosts=2)
+    fabric = cluster.fabric
+    got = []
+    for port in fabric.ports.values():
+        port.receive = lambda src, payload: got.append(payload)
+    verdicts = iter([None, FaultVerdict(extra_delay_ns=300), FaultVerdict(duplicates=2),
+                     FaultVerdict(corrupt=True), FaultVerdict(drop=True)] * 20)
+    constructors = {cls.__init__.__code__ for cls in (Event, Timeout, _Condition)}
+    constructed = Counter()
+
+    def profiler(frame, event, _arg):
+        if event == "call" and frame.f_code in constructors:
+            constructed["event objects"] += 1
+
+    sys.setprofile(profiler)
+    try:
+        for index in range(100):
+            fabric.send("host0", "host1", index, nbytes=1024)
+            fabric.send("host1", "host1", index, nbytes=64)  # loopback
+        sim.run()
+        fabric.install_fault_filter(lambda *_: next(verdicts))
+        for index in range(100):
+            fabric.send("host0", "host1", index, nbytes=1024)
+        sim.run()
+    finally:
+        sys.setprofile(None)
+    # 200 clean; 80 filtered minus 20 corrupt, plus 2 copies of 20.
+    assert len(got) == 200 + 60 + 40
+    assert constructed["event objects"] == 0
 
 
 def test_a_warm_gwrite_costs_the_same_kernel_dispatches_as_before():

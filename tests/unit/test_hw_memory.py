@@ -2,6 +2,7 @@
 
 import mmap
 import os
+import random
 
 import pytest
 
@@ -222,6 +223,38 @@ class TestWriteCache:
         cache.drop()
         assert mem.read(0, 2) == b"aa"      # flushed: survives
         assert mem.read(1000, 2) == bytes(2)  # volatile: reverted
+
+    def test_flush_range_discards_exactly_the_overlapping_writes(self, mem):
+        """Ranges inside, across, at either edge of and outside the
+        tracked writes — zero-length ones included, which discard a
+        write starting at their address — discard what a walk over
+        every record says they should, flush after flush."""
+        rng = random.Random(7)
+        for _ in range(200):
+            cache = WriteCache(mem)
+            live = []
+            for _ in range(rng.randrange(0, 6)):
+                addr, size = 1000 + rng.randrange(200), rng.randrange(1, 16)
+                cache.write(addr, b"x" * size)
+                live.append((addr, size))
+            for _ in range(3):
+                addr, length = 1000 + rng.randrange(-20, 230), rng.choice([0, 0, 1, 8, 40])
+                hit = [
+                    (a, n) for a, n in live
+                    if (a < addr + length and addr < a + n) or (length == 0 and a == addr)
+                ]
+                live = [entry for entry in live if entry not in hit]
+                assert cache.flush_range(addr, length) == len(hit)
+                assert cache.pending_bytes == sum(n for _, n in live)
+        # Both edges of the tracked writes.
+        cache = WriteCache(mem)
+        cache.write(1000, b"ab")
+        cache.write(1010, b"cd")
+        assert cache.flush_range(1012, 0) == 0
+        assert cache.flush_range(1012, 8) == 0
+        assert cache.flush_range(1000, 0) == 1
+        assert cache.flush_range(990, 11) == 0  # the first is gone already
+        assert cache.flush_range(1011, 1) == 1
 
     def test_capacity_closes_oldest_windows(self, mem):
         cache = WriteCache(mem, capacity=8)

@@ -452,6 +452,28 @@ class TestDeferredOwnershipAndPatching:
         sim.run(until=2 * MS)
         assert qp_a.send_cq.completions_total == 0
 
+    def test_dma_write_kicks_the_watched_rings_it_touches_in_watch_order(self, rig):
+        """However many index chunks a DMA write spans, it kicks each
+        watched ring it overlaps once, in the order the rings were
+        watched, and no ring it misses — not even one sharing its
+        chunk."""
+        sim, a, b, *_ = rig
+        qps = [b.dev.create_qp(name=f"w{index}", send_slots=64) for index in range(3)]
+        for qp in reversed(qps):  # watch order is not address order
+            b.dev.expose_send_ring(qp)
+        kicked = []
+        for qp in qps:
+            qp.hw.kick = lambda qpn=qp.hw.qpn: kicked.append(qpn)
+        rings = [qp.send_ring for qp in qps]
+        b.nic.dma_write(rings[0].addr, bytes(rings[2].end - rings[0].addr))
+        assert kicked == [qps[2].hw.qpn, qps[1].hw.qpn, qps[0].hw.qpn]
+        kicked.clear()
+        b.nic.dma_write(rings[1].addr + 64, b"x" * 8)
+        assert kicked == [qps[1].hw.qpn]
+        kicked.clear()
+        b.nic.dma_write(rings[1].end, b"x" * 8)  # the recv ring right after it
+        assert kicked == []
+
     def test_remote_patch_activates_stalled_wqe(self, rig):
         """End-to-end remote work-request manipulation (Figure 5): a
         remote WRITE into the exposed send ring rewrites a pre-posted,
@@ -726,3 +748,159 @@ EXPECTED_BURST_RECORDS = [
     (11459, "host0", "qp2/rx", "rx.write", 950),
     (15000, "host1", "qp1/rx", "doorbell.recv", 0),
 ]
+
+
+class TestSameTimestampFaultVerdicts:
+    """Three hosts send to a fourth in lockstep through a fault filter,
+    so every delivery instant carries three messages, and the filter
+    drops, delays, corrupts and duplicates requests and replies among
+    them. What runs when is decided by queue order alone. The run must
+    match the one-pop reference loop dispatch for dispatch, and the
+    record below, made at the commit before a fabric message stopped
+    being an egress event: the same dispatch instants, the same NIC,
+    fabric and fault records, the same end state."""
+
+    # Verdicts by filter call: the twelve requests of the burst come
+    # first (four per source, sources in order), replies after them.
+    VERDICTS = {
+        1: dict(drop=True),  # host0's 2nd WRITE: the rest is a gap the responder drops
+        5: dict(extra_delay_ns=8),  # host1's 2nd WRITE lands beside its READ
+        7: dict(corrupt=True),  # host1's WRITE_IMM fails the ICRC check
+        9: dict(duplicates=2),  # host2's WRITE arrives three times
+        13: dict(duplicates=1),
+        14: dict(extra_delay_ns=300),
+        16: dict(drop=True),
+        17: dict(corrupt=True),
+    }
+
+    @classmethod
+    def _run(cls):
+        import hashlib
+
+        from repro.hw.network import FaultVerdict
+        from repro.hw.nic import _WireMsg
+        from repro.obs import tracing
+
+        with tracing() as tracer:
+            sim = Simulator(seed=1)
+            cluster = Cluster(sim, n_hosts=4)
+            dst = cluster[3]
+            buf = dst.memory.alloc(8192, label="buf")
+            mr = dst.dev.reg_mr(buf, AccessFlags.ALL_REMOTE)
+            back = cluster[0].memory.alloc(64, label="back")
+            back_mr = cluster[0].dev.reg_mr(back, AccessFlags.ALL_REMOTE)
+            buf.write(4096, b"from d0!")
+            pairs = []
+            for index in range(3):
+                src_qp = cluster[index].dev.create_qp(name=f"s{index}")
+                dst_qp = dst.dev.create_qp(name=f"d{index}")
+                src_qp.connect(dst_qp)
+                dst_qp.post_recv(
+                    Wqe(local_addr=buf.addr + 6144 + 64 * index, length=64, wr_id=index)
+                )
+                pairs.append((src_qp.hw.qpn, dst_qp))
+            sim.run(until=5 * US)
+            calls = []
+
+            def filter_(src, to, msg, nbytes):
+                calls.append((sim.now, src, to, msg.kind, msg.seq))
+                verdict = cls.VERDICTS.get(len(calls) - 1)
+                return FaultVerdict(**verdict) if verdict else None
+
+            cluster.fabric.install_fault_filter(filter_)
+            steps = [
+                [("write", 8), ("write", 8), ("read", 0), ("send", 8)],
+                [("write", 8), ("write", 8), ("read", 0), ("write_imm", 8)],
+                [("cas", 8), ("write", 8), ("read", 0), ("send", 8)],
+            ]
+
+            def burst():
+                for index, (src_qpn, dst_qp) in enumerate(pairs):
+                    for seq, (kind, nbytes) in enumerate(steps[index]):
+                        addr = buf.addr + 512 * index + 16 * seq
+                        payload = b"%d%d" % (index, seq) * (nbytes // 2)
+                        msg = _WireMsg(
+                            kind, src_qpn, dst_qp.hw.qpn, seq, payload=payload,
+                            addr=addr, rkey=mr.rkey, length=64 if kind == "read" else 0,
+                            swap=7, imm=index if kind == "write_imm" else None,
+                        )
+                        cluster.fabric.send(f"host{index}", "host3", msg, nbytes)
+                # The destination NIC has work of its own on the wire.
+                pairs[0][1].post_send(
+                    Wqe(opcode=Opcode.WRITE, flags=FLAG_SIGNALED, length=8,
+                        local_addr=buf.addr + 4096, remote_addr=back.addr,
+                        rkey=back_mr.rkey, wr_id=77)
+                )
+
+            sim.call_at(10 * US, burst)
+            sim.run(until=40 * US)
+            kernel = [(r.ts, r.name, r.tid) for r in tracer.iter_records() if r.cat == "kernel"]
+            records = [
+                (r.ts, r.cat, r.pid, r.tid, r.name, r.dur)
+                for r in tracer.iter_records()
+                if r.cat != "kernel"
+            ]
+            fabric = cluster.fabric
+            state = {
+                "dispatches": tracer.dispatches,
+                "filter_calls": len(calls),
+                "faults": (
+                    fabric.dropped_messages, fabric.delayed_messages,
+                    fabric.corrupted_messages, fabric.duplicated_messages,
+                ),
+                "rx_messages": [port.rx_messages for port in fabric.ports.values()],
+                "counters": {
+                    name: value for name, value in sorted(tracer.counters.items())
+                    if name.startswith(("nic.rx_", "fault.", "fabric."))
+                },
+                "recv_cqes": [
+                    [(c.wr_id, c.opcode, c.status, c.imm) for c in qp.recv_cq.poll()]
+                    for _, qp in pairs
+                ],
+                "send_cqes_d0": [(c.wr_id, c.status) for c in pairs[0][1].send_cq.poll()],
+                "landed": hashlib.sha256(dst.nic.cache.read(buf.addr, 8192)).hexdigest()[:16],
+                "at_host0": back.read(0, 8),
+            }
+        digest = hashlib.sha256(
+            repr(([ts for ts, _, _ in kernel], records, calls)).encode()
+        ).hexdigest()
+        return kernel, records, calls, state, digest
+
+    def test_matches_the_one_pop_reference(self, monkeypatch):
+        from tests.reference.one_pop import run_one_pop
+
+        batched = self._run()
+        monkeypatch.setattr(Simulator, "run", run_one_pop)
+        assert self._run() == batched
+
+    def test_matches_the_recorded_run(self):
+        kernel, records, calls, state, digest = self._run()
+        assert state == EXPECTED_VERDICT_STATE
+        assert digest == EXPECTED_VERDICT_DIGEST, (calls, records)
+
+
+# Recorded at the parent commit (90 dispatches, 47 records, 24 filter
+# calls); the digest covers the dispatch instants, every non-kernel
+# record and the filter's call log.
+EXPECTED_VERDICT_STATE = {
+    "dispatches": 90,
+    "filter_calls": 24,
+    "faults": (2, 2, 2, 3),
+    "rx_messages": [3, 2, 5, 13],
+    "counters": {
+        "fabric.deliveries": 23,
+        "fault.fabric.corrupt": 2,
+        "fault.fabric.delay": 2,
+        "fault.fabric.drop": 2,
+        "fault.fabric.duplicate": 2,
+        "fault.fabric.icrc_drops": 2,
+        "nic.rx_duplicates": 2,
+        "nic.rx_messages": 9,
+        "nic.rx_out_of_order": 2,
+    },
+    "recv_cqes": [[], [], [(2, Opcode.SEND, 0, None)]],
+    "send_cqes_d0": [(77, 0)],
+    "landed": "1db7bfd751d876bb",
+    "at_host0": b"from d0!",
+}
+EXPECTED_VERDICT_DIGEST = "4538c66d14f258cf0da1b7611e81b5abd1a2dee4273ca3797b003316fa6b4bec"

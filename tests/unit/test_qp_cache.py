@@ -1,5 +1,7 @@
 """Unit tests for the on-NIC QP context (ICM) cache model."""
 
+import random
+
 import pytest
 
 from repro.hw import Cluster, NicParams
@@ -62,3 +64,25 @@ class TestQpContextCache:
             for qpn in range(8):  # round-robin over 2x the cache
                 nic.qp_context_penalty(qpn)
         assert nic.qp_cache_misses == 40  # every single touch missed
+
+    @pytest.mark.parametrize("entries", [0, 1, 2, 4])
+    def test_answers_like_a_plain_lru_list(self, entries):
+        """Runs of one QP, evictions and crashes that drop every
+        context: each touch pays exactly what a plain LRU list says it
+        should."""
+        nic = make_nic(entries=entries)
+        rng = random.Random(entries)
+        lru = []
+        for _ in range(400):
+            if rng.random() < 0.02:
+                nic.crash()
+                nic.restart()
+                lru.clear()
+                continue
+            qpn = rng.choice([1, 1, 1, 2, 3, 4, 5])
+            expected = 0 if qpn in lru else nic.params.qp_cache_miss_ns
+            if qpn in lru:
+                lru.remove(qpn)
+            lru.append(qpn)
+            del lru[: max(0, len(lru) - entries)]
+            assert nic.qp_context_penalty(qpn) == expected

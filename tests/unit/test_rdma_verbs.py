@@ -89,6 +89,25 @@ class TestQueuePair:
         sim.run(until=2 * MS)
         assert qp_a.send_cq.completions_total == 8
 
+    def test_packed_run_wraps_the_ring_like_a_batch(self, rig):
+        """A packed run that crosses the ring's end lands in the same
+        slots, with the same one doorbell, as the same WQEs posted as a
+        batch."""
+        sim, a, b = rig
+        qps = [a.dev.create_qp(send_slots=4, name=f"q{i}") for i in range(2)]
+        wqes = [Wqe(opcode=Opcode.NOP, wr_id=index) for index in range(3)]
+        for qp in qps:
+            qp.advance_send_producer(3)  # an empty lap: the next run starts at slot 3
+            qp.hw.send_consumer = 3
+        qps[0].post_send_batch(wqes)
+        qps[1].post_send_packed(b"".join(w.pack() for w in wqes), len(wqes))
+        rings = [a.memory.read(qp.send_ring.addr, 4 * WQE_SIZE) for qp in qps]
+        assert rings[0] == rings[1]
+        assert [Wqe.unpack(rings[1][i * 64 : i * 64 + 64]).wr_id for i in (3, 0, 1)] == [0, 1, 2]
+        assert [qp.hw.send_producer for qp in qps] == [6, 6]
+        with pytest.raises(RuntimeError, match="overflow"):
+            qps[1].post_send_packed(bytes(2 * WQE_SIZE), 2)
+
     def test_advance_beyond_capacity_rejected(self, rig):
         sim, a, b = rig
         qp = a.dev.create_qp(send_slots=4, name="q")

@@ -141,64 +141,46 @@ class TestTokenBucket:
     def test_single_message_serialization_time(self):
         sim = Simulator()
         link = TokenBucket(sim, bytes_per_ns=1.0)  # 1 byte/ns = 8 Gbps
-
-        def proc():
-            yield link.transmit(1000)
-            return sim.now
-
-        assert sim.run_process(proc()) == 1000
+        done_times = []
+        sim.call_at(link.reserve(1000), lambda: done_times.append(sim.now))
+        sim.run()
+        assert done_times == [1000]
 
     def test_messages_queue_behind_each_other(self):
         sim = Simulator()
         link = TokenBucket(sim, bytes_per_ns=1.0)
-        done_times = []
-
-        def proc():
-            first = link.transmit(1000)
-            second = link.transmit(500)
-            yield first
-            done_times.append(sim.now)
-            yield second
-            done_times.append(sim.now)
-
-        sim.run_process(proc())
-        assert done_times == [1000, 1500]
+        assert link.reserve(1000) == 1000
+        assert link.reserve(500) == 1500
+        assert link.busy_until == 1500
 
     def test_extra_delay_does_not_occupy_serializer(self):
         sim = Simulator()
         link = TokenBucket(sim, bytes_per_ns=1.0)
         done_times = {}
 
-        def proc():
-            first = link.transmit(100, extra_delay=1000)
-            second = link.transmit(100)
-            yield second
-            done_times["second"] = sim.now
-            yield first
-            done_times["first"] = sim.now
+        def land(name):
+            done_times[name] = sim.now
 
-        sim.run_process(proc())
+        sim.call_at(link.reserve(100) + 1000, land, "first")
+        sim.call_at(link.reserve(100), land, "second")
+        sim.run()
         # Second finishes serializing at 200; first lands at 100+1000.
         assert done_times == {"second": 200, "first": 1100}
+        assert list(done_times) == ["second", "first"]
 
     def test_idle_gap_resets_start_time(self):
         sim = Simulator()
         link = TokenBucket(sim, bytes_per_ns=2.0)
-
-        def proc():
-            yield link.transmit(200)  # done at 100
-            yield sim.timeout(400)  # now = 500
-            yield link.transmit(200)  # done at 600
-            return sim.now
-
-        assert sim.run_process(proc()) == 600
+        assert link.reserve(200) == 100
+        sim.call_at(500, lambda: None)
+        sim.run()  # now = 500, the serializer idle since 100
+        assert link.reserve(200) == 600
 
     def test_zero_bytes_completes_immediately(self):
         sim = Simulator()
         link = TokenBucket(sim, bytes_per_ns=1.0)
+        assert link.reserve(0) == 0
 
-        def proc():
-            yield link.transmit(0)
-            return sim.now
-
-        assert sim.run_process(proc()) == 0
+    def test_negative_bytes_rejected(self):
+        with pytest.raises(ValueError):
+            TokenBucket(Simulator(), bytes_per_ns=1.0).reserve(-1)
