@@ -271,7 +271,8 @@ class HyperLoopGroup:
         return posted
 
     def read_backlog(self, replica: int) -> int:
-        """Read batches holding or queued on ``replica``'s channel."""
+        """Read batches in flight on ``replica``'s channel plus those
+        queued for a lane of it."""
         return self._reader.backlog(replica)
 
     def gwrite(self, task: Task, offset: int, size: int) -> Generator:

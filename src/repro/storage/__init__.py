@@ -8,7 +8,6 @@ from .log import ReplicatedLog
 from .mongo import MongoClient, MongoServer, split_mongo
 from .recovery import ChainRepair, HeartbeatMonitor
 from .transactions import TransactionManager
-from .sharding import ShardedStore
 from .twophase import TwoPhaseCoordinator
 from .wal import LogEntry, LogRecord, RegionLayout, scan_records
 

@@ -4,9 +4,10 @@ Replicated data stays readable while sites fail, but only from copies
 known to be current. The classic Available-Copies discipline (per the
 RepCRec exemplars) is implemented against this repo's failure
 machinery. Any eligible copy may serve a read, so a read goes to the
-eligible replica whose read channel has the smallest backlog (holder
-plus queued batches), ties to the lowest index: concurrent readers
-spread over every copy, and a lone reader still reads replica 0.
+eligible replica whose read channel has the smallest backlog (batches
+in flight on its lanes plus batches queued for one), ties to the
+lowest index: concurrent readers spread over every copy, and a lone
+reader still reads replica 0.
 
 * A **crashed or NIC-halted** replica serves nothing — reads go to
   the surviving replicas.

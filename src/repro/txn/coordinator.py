@@ -482,9 +482,9 @@ class TxnCoordinator:
         the replica that served each group, and the decoded slot (or
         ``None``) of each key."""
         groups = sorted(wanted)
-        # Every group's replica is chosen before any channel is taken:
+        # Every group's replica is chosen before any lane is taken:
         # choosing may block for the whole Available-Copies bound, and
-        # must not do so holding a channel other readers queue on.
+        # must not do so holding a lane other readers may queue for.
         replicas: Dict[int, int] = {}
         try:
             for index in groups:
@@ -493,12 +493,13 @@ class TxnCoordinator:
             self._abort(txn, "unavailable")
             raise TxnAborted(txn.txid, "unavailable", str(exc)) from None
         # Post each group's batch, then wait for all: the round trips
-        # overlap. This task holds several read channels at once, so it
-        # takes them in ascending group order — the order commit takes
-        # group locks in — or two scanners could each hold the channel
-        # the other is queued on. It takes one channel per group, any
-        # replica's: every wait-for edge still points to a higher group
-        # index, so no cycle can form.
+        # overlap. This task holds a read lane of several channels at
+        # once, so it takes them in ascending group order — the order
+        # commit takes group locks in. A batch queues only once every
+        # lane of its replica is held, and then two scanners could each
+        # hold the last lane the other is queued for. It takes one lane
+        # per group, of any replica's channel: every wait-for edge still
+        # points to a higher group index, so no cycle can form.
         durable: Dict[bytes, Optional[tuple]] = {}
         posted: List[DurableReads] = []
         try:
@@ -511,7 +512,7 @@ class TxnCoordinator:
                 durable.update((yield from reads.wait(task)))
         finally:
             # Whatever ended the scan early — an error completion, a
-            # reclaimed zombie's close() — gives every channel back.
+            # reclaimed zombie's close() — gives every lane back.
             for reads in posted:
                 reads.abandon()
         return replicas, durable

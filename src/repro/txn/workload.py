@@ -142,8 +142,8 @@ def build_txn_system(
 ) -> TxnCoordinator:
     """Groups + versioned stores + coordinator on an existing cluster.
 
-    All groups share the same replica hosts (partitions-per-server, as
-    the sharding layer does); pass ``replica_hosts`` to override.
+    All groups share the same replica hosts (partitions-per-server,
+    §2.2); pass ``replica_hosts`` to override.
     """
     hosts = replica_hosts if replica_hosts is not None else cluster.hosts[1:4]
     stores = []

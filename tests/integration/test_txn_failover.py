@@ -374,6 +374,6 @@ class TestResetMidScan:
         assert drive(sim, cluster, read_both) == [b"\x01" * 8] * 2
         for reader in readers:
             for channel in reader._channels:
-                assert channel.lock.in_use == 0 and channel.lock.queue_length == 0
+                assert channel.slots.in_use == 0 and channel.slots.queue_length == 0
         assert check_read_your_writes(coordinator).ok
         assert check_no_serialization_anomaly(coordinator).ok

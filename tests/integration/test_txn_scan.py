@@ -1,9 +1,9 @@
 """Integration tests: a scan's batched cross-check reads.
 
-``TxnCoordinator.scan`` posts one READ batch per group — holding
-several replicas' read channels at once — and waits for all of them.
-Whatever ends a scan early must give every channel back, and two
-scanners must never each hold the channel the other queues on.
+``TxnCoordinator.scan`` posts one READ batch per group — holding a lane
+of several replicas' read channels at once — and waits for all of them.
+Whatever ends a scan early must give every lane back, and two scanners
+must never each hold the last lane the other queues on.
 """
 
 import pytest
@@ -11,6 +11,7 @@ import pytest
 from repro.bench import run_until
 from repro.hw import Cluster
 from repro.obs import tracing
+from repro.rdma.reader import _LANES
 from repro.sim import Simulator
 from repro.txn import TxnAborted, build_txn_system
 
@@ -78,7 +79,7 @@ def assert_channels_free_and_every_group_readable(sim, cluster, coordinator):
     assert values == [by_group[group][1] for group in range(N_GROUPS)]
     for index in range(N_GROUPS):
         for channel in channels(coordinator, index):
-            assert channel.lock.in_use == 0 and channel.lock.queue_length == 0
+            assert channel.slots.in_use == 0 and channel.slots.queue_length == 0
             assert channel.qp.send_cq.entries == []
             assert channel.qp.send_cq.completions_total == channel.qp.send_posted
 
@@ -135,7 +136,7 @@ class TestExitPaths:
             mr.rkey = good_rkey
             # Groups 2 and 3 were posted and never collected.
             return [
-                channels(coordinator, index)[0].lock.in_use for index in range(N_GROUPS)
+                channels(coordinator, index)[0].slots.in_use for index in range(N_GROUPS)
             ]
 
         assert drive(sim, cluster, body) == [0, 0, 0, 0]
@@ -145,15 +146,16 @@ class TestExitPaths:
     def test_close_while_queued_on_the_second_groups_channel(self):
         sim, cluster, coordinator = make()
         group_one = coordinator.stores[1].group
-        lock_one = channels(coordinator, 1)[0].lock
+        slots_one = channels(coordinator, 1)[0].slots
         seen = {}
 
         def holder(task):
-            # Every replica's channel: the scan has no idle copy to
-            # read instead, and queues on replica 0's.
+            # Every lane of every replica's channel: the scan has no
+            # idle copy to read instead, and queues on replica 0's.
             posted = []
             for replica in range(group_one.group_size):
-                posted.append((yield from group_one.post_reads(task, replica, [(0, 8)])))
+                for _ in range(_LANES):
+                    posted.append((yield from group_one.post_reads(task, replica, [(0, 8)])))
             yield from task.sleep(40_000)
             for reads in posted:
                 yield from reads.wait(task)
@@ -166,11 +168,11 @@ class TestExitPaths:
 
         cluster[0].os.spawn(holder, "holder")
         zombie = cluster[0].os.spawn(scanner, "scanner")
-        run_until(sim, lambda: lock_one.queue_length == 1, deadline_ms=1, chunk_ms=0.0005)
+        run_until(sim, lambda: slots_one.queue_length == 1, deadline_ms=1, chunk_ms=0.0005)
         # Parked on group 1's channel, holding group 0's.
-        assert channels(coordinator, 0)[0].lock.in_use == 1
+        assert channels(coordinator, 0)[0].slots.in_use == 1
         zombie.process.generator.close()
-        assert channels(coordinator, 0)[0].lock.in_use == 0
+        assert channels(coordinator, 0)[0].slots.in_use == 0
         run_until(sim, lambda: "held" in seen, deadline_ms=10)
         assert recorded(coordinator, seen["txn"]) == NOTHING
         coordinator.abort(seen["txn"])
@@ -192,7 +194,7 @@ class TestExitPaths:
             deadline_ms=1,
             chunk_ms=0.0001,
         )
-        held = [channels(coordinator, index)[0].lock.in_use for index in range(N_GROUPS)]
+        held = [channels(coordinator, index)[0].slots.in_use for index in range(N_GROUPS)]
         assert held == [1, 1, 1, 1]  # every group's batch is in flight
         zombie.process.generator.close()
         assert recorded(coordinator, seen["txn"]) == NOTHING

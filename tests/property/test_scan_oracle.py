@@ -239,7 +239,8 @@ def test_scans_match_brute_force_snapshot_oracle(schedule):
 def test_scan_larger_than_one_read_batch_matches_the_oracle():
     """One group, so the whole scan is one channel's batch: 40 slots in
     one run (a single READ), then 40 scattered slots — more extents
-    than the reader's send ring holds, posted as two sub-batches."""
+    than a lane's share of the send ring (8) holds, posted as five
+    sub-batches."""
     sim = Simulator(seed=23)
     cluster = Cluster(sim, n_hosts=4, n_cores=4)
     coordinator = build_txn_system(sim, cluster, n_groups=1, region_size=1 << 17)
@@ -267,7 +268,7 @@ def test_scan_larger_than_one_read_batch_matches_the_oracle():
     assert [len(rows) for rows in got] == [40, 80]
     assert tracer.counters["txn.scan_reads"] == 40 + 40
     assert tracer.counters["reader.wqes"] == 1 + 40
-    assert tracer.counters["reader.batches"] == 1 + 2
+    assert tracer.counters["reader.batches"] == 1 + 5
     scanned = [o for o in txn.observations if o["kind"] == "scan"]
     assert len(scanned) == 80 and not any(o["stale"] for o in scanned)
 

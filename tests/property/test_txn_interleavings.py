@@ -16,7 +16,14 @@ teeth. Under ``mode="ssi"`` no case may end on a cycle. Today some do
 (the committed-reader, read-only and committed-pivot holes that the
 three strict xfails of ``test_txn_ssi.py`` pin), so that test is a
 strict xfail as well; the fix of item 1 deletes the marker.
+
+All 200 verdicts — per mode and case, the cycle or ``"none"`` and the
+committed count — are pinned below. A change that only moves the
+schedule (a perf change on the txn path) must leave every one as it
+is; the fix of item 1 changes the SSI pin on purpose.
 """
+
+import functools
 
 import random
 
@@ -31,6 +38,32 @@ from repro.txn import TxnAborted, build_txn_system, describe_cycle
 SEEDED = [b"k0", b"k1"]
 KEYS = SEEDED + [b"k2", b"k3"]
 CASES = range(100)
+
+# Case -> committed transactions, one digit per case, and the cases
+# that end on a cycle.
+PINNED = {
+    "ssi": (
+        "1221222223223223232333432333331133233323222132232432"
+        "433323332142323334343212332223233222112233234432",
+        {
+            16: "T2 -rw-> T3 -rw-> T2",
+            19: "T2 -rw-> T4 -rw-> T2",
+            77: "T2 -rw-> T5 -rw-> T2",
+        },
+    ),
+    "si": (
+        "1221222224223223232333432433331233233323222132232432"
+        "433323332142323334343222332224233222113233234433",
+        {
+            9: "T5 -rw-> T4 -rw-> T5",
+            16: "T2 -rw-> T3 -rw-> T2",
+            19: "T2 -rw-> T4 -rw-> T2",
+            31: "T2 -rw-> T4 -rw-> T2",
+            74: "T2 -rw-> T4 -rw-> T2",
+            77: "T2 -rw-> T5 -rw-> T2",
+        },
+    ),
+}
 
 
 def schedule(case):
@@ -103,9 +136,20 @@ def run_case(case, mode):
     return describe_cycle(coordinator.history), len(coordinator.history) - 1
 
 
+@functools.lru_cache(maxsize=None)
 def verdicts(mode):
-    """``{case: (cycle or "none", committed)}`` over every case."""
+    """``{case: (cycle or "none", committed)}`` over every case (run
+    once per mode and shared by the tests below)."""
     return {case: run_case(case, mode) for case in CASES}
+
+
+@pytest.mark.parametrize("mode", ["ssi", "si"])
+def test_every_verdict_matches_the_pin(mode):
+    committed, cycles = PINNED[mode]
+    pinned = {
+        case: (cycles.get(case, "none"), int(committed[case])) for case in CASES
+    }
+    assert verdicts(mode) == pinned
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: SSI holes S1-S3")

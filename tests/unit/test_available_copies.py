@@ -1,15 +1,16 @@
 """The Available-Copies replica choice: least busy, never ineligible.
 
 ``AvailabilityTracker.choose`` answers the eligible replica whose read
-channel has the smallest backlog — the batch holding it plus the ones
-queued behind — with ties to the lowest index, so an idle group reads
-replica 0. Eligibility is not negotiable: a crashed host, a halted NIC,
+channel has the smallest backlog — the batches holding its lanes plus
+the ones queued for a lane — with ties to the lowest index, so an idle
+group reads replica 0. Eligibility is not negotiable: a crashed host, a halted NIC,
 a replica restarted and not yet rewritten, or a group paused mid-repair
 serves nothing, however idle its channel. ``failovers`` counts the reads
 replica 0 was ineligible for, not every read another replica served.
 
-A one-group world holds channels with ``post_reads`` tickets and asks
-the tracker directly.
+A one-group world holds lanes with ``post_reads`` tickets and asks the
+tracker directly. A batch queues only once every lane of its replica is
+held.
 """
 
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from repro.bench import run_until
 from repro.core import HyperLoopGroup
 from repro.hw import Cluster
+from repro.rdma.reader import _LANES
 from repro.sim import Simulator
 from repro.storage.transactions import TransactionManager
 from repro.txn import (
@@ -27,6 +29,7 @@ from repro.txn import (
 )
 
 EXTENT = [(0, 8)]
+EVERY_LANE = (0, 1, 2) * _LANES
 
 
 class World:
@@ -55,8 +58,8 @@ class World:
     def host(self, replica):
         return self.cluster[replica + 1]
 
-    def lock(self, replica):
-        return self.group._reader._channels[replica].lock
+    def slots(self, replica):
+        return self.group._reader._channels[replica].slots
 
     def run(self, body):
         done = {}
@@ -71,9 +74,10 @@ class World:
         return done["r"]
 
     def choose_while(self, held=(), queued=()):
-        """``tracker.choose`` while the chooser holds the channels of
-        ``held`` and one more task per entry of ``queued`` waits on that
-        replica's. Returns the replica, or the :class:`NoAvailableCopy`
+        """``tracker.choose`` while the chooser holds one lane per entry
+        of ``held`` and one more task per entry of ``queued`` waits for a
+        lane of that replica (so each of those replicas must have every
+        lane held). Returns the replica, or the :class:`NoAvailableCopy`
         raised."""
         group = self.group
 
@@ -98,7 +102,7 @@ class World:
             ]
             for _ in range(100):  # until every taker is parked
                 now = [
-                    (self.lock(replica).in_use, self.lock(replica).queue_length)
+                    (self.slots(replica).in_use, self.slots(replica).queue_length)
                     for replica in range(group.group_size)
                 ]
                 if now == backlog:
@@ -118,7 +122,7 @@ class World:
             self.sim, lambda: all(t.process.triggered for t in takers), deadline_ms=100
         )
         for replica in range(group.group_size):
-            assert self.lock(replica).in_use == 0
+            assert self.slots(replica).in_use == 0
         return chosen
 
 
@@ -135,10 +139,18 @@ def test_an_idle_group_reads_replica_zero():
         ((0,), (), 1),
         ((0, 1), (), 2),
         ((0, 1, 2), (), 0),  # a three-way tie goes to the lowest index
-        ((0, 1, 2), (0, 2), 1),
-        ((0, 1, 2), (0, 0, 1), 2),
+        (EVERY_LANE, (0, 2), 1),
+        (EVERY_LANE, (0, 0, 1), 2),
+        ((0, 0, 1), (), 2),  # two lanes of replica 0 are a backlog of 2
     ],
-    ids=["0-held", "0-1-held", "all-held", "all-held-1-least-queued", "all-held-2-least-queued"],
+    ids=[
+        "0-held",
+        "0-1-held",
+        "all-held",
+        "all-held-1-least-queued",
+        "all-held-2-least-queued",
+        "two-lanes-of-0-held",
+    ],
 )
 def test_the_least_busy_channel_serves(held, queued, expected):
     world = World()

@@ -5,7 +5,8 @@ import pytest
 from repro.bench import run_until
 from repro.hw import AccessFlags, Cluster
 from repro.obs import tracing
-from repro.rdma.reader import RemoteReader
+from repro.hw.network import FaultVerdict
+from repro.rdma.reader import _LANES, RemoteReader
 from repro.rdma.rpc import RpcServer
 from repro.sim import MS, Simulator, US
 from tests.host_deadline import host_deadline
@@ -239,8 +240,8 @@ class TestRemoteReader:
 
 
 class TestReadBatches:
-    """preadv: one channel hold, one doorbell, one wait per batch — and
-    a channel that always comes back."""
+    """preadv: one lane, one doorbell, one wait per batch — and a lane
+    that always comes back."""
 
     _rig = TestRemoteReader._rig
 
@@ -302,9 +303,9 @@ class TestReadBatches:
     @pytest.mark.parametrize(
         "count, size, stride, batches",
         [
-            (40, 64, 128, 2),  # 32 send slots: 32 + 8
-            (9, 8192, 8192 + 64, 2),  # 64 KiB bounce buffer: 8 + 1
-            (20, 8192, 8192, 3),  # adjacent, but still only 8 per buffer
+            (40, 64, 128, 5),  # a lane's share of 32 send slots is 8
+            (9, 8192, 8192 + 64, 5),  # 16 KiB lane: 2 + 2 + 2 + 2 + 1
+            (20, 8192, 8192, 10),  # adjacent, but still only 2 per lane
         ],
     )
     def test_batch_beyond_ring_or_buffer_goes_out_in_sub_batches(
@@ -372,54 +373,282 @@ class TestReadBatches:
         assert reader._channels[0].qp.send_cq.entries == []
 
     def test_close_while_queued_for_the_channel_passes_it_on(self):
+        """A batch queues only once every lane of its replica is held;
+        closed while queued, it passes on the lane it would have got."""
         sim, cluster, client, replicas, mrs, reader = self._rig()
         mrs[0].region.write(0, b"data")
-        lock = reader._channels[0].lock
+        slots = reader._channels[0].slots
         done = {}
 
         def holder(task):
-            posted = yield from reader.post(task, 0, [(0, 4)])
+            tickets = []
+            for _ in range(_LANES):
+                tickets.append((yield from reader.post(task, 0, [(0, 4)])))
             yield from task.sleep(20_000)
-            done["holder"] = yield from posted.wait(task)
+            data = []
+            for ticket in tickets:
+                data.append((yield from ticket.wait(task)))
+            done["holder"] = data
 
         def queued(task):
             yield from reader.pread(task, 0, 0, 4)
 
         client.os.spawn(holder, "holder")
         waiter = client.os.spawn(queued, "queued")
-        run_until(sim, lambda: lock.queue_length == 1, deadline_ms=1, chunk_ms=0.0001)
+        run_until(sim, lambda: slots.queue_length == 1, deadline_ms=1, chunk_ms=0.0001)
+        assert slots.in_use == _LANES
         waiter.process.generator.close()
         run_until(sim, lambda: "holder" in done, deadline_ms=100)
-        assert lock.in_use == 0 and lock.queue_length == 0
+        assert done["holder"] == [[b"data"]] * _LANES
+        assert slots.in_use == 0 and slots.queue_length == 0
         assert self._run(sim, client, lambda task: reader.pread(task, 0, 0, 4)) == b"data"
 
-    def test_abandoned_batch_is_waited_out_by_the_next_holder(self):
-        """Abandon a full ring of READs right after posting them: the
-        next batch must neither overflow the ring nor read stragglers'
-        bytes."""
-        sim, cluster, client, replicas, mrs, reader = self._rig(region_size=1 << 14)
-        for index in range(64):
+    def _share_rig(self):
+        """A 16 KiB region of 128 distinct 64-byte records 128 bytes
+        apart; ``extents(b)`` is batch ``b``: one full ring share of
+        them, one READ each."""
+        rig = self._rig(region_size=1 << 14)
+        mrs, reader = rig[4], rig[5]
+        for index in range(128):
             mrs[0].region.write(index * 128, self._pattern(index, 64))
-        qp = reader._channels[0].qp
+        share = reader._channels[0].qp.send_slots // _LANES
+
+        def extents(batch):
+            return [(index * 128, 64) for index in range(batch * share, (batch + 1) * share)]
+
+        def expected(batch):
+            return [self._pattern(index, 64) for index in range(batch * share, (batch + 1) * share)]
+
+        return rig, share, extents, expected
+
+    def test_abandoned_batch_is_waited_out_by_the_next_holder(self):
+        """Abandon a lane's full ring share of READs while the client NIC
+        is stalled, then post a batch on every lane at once. The other
+        lanes post without waiting; the abandoned lane's next holder
+        waits for its stragglers to land — posting beside them would
+        overflow the ring — and no batch reads another's bytes."""
+        (sim, cluster, client, replicas, mrs, reader), share, extents, expected = (
+            self._share_rig()
+        )
+        channel = reader._channels[0]
+        cq = channel.qp.send_cq
 
         def body(task):
-            posted = yield from reader.post(
-                task, 0, [(index * 128, 64) for index in range(32)]
-            )
+            client.nic.stall()
+            sim.call_in(20_000, client.nic.resume)
+            posted = yield from reader.post(task, 0, extents(0))
+            assert posted._lane is channel.lanes[0]
             posted.abandon()
             posted.abandon()  # idempotent
             with pytest.raises(RuntimeError):
                 yield from posted.wait(task)
-            return (
-                yield from reader.preadv(
-                    task, 0, [(index * 128, 64) for index in range(32, 64)]
-                )
-            )
+            tickets, landed_at_post = [], []
+            for batch in range(1, _LANES + 1):
+                tickets.append((yield from reader.post(task, 0, extents(batch))))
+                landed_at_post.append(cq.completions_total)
+            lanes = [channel.lanes.index(ticket._lane) for ticket in tickets]
+            data = []
+            for ticket in tickets:
+                data.append((yield from ticket.wait(task)))
+            return lanes, landed_at_post, data
 
-        data = self._run(sim, client, body)
-        assert data == [self._pattern(index, 64) for index in range(32, 64)]
-        assert qp.send_cq.entries == [] and qp.send_cq.completions_total == 64
-        assert reader._channels[0].lock.in_use == 0
+        lanes, landed_at_post, data = self._run(sim, client, body)
+        # Lanes 1-3 post at once; lane 0 is taken last and only once the
+        # abandoned READs have all landed.
+        assert lanes == [1, 2, 3, 0]
+        assert landed_at_post[:-1] == [0] * (_LANES - 1)
+        assert landed_at_post[-1] >= share
+        assert data == [expected(batch) for batch in range(1, _LANES + 1)]
+        assert cq.entries == [] and cq.completions_total == (_LANES + 1) * share
+        assert channel.slots.in_use == 0
+
+    def test_every_lane_posting_its_full_ring_share_at_once_fits_the_ring(self):
+        """With the replica's NIC stalled nothing completes: every lane
+        posts its full share (the whole ring outstanding at once), a
+        fifth batch queues, and after the stall all five read their own
+        bytes. Three rounds, so the ring laps."""
+        (sim, cluster, client, replicas, mrs, reader), share, extents, expected = (
+            self._share_rig()
+        )
+        channel = reader._channels[0]
+        qp = channel.qp
+
+        def round_(first):
+            def body(task):
+                replicas[0].nic.stall()
+                tickets = []
+                for batch in range(first, first + _LANES):
+                    tickets.append((yield from reader.post(task, 0, extents(batch))))
+                outstanding = qp.send_posted - qp.send_cq.completions_total
+                extra = client.os.spawn(
+                    lambda task: reader.preadv(task, 0, extents(first + _LANES)), "extra"
+                )
+                yield from task.sleep(10_000)
+                queued = channel.slots.queue_length
+                replicas[0].nic.resume()
+                data = []
+                for ticket in tickets:
+                    data.append((yield from ticket.wait(task)))
+                while not extra.process.triggered:
+                    yield from task.sleep(1_000)
+                return outstanding, queued, data + [extra.process.value]
+
+            return body
+
+        for first in (0, 5, 10):
+            outstanding, queued, data = self._run(sim, client, round_(first))
+            assert outstanding == qp.send_slots and queued == 1
+            assert data == [expected(batch) for batch in range(first, first + _LANES + 1)]
+        assert qp.send_posted == 15 * share == qp.send_cq.completions_total
+
+    @pytest.mark.parametrize("collect_first", ["failed", "fine"])
+    def test_only_the_batch_whose_read_failed_raises(self, collect_first):
+        """Two batches in flight on two lanes, one refused by the
+        replica: whichever is collected first polls both completions,
+        and only the refused batch raises."""
+        sim, cluster, client, replicas, mrs, reader = self._rig()
+        mrs[0].region.write(0, b"fine")
+        good_rkey = mrs[0].rkey
+
+        def body(task):
+            mrs[0].rkey = good_rkey + 999  # the replica will refuse it
+            failed = yield from reader.post(task, 0, [(0, 4), (64, 4)])
+            mrs[0].rkey = good_rkey
+            fine = yield from reader.post(task, 0, [(0, 4)])
+            order = [failed, fine] if collect_first == "failed" else [fine, failed]
+            outcomes = {}
+            for ticket in order:
+                try:
+                    outcomes[ticket is fine] = yield from ticket.wait(task)
+                except RuntimeError as exc:
+                    outcomes[ticket is fine] = str(exc)
+            return outcomes
+
+        outcomes = self._run(sim, client, body)
+        assert outcomes[True] == [b"fine"]
+        assert outcomes[False].startswith("pread failed")
+        assert reader._channels[0].qp.send_cq.entries == []
+        assert reader._channels[0].slots.in_use == 0
+
+    def test_a_read_lost_on_a_lossy_fabric_fails_only_its_batch(self):
+        """The fabric drops every reply to one READ until the RC retry
+        limit gives up on it. The batch posted behind it on another
+        lane completes after it, in RC order, and returns its bytes.
+        (Dropping the request instead would fail both: the responder
+        discards everything after a gap.)"""
+        sim, cluster, client, replicas, mrs, reader = self._rig()
+        mrs[0].region.write(0, b"lost")
+        mrs[0].region.write(64, b"kept")
+
+        def drop_one_read(src, dst, payload, nbytes):
+            if getattr(payload, "kind", None) == "resp" and payload.payload == b"lost":
+                return FaultVerdict(drop=True)
+            return None
+
+        cluster.fabric.install_fault_filter(drop_one_read)
+
+        def body(task):
+            lost = yield from reader.post(task, 0, [(0, 4)])
+            kept = yield from reader.post(task, 0, [(64, 4)])
+            data = yield from kept.wait(task)
+            with pytest.raises(RuntimeError, match="pread failed"):
+                yield from lost.wait(task)
+            return data
+
+        assert self._run(sim, client, body) == [b"kept"]
+        assert cluster.fabric.dropped_messages == client.nic.params.retransmit_limit + 1
+
+    def test_a_crashed_replica_fails_only_the_batch_posted_after_the_crash(self):
+        """A batch that landed before the replica crashed is collected
+        after the READ posted behind it has failed (RC retry limit on a
+        lossy fabric): its own completion is fine, and only the later
+        batch raises."""
+        sim, cluster, client, replicas, mrs, reader = self._rig()
+        mrs[0].region.write(0, b"sent")
+        cluster.fabric.install_fault_filter(lambda src, dst, payload, nbytes: None)
+        cq = reader._channels[0].qp.send_cq
+
+        def body(task):
+            landed = yield from reader.post(task, 0, [(0, 4)])
+            while cq.completions_total < 1:
+                yield from task.sleep(1_000)
+            replicas[0].crash()
+            doomed = yield from reader.post(task, 0, [(0, 4)])
+            while cq.completions_total < 2:
+                yield from task.sleep(100_000)
+            assert len(cq.entries) == 2 and not cq.entries[1].ok
+            data = yield from landed.wait(task)
+            with pytest.raises(RuntimeError, match="pread failed"):
+                yield from doomed.wait(task)
+            return data
+
+        assert self._run(sim, client, body) == [b"sent"]
+        assert cq.entries == []
+
+    def test_an_error_left_on_a_reused_lane_is_dropped(self):
+        """A refused batch abandoned on lane 0 lands its error
+        completion; the next batch reuses lane 0 (it has landed) and
+        collects that completion with its own, and does not raise."""
+        sim, cluster, client, replicas, mrs, reader = self._rig()
+        mrs[0].region.write(0, b"next")
+        good_rkey = mrs[0].rkey
+        channel = reader._channels[0]
+        cq = channel.qp.send_cq
+
+        def body(task):
+            mrs[0].rkey = good_rkey + 999  # the replica will refuse it
+            refused = yield from reader.post(task, 0, [(0, 4)])
+            mrs[0].rkey = good_rkey
+            refused.abandon()
+            while cq.completions_total < 1:
+                yield from task.sleep(1_000)
+            assert not cq.entries[0].ok
+            reused = yield from reader.post(task, 0, [(0, 4)])
+            assert reused._lane is channel.lanes[0]
+            return (yield from reused.wait(task))
+
+        assert self._run(sim, client, body) == [b"next"]
+        assert cq.entries == []
+
+    def test_a_lone_reader_always_reads_through_lane_zero(self):
+        """One batch at a time takes the lowest landed lane, so its READ
+        descriptors are the same bytes every time."""
+        sim, cluster, client, replicas, mrs, reader = self._rig()
+        channel = reader._channels[0]
+
+        def body(task):
+            for offset in range(0, 640, 64):
+                yield from reader.pread(task, 0, offset, 8)
+
+        self._run(sim, client, body)
+        assert [lane.expect for lane in channel.lanes] == [10, 0, 0, 0]
+
+    def test_two_batches_on_one_replica_overlap(self):
+        """Two batches posted on one replica's channel at the same
+        instant finish in under 1.5x one batch's sim time. With one lock
+        per channel the second waited out the first: exactly 2x."""
+        sim, cluster, client, replicas, mrs, reader = self._rig()
+        mrs[0].region.write(0, b"both")
+        spans = []
+
+        def reader_task(task):
+            started = sim.now
+            data = yield from reader.pread(task, 0, 0, 4)
+            spans.append((started, sim.now, data))
+
+        def run(readers):
+            spans.clear()
+            for index in range(readers):
+                client.os.spawn(reader_task, f"r{index}")
+            run_until(sim, lambda: len(spans) == readers, deadline_ms=100)
+            assert [data for _, _, data in spans] == [b"both"] * readers
+            assert len({started for started, _, _ in spans}) == 1
+            return max(end for _, end, _ in spans) - spans[0][0]
+
+        run(1)  # warm the QP contexts
+        one_ns = run(1)
+        two_ns = run(2)
+        assert two_ns < 1.5 * one_ns
 
     def test_reader_that_outlived_a_client_nic_crash_fails_loudly(self):
         """``Rnic.crash`` drops READs in flight without completions, so
@@ -429,7 +658,7 @@ class TestReadBatches:
         way back."""
         sim, cluster, client, replicas, mrs, reader = self._rig()
         mrs[0].region.write(0, b"data")
-        lock = reader._channels[0].lock
+        slots = reader._channels[0].slots
 
         def body(task):
             posted = yield from reader.post(task, 0, [(0, 4)])
@@ -448,4 +677,4 @@ class TestReadBatches:
             return (yield from fresh.pread(task, 0, 0, 4))
 
         assert self._run(sim, client, body) == b"data"
-        assert lock.in_use == 0 and lock.queue_length == 0
+        assert slots.in_use == 0 and slots.queue_length == 0

@@ -27,6 +27,7 @@ import pytest
 
 from repro.bench import run_until
 from repro.hw import Cluster
+from repro.hw.wqe import _DECODE_CACHE, _DECODE_CACHE_MAX
 from repro.sim import Simulator
 from repro.txn import TxnAborted, build_txn_system
 from repro.workloads.ycsb import WORKLOADS, YcsbWorkload
@@ -154,12 +155,17 @@ def test_state_is_flat_from_n_to_20n_transactions(mix):
 
 def test_a_committed_transaction_retains_at_most_700_bytes():
     """Heap the package allocates per transaction and keeps: the
-    history record and two versions (~660 bytes). Before, observations,
+    history record and two versions (~670 bytes). Before, observations,
     SSI nodes and finished install tasks made it ~2,200. Counted as the
     slope between two points of one traced run, so what is merely in
-    flight at a snapshot cancels; the WQE decode cache (process-wide)
-    and the client's own keys and values (~160 bytes, referenced by
-    history and versions) are left out."""
+    flight at a snapshot cancels; the client's own keys and values
+    (~160 bytes, referenced by history and versions) are left out.
+
+    The WQE decode cache is process-wide and bounded on its own: it
+    is emptied before each snapshot, so neither its entries nor the
+    slot bytes that key them count, whatever earlier tests left in it
+    (it refills to its cap and starts over every few thousand
+    distinct descriptors)."""
     world = TxnWorld().start()
     n_ops = 100
     package = [
@@ -170,9 +176,12 @@ def test_a_committed_transaction_retains_at_most_700_bytes():
     tracemalloc.start()
     try:
         world.run(20)
+        _DECODE_CACHE.clear()
         gc.collect()
         before = tracemalloc.take_snapshot().filter_traces(package)
         world.run(n_ops)
+        assert len(_DECODE_CACHE) <= _DECODE_CACHE_MAX
+        _DECODE_CACHE.clear()
         gc.collect()
         after = tracemalloc.take_snapshot().filter_traces(package)
     finally:

@@ -3,10 +3,15 @@
 Counts, not clocks: a fixed seeded YCSB-A run must cost exactly the
 same number of kernel dispatches and scheduler dispatches every time,
 and exactly the pinned number per committed transaction. Anything that
-manufactures events per wait — a sleep-poll on the commit latch cost
-18,923 scheduler dispatches here, one chain round trip per install
-step 4,700, instead of 3,212 — turns this red on any host, without a
-timer.
+manufactures events per wait — on the seed-7 world this gate used
+before, a sleep-poll on the commit latch cost 18,923 scheduler
+dispatches, one chain round trip per install step 4,700, instead of
+3,212 — turns this red on any host, without a timer.
+
+The world must commit every transaction, or the pin would count a
+give-up's retries. Seed 7 stopped doing so once reads of one replica
+overlapped (one of 160 gave up at its sixth attempt), so the gate runs
+seed 8, where all 160 commit.
 
 A legitimate change to the kernel, NIC, group or txn layers moves the
 pins; re-measure, and say in CHANGES.md what moved them.
@@ -24,15 +29,16 @@ from repro.txn import build_txn_system, run_ycsb_mix
 N_CLIENTS = 4
 TXNS_PER_CLIENT = 40
 
-KERNEL_DISPATCHES = 137_612
-CPU_DISPATCHES = 3_212
+SEED = 8
+KERNEL_DISPATCHES = 128_420
+CPU_DISPATCHES = 3_069
 
 
 def _measure():
     with tracing(record_kernel=False) as tracer:
         report = run_ycsb_mix(
             mix="A",
-            seed=7,
+            seed=SEED,
             n_txns=N_CLIENTS * TXNS_PER_CLIENT,
             n_workers=N_CLIENTS,
             install="parallel",
@@ -45,7 +51,7 @@ def test_ycsb_a_dispatch_counts_repeat_and_match_the_pin():
     assert (kernel, cpu) == _measure()[:2]
     assert report.committed == N_CLIENTS * TXNS_PER_CLIENT
     assert report.gave_up == 0 and report.errors == []
-    # 860.08 kernel / 20.1 scheduler dispatches per committed txn.
+    # 802.6 kernel / 19.2 scheduler dispatches per committed txn.
     assert (kernel, cpu) == (KERNEL_DISPATCHES, CPU_DISPATCHES)
 
 

@@ -27,12 +27,12 @@ from repro.txn import build_txn_system, run_ycsb_mix, ycsb
 N_CLIENTS = 4
 TXNS_PER_CLIENT = 40
 
-KERNEL_DISPATCHES = 49_579
-CPU_DISPATCHES = 2_441
-WQES_EXECUTED = 3_620
+KERNEL_DISPATCHES = 49_427
+CPU_DISPATCHES = 2_373
+WQES_EXECUTED = 3_635
 # Reads routed to each replica of each group: concurrent scans spread
 # over every copy, and replica 0 (the idle choice) serves most.
-SERVED = [[165, 109, 71], [186, 123, 70], [148, 73, 23], [199, 119, 62]]
+SERVED = [[172, 111, 64], [211, 110, 56], [146, 72, 26], [208, 114, 60]]
 
 ONE_READ_NS = 4_757
 
@@ -129,11 +129,11 @@ def test_ycsb_e_counts_repeat_and_match_the_pin(monkeypatch):
     assert report.gave_up == 0 and report.errors == []
     # Per-key round trips cost 72,691 / 5,057 / 4,969 here.
     assert counts == (KERNEL_DISPATCHES, CPU_DISPATCHES, WQES_EXECUTED)
-    # 2,757 slots cross-checked by 1,398 READs in 1,348 batches: a
+    # 2,763 slots cross-checked by 1,413 READs in 1,350 batches: a
     # group's share of a scan is almost always one run of slots.
-    assert counters["txn.scan_reads"] == 2_757
-    assert counters["reader.wqes"] == 1_398
-    assert counters["reader.batches"] == 1_348
+    assert counters["txn.scan_reads"] == 2_763
+    assert counters["reader.wqes"] == 1_413
+    assert counters["reader.batches"] == 1_350
     tracker = coordinator.tracker
     assert tracker.served == SERVED
     assert all(count > 0 for group in tracker.served for count in group)
