@@ -9,10 +9,11 @@ test:            ## tier-1 suite (unit + integration + benchmarks)
 test-unit:       ## fast unit tests only
 	$(PYTHON) -m pytest -x -q tests/unit
 
-gates:           ## exact count gates: dispatches, WQEs, doorbells, chain ops, garbage per op, chains built, txn state flat in run length (~25 s)
+gates:           ## exact count gates: dispatches, WQEs, doorbells, chain ops, garbage per op, chains built, txn state flat in run length, per-op cost ledger (~25 s)
 	$(PYTHON) -m pytest -q tests/unit/test_txn_cost_gate.py tests/unit/test_txn_scan_gate.py \
 		tests/unit/test_wal_group_commit.py::TestBatchShape tests/unit/test_hot_path_budget.py \
-		tests/unit/test_group_lazy_chains.py tests/unit/test_txn_bounded_state.py
+		tests/unit/test_group_lazy_chains.py tests/unit/test_txn_bounded_state.py \
+		tests/unit/test_cost_ledger.py
 
 perf-smoke:      ## kernel and NIC microbenchmarks as tests (fails on errors, not timing)
 	$(PYTHON) -m pytest -x -q benchmarks/test_perf_kernel.py

@@ -12,7 +12,9 @@ Mirrors how the paper modifies RocksDB:
   consistent (§5.1).
 * Writer threads meet at the WAL mutex and are group-committed there
   (:mod:`repro.storage.log`): a put still returns only once its own
-  record and a tail covering it are durable on every replica.
+  record is durable on every replica. No tail pointer is written;
+  replica sync and recovery find the log's end by scanning from the
+  head.
 * A checkpoint serializes the memtable into the database area
   (replicated) and truncates the log to the cut the image was taken
   at, so puts may race it.
@@ -32,7 +34,7 @@ from ..core.chain import GWRITE, OpSpec
 from ..hw.cpu import Task
 from ..sim import MS, US
 from .log import ReplicatedLog
-from .wal import RegionLayout, scan_records
+from .wal import WAL_HEADER, RegionLayout, scan_records
 
 __all__ = ["ReplicatedKVStore", "decode_kv_op", "encode_kv_op"]
 
@@ -144,7 +146,8 @@ class ReplicatedKVStore:
         self._replica_memtables: List[_Memtable] = [
             _Memtable() for _ in range(group.group_size)
         ]
-        self._replica_synced: List[int] = [0] * group.group_size
+        # Per replica: (logical offset, LSN) its sync resumes from.
+        self._replica_synced: List[Tuple[int, int]] = [(0, 0)] * group.group_size
         self._sync_tasks = []
         if start_sync_tasks:
             for index in range(group.group_size):
@@ -255,40 +258,45 @@ class ReplicatedKVStore:
         """Replay new WAL records into a replica's memtable.
 
         Returns the number of records applied (the caller charges the
-        CPU). Reads the replica's own NVM — purely local work.
+        CPU). Reads the replica's own NVM — purely local work. The
+        sync keeps its own next offset and LSN and scans on from there
+        (at most one lap past the replica's head) to the first record
+        not yet there; if the head has passed it, a checkpoint covers
+        the gap and it restarts from the header's ``(head, LSN)``.
         """
-        header = self.group.read_replica(index, self.layout.head_offset, 16)
-        head, tail = struct.unpack("<QQ", header)
-        memtable = self._replica_memtables[index]
+        header = self.group.read_replica(index, self.layout.head_offset, WAL_HEADER.size)
+        head, head_lsn = WAL_HEADER.unpack(header)
+        synced, lsn = self._replica_synced[index]
         applied = 0
-        if head > self._replica_synced[index]:
-            # The log was truncated past our replay position: a
-            # checkpoint covers the gap. Reload the snapshot from the
-            # (replicated, durable) DB area, then continue from head.
-            applied += self._load_checkpoint(index, memtable)
-        synced = max(self._replica_synced[index], head)
-        if synced >= tail:
-            self._replica_synced[index] = max(self._replica_synced[index], head)
-            return applied
-        raw = self.group.read_replica(index, self.layout.wal_offset, self.layout.wal_size)
-        for _, record in scan_records(raw, synced, tail, self.layout.wal_size):
+        if head > synced:
+            # The log was truncated past our replay position: reload
+            # the snapshot from the (replicated, durable) DB area.
+            memtable = self._read_checkpoint(index)
+            self._replica_memtables[index] = memtable
+            applied += len(memtable)
+            synced, lsn = head, head_lsn
+        memtable = self._replica_memtables[index]
+        wal_size = self.layout.wal_size
+        raw = self.group.read_replica(index, self.layout.wal_offset, wal_size)
+        for logical, record in scan_records(raw, synced, lsn, wal_size, head + wal_size):
             for entry in record.entries:
                 op, key, value = decode_kv_op(entry.data)
                 memtable.apply(op, key, value)
             applied += 1
-        self._replica_synced[index] = tail
+            synced, lsn = logical + record.serialized_size, record.lsn + 1
+        self._replica_synced[index] = (synced, lsn)
         return applied
 
-    def _load_checkpoint(self, index: int, memtable: _Memtable) -> int:
-        """Replace ``memtable`` contents with a replica's checkpoint
-        image. Returns the number of records loaded."""
+    def _read_checkpoint(self, replica: int) -> _Memtable:
+        """A memtable holding a replica's checkpoint image (empty if
+        there is none)."""
+        memtable = _Memtable()
         raw = self.group.read_replica(
-            index, self.layout.db_position(0), self.layout.db_size
+            replica, self.layout.db_position(0), self.layout.db_size
         )
         magic, count, _ckpt_lsn = struct.unpack_from("<IIq", raw, 0)
         if magic != _CHECKPOINT_MAGIC:
-            return 0
-        fresh = _Memtable()
+            return memtable
         cursor = 16
         for _ in range(count):
             klen, vlen = struct.unpack_from("<HI", raw, cursor)
@@ -297,11 +305,8 @@ class ReplicatedKVStore:
             cursor += klen
             value = bytes(raw[cursor : cursor + vlen])
             cursor += vlen
-            fresh.put(key, value)
-        self._replica_memtables[index] = fresh
-        memtable._data = fresh._data
-        memtable._keys = fresh._keys
-        return count
+            memtable.put(key, value)
+        return memtable
 
     # -- recovery --------------------------------------------------------------------------
 
@@ -309,28 +314,13 @@ class ReplicatedKVStore:
         """Rebuild the full table from one replica's durable state.
 
         Loads the checkpoint image from the DB area, then replays the
-        WAL from the durable head — the §5.1 recovery flow ("a new
-        member copies the log and the database ... catch-up phase").
+        WAL from the durable head up to where the scan stops
+        (:meth:`ReplicatedLog.recover_replica`) — the §5.1 recovery
+        flow ("a new member copies the log and the database ...
+        catch-up phase").
         """
-        memtable = _Memtable()
-        raw = self.group.read_replica(
-            replica, self.layout.db_position(0), self.layout.db_size
-        )
-        magic, count, _ckpt_lsn = struct.unpack_from("<IIq", raw, 0)
-        cursor = 16
-        if magic == _CHECKPOINT_MAGIC:
-            for _ in range(count):
-                klen, vlen = struct.unpack_from("<HI", raw, cursor)
-                cursor += 6
-                key = bytes(raw[cursor : cursor + klen])
-                cursor += klen
-                value = bytes(raw[cursor : cursor + vlen])
-                cursor += vlen
-                memtable.put(key, value)
-        header = self.group.read_replica(replica, self.layout.head_offset, 16)
-        head, tail = struct.unpack("<QQ", header)
-        wal = self.group.read_replica(replica, self.layout.wal_offset, self.layout.wal_size)
-        for _, record in scan_records(wal, head, tail, self.layout.wal_size):
+        memtable = self._read_checkpoint(replica)
+        for record in ReplicatedLog.recover_replica(self.group, self.layout, replica):
             for entry in record.entries:
                 op, key, value = decode_kv_op(entry.data)
                 memtable.apply(op, key, value)

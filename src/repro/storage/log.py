@@ -5,7 +5,8 @@ over either group implementation (HyperLoop or Naïve-RDMA):
 
 * :meth:`ReplicatedLog.append` — ``Append(log record)``: serialize a
   redo record and replicate it into every replica's WAL ring with
-  gWRITE(+gFLUSH), the replicated tail pointer right behind it.
+  gWRITE(+gFLUSH). Nothing else is written: no tail pointer is
+  stored, the durable log ends wherever a scan from the head stops.
 * :meth:`ReplicatedLog.execute_and_advance` —
   ``ExecuteAndAdvance()``: process the record at the head, issuing a
   gMEMCPY (+gFLUSH) per entry to copy it from the log into the
@@ -15,16 +16,23 @@ over either group implementation (HyperLoop or Naïve-RDMA):
 * :meth:`ReplicatedLog.truncate` — drop everything up to a logical
   offset by advancing the head (log truncation after a checkpoint).
 
+The 16-byte WAL header holds ``(head, LSN at head)`` and is written
+only where the head moves. Recovery, the replicas' sync and the
+client's own view of the pending records all use one scan
+(:func:`~repro.storage.wal.scan_records`): from the head, following
+wrap markers, up to the first record that is torn or unwritten, is not
+the next LSN, or lies more than one lap past the head.
+
 Group ops are *posted, then waited for* (``group.submit``), and what
 the hardware already orders is not waited for twice. The rule: **ops
 on the same primitive chain of one group execute and ack in post
 order** (one RC queue pair per chain), **ops on different chains are
-unordered**. So a record and the header whose tail covers it go out
-back to back on the gWRITE chain and cost one round trip, a record's
-gMEMCPYs go out back to back and cost one more, and only the
-cross-chain dependencies wait for an ack: gMEMCPY after the record's,
-head advance after the gMEMCPYs'. ``append_beside``/``drain`` let a
-caller's own ops (the §5 lock and unlock gCAS) share those waits.
+unordered**. So a batch of records goes out back to back on the gWRITE
+chain and costs one round trip, a record's gMEMCPYs go out back to
+back and cost one more, and only the cross-chain dependencies wait for
+an ack: gMEMCPY after the record's, head advance after the gMEMCPYs'.
+``append_beside``/``drain`` let a caller's own ops (the §5 lock and
+unlock gCAS) share those waits.
 
 Appends are **group-committed**, leader/follower as in RocksDB's
 write path. An appender queues its record at the WAL mutex and then
@@ -32,28 +40,30 @@ takes the mutex; whoever gets it with its record still unwritten is
 the *leader* and writes everything queued behind it as well: the
 records laid out back to back from ``tail`` (consecutive LSNs, each
 with its own header and CRC, a wrap marker where one does not fit the
-contiguous room), adjacent ones merged into one gWRITE, then one
-header whose tail covers the batch, then every member's ``beside``
-ops — posted back to back, one ack wait. A *follower* that reaches
-the mutex finds its record written and returns. A batch is whatever
-queued while the previous one was in flight, so there is nothing to
-tune — no batch size, no linger timer — and a lone appender is a batch
-of one that posts exactly ``[marker,] record, header, beside ops``.
-The durability point does not move: an append returns only after its
-record and a header whose tail covers it are gWRITE(+gFLUSH)ed on
-every replica. A batch stops at the first waiter that is not an
-appender (``drain``, ``truncate``, :meth:`ReplicatedLog.cut`), so
-whoever holds the mutex sees a log in which every record under
-``tail`` has been handed back to its appender.
+contiguous room), adjacent ones merged into one gWRITE, then every
+member's ``beside`` ops — posted back to back, one ack wait. A
+*follower* that reaches the mutex finds its record written and
+returns. A batch is whatever queued while the previous one was in
+flight, so there is nothing to tune — no batch size, no linger timer —
+and a lone appender is a batch of one that posts exactly ``[marker,]
+record, beside ops``. An append returns only after its record is
+gWRITE(+gFLUSH)ed on every replica. A batch stops at the first waiter
+that is not an appender (``drain``, ``truncate``,
+:meth:`ReplicatedLog.cut`), so whoever holds the mutex sees a log in
+which every record under ``tail`` has been handed back to its
+appender.
 
 The client keeps an authoritative local copy of the region (the
 group's ``client_region``), so record contents never need to be read
 back over the network. Its ``head``/``tail``/``next_lsn`` are
 authoritative too and survive a failover unchanged, so ``tail`` and
-``next_lsn`` move only once the whole chain has acked the whole batch
-and its header — and every header write happens under the WAL mutex,
-because one posted behind an in-flight append's would carry the old
-tail.
+``next_lsn`` move only once the whole chain has acked the whole batch.
+Records past ``tail`` that a failed batch, or a dead chain's leader,
+left on the replicas are *zombies*: they are zeroed in the mirror at
+once (:meth:`ReplicatedLog.rebind` for a failover) and on the
+replicas by the next post under the WAL mutex. Otherwise a fresh
+record with a zombie's LSN could end exactly where the zombie's next
+record begins, and the scan would resurrect that record.
 """
 
 from __future__ import annotations
@@ -66,7 +76,15 @@ from ..core.chain import GMEMCPY, GWRITE, OpSpec
 from ..hw.cpu import Task
 from ..obs.trace import TRACER
 from ..sim import Resource
-from .wal import ENTRY_SIZE, HEADER_SIZE, LogRecord, RegionLayout, WRAP_MAGIC, scan_records
+from .wal import (
+    ENTRY_SIZE,
+    HEADER_SIZE,
+    WAL_HEADER,
+    WRAP_MAGIC,
+    LogRecord,
+    RegionLayout,
+    scan_records,
+)
 
 __all__ = ["ReplicatedLog"]
 
@@ -121,6 +139,7 @@ class ReplicatedLog:
         self.group = group
         self.layout = layout
         self.head = 0  # logical offsets, monotonic
+        self.head_lsn = 0  # LSN of the record at head
         self.tail = 0
         self.next_lsn = 0
         # Appends and head advances are serialized, as in any WAL
@@ -128,6 +147,9 @@ class ReplicatedLog:
         # concurrent application threads queue here, and the appenders
         # among them ride one leader's write.
         self._gate = _Gate(group.sim)
+        # gWRITEs of zeroed zombie records the next post under the
+        # mutex carries ahead of its own ops (see :meth:`rebind`).
+        self._scrub: List[OpSpec] = []
         self._write_header_local()
 
     def rebind(self, new_group) -> None:
@@ -137,26 +159,60 @@ class ReplicatedLog:
         the dead chain acked. The mutex and its queue are replaced
         wholesale — a leader parked forever on the dead chain's ack
         holds the old mutex, and its batch and whoever queued behind
-        it are zombies whose records ``tail`` never covered.
+        it are zombies whose records ``tail`` never covered. The new
+        mirror is a survivor's image, which may hold some of them:
+        they are zeroed there now and on the replicas by the first
+        post under the new mutex (:meth:`_scrub_zombies`).
         """
         self.group = new_group
         self._gate = _Gate(new_group.sim)
+        self._scrub = self._scrub_zombies()
 
     # -- local mirror helpers ----------------------------------------------------
 
-    def _write_header_local(self, tail: Optional[int] = None) -> None:
-        if tail is None:
-            tail = self.tail
+    def _write_header_local(self) -> None:
         self.group.write_local(
-            self.layout.head_offset, struct.pack("<QQ", self.head, tail)
+            self.layout.head_offset, WAL_HEADER.pack(self.head, self.head_lsn)
         )
 
-    def _scan_pending(self) -> Iterator[Tuple[int, LogRecord]]:
-        """Lazy scan of ``[head, tail)`` over a zero-copy view of the
-        local mirror's WAL area; consume it before the next yield."""
+    def _scan_mirror(
+        self, start: int, lsn: int, end: Optional[int] = None
+    ) -> Iterator[Tuple[int, LogRecord]]:
+        """Lazy scan of the local mirror's WAL area (a zero-copy view;
+        consume it before the next yield)."""
         layout = self.layout
         raw = self.group.client_region.read_view(layout.wal_offset, layout.wal_size)
-        return scan_records(raw, self.head, self.tail, layout.wal_size)
+        return scan_records(raw, start, lsn, layout.wal_size, end)
+
+    def _scan_pending(self) -> Iterator[Tuple[int, LogRecord]]:
+        """Lazy scan of ``[head, tail)`` of the local mirror."""
+        return self._scan_mirror(self.head, self.head_lsn, self.tail)
+
+    def _scrub_zombies(self) -> List[OpSpec]:
+        """Zero in the mirror every record a scan finds past ``tail``
+        — never acked, so a zombie — and return the gWRITEs that zero
+        it on the replicas. Posted first on the gWRITE chain, they land
+        before any new record. If the mirror's header is not the
+        client's (a head advance lost with the dead chain), the header
+        gWRITE rides with them."""
+        layout, group = self.layout, self.group
+        extents: List[List[int]] = []
+        for logical, record in self._scan_mirror(
+            self.tail, self.next_lsn, self.head + layout.wal_size
+        ):
+            offset = layout.wal_position(logical)
+            if extents and sum(extents[-1]) == offset:
+                extents[-1][1] += record.serialized_size
+            else:
+                extents.append([offset, record.serialized_size])
+        ops = []
+        for offset, size in extents:
+            group.write_local(offset, bytes(size))
+            ops.append(OpSpec(GWRITE, offset=offset, size=size))
+        header = WAL_HEADER.pack(self.head, self.head_lsn)
+        if group.client_region.read(layout.head_offset, WAL_HEADER.size) != header:
+            ops.append(self._header_op())
+        return ops
 
     def pending_records(self) -> List[Tuple[int, LogRecord]]:
         """Un-executed records ``[head, tail)`` from the local mirror."""
@@ -192,6 +248,13 @@ class ReplicatedLog:
             gate.queue.popleft()
         return gate
 
+    def _post_locked(self, task: Task, ops: Sequence[OpSpec]) -> Generator:
+        """:meth:`post_and_wait` from under the WAL mutex; the first
+        such post after a scrub was queued carries it ahead of ``ops``."""
+        scrub, self._scrub = self._scrub, []
+        results = yield from self.post_and_wait(task, [*scrub, *ops])
+        return results[len(scrub) :]
+
     def cut(self, task: Task) -> Generator:
         """Wait out the appends ahead of the caller; returns
         ``(last LSN, tail)`` of a consistent cut.
@@ -226,16 +289,17 @@ class ReplicatedLog:
         gate = yield from self._enter(task, entry)
         try:
             if not entry.settled:
-                yield from self._lead(task, gate.queue)
+                yield from self._lead(task, gate)
         finally:
             gate.mutex.release()
         if entry.error is not None:
             raise entry.error
         return entry.result
 
-    def _lead(self, task: Task, queue: Deque[Optional[_Append]]) -> Generator:
-        """Write the run of appends at the front of ``queue`` — the
-        caller's first — as one batch and settle every member."""
+    def _lead(self, task: Task, gate: _Gate) -> Generator:
+        """Write the run of appends at the front of the gate's queue —
+        the caller's first — as one batch and settle every member."""
+        queue = gate.queue
         batch = []
         while queue and queue[0] is not None:
             batch.append(queue.popleft())
@@ -243,7 +307,11 @@ class ReplicatedLog:
             yield from self._write_batch(task, batch)
         except BaseException as exc:
             # Nobody stays parked on a batch that will not be acked,
-            # and nothing of it is under the tail.
+            # and nothing of it is under the tail; what of it reached
+            # the replicas is a zombie the next post zeroes (unless a
+            # rebind already took the log elsewhere).
+            if gate is self._gate:
+                self._scrub += self._scrub_zombies()
             if isinstance(exc, Exception):
                 error = exc
             else:  # the leader's generator was closed under it
@@ -254,8 +322,8 @@ class ReplicatedLog:
             raise
 
     def _write_batch(self, task: Task, batch: List[_Append]) -> Generator:
-        """Lay ``batch`` out from the tail, post it with one header
-        and every member's ops, wait once, then move the tail."""
+        """Lay ``batch`` out from the tail, post it with every member's
+        ops, wait once, then move the tail."""
         layout = self.layout
         group = self.group
         tail, lsn = self.tail, self.next_lsn
@@ -294,16 +362,13 @@ class ReplicatedLog:
             written.append((member, record))
         if not written:
             return
-        # [Wrap marker,] records and the header whose tail covers them
-        # go out back to back: the gWRITE chain executes in post order
-        # on every replica, so no replica ever holds the new tail
-        # without every record under it.
+        # [Wrap marker,] records, then the beside ops: the records are
+        # durable once acked, and the scan from the head finds them.
         posts = [OpSpec(GWRITE, offset=offset, size=size) for offset, size in extents]
-        posts.append(self._header_op(tail=tail))
         cursor = len(posts)
         for member, _ in written:
             posts.extend(member.ops)
-        results = yield from self.post_and_wait(task, posts)
+        results = yield from self._post_locked(task, posts)
         if TRACER.enabled:
             TRACER.count("wal.batches")
             TRACER.count("wal.records", len(written))
@@ -366,20 +431,21 @@ class ReplicatedLog:
         # The copies share the gMEMCPY chain (ordered among themselves)
         # but the head advance rides the gWRITE chain: it is posted
         # only after every copy's ack.
-        yield from self.post_and_wait(task, copies)
+        yield from self._post_locked(task, copies)
         posts = []
         if records:
             logical, record = records[-1]
             self.head = logical + record.serialized_size
+            self.head_lsn = record.lsn + 1
             posts.append(self._header_op())
-        results = yield from self.post_and_wait(task, [*posts, *beside])
+        results = yield from self._post_locked(task, [*posts, *beside])
         return results[len(posts) :]
 
     def truncate(self, task: Task, up_to: Optional[int] = None) -> Generator:
         """Advance the head past executed records (≤ ``up_to``,
         default: everything)."""
-        # Under the mutex like every header write: an append in flight
-        # has staged a tail this header must not post behind and undo.
+        # Under the mutex like every header write: the head's LSN is
+        # read off the records under the tail.
         gate = yield from self._enter(task)
         try:
             target = self.tail if up_to is None else up_to
@@ -387,16 +453,29 @@ class ReplicatedLog:
                 raise ValueError(
                     f"truncate target {target} outside [{self.head}, {self.tail}]"
                 )
+            self.head_lsn = self._lsn_at(target)
             self.head = target
-            yield from self.post_and_wait(task, [self._header_op()])
+            yield from self._post_locked(task, [self._header_op()])
         finally:
             gate.mutex.release()
 
-    def _header_op(self, tail: Optional[int] = None) -> OpSpec:
-        """Stage the head and ``tail`` (default: the current one)
-        locally; returns the gWRITE replicating them."""
-        self._write_header_local(tail)
-        return OpSpec(GWRITE, offset=self.layout.head_offset, size=16)
+    def _lsn_at(self, offset: int) -> int:
+        """LSN of the record that follows logical ``offset``, which
+        must be the head or the end of a record under the tail."""
+        if offset == self.tail:
+            return self.next_lsn
+        if offset == self.head:
+            return self.head_lsn
+        for logical, record in self._scan_pending():
+            if logical + record.serialized_size == offset:
+                return record.lsn + 1
+        raise ValueError(f"truncate target {offset} is not a record boundary")
+
+    def _header_op(self) -> OpSpec:
+        """Stage ``(head, head_lsn)`` locally; returns the gWRITE
+        replicating them."""
+        self._write_header_local()
+        return OpSpec(GWRITE, offset=self.layout.head_offset, size=WAL_HEADER.size)
 
     def post_and_wait(self, task: Task, ops: Sequence[OpSpec]) -> Generator:
         """Post ``ops`` back to back, wait once for all their acks;
@@ -411,16 +490,34 @@ class ReplicatedLog:
 
     # -- recovery ---------------------------------------------------------------------
 
+    def reload(self, task: Task, replica: int = 0) -> Generator:
+        """Coordinator crash recovery: rebuild the mirror's WAL from
+        ``replica``'s durable copy (one-sided READs) and set
+        ``head``/``tail``/``next_lsn`` to what a scan of it finds."""
+        layout, group = self.layout, self.group
+        header = yield from group.pread(task, replica, layout.head_offset, WAL_HEADER.size)
+        chunk = 8192
+        for offset in range(0, layout.wal_size, chunk):
+            size = min(chunk, layout.wal_size - offset)
+            data = yield from group.pread(task, replica, layout.wal_offset + offset, size)
+            group.write_local(layout.wal_offset + offset, data)
+        self.head, self.head_lsn = WAL_HEADER.unpack(header)
+        self.tail, self.next_lsn = self.head, self.head_lsn
+        for logical, record in self._scan_mirror(self.head, self.head_lsn):
+            self.tail, self.next_lsn = logical + record.serialized_size, record.lsn + 1
+        self._write_header_local()
+
     @staticmethod
     def recover_replica(group, layout: RegionLayout, replica: int) -> List[LogRecord]:
         """Read a replica's durable state and return the un-executed
         records its WAL holds — what a recovery protocol would replay.
 
-        Reads head/tail from the replica's (NVM) header, then scans
-        its WAL area. Records that were torn by a power failure are
-        excluded by the magic/bounds checks.
+        Reads ``(head, LSN at head)`` from the replica's (NVM) header
+        and scans its WAL area from there: the log ends at the first
+        record that is torn or unwritten (CRC, magic), not the next
+        LSN, or more than one lap past the head.
         """
-        header = group.read_replica(replica, layout.head_offset, 16)
-        head, tail = struct.unpack("<QQ", header)
+        header = group.read_replica(replica, layout.head_offset, WAL_HEADER.size)
+        head, lsn = WAL_HEADER.unpack(header)
         raw = group.read_replica(replica, layout.wal_offset, layout.wal_size)
-        return [record for _, record in scan_records(raw, head, tail, layout.wal_size)]
+        return [record for _, record in scan_records(raw, head, lsn, layout.wal_size)]

@@ -19,7 +19,7 @@ The recipe is three ack waits however many keys it writes, each a
 batch of group ops posted back to back (see :mod:`repro.storage.log`
 for the ordering rule that makes this safe):
 
-1. record + header on the gWRITE chain, the lock gCAS beside them;
+1. the record on the gWRITE chain, the lock gCAS beside it;
 2. every entry's gMEMCPY;
 3. the head-advance gWRITE, the unlock gCAS beside it.
 
@@ -38,7 +38,6 @@ is pending with the lock free, and redo re-applies it.
 
 from __future__ import annotations
 
-import struct
 from typing import Generator, Optional, Sequence, Tuple
 
 from ..hw.cpu import Task
@@ -98,8 +97,8 @@ class TransactionManager:
         if not execute:
             record = yield from self.log.append(task, list(changes))
         else:
-            # Wait 1 of 3: record and tail on the gWRITE chain, the
-            # lock gCAS beside them on its own chain.
+            # Wait 1 of 3: the record on the gWRITE chain, the lock
+            # gCAS beside it on its own chain.
             record, (held,) = yield from self.log.append_beside(
                 task, list(changes), [self.locks.lock_op(self.writer_id)]
             )
@@ -178,25 +177,9 @@ class TransactionManager:
         mirror to match, and re-executes every pending record. Safe to
         run repeatedly (redo is idempotent byte copies).
         """
-        header = yield from self.group.pread(
-            task, from_replica, self.layout.head_offset, 16
-        )
-        head, tail = struct.unpack("<QQ", header)
         # Rebuild the local WAL mirror from the replica's durable copy
         # so pending_records() sees what actually survived.
-        chunk = 8192
-        for offset in range(0, self.layout.wal_size, chunk):
-            size = min(chunk, self.layout.wal_size - offset)
-            data = yield from self.group.pread(
-                task, from_replica, self.layout.wal_offset + offset, size
-            )
-            self.group.write_local(self.layout.wal_offset + offset, data)
-        self.log.head, self.log.tail = head, tail
-        pending = self.log.pending_records()
-        self.log.next_lsn = (
-            pending[-1][1].lsn + 1 if pending else self.log.next_lsn
-        )
-        self.log._write_header_local()
+        yield from self.log.reload(task, from_replica)
         # Break our own stale lock if the crash happened inside the
         # critical section (the lock word durably records our id).
         raw = yield from self.group.pread(

@@ -127,7 +127,7 @@ class TwoPhaseCoordinator:
         outcome = "clean"
         for shard_index, shard in enumerate(self.shards):
             # Refresh this coordinator's view of the shard log.
-            yield from self._refresh_shard(task, shard)
+            yield from shard.log.reload(task)
             pending = shard.log.pending_records()
             holder = yield from self._lock_holder(task, shard)
             if decided is not None:
@@ -148,19 +148,6 @@ class TwoPhaseCoordinator:
         elif outcome == "abort":
             self.aborts += 1
         return outcome
-
-    def _refresh_shard(self, task: Task, shard: TransactionManager) -> Generator:
-        header = yield from shard.group.pread(task, 0, shard.layout.head_offset, 16)
-        head, tail = struct.unpack("<QQ", header)
-        chunk = 8192
-        for offset in range(0, shard.layout.wal_size, chunk):
-            size = min(chunk, shard.layout.wal_size - offset)
-            data = yield from shard.group.pread(
-                task, 0, shard.layout.wal_offset + offset, size
-            )
-            shard.group.write_local(shard.layout.wal_offset + offset, data)
-        shard.log.head, shard.log.tail = head, tail
-        shard.log._write_header_local()
 
     def _lock_holder(self, task: Task, shard: TransactionManager) -> Generator:
         raw = yield from shard.group.pread(task, 0, shard.layout.lock_offset, 8)

@@ -8,9 +8,9 @@ data of length len is to be copied at offset in the database."
 The replicated region of a storage system is laid out as::
 
     0                 lock word (8 bytes, group lock)
-    64                WAL header: head u64, tail u64 (byte offsets
-                      into the WAL area, monotonically increasing;
-                      physical position is offset % wal_size)
+    64                WAL header: head u64 (byte offset into the
+                      WAL area, monotonically increasing; physical
+                      position is offset % wal_size), LSN at head u64
     128               WAL area (ring buffer of serialized records)
     128 + wal_size    database area
 
@@ -23,6 +23,10 @@ Records are padded to 8-byte alignment. The CRC covers lsn, entry
 count, body length and the body, so a record torn by a power failure
 mid-write never deserializes; a record whose magic does not match
 terminates recovery scans (unwritten space).
+
+No tail is stored: the log ends wherever :func:`scan_records` stops,
+walking from the head with consecutive LSNs (RocksDB's WAL recovery
+likewise reads up to the first bad record).
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from typing import Iterator, List, Optional, Tuple
 __all__ = [
     "HEADER_SIZE",
     "ENTRY_SIZE",
+    "WAL_HEADER",
     "LogEntry",
     "LogRecord",
     "RegionLayout",
@@ -46,6 +51,7 @@ __all__ = [
 RECORD_MAGIC = 0x57414C52  # "WALR"
 WRAP_MAGIC = 0x57524150  # "WRAP": rest of the ring lap is padding
 
+WAL_HEADER = struct.Struct("<QQ")  # the region's WAL header: head, LSN at head
 _HEADER = struct.Struct("<IIQHI")  # magic, crc, lsn, n_entries, body_len
 HEADER_SIZE = _HEADER.size
 ENTRY_SIZE = 12
@@ -162,11 +168,6 @@ class RegionLayout:
         """Region offset of the WAL head pointer."""
         return self.header_offset
 
-    @property
-    def tail_offset(self) -> int:
-        """Region offset of the WAL tail pointer."""
-        return self.header_offset + 8
-
     def wal_position(self, logical: int) -> int:
         """Region offset for a logical (monotonic) WAL offset."""
         return self.wal_offset + (logical % self.wal_size)
@@ -189,16 +190,22 @@ class RegionLayout:
 
 
 def scan_records(
-    raw, start: int, end: int, wal_size: int
+    raw, start: int, lsn: int, wal_size: int, end: Optional[int] = None
 ) -> Iterator[Tuple[int, "LogRecord"]]:
-    """Iterate ``(logical_offset, record)`` over WAL bytes.
+    """Iterate ``(logical_offset, record)`` over WAL bytes, from the
+    record at logical offset ``start`` whose LSN is ``lsn``.
 
     ``raw`` is the whole WAL area (any buffer; a live memoryview is
-    fine, records are decoded in place and lazily); ``start``/``end``
-    are logical (monotonic) offsets. Writers stamp :data:`WRAP_MAGIC`
-    where a record would have straddled the ring end; the scan follows
-    those markers and stops at torn/unwritten space.
+    fine, records are decoded in place and lazily). Writers stamp
+    :data:`WRAP_MAGIC` where a record would have straddled the ring
+    end; the scan follows those markers and stops at the first record
+    that is torn or unwritten, is not the next LSN (a record left from
+    an older lap of the ring), or would end past ``end`` — by default
+    one lap past ``start``; a scan resuming mid-log passes one lap past
+    the head.
     """
+    if end is None:
+        end = start + wal_size
     raw = memoryview(raw)
     logical = start
     while logical < end:
@@ -214,7 +221,11 @@ def scan_records(
         if magic != RECORD_MAGIC:
             return
         record = LogRecord.deserialize(raw, position, wal_size)
-        if record is None:
+        if record is None or record.lsn != lsn:
+            return
+        size = record.serialized_size
+        if logical + size > end:
             return
         yield logical, record
-        logical += record.serialized_size
+        logical += size
+        lsn += 1

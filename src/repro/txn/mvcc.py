@@ -289,7 +289,8 @@ class VersionedGroupStore:
         mirror and replica WALs match it. What a commit parked on the
         dead chain's ack may hold forever — the WAL mutex and the
         appends queued at it — is :meth:`ReplicatedLog.rebind`'s to
-        replace.
+        replace, and so is zeroing the records of theirs the image
+        holds past the tail.
         """
         self.manager.group = new_group
         self.manager.log.rebind(new_group)

@@ -29,7 +29,7 @@ GOLDEN = {
     ("client-crash", 7): "2ff47b5e9ff879c7fcbbb6ff469340e34e2349cad8e30e9cd1c69a1cc452cac9",
     ("txn-failover", 7): "3c8160cbf3aa603f58c810a1a8cc80ce75b0d1bc33c6024d122c57729e028ab4",
     ("txn-insert", 7): "7368a140cbd1864243100fee2b906c52ed51ab346c8f47b3a05ced70e84eb637",
-    ("txn-chaos", 7): "b296e3b413cf834c00d26e9753ba0c690cd7eb652ed84374469e9e210ca5bb67",
+    ("txn-chaos", 7): "0f3d51650fb494209f15b177545ffe67ecf528708f73cf5744c1d2a4544301b5",
     ("txn-double-failover", 7): "9f010deff2dc0b216bddf66abe3f01a38c559ce5f0554e45c8389a540c4c9b6d",
     ("txn-reset-crash", 7): "10ebdbc3e5a621decbe8e091f4252c00e219eae9c38e45b5bb2980f40c2f061f",
     ("drop", 42): "535a4549705bcf35b956d8345b63f4a525b5bd4f672ebfc7f9852cb22f57caa7",
@@ -45,8 +45,8 @@ GOLDEN = {
     ("client-crash", 42): "814ffb711af2d2644078b9e86d2f96b8033b5f44ebc7f686533ed24763667e26",
     ("txn-failover", 42): "86e95e0f6fb9224837c6c218b2fa334e32482d1d775119ac379ce3b6aec837f4",
     ("txn-insert", 42): "4628a4190f7dbe488b61664dd91aa70aceef17a101857665b46f92badec4279d",
-    ("txn-chaos", 42): "df32734979633d82cae673443d3005a87b4e0ce04e4e82ecdafcb59ae7ae61e6",
-    ("txn-double-failover", 42): "f13a3d67d1d812b0db604136e70a18eddb0d7c49512aa5c623703dd8424bed45",
+    ("txn-chaos", 42): "65a2852b6cc004fa5374ae3505b0e756d9d63c2e2fc77ec69f081f261b2ebc61",
+    ("txn-double-failover", 42): "dc15b560cc077d039c536b61ee6c2e2241f7bb4d2583fc465889d77574523d50",
     ("txn-reset-crash", 42): "f581db2a86ac567d5a714bad16761cd656cd480f7f5461d5de310d7b3eb7bba9",
 }
 

@@ -736,7 +736,7 @@ BACKENDS = {"hyperloop": HyperLoopGroup, "naive": NaiveGroup}
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestPostThenWaitRecipe:
-    """The §5 recipe as three ack waits: {record, header, lock gCAS} →
+    """The §5 recipe as three ack waits: {record, lock gCAS} →
     {n × gMEMCPY} → {head advance, unlock gCAS}."""
 
     def _manager(self, backend, rounds=16):
@@ -808,8 +808,8 @@ class TestPostThenWaitRecipe:
             assert manager.locks.holder(replica) == 0
 
     def test_append_abandoned_on_a_dead_chain_leaves_the_client_tail_alone(self, backend):
-        """The chain head dies as the second record is posted: record
-        and header are lost in flight and the appender parks forever.
+        """The chain head dies as the second record is posted: the
+        record is lost in flight and the appender parks forever.
         Failover keeps the client's head/tail/next_lsn and rebuilds
         the mirror from a survivor, so they must still describe only
         what the whole chain acked."""
@@ -842,10 +842,10 @@ class TestPostThenWaitRecipe:
             assert [record.lsn for record in survivors] == [0]
 
     def test_truncate_queues_behind_an_append_in_flight(self, backend):
-        """A header posted by truncate while an append's record and
-        header are in flight would land behind them with the old tail
-        and uncover the acked record; truncate takes the WAL mutex, so
-        replicas and client agree once both are done."""
+        """Truncate takes the WAL mutex, so it queues behind an append
+        whose record is in flight and truncates past that record too:
+        the header on every replica is the client's ``(head, LSN at
+        head)`` and no replica recovers anything."""
         sim, cluster, group, manager = self._manager(backend)
         log = manager.log
         submit = group.submit
@@ -873,20 +873,25 @@ class TestPostThenWaitRecipe:
         assert drive(sim, cluster, body)
         sim.run(until=sim.now + 1 * MS)
         assert order == ["record posted", "append", "truncate"]
-        assert log.head == log.tail > 0
+        assert log.head == log.tail > 0 and log.head_lsn == log.next_lsn == 2
         for replica in range(3):
             header = group.read_replica(replica, manager.layout.head_offset, 16)
-            assert struct.unpack("<QQ", header) == (log.head, log.tail)
+            assert struct.unpack("<QQ", header) == (log.head, 2)
+            assert ReplicatedLog.recover_replica(group, manager.layout, replica) == []
 
-    def test_durable_tail_never_covers_a_torn_record(self, backend):
-        """Record and header are posted back to back; cut a replica's
-        power (DRAM and un-flushed NIC windows lost, NIC dark) anywhere
-        between the record's post and the header's ack: whatever tail
-        its NVM holds, every record under it deserializes."""
+    def test_a_power_cut_mid_append_recovers_a_prefix_holding_every_acked_append(
+        self, backend
+    ):
+        """Cut a replica's power (DRAM and un-flushed NIC windows lost,
+        NIC dark) anywhere between the second record's post and its
+        ack: the scan of its NVM returns exactly a prefix of the posted
+        records — a torn record is never half-recovered — and that
+        prefix holds every append that returned."""
+        posted_data = [b"first" * 20, b"second" * 40]
 
         def run(fail_at=None, victim=None):
             sim, cluster, group, manager = self._manager(backend, rounds=64)
-            log, marks = manager.log, {}
+            log, marks, acked = manager.log, {}, []
             submit = group.submit
 
             def marking_submit(task, op):
@@ -899,30 +904,31 @@ class TestPostThenWaitRecipe:
             group.submit = marking_submit
 
             def body(task):
-                yield from log.append(task, [(0, b"first" * 20)])
-                yield from log.append(task, [(512, b"second" * 40)])
+                for offset, data in zip((0, 512), posted_data):
+                    record = yield from log.append(task, [(offset, data)])
+                    acked.append(record.lsn)
                 return True
 
             if fail_at is not None:
                 sim.call_at(fail_at, cluster[victim].crash)
             cluster[0].os.spawn(body, "appender")
             sim.run(until=sim.now + 1 * MS)  # the victim's chain stays dead
-            return group, manager, marks
+            return group, manager, marks, acked
 
-        _, _, marks = run()
-        posted, acked = marks["posted"], marks["acked"]
-        assert posted < acked
-        tails = set()
+        _, _, marks, acked = run()
+        assert acked == [0, 1]
+        posted, acked_at = marks["posted"], marks["acked"]
+        assert posted < acked_at
+        lengths = set()
         for step in range(25):
-            fail_at = posted + (acked - posted) * step // 24
+            fail_at = posted + (acked_at - posted) * step // 24
             for victim in (1, 2, 3):
-                group, manager, _ = run(fail_at, victim)
-                replica = victim - 1
-                header = group.read_replica(replica, manager.layout.head_offset, 16)
-                head, tail = struct.unpack("<QQ", header)
-                records = ReplicatedLog.recover_replica(group, manager.layout, replica)
-                assert head == 0
-                assert sum(record.serialized_size for record in records) == tail
+                group, manager, _, acked = run(fail_at, victim)
+                records = ReplicatedLog.recover_replica(group, manager.layout, victim - 1)
                 assert [record.lsn for record in records] == list(range(len(records)))
-                tails.add(len(records))
-        assert tails == {1, 2}  # the sweep straddles the header landing
+                assert [record.entries[0].data for record in records] == posted_data[
+                    : len(records)
+                ]
+                assert set(acked) <= {record.lsn for record in records}, (step, victim)
+                lengths.add(len(records))
+        assert lengths == {1, 2}  # the sweep straddles the record landing

@@ -84,8 +84,8 @@ class TestMid2pcCrash:
     #   is acked — the gMEMCPY and head-advance rounds are still to
     #   come;
     # * "head-on-record-post" kills the chain head the moment the
-    #   record is posted — record and header die in flight, no replica
-    #   holds them, and the client's tail must not cover them either
+    #   record is posted — the record dies in flight, no replica holds
+    #   it, and the client's tail must not cover it either
     #   (the repair copies a survivor's image under the client's
     #   head/tail).
     @pytest.mark.parametrize(

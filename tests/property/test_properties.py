@@ -86,7 +86,7 @@ def test_wal_scan_recovers_everything_written(record_changes):
         area[cursor : cursor + len(raw)] = raw
         cursor += len(raw)
         records.append(record)
-    found = [record for _, record in scan_records(bytes(area), 0, cursor, wal_size)]
+    found = [record for _, record in scan_records(bytes(area), 0, 0, wal_size, cursor)]
     assert found == records
 
 

@@ -28,7 +28,7 @@ import pytest
 from repro.bench import run_until
 from repro.hw import Cluster
 from repro.hw.wqe import _DECODE_CACHE, _DECODE_CACHE_MAX
-from repro.sim import Simulator
+from repro.sim import MS, Simulator
 from repro.txn import TxnAborted, build_txn_system
 from repro.workloads.ycsb import WORKLOADS, YcsbWorkload
 from tests.unit.test_hot_path_budget import TxnWorld
@@ -165,9 +165,21 @@ def test_a_committed_transaction_retains_at_most_700_bytes():
     is emptied before each snapshot, so neither its entries nor the
     slot bytes that key them count, whatever earlier tests left in it
     (it refills to its cap and starts over every few thousand
-    distinct descriptors)."""
+    distinct descriptors).
+
+    Each snapshot is taken at rest: the world runs 1 sim ms past its
+    last op, so every install has finished and the replicas'
+    maintenance task has drained their completion queues. Otherwise
+    what is in flight at a snapshot depends on where it falls in that
+    period, not on what a transaction keeps."""
     world = TxnWorld().start()
     n_ops = 100
+
+    def settle():
+        world.sim.run(until=world.sim.now + 1 * MS)
+        _DECODE_CACHE.clear()
+        gc.collect()
+
     package = [
         tracemalloc.Filter(True, "*/repro/*"),
         tracemalloc.Filter(False, "*/repro/hw/wqe.py"),
@@ -176,13 +188,13 @@ def test_a_committed_transaction_retains_at_most_700_bytes():
     tracemalloc.start()
     try:
         world.run(20)
-        _DECODE_CACHE.clear()
-        gc.collect()
+        settle()
+        done = world.done
         before = tracemalloc.take_snapshot().filter_traces(package)
         world.run(n_ops)
         assert len(_DECODE_CACHE) <= _DECODE_CACHE_MAX
-        _DECODE_CACHE.clear()
-        gc.collect()
+        settle()
+        assert world.done - done == n_ops
         after = tracemalloc.take_snapshot().filter_traces(package)
     finally:
         tracemalloc.stop()

@@ -27,12 +27,14 @@ from repro.txn import build_txn_system, run_ycsb_mix, ycsb
 N_CLIENTS = 4
 TXNS_PER_CLIENT = 40
 
-KERNEL_DISPATCHES = 49_427
+# 49,427 / 2,373 / 3,635 while every WAL append also wrote a tail header.
+KERNEL_DISPATCHES = 46_186
 CPU_DISPATCHES = 2_373
-WQES_EXECUTED = 3_635
+WQES_EXECUTED = 3_305
 # Reads routed to each replica of each group: concurrent scans spread
 # over every copy, and replica 0 (the idle choice) serves most.
-SERVED = [[172, 111, 64], [211, 110, 56], [146, 72, 26], [208, 114, 60]]
+# Group 1 was [211, 110, 56] with a tail header behind every append.
+SERVED = [[172, 111, 64], [210, 110, 57], [146, 72, 26], [208, 114, 60]]
 
 ONE_READ_NS = 4_757
 

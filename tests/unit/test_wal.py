@@ -90,14 +90,14 @@ class TestScan:
     def test_scan_yields_all_records(self):
         records = [LogRecord.make(i, [(i * 10, bytes([i]) * 8)]) for i in range(5)]
         raw, end = self._wal_with(records)
-        found = list(scan_records(raw, 0, end, 4096))
+        found = list(scan_records(raw, 0, 0, 4096, end))
         assert [record.lsn for _, record in found] == [0, 1, 2, 3, 4]
 
     def test_scan_respects_start(self):
         records = [LogRecord.make(i, [(0, b"12345678")]) for i in range(3)]
         raw, end = self._wal_with(records)
         size = records[0].serialized_size
-        found = list(scan_records(raw, size, end, 4096))
+        found = list(scan_records(raw, size, 1, 4096, end))
         assert [record.lsn for _, record in found] == [1, 2]
 
     def test_scan_stops_at_torn_space(self):
@@ -105,7 +105,7 @@ class TestScan:
         raw, end = self._wal_with(records)
         corrupted = bytearray(raw)
         corrupted[records[0].serialized_size] ^= 0xFF  # wreck record 1
-        found = list(scan_records(bytes(corrupted), 0, end, 4096))
+        found = list(scan_records(bytes(corrupted), 0, 0, 4096, end))
         assert [record.lsn for _, record in found] == [0]
 
     def test_scan_follows_wrap_marker(self):
@@ -123,8 +123,43 @@ class TestScan:
         area[:0] = b""  # no-op; write at position 0 of the ring
         area[0 : len(raw1)] = raw1
         end = logical_second + len(raw1)
-        found = list(scan_records(bytes(area), len(raw0), end, wal_size))
+        found = list(scan_records(bytes(area), len(raw0), 1, wal_size, end))
         assert [record.lsn for _, record in found] == [1]
+
+    def test_scan_without_an_end_reads_to_the_first_bad_record(self):
+        records = [LogRecord.make(i, [(0, b"abcdefgh")]) for i in range(4)]
+        raw, end = self._wal_with(records)
+        assert [r.lsn for _, r in scan_records(raw, 0, 0, 4096)] == [0, 1, 2, 3]
+        zeroed = bytearray(raw)
+        zeroed[2 * records[0].serialized_size] = 0  # record 2 unwritten
+        assert [r.lsn for _, r in scan_records(bytes(zeroed), 0, 0, 4096)] == [0, 1]
+
+    def test_scan_stops_at_a_record_that_is_not_the_next_lsn(self):
+        """A whole, valid record left from an older lap (or an LSN
+        skipped) ends the log."""
+        records = [LogRecord.make(lsn, [(0, b"abcdefgh")]) for lsn in (5, 6, 3, 8)]
+        raw, _ = self._wal_with(records)
+        assert [r.lsn for _, r in scan_records(raw, 0, 5, 4096)] == [5, 6]
+        assert list(scan_records(raw, 0, 4, 4096)) == []  # wrong LSN at head
+
+    def test_scan_stops_one_lap_past_its_start(self):
+        """A 256-byte ring written edge to edge with consecutive LSNs
+        (a stale lap agrees with the current one): the scan reads one
+        lap, never the same bytes twice."""
+        wal_size = 256
+        record = LogRecord.make(0, [(0, b"z" * 28)])
+        size = record.serialized_size
+        assert wal_size % size == 0
+        per_lap = wal_size // size
+        area = bytearray(wal_size)
+        for index in range(per_lap):
+            raw = LogRecord.make(index, [(0, b"z" * 28)]).serialize()
+            area[index * size : (index + 1) * size] = raw
+        found = list(scan_records(bytes(area), 0, 0, wal_size))
+        assert [logical for logical, _ in found] == [size * i for i in range(per_lap)]
+        # Resuming mid-lap with the head's lap bound stops at the same end.
+        resumed = list(scan_records(bytes(area), 2 * size, 2, wal_size, wal_size))
+        assert resumed == found[2:]
 
 
 def _slicing_scan(raw, start, end, wal_size):
@@ -180,30 +215,32 @@ class TestScanInPlace:
         # Scan what is still in the ring: from the first record of the
         # final ring's worth of bytes.
         head = next(offset for offset in starts if offset >= tail - wal_size)
-        return area, head, tail, starts
+        return area, head, starts.index(head), tail, starts
 
     def test_matches_slicing_reference_over_wrap_and_torn_tail(self):
-        area, head, tail, starts = self._two_lap_ring()
-        found = list(scan_records(area, head, tail, self.WAL_SIZE))
+        area, head, lsn, tail, starts = self._two_lap_ring()
+        found = list(scan_records(area, head, lsn, self.WAL_SIZE, tail))
         assert found == list(_slicing_scan(area, head, tail, self.WAL_SIZE))
         offsets = [offset for offset, _ in found]
         assert offsets == [o for o in starts if o >= head][:-1]  # torn one dropped
         assert offsets[0] < self.WAL_SIZE <= offsets[-1]  # crossed the marker
         # Same answer from bytes, and from a live view of the ring.
-        assert list(scan_records(bytes(area), head, tail, self.WAL_SIZE)) == found
-        assert list(scan_records(memoryview(area), head, tail, self.WAL_SIZE)) == found
+        assert list(scan_records(bytes(area), head, lsn, self.WAL_SIZE, tail)) == found
+        assert list(scan_records(memoryview(area), head, lsn, self.WAL_SIZE, tail)) == found
+        # Without an end the torn record still ends the log.
+        assert list(scan_records(area, head, lsn, self.WAL_SIZE)) == found
 
     def test_scan_never_copies_the_ring(self):
         import tracemalloc
 
-        area, head, tail, _ = self._two_lap_ring()
+        area, head, lsn, tail, _ = self._two_lap_ring()
         was_tracing = tracemalloc.is_tracing()
         if not was_tracing:
             tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base, _ = tracemalloc.get_traced_memory()
-            count = sum(1 for _ in scan_records(area, head, tail, self.WAL_SIZE))
+            count = sum(1 for _ in scan_records(area, head, lsn, self.WAL_SIZE, tail))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             if not was_tracing:

@@ -1,5 +1,5 @@
 """WAL group commit: appenders queued at the WAL mutex ride one
-leader's record run + header.
+leader's record run.
 
 A batch is whatever queued while the previous one was in flight, so
 the tests make batches the way applications do: N tasks append at
@@ -20,7 +20,8 @@ from repro.core import HyperLoopGroup
 from repro.hw import Cluster
 from repro.obs import tracing
 from repro.sim import MS, Simulator
-from repro.storage import RegionLayout, ReplicatedKVStore, ReplicatedLog
+from repro.core.chain import GCAS, OpSpec
+from repro.storage import ChainRepair, RegionLayout, ReplicatedKVStore, ReplicatedLog
 from repro.storage.transactions import TransactionManager
 from repro.storage.wal import WRAP_MAGIC, LogRecord, scan_records
 
@@ -81,52 +82,41 @@ class World:
             if not task.process.ok:
                 raise task.process.value
 
-    def durable(self, replica):
+    def header(self, replica):
+        """A replica's durable WAL header: ``(head, LSN at head)``."""
         header = self.group.read_replica(replica, self.layout.head_offset, 16)
         return struct.unpack("<QQ", header)
-
-    def batches(self):
-        """Posts split after each header gWRITE: one list per batch."""
-        out, current = [], []
-        for post in self.posts:
-            current.append(post)
-            if post[0] == "gwrite" and post[1] == self.layout.head_offset:
-                out.append(current)
-                current = []
-        return out + ([current] if current else [])
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestBatchShape:
-    def test_queued_appenders_ride_one_record_run_and_one_header(self, backend):
+    def test_queued_appenders_ride_one_record_run(self, backend):
         world = World(backend)
         log = ReplicatedLog(world.group, world.layout)
         tasks = [world.appender(log, f"a{i}", bytes([i + 1]) * 100) for i in range(5)]
         world.run(tasks)
         size = record_size(100)
-        wal, header = world.layout.wal_offset, world.layout.head_offset
+        wal = world.layout.wal_offset
         assert world.posts == [
             ("gwrite", wal, size),
-            ("gwrite", header, 16),
             ("gwrite", wal + size, 4 * size),  # four records, one extent
-            ("gwrite", header, 16),
         ]
         # Consecutive LSNs in queue order, handed back in that order.
         assert [record.lsn for _, record in world.outcomes] == [0, 1, 2, 3, 4]
         assert (log.tail, log.next_lsn) == (5 * size, 5)
         by_lsn = {record.lsn: name for name, record in world.outcomes}
         for replica in range(3):
-            assert world.durable(replica) == (0, 5 * size)
+            assert world.header(replica) == (0, 0)  # appends write no header
             records = ReplicatedLog.recover_replica(world.group, world.layout, replica)
             assert [record.lsn for record in records] == [0, 1, 2, 3, 4]
             for record in records:  # each member got its own record back
                 index = int(by_lsn[record.lsn][1:])
                 assert record.entries[0].data == bytes([index + 1]) * 100
 
-    def test_a_lone_appender_posts_marker_record_header_in_that_order(self, backend):
-        """A batch of one is the pre-group-commit schedule, op for op —
-        including the wrap: marker and record are not adjacent, so
-        they stay two gWRITEs."""
+    def test_a_lone_appender_posts_marker_then_record(self, backend):
+        """A batch of one is the record alone — with its wrap marker
+        first: marker and record are not adjacent, so they stay two
+        gWRITEs."""
         world = World(backend, wal_size=1024)
         log = ReplicatedLog(world.group, world.layout)
         size = record_size(200)
@@ -140,12 +130,8 @@ class TestBatchShape:
 
         world.run([world.spawn(body, "solo")])
         assert 1024 - 4 * size < size  # the fifth does not fit the lap
-        wal, header = world.layout.wal_offset, world.layout.head_offset
-        assert world.posts == [
-            ("gwrite", wal + 4 * size, 4),
-            ("gwrite", wal, size),
-            ("gwrite", header, 16),
-        ]
+        wal = world.layout.wal_offset
+        assert world.posts == [("gwrite", wal + 4 * size, 4), ("gwrite", wal, size)]
         assert log.tail == 1024 + size
 
     def test_a_wrap_inside_a_batch_splits_it_into_two_extents(self, backend):
@@ -171,22 +157,20 @@ class TestBatchShape:
         # Leader alone at `base`; then the batch: one record fits the
         # lap, the marker goes where the next would have started.
         assert base + 2 * small <= 1024 < base + 3 * small
-        wal, header = world.layout.wal_offset, world.layout.head_offset
+        wal = world.layout.wal_offset
         assert world.posts == [
             ("gwrite", wal + base, small),
-            ("gwrite", header, 16),
             ("gwrite", wal + base + small, small + 4),
             ("gwrite", wal, 2 * small),
-            ("gwrite", header, 16),
         ]
         assert log.tail == 1024 + 2 * small
         marker_at = world.layout.wal_offset + base + 2 * small
         for replica in range(3):
-            assert world.durable(replica) == (base, log.tail)
+            assert world.header(replica) == (base, 3)
             (magic,) = struct.unpack("<I", world.group.read_replica(replica, marker_at, 4))
             assert magic == WRAP_MAGIC
             raw = world.group.read_replica(replica, wal, 1024)
-            scanned = list(scan_records(raw, base, log.tail, 1024))
+            scanned = list(scan_records(raw, base, 3, 1024))
             assert [record.lsn for _, record in scanned] == [3, 4, 5, 6]
             assert [logical for logical, _ in scanned] == [
                 base, base + small, 1024, 1024 + small
@@ -204,7 +188,7 @@ class TestBatchFailures:
 
         def failing_submit(task, op):
             calls.append(op)
-            if len(calls) == 4:  # the second batch's header
+            if len(calls) == 2:  # the second batch's record run
                 raise OSError("post failed")
             return (yield from submit(task, op))
 
@@ -222,7 +206,6 @@ class TestBatchFailures:
         world.run([world.appender(log, "next", b"\x07" * 100)])
         assert world.outcomes[0][1].lsn == 1
         for replica in range(3):
-            assert world.durable(replica) == (0, 2 * size)
             records = ReplicatedLog.recover_replica(world.group, world.layout, replica)
             assert [record.entries[0].data for record in records] == [
                 bytes([int(first[0][1:]) + 1]) * 100, b"\x07" * 100
@@ -239,7 +222,7 @@ class TestBatchFailures:
 
         def crashing_submit(task, op):
             ack = yield from submit(task, op)
-            if len(world.posts) == 3:  # the second batch's record run is posted
+            if len(world.posts) == 2:  # the second batch's record run is posted
                 world.cluster[1].crash()
             return ack
 
@@ -254,7 +237,7 @@ class TestBatchFailures:
         for _, outcome in world.outcomes[1:]:
             assert isinstance(outcome, RuntimeError) and "abandoned" in str(outcome)
         assert (log.tail, log.next_lsn) == (record_size(100), 1)
-        assert len(world.posts) == 4  # a2 did not lead the batch again
+        assert len(world.posts) == 2  # a2 did not lead the batch again
 
     def test_wal_full_is_judged_per_member(self, backend):
         """The member that does not fit gets WAL-full with nothing of
@@ -279,13 +262,8 @@ class TestBatchFailures:
         assert "WAL full" in str(outcomes["too-big"])
         assert [outcomes[name].lsn for name in ("first", "fits", "small")] == [0, 1, 2]
         assert log.tail == first + fits + small and log.next_lsn == 3
-        wal, header = world.layout.wal_offset, world.layout.head_offset
-        assert world.posts == [
-            ("gwrite", wal, first),
-            ("gwrite", header, 16),
-            ("gwrite", wal + first, fits + small),
-            ("gwrite", header, 16),
-        ]
+        wal = world.layout.wal_offset
+        assert world.posts == [("gwrite", wal, first), ("gwrite", wal + first, fits + small)]
         for replica in range(3):
             records = ReplicatedLog.recover_replica(world.group, world.layout, replica)
             assert [record.entries[0].data[:1] for record in records] == [
@@ -315,7 +293,7 @@ class TestBatchFailures:
 class TestBesideResults:
     def test_each_members_lock_cas_result_goes_back_to_that_member(self, backend):
         """Two `transact` calls share a batch behind an append in
-        flight: {records, header, lock gCAS, lock gCAS}. The first
+        flight: {records, lock gCAS, lock gCAS}. The first
         gCAS wins and its owner executes everything pending; the
         second lost everywhere, so its owner falls into wr_lock's
         retry — and every record is applied exactly once."""
@@ -339,15 +317,11 @@ class TestBesideResults:
         ]
         world.run(tasks)
         assert lsns == {"plain": 0, "winner": 1, "loser": 2}
-        wal, header, lock = (
-            world.layout.wal_offset, world.layout.head_offset, world.layout.lock_offset
-        )
+        wal, lock = world.layout.wal_offset, world.layout.lock_offset
         first, both = record_size(5), record_size(6) + record_size(5)
-        assert world.posts[:6] == [
+        assert world.posts[:4] == [
             ("gwrite", wal, first),
-            ("gwrite", header, 16),
             ("gwrite", wal + first, both),
-            ("gwrite", header, 16),
             ("gcas", lock, 0),
             ("gcas", lock, 0),
         ]
@@ -368,9 +342,9 @@ class TestBesideResults:
 class TestPowerFailureMidBatch:
     def test_every_replica_recovers_a_prefix_holding_every_returned_append(self, backend):
         """Cut each replica's power at every step between the batch's
-        first post and its header's ack: its NVM yields a prefix of
-        whole records, exactly as long as its durable tail, and it
-        holds every append that returned."""
+        post and its ack: the scan of its NVM yields a prefix of the
+        appended records, whole, in LSN order, and it holds every
+        append that returned."""
 
         def run(fail_at=None, victim=None):
             world = World(backend)
@@ -380,7 +354,7 @@ class TestPowerFailureMidBatch:
 
             def marking_submit(task, op):
                 ack = yield from submit(task, op)
-                if len(world.posts) > 2:  # the second batch: extent, header
+                if len(world.posts) > 1:  # the second batch's extent
                     marks.setdefault("posted", world.sim.now)
                     ack.add_callback(lambda _ack: marks.__setitem__("acked", world.sim.now))
                 return ack
@@ -394,7 +368,7 @@ class TestPowerFailureMidBatch:
             return world, marks
 
         world, marks = run()
-        assert len(world.posts) == 4 and len(world.outcomes) == 5
+        assert len(world.posts) == 2 and len(world.outcomes) == 5
         posted, acked = marks["posted"], marks["acked"]
         assert posted < acked
         lengths = set()
@@ -402,15 +376,17 @@ class TestPowerFailureMidBatch:
             fail_at = posted + (acked - posted) * step // 24
             for victim in (1, 2, 3):
                 world, _ = run(fail_at, victim)
-                head, tail = world.durable(victim - 1)
                 records = ReplicatedLog.recover_replica(world.group, world.layout, victim - 1)
                 lsns = [record.lsn for record in records]
-                assert head == 0 and lsns == list(range(len(lsns)))
-                assert sum(record.serialized_size for record in records) == tail
+                assert lsns == list(range(len(lsns)))
+                assert [record.entries[0].data for record in records] == [
+                    bytes([index + 1]) * 120 for index in range(len(records))
+                ]
                 returned = [outcome.lsn for _, outcome in world.outcomes]
                 assert set(returned) <= set(lsns), (step, victim, returned, lsns)
                 lengths.add(len(lsns))
-        # The batch is all or nothing under the durable tail.
+        # The batch's four records are one extent, one RDMA WRITE, and
+        # a WRITE lands whole or not at all: all or nothing still.
         assert lengths == {1, 5}
 
 
@@ -445,8 +421,8 @@ class TestRebind:
         # The LSN after the last *acked* record, not after the zombies'.
         assert (name, record.lsn) == ("fresh", 1)
         assert (log.tail, log.next_lsn) == (2 * size, 2)
-        wal, header = world.layout.wal_offset, world.layout.head_offset
-        assert world.posts == [("gwrite", wal + size, size), ("gwrite", header, 16)]
+        # `fresh` is an empty group, so there is no zombie to scrub.
+        assert world.posts == [("gwrite", world.layout.wal_offset + size, size)]
         # The zombies unwind late (garbage collection, in practice):
         # nothing of the new mutex is theirs to release.
         for task in reversed(zombies):
@@ -470,6 +446,174 @@ class TestRebind:
         assert world.posts == []
         assert (log.tail, log.next_lsn) == (record_size(100), 1)
         assert log._gate.mutex.in_use == 0 and not log._gate.queue
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestZombieScrub:
+    """A batch that failed or was abandoned can leave its records on
+    the replicas past the client's tail. The next record reuses the
+    zombie's first LSN and offset: one of the same length ends exactly
+    where the zombie's second record begins, and a scan from the head
+    would resurrect that record unless the zombie is zeroed first."""
+
+    def _zombie_batch(self, world, log, on_post, beside=()):
+        """A is acked; B and C queue behind it and ride the next batch.
+        ``on_post()`` runs once that batch's record run is posted; B
+        carries ``beside`` ops. Returns the three tasks."""
+        submit = world.group.submit
+
+        def hooking_submit(task, op):
+            ack = yield from submit(task, op)
+            if len(world.posts) == 2:  # {B, C}'s record run
+                on_post()
+            return ack
+
+        world.group.submit = hooking_submit
+
+        def member_b(task):
+            try:
+                outcome = yield from log.append_beside(task, [(0, b"\x02" * 100)], beside)
+            except Exception as exc:  # the test inspects what was raised
+                outcome = exc
+            world.outcomes.append(("B", outcome))
+
+        return [
+            world.appender(log, "A", b"\x01" * 100),
+            world.spawn(member_b, "B"),
+            world.appender(log, "C", b"\x03" * 240),
+        ]
+
+    @staticmethod
+    def _recovered(group, layout):
+        return [
+            [record.entries[0].data[:1] for record in ReplicatedLog.recover_replica(group, layout, r)]
+            for r in range(group.group_size)
+        ]
+
+    def test_the_zombie_of_a_failed_batch_is_zeroed_before_the_next_record(self, backend):
+        world = World(backend)
+        log = ReplicatedLog(world.group, world.layout)
+        original = world.group.submit
+
+        def failing_submit(task, op):
+            if op.kind == GCAS:  # fails once the records have landed
+                yield from task.sleep(50_000)
+                raise OSError("post failed")
+            return (yield from original(task, op))
+
+        world.group.submit = failing_submit
+        lock = OpSpec(GCAS, offset=world.layout.lock_offset, compare=0, swap=1)
+        world.run(self._zombie_batch(world, log, lambda: None, beside=[lock]))
+        outcomes = dict(world.outcomes)
+        assert outcomes["A"].lsn == 0
+        assert isinstance(outcomes["B"], OSError) and outcomes["C"] is outcomes["B"]
+        assert (log.tail, log.next_lsn) == (record_size(100), 1)
+        world.sim.run(until=world.sim.now + 100_000)
+        # The zombie is whole on every replica: the chain is alive.
+        assert self._recovered(world.group, world.layout) == [[b"\x01", b"\x02", b"\x03"]] * 3
+        world.run([world.appender(log, "D", b"\x04" * 100)])  # B's length, B's LSN
+        assert world.outcomes[-1][1].lsn == 1
+        assert self._recovered(world.group, world.layout) == [[b"\x01", b"\x04"]] * 3
+
+    def test_the_zombie_a_survivor_holds_is_zeroed_after_rebind(self, backend):
+        world = World(backend)
+        log = ReplicatedLog(world.group, world.layout)
+        tail_host = world.cluster[3]  # last in the chain: the others get the batch
+        tasks = self._zombie_batch(world, log, tail_host.crash)
+        world.sim.run(until=world.sim.now + 1 * MS)
+        assert [name for name, _ in world.outcomes] == ["A"]
+        assert not tasks[1].process.triggered and not tasks[2].process.triggered
+        assert (log.tail, log.next_lsn) == (record_size(100), 1)
+        survivor = self._recovered(world.group, world.layout)[0]
+        assert survivor == [b"\x01", b"\x02", b"\x03"]  # the zombie reached it
+        repair = ChainRepair(
+            world.cluster[0], world.group,
+            lambda members: world.build_group(backend, members, name="w2"),
+        )
+        repaired = {}
+
+        def repairer(task):
+            repaired["group"] = yield from repair.repair(task, 2, world.cluster[4], copy_from=0)
+
+        world.run([world.spawn(repairer, "repair")], deadline_ms=50)
+        fresh = repaired["group"]
+        log.rebind(fresh)
+        world.run([world.appender(log, "D", b"\x04" * 100)])  # B's length, B's LSN
+        assert world.outcomes[-1][1].lsn == 1
+        assert self._recovered(fresh, world.layout) == [[b"\x01", b"\x04"]] * 3
+
+
+    def test_a_head_advance_lost_with_the_dead_chain_is_restated(self, backend):
+        """The chain head dies as a drain's header gWRITE is posted: A
+        is executed and the client's head is past it, but the survivor's
+        header is not. After rebind the header rides the first post, so
+        no replica recovers A again (nor stops a lap past the old head)."""
+        world = World(backend)
+        log = ReplicatedLog(world.group, world.layout)
+        world.run([world.appender(log, "A", b"\x01" * 100)])
+        submit = world.group.submit
+
+        def crashing_submit(task, op):
+            ack = yield from submit(task, op)
+            if op.kind == "gwrite" and op.offset == world.layout.head_offset:
+                world.cluster[1].crash()
+            return ack
+
+        world.group.submit = crashing_submit
+        drainer = world.spawn(lambda task: log.drain(task), "drain")
+        world.sim.run(until=world.sim.now + 1 * MS)
+        assert not drainer.process.triggered
+        assert (log.head, log.head_lsn) == (record_size(100), 1)
+        assert world.header(1) == (0, 0)  # the survivor never got it
+        repair = ChainRepair(
+            world.cluster[0], world.group,
+            lambda members: world.build_group(backend, members, name="w2"),
+        )
+        repaired = {}
+
+        def repairer(task):
+            repaired["group"] = yield from repair.repair(task, 0, world.cluster[4], copy_from=1)
+
+        world.run([world.spawn(repairer, "repair")], deadline_ms=50)
+        fresh = repaired["group"]
+        log.rebind(fresh)
+        world.run([world.appender(log, "B", b"\x02" * 100)])
+        assert self._recovered(fresh, world.layout) == [[b"\x02"]] * 3
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_an_empty_log_over_a_stale_lap_recovers_nothing(backend):
+    """Lap a 1 KiB ring with 128-byte records (no wrap markers: a lap
+    is exactly eight records), checkpointing as it goes, and end on a
+    checkpoint: the log is empty, and the bytes at its head are a
+    whole record from the previous lap. The header's LSN at head tells
+    them apart: recovery returns nothing and a replica's sync replays
+    the checkpoint alone."""
+    world = World(backend)
+    layout = RegionLayout(wal_size=1024, db_size=4096)
+    kv = ReplicatedKVStore(world.group, layout, start_sync_tasks=False)
+    size = record_size(7 + 5 + 82)  # kv op header + key + value
+    assert size == 128
+
+    def body(task):
+        for index in range(12):
+            yield from kv.put(task, b"key%02d" % index, bytes([index]) * 82)
+            if index % 4 == 3:
+                yield from kv.checkpoint(task)
+
+    world.run([world.spawn(body, "writer")])
+    assert kv.log.head == kv.log.tail == 12 * size and kv.log.head_lsn == 12
+    stale = layout.wal_position(kv.log.head)
+    for replica in range(3):
+        assert world.group.read_replica(replica, layout.head_offset, 16) == struct.pack(
+            "<QQ", 12 * size, 12
+        )
+        raw = world.group.read_replica(replica, stale, size)
+        assert LogRecord.deserialize(raw).lsn == 4  # whole, one lap old
+        assert ReplicatedLog.recover_replica(world.group, layout, replica) == []
+        assert kv.sync_replica(replica) == 12  # the checkpoint's keys, no record
+        assert kv.sync_replica(replica) == 0
+        assert kv.recover_from_replica(replica) == dict(kv.memtable.items())
 
 
 class TestCut:
@@ -504,7 +648,10 @@ class TestCut:
         world.run(tasks)
         assert seen["cut"] == (1, 2 * size)
         assert seen["applied"] == [0, 1]
-        assert [len(batch) for batch in world.batches()] == [2, 2, 2]  # three batches of one
+        wal = world.layout.wal_offset
+        assert world.posts == [  # three batches of one
+            ("gwrite", wal + index * size, size) for index in range(3)
+        ]
         assert applied == [0, 1, 2]
 
     def test_cut_on_an_idle_log_returns_at_once(self):
@@ -569,21 +716,23 @@ def _eight_puts_on_a_warm_idle_group(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_eight_concurrent_puts_cost_four_chain_ops(backend):
-    """Was 16 (record + header per put, one round trip each in turn)."""
+def test_eight_concurrent_puts_cost_two_chain_ops(backend):
+    """Was 16 (record + header per put, one round trip each in turn),
+    then 4 (record run + header per batch)."""
     posts, finished, kv = _eight_puts_on_a_warm_idle_group(backend)
     size = record_size(7 + 12 + 1024)  # kv op header + key + value
-    assert posts == [("gwrite", size), ("gwrite", 16), ("gwrite", 7 * size), ("gwrite", 16)]
+    assert posts == [("gwrite", size), ("gwrite", 7 * size)]
     assert len(finished) == 8 and len(kv.memtable) == 9
     for replica in range(3):
         assert len(kv.recover_from_replica(replica)) == 9
 
 
 def test_eight_concurrent_puts_finish_in_two_round_trips():
-    """One lone put is 12.19 sim us here; the last of 8 used to finish
-    at 83.1 (eight round trips in turn), now at 24.8 (two)."""
+    """One lone put is 11.60 sim us here (12.19 with a tail header);
+    the last of 8 used to finish at 83.1 (eight round trips in turn),
+    now at 23.9 (two)."""
     _, finished, _ = _eight_puts_on_a_warm_idle_group("hyperloop")
-    assert finished[0] == 12_190
+    assert finished[0] == 11_600
     assert max(finished) < 35_000
 
 
@@ -591,9 +740,10 @@ N_WRITERS = 8
 PUTS_PER_WRITER = 50
 
 # 86,450 before group commit; 22,958 while the group built its idle
-# gMEMCPY and gCAS chains (their engines' start-up dispatches).
-KERNEL_DISPATCHES = 22_914
-NIC_WQES = 2_000  # 8,000
+# gMEMCPY and gCAS chains (their engines' start-up dispatches); 22,914
+# while every batch also wrote a tail header.
+KERNEL_DISPATCHES = 12_824
+NIC_WQES = 1_000  # 8,000 before group commit, 2,000 with a tail header
 WAL_BATCHES = 100  # two cohorts of four writers take turns; was 400 of one
 
 
