@@ -18,14 +18,15 @@ for gWRITE; only the topology differs.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Generator, List, Sequence
+from typing import Generator, List, Sequence
 
+from ..core.acks import AckReaper
 from ..core.chain import check_range
 from ..hw.cpu import Task
 from ..hw.host import Host
 from ..hw.nic import AccessFlags
 from ..hw.wqe import FLAG_VALID, Opcode, Wqe
-from ..sim import Event, Resource
+from ..sim import Resource
 from ..rdma.verbs import Mr, QueuePair
 
 __all__ = ["FanoutGroup"]
@@ -34,7 +35,10 @@ _CMD = struct.Struct("<QQI")  # round, offset, size
 
 
 class FanoutGroup:
-    """Primary/backup fan-out replication of gWRITE (ablation only)."""
+    """Primary/backup fan-out replication of gWRITE (ablation only).
+
+    The client is an event-mode one: acks are reaped by
+    :mod:`repro.core.acks`, as for the other group types."""
 
     def __init__(
         self,
@@ -58,6 +62,7 @@ class FanoutGroup:
         self.g = len(self.replicas)
         self.next_round = 0
         self.errors: List[str] = []
+        self._acks = AckReaper(client.sim, name, "event", self.errors)
         self.client_region = client.memory.alloc(region_size, label=f"{name}.client")
         self.replica_mrs: List[Mr] = []
         for index, host in enumerate(self.replicas):
@@ -65,7 +70,10 @@ class FanoutGroup:
             self.replica_mrs.append(host.dev.reg_mr(region, AccessFlags.ALL_REMOTE))
         self._setup()
         self._flow = Resource(client.sim, capacity=max(rounds // 2, 1))
-        self._waiters: Dict[int, Event] = {}
+        self._waiters = self._acks.attach(
+            self.ack_qp.recv_cq, lambda round_: round_,
+            lambda: self.ack_qp.post_recv(Wqe(local_addr=0, length=0)), lap=1 << 32,
+        )
         self._tasks = []
         self._replica_tasks = []
         self._started = False
@@ -129,10 +137,10 @@ class FanoutGroup:
             )
             backup_cmds.append(self.replicas[index].dev.reg_mr(region))
         self.backup_cmds = backup_cmds
-        for _ in range(self.rounds):
-            self.primary_qp.post_recv(
-                Wqe(local_addr=self.cmd_buf.addr, length=self.cmd_size)
-            )
+        for position in range(self.rounds):
+            # A slot per round: the next command must not overwrite this one.
+            slot = self.cmd_buf.addr + position * self.cmd_size
+            self.primary_qp.post_recv(Wqe(local_addr=slot, length=self.cmd_size))
             for index, remote in enumerate(self.backup_remote_qps):
                 remote.post_recv(
                     Wqe(local_addr=backup_cmds[index].addr, length=self.cmd_size)
@@ -154,9 +162,7 @@ class FanoutGroup:
             )
             self._tasks.append(task)
             self._replica_tasks.append(task)
-        self._tasks.append(
-            self.client.os.spawn(self._ack_body(), name=f"{self.name}.acks")
-        )
+        self._acks.start(self.client.os)
 
     # -- public API (gwrite only; the ablation's subject) ---------------------------
 
@@ -199,7 +205,7 @@ class FanoutGroup:
             )
             ack = self.sim.event(name=f"{self.name}.op{round_}")
             self._waiters[round_] = ack
-            result = yield from task.wait(ack)
+            result = yield from self._acks.wait(task, ack)
         finally:
             self._flow.release()
         return result
@@ -222,11 +228,10 @@ class FanoutGroup:
                 cqes = cq.poll(16)
                 yield from task.compute(600 * max(len(cqes), 1))
                 for cqe in cqes:
-                    raw = primary.nic.cache.read(self.cmd_buf.addr, self.cmd_size)
+                    slot = self.cmd_buf.addr + (handled % self.rounds) * self.cmd_size
+                    raw = primary.nic.cache.read(slot, self.cmd_size)
                     round_, offset, size = _CMD.unpack(raw)
-                    self.primary_qp.post_recv(
-                        Wqe(local_addr=self.cmd_buf.addr, length=self.cmd_size)
-                    )
+                    self.primary_qp.post_recv(Wqe(local_addr=slot, length=self.cmd_size))
                     # Fan out: one WRITE + SEND per backup, all through
                     # the primary's single NIC port.
                     expected = []
@@ -247,7 +252,7 @@ class FanoutGroup:
                                     opcode=Opcode.SEND,
                                     flags=FLAG_VALID | 0x02,  # signaled
                                     length=self.cmd_size,
-                                    local_addr=self.cmd_buf.addr,
+                                    local_addr=slot,
                                 ),
                             ]
                         )
@@ -291,22 +296,6 @@ class FanoutGroup:
                 yield from task.compute(600 * max(len(cqes), 1))
                 for _cqe in cqes:
                     qp.post_recv(Wqe(local_addr=cmd_mr.addr, length=self.cmd_size))
-
-        return body
-
-    def _ack_body(self):
-        def body(task: Task) -> Generator:
-            expected = 0
-            cq = self.ack_qp.recv_cq
-            while True:
-                yield from task.wait(cq.next_event())
-                for cqe in cq.poll(16):
-                    self.ack_qp.post_recv(Wqe(local_addr=0, length=0))
-                    waiter = self._waiters.pop(expected, None)
-                    expected += 1
-                    if waiter is not None:
-                        waiter.succeed(expected - 1)
-                yield from task.compute(400)
 
         return body
 

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Sequence
+from typing import Generator, List, Optional, Sequence
 
+from ..core.acks import AckReaper
 from ..core.chain import GCAS, GMEMCPY, GWRITE, OpSpec, SKIP_SENTINEL
 from ..hw.cpu import Task
 from ..hw.host import Host
@@ -84,9 +85,12 @@ class NaiveGroup:
     additionally ``replica_mode`` selects event-driven or polling
     daemons and ``replica_cores`` optionally pins each daemon.
 
+    ``client_mode`` is HyperLoop's, reaped by the same routine
+    (:mod:`repro.core.acks`): both sides get the same client.
+
     :meth:`stop` has HyperLoop's contract and its polling-mode limit:
-    the daemons and the ack handler test the flag when they wake, so
-    a poller parked on its CQ keeps its core until the next
+    the daemons and a polling client thread test the flag when they
+    wake, so a poller parked on its CQ keeps its core until the next
     completion arrives.
     """
 
@@ -110,8 +114,12 @@ class NaiveGroup:
             raise ValueError("a group needs at least one replica")
         if replica_mode not in ("event", "polling"):
             raise ValueError(f"bad replica_mode {replica_mode!r}")
-        if client_mode not in ("event", "polling"):
-            raise ValueError(f"bad client_mode {client_mode!r}")
+        self.params = params or NaiveParams()
+        self.errors: List[str] = []
+        self._acks = AckReaper(
+            client.sim, name, client_mode, self.errors,
+            check_ns=self.params.poll_slice_ns, check_every_pass=True,
+        )
         self.client = client
         self.replicas = list(replicas)
         self.region_size = region_size
@@ -119,11 +127,8 @@ class NaiveGroup:
         self.durable = durable
         self.replica_mode = replica_mode
         self.replica_cores = list(replica_cores or [None] * len(replicas))
-        self.client_mode = client_mode
         self.client_core = client_core
-        self.params = params or NaiveParams()
         self.name = name
-        self.errors: List[str] = []
         self.g = len(self.replicas)
         self.result_size = self.g * 8
         self.cmd_size = _CMD.size + self.result_size
@@ -141,7 +146,10 @@ class NaiveGroup:
         self._plumbing: List[_ReplicaPlumbing] = []
         self._setup()
         self._flow = Resource(client.sim, capacity=max(rounds // 2, 1))
-        self._waiters: Dict[int, Event] = {}
+        self._waiters = self._acks.attach(
+            self.ack_qp.recv_cq, self._parse_result_map,
+            lambda: self.ack_qp.post_recv(Wqe(local_addr=0, length=0)), lap=1 << 32,
+        )
         self._tasks: List[Task] = []
         self._replica_tasks: List[Task] = []
         self._started = False
@@ -213,7 +221,7 @@ class NaiveGroup:
     # -- lifecycle -----------------------------------------------------------------
 
     def start(self) -> None:
-        """Spawn replica daemons and the client completion handler."""
+        """Spawn the replica daemons and start reaping acks."""
         if self._started:
             return
         self._started = True
@@ -225,18 +233,14 @@ class NaiveGroup:
             )
             self._tasks.append(task)
             self._replica_tasks.append(task)
-        task = self.client.os.spawn(
-            self._ack_handler_body(),
-            name=f"{self.name}.acks",
-            pinned_core=self.client_core,
-        )
-        self._tasks.append(task)
+        self._acks.start(self.client.os, self.client_core)
 
     def stop(self) -> None:
-        """Retire the group: the replica daemons and the ack handler
-        return at their next wakeup (see
+        """Retire the group: acks are no longer reaped and the replica
+        daemons return at their next wakeup (see
         :meth:`HyperLoopGroup.stop <repro.core.group.HyperLoopGroup.stop>`)."""
         self._stopping = True
+        self._acks.stop()
 
     # -- public operations (same surface as HyperLoopGroup) ----------------------------
 
@@ -295,9 +299,14 @@ class NaiveGroup:
         return result
 
     def _run(self, task: Task, op: OpSpec) -> Generator:
-        """The blocking form of every verb: :meth:`submit`, then wait."""
+        """The blocking form of every verb: :meth:`submit`, then
+        :meth:`wait`."""
         ack = yield from self.submit(task, op)
-        return (yield from task.wait(ack))
+        return (yield from self.wait(task, ack))
+
+    def wait(self, task: Task, acks) -> Generator:
+        """See :meth:`HyperLoopGroup.wait <repro.core.group.HyperLoopGroup.wait>`."""
+        return (yield from self._acks.wait(task, acks))
 
     def submit(self, task: Task, op: OpSpec) -> Generator:
         """Post ``op``; returns its ack event (see
@@ -480,38 +489,6 @@ class NaiveGroup:
                 for cqe in plumbing.qp_next.send_cq.poll(64):
                     if not cqe.ok:
                         self.errors.append(f"r{index}: send error {cqe!r}")
-
-        return body
-
-    # -- client completion handling --------------------------------------------------------
-
-    def _ack_handler_body(self):
-        params = self.params
-
-        def body(task: Task) -> Generator:
-            expected = 0
-            cq = self.ack_qp.recv_cq
-            while not self._stopping:
-                if self.client_mode == "polling":
-                    yield from task.poll_wait(
-                        cq.next_event(), check_ns=params.poll_slice_ns
-                    )
-                else:
-                    yield from task.wait(cq.next_event())
-                cqes = cq.poll(64)
-                if cqes:
-                    yield from task.compute(300 * len(cqes))
-                for cqe in cqes:
-                    if not cqe.ok:
-                        self.errors.append(f"ack error: {cqe!r}")
-                        continue
-                    round_ = expected
-                    expected += 1
-                    result = self._parse_result_map(round_)
-                    self.ack_qp.post_recv(Wqe(local_addr=0, length=0))
-                    waiter = self._waiters.pop(round_, None)
-                    if waiter is not None:
-                        waiter.succeed(result)
 
         return body
 

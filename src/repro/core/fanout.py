@@ -30,7 +30,7 @@ chains, reproduced among NIC-offloaded designs.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Generator, List, Optional, Sequence
+from typing import Generator, List, Optional, Sequence
 
 from ..hw.cpu import Task
 from ..hw.host import Host
@@ -38,7 +38,8 @@ from ..hw.nic import AccessFlags
 from ..hw.wqe import FLAG_SGL, FLAG_SIGNALED, FLAG_VALID, Opcode, Wqe, WQE_SIZE
 from ..rdma.reader import RemoteReader
 from ..rdma.verbs import Mr, QueuePair
-from ..sim import Event, Resource, US
+from ..sim import Resource, US
+from .acks import AckReaper
 from .chain import check_range
 
 __all__ = ["HyperFanoutGroup"]
@@ -50,8 +51,9 @@ class HyperFanoutGroup:
     """Fan-out gWRITE offloaded to the primary's NIC (§7).
 
     API mirrors the gwrite surface of
-    :class:`~repro.core.group.HyperLoopGroup`; replica 0 is the
-    primary, the rest are backups it coordinates.
+    :class:`~repro.core.group.HyperLoopGroup`, ``client_mode``
+    included (acks are reaped by :mod:`repro.core.acks`); replica 0 is
+    the primary, the rest are backups it coordinates.
     """
 
     def __init__(
@@ -76,7 +78,6 @@ class HyperFanoutGroup:
         self.rounds = rounds
         self.durable = durable
         self.name = name
-        self.client_mode = client_mode
         self.maintenance_interval = maintenance_interval
         self.client_core = client_core
         self.g = len(self.replicas)
@@ -84,6 +85,9 @@ class HyperFanoutGroup:
         self.payload_size = self.n_backups * WQE_SIZE
         self.next_round = 0
         self.errors: List[str] = []
+        self._acks = AckReaper(
+            client.sim, name, client_mode, self.errors, check_ns=100, check_every_pass=True
+        )
         self.client_region = client.memory.alloc(region_size, label=f"{name}.client")
         self.replica_mrs: List[Mr] = []
         for index, host in enumerate(self.replicas):
@@ -92,7 +96,10 @@ class HyperFanoutGroup:
         self._reader = RemoteReader(client, self.replicas, self.replica_mrs, name)
         self._setup()
         self._flow = Resource(client.sim, capacity=max(rounds // 2, 1))
-        self._waiters: Dict[int, Event] = {}
+        self._waiters = self._acks.attach(
+            self.ack_qp.recv_cq, lambda round_: round_,
+            lambda: self.ack_qp.post_recv(Wqe(local_addr=0, length=0)), lap=rounds,
+        )
         self._tasks: List[Task] = []
         self._started = False
         if autostart:
@@ -271,11 +278,7 @@ class HyperFanoutGroup:
         if self._started:
             return
         self._started = True
-        self._tasks.append(
-            self.client.os.spawn(
-                self._ack_body(), name=f"{self.name}.acks", pinned_core=self.client_core
-            )
-        )
+        self._acks.start(self.client.os, self.client_core)
         self._tasks.append(
             self.replicas[0].os.spawn(self._maintenance_body(), name=f"{self.name}.maint")
         )
@@ -356,7 +359,7 @@ class HyperFanoutGroup:
             self.client_qp.post_send_batch(wqes)
             ack = self.sim.event(name=f"{self.name}.op{round_}")
             self._waiters[round_] = ack
-            result = yield from task.wait(ack)
+            result = yield from self._acks.wait(task, ack)
         finally:
             self._flow.release()
         return result
@@ -375,36 +378,7 @@ class HyperFanoutGroup:
             wr_id=round_,
         ).pack()
 
-    # -- client ack handling + primary maintenance ----------------------------------------
-
-    def _ack_body(self):
-        def body(task: Task) -> Generator:
-            expected = 0
-            cq = self.ack_qp.recv_cq
-            while True:
-                if self.client_mode == "polling":
-                    yield from task.poll_wait(cq.next_event())
-                else:
-                    yield from task.wait(cq.next_event())
-                cqes = cq.poll(64)
-                if cqes:
-                    yield from task.compute(300 * len(cqes))
-                for cqe in cqes:
-                    if not cqe.ok:
-                        self.errors.append(f"ack error: {cqe!r}")
-                        continue
-                    round_ = expected
-                    expected += 1
-                    if cqe.imm != round_ % self.rounds:
-                        self.errors.append(
-                            f"imm {cqe.imm} != position {round_ % self.rounds}"
-                        )
-                    self.ack_qp.post_recv(Wqe(local_addr=0, length=0))
-                    waiter = self._waiters.pop(round_, None)
-                    if waiter is not None:
-                        waiter.succeed(round_)
-
-        return body
+    # -- primary maintenance ----------------------------------------
 
     def _retired_rounds(self) -> int:
         retired = self.primary_qp.hw.recv_consumer

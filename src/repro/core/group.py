@@ -38,10 +38,11 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..hw.cpu import Task
 from ..hw.host import Host
-from ..hw.nic import AccessFlags, CompletionChannel
+from ..hw.nic import AccessFlags
 from ..obs.trace import TRACER
 from ..rdma.reader import RemoteReader
 from ..sim import Event, Resource, US
+from .acks import AckReaper
 from .chain import Chain, GCAS, GMEMCPY, GWRITE, OpSpec
 
 __all__ = ["HyperLoopGroup"]
@@ -74,9 +75,10 @@ class HyperLoopGroup:
         operation (or an explicit :meth:`chain` call); an operation
         on a primitive not listed raises ``RuntimeError``.
     client_mode:
-        ``"event"`` — the client completion handler blocks on the CQ
-        channel (normal tenants); ``"polling"`` — it busy-polls
-        (dedicated-core clients, e.g. the microbenchmark driver).
+        ``"event"`` — an ack wakes the task waiting on the op (normal
+        tenants); ``"polling"`` — a client thread busy-polls the ack
+        CQs (dedicated-core clients, e.g. the latency microbenchmark).
+        See :mod:`repro.core.acks`.
     maintenance_interval:
         How often replica CPUs wake to refill rounds (off the
         critical path).
@@ -99,21 +101,19 @@ class HyperLoopGroup:
     ):
         if not replicas:
             raise ValueError("a group needs at least one replica")
-        if client_mode not in ("event", "polling"):
-            raise ValueError(f"bad client_mode {client_mode!r}")
         for primitive in primitives:
             if primitive not in (GWRITE, GMEMCPY, GCAS):
                 raise ValueError(f"unknown primitive {primitive!r}")
+        self.errors: List[str] = []
+        self._acks = AckReaper(client.sim, name, client_mode, self.errors)
         self.client = client
         self.replicas = list(replicas)
         self.region_size = region_size
         self.rounds = rounds
         self.durable = durable
         self.name = name
-        self.client_mode = client_mode
         self.maintenance_interval = maintenance_interval
         self.client_core = client_core
-        self.errors: List[str] = []
         # Replicated data regions: one local copy on the client, one
         # remotely accessible region per replica.
         self.client_region = client.memory.alloc(
@@ -130,16 +130,11 @@ class HyperLoopGroup:
         self.primitives: Tuple[str, ...] = tuple(primitives)
         # Built chains only, keyed in ``primitives`` order (see chain()).
         self.chains: Dict[str, Chain] = {}
-        # The ack handler's one wake-up: every built chain's ack CQ and
-        # client send CQ join it.
-        self._completions = CompletionChannel(client.sim, f"{name}.acks")
         self._flow: Dict[str, Resource] = {
             primitive: Resource(client.sim, capacity=max(rounds // 2, 1))
             for primitive in self.primitives
         }
-        self._waiters: Dict[str, Dict[int, Event]] = {
-            primitive: {} for primitive in self.primitives
-        }
+        self._waiters: Dict[str, Dict[int, Event]] = {}  # per built chain
         self._tasks: List[Task] = []
         self._started = False
         self._stopping = False
@@ -191,17 +186,11 @@ class HyperLoopGroup:
     # -- lifecycle -----------------------------------------------------------------
 
     def start(self) -> None:
-        """Spawn the client completion handlers and replica
-        maintenance tasks."""
+        """Start reaping acks and spawn the replica maintenance tasks."""
         if self._started:
             return
         self._started = True
-        task = self.client.os.spawn(
-            self._ack_handler_body(),
-            name=f"{self.name}.acks",
-            pinned_core=self.client_core,
-        )
-        self._tasks.append(task)
+        self._acks.start(self.client.os, self.client_core)
         for index, host in enumerate(self.replicas):
             task = host.os.spawn(
                 self._maintenance_body(index),
@@ -214,12 +203,13 @@ class HyperLoopGroup:
 
         Used on membership change — :class:`~repro.storage.recovery.
         ChainRepair` abandons the old group wholesale, and without this
-        its replica maintenance tasks would keep waking forever. Tasks
-        blocked on events that will never fire (e.g. the ack handler of
-        a group whose chain is dead) simply stay dormant; no new timer
-        events are scheduled once they observe the flag.
+        its replica maintenance tasks would keep waking forever. Acks
+        are no longer reaped; a polling thread parked on a dead chain
+        simply stays dormant, and no new timer events are scheduled
+        once tasks observe the flag.
         """
         self._stopping = True
+        self._acks.stop()
 
     def reattach_client(self) -> None:
         """Rebuild the client's read path after a client crash/restart.
@@ -326,8 +316,8 @@ class HyperLoopGroup:
 
         Building pre-posts every round on every replica and starts the
         chain's NIC engines at the current instant; its ack CQ and
-        client send CQ join the ack handler's completion channel, so a
-        handler already parked wakes for it like for the others.
+        client send CQ join the group's ack reaper, served in declared
+        ``primitives`` order like the chains built before it.
         """
         chain = self.chains.get(primitive)
         if chain is not None:
@@ -335,8 +325,11 @@ class HyperLoopGroup:
         if primitive not in self.primitives:
             raise RuntimeError(f"group built without the {primitive} chain")
         chain = Chain(self, primitive, self.durable, self.rounds)
-        self._completions.attach(chain.ack_qp.recv_cq)
-        self._completions.attach(chain.client_qp.send_cq)
+        self._waiters[primitive] = self._acks.attach(
+            chain.ack_qp.recv_cq, chain.parse_result_map, chain.post_ack_recv,
+            lap=chain.rounds, label=primitive, send_cq=chain.client_qp.send_cq,
+            rank=self.primitives.index(primitive),
+        )
         # A fresh dict, not an insert: the maintenance tasks may be
         # suspended inside a loop over the old one. Declared order, so
         # every loop over the chains is independent of first use.
@@ -345,9 +338,15 @@ class HyperLoopGroup:
         return chain
 
     def _run(self, task: Task, op: OpSpec) -> Generator:
-        """The blocking form of every verb: :meth:`submit`, then wait."""
+        """The blocking form of every verb: :meth:`submit`, then
+        :meth:`wait`."""
         ack = yield from self.submit(task, op)
-        return (yield from task.wait(ack))
+        return (yield from self.wait(task, ack))
+
+    def wait(self, task: Task, acks) -> Generator:
+        """Park on one ack event from :meth:`submit` or a list of them
+        (:meth:`AckReaper.wait <repro.core.acks.AckReaper.wait>`)."""
+        return (yield from self._acks.wait(task, acks))
 
     def submit(self, task: Task, op: OpSpec) -> Generator:
         """Post ``op`` on its primitive's chain; returns its ack event.
@@ -355,9 +354,9 @@ class HyperLoopGroup:
         The issue half of every group operation: build the chain if
         this is its first op (:meth:`chain`), take a flow slot, charge
         the client CPU for building the metadata, post. The
-        caller waits on the returned event whenever it needs the
-        result (the event's value is what the blocking verb returns),
-        and may post more work first. Ordering is the RC queue pair's:
+        caller waits on the returned event (:meth:`wait`) whenever it
+        needs the result (the event's value is what the blocking verb
+        returns), and may post more work first. Ordering is the RC queue pair's:
         ops on the *same* chain execute and ack in post order; ops on
         different chains are unordered, so an op that depends on one
         from another chain must be posted only after that one's ack.
@@ -408,79 +407,6 @@ class HyperLoopGroup:
                 args={"size": op.size, "round": round_},
             )
         )
-
-    # -- client completion handling ------------------------------------------------------
-
-    def _ack_handler_body(self) -> Generator:
-        """One client completion thread serving every chain's ack CQ
-        (one poller / one epoll loop, as a real client would run).
-
-        It sleeps on the group's completion channel, which each chain
-        joins when it is built, and serves pending chains in declared
-        ``primitives`` order."""
-        poll_slice = 200  # ns of CPU per poll check in polling mode
-        expected = dict.fromkeys(self.primitives, 0)
-
-        def handle(task: Task, chain: Chain) -> Generator:
-            cqes = chain.ack_qp.recv_cq.poll(64)
-            if cqes:
-                yield from task.compute(300 * len(cqes))
-            for cqe in cqes:
-                if not cqe.ok:
-                    self.errors.append(f"{chain.primitive} ack error: {cqe!r}")
-                    continue
-                round_ = expected[chain.primitive]
-                expected[chain.primitive] += 1
-                if cqe.imm != round_ % chain.rounds:
-                    self.errors.append(
-                        f"{chain.primitive}: imm {cqe.imm} != position "
-                        f"{round_ % chain.rounds}"
-                    )
-                result = chain.parse_result_map(round_)
-                chain.post_ack_recv()
-                waiter = self._waiters[chain.primitive].pop(round_, None)
-                if waiter is not None:
-                    waiter.succeed(result)
-
-        def drain_send_errors(task: Task) -> Generator:
-            # The client chain WQEs are posted non-signaled, so the
-            # only CQEs that ever land on a client send CQ are errors —
-            # on a lossy fabric, the NIC's RC retransmission path
-            # reporting WC_RETRY_EXCEEDED after its budget. Surface them
-            # to the op layer; on a clean fabric these queues stay empty.
-            for chain in self.chains.values():
-                cq = chain.client_qp.send_cq
-                if not cq.entries:
-                    continue
-                cqes = cq.poll(64)
-                yield from task.compute(300 * len(cqes))
-                for cqe in cqes:
-                    if not cqe.ok:
-                        self.errors.append(
-                            f"{chain.primitive} send error: {cqe!r}"
-                        )
-
-        def ready() -> List[Chain]:
-            return [c for c in self.chains.values() if c.ack_qp.recv_cq.entries]
-
-        def body(task: Task) -> Generator:
-            while True:
-                if self._stopping:
-                    return
-                yield from drain_send_errors(task)
-                pending = ready()
-                if not pending:
-                    wake = self._completions.next_event()
-                    if self.client_mode == "polling":
-                        yield from task.poll_wait(wake, check_ns=poll_slice)
-                    else:
-                        yield from task.wait(wake)
-                    yield from drain_send_errors(task)
-                    pending = ready()
-                for chain in pending:
-                    yield from handle(task, chain)
-
-        return body
 
     def _maintenance_body(self, index: int) -> Generator:
         """Replica-side task: refill consumed rounds, drain CQs.

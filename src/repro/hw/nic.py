@@ -33,7 +33,7 @@ from __future__ import annotations
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from .wqe import (
     Cqe,
@@ -163,8 +163,8 @@ class CompletionChannel:
     (``ibv_comp_channel``).
 
     A CQ :meth:`attach`\\ ed to the channel notifies it on every
-    :meth:`HwCq.push`; one consumer serving several CQs — the group's
-    ack handler over its chains' CQs, an RPC server over its
+    :meth:`HwCq.push`; one consumer serving several CQs — a group's
+    polling ack thread over its chains' CQs, an RPC server over its
     connections — waits on the channel instead of on each CQ, and a CQ
     attached while the consumer is parked wakes it like the others.
 
@@ -174,14 +174,19 @@ class CompletionChannel:
     concurrent waiters only the poll winner gets each CQE. While the
     channel is armed every :meth:`next_event` returns the same event,
     so asking again before anything arrived parks nothing new.
+
+    ``hook``, if set, runs at every push before the armed event fires:
+    a consumer modelled as the very thread the kernel wakes reaps there
+    and charges its CPU to whoever it wakes (``core/acks.py``).
     """
 
-    __slots__ = ("sim", "name", "cqs", "_armed")
+    __slots__ = ("sim", "name", "cqs", "hook", "_armed")
 
     def __init__(self, sim: Simulator, name: str):
         self.sim = sim
         self.name = name
         self.cqs: List["HwCq"] = []
+        self.hook: Optional[Callable[["HwCq"], None]] = None
         self._armed: Optional[Event] = None
 
     def attach(self, cq: "HwCq") -> None:
@@ -203,7 +208,9 @@ class CompletionChannel:
         return armed
 
     def notify(self, cq: "HwCq") -> None:
-        """``cq`` took a completion: fire the armed event, if any."""
+        """``cq`` took a completion: run the hook, fire the armed event."""
+        if self.hook is not None:
+            self.hook(cq)
         armed = self._armed
         if armed is not None:
             self._armed = None

@@ -485,8 +485,7 @@ class ReplicatedLog:
         acks = []
         for op in ops:
             acks.append((yield from self.group.submit(task, op)))
-        yield from task.wait(self.group.sim.all_of(acks))
-        return [ack.value for ack in acks]
+        return (yield from self.group.wait(task, acks))
 
     # -- recovery ---------------------------------------------------------------------
 

@@ -32,6 +32,15 @@ consistent hash. Isolation is Serializable Snapshot Isolation:
   group lock + replicated log, and finally publishes every version in
   one synchronous step — all-or-nothing visibility across groups.
 
+The pivot rule needs every rw edge between concurrent transactions,
+and a committed one cannot abort itself any more (Cahill's SSI).
+So a committed transaction's reads, scan ranges and writes stay
+probed until no live transaction is concurrent with it, and once a
+transaction has passed validation it counts as committed. An rw edge
+that gives such a settled transaction an edge on both sides makes it
+a pivot that can no longer abort: the live transaction whose read,
+scan or write raised the edge aborts instead, on the spot.
+
 Bookkeeping is bounded by what is live. A read's observation (what
 it served, from which replica, whether the durable copy was behind
 the snapshot) goes on ``Transaction.observations`` and dies with the
@@ -104,6 +113,12 @@ class Transaction:
     # copy consulted was behind the snapshot.
     observations: List[Dict[str, object]] = field(default_factory=list)
     abort_reason: Optional[str] = None
+    # Set when validation passes: from then on the pivot rule treats
+    # the transaction as committed.
+    commit_ts: Optional[int] = None
+    # The dangerous structure (detail, reason) an rw edge this
+    # transaction raised completed around a settled pivot.
+    doomed: Optional[Tuple[str, str]] = None
 
     def reads_range(self, key: bytes) -> bool:
         """Whether any of this transaction's scan ranges covers ``key``."""
@@ -170,9 +185,10 @@ class TxnCoordinator:
         self.active: Dict[int, Transaction] = {}
         self.graph = SerializationGraph()
         self.history: List[CommittedTxn] = []
-        # Committed transactions not yet retired from the graph, as a
-        # heap of (commit_ts, txid): each leaves at the watermark
-        # (_retire).
+        # Committed transactions some live one is concurrent with, by
+        # txid, and the same as a heap of (commit_ts, txid): each
+        # leaves at the watermark (_retire).
+        self._retained: Dict[int, CommittedTxn] = {}
         self._retiring: List[Tuple[int, int]] = []
         # What the read-your-writes invariant needs of the observations:
         # snapshot reads served, the stale ones, and own-write reads of
@@ -256,6 +272,7 @@ class TxnCoordinator:
             # Never written anywhere: the initial state, no network.
             txn.reads.setdefault(key, 0)
             self._note_read_edges(txn, store, key)
+            self._abort_if_doomed(txn)
             self._observe(txn, "miss", key, None)
             return None
         try:
@@ -276,6 +293,7 @@ class TxnCoordinator:
             stale = durable is None or durable[0] < version.commit_ts
         txn.reads.setdefault(key, seen_ts)
         self._note_read_edges(txn, store, key)
+        self._abort_if_doomed(txn)
         self._observe(txn, "snapshot", key, value, replica, stale)
         if TRACER.enabled:
             TRACER.count("txn.read")
@@ -313,29 +331,62 @@ class TxnCoordinator:
         key: bytes,
         phantom: bool = False,
     ) -> None:
-        # Reader precedes any committed writer whose version it cannot
-        # see (committed after our snapshot)...
-        latest = store.latest(key)
-        if latest is not None and latest.commit_ts > txn.snapshot_ts:
-            self.graph.add_rw(txn.txid, latest.txid, phantom=phantom)
+        # Reader precedes the first committed writer whose version it
+        # cannot see (committed after our snapshot; later writers
+        # follow that one)...
+        first = store.first_after(key, txn.snapshot_ts)
+        if first is not None:
+            self._rw(txn, txn.txid, first.txid, phantom)
         # ...and any concurrent transaction with the key in its write
         # set. (The symmetric case — they write after we read — is
         # recorded by ``write``/``commit``.)
         for other in self.active.values():
             if other.txid != txn.txid and key in other.writes:
-                self.graph.add_rw(txn.txid, other.txid, phantom=phantom)
+                self._rw(txn, txn.txid, other.txid, phantom)
 
     def _note_write_edges(self, txn: Transaction, key: bytes) -> None:
         # Concurrent readers of this key — key-granular observations
-        # or a scan range covering it (the phantom case) — logically
-        # precede us.
-        for other in self.active.values():
-            if other.txid == txn.txid:
-                continue
+        # or a scan range covering it (the phantom case), live or
+        # committed — logically precede us.
+        for other in self._concurrent(txn):
             if key in other.reads:
-                self.graph.add_rw(other.txid, txn.txid)
+                self._rw(txn, other.txid, txn.txid)
             elif other.reads_range(key):
-                self.graph.add_rw(other.txid, txn.txid, phantom=True)
+                self._rw(txn, other.txid, txn.txid, phantom=True)
+
+    def _concurrent(self, txn: Transaction):
+        """Every other live transaction, then every committed one
+        whose commit came after ``txn``'s snapshot."""
+        for other in self.active.values():
+            if other.txid != txn.txid:
+                yield other
+        for other in self._retained.values():
+            if other.commit_ts > txn.snapshot_ts:
+                yield other
+
+    def _rw(
+        self, txn: Transaction, reader: int, writer: int, phantom: bool = False
+    ) -> None:
+        """Record ``reader -rw-> writer``, raised by ``txn`` (one of
+        the two). If the other end is settled — committed, or validated
+        and installing — and now has edges on both sides, it is a pivot
+        that can no longer abort: ``txn`` is doomed instead."""
+        self.graph.add_rw(reader, writer, phantom=phantom)
+        other = writer if reader == txn.txid else reader
+        if self.mode == "ssi" and txn.doomed is None and self._settled(other):
+            txn.doomed = self.graph.pivot(other)
+
+    def _settled(self, txid: int) -> bool:
+        live = self.active.get(txid)
+        if live is None:
+            return txid in self._retained
+        return live.commit_ts is not None
+
+    def _abort_if_doomed(self, txn: Transaction) -> None:
+        if txn.doomed is not None:
+            detail, reason = txn.doomed
+            self._abort(txn, reason)
+            raise TxnAborted(txn.txid, reason, detail)
 
     def write(self, txn: Transaction, key: bytes, value: bytes) -> None:
         """Buffer a write (visible to this transaction's reads only)."""
@@ -344,6 +395,7 @@ class TxnCoordinator:
             raise TypeError("values are bytes")
         txn.writes[key] = bytes(value)
         self._note_write_edges(txn, key)
+        self._abort_if_doomed(txn)
         if TRACER.enabled:
             TRACER.count("txn.write")
 
@@ -459,16 +511,16 @@ class TxnCoordinator:
         # changed its answer.
         end = results[-1][0] if len(results) == limit else None
         txn.scans.append((start, end))
-        # Writes already buffered by concurrent transactions inside
-        # the range are phantoms-in-waiting: note the edges now (the
-        # symmetric direction of ``_note_write_edges``).
-        for other in self.active.values():
-            if other.txid == txn.txid:
-                continue
+        # Writes inside the range by concurrent transactions — still
+        # buffered, or published while the reads were out — are
+        # phantoms: note the edges now (the symmetric direction of
+        # ``_note_write_edges``).
+        for other in self._concurrent(txn):
             for key in other.writes:
                 if key not in txn.reads and key_in_range(key, start, end):
-                    self.graph.add_rw(txn.txid, other.txid, phantom=True)
+                    self._rw(txn, txn.txid, other.txid, phantom=True)
                     break
+        self._abort_if_doomed(txn)
         if TRACER.enabled:
             TRACER.count("txn.scan")
             TRACER.count("txn.scan_reads", len(durable))
@@ -556,7 +608,8 @@ class TxnCoordinator:
             # Read-only: nothing to validate or install. It still
             # enters the history — its reads are wr/rw edge endpoints
             # for the offline checker — but it can never be a pivot
-            # (no writes means no incoming rw edge matters).
+            # (no writes, no incoming rw edge), and a read that raised
+            # an edge onto a settled pivot has aborted it already.
             return self._finalize(txn)
         yield from self._await_latch(task)
         self._check_active(txn)
@@ -577,13 +630,14 @@ class TxnCoordinator:
             # that observed state after our writes were buffered.
             for key in sorted(txn.writes):
                 self._note_write_edges(txn, key)
+            self._abort_if_doomed(txn)
             if self.mode == "ssi":
                 found = self.graph.pivot(txn.txid)
                 if found is not None:
                     detail, reason = found
                     self._abort(txn, reason)
                     raise TxnAborted(txn.txid, reason, detail)
-            commit_ts = self._tick()
+            commit_ts = txn.commit_ts = self._tick()
             per_group: Dict[int, List[Tuple[bytes, bytes]]] = {}
             for key in sorted(txn.writes):
                 per_group.setdefault(self.locate(key), []).append(
@@ -679,18 +733,18 @@ class TxnCoordinator:
         for obs in txn.observations:
             if obs["kind"] == "own-write" and obs["key"] not in txn.writes:
                 self.read_violations.append(obs)
+        record = CommittedTxn(
+            txid=txn.txid,
+            begin_ts=txn.snapshot_ts,
+            commit_ts=commit_ts,
+            reads=dict(txn.reads),
+            writes=tuple(sorted(txn.writes)),
+            scans=tuple(txn.scans),
+        )
+        self._retained[txn.txid] = record
         heapq.heappush(self._retiring, (commit_ts, txn.txid))
         self._retire()
-        self.history.append(
-            CommittedTxn(
-                txid=txn.txid,
-                begin_ts=txn.snapshot_ts,
-                commit_ts=commit_ts,
-                reads=dict(txn.reads),
-                writes=tuple(sorted(txn.writes)),
-                scans=tuple(txn.scans),
-            )
-        )
+        self.history.append(record)
         self.commits += 1
         if TRACER.enabled:
             TRACER.count("txn.commit")
@@ -705,9 +759,10 @@ class TxnCoordinator:
         return commit_ts
 
     def _retire(self) -> None:
-        """Drop from the SSI graph every committed transaction that no
-        live one is concurrent with: commit below the watermark, the
-        oldest live snapshot (all of them once nothing is live)."""
+        """Drop every committed transaction that no live one is
+        concurrent with — commit below the watermark, the oldest live
+        snapshot (all of them once nothing is live) — from the probed
+        set and the SSI graph."""
         retiring = self._retiring
         if not retiring:
             return
@@ -715,7 +770,9 @@ class TxnCoordinator:
             (txn.snapshot_ts for txn in self.active.values()), default=None
         )
         while retiring and (watermark is None or retiring[0][0] < watermark):
-            self.graph.forget(heapq.heappop(retiring)[1])
+            txid = heapq.heappop(retiring)[1]
+            del self._retained[txid]
+            self.graph.retire(txid)
 
     # -- failover ------------------------------------------------------------------
 

@@ -220,6 +220,16 @@ class VersionedGroupStore:
         chain = self.versions.get(key)
         return chain[-1] if chain else None
 
+    def first_after(self, key: bytes, ts: int) -> Optional[Version]:
+        """Oldest published version newer than snapshot ``ts``: the one
+        whose writer a reader at ``ts`` must precede."""
+        first = None
+        for version in reversed(self.versions.get(key, ())):
+            if version.commit_ts <= ts:
+                break
+            first = version
+        return first
+
     def keys_from(self, start: bytes) -> Tuple[bytes, ...]:
         """Published keys ``>= start`` in ascending order, as of now.
 

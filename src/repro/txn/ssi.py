@@ -21,7 +21,8 @@ Two faces of the same graph live here:
 
 * :class:`SerializationGraph` — the online edge set (per-key and
   range/phantom rw edges) the coordinator maintains while
-  transactions run; queried at commit for the pivot rule.
+  transactions run; queried for the pivot rule at commit, and when
+  an edge lands on a transaction that can no longer abort.
 * :func:`build_serialization_edges` / :func:`find_cycle` — the
   offline reconstruction over a committed history (ww + wr + rw
   edges, including predicate rw edges from each transaction's
@@ -85,6 +86,10 @@ class CommittedTxn:
     writes: Tuple[bytes, ...]
     scans: Tuple[Tuple[bytes, Optional[bytes]], ...] = ()
 
+    def reads_range(self, key: bytes) -> bool:
+        """Whether any of this transaction's scan ranges covers ``key``."""
+        return any(key_in_range(key, start, end) for start, end in self.scans)
+
 
 class SerializationGraph:
     """Online rw-antidependency edges among in-flight transactions.
@@ -111,7 +116,8 @@ class SerializationGraph:
             self._phantom.add((reader, writer))
 
     def __len__(self) -> int:
-        """Transactions the graph holds state for (until ``forget``)."""
+        """Transactions the graph holds state for (until ``forget`` or
+        ``retire``)."""
         return len(self._in.keys() | self._out.keys())
 
     def forget(self, txid: int) -> None:
@@ -126,6 +132,22 @@ class SerializationGraph:
             if peers is not None:
                 peers.discard(txid)
             self._phantom.discard((peer, txid))
+
+    def retire(self, txid: int) -> None:
+        """Drop a committed transaction no live one is concurrent with.
+
+        Unlike :meth:`forget`, its peers keep it in their edge sets:
+        whether a surviving committed transaction has an in- or an
+        out-edge is what the pivot rule reads of it, and that must not
+        change when the other end leaves. A phantom flag goes with the
+        second of the two ends to leave.
+        """
+        for peer in self._out.pop(txid, ()):
+            if peer not in self._in:
+                self._phantom.discard((txid, peer))
+        for peer in self._in.pop(txid, ()):
+            if peer not in self._out:
+                self._phantom.discard((peer, txid))
 
     def pivot(self, txid: int) -> Optional[Tuple[str, str]]:
         """If ``txid`` is the pivot of a dangerous structure, name it.

@@ -17,7 +17,7 @@ from repro.faults import SCENARIOS, run_scenario
 
 GOLDEN = {
     ("drop", 7): "cbd276fa5b9e44896ac0bdff6b3ef533830348bf761034e821deb57670f9a112",
-    ("lossy", 7): "4fe7a5661ad727714d7da5389062ed84a52d5bfccee0ebf14de3e126cef8c42a",
+    ("lossy", 7): "a71b568e8c41e1fc4af93896aebb42995529b60904e24d585ce4241d8211882d",
     ("partition", 7): "82dfa56c78dab5f12466b20fb926566cf74cc4d1c931131dd54992eeb0ebf736",
     ("stall", 7): "b2720567a9d7708e56e7c50777b5229dec980e88a64b04efc6266a896c285b88",
     ("nic-crash", 7): "c08970a668b3a928c48d0a507c8d575b0542e34006e964e0caee2ced74798ac0",
@@ -29,8 +29,8 @@ GOLDEN = {
     ("client-crash", 7): "2ff47b5e9ff879c7fcbbb6ff469340e34e2349cad8e30e9cd1c69a1cc452cac9",
     ("txn-failover", 7): "3c8160cbf3aa603f58c810a1a8cc80ce75b0d1bc33c6024d122c57729e028ab4",
     ("txn-insert", 7): "7368a140cbd1864243100fee2b906c52ed51ab346c8f47b3a05ced70e84eb637",
-    ("txn-chaos", 7): "0f3d51650fb494209f15b177545ffe67ecf528708f73cf5744c1d2a4544301b5",
-    ("txn-double-failover", 7): "9f010deff2dc0b216bddf66abe3f01a38c559ce5f0554e45c8389a540c4c9b6d",
+    ("txn-chaos", 7): "aeecc6dcfa63f2eb7701b51dcdaa3b48fda07dc6f84216e70235d2f398887fc4",
+    ("txn-double-failover", 7): "efa9a2689873d9d5388f1f3fed7b2d8bab46b118cff880570a6b4c3ddb70bf3e",
     ("txn-reset-crash", 7): "10ebdbc3e5a621decbe8e091f4252c00e219eae9c38e45b5bb2980f40c2f061f",
     ("drop", 42): "535a4549705bcf35b956d8345b63f4a525b5bd4f672ebfc7f9852cb22f57caa7",
     ("lossy", 42): "df6c7576824b17652b256b3292e55a381244f5c068cecd4b9c7bfa0c42265b0f",
@@ -45,8 +45,8 @@ GOLDEN = {
     ("client-crash", 42): "814ffb711af2d2644078b9e86d2f96b8033b5f44ebc7f686533ed24763667e26",
     ("txn-failover", 42): "86e95e0f6fb9224837c6c218b2fa334e32482d1d775119ac379ce3b6aec837f4",
     ("txn-insert", 42): "4628a4190f7dbe488b61664dd91aa70aceef17a101857665b46f92badec4279d",
-    ("txn-chaos", 42): "65a2852b6cc004fa5374ae3505b0e756d9d63c2e2fc77ec69f081f261b2ebc61",
-    ("txn-double-failover", 42): "dc15b560cc077d039c536b61ee6c2e2241f7bb4d2583fc465889d77574523d50",
+    ("txn-chaos", 42): "9c03974ee5c5378e4382a74f2efbf9f6ffeff86e98f4eeb71665de28207d27fe",
+    ("txn-double-failover", 42): "d33a5738c0aa5bcad34ee78a69e50a8f0dd60c270379931a7c668c308404fbf5",
     ("txn-reset-crash", 42): "f581db2a86ac567d5a714bad16761cd656cd480f7f5461d5de310d7b3eb7bba9",
 }
 

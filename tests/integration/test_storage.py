@@ -361,6 +361,10 @@ class TestCheckpointCut:
         group = hl_group(cluster)
         kv = ReplicatedKVStore(group, sync_interval=1 * MS)
         acked = []  # (key, value) in the order the puts returned
+        total = writers * puts_per_writer
+        # A checkpoint fires once 1/3, then 2/3 of the puts are acked:
+        # the race does not depend on how long a put takes.
+        marks = {total * third // 3: sim.event() for third in (1, 2)}
 
         def writer(index):
             def body(task):
@@ -369,14 +373,17 @@ class TestCheckpointCut:
                     value = f"w{index}/{step}".encode() * 8
                     yield from kv.put(task, key, value)
                     acked.append((key, value))
+                    if len(acked) in marks:
+                        marks[len(acked)].succeed()
 
             return body
 
         def checkpointer(task):
-            for _ in range(2):
-                yield from task.sleep(60 * US)
+            for mark in marks.values():
+                yield from task.wait(mark)
+                before = len(acked)
                 yield from kv.checkpoint(task)
-                assert acked and len(acked) < writers * puts_per_writer  # it did race
+                assert before < len(acked)  # it did race: puts returned meanwhile
 
         tasks = [cluster[0].os.spawn(writer(index), f"w{index}") for index in range(writers)]
         tasks.append(cluster[0].os.spawn(checkpointer, "checkpointer"))

@@ -86,9 +86,9 @@ def reference_scan(coordinator, txn, start, limit):
     others = [t for t in coordinator.active.values() if t.txid != txn.txid]
 
     def note_read_edges(store, key):
-        latest = store.latest(key)
-        if latest is not None and latest.commit_ts > txn.snapshot_ts:
-            edges.add(latest.txid)
+        first = store.first_after(key, txn.snapshot_ts)
+        if first is not None:
+            edges.add(first.txid)
         edges.update(other.txid for other in others if key in other.writes)
 
     merged = set(key for key in txn.writes if key >= start)

@@ -17,6 +17,20 @@ Rows:
 
 Every fabric delivery is one message, and every WQE here sends one
 and gets one ack back, so deliveries = 2 × WQEs on both backends.
+
+The same ops also pin what the client host's CPU does for them, in
+both client modes, on a client with one core (so every thread hop is
+a context switch): task wakes, context switches and scheduler
+dispatches, split between the task running the op and every other
+client task. An op that waits for acks ``w`` times (1 for a primitive
+or an append, 3 for an install):
+
+* event mode — the ack wakes the waiting task itself: ``w`` wakes and
+  ``w`` dispatches of that task, no other client task dispatched, no
+  context switch. A completion thread between the CQ and the waiter
+  (a wake, two switches and a dispatch more per wait) fails the row;
+* polling mode — the busy-polling thread reaps, the waiter wakes:
+  ``w`` wakes of the waiter, ``w`` dispatches of each, ``2w`` switches.
 """
 
 import functools
@@ -36,6 +50,7 @@ from repro.storage.transactions import TransactionManager
 SIZES = range(2, 6)
 BACKENDS = {"hyperloop": HyperLoopGroup, "naive": NaiveGroup}
 COUNTERS = ("nic.wqe_executed", "nic.doorbells", "fabric.deliveries")
+MODES = ("event", "polling")
 
 # (WQEs, doorbells) of one op, as functions of the group size n.
 # HyperLoop: the client's WQE plus a pre-posted program on every
@@ -88,25 +103,55 @@ ROWS = {
     ),
 }
 
+# Ack waits of each op: an install is three (test_txn_cost_gate.py).
+WAITS = {**dict.fromkeys(PRIMITIVES, 1), **dict.fromkeys(ROWS, 3), "append": 1}
+
+# Client-host CPU of an op that waits w times: (wakes of the op's
+# task, wakes of other client tasks, context switches, dispatches of
+# the op's task, dispatches of other client tasks).
+CPU = {
+    "event": lambda w: (w, 0, 0, w, 0),
+    "polling": lambda w: (w, 0, 2 * w, w, w),
+}
+
 
 @functools.lru_cache(maxsize=None)
-def ledger(backend, n):
+def ledger(backend, n, client_mode="event"):
     """Counter deltas of every primitive and row on one world, each op
     run once to build the chains it uses and then measured alone, with
     an idle 200 µs after it so nothing of it is still in flight. The
-    rings are deep enough that no replica re-arms rounds meanwhile."""
+    rings are deep enough that no replica re-arms rounds meanwhile.
+    ``(name, "cpu")`` holds the op's client-host CPU (see ``CPU``),
+    counted from its post to its return."""
     ops = {**PRIMITIVES, **{row: op for row, (op, _) in ROWS.items()}}
     out = {}
-    with tracing(record_kernel=False) as tracer:
+    with tracing(record_kernel=False, capacity=1 << 20) as tracer:
         sim = Simulator(seed=7)
         cluster = Cluster(sim, n_hosts=n + 1, n_cores=4)
+        client = cluster[0]
+        client.os.set_enabled_cores(1)
         group = BACKENDS[backend](
-            cluster[0], cluster.hosts[1:], region_size=1 << 16, rounds=256,
-            durable=True, name="ledger",
+            client, cluster.hosts[1:], region_size=1 << 16, rounds=256,
+            durable=True, client_mode=client_mode, name="ledger",
         )
         manager = TransactionManager(
             group, RegionLayout(wal_size=8192, db_size=8192), writer_id=1
         )
+
+        def cpu_since(task, mark):
+            wakes, switches, records = mark
+            own = task.wakeups - wakes[task]
+            others = sum(t.wakeups - wakes.get(t, 0) for t in client.os.tasks) - own
+            dispatched = [
+                record.args["task"]
+                for record in tracer.records[records:]
+                if record.name == "dispatch" and record.pid == client.os.name
+            ]
+            mine = dispatched.count(task.name)
+            return (
+                own, others, client.os.context_switches - switches,
+                mine, len(dispatched) - mine,
+            )
 
         def body(task):
             for op in reversed(ops.values()):  # the installs drain the append
@@ -114,13 +159,19 @@ def ledger(backend, n):
             for name, op in ops.items():
                 yield from task.sleep(200_000)
                 before = dict(tracer.counters)
+                mark = (
+                    {t: t.wakeups for t in client.os.tasks},
+                    client.os.context_switches,
+                    len(tracer.records),
+                )
                 yield from op(manager, task)
+                out[name, "cpu"] = cpu_since(task, mark)
                 yield from task.sleep(200_000)
                 out[name] = tuple(
                     tracer.counters.get(key, 0) - before.get(key, 0) for key in COUNTERS
                 )
 
-        task = cluster[0].os.spawn(body, "client")
+        task = client.os.spawn(body, "client")
         run_until(sim, lambda: task.process.triggered, deadline_ms=100)
         assert task.process.ok, task.process.value
         assert not group.errors
@@ -147,3 +198,14 @@ def test_one_append_on_three_replicas_is_ten_wqes_and_twenty_deliveries():
     """The figure the ledger is for: a lone put on a 3-replica HyperLoop
     group (20 WQEs and 40 deliveries while it also wrote a tail)."""
     assert ledger("hyperloop", 3)["append"] == (10, 2, 20)
+
+
+@pytest.mark.parametrize("client_mode", MODES)
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("op", list(WAITS))
+def test_client_cpu_of_one_op(backend, client_mode, op):
+    """One wake of the waiter per ack wait; in event mode nothing else
+    on the client host runs for the op."""
+    for n in SIZES:
+        got = ledger(backend, n, client_mode)[op, "cpu"]
+        assert got == CPU[client_mode](WAITS[op]), (backend, client_mode, op, n)

@@ -166,10 +166,10 @@ class TestIdleChains:
     @pytest.mark.parametrize("client_mode", ["event", "polling"])
     def test_unused_chains_collect_nothing_per_ack(self, cluster, client_mode):
         """After 500 gWRITEs the gMEMCPY and gCAS chains — never used —
-        were never built, and the ack handler's completion channel
-        holds at most one armed event with the handler's one callback,
-        not one parked event per ack wake (before the channel was one
-        event: ~500 on each idle ack CQ)."""
+        were never built, and the group's ack channel holds at most
+        one armed event with the polling thread's one callback, not one
+        parked event per ack wake (before the channel was one event:
+        ~500 on each idle ack CQ); in event mode nothing waits on it."""
         import gc
 
         from repro.bench import run_until
@@ -193,7 +193,7 @@ class TestIdleChains:
         assert group.errors == []
         assert list(group.chains) == [GWRITE]
         chain = group.chains[GWRITE]
-        channel = group._completions
+        channel = group._acks.channel
         assert channel.cqs == [chain.ack_qp.recv_cq, chain.client_qp.send_cq]
         armed = channel._armed
         assert armed is None or len(armed._callbacks) <= 1

@@ -112,8 +112,8 @@ class TestSameOutcomeAsBuiltUpFront:
         assert lazy[1] == []
 
     def test_chain_first_used_after_the_handler_parked(self):
-        """The ack handler parks on the gWRITE chain's CQs alone; the
-        gCAS chain built a millisecond later must still wake it."""
+        """The ack reaper serves the gWRITE chain's CQs alone; the gCAS
+        chain built a millisecond later must still be reaped."""
 
         def idle(cluster):
             def before_gcas(task):

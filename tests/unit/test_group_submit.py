@@ -3,7 +3,8 @@
 The one ordering rule the storage layer builds on, pinned over both
 group implementations: ops posted on the same primitive chain of one
 group execute and ack in post order (RC QP FIFO); the blocking verbs
-are ``submit`` + one wait, so a lone op schedules what it always did.
+are ``submit`` + the group's one ``wait``, so a lone op schedules what
+it always did.
 """
 
 import pytest
@@ -135,8 +136,9 @@ class TestSubmit:
         assert flow.in_use == 0
 
     def test_blocking_verb_is_submit_plus_wait(self, kind):
-        """Same seed, same op: ``gwrite`` and ``submit`` + ``wait``
-        finish at the same virtual time after the same dispatches."""
+        """Same seed, same op: ``gwrite`` and ``submit`` + the group's
+        one ``wait`` finish at the same virtual time after the same
+        dispatches."""
 
         def run(blocking):
             sim, cluster, group = make(kind, seed=9)
@@ -147,7 +149,7 @@ class TestSubmit:
                     result = yield from group.gwrite(task, 0, 64)
                 else:
                     ack = yield from group.submit(task, OpSpec(GWRITE, offset=0, size=64))
-                    result = yield from task.wait(ack)
+                    result = yield from group.wait(task, ack)
                 return result, sim.now
 
             with tracing(record_kernel=False) as tracer:

@@ -27,14 +27,21 @@ from repro.txn import build_txn_system, run_ycsb_mix, ycsb
 N_CLIENTS = 4
 TXNS_PER_CLIENT = 40
 
-# 49,427 / 2,373 / 3,635 while every WAL append also wrote a tail header.
-KERNEL_DISPATCHES = 46_186
-CPU_DISPATCHES = 2_373
-WQES_EXECUTED = 3_305
+# 49,427 / 2,373 / 3,635 while every WAL append also wrote a tail header;
+# 46,186 / 2,373 / 3,305 while a completion thread woke each ack's waiter;
+# 44,967 / 2,224 / 3,254 before committed transactions stayed probed by
+# the SSI rules.
+KERNEL_DISPATCHES = 45_194
+CPU_DISPATCHES = 2_239
+WQES_EXECUTED = 3_266
 # Reads routed to each replica of each group: concurrent scans spread
 # over every copy, and replica 0 (the idle choice) serves most.
-# Group 1 was [211, 110, 56] with a tail header behind every append.
-SERVED = [[172, 111, 64], [210, 110, 57], [146, 72, 26], [208, 114, 60]]
+# Group 1 was [211, 110, 56] with a tail header behind every append;
+# all four were [[172, 111, 64], [210, 110, 57], [146, 72, 26],
+# [208, 114, 60]] while a completion thread woke each ack's waiter, and
+# [[165, 104, 72], [214, 106, 55], [154, 65, 22], [202, 118, 57]] before
+# committed transactions stayed probed by the SSI rules.
+SERVED = [[165, 108, 74], [202, 119, 56], [152, 63, 26], [201, 112, 64]]
 
 ONE_READ_NS = 4_757
 
@@ -131,11 +138,14 @@ def test_ycsb_e_counts_repeat_and_match_the_pin(monkeypatch):
     assert report.gave_up == 0 and report.errors == []
     # Per-key round trips cost 72,691 / 5,057 / 4,969 here.
     assert counts == (KERNEL_DISPATCHES, CPU_DISPATCHES, WQES_EXECUTED)
-    # 2,763 slots cross-checked by 1,413 READs in 1,350 batches: a
-    # group's share of a scan is almost always one run of slots.
-    assert counters["txn.scan_reads"] == 2_763
-    assert counters["reader.wqes"] == 1_413
-    assert counters["reader.batches"] == 1_350
+    # 2,733 slots cross-checked by 1,374 READs in 1,342 batches: a
+    # group's share of a scan is almost always one run of slots
+    # (2,763 / 1,413 / 1,350 while a completion thread woke each
+    # ack's waiter, 2,725 / 1,362 / 1,334 before the SSI rules kept
+    # committed transactions probed).
+    assert counters["txn.scan_reads"] == 2_733
+    assert counters["reader.wqes"] == 1_374
+    assert counters["reader.batches"] == 1_342
     tracker = coordinator.tracker
     assert tracker.served == SERVED
     assert all(count > 0 for group in tracker.served for count in group)

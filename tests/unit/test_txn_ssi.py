@@ -62,6 +62,24 @@ class TestSerializationGraph:
         graph.add_rw(2, 3)
         assert graph.pivot_detail(2) == "T1 -rw-> T2 -rw-> T3"
 
+    def test_retire_leaves_its_edges_on_the_survivors(self):
+        # 2 -rw-> 1 -rw-> 3: retiring the ends keeps 1 a pivot (an
+        # aborted end, forgotten, would not), and a survivor's phantom
+        # flag lasts as long as the survivor.
+        graph = SerializationGraph()
+        graph.add_rw(2, 1, phantom=True)
+        graph.retire(2)
+        graph.add_rw(1, 3)
+        assert graph.pivot(1) == ("T2 -rw-> T1 -rw-> T3", "ssi-phantom")
+        graph.retire(3)
+        assert graph.pivot(1) == ("T2 -rw-> T1 -rw-> T3", "ssi-phantom")
+        graph.forget(1)
+        assert len(graph) == 0 and not graph._phantom
+        graph.add_rw(5, 4)
+        graph.forget(5)
+        graph.add_rw(4, 6)
+        assert graph.pivot(4) is None
+
     def test_forget_removes_both_directions(self):
         graph = SerializationGraph()
         graph.add_rw(1, 2)
@@ -200,16 +218,15 @@ class TestOfflineChecker:
         assert describe_cycle(history) == "T1 -rw-> T2 -rw-> T1"
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 def test_committed_reader_write_skew():
-    """Write skew through a reader that has already committed.
+    """Write skew through a reader that has already committed (hole
+    class S1).
 
     T1 ``r(x) w(y)`` commits; T2, concurrent with it, read ``y`` before
-    that and writes ``x`` after. Each read what the other overwrote —
-    a cycle of two rw edges — yet both commit: ``_finalize`` drops T1
-    from ``active``, so T2's write finds no reader of ``x`` left to
-    raise the edge that would make T2 a pivot. The PR that retains
-    committed readers (ROADMAP item 1a) deletes the marker.
+    that and writes ``x`` after. Each read what the other overwrote — a
+    cycle of two rw edges. T1 stays probed after its commit, so T2's
+    write raises ``T1 -rw-> T2``; T1, committed, now has an edge on
+    both sides and cannot abort, so T2 does, at that write.
     """
     sim, cluster, coordinator = make()
 
@@ -221,26 +238,26 @@ def test_committed_reader_write_skew():
         yield from coordinator.read(task, second, b"y")
         coordinator.write(first, b"y", b"\x02" * 8)
         yield from coordinator.commit(task, first)
-        coordinator.write(second, b"x", b"\x03" * 8)
-        yield from coordinator.commit(task, second)
-        return True
+        with pytest.raises(TxnAborted) as aborted:
+            coordinator.write(second, b"x", b"\x03" * 8)
+        return first, second, aborted.value
 
-    assert drive(sim, cluster, body)
-    assert find_cycle(coordinator.history) is None, describe_cycle(
-        coordinator.history
-    )
+    first, second, aborted = drive(sim, cluster, body)
+    assert (first.status, second.status) == ("committed", "aborted")
+    assert aborted.reason == "ssi-pivot"
+    assert aborted.detail == f"T{second.txid} -rw-> T{first.txid} -rw-> T{second.txid}"
+    assert find_cycle(coordinator.history) is None
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 def test_read_only_anomaly():
     """Fekete's read-only anomaly (hole class S2).
 
     A reads ``y``; B overwrites ``y`` and commits; C, begun after that,
     reads ``x`` and the new ``y`` and commits read-only; A then writes
-    ``x`` and commits. C saw B but not A, A did not see B:
-    ``A -rw-> B -wr-> C -rw-> A``. Same root cause as the committed
-    reader above — by the time A writes ``x``, its reader C has left
-    ``active`` — so the same PR deletes this marker.
+    ``x``. C saw B but not A, A did not see B: ``A -rw-> B -wr-> C
+    -rw-> A``. C stays probed after its commit, so A's write raises
+    ``C -rw-> A``, and A — now with an edge on both sides — is the
+    pivot its own commit aborts.
     """
     sim, cluster, coordinator = make()
 
@@ -256,27 +273,25 @@ def test_read_only_anomaly():
         yield from coordinator.read(task, c, b"y")
         yield from coordinator.commit(task, c)
         coordinator.write(a, b"x", b"\x03" * 8)
-        yield from coordinator.commit(task, a)
-        return True
+        with pytest.raises(TxnAborted) as aborted:
+            yield from coordinator.commit(task, a)
+        return a, b, c, aborted.value
 
-    assert drive(sim, cluster, body)
-    assert find_cycle(coordinator.history) is None, describe_cycle(
-        coordinator.history
-    )
+    a, b, c, aborted = drive(sim, cluster, body)
+    assert [t.status for t in (a, b, c)] == ["aborted", "committed", "committed"]
+    assert aborted.reason == "ssi-pivot"
+    assert aborted.detail == f"T{c.txid} -rw-> T{a.txid} -rw-> T{b.txid}"
+    assert find_cycle(coordinator.history) is None
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 def test_committed_pivot():
     """The same cycle with the pivot committed first (hole class S3).
 
     As above, but A commits its ``w(x)`` after C has begun and before C
     reads. C's ``r(x)`` then raises ``C -rw-> A`` against an A that is
-    already committed with an out-edge to B; C has only an out-edge, so
-    ``graph.pivot(C)`` is ``None``, and a read-only commit never
-    validates at all. Retaining committed readers does not close this
-    one: it needs the rule that a new in-edge on a *committed*
-    transaction with an out-edge aborts the reader, and read-only
-    commits going through it.
+    already committed with an out-edge to B: A is a pivot that can no
+    longer abort, so C, the only party still alive, aborts at that
+    read.
     """
     sim, cluster, coordinator = make()
 
@@ -290,15 +305,57 @@ def test_committed_pivot():
         c = yield from coordinator.begin(task)
         coordinator.write(a, b"x", b"\x03" * 8)
         yield from coordinator.commit(task, a)
-        yield from coordinator.read(task, c, b"x")
-        yield from coordinator.read(task, c, b"y")
-        yield from coordinator.commit(task, c)
-        return True
+        with pytest.raises(TxnAborted) as aborted:
+            yield from coordinator.read(task, c, b"x")
+        return a, b, c, aborted.value
 
-    assert drive(sim, cluster, body)
-    assert find_cycle(coordinator.history) is None, describe_cycle(
-        coordinator.history
-    )
+    a, b, c, aborted = drive(sim, cluster, body)
+    assert [t.status for t in (a, b, c)] == ["committed", "committed", "aborted"]
+    assert aborted.reason == "ssi-pivot"
+    assert aborted.detail == f"T{c.txid} -rw-> T{a.txid} -rw-> T{b.txid}"
+    assert find_cycle(coordinator.history) is None
+
+
+def test_a_validated_commit_counts_as_committed_while_it_installs():
+    """W read ``x``, which X then overwrote and committed: ``W -rw->
+    X``. W writes ``y``, passes validation and starts installing. R,
+    begun after X committed, has read X's ``x``; while W installs, R
+    reads ``y`` and raises ``R -rw-> W``. W can no longer abort, so R
+    does — or R, read-only, would commit ``R -rw-> W -rw-> X -wr->
+    R``."""
+    sim, cluster, coordinator = make()
+    seen = {}
+
+    def writer(task):
+        yield from seed_keys(coordinator, task, [b"x", b"y"])
+        w = yield from coordinator.begin(task)
+        yield from coordinator.read(task, w, b"x")
+        x = yield from coordinator.begin(task)
+        coordinator.write(x, b"x", b"\x02" * 8)
+        yield from coordinator.commit(task, x)
+        seen["r"] = yield from coordinator.begin(task)
+        yield from coordinator.read(task, seen["r"], b"x")
+        coordinator.write(w, b"y", b"\x03" * 8)
+        seen["w"] = w
+        yield from coordinator.commit(task, w)
+        return w
+
+    def reader(task):
+        while "w" not in seen or seen["w"].commit_ts is None:
+            yield from task.sleep(100)
+        try:
+            yield from coordinator.read(task, seen["r"], b"y")
+        except TxnAborted as exc:
+            seen["aborted"] = exc
+        # The read's edge was raised before W published.
+        seen["published"] = seen["w"].status == "committed"
+
+    cluster[1].os.spawn(reader, "reader")
+    w = drive(sim, cluster, writer)
+    run_until(sim, lambda: "published" in seen, deadline_ms=1_000)
+    assert w.status == "committed" and not seen["published"]
+    assert seen["aborted"].reason == "ssi-pivot"
+    assert find_cycle(coordinator.history) is None
 
 
 class TestIsolation:
