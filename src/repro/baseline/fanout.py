@@ -20,25 +20,27 @@ from __future__ import annotations
 import struct
 from typing import Generator, List, Sequence
 
-from ..core.acks import AckReaper
-from ..core.chain import check_range
+from ..core.base import GroupBase
+from ..core.chain import GWRITE, OpSpec
 from ..hw.cpu import Task
 from ..hw.host import Host
 from ..hw.nic import AccessFlags
 from ..hw.wqe import FLAG_VALID, Opcode, Wqe
-from ..sim import Resource
-from ..rdma.verbs import Mr, QueuePair
+from ..rdma.verbs import QueuePair
 
 __all__ = ["FanoutGroup"]
 
 _CMD = struct.Struct("<QQI")  # round, offset, size
 
 
-class FanoutGroup:
+class FanoutGroup(GroupBase):
     """Primary/backup fan-out replication of gWRITE (ablation only).
 
-    The client is an event-mode one: acks are reaped by
-    :mod:`repro.core.acks`, as for the other group types."""
+    The shell is :class:`~repro.core.base.GroupBase`'s with an
+    event-mode client. The group runs gWRITE only: its backups do not
+    flush, so it is not durable and gFLUSH raises."""
+
+    primitives = (GWRITE,)
 
     def __init__(
         self,
@@ -53,40 +55,13 @@ class FanoutGroup:
     ):
         if len(replicas) < 2:
             raise ValueError("fan-out needs a primary and at least one backup")
-        self.client = client
-        self.replicas = list(replicas)
-        self.region_size = region_size
-        self.rounds = rounds
+        super().__init__(client, replicas, region_size, rounds, False, nvm, name)
         self.replica_mode = replica_mode
-        self.name = name
-        self.g = len(self.replicas)
         self.next_round = 0
-        self.errors: List[str] = []
-        self._acks = AckReaper(client.sim, name, "event", self.errors)
-        self.client_region = client.memory.alloc(region_size, label=f"{name}.client")
-        self.replica_mrs: List[Mr] = []
-        for index, host in enumerate(self.replicas):
-            region = host.memory.alloc(region_size, nvm=nvm, label=f"{name}.r{index}")
-            self.replica_mrs.append(host.dev.reg_mr(region, AccessFlags.ALL_REMOTE))
         self._setup()
-        self._flow = Resource(client.sim, capacity=max(rounds // 2, 1))
-        self._waiters = self._acks.attach(
-            self.ack_qp.recv_cq, lambda round_: round_,
-            lambda: self.ack_qp.post_recv(Wqe(local_addr=0, length=0)), lap=1 << 32,
-        )
-        self._tasks = []
-        self._replica_tasks = []
-        self._started = False
+        self._one_ack_path(lambda round_: round_, lap=1 << 32)
         if autostart:
             self.start()
-
-    @property
-    def sim(self):
-        return self.client.sim
-
-    @property
-    def group_size(self) -> int:
-        return self.g
 
     def _setup(self) -> None:
         primary = self.replicas[0]
@@ -147,70 +122,46 @@ class FanoutGroup:
                 )
             self.ack_qp.post_recv(Wqe(local_addr=0, length=0))
 
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        primary_task = self.replicas[0].os.spawn(
-            self._primary_body(), name=f"{self.name}.primary"
+    # -- the data path: the primary CPU's fan-out ---------------------------------------
+
+    def _post_cost(self, op: OpSpec) -> int:
+        return 700
+
+    def _post(self, op: OpSpec) -> int:
+        round_ = self.next_round
+        self.next_round += 1
+        command = _CMD.pack(round_, op.offset, op.size)
+        staging = self.client_staging.addr + (round_ % self.rounds) * self.cmd_size
+        self.client.nic.host_write(staging, command)
+        primary_mr = self.replica_mrs[0]
+        self.client_qp.post_send_batch(
+            [
+                Wqe(
+                    opcode=Opcode.WRITE,
+                    flags=FLAG_VALID,
+                    length=op.size,
+                    local_addr=self.client_region.addr + op.offset,
+                    remote_addr=primary_mr.addr + op.offset,
+                    rkey=primary_mr.rkey,
+                ),
+                Wqe(
+                    opcode=Opcode.SEND,
+                    flags=FLAG_VALID,
+                    length=self.cmd_size,
+                    local_addr=staging,
+                ),
+            ]
         )
-        self._tasks.append(primary_task)
-        self._replica_tasks.append(primary_task)
-        for index in range(1, self.g):
-            task = self.replicas[index].os.spawn(
-                self._backup_body(index), name=f"{self.name}.b{index}"
-            )
-            self._tasks.append(task)
-            self._replica_tasks.append(task)
-        self._acks.start(self.client.os)
-
-    # -- public API (gwrite only; the ablation's subject) ---------------------------
-
-    def write_local(self, offset: int, data: bytes) -> None:
-        self.client_region.write(offset, data)
-
-    def read_replica(self, replica: int, offset: int, size: int) -> bytes:
-        mr = self.replica_mrs[replica]
-        return self.replicas[replica].nic.cache.read(mr.addr + offset, size)
-
-    def gwrite(self, task: Task, offset: int, size: int) -> Generator:
-        """Replicate via the primary's fan-out."""
-        check_range(offset, size, self.region_size)
-        yield from task.wait(self._flow.acquire())
-        try:
-            yield from task.compute(700)
-            round_ = self.next_round
-            self.next_round += 1
-            command = _CMD.pack(round_, offset, size)
-            staging = self.client_staging.addr + (round_ % self.rounds) * self.cmd_size
-            self.client.nic.host_write(staging, command)
-            primary_mr = self.replica_mrs[0]
-            self.client_qp.post_send_batch(
-                [
-                    Wqe(
-                        opcode=Opcode.WRITE,
-                        flags=FLAG_VALID,
-                        length=size,
-                        local_addr=self.client_region.addr + offset,
-                        remote_addr=primary_mr.addr + offset,
-                        rkey=primary_mr.rkey,
-                    ),
-                    Wqe(
-                        opcode=Opcode.SEND,
-                        flags=FLAG_VALID,
-                        length=self.cmd_size,
-                        local_addr=staging,
-                    ),
-                ]
-            )
-            ack = self.sim.event(name=f"{self.name}.op{round_}")
-            self._waiters[round_] = ack
-            result = yield from self._acks.wait(task, ack)
-        finally:
-            self._flow.release()
-        return result
+        return round_
 
     # -- daemons ---------------------------------------------------------------------
+
+    def _spawn(self):
+        yield self.replicas[0].os.spawn(self._primary_body(), name=f"{self.name}.primary")
+        for index in range(1, self.g):
+            yield self.replicas[index].os.spawn(
+                self._backup_body(index), name=f"{self.name}.b{index}"
+            )
 
     def _primary_body(self):
         primary = self.replicas[0]
@@ -218,9 +169,8 @@ class FanoutGroup:
 
         def body(task: Task) -> Generator:
             cq = self.primary_qp.recv_cq
-            backup_ack_counts = [qp.send_cq for qp in self.backup_qps]
             handled = 0
-            while True:
+            while not self._stopping:
                 if self.replica_mode == "polling":
                     yield from task.poll_wait(cq.next_event())
                 else:
@@ -287,7 +237,7 @@ class FanoutGroup:
 
         def body(task: Task) -> Generator:
             cq = qp.recv_cq
-            while True:
+            while not self._stopping:
                 if self.replica_mode == "polling":
                     yield from task.poll_wait(cq.next_event())
                 else:
@@ -298,9 +248,3 @@ class FanoutGroup:
                     qp.post_recv(Wqe(local_addr=cmd_mr.addr, length=self.cmd_size))
 
         return body
-
-    def replica_cpu_ns(self) -> int:
-        return sum(task.cpu_ns for task in self._replica_tasks)
-
-    def __repr__(self) -> str:
-        return f"<FanoutGroup {self.name} g={self.g}>"

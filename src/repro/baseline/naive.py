@@ -29,15 +29,13 @@ import struct
 from dataclasses import dataclass
 from typing import Generator, List, Optional, Sequence
 
-from ..core.acks import AckReaper
+from ..core.base import GroupBase
 from ..core.chain import GCAS, GMEMCPY, GWRITE, OpSpec, SKIP_SENTINEL
 from ..hw.cpu import Task
 from ..hw.host import Host
 from ..hw.nic import AccessFlags
 from ..hw.wqe import FLAG_VALID, Opcode, Wqe
-from ..rdma.reader import RemoteReader
 from ..rdma.verbs import Mr, QueuePair
-from ..sim import Event, Resource
 
 __all__ = ["NaiveGroup", "NaiveParams"]
 
@@ -45,7 +43,6 @@ __all__ = ["NaiveGroup", "NaiveParams"]
 # execute bitmap. The result map (g * 8 bytes) follows.
 _CMD = struct.Struct("<BQQIQQQQQ")
 _KINDS = {GWRITE: 1, GMEMCPY: 2, GCAS: 3}
-_KIND_NAMES = {v: k for k, v in _KINDS.items()}
 
 
 @dataclass
@@ -78,7 +75,7 @@ class _ReplicaPlumbing:
         self.posted_recvs = 0
 
 
-class NaiveGroup:
+class NaiveGroup(GroupBase):
     """CPU-forwarded replication group (drop-in for HyperLoopGroup).
 
     Parameters mirror :class:`~repro.core.group.HyperLoopGroup`;
@@ -86,7 +83,9 @@ class NaiveGroup:
     daemons and ``replica_cores`` optionally pins each daemon.
 
     ``client_mode`` is HyperLoop's, reaped by the same routine
-    (:mod:`repro.core.acks`): both sides get the same client.
+    (:mod:`repro.core.acks`): both sides get the same client. All
+    primitives share the one software chain, so every op executes and
+    acks in post order, and every ack validates every copy.
 
     :meth:`stop` has HyperLoop's contract and its polling-mode limit:
     the daemons and a polling client thread test the flag when they
@@ -110,60 +109,23 @@ class NaiveGroup:
         name: str = "naive",
         autostart: bool = True,
     ):
-        if not replicas:
-            raise ValueError("a group needs at least one replica")
         if replica_mode not in ("event", "polling"):
             raise ValueError(f"bad replica_mode {replica_mode!r}")
         self.params = params or NaiveParams()
-        self.errors: List[str] = []
-        self._acks = AckReaper(
-            client.sim, name, client_mode, self.errors,
-            check_ns=self.params.poll_slice_ns, check_every_pass=True,
+        super().__init__(
+            client, replicas, region_size, rounds, durable, nvm, name, client_mode,
+            client_core, check_ns=self.params.poll_slice_ns, check_every_pass=True,
         )
-        self.client = client
-        self.replicas = list(replicas)
-        self.region_size = region_size
-        self.rounds = rounds
-        self.durable = durable
         self.replica_mode = replica_mode
         self.replica_cores = list(replica_cores or [None] * len(replicas))
-        self.client_core = client_core
-        self.name = name
-        self.g = len(self.replicas)
         self.result_size = self.g * 8
         self.cmd_size = _CMD.size + self.result_size
         self.next_round = 0
-        self.client_region = client.memory.alloc(
-            region_size, label=f"{name}.client_region"
-        )
-        self.replica_mrs: List[Mr] = []
-        for index, host in enumerate(self.replicas):
-            region = host.memory.alloc(
-                region_size, nvm=nvm, label=f"{name}.r{index}.region"
-            )
-            self.replica_mrs.append(host.dev.reg_mr(region, AccessFlags.ALL_REMOTE))
-        self._reader = RemoteReader(client, self.replicas, self.replica_mrs, name)
         self._plumbing: List[_ReplicaPlumbing] = []
         self._setup()
-        self._flow = Resource(client.sim, capacity=max(rounds // 2, 1))
-        self._waiters = self._acks.attach(
-            self.ack_qp.recv_cq, self._parse_result_map,
-            lambda: self.ack_qp.post_recv(Wqe(local_addr=0, length=0)), lap=1 << 32,
-        )
-        self._tasks: List[Task] = []
-        self._replica_tasks: List[Task] = []
-        self._started = False
-        self._stopping = False
+        self._one_ack_path(self._parse_result_map, lap=1 << 32)
         if autostart:
             self.start()
-
-    @property
-    def sim(self):
-        return self.client.sim
-
-    @property
-    def group_size(self) -> int:
-        return self.g
 
     # -- wiring ---------------------------------------------------------------
 
@@ -218,121 +180,12 @@ class NaiveGroup:
         )
         plumbing.posted_recvs += 1
 
-    # -- lifecycle -----------------------------------------------------------------
+    # -- the data path: one software chain ---------------------------------------------
 
-    def start(self) -> None:
-        """Spawn the replica daemons and start reaping acks."""
-        if self._started:
-            return
-        self._started = True
-        for index in range(self.g):
-            task = self.replicas[index].os.spawn(
-                self._daemon_body(index),
-                name=f"{self.name}.r{index}.daemon",
-                pinned_core=self.replica_cores[index],
-            )
-            self._tasks.append(task)
-            self._replica_tasks.append(task)
-        self._acks.start(self.client.os, self.client_core)
+    def _post_cost(self, op: OpSpec) -> int:
+        return 300 + self.params.post_ns * (2 if op.kind == GWRITE else 1)
 
-    def stop(self) -> None:
-        """Retire the group: acks are no longer reaped and the replica
-        daemons return at their next wakeup (see
-        :meth:`HyperLoopGroup.stop <repro.core.group.HyperLoopGroup.stop>`)."""
-        self._stopping = True
-        self._acks.stop()
-
-    # -- public operations (same surface as HyperLoopGroup) ----------------------------
-
-    def write_local(self, offset: int, data: bytes) -> None:
-        """Stage data in the client's local copy (see gwrite)."""
-        self.client_region.write(offset, data)
-
-    def read_replica(self, replica: int, offset: int, size: int) -> bytes:
-        mr = self.replica_mrs[replica]
-        return self.replicas[replica].nic.cache.read(mr.addr + offset, size)
-
-    def pread(self, task: Task, replica: int, offset: int, size: int) -> Generator:
-        """One-sided RDMA READ from a replica (no replica CPU)."""
-        data = yield from self._reader.pread(task, replica, offset, size)
-        return data
-
-    def post_reads(self, task: Task, replica: int, extents) -> Generator:
-        """Post one-sided READs of several ``(offset, size)`` extents as
-        one batch; returns the :class:`~repro.rdma.reader.PostedReads`
-        whose ``wait`` yields their bytes in order. Post and wait are
-        separate so a caller can have reads in flight on several groups
-        at once; :meth:`pread` is one extent, posted and waited for."""
-        posted = yield from self._reader.post(task, replica, extents)
-        return posted
-
-    def gwrite(self, task: Task, offset: int, size: int) -> Generator:
-        """Replicate ``size`` bytes at ``offset`` to all replicas."""
-        result = yield from self._run(task, OpSpec(GWRITE, offset=offset, size=size))
-        return result
-
-    def gflush(self, task: Task) -> Generator:
-        """Explicit durability barrier (zero-byte durable gwrite)."""
-        result = yield from self._run(task, OpSpec(GWRITE, offset=0, size=0))
-        return result
-
-    def gmemcpy(self, task: Task, src_offset: int, dst_offset: int, size: int) -> Generator:
-        """CPU copy of ``size`` bytes on every replica."""
-        result = yield from self._run(
-            task, OpSpec(GMEMCPY, src_offset=src_offset, dst_offset=dst_offset, size=size)
-        )
-        return result
-
-    def gcas(
-        self,
-        task: Task,
-        offset: int,
-        compare: int,
-        swap: int,
-        execute_map: Optional[Sequence[bool]] = None,
-    ) -> Generator:
-        """Group compare-and-swap executed by replica CPUs."""
-        result = yield from self._run(
-            task,
-            OpSpec(GCAS, offset=offset, compare=compare, swap=swap, execute_map=execute_map),
-        )
-        return result
-
-    def _run(self, task: Task, op: OpSpec) -> Generator:
-        """The blocking form of every verb: :meth:`submit`, then
-        :meth:`wait`."""
-        ack = yield from self.submit(task, op)
-        return (yield from self.wait(task, ack))
-
-    def wait(self, task: Task, acks) -> Generator:
-        """See :meth:`HyperLoopGroup.wait <repro.core.group.HyperLoopGroup.wait>`."""
-        return (yield from self._acks.wait(task, acks))
-
-    def submit(self, task: Task, op: OpSpec) -> Generator:
-        """Post ``op``; returns its ack event (see
-        :meth:`HyperLoopGroup.submit <repro.core.group.HyperLoopGroup.submit>`).
-
-        All primitives share the one software chain here, so every op
-        executes and acks in post order. The op is checked like
-        HyperLoop's before it takes a flow slot; the slot is released
-        when the ack fires.
-        """
-        op.check(self.region_size, self.g)
-        flow = self._flow
-        yield from task.wait(flow.acquire())
-        try:
-            cost = 300 + self.params.post_ns * (2 if op.kind == GWRITE else 1)
-            yield from task.compute(cost)
-            round_ = self._client_post(op)
-        except BaseException:
-            flow.release()
-            raise
-        ack = self.sim.event(name=f"{self.name}.op{round_}")
-        ack.add_callback(lambda _ack: flow.release())
-        self._waiters[round_] = ack
-        return ack
-
-    def _client_post(self, op: OpSpec) -> int:
+    def _post(self, op: OpSpec) -> int:
         round_ = self.next_round
         self.next_round += 1
         position = round_ % self.rounds
@@ -380,6 +233,14 @@ class NaiveGroup:
         return round_
 
     # -- replica daemon ------------------------------------------------------------------
+
+    def _spawn(self):
+        for index, host in enumerate(self.replicas):
+            yield host.os.spawn(
+                self._daemon_body(index),
+                name=f"{self.name}.r{index}.daemon",
+                pinned_core=self.replica_cores[index],
+            )
 
     def _daemon_body(self, index: int):
         plumbing = self._plumbing[index]
@@ -502,15 +363,3 @@ class NaiveGroup:
             (value,) = struct.unpack_from("<Q", raw, replica * 8)
             out.append(None if value == SKIP_SENTINEL else value)
         return out
-
-    # -- metrics ---------------------------------------------------------------------------
-
-    def replica_cpu_ns(self) -> int:
-        """Total CPU time burned by replica daemons."""
-        return sum(task.cpu_ns for task in self._replica_tasks)
-
-    def __repr__(self) -> str:
-        return (
-            f"<NaiveGroup {self.name} g={self.g} mode={self.replica_mode} "
-            f"durable={self.durable}>"
-        )

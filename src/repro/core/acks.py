@@ -36,7 +36,9 @@ class _AckQueue:
     """One ack CQ: ``parse(round_)`` reads a round's result, ``repost()``
     re-posts its RECV, and acks carry ``round % lap`` as immediate.
     ``send_cq``, if any, is the client send CQ of the same path; it
-    holds only errors (the client's WQEs are posted non-signaled)."""
+    holds only errors (the client's WQEs are posted non-signaled).
+    ``last_ack_ns`` is when the newest round was acked (``None`` before
+    the first): the Available-Copies rules validate copies by it."""
 
     cq: HwCq
     parse: Callable[[int], object]
@@ -47,6 +49,7 @@ class _AckQueue:
     rank: int
     waiters: Dict[int, Event] = field(default_factory=dict)
     expected: int = 0
+    last_ack_ns: Optional[int] = None
 
 
 class AckReaper:
@@ -64,6 +67,7 @@ class AckReaper:
     ):
         if client_mode not in ("event", "polling"):
             raise ValueError(f"bad client_mode {client_mode!r}")
+        self.sim = sim
         self.name = name
         self.client_mode = client_mode
         self.errors = errors
@@ -77,10 +81,11 @@ class AckReaper:
     def attach(
         self, cq: HwCq, parse: Callable[[int], object], repost: Callable[[], object],
         lap: int, label: str = "", send_cq: Optional[HwCq] = None, rank: int = 0,
-    ) -> Dict[int, Event]:
+    ) -> _AckQueue:
         """Reap ``cq`` (and watch ``send_cq`` for errors) from now on,
         serving queues in ``rank`` order whatever order they were
-        attached in. Returns the round → ack event map to fill."""
+        attached in. Returns the queue; fill its ``waiters``, the
+        round → ack event map."""
         queue = _AckQueue(cq, parse, repost, lap, label, send_cq, rank)
         for attached in (cq, send_cq):
             if attached is not None:
@@ -88,7 +93,7 @@ class AckReaper:
                 self._owner[attached] = queue
         self.queues.append(queue)
         self.queues.sort(key=lambda queue: queue.rank)
-        return queue.waiters
+        return queue
 
     def start(self, os: OperatingSystem, core: Optional[int] = None) -> None:
         """Hook the channel, or in polling mode spawn the polling thread."""
@@ -113,6 +118,7 @@ class AckReaper:
             if cqe.imm != round_ % queue.lap:
                 where = f"{queue.label}: " if queue.label else ""
                 self.errors.append(f"{where}imm {cqe.imm} != position {round_ % queue.lap}")
+            queue.last_ack_ns = self.sim.now
             result = queue.parse(round_)
             queue.repost()
             waiter = queue.waiters.pop(round_, None)

@@ -149,13 +149,6 @@ class Chain:
         self.payload_size = self.blob_size + WQE_SIZE
         self._result_map = _U64.pack(SKIP_SENTINEL) * self.g
         self.next_round = 0  # next round index the client will use
-        # Validation state for Available-Copies reads: when this chain
-        # was built (virtual time) and when its newest round was acked.
-        # A chain with ``last_ack_ns`` set has completed a full
-        # replica-spanning round since construction — every member has
-        # been written since the chain (re)formed.
-        self.born_ns = group.client.sim.now
-        self.last_ack_ns: Optional[int] = None
         self.replicas: List[_ReplicaState] = []
         # Client-side resources (filled by _setup_client).
         self.client_qp: QueuePair = None
@@ -590,7 +583,6 @@ class Chain:
 
     def parse_result_map(self, round_: int) -> List[Optional[int]]:
         """Read a completed round's result map from the ack region."""
-        self.last_ack_ns = self.group.client.sim.now
         position = round_ % self.rounds
         raw = self.group.client.nic.cache.read(
             self.ack_region.addr + position * self.result_size, self.result_size

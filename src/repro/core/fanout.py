@@ -36,25 +36,26 @@ from ..hw.cpu import Task
 from ..hw.host import Host
 from ..hw.nic import AccessFlags
 from ..hw.wqe import FLAG_SGL, FLAG_SIGNALED, FLAG_VALID, Opcode, Wqe, WQE_SIZE
-from ..rdma.reader import RemoteReader
-from ..rdma.verbs import Mr, QueuePair
-from ..sim import Resource, US
-from .acks import AckReaper
-from .chain import check_range
+from ..rdma.verbs import QueuePair
+from ..sim import US
+from .base import GroupBase
+from .chain import GWRITE, OpSpec
 
 __all__ = ["HyperFanoutGroup"]
 
 _SGE_ENTRY = 12
 
 
-class HyperFanoutGroup:
+class HyperFanoutGroup(GroupBase):
     """Fan-out gWRITE offloaded to the primary's NIC (§7).
 
-    API mirrors the gwrite surface of
-    :class:`~repro.core.group.HyperLoopGroup`, ``client_mode``
-    included (acks are reaped by :mod:`repro.core.acks`); replica 0 is
-    the primary, the rest are backups it coordinates.
+    The shell is :class:`~repro.core.base.GroupBase`'s, ``client_mode``
+    included (acks are reaped by :mod:`repro.core.acks`); the group runs
+    gWRITE (and gFLUSH) only. Replica 0 is the primary, the rest are
+    backups it coordinates.
     """
+
+    primitives = (GWRITE,)
 
     def __init__(
         self,
@@ -72,46 +73,18 @@ class HyperFanoutGroup:
     ):
         if len(replicas) < 2:
             raise ValueError("fan-out needs a primary and at least one backup")
-        self.client = client
-        self.replicas = list(replicas)
-        self.region_size = region_size
-        self.rounds = rounds
-        self.durable = durable
-        self.name = name
+        super().__init__(
+            client, replicas, region_size, rounds, durable, nvm, name, client_mode,
+            client_core, check_ns=100, check_every_pass=True,
+        )
         self.maintenance_interval = maintenance_interval
-        self.client_core = client_core
-        self.g = len(self.replicas)
         self.n_backups = self.g - 1
         self.payload_size = self.n_backups * WQE_SIZE
         self.next_round = 0
-        self.errors: List[str] = []
-        self._acks = AckReaper(
-            client.sim, name, client_mode, self.errors, check_ns=100, check_every_pass=True
-        )
-        self.client_region = client.memory.alloc(region_size, label=f"{name}.client")
-        self.replica_mrs: List[Mr] = []
-        for index, host in enumerate(self.replicas):
-            region = host.memory.alloc(region_size, nvm=nvm, label=f"{name}.r{index}")
-            self.replica_mrs.append(host.dev.reg_mr(region, AccessFlags.ALL_REMOTE))
-        self._reader = RemoteReader(client, self.replicas, self.replica_mrs, name)
         self._setup()
-        self._flow = Resource(client.sim, capacity=max(rounds // 2, 1))
-        self._waiters = self._acks.attach(
-            self.ack_qp.recv_cq, lambda round_: round_,
-            lambda: self.ack_qp.post_recv(Wqe(local_addr=0, length=0)), lap=rounds,
-        )
-        self._tasks: List[Task] = []
-        self._started = False
+        self._one_ack_path(lambda round_: round_, lap=rounds)
         if autostart:
             self.start()
-
-    @property
-    def sim(self):
-        return self.client.sim
-
-    @property
-    def group_size(self) -> int:
-        return self.g
 
     # -- layout -------------------------------------------------------------------
 
@@ -272,97 +245,59 @@ class HyperFanoutGroup:
             defer_ownership=True,
         )
 
-    # -- lifecycle -----------------------------------------------------------------
+    # -- the data path: the primary NIC's fan-out ---------------------------------------
 
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self._acks.start(self.client.os, self.client_core)
-        self._tasks.append(
-            self.replicas[0].os.spawn(self._maintenance_body(), name=f"{self.name}.maint")
+    def _post_cost(self, op: OpSpec) -> int:
+        return 700 + self.payload_size // 8
+
+    def _post(self, op: OpSpec) -> int:
+        offset, size = op.offset, op.size
+        round_ = self.next_round
+        self.next_round += 1
+        position = round_ % self.rounds
+        payload = b"".join(
+            self._build_patch(backup, round_, offset, size)
+            for backup in range(self.n_backups)
         )
-
-    # -- operations -------------------------------------------------------------------
-
-    def write_local(self, offset: int, data: bytes) -> None:
-        self.client_region.write(offset, data)
-
-    def read_replica(self, replica: int, offset: int, size: int) -> bytes:
-        mr = self.replica_mrs[replica]
-        return self.replicas[replica].nic.cache.read(mr.addr + offset, size)
-
-    def pread(self, task: Task, replica: int, offset: int, size: int) -> Generator:
-        """One-sided RDMA READ from a replica (no replica CPU)."""
-        data = yield from self._reader.pread(task, replica, offset, size)
-        return data
-
-    def post_reads(self, task: Task, replica: int, extents) -> Generator:
-        """Post one-sided READs of several ``(offset, size)`` extents as
-        one batch; returns the :class:`~repro.rdma.reader.PostedReads`
-        whose ``wait`` yields their bytes in order. Post and wait are
-        separate so a caller can have reads in flight on several groups
-        at once; :meth:`pread` is one extent, posted and waited for."""
-        posted = yield from self._reader.post(task, replica, extents)
-        return posted
-
-    def gwrite(self, task: Task, offset: int, size: int) -> Generator:
-        """Replicate via the primary NIC's fan-out; returns the round."""
-        check_range(offset, size, self.region_size)
-        yield from task.wait(self._flow.acquire())
-        try:
-            yield from task.compute(700 + self.payload_size // 8)
-            round_ = self.next_round
-            self.next_round += 1
-            position = round_ % self.rounds
-            payload = b"".join(
-                self._build_patch(backup, round_, offset, size)
-                for backup in range(self.n_backups)
-            )
-            staging = self.client_staging.addr + position * self.payload_size
-            self.client.nic.host_write(staging, payload)
-            primary_mr = self.replica_mrs[0]
-            wqes = []
-            if size > 0:
-                wqes.append(
-                    Wqe(
-                        opcode=Opcode.WRITE,
-                        flags=FLAG_VALID,
-                        length=size,
-                        local_addr=self.client_region.addr + offset,
-                        remote_addr=primary_mr.addr + offset,
-                        rkey=primary_mr.rkey,
-                        wr_id=round_,
-                    )
-                )
-            if self.durable:
-                wqes.append(
-                    Wqe(
-                        opcode=Opcode.READ,
-                        flags=FLAG_VALID,
-                        length=0,
-                        local_addr=staging,
-                        remote_addr=primary_mr.addr,
-                        rkey=primary_mr.rkey,
-                        wr_id=round_,
-                    )
-                )
+        staging = self.client_staging.addr + position * self.payload_size
+        self.client.nic.host_write(staging, payload)
+        primary_mr = self.replica_mrs[0]
+        wqes = []
+        if size > 0:
             wqes.append(
                 Wqe(
-                    opcode=Opcode.SEND,
+                    opcode=Opcode.WRITE,
                     flags=FLAG_VALID,
-                    length=self.payload_size,
-                    local_addr=staging,
+                    length=size,
+                    local_addr=self.client_region.addr + offset,
+                    remote_addr=primary_mr.addr + offset,
+                    rkey=primary_mr.rkey,
                     wr_id=round_,
                 )
             )
-            self.client_qp.post_send_batch(wqes)
-            ack = self.sim.event(name=f"{self.name}.op{round_}")
-            self._waiters[round_] = ack
-            result = yield from self._acks.wait(task, ack)
-        finally:
-            self._flow.release()
-        return result
+        if self.durable:
+            wqes.append(
+                Wqe(
+                    opcode=Opcode.READ,
+                    flags=FLAG_VALID,
+                    length=0,
+                    local_addr=staging,
+                    remote_addr=primary_mr.addr,
+                    rkey=primary_mr.rkey,
+                    wr_id=round_,
+                )
+            )
+        wqes.append(
+            Wqe(
+                opcode=Opcode.SEND,
+                flags=FLAG_VALID,
+                length=self.payload_size,
+                local_addr=staging,
+                wr_id=round_,
+            )
+        )
+        self.client_qp.post_send_batch(wqes)
+        return round_
 
     def _build_patch(self, backup: int, round_: int, offset: int, size: int) -> bytes:
         primary_mr = self.replica_mrs[0]
@@ -388,10 +323,15 @@ class HyperFanoutGroup:
         retired = min(retired, self.primary_ack_qp.hw.send_consumer // 2)
         return retired
 
+    def _spawn(self):
+        yield self.replicas[0].os.spawn(self._maintenance_body(), name=f"{self.name}.maint")
+
     def _maintenance_body(self):
         def body(task: Task) -> Generator:
             while True:
                 yield from task.sleep(self.maintenance_interval)
+                if self._stopping:
+                    return
                 yield from task.compute(500)
                 half_lap = max(self.rounds // 2, 1)
                 while self._retired_rounds() >= self.posted_rounds - self.rounds + half_lap:
@@ -418,12 +358,3 @@ class HyperFanoutGroup:
             self.primary_ack_qp.send_cq,
         ]
         return cqs
-
-    def replica_cpu_ns(self) -> int:
-        """CPU consumed on replica hosts (primary maintenance only)."""
-        return sum(
-            task.cpu_ns for task in self._tasks if task.os is not self.client.os
-        )
-
-    def __repr__(self) -> str:
-        return f"<HyperFanoutGroup {self.name} g={self.g} durable={self.durable}>"

@@ -34,26 +34,24 @@ never builds the gMEMCPY and gCAS chains.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, Optional, Sequence, Tuple
 
 from ..hw.cpu import Task
 from ..hw.host import Host
-from ..hw.nic import AccessFlags
-from ..obs.trace import TRACER
-from ..rdma.reader import RemoteReader
 from ..sim import Event, Resource, US
-from .acks import AckReaper
+from .base import GroupBase
 from .chain import Chain, GCAS, GMEMCPY, GWRITE, OpSpec
 
 __all__ = ["HyperLoopGroup"]
 
 
-class HyperLoopGroup:
+class HyperLoopGroup(GroupBase):
     """A replication group offloaded to NICs.
 
-    Construction allocates the replicated regions and the read path;
-    a primitive's chain is built by its first operation, so
-    :attr:`chains` holds only the chains used so far.
+    Construction allocates the replicated regions and the read path
+    (:class:`~repro.core.base.GroupBase`); a primitive's chain is built
+    by its first operation, so :attr:`chains` holds only the chains
+    used so far.
 
     Parameters
     ----------
@@ -99,34 +97,13 @@ class HyperLoopGroup:
         name: str = "group",
         autostart: bool = True,
     ):
-        if not replicas:
-            raise ValueError("a group needs at least one replica")
         for primitive in primitives:
             if primitive not in (GWRITE, GMEMCPY, GCAS):
                 raise ValueError(f"unknown primitive {primitive!r}")
-        self.errors: List[str] = []
-        self._acks = AckReaper(client.sim, name, client_mode, self.errors)
-        self.client = client
-        self.replicas = list(replicas)
-        self.region_size = region_size
-        self.rounds = rounds
-        self.durable = durable
-        self.name = name
-        self.maintenance_interval = maintenance_interval
-        self.client_core = client_core
-        # Replicated data regions: one local copy on the client, one
-        # remotely accessible region per replica.
-        self.client_region = client.memory.alloc(
-            region_size, label=f"{name}.client_region"
+        super().__init__(
+            client, replicas, region_size, rounds, durable, nvm, name, client_mode, client_core
         )
-        self.client_region_mr = client.dev.reg_mr(self.client_region)
-        self.replica_mrs = []
-        for index, host in enumerate(self.replicas):
-            region = host.memory.alloc(
-                region_size, nvm=nvm, label=f"{name}.r{index}.region"
-            )
-            self.replica_mrs.append(host.dev.reg_mr(region, AccessFlags.ALL_REMOTE))
-        self._reader = RemoteReader(client, self.replicas, self.replica_mrs, name)
+        self.maintenance_interval = maintenance_interval
         self.primitives: Tuple[str, ...] = tuple(primitives)
         # Built chains only, keyed in ``primitives`` order (see chain()).
         self.chains: Dict[str, Chain] = {}
@@ -135,181 +112,8 @@ class HyperLoopGroup:
             for primitive in self.primitives
         }
         self._waiters: Dict[str, Dict[int, Event]] = {}  # per built chain
-        self._tasks: List[Task] = []
-        self._started = False
-        self._stopping = False
         if autostart:
             self.start()
-
-    @property
-    def sim(self):
-        return self.client.sim
-
-    @property
-    def group_size(self) -> int:
-        return len(self.replicas)
-
-    @property
-    def validated_since_birth(self) -> bool:
-        """Whether an acked write round completed on this group's chain.
-
-        The Available-Copies read rule: a chain freshly built (e.g. by
-        ``ChainRepair`` after a membership change) must be *written
-        since recovery* before its copies may serve snapshot reads.
-        An acked gWRITE round traverses every member, so one ack since
-        construction re-validates the whole chain.
-        """
-        chain = self.chains.get(GWRITE)
-        return chain is not None and chain.last_ack_ns is not None
-
-    def readable_replicas(self) -> List[int]:
-        """Replica indices currently eligible to serve one-sided reads.
-
-        Excludes crashed hosts, halted NICs, and replicas restarted
-        after the chain's newest acked write — a restarted site holds
-        whatever survived in NVM and must see a committed write land
-        before its copy is trusted again (Available-Copies).
-        """
-        chain = self.chains.get(GWRITE)
-        last_ack = chain.last_ack_ns if chain is not None else None
-        out: List[int] = []
-        for index, host in enumerate(self.replicas):
-            if host.down or host.nic.halted:
-                continue
-            if host.last_restart_ns is not None and (
-                last_ack is None or last_ack <= host.last_restart_ns
-            ):
-                continue
-            out.append(index)
-        return out
-
-    # -- lifecycle -----------------------------------------------------------------
-
-    def start(self) -> None:
-        """Start reaping acks and spawn the replica maintenance tasks."""
-        if self._started:
-            return
-        self._started = True
-        self._acks.start(self.client.os, self.client_core)
-        for index, host in enumerate(self.replicas):
-            task = host.os.spawn(
-                self._maintenance_body(index),
-                name=f"{self.name}.r{index}.maint",
-            )
-            self._tasks.append(task)
-
-    def stop(self) -> None:
-        """Retire the group: background tasks exit at their next wakeup.
-
-        Used on membership change — :class:`~repro.storage.recovery.
-        ChainRepair` abandons the old group wholesale, and without this
-        its replica maintenance tasks would keep waking forever. Acks
-        are no longer reaped; a polling thread parked on a dead chain
-        simply stays dormant, and no new timer events are scheduled
-        once tasks observe the flag.
-        """
-        self._stopping = True
-        self._acks.stop()
-
-    def reattach_client(self) -> None:
-        """Rebuild the client's read path after a client crash/restart.
-
-        A crashed client NIC loses its volatile QP/ring state, so the
-        old :class:`~repro.rdma.reader.RemoteReader` QPs are dead on
-        the client side. The replica regions themselves are retained
-        NIC/memory state, so a fresh reader — new QP pairs on both
-        ends, same replica MRs — restores one-sided pread access for
-        catch-up. Chain QPs are *not* rebuilt here; recovery replaces
-        the group (fresh chains) once the client has caught up, exactly
-        as :class:`~repro.storage.recovery.ChainRepair` does for
-        replica failures.
-        """
-        self._reader = RemoteReader(
-            self.client,
-            self.replicas,
-            self.replica_mrs,
-            f"{self.name}.reattach",
-        )
-
-    # -- public operations (drive from a client Task) ---------------------------------
-
-    def write_local(self, offset: int, data: bytes) -> None:
-        """Stage ``data`` in the client's local copy of the region.
-
-        gwrite replicates *from this region*; storage layers call this
-        while building log records.
-        """
-        self.client_region.write(offset, data)
-
-    def read_replica(self, replica: int, offset: int, size: int) -> bytes:
-        """Read a replica's region directly (test/verification hook)."""
-        mr = self.replica_mrs[replica]
-        return self.replicas[replica].nic.cache.read(mr.addr + offset, size)
-
-    def pread(self, task: Task, replica: int, offset: int, size: int) -> Generator:
-        """One-sided RDMA READ from a replica (no replica CPU)."""
-        data = yield from self._reader.pread(task, replica, offset, size)
-        return data
-
-    def post_reads(self, task: Task, replica: int, extents) -> Generator:
-        """Post one-sided READs of several ``(offset, size)`` extents as
-        one batch; returns the :class:`~repro.rdma.reader.PostedReads`
-        whose ``wait`` yields their bytes in order. Post and wait are
-        separate so a caller can have reads in flight on several groups
-        at once; :meth:`pread` is one extent, posted and waited for."""
-        posted = yield from self._reader.post(task, replica, extents)
-        return posted
-
-    def read_backlog(self, replica: int) -> int:
-        """Read batches in flight on ``replica``'s channel plus those
-        queued for a lane of it."""
-        return self._reader.backlog(replica)
-
-    def gwrite(self, task: Task, offset: int, size: int) -> Generator:
-        """Replicate ``size`` bytes at ``offset`` to all replicas.
-
-        Yields until the group ACK (tail WRITE_WITH_IMM) arrives;
-        returns the operation's round number.
-        """
-        result = yield from self._run(task, OpSpec(GWRITE, offset=offset, size=size))
-        return result
-
-    def gflush(self, task: Task) -> Generator:
-        """Explicitly flush the chain (a zero-byte durable gwrite)."""
-        if not self.durable:
-            raise RuntimeError(
-                "gflush needs the gwrite chain built with durable=True"
-            )
-        result = yield from self._run(task, OpSpec(GWRITE, offset=0, size=0))
-        return result
-
-    def gmemcpy(self, task: Task, src_offset: int, dst_offset: int, size: int) -> Generator:
-        """NIC-local copy of ``size`` bytes on every replica."""
-        result = yield from self._run(
-            task,
-            OpSpec(GMEMCPY, src_offset=src_offset, dst_offset=dst_offset, size=size),
-        )
-        return result
-
-    def gcas(
-        self,
-        task: Task,
-        offset: int,
-        compare: int,
-        swap: int,
-        execute_map: Optional[Sequence[bool]] = None,
-    ) -> Generator:
-        """Group compare-and-swap; returns the result map.
-
-        The result map is a list with one entry per replica: the
-        original 8-byte value at ``offset`` where the CAS executed, or
-        ``None`` where the execute map skipped the replica.
-        """
-        result = yield from self._run(
-            task,
-            OpSpec(GCAS, offset=offset, compare=compare, swap=swap, execute_map=execute_map),
-        )
-        return result
 
     def chain(self, primitive: str) -> Chain:
         """The chain for ``primitive``, built on first use.
@@ -317,7 +121,8 @@ class HyperLoopGroup:
         Building pre-posts every round on every replica and starts the
         chain's NIC engines at the current instant; its ack CQ and
         client send CQ join the group's ack reaper, served in declared
-        ``primitives`` order like the chains built before it.
+        ``primitives`` order like the chains built before it. The
+        gWRITE chain's acks are the ones that validate every copy.
         """
         chain = self.chains.get(primitive)
         if chain is not None:
@@ -325,11 +130,14 @@ class HyperLoopGroup:
         if primitive not in self.primitives:
             raise RuntimeError(f"group built without the {primitive} chain")
         chain = Chain(self, primitive, self.durable, self.rounds)
-        self._waiters[primitive] = self._acks.attach(
+        queue = self._acks.attach(
             chain.ack_qp.recv_cq, chain.parse_result_map, chain.post_ack_recv,
             lap=chain.rounds, label=primitive, send_cq=chain.client_qp.send_cq,
             rank=self.primitives.index(primitive),
         )
+        self._waiters[primitive] = queue.waiters
+        if primitive == GWRITE:
+            self._validating = queue
         # A fresh dict, not an insert: the maintenance tasks may be
         # suspended inside a loop over the old one. Declared order, so
         # every loop over the chains is independent of first use.
@@ -337,76 +145,21 @@ class HyperLoopGroup:
         self.chains = {p: built[p] for p in self.primitives if p in built}
         return chain
 
-    def _run(self, task: Task, op: OpSpec) -> Generator:
-        """The blocking form of every verb: :meth:`submit`, then
-        :meth:`wait`."""
-        ack = yield from self.submit(task, op)
-        return (yield from self.wait(task, ack))
+    # -- the data path: one chain per primitive ----------------------------------------
 
-    def wait(self, task: Task, acks) -> Generator:
-        """Park on one ack event from :meth:`submit` or a list of them
-        (:meth:`AckReaper.wait <repro.core.acks.AckReaper.wait>`)."""
-        return (yield from self._acks.wait(task, acks))
+    def _path(self, primitive: str):
+        self.chain(primitive)
+        return self._flow[primitive], self._waiters[primitive]
 
-    def submit(self, task: Task, op: OpSpec) -> Generator:
-        """Post ``op`` on its primitive's chain; returns its ack event.
+    def _post_cost(self, op: OpSpec) -> int:
+        return self.chains[op.kind].client_post_cost(op)
 
-        The issue half of every group operation: build the chain if
-        this is its first op (:meth:`chain`), take a flow slot, charge
-        the client CPU for building the metadata, post. The
-        caller waits on the returned event (:meth:`wait`) whenever it
-        needs the result (the event's value is what the blocking verb
-        returns), and may post more work first. Ordering is the RC queue pair's:
-        ops on the *same* chain execute and ack in post order; ops on
-        different chains are unordered, so an op that depends on one
-        from another chain must be posted only after that one's ack.
+    def _post(self, op: OpSpec) -> int:
+        return self.chains[op.kind].client_post(op)
 
-        The flow slot is released when the ack fires, not when the
-        issuing task next runs — a batch larger than ``rounds // 2``
-        drains through its own slots instead of deadlocking on them.
-        """
-        primitive = op.kind
-        if primitive not in self.primitives:
-            raise RuntimeError(f"group built without the {primitive} chain")
-        op.check(self.region_size, self.group_size)
-        chain = self.chain(primitive)
-        flow = self._flow[primitive]
-        yield from task.wait(flow.acquire())
-        try:
-            yield from task.compute(chain.client_post_cost(op))
-            round_ = chain.client_post(op)
-        except BaseException:
-            flow.release()
-            raise
-        ack = self.sim.event(name=f"{self.name}.{primitive}.{round_}")
-        ack.add_callback(lambda _ack: flow.release())
-        self._waiters[primitive][round_] = ack
-        if TRACER.enabled:
-            self._trace_op(task, primitive, op, round_, ack)
-        return ack
-
-    def _trace_op(self, task: Task, primitive: str, op: OpSpec, round_: int, ack: Event) -> None:
-        # One complete ("X") span per op on the issuing task's lane,
-        # emitted when the ack fires: a task may have several ops in
-        # flight, so begin/end pairs would interleave within the tid.
-        posted = self.sim.now
-        pid = f"group:{self.name}"
-        TRACER.count("group.ops")
-        TRACER.record(
-            posted, "i", "group", "posted", pid=pid, tid=task.name, args={"round": round_}
-        )
-        ack.add_callback(
-            lambda _ack: TRACER.record(
-                posted,
-                "X",
-                "group",
-                f"{self.name}.{primitive}",
-                pid=pid,
-                tid=task.name,
-                dur=self.sim.now - posted,
-                args={"size": op.size, "round": round_},
-            )
-        )
+    def _spawn(self):
+        for index, host in enumerate(self.replicas):
+            yield host.os.spawn(self._maintenance_body(index), name=f"{self.name}.r{index}.maint")
 
     def _maintenance_body(self, index: int) -> Generator:
         """Replica-side task: refill consumed rounds, drain CQs.
@@ -459,16 +212,6 @@ class HyperLoopGroup:
             cqs.extend([state.qp_loop.send_cq, state.qp_loop.recv_cq])
         return cqs
 
-    # -- metrics -------------------------------------------------------------------------
-
-    def replica_cpu_ns(self) -> int:
-        """Total CPU time consumed on replica hosts by group tasks."""
-        return sum(
-            task.cpu_ns
-            for task in self._tasks
-            if task.os is not self.client.os
-        )
-
     def stats(self) -> Dict[str, int]:
         """Operational counters (observability surface)."""
         return {
@@ -481,6 +224,3 @@ class HyperLoopGroup:
             "replica_cpu_ns": self.replica_cpu_ns(),
             "errors": len(self.errors),
         }
-
-    def __repr__(self) -> str:
-        return f"<HyperLoopGroup {self.name} g={self.group_size} durable={self.durable}>"

@@ -47,7 +47,8 @@ class ReplicatedDocStore:
     Parameters
     ----------
     group:
-        HyperLoopGroup or NaiveGroup.
+        A :class:`~repro.core.base.GroupBase` group that runs every
+        primitive (HyperLoop or Naïve).
     layout:
         Region layout; the DB area is carved into ``slot_size`` slots.
     slot_size:

@@ -107,7 +107,8 @@ class ReplicatedKVStore:
     Parameters
     ----------
     group:
-        HyperLoopGroup or NaiveGroup. Its region must be at least
+        A :class:`~repro.core.base.GroupBase` group that runs every
+        primitive (HyperLoop or Naïve). Its region must be at least
         ``layout.region_size``.
     layout:
         WAL/DB split of the region. The DB area must hold a full

@@ -123,9 +123,9 @@ class ReplicatedLog:
     Parameters
     ----------
     group:
-        A :class:`~repro.core.group.HyperLoopGroup` or
-        :class:`~repro.baseline.naive.NaiveGroup` whose region is at
-        least ``layout.region_size`` bytes.
+        A :class:`~repro.core.base.GroupBase` group that runs every
+        primitive (HyperLoop or Naïve) whose region is at least
+        ``layout.region_size`` bytes.
     layout:
         The region layout (WAL size, DB size).
     """

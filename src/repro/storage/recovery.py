@@ -252,7 +252,7 @@ class ClientReattach:
     :class:`ChainRepair`:
 
     1. Rebuild a one-sided read path over fresh QPs
-       (:meth:`~repro.core.group.HyperLoopGroup.reattach_client`).
+       (:meth:`~repro.core.base.GroupBase.reattach_client`).
     2. Pull the authoritative image from the chain *head* (replica 0):
        in chain replication every acked write has reached the head, so
        the head's bytes are a superset of everything acknowledged.

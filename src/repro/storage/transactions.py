@@ -54,7 +54,8 @@ class TransactionManager:
     Parameters
     ----------
     group:
-        HyperLoopGroup or NaiveGroup.
+        A :class:`~repro.core.base.GroupBase` group that runs every
+        primitive (HyperLoop or Naïve).
     layout:
         Region layout; transactions address the DB area by offset.
     writer_id:

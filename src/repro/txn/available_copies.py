@@ -18,8 +18,9 @@ reader still reads replica 0.
   must be *written since recovery* before serving: a restarted host
   holds whatever NVM kept, a new chain holds the catch-up image, and
   neither is trusted until an acked write has traversed the chain
-  (``Chain.last_ack_ns`` vs ``Host.last_restart_ns`` — see
-  ``HyperLoopGroup.readable_replicas``). ChainRepair's image install
+  (the validating ack path's ``last_ack_ns`` vs ``Host.last_restart_ns``
+  — see ``GroupBase.readable_replicas``, which every group type
+  shares). ChainRepair's image install
   is itself acked chain writes, so a completed repair re-validates
   every member, including a restarted host spliced back in.
 

@@ -119,9 +119,9 @@ class VersionedGroupStore:
         self.manager = manager
         self.slot_size = slot_size
         self.name = name
-        # Mirror the sharded store's convention of reserving the final
-        # 16 bytes of the DB area (the 2PC decision slot) so layouts
-        # stay interchangeable.
+        # The final 16 bytes of the DB area stay free: they are the
+        # slot a durable commit decision will take when the 2PC marker
+        # of ``storage/twophase.py`` joins this recipe (ROADMAP item 3).
         usable = manager.layout.db_size - 16
         self.n_slots = usable // slot_size
         if self.n_slots < 1:

@@ -10,11 +10,13 @@ replica 0 was ineligible for, not every read another replica served.
 
 A one-group world holds lanes with ``post_reads`` tickets and asks the
 tracker directly. A batch queues only once every lane of its replica is
-held.
+held. Every case runs over HyperLoop and over the Naïve baseline: the
+rules come from the group shell both share, not from a data path.
 """
 
 import pytest
 
+from repro.baseline import NaiveGroup
 from repro.bench import run_until
 from repro.core import HyperLoopGroup
 from repro.hw import Cluster
@@ -30,16 +32,22 @@ from repro.txn import (
 
 EXTENT = [(0, 8)]
 EVERY_LANE = (0, 1, 2) * _LANES
+GROUPS = {"hyperloop": HyperLoopGroup, "naive": NaiveGroup}
+
+
+@pytest.fixture(params=GROUPS)
+def world(request):
+    return World(GROUPS[request.param])
 
 
 class World:
-    """One group on hosts 1–3 (replica ``r`` is ``cluster[r + 1]``),
-    written once so its copies are eligible."""
+    """One group of type ``group_class`` on hosts 1–3 (replica ``r`` is
+    ``cluster[r + 1]``), written once so its copies are eligible."""
 
-    def __init__(self):
+    def __init__(self, group_class):
         self.sim = Simulator(seed=11)
         self.cluster = Cluster(self.sim, n_hosts=4, n_cores=4)
-        self.group = HyperLoopGroup(
+        self.group = group_class(
             self.cluster[0], self.cluster.hosts[1:4], region_size=1 << 14,
             rounds=16, name="ac.g0",
         )
@@ -126,8 +134,7 @@ class World:
         return chosen
 
 
-def test_an_idle_group_reads_replica_zero():
-    world = World()
+def test_an_idle_group_reads_replica_zero(world):
     assert world.choose_while() == 0
     assert world.tracker.served == [[1, 0, 0]]
     assert world.tracker.failovers == 0
@@ -152,8 +159,7 @@ def test_an_idle_group_reads_replica_zero():
         "two-lanes-of-0-held",
     ],
 )
-def test_the_least_busy_channel_serves(held, queued, expected):
-    world = World()
+def test_the_least_busy_channel_serves(world, held, queued, expected):
     assert world.choose_while(held, queued) == expected
     served = [0, 0, 0]
     served[expected] = 1
@@ -180,8 +186,7 @@ def _restart_unwritten(host):
     [_crash, _stall_nic, _restart_unwritten],
     ids=["crashed-host", "halted-nic", "restarted-not-rewritten"],
 )
-def test_an_idle_but_ineligible_replica_never_serves(fault, ineligible):
-    world = World()
+def test_an_idle_but_ineligible_replica_never_serves(world, fault, ineligible):
     fault(world.host(ineligible))
     others = tuple(replica for replica in range(3) if replica != ineligible)
     assert world.tracker.readable(0) == list(others)
@@ -191,8 +196,7 @@ def test_an_idle_but_ineligible_replica_never_serves(fault, ineligible):
     assert world.tracker.failovers == (1 if ineligible == 0 else 0)
 
 
-def test_a_group_paused_mid_repair_serves_nothing():
-    world = World()
+def test_a_group_paused_mid_repair_serves_nothing(world):
     world.tracker.on_repair_phase(0)("repair")
     outcome = world.choose_while(held=(0, 1))
     assert isinstance(outcome, NoAvailableCopy)
@@ -202,8 +206,7 @@ def test_a_group_paused_mid_repair_serves_nothing():
     assert world.choose_while(held=(0, 1)) == 2
 
 
-def test_failovers_count_only_reads_replica_zero_was_ineligible_for():
-    world = World()
+def test_failovers_count_only_reads_replica_zero_was_ineligible_for(world):
     assert world.choose_while(held=(0,)) == 1
     assert world.choose_while(held=(0, 1)) == 2
     assert world.tracker.failovers == 0  # replica 0 was busy, not ineligible
