@@ -14,7 +14,7 @@ count as a parameter so a longer run is one argument away.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from ..baseline import NaiveGroup
 from ..core import HyperLoopGroup
@@ -100,12 +100,7 @@ class MicrobenchResult:
     samples_ns: List[int] = field(default_factory=list)
     """Raw per-op latencies (ns). Lets sweep merging be sample-exact
     (:func:`repro.bench.parallel.merge_run_stats`); empty for
-    experiments that only measure aggregates (throughput) and for runs
-    large enough to ship :attr:`sketch` instead."""
-    sketch: Optional[Dict] = None
-    """Mergeable percentile sketch (``PercentileSketch.to_dict()``),
-    shipped in place of ``samples_ns`` above
-    :data:`~repro.bench.sketch.SKETCH_THRESHOLD` samples."""
+    experiments that only measure aggregates (throughput)."""
 
 
 def microbench_latency(
@@ -179,7 +174,6 @@ def microbench_latency(
     ]
     _run_workload(sim, workers, lambda: state["running"] == 0, deadline_ms)
     cpu_fraction = _group_cpu_fraction(group, sim.now - time0)
-    samples, sketch = recorder.ship()
     return MicrobenchResult(
         system=system,
         primitive=primitive,
@@ -188,8 +182,7 @@ def microbench_latency(
         stats=recorder.stats(),
         replica_cpu_fraction=cpu_fraction,
         errors=list(group.errors),
-        samples_ns=samples,
-        sketch=sketch,
+        samples_ns=recorder.samples_ns,
     )
 
 

@@ -20,13 +20,11 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..sim import MS, Simulator
-from .sketch import SKETCH_THRESHOLD, PercentileSketch
 
 __all__ = [
     "LatencyRecorder",
     "LatencyStats",
     "merge_stats",
-    "stats_from_sketch",
     "run_until",
     "bench_kernel_events",
     "bench_nic_hotpath",
@@ -125,20 +123,6 @@ class LatencyRecorder:
             maximum=values[-1],
         )
 
-    def ship(self, threshold: int = SKETCH_THRESHOLD):
-        """What a worker process sends home: ``(samples_ns, sketch)``.
-
-        Small runs (≤ ``threshold`` samples) ship the raw array and
-        ``None`` — downstream merging stays sample-exact. Larger runs
-        ship an empty array plus a
-        :class:`~repro.bench.sketch.PercentileSketch` dict, a few
-        hundred floats no matter how many operations ran.
-        """
-        if len(self.samples_ns) <= threshold:
-            return list(self.samples_ns), None
-        return [], PercentileSketch.from_samples(self.samples_ns).to_dict()
-
-
 def merge_stats(parts: Iterable[LatencyStats]) -> LatencyStats:
     """Combine per-run :class:`LatencyStats` into one summary.
 
@@ -170,26 +154,6 @@ def merge_stats(parts: Iterable[LatencyStats]) -> LatencyStats:
         p99=weighted(lambda s: s.p99),
         minimum=min(s.minimum for s in stats),
         maximum=max(s.maximum for s in stats),
-    )
-
-
-def stats_from_sketch(sketch: PercentileSketch) -> LatencyStats:
-    """Summarize a (merged) sketch as :class:`LatencyStats` (µs).
-
-    ``count``/``mean``/``minimum``/``maximum`` are exact (the sketch
-    tracks them outside the centroids); percentiles are the sketch's
-    interpolated estimates.
-    """
-    if sketch.count == 0:
-        raise ValueError("sketch has no samples")
-    return LatencyStats(
-        count=sketch.count,
-        mean=sketch.mean / 1000.0,
-        p50=sketch.percentile(0.50) / 1000.0,
-        p95=sketch.percentile(0.95) / 1000.0,
-        p99=sketch.percentile(0.99) / 1000.0,
-        minimum=sketch.minimum / 1000.0,
-        maximum=sketch.maximum / 1000.0,
     )
 
 

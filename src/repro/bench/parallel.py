@@ -33,8 +33,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .harness import LatencyRecorder, LatencyStats, merge_stats, stats_from_sketch
-from .sketch import PercentileSketch
+from .harness import LatencyRecorder, LatencyStats, merge_stats
 
 __all__ = [
     "RUNNERS",
@@ -238,23 +237,12 @@ def merge_run_stats(results: Iterable[RunResult]) -> LatencyStats:
     Runs that only ship summaries fall back to the count-weighted
     :func:`~repro.bench.harness.merge_stats` approximation.
 
-    Large runs ship a mergeable percentile sketch instead of raw
-    samples (``output["sketch"]``, see :mod:`repro.bench.sketch`);
-    when any contributing run did, every part — raw arrays included —
-    is folded into one sketch **in result order** (sketch merging is
-    deterministic but not associative, so the fixed fold order is what
-    keeps merged output independent of worker count) and the summary
-    comes from the merged sketch.
-
-    Order-independent on the exact paths. Runs without latency stats
+    Order-independent on both paths. Runs without latency stats
     (e.g. pure-throughput outputs) are skipped; raises if nothing
     remains.
     """
     parts: List[LatencyStats] = []
     sample_lists: List[List[int]] = []
-    sketch_parts: List[Any] = []  # per-result: samples list or sketch dict
-    any_sketch = False
-    exact = True
     for result in results:
         stats = result.stats_dict()
         if not (stats and stats.get("count")):
@@ -262,20 +250,11 @@ def merge_run_stats(results: Iterable[RunResult]) -> LatencyStats:
         parts.append(LatencyStats(**stats))
         output = result.output if isinstance(result.output, dict) else {}
         samples = output.get("samples_ns")
-        sketch = output.get("sketch")
-        if sketch:
-            any_sketch = True
-            exact = False
-            sketch_parts.append(sketch)
-        elif samples and len(samples) == stats["count"]:
+        if samples and len(samples) == stats["count"]:
             sample_lists.append(samples)
-            sketch_parts.append(samples)
-        else:
-            exact = False
-            sketch_parts.append(None)
     if not parts:
         raise ValueError("no run carried latency stats")
-    if exact and sample_lists:
+    if len(sample_lists) == len(parts):
         merged = LatencyRecorder("merged")
         for samples in sample_lists:
             part = LatencyRecorder()
@@ -283,12 +262,4 @@ def merge_run_stats(results: Iterable[RunResult]) -> LatencyStats:
             part._sum_ns = sum(samples)
             merged.merge(part)
         return merged.stats()
-    if any_sketch and all(part is not None for part in sketch_parts):
-        merged_sketch = PercentileSketch()
-        for part in sketch_parts:
-            if isinstance(part, dict):
-                merged_sketch.merge(PercentileSketch.from_dict(part))
-            else:
-                merged_sketch.add_samples(part)
-        return stats_from_sketch(merged_sketch)
     return merge_stats(parts)

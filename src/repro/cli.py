@@ -10,7 +10,6 @@ Examples::
     python -m repro fig11
     python -m repro fig12 --workload A
     python -m repro sweep          # the tenancy sweep headline table
-    python -m repro bench --shards 4 --oracle-check   # sharded engine vs oracle
     python -m repro bench diff old.json new.json      # two e2e results.json, compared
     python -m repro trace          # traced run -> Chrome-trace JSON + report
     python -m repro chaos --seed 7 # fault-injection matrix, invariant report
@@ -36,6 +35,17 @@ __all__ = ["main", "build_parser"]
 SYSTEMS = ["hyperloop", "naive-event", "naive-polling"]
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of every count flag: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -50,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     latency.add_argument("--primitive", choices=["gwrite", "gmemcpy", "gcas"], default="gwrite")
     latency.add_argument("--size", type=int, default=1024, help="message bytes")
     latency.add_argument("--group", type=int, default=3, help="replicas in the chain")
-    latency.add_argument("--ops", type=int, default=2000)
+    latency.add_argument("--ops", type=_positive_int, default=2000)
     latency.add_argument("--stress", type=int, default=6, help="tenants per replica core")
     latency.add_argument("--seed", type=int, default=42)
 
@@ -65,15 +75,15 @@ def build_parser() -> argparse.ArgumentParser:
     fig2.add_argument("--ops-per-set", type=int, default=40)
 
     fig11 = sub.add_parser("fig11", help="§6.2 replicated RocksDB comparison")
-    fig11.add_argument("--ops", type=int, default=1200)
+    fig11.add_argument("--ops", type=_positive_int, default=1200)
     fig11.add_argument("--stress", type=int, default=10)
 
     fig12 = sub.add_parser("fig12", help="§6.2 MongoDB YCSB comparison")
     fig12.add_argument("--workload", choices=list("ABDEF"), default="A")
-    fig12.add_argument("--ops", type=int, default=450)
+    fig12.add_argument("--ops", type=_positive_int, default=450)
 
     sweep = sub.add_parser("sweep", help="latency vs tenancy, all systems")
-    sweep.add_argument("--ops", type=int, default=1500)
+    sweep.add_argument("--ops", type=_positive_int, default=1500)
     sweep.add_argument("--levels", type=int, nargs="+", default=[0, 2, 6, 10])
 
     bench = sub.add_parser(
@@ -88,38 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--experiment", choices=["latency", "throughput"], default="latency")
     bench.add_argument("--systems", choices=SYSTEMS, nargs="+", default=["hyperloop"])
     bench.add_argument("--sizes", type=int, nargs="+", default=[1024])
-    bench.add_argument("--seeds", type=int, default=4, help="independent seeds per config")
+    bench.add_argument("--seeds", type=_positive_int, default=4, help="independent seeds per config")
     bench.add_argument("--seed", type=int, default=42, help="base seed for derivation")
-    bench.add_argument("--ops", type=int, default=500)
+    bench.add_argument("--ops", type=_positive_int, default=500)
     bench.add_argument("--stress", type=int, default=3, help="tenants per replica core")
-    bench.add_argument("--workers", type=int, default=None, help="processes (default: all cores)")
+    bench.add_argument("--workers", type=_positive_int, default=None, help="processes (default: all cores)")
     bench.add_argument("--serial", action="store_true", help="run in-process (reference path)")
-    bench.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "run the sharded-engine mesh program across N worker "
-            "processes and print its deterministic render (stdout is "
-            "byte-identical for any N; timing goes to stderr)"
-        ),
-    )
-    bench.add_argument(
-        "--oracle-check",
-        action="store_true",
-        help="with --shards: also run the single-process oracle and fail on any byte difference",
-    )
-    bench.add_argument("--hosts", type=int, default=24, help="mesh hosts (with --shards)")
-    bench.add_argument("--messages", type=int, default=40, help="mesh messages per host (with --shards)")
-    bench.add_argument("--mesh-group", type=int, default=6, help="mesh replication-group size (with --shards)")
-    bench.add_argument(
-        "--remote-permille",
-        type=int,
-        default=100,
-        help="mesh cross-group traffic share, per mille (with --shards)",
-    )
-
     diff = bench.add_subparsers(dest="bench_command").add_parser(
         "diff",
         help="compare two benchmarks/e2e/out/results.json files",
@@ -184,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     txn.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="process-pool width for --ycsb (output is worker-independent)",
     )
@@ -205,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--primitive", choices=["gwrite", "gmemcpy", "gcas"], default="gwrite"
     )
     trace.add_argument("--size", type=int, default=1024, help="message bytes")
-    trace.add_argument("--ops", type=int, default=50)
+    trace.add_argument("--ops", type=_positive_int, default=50)
     trace.add_argument("--stress", type=int, default=1, help="tenants per replica core")
     trace.add_argument("--cores", type=int, default=8)
     trace.add_argument("--seed", type=int, default=42)
@@ -250,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--sweep",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help=(
@@ -262,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=None,
         help="sweep worker processes (default: all cores; 1 = in-process)",
     )
@@ -444,51 +428,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_bench_shards(args) -> int:
-    """``bench --shards N``: sharded mesh run with deterministic stdout.
-
-    Everything on stdout is a pure function of ``(params, seed)`` —
-    identical for any shard count and for the oracle — so CI byte-diffs
-    it (the ``shard-equivalence`` job). Timing and per-shard stats go
-    to stderr.
-    """
-    from .bench.mesh import mesh_params
-    from .sim.shard import run_oracle, run_sharded
-
-    params = mesh_params(
-        hosts=args.hosts,
-        messages=args.messages,
-        group_size=args.mesh_group,
-        remote_permille=args.remote_permille,
-    )
-    run = run_sharded("mesh", args.shards, seed=args.seed, params=params)
-    if args.oracle_check and args.shards > 1:
-        oracle = run_oracle("mesh", seed=args.seed, params=params)
-        if run.rendered != oracle.rendered or run.report != oracle.report:
-            print(
-                f"FAIL: {args.shards}-shard run diverged from the oracle",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"oracle check passed: {args.shards} shards byte-identical",
-            file=sys.stderr,
-        )
-    print(run.rendered)
-    for stats in run.shard_stats:
-        print(
-            f"shard {stats['shard']}: hosts={stats['hosts']} "
-            f"events={stats['events']} wall={stats['wall_s']:.3f}s",
-            file=sys.stderr,
-        )
-    print(
-        f"shards={run.shards} sync_rounds={run.sync_rounds} "
-        f"lookahead={run.lookahead_ns}ns wall={run.wall_s:.3f}s",
-        file=sys.stderr,
-    )
-    return 0
-
-
 def _cmd_bench_diff(args) -> int:
     """``bench diff OLD NEW``: where two benchmark runs differ, and by
     how much of what ``BENCHMARK.json`` allows."""
@@ -554,8 +493,6 @@ def _cmd_bench(args) -> int:
 
     if args.bench_command == "diff":
         return _cmd_bench_diff(args)
-    if args.shards is not None:
-        return _cmd_bench_shards(args)
 
     from .bench.parallel import (
         make_specs,

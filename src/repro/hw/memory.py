@@ -129,7 +129,7 @@ class MemorySystem:
         self.nvm_size = nvm_size
         # Anonymous mapping: pages are backed (and zero-filled) by the
         # OS on first touch, so an idle host costs no RSS and no memset.
-        # MAP_PRIVATE, not Python's default MAP_SHARED, so forked shard
+        # MAP_PRIVATE, not Python's default MAP_SHARED, so forked pool
         # workers get copy-on-write memory instead of aliasing it.
         self._bytes = mmap.mmap(
             -1, dram_size + nvm_size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS

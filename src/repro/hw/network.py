@@ -17,7 +17,7 @@ the RDMA transport layer lives above this.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..obs.trace import TRACER
 from ..sim import Simulator, TokenBucket
@@ -25,7 +25,6 @@ from ..sim import Simulator, TokenBucket
 __all__ = [
     "Fabric",
     "Port",
-    "BoundaryMessage",
     "FaultVerdict",
     "GBPS",
     "wire_bytes",
@@ -45,34 +44,6 @@ def wire_bytes(payload: int) -> int:
     """Bytes actually serialized on the wire for a payload."""
     segments = max(1, -(-payload // MTU))
     return payload + segments * WIRE_HEADER_BYTES
-
-
-class BoundaryMessage(NamedTuple):
-    """One wire message crossing a shard boundary.
-
-    Produced by the sending shard's fabric when the destination port
-    lives on a peer shard (see :meth:`Fabric.attach_boundary`), shipped
-    through the shard coordinator, and replayed into the destination
-    shard via :meth:`Fabric.inject`. ``deliver_ns`` is the absolute
-    delivery time — egress serialization plus propagation (plus any
-    injected extra delay) already paid on the sending side — so the
-    receiver schedules a plain ``call_at``. ``seq`` orders messages
-    emitted by one shard; the coordinator's global merge key is
-    ``(deliver_ns, src, seq)``.
-
-    A ``NamedTuple`` rather than a dataclass: thousands of these cross
-    the coordinator pipes per run, and tuple pickling is what keeps
-    the window barrier cheap.
-    """
-
-    deliver_ns: int
-    src: str
-    dst: str
-    payload: Any
-    nbytes: int
-    t_sent: int
-    corrupt: bool
-    seq: int
 
 
 @dataclass
@@ -142,24 +113,6 @@ class Fabric:
         self.corrupted_messages = 0
         self.duplicated_messages = 0
         self.delayed_messages = 0
-        # Shard boundary: port names that live on a peer shard. Sends
-        # to them serialize into ``outbox`` instead of delivering
-        # locally; the shard coordinator drains and routes them.
-        self.boundary: Set[str] = set()
-        self.outbox: List[BoundaryMessage] = []
-        self._outbox_seq = 0
-
-    @property
-    def lookahead_ns(self) -> int:
-        """Conservative-sync lookahead this fabric guarantees.
-
-        Every non-loopback delivery pays at least ``propagation_ns``
-        after its send completes serialization, so a shard that has
-        processed everything up to time ``T`` cannot receive a
-        cross-shard message earlier than ``T + propagation_ns``: the
-        window width of the sharded engine's sync protocol.
-        """
-        return self.propagation_ns
 
     # -- fault injection -------------------------------------------------------
 
@@ -188,33 +141,15 @@ class Fabric:
         self.ports[name] = port
         return port
 
-    def attach_boundary(self, name: str) -> None:
-        """Declare ``name`` a port on a peer shard.
-
-        Sends addressed to it pay egress serialization and propagation
-        locally, then land in :attr:`outbox` as
-        :class:`BoundaryMessage` entries instead of delivering — the
-        shard coordinator drains them and the owning shard replays via
-        :meth:`inject`. Loopback to a boundary name is impossible by
-        construction (a host's own port is always local).
-        """
-        if name in self.ports:
-            raise ValueError(f"port {name!r} is attached locally")
-        self.boundary.add(name)
-
     def send(self, src: str, dst: str, payload: Any, nbytes: int) -> None:
         """Transmit ``payload`` (accounting ``nbytes``) from src to dst.
 
         Delivery invokes the destination port's ``receive`` callback
         after serialization and propagation. Loopback (src == dst)
         skips the wire entirely: on-NIC loopback QPs never leave the
-        adapter. Sends to a boundary name serialize into the shard
-        outbox instead (see :meth:`attach_boundary`).
+        adapter.
         """
         src_port = self.ports[src]
-        if dst in self.boundary:
-            self._send_boundary(src_port, dst, payload, nbytes)
-            return
         dst_port = self.ports[dst]
         if dst_port.receive is None:
             raise RuntimeError(f"port {dst!r} has no receive callback")
@@ -282,95 +217,6 @@ class Fabric:
         self._deliver(port, src, payload, t_sent)
         for copy in range(1, copies + 1):
             self.sim.call_in(copy * _DUPLICATE_GAP_NS, self._deliver, port, src, payload, t_sent)
-
-    # -- shard boundary ----------------------------------------------------
-
-    def _send_boundary(
-        self, src_port: Port, dst: str, payload: Any, nbytes: int
-    ) -> None:
-        """Boundary arm of :meth:`send`: same wire cost and fault
-        handling as a local send, but the finished message is recorded
-        in :attr:`outbox` for the coordinator instead of delivered.
-
-        Fault verdicts are applied entirely on the sending side so the
-        receiving shard replays the message mechanically — a sharded
-        run and the oracle consult the fault filter for exactly the
-        same (src, dst, payload) sequence.
-        """
-        src = src_port.name
-        src_port.tx_messages += 1
-        src_port.tx_bytes += nbytes
-        t_sent = self.sim.now
-        extra_delay, corrupt, copies = 0, False, 0
-        if self._fault_filter is not None:
-            verdict = self._judge(src, dst, payload, nbytes, t_sent)
-            if verdict is None:
-                return
-            extra_delay, corrupt, copies = verdict
-        # Unlike the local path, propagation is NOT folded into the
-        # queued entry: the message must be emitted at serialization
-        # end — one full lookahead before it delivers — so the
-        # coordinator can route it to the owning shard in time.
-        done = src_port.egress.reserve(wire_bytes(nbytes)) + extra_delay
-        self.sim._push(
-            done, self._emit, (src, dst, payload, nbytes, t_sent, corrupt, copies)
-        )
-
-    def _emit(
-        self,
-        src: str,
-        dst: str,
-        payload: Any,
-        nbytes: int,
-        t_sent: int,
-        corrupt: bool,
-        copies: int,
-    ) -> None:
-        """Serialization finished for a boundary message: record it
-        (and any duplicate copies, at the same switch re-serialization
-        spacing the local path uses) in the outbox. Delivery time is
-        emit time + propagation — numerically identical to the local
-        path, where propagation rides on the egress completion."""
-        deliver = self.sim.now + self.propagation_ns
-        for index in range(copies + 1):
-            self._outbox_seq += 1
-            self.outbox.append(
-                BoundaryMessage(
-                    deliver_ns=deliver + index * _DUPLICATE_GAP_NS,
-                    src=src,
-                    dst=dst,
-                    payload=payload,
-                    nbytes=nbytes,
-                    t_sent=t_sent,
-                    corrupt=corrupt,
-                    seq=self._outbox_seq,
-                )
-            )
-
-    def drain_outbox(self) -> List[BoundaryMessage]:
-        """Take (and clear) the boundary messages emitted so far."""
-        out, self.outbox = self.outbox, []
-        return out
-
-    def inject(self, msg: BoundaryMessage) -> None:
-        """Replay a boundary message from a peer shard into this fabric.
-
-        Schedules the delivery at ``msg.deliver_ns`` — the wire cost
-        was already paid on the sending shard. The conservative window
-        protocol guarantees ``deliver_ns`` is still in this shard's
-        future; a violation means the lookahead was broken and is a
-        hard error, never silent reordering.
-        """
-        if msg.deliver_ns < self.sim.now:
-            raise RuntimeError(
-                f"boundary message for {msg.dst!r} arrives in the past: "
-                f"{msg.deliver_ns} < now={self.sim.now} (lookahead violated)"
-            )
-        port = self.ports[msg.dst]
-        if port.receive is None:
-            raise RuntimeError(f"port {msg.dst!r} has no receive callback")
-        deliver = self._deliver_corrupt if msg.corrupt else self._deliver
-        self.sim.call_at(msg.deliver_ns, deliver, port, msg.src, msg.payload, msg.t_sent)
 
     def _note_fault(
         self,

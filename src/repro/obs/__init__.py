@@ -28,12 +28,10 @@ from .trace import (
     TraceRecord,
     disable,
     enable,
-    ship_records,
     subsystem_of,
     tracing,
 )
 from .export import (
-    merge_shard_records,
     op_records,
     op_timeline,
     to_chrome_trace,
@@ -49,12 +47,10 @@ __all__ = [
     "tracing",
     "enable",
     "disable",
-    "ship_records",
     "subsystem_of",
     "to_chrome_trace",
     "validate_chrome_trace",
     "write_chrome_trace",
-    "merge_shard_records",
     "op_records",
     "op_timeline",
     "render_attribution",

@@ -24,7 +24,6 @@ __all__ = [
     "to_chrome_trace",
     "validate_chrome_trace",
     "write_chrome_trace",
-    "merge_shard_records",
     "op_records",
     "op_timeline",
 ]
@@ -108,47 +107,6 @@ def to_chrome_trace(tracer: Tracer) -> Dict[str, Any]:
             "wall_ns_by_subsystem": dict(tracer.wall_ns),
         },
     }
-
-
-def _canonical_key(rec) -> tuple:
-    # A record is *emitted* when the simulator reaches its completion
-    # time — for an 'X' (complete) span that is ts + dur, for every
-    # other phase it is ts. Primary-sorting on emission time is what
-    # lets a per-shard chronological buffer and the oracle's single
-    # buffer normalize to the same sequence; the remaining fields (all
-    # deterministic labels) break ties identically on both sides.
-    emitted = rec.ts + (rec.dur or 0) if rec.ph == "X" else rec.ts
-    return (
-        emitted,
-        rec.ts,
-        rec.pid,
-        rec.tid,
-        rec.cat,
-        rec.name,
-        rec.ph,
-        rec.dur or 0,
-        repr(rec.args),
-    )
-
-
-def merge_shard_records(tracer: Tracer) -> None:
-    """Normalize a tracer's ring buffer into canonical global order.
-
-    After shard-worker records are folded in via
-    :meth:`Tracer.absorb`, the buffer holds each shard's records as a
-    contiguous chronological run; sorting by :func:`_canonical_key`
-    interleaves them into one global timeline that is identical no
-    matter how the world was sharded. The same normalization applied
-    to a single-process oracle trace yields the same sequence — the
-    record *multisets* are equal and the key is a pure function of
-    record fields — so equivalence checks (and the shard-equivalence
-    CI job) call this on both sides and byte-diff the exports. Drops
-    nothing; resets the ring cursor so :meth:`Tracer.iter_records`
-    walks the merged order directly.
-    """
-    records = sorted(tracer.iter_records(), key=_canonical_key)
-    tracer.records = records
-    tracer._cursor = 0
 
 
 def validate_chrome_trace(document: Any) -> List[str]:

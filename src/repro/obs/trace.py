@@ -51,7 +51,6 @@ __all__ = [
     "enable",
     "disable",
     "subsystem_of",
-    "ship_records",
 ]
 
 _DEFAULT_CAPACITY = 1 << 18  # records kept before the ring wraps
@@ -173,8 +172,8 @@ class Tracer:
         them, and those blocks reach instrumentation points (a task's
         exit dispatches the next one on its core). Reclaimed after this
         call, they would write another world's records into this trace
-        whenever the collector happened to run — which is how a shard
-        worker's trace once diverged from the oracle's.
+        whenever the collector happened to run, so two traces of the
+        same world would differ.
         """
         while gc.collect():
             # Until nothing is left: a reclaimed task's finally block
@@ -335,30 +334,6 @@ class Tracer:
         name = getattr(obj, "name", "")
         return cached[0], f"{cached[1]}.{fn.__name__}", name
 
-    # -- shard merge -------------------------------------------------------
-
-    def absorb(
-        self,
-        records: List[Tuple[int, str, str, str, str, str, int, Optional[Dict[str, Any]]]],
-        counters: Dict[str, int],
-        dispatches: int = 0,
-    ) -> None:
-        """Fold trace state shipped from a shard worker into this tracer.
-
-        ``records`` is the plain-tuple form produced by
-        :func:`ship_records` — workers never pickle
-        :class:`TraceRecord` instances, only their field tuples.
-        Counters merge additively; records append in the order given
-        (callers sort globally via
-        :func:`repro.obs.export.merge_shard_records` afterwards).
-        """
-        for fields in records:
-            self.record(*fields)
-        own = self.counters
-        for name, value in counters.items():
-            own[name] = own.get(name, 0) + value
-        self.dispatches += dispatches
-
     # -- summaries ---------------------------------------------------------
 
     def top_cost_center(self) -> Optional[str]:
@@ -377,17 +352,6 @@ class Tracer:
             f"<Tracer {state} records={len(self.records)} "
             f"dropped={self.dropped} counters={len(self.counters)}>"
         )
-
-
-def ship_records(
-    tracer: Tracer,
-) -> List[Tuple[int, str, str, str, str, str, int, Optional[Dict[str, Any]]]]:
-    """Trace records as plain field tuples, safe to pickle to a peer
-    process and replay through :meth:`Tracer.absorb`."""
-    return [
-        (rec.ts, rec.ph, rec.cat, rec.name, rec.pid, rec.tid, rec.dur, rec.args)
-        for rec in tracer.iter_records()
-    ]
 
 
 TRACER = Tracer()

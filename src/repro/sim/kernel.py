@@ -249,11 +249,6 @@ class Simulator:
         self._running = False
         self._process_count = 0
         self._root_rng = random.Random(seed)
-        # When False, a bounded run leaves the clock at the last
-        # dispatched event instead of advancing to ``until`` — a shard
-        # worker runs in window slices and needs them unpinned so its
-        # final clock matches an unsliced run exactly.
-        self._advance_clock = True
         self._timeout_pool: list = []
         self._hop: Optional[Hop] = None
         # Active same-timestamp dispatch batch. While run() is
@@ -517,7 +512,7 @@ class Simulator:
                                 batch.append((proc._resume, (value, timeout)))
                     else:
                         fn(*args)
-            if until is not None and self._advance_clock and until > self.now:
+            if until is not None and until > self.now:
                 self.now = until
         finally:
             self._batch = None

@@ -175,11 +175,21 @@ class TestMerging:
 
     def test_merge_run_stats_is_sample_exact_over_sweep(self):
         # Merged percentiles must equal those of one recorder that saw
-        # every sample — not the count-weighted approximation.
-        results = run_serial(quick_specs())
+        # every sample — not the count-weighted approximation. One run
+        # records more than 8,192 ops: no run size ships less than its
+        # full sample list.
+        large = make_specs(
+            "latency",
+            base_seed=9,
+            n_seeds=1,
+            **dict(QUICK, group_size=1, n_ops=8_193, pipeline_depth=8),
+        )
+        results = run_serial(quick_specs() + large)
         reference = LatencyRecorder("reference")
         for result in results:
-            for sample in result.output["samples_ns"]:
+            samples = result.output["samples_ns"]
+            assert len(samples) == result.output["stats"]["count"]
+            for sample in samples:
                 reference.record(sample)
         assert merge_run_stats(results) == reference.stats()
 

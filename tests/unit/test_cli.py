@@ -38,6 +38,28 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig12", "--workload", "Z"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["latency", "--ops", "0"],
+            ["latency", "--ops", "-3"],
+            ["bench", "--ops", "0"],
+            ["bench", "--seeds", "0"],
+            ["bench", "--workers", "0"],
+            ["txn", "--workers", "0"],
+            ["chaos", "--sweep", "0"],
+            ["chaos", "--workers", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_counts_below_one_are_usage_errors(self, argv, capsys):
+        # Rejected while parsing, before anything runs.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[1]}: must be at least 1, got {int(argv[2])}" in err
+
 
 class TestExecution:
     def test_list_prints_experiments(self, capsys):

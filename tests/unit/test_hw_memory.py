@@ -92,7 +92,7 @@ class TestLazyBacking:
         assert mem.read(mem.nvm_base, 3) == b"nvm"
 
     def test_forked_child_writes_are_private(self):
-        """MAP_PRIVATE: a forked shard worker must not alias the
+        """MAP_PRIVATE: a forked pool worker must not alias the
         parent's simulated DRAM (Python's mmap default is MAP_SHARED)."""
         mem = MemorySystem(dram_size=4096, nvm_size=4096)
         mem.write(0, b"parent")

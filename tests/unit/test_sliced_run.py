@@ -1,27 +1,22 @@
 """Slicing a run must be invisible to the simulation.
 
-A sharded-engine worker (:mod:`repro.sim.shard`) drives its simulator
-in window slices: ``run(until=window_end)`` with ``_advance_clock =
-False``, so an intermediate slice leaves the clock at the last
-dispatched event instead of pinning it to the window end. That is all
-the worker relies on from the kernel. Run once, and again in random
-slices or fixed lookahead windows, a random process soup and a small
-NIC world must dispatch the identical ``(time, actor)`` sequence, end
-at the identical clock, and record identical traces; and every worker
-of a sharded run must count the coordinator's windows as its rounds.
+Bounded runs are live code: the harness drives long experiments in
+chunks and every scenario drains with ``run(until=...)``. Run once,
+and again as back-to-back ``run(until=...)`` slices of random width,
+a random process soup and a small NIC world must dispatch the
+identical ``(time, actor)`` sequence and record identical traces. The
+final clock is not compared: a slice pins the clock to its ``until``,
+which may lie past the last event.
 """
 
 import random
 
 import pytest
 
-from repro.bench.mesh import mesh_params
 from repro.hw import Cluster
 from repro.obs import TRACER
 from repro.rdma import AccessFlags, FLAG_SIGNALED, Opcode, Wqe
 from repro.sim import AnyOf, Event, Simulator, US
-from repro.sim.shard import run_oracle, run_sharded
-from tests.reference.windows import run_in_windows
 
 
 @pytest.fixture(autouse=True)
@@ -121,7 +116,7 @@ def _nic_world(sim):
 def _run(build, seed, slice_seed=None, traced=False):
     """Run ``build``'s world to completion, whole or in random slices.
 
-    Returns the world's log, the final clock and, when traced, the
+    Returns the world's log, its push count and, when traced, the
     dispatch count plus every record the tracer kept."""
     if traced:
         TRACER.enable()
@@ -131,12 +126,8 @@ def _run(build, seed, slice_seed=None, traced=False):
         sim.run()
     else:
         cuts = random.Random(slice_seed)
-        sim._advance_clock = False
-        try:
-            while sim._queue:
-                sim.run(until=sim._queue[0][0] + cuts.choice((0, 1, 3, 17, 400)))
-        finally:
-            sim._advance_clock = True
+        while sim._queue:
+            sim.run(until=sim._queue[0][0] + cuts.choice((0, 1, 3, 17, 400)))
     trace = None
     if traced:
         TRACER.disable()
@@ -148,7 +139,7 @@ def _run(build, seed, slice_seed=None, traced=False):
             ],
         )
         TRACER.reset()
-    return log, sim.now, trace
+    return log, sim._sequence, trace
 
 
 @pytest.mark.parametrize("seed", [3, 29, 404])
@@ -180,56 +171,3 @@ def test_sliced_nic_world_traces_match_whole_run():
     cats = {rec[2] for rec in whole[2][1]}
     assert {"kernel", "nic"} <= cats
     assert _run(_nic_world, 17, slice_seed=11, traced=True) == whole
-
-
-def _windowed(seed, window_ns, until=None):
-    """``_soup`` run in fixed lookahead windows (``None``: whole)."""
-    sim = Simulator(seed=seed)
-    log = _soup(sim)
-    if window_ns is None:
-        sim.run(until=until)
-    else:
-        run_in_windows(sim, until, window_ns)
-    return log, sim.now, sim._sequence
-
-
-def test_windowed_run_matches_plain():
-    plain = _windowed(29, None)
-    for window in (1, 13, 100, 1300, 10**9):
-        assert _windowed(29, window) == plain, f"window_ns={window} diverged"
-
-
-def test_windowed_run_with_until_matches_plain():
-    plain = _windowed(29, None, until=40)
-    assert _windowed(29, 5, until=40) == plain
-    assert plain[1] == 40  # clock pinned to until either way
-
-
-def test_sync_rounds_counts_windows():
-    # The coordinator counts the windows it broadcasts; every worker
-    # counts the slices it ran. They are the same rounds.
-    params = mesh_params(hosts=6, messages=8, group_size=2)
-    assert run_oracle("mesh", seed=5, params=params).sync_rounds == 0
-    for shards in (2, 3):
-        run = run_sharded("mesh", shards, seed=5, params=params)
-        assert run.sync_rounds > 1
-        assert [stats["sync_rounds"] for stats in run.shard_stats] == [
-            run.sync_rounds
-        ] * shards
-
-
-def test_advance_clock_flag_leaves_clock_at_last_event():
-    sim = Simulator(seed=4)
-    log = _soup(sim)
-    sim._advance_clock = False
-    try:
-        sim.run(until=10_000)
-    finally:
-        sim._advance_clock = True
-    # All events fired, but the clock was not pinned to `until`.
-    assert log
-    assert not sim._queue
-    assert sim.now < 10_000
-    # With the flag set, a bounded run pins the clock to `until`.
-    sim.run(until=20_000)
-    assert sim.now == 20_000

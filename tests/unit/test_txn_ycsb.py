@@ -2,9 +2,8 @@
 
 The suite rendering must be a pure function of ``(mixes, seed,
 params)``: byte-identical when run twice, across pool worker counts,
-with the batched dispatch loop swapped for the one-pop reference loop
-(``tests/reference/one_pop.py``), and with every run sliced into a
-shard worker's lookahead windows (``tests/reference/windows.py``).
+and with the batched dispatch loop swapped for the one-pop reference
+loop (``tests/reference/one_pop.py``).
 All six Cooper mixes run — D and E drive the coordinator's insert and
 snapshot-scan paths — and unknown mixes fail with the full supported
 vocabulary.
@@ -13,10 +12,9 @@ vocabulary.
 import pytest
 
 from repro.sim import Simulator
-from repro.txn import run_ycsb, run_ycsb_mix, run_ycsb_point
+from repro.txn import run_ycsb, run_ycsb_mix
 from repro.txn.ycsb import TXN_MIXES
 from tests.reference.one_pop import run_one_pop
-from tests.reference.windows import run_in_windows
 
 
 SMALL = dict(n_keys=24, n_txns=12, n_workers=2)
@@ -91,19 +89,3 @@ def test_suite_identical_across_dispatch_modes(monkeypatch):
     monkeypatch.setattr(Simulator, "run", run_one_pop)
     oracle = run_ycsb(mixes=("A", "F"), seed=7, workers=1, **SMALL)
     assert oracle.render() == base.render()
-
-
-def test_mix_point_identical_in_lookahead_windows(monkeypatch):
-    base = run_ycsb_point("A", seed=7, **SMALL)
-    monkeypatch.setattr(Simulator, "run", run_in_windows)
-    windowed = run_ycsb_point("A", seed=7, **SMALL)
-    assert windowed.render() == base.render()
-    assert windowed == base
-
-
-def test_dynamic_mix_point_identical_in_lookahead_windows(monkeypatch):
-    base = run_ycsb_point("E", seed=7, **SMALL)
-    monkeypatch.setattr(Simulator, "run", run_in_windows)
-    windowed = run_ycsb_point("E", seed=7, **SMALL)
-    assert windowed.render() == base.render()
-    assert windowed == base
