@@ -7,7 +7,9 @@ one-pop reference loop. Merging is order-independent.
 """
 
 import dataclasses
+import random
 
+import numpy
 import pytest
 
 from repro.bench.harness import LatencyRecorder, LatencyStats, merge_stats
@@ -190,6 +192,44 @@ class TestMerging:
             samples = result.output["samples_ns"]
             assert len(samples) == result.output["stats"]["count"]
             for sample in samples:
+                reference.record(sample)
+        assert merge_run_stats(results) == reference.stats()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_recorder_percentiles_are_exact(self, seed):
+        # 20,000 samples, above the old 8,192-sample threshold: every
+        # sample is kept and every percentile matches numpy's (linear
+        # interpolation) over the same values.
+        rng = random.Random(seed)
+        samples = [int(rng.lognormvariate(8, 1.2)) + 1 for _ in range(20_000)]
+        recorder = LatencyRecorder("exact")
+        for sample in samples:
+            recorder.record(sample)
+        stats = recorder.stats()
+        values = numpy.array(samples) / 1000.0
+        assert len(recorder) == stats.count == len(samples)
+        assert stats.mean == sum(samples) / 1000.0 / len(samples)
+        assert stats.minimum == values.min()
+        assert stats.maximum == values.max()
+        for field, fraction in (("p50", 50), ("p95", 95), ("p99", 99)):
+            assert getattr(stats, field) == pytest.approx(
+                numpy.percentile(values, fraction), rel=1e-12
+            )
+
+    @pytest.mark.parametrize("n_parts", [1, 3, 8])
+    def test_merge_run_stats_is_exact_for_any_split(self, n_parts):
+        # One sample list shipped as 1, 3 or 8 runs merges to the stats
+        # of a single recorder that saw every sample.
+        rng = random.Random(n_parts)
+        samples = [int(rng.expovariate(1 / 3000)) + 1 for _ in range(9_000)]
+        reference = LatencyRecorder("reference")
+        results = []
+        for index in range(n_parts):
+            part = samples[index::n_parts]
+            result = self._summary_only_result(index, part)
+            result.output["samples_ns"] = part
+            results.append(result)
+            for sample in part:
                 reference.record(sample)
         assert merge_run_stats(results) == reference.stats()
 

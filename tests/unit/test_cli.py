@@ -60,6 +60,28 @@ class TestParser:
         err = capsys.readouterr().err
         assert f"argument {argv[1]}: must be at least 1, got {int(argv[2])}" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["latency", "--ops", "1"],
+            ["bench", "--seeds", "1"],
+            ["bench", "--workers", "1"],
+            ["chaos", "--sweep", "1"],
+        ],
+        ids=" ".join,
+    )
+    def test_count_of_one_is_accepted(self, argv):
+        args = build_parser().parse_args(argv)
+        assert getattr(args, argv[1][2:]) == 1
+
+    @pytest.mark.parametrize("text", ["abc", "2.5"])
+    def test_non_integer_count_is_usage_error(self, text, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--ops", text])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --ops: {text!r} is not an integer" in err
+
 
 class TestExecution:
     def test_list_prints_experiments(self, capsys):

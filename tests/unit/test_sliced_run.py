@@ -5,8 +5,10 @@ chunks and every scenario drains with ``run(until=...)``. Run once,
 and again as back-to-back ``run(until=...)`` slices of random width,
 a random process soup and a small NIC world must dispatch the
 identical ``(time, actor)`` sequence and record identical traces. The
-final clock is not compared: a slice pins the clock to its ``until``,
-which may lie past the last event.
+final clock is not compared there: a slice pins the clock to its
+``until``, which may lie past the last event. Fixed-width slices
+(``tests/reference/slices.py``) never end past the latest pending
+event, so those runs must end at the identical clock too.
 """
 
 import random
@@ -17,6 +19,7 @@ from repro.hw import Cluster
 from repro.obs import TRACER
 from repro.rdma import AccessFlags, FLAG_SIGNALED, Opcode, Wqe
 from repro.sim import AnyOf, Event, Simulator, US
+from tests.reference.slices import run_in_slices
 
 
 @pytest.fixture(autouse=True)
@@ -171,3 +174,37 @@ def test_sliced_nic_world_traces_match_whole_run():
     cats = {rec[2] for rec in whole[2][1]}
     assert {"kernel", "nic"} <= cats
     assert _run(_nic_world, 17, slice_seed=11, traced=True) == whole
+
+
+def _fixed_slices(seed, width_ns, until=None):
+    """``_soup`` run whole (``width_ns=None``) or in fixed-width slices."""
+    sim = Simulator(seed=seed)
+    log = _soup(sim)
+    if width_ns is None:
+        sim.run(until=until)
+    else:
+        run_in_slices(sim, until, width_ns)
+    return log, sim.now, sim._sequence
+
+
+@pytest.mark.parametrize("width_ns", [0, 1, 13, 100, 1300, 10**9])
+def test_fixed_width_slices_match_whole_run(width_ns):
+    assert _fixed_slices(29, width_ns) == _fixed_slices(29, None)
+
+
+def test_fixed_width_slices_with_until_match_bounded_run():
+    whole = _fixed_slices(29, None, until=40)
+    assert _fixed_slices(29, 5, until=40) == whole
+    assert whole[1] == 40  # clock pinned to until either way
+
+
+def test_bounded_run_pins_clock_past_last_event():
+    sim = Simulator(seed=4)
+    log = _soup(sim)
+    sim.run(until=10_000)
+    # All events fired, and the clock still moved on to `until`.
+    assert log
+    assert not sim._queue
+    assert sim.now == 10_000
+    sim.run(until=20_000)
+    assert sim.now == 20_000

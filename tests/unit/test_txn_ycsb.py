@@ -2,8 +2,9 @@
 
 The suite rendering must be a pure function of ``(mixes, seed,
 params)``: byte-identical when run twice, across pool worker counts,
-and with the batched dispatch loop swapped for the one-pop reference
-loop (``tests/reference/one_pop.py``).
+with the batched dispatch loop swapped for the one-pop reference loop
+(``tests/reference/one_pop.py``), and with every run driven as
+back-to-back bounded slices (``tests/reference/slices.py``).
 All six Cooper mixes run — D and E drive the coordinator's insert and
 snapshot-scan paths — and unknown mixes fail with the full supported
 vocabulary.
@@ -12,9 +13,10 @@ vocabulary.
 import pytest
 
 from repro.sim import Simulator
-from repro.txn import run_ycsb, run_ycsb_mix
+from repro.txn import run_ycsb, run_ycsb_mix, run_ycsb_point
 from repro.txn.ycsb import TXN_MIXES
 from tests.reference.one_pop import run_one_pop
+from tests.reference.slices import run_in_slices
 
 
 SMALL = dict(n_keys=24, n_txns=12, n_workers=2)
@@ -89,3 +91,19 @@ def test_suite_identical_across_dispatch_modes(monkeypatch):
     monkeypatch.setattr(Simulator, "run", run_one_pop)
     oracle = run_ycsb(mixes=("A", "F"), seed=7, workers=1, **SMALL)
     assert oracle.render() == base.render()
+
+
+def test_mix_point_identical_in_slices(monkeypatch):
+    base = run_ycsb_point("A", seed=7, **SMALL)
+    monkeypatch.setattr(Simulator, "run", run_in_slices)
+    sliced = run_ycsb_point("A", seed=7, **SMALL)
+    assert sliced.render() == base.render()
+    assert sliced == base
+
+
+def test_dynamic_mix_point_identical_in_slices(monkeypatch):
+    base = run_ycsb_point("E", seed=7, **SMALL)
+    monkeypatch.setattr(Simulator, "run", run_in_slices)
+    sliced = run_ycsb_point("E", seed=7, **SMALL)
+    assert sliced.render() == base.render()
+    assert sliced == base
