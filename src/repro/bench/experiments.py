@@ -265,14 +265,6 @@ def _run_workload(sim, workers, done, deadline_ms) -> None:
             raise worker.process.value
 
 
-def _replica_busy(replicas: Sequence[Host]) -> int:
-    return sum(host.os.busy_ns for host in replicas)
-
-
-def _group_replica_cpu(group) -> int:
-    return group.replica_cpu_ns()
-
-
 def _group_cpu_fraction(group, elapsed: int) -> float:
     """Replica CPU consumed by the replication system per unit time,
     as a fraction of one core (the paper's 'critical path CPU')."""

@@ -92,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Fan independent simulations (seeds x systems x sizes) across "
             "worker processes; per-run seeds derive deterministically from "
-            "--seed, and results are identical to a serial run."
+            "--seed, and results are identical to an in-process run "
+            "(--workers 1)."
         ),
     )
     bench.add_argument("--experiment", choices=["latency", "throughput"], default="latency")
@@ -103,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--ops", type=_positive_int, default=500)
     bench.add_argument("--stress", type=int, default=3, help="tenants per replica core")
     bench.add_argument("--workers", type=_positive_int, default=None, help="processes (default: all cores)")
-    bench.add_argument("--serial", action="store_true", help="run in-process (reference path)")
     diff = bench.add_subparsers(dest="bench_command").add_parser(
         "diff",
         help="compare two benchmarks/e2e/out/results.json files",
@@ -149,12 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="retry policy for aborted transactions "
         "(default: none for the mix, backoff for --ycsb)",
-    )
-    txn.add_argument(
-        "--install",
-        choices=["parallel", "sequential"],
-        default=None,
-        help="commit-install mode (default: parallel)",
     )
     txn.add_argument(
         "--ycsb",
@@ -498,7 +492,6 @@ def _cmd_bench(args) -> int:
         make_specs,
         merge_run_stats,
         run_parallel,
-        run_serial,
     )
 
     grid = [
@@ -511,12 +504,8 @@ def _cmd_bench(args) -> int:
         common["n_ops"] = args.ops
     specs = make_specs(args.experiment, args.seed, args.seeds, grid=grid, **common)
     started = time.perf_counter()
-    if args.serial:
-        results = run_serial(specs)
-        mode = "serial"
-    else:
-        results = run_parallel(specs, workers=args.workers)
-        mode = f"parallel x{args.workers or 'auto'}"
+    results = run_parallel(specs, workers=args.workers)
+    mode = f"parallel x{args.workers or 'auto'}"
     elapsed = time.perf_counter() - started
 
     rows = []
@@ -621,7 +610,6 @@ def _cmd_txn(args) -> int:
         n_txns=args.txns,
         write_skew_pairs=args.write_skew_pairs,
         retry=args.retry or "none",
-        install=args.install,
     )
     print(report.render())
     if report.errors:
@@ -648,7 +636,6 @@ def _cmd_txn_ycsb(args) -> int:
         seed=args.seed,
         workers=args.workers,
         retry=args.retry or "backoff",
-        install=args.install,
         **kwargs,
     )
     print(report.render())

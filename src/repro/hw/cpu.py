@@ -30,7 +30,8 @@ Task bodies are generator functions; CPU consumption is explicit::
 
     def daemon(task):
         while True:
-            message = yield from task.wait(inbox.get())
+            yield from task.wait(cq.next_event())  # blocked, no CPU
+            entries = cq.poll()
             yield from task.compute(2 * US)   # scheduled, preemptible
             ...
 
@@ -257,11 +258,6 @@ class Task:
     def sleep(self, ns: int) -> Generator:
         """Sleep for ``ns`` of virtual time, then wait for the CPU."""
         yield from self.wait(self.sim.timeout(ns))
-
-    def yield_cpu(self) -> Generator:
-        """Voluntarily reschedule (sched_yield): go to the back of the
-        batch queue if anyone else wants this core."""
-        yield from self.sleep(0)
 
     # -- internals -----------------------------------------------------------
 

@@ -129,10 +129,6 @@ class Fabric:
         self._fault_filter = filter_
         self.lossy = True
 
-    def clear_fault_filter(self) -> None:
-        """Remove the filter. The fabric stays in lossy mode."""
-        self._fault_filter = None
-
     def attach(self, name: str, gbps: float = 56.0) -> Port:
         """Create a port for host ``name`` at ``gbps`` line rate."""
         if name in self.ports:

@@ -31,7 +31,7 @@ is decided entirely by how the layers above use these pieces.
 from __future__ import annotations
 
 import struct
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
@@ -47,7 +47,7 @@ from .wqe import (
     decode_cached,
 )
 from ..obs.trace import TRACER
-from ..sim import Event, Simulator, Store
+from ..sim import Event, Simulator
 from .memory import MemoryRegion, MemorySystem, WriteCache
 from .network import Fabric
 
@@ -343,7 +343,7 @@ class NicQp:
         self.recv_consumer = 0
         # Messages waiting for the receive stages; ``_rx_idle`` says
         # the stages are empty and an arrival may enter them directly.
-        self.ingress: Store = Store(nic.sim, name=f"qp{qpn}.ingress")
+        self.ingress: deque = deque()
         self._rx_idle = False
         self._kick_event: Optional[Event] = None
         self._recv_kick_event: Optional[Event] = None
@@ -552,9 +552,10 @@ class NicQp:
         """Processing-time elapsed for the WQE in flight.
 
         Mirrors the claimed Timeout._fire: verify the engine is still
-        parked on this run (an interrupt abandons it, exactly like an
-        unclaimed fire), then hop through the queue so the launch runs
-        in the slot a per-WQE engine's resume would occupy."""
+        parked on this run (if not, the run is abandoned, as a fire
+        whose process stopped waiting does nothing), then hop through
+        the queue so the launch runs in the slot a per-WQE engine's
+        resume would occupy."""
         proc = self._tx_proc
         event = self._run_event
         if event is None or proc._waiting_on is not event:
@@ -750,17 +751,16 @@ class NicQp:
             sim = self.nic.sim
             sim._push(sim.now, self._rx_gate, (msg,))
         else:
-            self.ingress.put(msg)
+            self.ingress.append(msg)
 
     def _rx_next(self) -> None:
         """The stages are free: take up the next queued message, or go
         idle until one arrives."""
-        msg: Optional[_WireMsg] = self.ingress.try_get()
-        if msg is None:
-            self._rx_idle = True
-        else:
+        if self.ingress:
             sim = self.nic.sim
-            sim._push(sim.now, self._rx_gate, (msg,))
+            sim._push(sim.now, self._rx_gate, (self.ingress.popleft(),))
+        else:
+            self._rx_idle = True
 
     def _rx_after(self, delay: int, stage, *args: Any) -> None:
         """Enter ``stage`` once ``delay`` ns of processing have passed:
@@ -1113,7 +1113,7 @@ class Rnic:
     def stall(self) -> None:
         """Pause both engines without losing state (firmware hiccup).
 
-        Inbound messages queue in the per-QP ingress stores and WQE
+        Inbound messages queue in the per-QP ingress queues and WQE
         rings keep their contents; :meth:`resume` continues exactly
         where the NIC stopped.
         """

@@ -243,11 +243,6 @@ class QueuePair:
         return self._send_posted - self.hw.send_consumer
 
     @property
-    def recv_backlog(self) -> int:
-        """Posted-but-unconsumed receive WQEs."""
-        return self._recv_posted - self.hw.recv_consumer
-
-    @property
     def send_posted(self) -> int:
         return self._send_posted
 

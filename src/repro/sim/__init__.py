@@ -4,17 +4,16 @@ Public surface:
 
 * :class:`Simulator` — event loop, clock, process spawning, RNG streams.
 * :class:`Process` — a running generator, joinable as an event.
-* :class:`Event`, :class:`Timeout`, :class:`AnyOf`, :class:`AllOf` —
-  the things processes ``yield``.
-* :class:`Resource`, :class:`Store`, :class:`TokenBucket` — shared
-  resources.
+* :class:`Event`, :class:`Timeout`, :class:`AllOf` — the things
+  processes ``yield``.
+* :class:`Resource`, :class:`TokenBucket` — shared resources.
 * time helpers :data:`US`, :data:`MS`, :data:`SECOND` for readable
   nanosecond arithmetic.
 """
 
-from .events import AllOf, AnyOf, Event, EventFailed, Hop, Interrupt, Timeout
+from .events import AllOf, Event, EventFailed, Timeout
 from .kernel import Process, SimulationError, Simulator
-from .resources import Resource, Store, TokenBucket
+from .resources import Resource, TokenBucket
 
 US = 1_000
 """Nanoseconds per microsecond."""
@@ -31,13 +30,9 @@ __all__ = [
     "SimulationError",
     "Event",
     "Timeout",
-    "Hop",
-    "AnyOf",
     "AllOf",
     "EventFailed",
-    "Interrupt",
     "Resource",
-    "Store",
     "TokenBucket",
     "US",
     "MS",

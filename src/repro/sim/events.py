@@ -6,9 +6,9 @@ here. An event is a one-shot occurrence: it starts *pending*, is
 *triggered* exactly once (either succeeding with a value or failing
 with an exception), and then notifies every registered callback.
 
-Events deliberately mirror the small surface of SimPy that distributed
-systems simulations actually need: plain events, timeouts, process
-joins, and ``any``/``all`` composition.
+Events deliberately mirror the small surface of SimPy that the models
+actually use: plain events, timeouts, process joins, and ``all``
+composition.
 
 Hot path
 --------
@@ -30,31 +30,11 @@ from __future__ import annotations
 from heapq import heappush
 from typing import Any, Callable, Iterable, List, Optional
 
-__all__ = [
-    "Event",
-    "Timeout",
-    "Hop",
-    "AnyOf",
-    "AllOf",
-    "EventFailed",
-    "Interrupt",
-]
+__all__ = ["Event", "Timeout", "AllOf", "EventFailed"]
 
 
 class EventFailed(Exception):
     """Raised inside a process when the event it waited on failed."""
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    The ``cause`` attribute carries whatever object the interrupter
-    supplied, typically a short human-readable reason.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -163,8 +143,8 @@ class Timeout(Event):
     for a later ``timeout()`` call. Yield-and-discard (the universal
     pattern) is always safe; retaining a reference across the yield and
     inspecting ``.value``/``.triggered`` on a *later* step is not.
-    Timeouts composed into :class:`AnyOf`/:class:`AllOf` — or observed
-    via :meth:`add_callback` — are never claimed or recycled.
+    Timeouts composed into :class:`AllOf` — or observed via
+    :meth:`add_callback` — are never claimed or recycled.
     """
 
     __slots__ = ("delay", "_proc", "_tvalue")
@@ -205,7 +185,7 @@ class Timeout(Event):
             return
         self._proc = None
         if proc._waiting_on is not self:
-            # The claiming process was interrupted while waiting; the
+            # The claiming process stopped waiting on this timeout; the
             # trigger still happens for any late observers.
             self.succeed(value)
             return
@@ -252,27 +232,12 @@ class Timeout(Event):
         return f"<Timeout +{self.delay} {state}>"
 
 
-class Hop(Event):
-    """A zero-delay re-dispatch point.
+class AllOf(Event):
+    """Triggers once all child events have triggered.
 
-    Yielding a hop parks the process for exactly one event-queue hop at
-    the current timestamp — the same single ``(now, seq)`` resume push
-    a pre-triggered event produces — without allocating an event or
-    walking callbacks. It is the cheap way for an engine that already
-    *has* its next work item (e.g. via ``Store.try_get``) to keep the
-    dispatch interleaving identical to blocking on ``Store.get``:
-    same-time work queued by other actors still runs in between.
-
-    The instance never triggers and is reusable; get one via
-    :meth:`~repro.sim.kernel.Simulator.hop`. Yield it bare — composing
-    it into ``AnyOf``/``AllOf`` or adding callbacks will deadlock.
+    Fails fast if any child fails. The value is a dict of every child
+    event to its value.
     """
-
-    __slots__ = ()
-
-
-class _Condition(Event):
-    """Common machinery for :class:`AnyOf` and :class:`AllOf`."""
 
     __slots__ = ("events", "_pending")
 
@@ -282,68 +247,28 @@ class _Condition(Event):
         self._pending = len(self.events)
         if not self.events:
             # Degenerate composition triggers immediately.
-            self.succeed(self._result())
+            self.succeed({})
             return
         for event in self.events:
             if self._triggered:
-                # A child that had already triggered decided it.
+                # Children that had already triggered decided it.
                 break
             event.add_callback(self._on_child)
 
-    def _result(self) -> dict:
-        return {
-            event: event._value for event in self.events if event._triggered
-        }
-
-    def _detach(self) -> None:
-        """The condition is decided: withdraw from the children that
-        have not triggered. A child may be long-lived (a CQ's channel
-        event, a shutdown flag) and waited on again and again; without
-        this it keeps one dead callback, and through it one dead
-        condition, per wait."""
-        on_child = self._on_child
-        for event in self.events:
-            event.remove_callback(on_child)
-
-    def _on_child(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Triggers when the first of its child events triggers.
-
-    The value is a dict mapping each already-triggered child event to
-    its value.
-    """
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if self._triggered:
-            return
-        self._detach()
-        if not event._ok:
-            self.fail(event._value)
-        else:
-            self.succeed(self._result())
-
-
-class AllOf(_Condition):
-    """Triggers once all child events have triggered.
-
-    Fails fast if any child fails. The value is a dict of every child
-    event to its value.
-    """
-
-    __slots__ = ()
-
     def _on_child(self, event: Event) -> None:
         if self._triggered:
             return
         if not event._ok:
-            self._detach()
+            # Decided: withdraw from the children that have not
+            # triggered. A child may be long-lived (a CQ's channel
+            # event, a shutdown flag) and waited on again and again;
+            # without this it keeps one dead callback, and through it
+            # one dead condition, per wait.
+            on_child = self._on_child
+            for child in self.events:
+                child.remove_callback(on_child)
             self.fail(event._value)
             return
         self._pending -= 1
         if self._pending == 0:
-            self.succeed(self._result())
+            self.succeed({child: child._value for child in self.events})

@@ -39,7 +39,7 @@ import random
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from .events import AllOf, AnyOf, Event, EventFailed, Hop, Interrupt, Timeout
+from .events import AllOf, Event, EventFailed, Timeout
 from ..obs.trace import TRACER
 
 __all__ = ["Simulator", "Process", "SimulationError"]
@@ -79,17 +79,6 @@ class Process(Event):
     def alive(self) -> bool:
         """True until the generator has finished."""
         return not self._triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is a no-op. The event the
-        process was waiting on is abandoned (its trigger will find no
-        waiter).
-        """
-        if self._triggered:
-            return
-        self.sim._schedule_call(0, self._throw, Interrupt(cause), None)
 
     # -- kernel plumbing ---------------------------------------------------
 
@@ -144,9 +133,8 @@ class Process(Event):
             return
         self._wait_on(target)
 
-    # A failure delivered through the event queue takes the same path
-    # as an interrupt: throw into the generator, then wait on whatever
-    # it yields next.
+    # A failure delivered through the event queue: throw into the
+    # generator, then wait on whatever it yields next.
     _deferred_throw = _throw
 
     def _wait_on(self, target: Any) -> None:
@@ -167,21 +155,6 @@ class Process(Event):
             target._proc = self
             self._waiting_on = target
             return
-        if target.__class__ is Hop:
-            # One queue hop at the current time: push the resume
-            # directly, exactly where a pre-triggered event's
-            # _on_event push would land. The hop itself never
-            # triggers and is shared — nothing to clean up.
-            sim = self.sim
-            batch = sim._batch
-            if batch is not None:
-                batch.append((self._resume, (None, None)))
-            else:
-                sim._sequence += 1
-                heappush(
-                    sim._queue, (sim.now, sim._sequence, self._resume, (None, None))
-                )
-            return
         if not isinstance(target, Event):
             self._throw(
                 SimulationError(
@@ -196,8 +169,8 @@ class Process(Event):
 
     def _on_event(self, event: Event) -> None:
         if self._waiting_on is not event:
-            # The process was interrupted (or finished) while waiting;
-            # drop the stale wakeup.
+            # The process is no longer waiting on this event (something
+            # resumed it directly); drop the stale wakeup.
             return
         self._waiting_on = None
         # Resume via the event queue (same timestamp, FIFO) rather than
@@ -250,7 +223,6 @@ class Simulator:
         self._process_count = 0
         self._root_rng = random.Random(seed)
         self._timeout_pool: list = []
-        self._hop: Optional[Hop] = None
         # Active same-timestamp dispatch batch. While run() is
         # draining one timestamp, every push targeting the current
         # time appends here instead of touching the heap; the batch is
@@ -280,19 +252,6 @@ class Simulator:
     def event(self, name: str = "") -> Event:
         """Create a fresh pending :class:`Event`."""
         return Event(self, name=name)
-
-    def hop(self) -> Hop:
-        """The simulator's shared zero-delay re-dispatch point.
-
-        ``yield sim.hop()`` resumes the process after exactly one
-        event-queue hop at the current time — see
-        :class:`~repro.sim.events.Hop`. One instance is shared by all
-        processes; it is never triggered, only claimed per yield.
-        """
-        hop = self._hop
-        if hop is None:
-            hop = self._hop = Hop(self, "hop")
-        return hop
 
     def timeout(self, delay: int, value: Any = None) -> Timeout:
         """Create an event that fires ``delay`` ns from now.
@@ -336,10 +295,6 @@ class Simulator:
         if len(pool) < _TIMEOUT_POOL_MAX:
             pool.append(timeout)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event triggering when the first of ``events`` triggers."""
-        return AnyOf(self, events)
-
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event triggering when all of ``events`` have triggered."""
         return AllOf(self, events)
@@ -382,14 +337,6 @@ class Simulator:
         self._sequence += 1
         heappush(self._queue, (self.now + delay, self._sequence, fn, (a, b)))
 
-    def _schedule_trigger(self, delay: int, event: Event, value: Any) -> None:
-        delay = int(delay)
-        if delay == 0 and self._batch is not None:
-            self._batch.append((event.succeed, (value,)))
-            return
-        self._sequence += 1
-        heappush(self._queue, (self.now + delay, self._sequence, event.succeed, (value,)))
-
     def _push(self, time: int, fn: Callable, args: tuple) -> None:
         if time == self.now and self._batch is not None:
             self._batch.append((fn, args))
@@ -406,13 +353,14 @@ class Simulator:
         the clock is advanced exactly to it even if the last event fired
         earlier, so back-to-back ``run(until=...)`` calls tile time.
 
-        Dispatch happens in *same-timestamp batches*: all heap entries
-        sharing the head timestamp are popped and dispatched, and
-        pushes targeting the current time (claimed-timeout resumes,
-        zero-delay calls) append to a local list instead of
-        round-tripping through the heap. Appends happen in
-        seq-assignment order, so the dispatch order is exactly the
-        ``(time, seq)`` order of a one-pop-at-a-time loop (the
+        Dispatch happens in *same-timestamp batches*: every heap entry
+        sharing the head timestamp is popped into a list, and the list
+        is walked once. Pushes targeting the current time
+        (claimed-timeout resumes, zero-delay calls) append to the same
+        list instead of round-tripping through the heap. The popped
+        entries were all pushed before any dispatch at this time, and
+        appends happen in seq-assignment order, so the walk is exactly
+        the ``(time, seq)`` order of a one-pop-at-a-time loop (the
         reference loop in ``tests/reference/one_pop.py``).
 
         An enabled tracer attached to this simulator observes every
@@ -440,76 +388,40 @@ class Simulator:
                 self.now = time
                 del batch[:]
                 index = -1
-                # Phase 1: pop-and-dispatch every heap entry at this
-                # timestamp. All of them carry seqs assigned before any
-                # dispatch below runs, so they precede every same-time
-                # push made during dispatch — which lands in ``batch``
-                # (phase 2), in push order. That is exactly the
-                # one-pop loop's (time, seq) order.
-                while True:
-                    entry = pop(queue)
-                    args = entry[3]
-                    if observe is not None:
-                        observe(time, entry[2], args)
-                    elif args is None:
-                        # Claimed-timeout fire marker: entry[2] is the
-                        # Timeout itself and this is Timeout._fire
-                        # inlined — the single hottest dispatch in any
-                        # run, worth skipping a Python call for.
-                        timeout = entry[2]
-                        proc = timeout._proc
-                        value = timeout._tvalue
-                        if proc is None:
-                            timeout.succeed(value)
-                        elif proc._waiting_on is not timeout:
-                            timeout._proc = None
-                            timeout.succeed(value)
-                        else:
-                            timeout._proc = None
-                            proc._waiting_on = None
-                            timeout._triggered = True
-                            timeout._value = value
-                            callbacks = timeout._callbacks
-                            if callbacks:
-                                timeout._callbacks = None
-                                batch.append((proc._resume, (value, None)))
-                                for callback in callbacks:
-                                    callback(timeout)
-                            else:
-                                batch.append((proc._resume, (value, timeout)))
-                    else:
-                        entry[2](*args)
-                    if not queue or queue[0][0] != time:
-                        break
-                # Phase 2: walk the same-time pushes. List iteration
-                # picks up entries appended mid-walk, so work scheduled
-                # for the current time during dispatch runs in this
-                # same batch, in push order.
+                while queue and queue[0][0] == time:
+                    _time, _seq, fn, args = pop(queue)
+                    batch.append((fn, args))
+                # List iteration picks up entries appended mid-walk, so
+                # work scheduled for the current time during dispatch
+                # runs in this same batch, in push order.
                 for index, (fn, args) in enumerate(batch):
                     if observe is not None:
                         observe(time, fn, args)
                     elif args is None:
-                        timeout = fn
-                        proc = timeout._proc
-                        value = timeout._tvalue
+                        # Claimed-timeout fire marker: fn is the Timeout
+                        # itself and this is Timeout._fire inlined — the
+                        # single hottest dispatch in any run, worth
+                        # skipping a Python call for.
+                        proc = fn._proc
+                        value = fn._tvalue
                         if proc is None:
-                            timeout.succeed(value)
-                        elif proc._waiting_on is not timeout:
-                            timeout._proc = None
-                            timeout.succeed(value)
+                            fn.succeed(value)
+                        elif proc._waiting_on is not fn:
+                            fn._proc = None
+                            fn.succeed(value)
                         else:
-                            timeout._proc = None
+                            fn._proc = None
                             proc._waiting_on = None
-                            timeout._triggered = True
-                            timeout._value = value
-                            callbacks = timeout._callbacks
+                            fn._triggered = True
+                            fn._value = value
+                            callbacks = fn._callbacks
                             if callbacks:
-                                timeout._callbacks = None
+                                fn._callbacks = None
                                 batch.append((proc._resume, (value, None)))
                                 for callback in callbacks:
-                                    callback(timeout)
+                                    callback(fn)
                             else:
-                                batch.append((proc._resume, (value, timeout)))
+                                batch.append((proc._resume, (value, fn)))
                     else:
                         fn(*args)
             if until is not None and until > self.now:
@@ -518,8 +430,9 @@ class Simulator:
             self._batch = None
             if index + 1 < len(batch):
                 # An exception escaped mid-batch: push the undispatched
-                # tail back so the queue state stays consistent (the
-                # entry that raised is consumed, like a one-pop loop).
+                # tail back, in order, so the queue state stays
+                # consistent (the entry that raised is consumed, like a
+                # one-pop loop).
                 for fn, args in batch[index + 1 :]:
                     self._sequence += 1
                     heappush(queue, (self.now, self._sequence, fn, args))
@@ -543,8 +456,3 @@ class Simulator:
         if not process.ok:
             raise process.value
         return process.value
-
-    @property
-    def pending_events(self) -> int:
-        """Number of triggers currently scheduled (diagnostic)."""
-        return len(self._queue)

@@ -1,23 +1,21 @@
 """Shared-resource primitives built on the event kernel.
 
-Three abstractions cover everything the hardware models need:
+Two abstractions cover what the hardware models need:
 
 * :class:`Resource` — N identical slots with a FIFO wait queue
   (used for e.g. DMA engines and link arbitration).
-* :class:`Store` — an unbounded FIFO of items with blocking ``get``
-  (used for e.g. NIC ingress queues and mailboxes).
 * :class:`TokenBucket` — a rate limiter for modelling line rates.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Deque
 
 from .events import Event
 from .kernel import Simulator
 
-__all__ = ["Resource", "Store", "TokenBucket"]
+__all__ = ["Resource", "TokenBucket"]
 
 
 class Resource:
@@ -76,59 +74,6 @@ class Resource:
             self._in_use -= 1
 
 
-class Store:
-    """An unbounded FIFO with blocking ``get``.
-
-    ``put`` never blocks. ``get`` returns an event whose value is the
-    item; if an item is already queued, the event is pre-triggered.
-    Items are delivered to getters in request order.
-    """
-
-    def __init__(self, sim: Simulator, name: str = ""):
-        self.sim = sim
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._get_name = name + ".get"
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Append ``item``, waking the oldest blocked getter if any."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Return an event yielding the next item."""
-        request = Event(self.sim, self._get_name)
-        if self._items:
-            request.succeed(self._items.popleft())
-        else:
-            self._getters.append(request)
-        return request
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get; returns ``None`` when empty."""
-        if self._items:
-            return self._items.popleft()
-        return None
-
-    def clear(self) -> int:
-        """Discard all queued items (fault injection: a crashed
-        consumer loses its backlog). Blocked getters stay blocked.
-        Returns the number of items dropped."""
-        dropped = len(self._items)
-        self._items.clear()
-        return dropped
-
-    def peek(self) -> Optional[Any]:
-        """Return the head item without removing it (``None`` if empty)."""
-        return self._items[0] if self._items else None
-
-
 class TokenBucket:
     """A serialization-rate model: bytes per nanosecond with FIFO order.
 
@@ -147,11 +92,6 @@ class TokenBucket:
         self.bytes_per_ns = bytes_per_ns
         self.name = name
         self._free_at = 0  # virtual time the serializer becomes idle
-
-    @property
-    def busy_until(self) -> int:
-        """Virtual time at which all queued work will have drained."""
-        return max(self._free_at, self.sim.now)
 
     def reserve(self, nbytes: int) -> int:
         """Queue ``nbytes`` behind the work already booked; returns the

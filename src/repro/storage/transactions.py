@@ -181,14 +181,14 @@ class TransactionManager:
         # Rebuild the local WAL mirror from the replica's durable copy
         # so pending_records() sees what actually survived.
         yield from self.log.reload(task, from_replica)
-        # Break our own stale lock if the crash happened inside the
-        # critical section (the lock word durably records our id).
-        raw = yield from self.group.pread(
-            task, from_replica, self.layout.lock_offset, 8
-        )
+        yield from self.break_stale_lock(task, from_replica)
+        return (yield from self.drain_locked(task))
+
+    def break_stale_lock(self, task: Task, replica: int = 0) -> Generator:
+        """Clear the group lock word if it holds our writer id: a crash
+        inside the critical section left it set. Reads the word from
+        ``replica``; the clear is a gCAS from our id to 0."""
+        raw = yield from self.group.pread(task, replica, self.layout.lock_offset, 8)
         holder = int.from_bytes(raw, "little") & 0xFFFF_FFFF
         if holder == self.writer_id:
-            yield from self.group.gcas(
-                task, self.layout.lock_offset, holder, 0
-            )
-        return (yield from self.drain_locked(task))
+            yield from self.group.gcas(task, self.layout.lock_offset, holder, 0)

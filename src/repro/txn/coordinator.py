@@ -143,14 +143,9 @@ class TxnCoordinator:
         Shared :class:`AvailabilityTracker`; a fresh one is built if
         not given. Stores are attached in order, so group index ==
         tracker index.
-    install:
-        ``"parallel"`` (default) overlaps per-group commit installs
-        under a deterministic join barrier; ``"sequential"`` is the
-        oracle — one group at a time in sorted order, the pre-PR-9
-        latency-sum path. ``None`` means ``"parallel"``. Commit
-        *outcomes* are bit-identical either way — only install latency
-        differs — and the parallel-install tests diff the two paths to
-        prove it.
+
+    A commit spanning several groups installs into them concurrently
+    under a deterministic join barrier (:meth:`_install_parallel`).
     """
 
     def __init__(
@@ -159,17 +154,11 @@ class TxnCoordinator:
         mode: str = "ssi",
         tracker: Optional[AvailabilityTracker] = None,
         name: str = "txn",
-        install: Optional[str] = None,
     ):
         if not stores:
             raise ValueError("need at least one group store")
         if mode not in ("ssi", "si"):
             raise ValueError(f"bad isolation mode {mode!r}")
-        if install is None:
-            install = "parallel"
-        if install not in ("parallel", "sequential"):
-            raise ValueError(f"bad install mode {install!r}")
-        self.install_mode = install
         self.stores = list(stores)
         self.mode = mode
         self.name = name
@@ -643,13 +632,13 @@ class TxnCoordinator:
                 per_group.setdefault(self.locate(key), []).append(
                     (key, txn.writes[key])
                 )
-            if self.install_mode == "parallel" and len(per_group) > 1:
+            if len(per_group) > 1:
                 yield from self._install_parallel(task, txn, per_group, commit_ts)
             else:
-                for index in sorted(per_group):
-                    yield from self.stores[index].install(
-                        task, per_group[index], commit_ts, txn.txid
-                    )
+                [(index, items)] = per_group.items()
+                yield from self.stores[index].install(
+                    task, items, commit_ts, txn.txid
+                )
             # A failover reset may have landed while installs were in
             # flight: an epoch casualty must never publish (its durable
             # records are orphans readers ignore by version metadata).
@@ -693,8 +682,8 @@ class TxnCoordinator:
         """Overlap per-group installs under a deterministic join barrier.
 
         Sub-tasks are spawned in sorted group order, so each group's
-        WAL lock is *requested* in the same order as the sequential
-        oracle (deadlock freedom), but the chain replications then run
+        WAL lock is *requested* in the same order as a one-group-at-a-
+        time install (deadlock freedom), but the chain replications run
         concurrently: multi-group commit latency approaches the max of
         the per-group installs instead of their sum. The join is
         deterministic — the committer waits on every sub-task in

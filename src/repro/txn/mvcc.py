@@ -315,14 +315,8 @@ class VersionedGroupStore:
         mirror says is pending (orphans included; readers ignore them
         by version metadata). Returns the number of records drained.
         """
-        manager = self.manager
-        raw = yield from self.group.pread(
-            task, 0, manager.layout.lock_offset, 8
-        )
-        holder = int.from_bytes(raw, "little") & 0xFFFF_FFFF
-        if holder == manager.writer_id:
-            yield from self.group.gcas(task, manager.layout.lock_offset, holder, 0)
-        return (yield from manager.drain_locked(task))
+        yield from self.manager.break_stale_lock(task)
+        return (yield from self.manager.drain_locked(task))
 
     def __repr__(self) -> str:
         return (

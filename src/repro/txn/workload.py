@@ -137,15 +137,13 @@ def build_txn_system(
     region_size: int = 1 << 14,
     mode: str = "ssi",
     name: str = "txn",
-    replica_hosts=None,
-    install: Optional[str] = None,
 ) -> TxnCoordinator:
     """Groups + versioned stores + coordinator on an existing cluster.
 
     All groups share the same replica hosts (partitions-per-server,
-    §2.2); pass ``replica_hosts`` to override.
+    §2.2).
     """
-    hosts = replica_hosts if replica_hosts is not None else cluster.hosts[1:4]
+    hosts = cluster.hosts[1:4]
     stores = []
     for index in range(n_groups):
         group = HyperLoopGroup(
@@ -160,9 +158,7 @@ def build_txn_system(
             VersionedGroupStore(manager, name=f"{name}.s{index}")
         )
     tracker = AvailabilityTracker()
-    return TxnCoordinator(
-        stores, mode=mode, tracker=tracker, name=name, install=install
-    )
+    return TxnCoordinator(stores, mode=mode, tracker=tracker, name=name)
 
 
 def run_txn_workload(
@@ -174,22 +170,17 @@ def run_txn_workload(
     write_skew_pairs: int = 2,
     deadline_ms: int = 10_000,
     retry: str = "none",
-    install: Optional[str] = None,
 ) -> TxnWorkloadReport:
     """Run the full mix; returns the deterministic report.
 
     ``retry`` picks the policy for the main mix ("none" / "immediate"
     / "backoff"); write-skew litmus pairs never retry — the point is
-    that exactly one per pair aborts. ``install`` forwards to
-    :class:`TxnCoordinator` (parallel vs sequential commit installs);
-    ``retry="none", install="sequential"`` is the no-retry control
-    CI pins.
+    that exactly one per pair aborts. ``retry="none"`` is the no-retry
+    control CI pins.
     """
     sim = Simulator(seed=seed)
     cluster = Cluster(sim, n_hosts=4, n_cores=4)
-    coordinator = build_txn_system(
-        sim, cluster, n_groups=n_groups, mode=mode, install=install
-    )
+    coordinator = build_txn_system(sim, cluster, n_groups=n_groups, mode=mode)
     policy = make_policy(retry, rng=sim.rng("txn-retry"))
     retry_stats = RetryStats()
 

@@ -175,7 +175,6 @@ def run_ycsb_mix(
     ops_per_txn: int = 3,
     value_size: int = 16,
     retry: str = "backoff",
-    install: Optional[str] = None,
     deadline_ms: int = 30_000,
     max_scan: int = 12,
 ) -> YcsbTxnReport:
@@ -195,7 +194,7 @@ def run_ycsb_mix(
     sim = Simulator(seed=seed)
     cluster = Cluster(sim, n_hosts=4, n_cores=4)
     coordinator = build_txn_system(
-        sim, cluster, n_groups=n_groups, mode="ssi", name="ycsb", install=install
+        sim, cluster, n_groups=n_groups, mode="ssi", name="ycsb"
     )
     policy = make_policy(retry, rng=sim.rng("txn-retry"))
     stats = RetryStats()

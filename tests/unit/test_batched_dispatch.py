@@ -19,7 +19,7 @@ from repro.bench.parallel import make_specs, run_parallel, run_serial
 from repro.hw import Cluster
 from repro.obs import TRACER
 from repro.rdma import AccessFlags, FLAG_SIGNALED, Opcode, Wqe
-from repro.sim import AnyOf, Event, Simulator, US
+from repro.sim import AllOf, Event, Simulator, US
 from tests.reference.one_pop import run_one_pop
 
 
@@ -40,10 +40,11 @@ def _run(sim, oracle, until=None):
 def _random_soup(seed, oracle, traced=False):
     """A randomized process soup covering every dispatch shape.
 
-    Zero-delay timeouts, hops, event ping-pong, AnyOf composition,
-    call_at callbacks, interrupts, and process joins — all scheduled
-    from one seeded RNG so same-timestamp contention (the regime the
-    batched loop rewrites) is maximal. Returns the resume log.
+    Zero-delay timeouts, event ping-pong, AllOf composition, call_at
+    callbacks, failed events thrown into their waiters, and process
+    joins — all scheduled from one seeded RNG so same-timestamp
+    contention (the regime the batched loop rewrites) is maximal.
+    Returns the resume log.
     """
     sim = Simulator(seed=seed)
     if traced:
@@ -63,7 +64,7 @@ def _random_soup(seed, oracle, traced=False):
         for step in range(plan.randrange(5, 25)):
             log.append((sim.now, "hopper", index, step))
             if step % 3 == 0:
-                yield sim.hop()
+                yield sim.timeout(0)
             else:
                 yield sim.timeout(1)
 
@@ -73,16 +74,21 @@ def _random_soup(seed, oracle, traced=False):
         yield sim.timeout(0)
         log.append((sim.now, "waiter", index, "done"))
 
-    def any_waiter(index):
-        result = yield AnyOf(sim, [gates[index % 3], sim.timeout(plan.randrange(5, 30))])
-        log.append((sim.now, "any", index, len(result)))
+    def all_waiter(index):
+        result = yield AllOf(sim, [gates[index % 3], sim.timeout(plan.randrange(5, 30))])
+        log.append((sim.now, "all", index, len(result)))
 
-    def victim(index):
+    def victim(index, doom):
+        # One victim waits on its doom event directly, the other on an
+        # AllOf that fails fast with it; both get the failure thrown in
+        # and keep running.
         try:
-            yield sim.timeout(1000)
+            yield AllOf(sim, [doom, sim.timeout(1000)]) if index else doom
             log.append((sim.now, "victim", index, "survived"))
-        except Exception:
-            log.append((sim.now, "victim", index, "interrupted"))
+        except RuntimeError as exc:
+            log.append((sim.now, "victim", index, str(exc)))
+        yield sim.timeout(0)
+        log.append((sim.now, "victim", index, "done"))
 
     def joiner(index, target):
         yield target
@@ -96,14 +102,16 @@ def _random_soup(seed, oracle, traced=False):
     for index in range(plan.randrange(2, 6)):
         sim.spawn(waiter(index, gates[plan.randrange(3)]))
     for index in range(plan.randrange(1, 4)):
-        sim.spawn(any_waiter(index))
-    victims = [sim.spawn(victim(index)) for index in range(2)]
+        sim.spawn(all_waiter(index))
+    dooms = [Event(sim, f"doom{i}") for i in range(2)]
+    for index, doom in enumerate(dooms):
+        sim.spawn(victim(index, doom))
     sim.spawn(joiner(0, procs[0]))
     for i, gate in enumerate(gates):
         sim.call_at(plan.randrange(3, 25), lambda g=gate, i=i: g.succeed(i))
-    interrupt_at = plan.randrange(2, 20)
-    for index, proc in enumerate(victims):
-        sim.call_at(interrupt_at, lambda p=proc, i=index: p.interrupt(f"chaos{i}"))
+    doom_at = plan.randrange(2, 20)
+    for index, doom in enumerate(dooms):
+        sim.call_at(doom_at, lambda d=doom, i=index: d.fail(RuntimeError(f"chaos{i}")))
     sim.call_at(plan.randrange(1, 15), lambda: log.append((sim.now, "cb", 0, None)))
     _run(sim, oracle)
     log.append(("final", sim.now))
@@ -135,6 +143,79 @@ class TestRandomizedEquivalence:
         generic = _random_soup(seed, True, traced=True)
         assert _kernel_trace() == batched_trace
         assert batched == generic == untraced
+
+
+class TestExceptionMidBatch:
+    """An exception escaping a dispatch leaves the rest of its
+    timestamp queued, and a second ``run()`` continues in one-pop
+    order: the heap entries that were still due first, then the
+    same-time pushes, each group in push order."""
+
+    EXPECTED = {
+        # The heap entry ``boom`` raises: ``last`` and the timer fire
+        # were due at 10 before either same-time push.
+        "heap": [
+            (0, "sleeper"), (10, "first"), (10, "boom"), "raised",
+            (10, "last"), (10, "first-push"), (10, "after-boom"),
+            (10, "sleeper"), (10, "sleeper-again"), (12, "later"),
+        ],
+        # A same-time push raises: the heap entries are all done, and
+        # the sleeper's resume was pushed before ``after-boom``.
+        "push": [
+            (0, "sleeper"), (10, "first"), (10, "last"), (10, "boom"), "raised",
+            (10, "first-push"), (10, "sleeper"), (10, "after-boom"),
+            (10, "sleeper-again"), (12, "later"),
+        ],
+    }
+
+    @staticmethod
+    def _world(raise_from, traced):
+        sim = Simulator()
+        if traced:
+            TRACER.enable()
+            TRACER.install(sim)
+        log = []
+
+        def note(label):
+            log.append((sim.now, label))
+
+        def boom():
+            note("boom")
+            sim.call_in(0, note, "after-boom")
+            raise RuntimeError("boom")
+
+        def first():
+            note("first")
+            if raise_from == "push":
+                sim.call_in(0, boom)
+            sim.call_in(0, note, "first-push")
+
+        def sleeper():
+            note("sleeper")
+            yield sim.timeout(10)
+            note("sleeper")
+            yield sim.timeout(0)
+            note("sleeper-again")
+
+        sim.spawn(sleeper())
+        sim.call_at(10, first)
+        if raise_from == "heap":
+            sim.call_at(10, boom)
+        sim.call_at(10, note, "last")
+        sim.call_at(12, note, "later")
+        return sim, log
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("raise_from", ["heap", "push"])
+    @pytest.mark.parametrize("oracle", [False, True], ids=["batched", "one_pop"])
+    def test_exception_mid_batch_keeps_one_pop_order(self, raise_from, oracle, traced):
+        sim, log = self._world(raise_from, traced)
+        with pytest.raises(RuntimeError, match="boom"):
+            _run(sim, oracle)
+        log.append("raised")
+        assert sim.now == 10 and not sim._running
+        assert _run(sim, oracle) == 12
+        assert log == self.EXPECTED[raise_from]
 
 
 def _nic_workload(oracle):

@@ -62,6 +62,19 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "argv",
+        [["bench", "--serial"], ["txn", "--install", "sequential"]],
+        ids=" ".join,
+    )
+    def test_retired_flags_are_usage_errors(self, argv, capsys):
+        # ``bench --workers 1`` is the in-process run; a multi-group
+        # commit always installs its groups concurrently.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
         [
             ["latency", "--ops", "1"],
             ["bench", "--seeds", "1"],
@@ -145,5 +158,5 @@ class TestBenchDiff:
         assert "Traced-pass counts: all identical" in out
 
     def test_plain_bench_still_parses(self):
-        args = build_parser().parse_args(["bench", "--seeds", "2", "--serial"])
-        assert args.bench_command is None and args.seeds == 2
+        args = build_parser().parse_args(["bench", "--seeds", "2", "--workers", "1"])
+        assert args.bench_command is None and args.seeds == 2 and args.workers == 1

@@ -9,8 +9,8 @@ transaction system — run warm with the cyclic collector off, as
 
 (i)   an op leaves at most 2 unreachable objects for the collector
       (before the grant became one event: 23 / 102 / 181 per op here,
-      all of them the ``AnyOf`` + ``Timeout`` + preempt ``Event`` cycle
-      of a CPU grant — the whole of ``naive_tenancy``'s 102 MiB);
+      all of them the first-of-three composite event + ``Timeout`` +
+      preempt ``Event`` cycle of a CPU grant — the whole of ``naive_tenancy``'s 102 MiB);
 (ii)  a run ten times as long (twice, on the slow transaction world)
       leaves the same nothing, and the live heap of the two group
       worlds does not grow with it (the idle ack CQs grew one parked
@@ -36,7 +36,7 @@ from repro.bench import run_until
 from repro.hw.network import FaultVerdict
 from repro.hw.wqe import _DECODE_CACHE
 from repro.obs import tracing
-from repro.sim.events import Event, Timeout, _Condition
+from repro.sim.events import AllOf, Event, Timeout
 from repro.sim.kernel import Process
 from repro.txn import build_txn_system
 
@@ -182,7 +182,7 @@ def test_an_op_leaves_nothing_for_the_collector_however_long_the_run(world_class
 # Per 200 warm gWRITEs of the lone client.
 # Before: 10,349 resumes (6,600 of them NicQp._ingress_engine), 13,637
 # event objects, the same 21,829 dispatches. 7,812 event objects while
-# the ack handler built an AnyOf over its CQs' events per wake; it now
+# the ack handler built a first-of-N event over its CQs' per wake; it now
 # waits on one completion channel. 7,412 while every fabric message
 # (20 per gWRITE) fired a drain-time Event into its delivery; the
 # delivery is now queued directly.
@@ -198,7 +198,7 @@ def _profile(n_ops):
     world = LoneClientWorld().start()
     resume = Process._resume.__code__
     constructors = {
-        cls.__init__.__code__ for cls in (Event, Timeout, _Condition)
+        cls.__init__.__code__ for cls in (Event, Timeout, AllOf)
     }
     calls = Counter()
 
@@ -245,7 +245,7 @@ def test_a_fabric_message_constructs_no_event():
         port.receive = lambda src, payload: got.append(payload)
     verdicts = iter([None, FaultVerdict(extra_delay_ns=300), FaultVerdict(duplicates=2),
                      FaultVerdict(corrupt=True), FaultVerdict(drop=True)] * 20)
-    constructors = {cls.__init__.__code__ for cls in (Event, Timeout, _Condition)}
+    constructors = {cls.__init__.__code__ for cls in (Event, Timeout, AllOf)}
     constructed = Counter()
 
     def profiler(frame, event, _arg):

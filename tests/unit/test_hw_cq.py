@@ -121,28 +121,6 @@ class TestChannel:
         sim.run()
         assert woke == [("a", 1, [7]), ("b", 1, [])]
 
-    def test_any_of_over_cqs_leaves_nothing_on_the_quiet_ones(self):
-        sim = Simulator()
-        busy, idle = HwCq(sim, 1), HwCq(sim, 2)
-        served = []
-
-        def consumer():
-            while len(served) < 50:
-                yield sim.any_of([busy.next_event(), idle.next_event()])
-                served.extend(c.wr_id for c in busy.poll())
-
-        def producer():
-            for index in range(50):
-                yield sim.timeout(5)
-                busy.push(cqe(index))
-
-        sim.spawn(consumer())
-        sim.spawn(producer())
-        sim.run()
-        assert served == list(range(50))
-        # The last any_of has triggered: it withdrew from the idle CQ.
-        assert idle.channel._armed._callbacks == []
-
     def test_second_waiter_never_handed_a_drained_cqe(self):
         """Regression (pre-fix: the chained waiter got ``chan.value``,
         a CQE the first waiter may already have polled — a stale

@@ -9,7 +9,7 @@ pin that contract.
 
 import pytest
 
-from repro.sim import Event, Interrupt, Simulator, Timeout
+from repro.sim import Event, Simulator, Timeout
 from tests.reference.one_pop import run_one_pop
 
 
@@ -161,33 +161,35 @@ class TestTimeoutPooling:
         assert fired == [None]
         assert sim._timeout_pool == []
 
-    def test_any_of_composed_timeouts_are_never_pooled(self):
+    def test_all_of_composed_timeouts_are_never_pooled(self):
         sim = Simulator()
 
         def proc():
-            yield sim.any_of([sim.timeout(3), sim.timeout(9)])
+            yield sim.all_of([sim.timeout(3), sim.timeout(9)])
 
         sim.spawn(proc())
         sim.run()
         assert sim._timeout_pool == []
 
-    def test_interrupt_while_waiting_on_claimed_timeout(self):
+    def test_a_process_resumed_by_a_failure_claims_its_next_timeout(self):
         sim = Simulator()
+        doom = sim.event()
         outcome = []
 
         def sleeper():
             try:
-                yield sim.timeout(100)
-                outcome.append("slept")
-            except Interrupt as interrupt:
-                outcome.append(f"interrupted:{interrupt.cause}")
+                yield doom
+            except RuntimeError as exc:
+                outcome.append(f"failed:{exc}")
                 yield sim.timeout(1)
                 outcome.append("resumed")
 
-        proc = sim.spawn(sleeper())
-        sim.call_at(10, lambda: proc.interrupt("wake"))
+        sim.spawn(sleeper())
+        sim.call_at(10, doom.fail, RuntimeError("wake"))
         sim.run()
-        assert outcome == ["interrupted:wake", "resumed"]
+        assert outcome == ["failed:wake", "resumed"]
+        assert sim.now == 11
+        assert len(sim._timeout_pool) == 1  # claimed, fired, recycled
 
     def test_negative_delay_rejected_on_pooled_path(self):
         sim = Simulator()

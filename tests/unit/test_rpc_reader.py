@@ -100,9 +100,9 @@ class TestRpc:
 
     def test_a_server_with_no_channel_sleeps(self):
         """Nothing attached: the server parks on its completion channel
-        and costs no CPU. (It used to wait on ``any_of([])``, which is
-        born triggered, and spin at one instant: ``run`` never
-        returned.)"""
+        and costs no CPU. (It used to wait on a first-of composition
+        over no events, which is born triggered, and spin at one
+        instant: ``run`` never returned.)"""
         sim = Simulator(seed=9)
         cluster = Cluster(sim, n_hosts=1, n_cores=2)
         server = self._echo_server(cluster[0])

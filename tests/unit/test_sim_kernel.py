@@ -4,10 +4,8 @@ import pytest
 
 from repro.sim import (
     AllOf,
-    AnyOf,
     Event,
     EventFailed,
-    Interrupt,
     SimulationError,
     Simulator,
     US,
@@ -111,20 +109,6 @@ class TestEvents:
         event.add_callback(lambda e: seen.append(e.value))
         assert seen == ["v"]
 
-    def test_any_of_first_wins(self):
-        sim = Simulator()
-        result = sim.run_process(self._any_proc(sim))
-        assert result == "fast"
-
-    @staticmethod
-    def _any_proc(sim):
-        fast = sim.timeout(10, "fast")
-        slow = sim.timeout(100, "slow")
-        fired = yield sim.any_of([fast, slow])
-        assert fast in fired
-        assert slow not in fired
-        return fired[fast]
-
     def test_remove_callback(self):
         sim = Simulator()
         event = sim.event()
@@ -138,30 +122,18 @@ class TestEvents:
         assert seen == [event]
         event.remove_callback(keep)  # triggered: a no-op
 
-    def test_decided_any_of_withdraws_from_the_losers(self):
-        """A long-lived child waited on again and again keeps no dead
-        callback (and through it no dead AnyOf) per wait."""
-        sim = Simulator()
-        flag = sim.event()  # never fires
-        for _ in range(100):
-            tick = sim.event()
-            first = sim.any_of([tick, flag])
-            assert len(flag._callbacks) == 1
-            tick.succeed()
-            assert first.triggered and flag._callbacks == []
-
-    def test_any_of_over_a_triggered_child_registers_nowhere(self):
-        sim = Simulator()
-        done, pending = sim.event().succeed("v"), sim.event()
-        first = sim.any_of([done, pending])
-        assert first.triggered and first.value == {done: "v"}
-        assert pending._callbacks == []
-
     def test_failed_all_of_withdraws_from_the_rest(self):
         sim = Simulator()
         bad, pending = sim.event(), sim.event()
         both = sim.all_of([pending, bad])
         bad.fail(ValueError("boom"))
+        assert both.triggered and not both.ok
+        assert pending._callbacks == []
+
+    def test_all_of_over_a_failed_child_registers_nowhere_after_it(self):
+        sim = Simulator()
+        bad, pending = sim.event().fail(ValueError("boom")), sim.event()
+        both = sim.all_of([bad, pending])
         assert both.triggered and not both.ok
         assert pending._callbacks == []
 
@@ -266,58 +238,46 @@ class TestProcesses:
         with pytest.raises(SimulationError, match="never finished"):
             sim.run_process(proc())
 
-    def test_interrupt_wakes_blocked_process(self):
+    def test_failed_event_is_thrown_into_its_waiter_when_it_fails(self):
         sim = Simulator()
+        doom = sim.event()
 
         def sleeper():
             try:
-                yield sim.timeout(1000)
-            except Interrupt as interrupt:
-                return ("interrupted", interrupt.cause, sim.now)
+                yield doom
+            except RuntimeError as exc:
+                return (str(exc), sim.now)
 
-        def interrupter(target):
+        def failer():
             yield sim.timeout(40)
-            target.interrupt("wake up")
+            doom.fail(RuntimeError("wake up"))
 
         target = sim.spawn(sleeper())
-        sim.spawn(interrupter(target))
+        sim.spawn(failer())
         sim.run()
-        assert target.value == ("interrupted", "wake up", 40)
+        assert target.value == ("wake up", 40)
 
-    def test_interrupt_finished_process_is_noop(self):
+    def test_a_caught_failure_leaves_no_stale_wakeup(self):
+        """The composite the process gave up on still has a pending
+        timeout; when it fires, the process (now on its second sleep)
+        is not woken."""
         sim = Simulator()
-
-        def quick():
-            yield sim.timeout(1)
-            return "ok"
-
-        process = sim.spawn(quick())
-        sim.run()
-        process.interrupt("too late")
-        sim.run()
-        assert process.value == "ok"
-
-    def test_stale_wakeup_after_interrupt_is_dropped(self):
-        sim = Simulator()
+        doom = sim.event()
         log = []
 
         def sleeper():
             try:
-                yield sim.timeout(100)
-                log.append("timeout fired in process")
-            except Interrupt:
-                log.append("interrupted")
+                yield sim.all_of([doom, sim.timeout(100)])
+                log.append("all fired")
+            except RuntimeError:
+                log.append(("failed", sim.now))
                 yield sim.timeout(500)
-                log.append("second sleep done")
+                log.append(("slept", sim.now))
 
-        def interrupter(target):
-            yield sim.timeout(10)
-            target.interrupt()
-
-        target = sim.spawn(sleeper())
-        sim.spawn(interrupter(target))
+        sim.spawn(sleeper())
+        sim.call_at(10, doom.fail, RuntimeError("doom"))
         sim.run()
-        assert log == ["interrupted", "second sleep done"]
+        assert log == [("failed", 10), ("slept", 510)]
 
     def test_event_failure_with_non_exception_value_wraps(self):
         sim = Simulator()

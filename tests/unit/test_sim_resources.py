@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Resource, Simulator, Store, TokenBucket
+from repro.sim import Resource, Simulator, TokenBucket
 
 
 class TestResource:
@@ -72,67 +72,6 @@ class TestResource:
         assert resource.queue_length == 2
 
 
-class TestStore:
-    def test_put_then_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put("x")
-        request = store.get()
-        assert request.triggered and request.value == "x"
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        store = Store(sim)
-
-        def getter():
-            item = yield store.get()
-            return (sim.now, item)
-
-        def putter():
-            yield sim.timeout(30)
-            store.put("late")
-
-        process = sim.spawn(getter())
-        sim.spawn(putter())
-        sim.run()
-        assert process.value == (30, "late")
-
-    def test_fifo_item_order(self):
-        sim = Simulator()
-        store = Store(sim)
-        for i in range(5):
-            store.put(i)
-        got = [store.get().value for _ in range(5)]
-        assert got == [0, 1, 2, 3, 4]
-
-    def test_getters_served_in_order(self):
-        sim = Simulator()
-        store = Store(sim)
-        results = []
-
-        def getter(label):
-            item = yield store.get()
-            results.append((label, item))
-
-        sim.spawn(getter("first"))
-        sim.spawn(getter("second"))
-        sim.call_in(10, store.put, "a")
-        sim.call_in(20, store.put, "b")
-        sim.run()
-        assert results == [("first", "a"), ("second", "b")]
-
-    def test_try_get_and_peek(self):
-        sim = Simulator()
-        store = Store(sim)
-        assert store.try_get() is None
-        assert store.peek() is None
-        store.put(1)
-        store.put(2)
-        assert store.peek() == 1
-        assert store.try_get() == 1
-        assert len(store) == 1
-
-
 class TestTokenBucket:
     def test_rate_validation(self):
         with pytest.raises(ValueError):
@@ -151,7 +90,6 @@ class TestTokenBucket:
         link = TokenBucket(sim, bytes_per_ns=1.0)
         assert link.reserve(1000) == 1000
         assert link.reserve(500) == 1500
-        assert link.busy_until == 1500
 
     def test_extra_delay_does_not_occupy_serializer(self):
         sim = Simulator()

@@ -18,7 +18,7 @@ import pytest
 from repro.hw import Cluster
 from repro.obs import TRACER
 from repro.rdma import AccessFlags, FLAG_SIGNALED, Opcode, Wqe
-from repro.sim import AnyOf, Event, Simulator, US
+from repro.sim import AllOf, Event, Simulator, US
 from tests.reference.slices import run_in_slices
 
 
@@ -32,8 +32,9 @@ def _tracer_off():
 
 
 def _soup(sim):
-    """Timeouts (many zero-delay), hops, gates, AnyOf, callbacks and
-    interrupts, all drawn from one seeded plan."""
+    """Timeouts (many zero-delay), gates, AllOf, callbacks and a
+    failed event thrown into its waiter, all drawn from one seeded
+    plan."""
     plan = random.Random(sim.seed)
     log = []
     gates = [Event(sim, f"gate{i}") for i in range(3)]
@@ -43,29 +44,32 @@ def _soup(sim):
         for step in range(plan.randrange(10, 40)):
             log.append((sim.now, "tick", index, step))
             if step % 5 == 4:
-                yield sim.hop()
+                yield sim.timeout(0)
             else:
                 yield sim.timeout(rng.randrange(0, 9))
 
     def waiter(index):
-        result = yield AnyOf(sim, [gates[index % 3], sim.timeout(plan.randrange(5, 60))])
-        log.append((sim.now, "any", index, len(result)))
+        result = yield AllOf(sim, [gates[index % 3], sim.timeout(plan.randrange(5, 60))])
+        log.append((sim.now, "all", index, len(result)))
 
     def victim(index):
         try:
-            yield sim.timeout(1000)
+            yield doom
             log.append((sim.now, "victim", index, "survived"))
-        except Exception:
-            log.append((sim.now, "victim", index, "interrupted"))
+        except RuntimeError as exc:
+            log.append((sim.now, "victim", index, str(exc)))
+        yield sim.timeout(0)
+        log.append((sim.now, "victim", index, "done"))
 
     for index in range(plan.randrange(4, 9)):
         sim.spawn(ticker(index), name=f"tick{index}")
     for index in range(plan.randrange(2, 5)):
-        sim.spawn(waiter(index), name=f"any{index}")
-    victim_proc = sim.spawn(victim(0), name="victim")
+        sim.spawn(waiter(index), name=f"all{index}")
+    doom = Event(sim, "doom")
+    sim.spawn(victim(0), name="victim")
     for i, gate in enumerate(gates):
         sim.call_at(plan.randrange(3, 40), lambda g=gate, i=i: g.succeed(i))
-    sim.call_at(plan.randrange(2, 30), lambda: victim_proc.interrupt("chaos"))
+    sim.call_at(plan.randrange(2, 30), lambda: doom.fail(RuntimeError("chaos")))
     return log
 
 

@@ -47,7 +47,6 @@ def _measure():
             seed=SEED,
             n_txns=N_CLIENTS * TXNS_PER_CLIENT,
             n_workers=N_CLIENTS,
-            install="parallel",
         )
     return tracer.dispatches, tracer.counters["cpu.dispatches"], report
 

@@ -1,8 +1,9 @@
-"""Parallel commit installs vs the sequential oracle.
+"""Parallel commit installs vs the sequential reference.
 
-The PR 9 claim: overlapping per-group installs changes *latency*, not
-*outcome*. For any fixed serial schedule the two install modes must
-produce bit-identical commit results — the same per-key version chains
+Overlapping per-group installs changes *latency*, not *outcome*. For
+any fixed serial schedule the coordinator's parallel install and the
+one-group-at-a-time reference (``tests/reference/sequential_install.py``,
+patched in) must produce bit-identical commit results — the same per-key version chains
 (writer txid and value, in order), the same commit/abort outcomes for
 every transaction, the same durable install counts — while the
 parallel path finishes the multi-group schedule in strictly less
@@ -11,10 +12,13 @@ advances differently when installs overlap, and that is the entire
 point.
 """
 
+import pytest
+
 from repro.bench import run_until
 from repro.hw import Cluster
 from repro.sim import Simulator
-from repro.txn import TxnAborted, build_txn_system
+from repro.txn import TxnAborted, TxnCoordinator, build_txn_system
+from tests.reference.sequential_install import install_sequentially
 
 KEYS = [f"s{index:02d}".encode() for index in range(9)]
 
@@ -34,20 +38,26 @@ def _drive(sim, cluster, body, until_ms=30_000):
     return done["r"]
 
 
-def _run_schedule(install):
+def _run_schedule(sequential):
     """A fixed serial schedule of multi-group transactions.
 
     One driver task executes every transaction; interleavings are
     scripted (begin/commit order is explicit), so the outcome is a
     pure function of the schedule — the property that lets us diff the
-    two install modes. The schedule covers: a wide init commit across
+    two install paths. ``sequential`` patches in the reference. The schedule covers: a wide init commit across
     all groups, read-modify-writes, a scripted first-committer-wins
     abort, and a scripted write-skew (SSI pivot) abort.
     """
+    with pytest.MonkeyPatch.context() as patch:
+        if sequential:
+            patch.setattr(TxnCoordinator, "_install_parallel", install_sequentially)
+        return _schedule()
+
+
+def _schedule():
     sim = Simulator(seed=11)
     cluster = Cluster(sim, n_hosts=4, n_cores=4)
-    coordinator = build_txn_system(sim, cluster, n_groups=3, install=install)
-    assert coordinator.install_mode == install
+    coordinator = build_txn_system(sim, cluster, n_groups=3)
     outcomes = []
     finished = {}
 
@@ -133,8 +143,8 @@ def _run_schedule(install):
 
 
 def test_parallel_installs_match_the_sequential_oracle():
-    parallel = _run_schedule("parallel")
-    sequential = _run_schedule("sequential")
+    parallel = _run_schedule(sequential=False)
+    sequential = _run_schedule(sequential=True)
 
     # The schedule exercised what it claims to.
     kinds = {outcome.split(":")[-1] for _, _, outcome in sequential["outcomes"]}

@@ -134,8 +134,9 @@ def test_backoff_workload_renders_identically_across_runs():
 
 
 def test_no_retry_sequential_control_keeps_its_seed_7_numbers():
-    """``retry="none", install="sequential"``: no retries, one group's
-    install at a time.
+    """``retry="none"``: no retries. (The control used to install one
+    group at a time; with concurrent multi-group installs it reads the
+    same seed-7 numbers.)
 
     The pinned seed-7 outcome: 24 of 29 committed, five ssi-pivot
     aborts (two from the write-skew pairs, three mix casualties) and no
@@ -148,7 +149,7 @@ def test_no_retry_sequential_control_keeps_its_seed_7_numbers():
     (23/29 before) each moved the simulated schedule, not the
     control's semantics.)
     """
-    report = run_txn_workload(seed=7, retry="none", install="sequential")
+    report = run_txn_workload(seed=7, retry="none")
     assert report.attempted == 29
     assert report.commits == 24
     assert report.aborts_ssi == 5
@@ -174,9 +175,7 @@ def _one_group_system(sim, cluster, tracker):
     )
     manager = TransactionManager(group, writer_id=1)
     store = VersionedGroupStore(manager, name="rs0")
-    return TxnCoordinator(
-        [store], tracker=tracker, name="retry-test", install="sequential"
-    )
+    return TxnCoordinator([store], tracker=tracker, name="retry-test")
 
 
 def _drive(sim, cluster, body, until_ms=20_000):

@@ -120,7 +120,6 @@ def _measure_ycsb_e(monkeypatch):
             seed=7,
             n_txns=N_CLIENTS * TXNS_PER_CLIENT,
             n_workers=N_CLIENTS,
-            install="parallel",
         )
     counters = tracer.counters
     counts = (
