@@ -13,8 +13,8 @@ consistent hash. Isolation is Serializable Snapshot Isolation:
   cross-checks the one-sided durable read against the version chain.
 * ``write`` buffers locally; nothing touches the wire before commit.
   ``insert`` is a write to a previously-unseen key — placement is the
-  same consistent hash, and the key's DB slot is assigned at commit
-  install time; concurrent duplicate inserts resolve by
+  same consistent hash, and the key's DB slot is assigned when the
+  commit validates; concurrent duplicate inserts resolve by
   first-committer-wins exactly like updates.
 * ``scan`` is a snapshot range read: it merges the per-group ordered
   key indexes (plus the transaction's own buffered writes), serves
@@ -25,12 +25,13 @@ consistent hash. Isolation is Serializable Snapshot Isolation:
   records the covered *range* so a concurrent insert landing inside
   it raises a phantom rw-antidependency edge.
 * ``commit`` validates first-committer-wins on the write set (any
-  version newer than the snapshot aborts), applies the SSI pivot rule
-  (a transaction with both incoming and outgoing rw-antidependency
-  edges aborts; ``mode="si"`` skips this — the write-skew control),
-  then installs per participant group in sorted order through the
-  group lock + replicated log, and finally publishes every version in
-  one synchronous step — all-or-nothing visibility across groups.
+  version newer than the snapshot, published or pending, aborts),
+  applies the SSI pivot rule (a transaction with both incoming and
+  outgoing rw-antidependency edges aborts; ``mode="si"`` skips this —
+  the write-skew control), then installs per participant group
+  through the group lock + replicated log, and finally publishes every
+  version in one synchronous step — all-or-nothing visibility across
+  groups.
 
 The pivot rule needs every rw edge between concurrent transactions,
 and a committed one cannot abort itself any more (Cahill's SSI).
@@ -52,26 +53,28 @@ the watermark, the oldest live snapshot: every rw edge joins two
 transactions whose ``[snapshot, commit]`` intervals overlap, so from
 then on no pivot check can reach it (Cahill's cleanup rule).
 
-Commits are serialized through a wake-on-release latch: the holder's
-txid in ``_committing`` plus one plain ``Event`` every waiter parks
-on. Whoever clears the flag (``commit``'s unwind, or
-:meth:`TxnCoordinator.reset_after_failover`) succeeds that event and
-replaces it; waiters wake in the order they parked and re-check, so a
-parked waiter costs no kernel event and no CPU dispatch however long
-the install takes. Three things must hold: ``begin`` also waits out an
-in-flight commit, so no snapshot lands between timestamp assignment
-and publish; a commit parked forever on a dead chain's ack is cleared
-by the failover path without unwinding a queue of waiters — which is
-why this is a flag and an event, not a ``sim.Resource``; and a zombie
-of an older epoch releases only a latch that still carries its txid.
+Only conflicting work waits. Validation is the one atomic step (it
+yields nowhere) and ends by taking the commit timestamp and
+registering the write set as *pending*. ``begin`` snapshots at the
+clock without parking; a ``read`` parks only while a pending commit
+from before its snapshot writes its key (a ``scan``, while one writes
+inside its planned range), and ``insert`` counts such a write as
+visible. Each group queues its installs in commit order and has at
+most one batch in flight, written as one WAL record — group commit,
+one layer above the WAL's append runs. A commit publishes once all its
+groups have installed it and every earlier one has published or died;
+``commit`` returns after its own publish. A failover reset wakes every
+waiter and replaces every queue: a batch parked forever on a dead
+chain's ack keeps the old one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..hw.cpu import Task
 from ..obs.trace import TRACER
@@ -127,6 +130,32 @@ class Transaction:
         )
 
 
+class _Pending:
+    """A validated commit until it publishes: its writes per group, the
+    groups still installing them, why it died (if it did), and the
+    event its committer and its keys' readers park on."""
+
+    __slots__ = ("txn", "per_group", "installing", "error", "done")
+
+    def __init__(self, txn: "Transaction", per_group, done: Event):
+        self.txn = txn
+        self.per_group: Dict[int, List[Tuple[bytes, bytes]]] = per_group
+        self.installing = set(per_group)
+        self.error: Optional[Exception] = None
+        self.done = done
+
+
+class _InstallQueue:
+    """One group's staged installs, in commit order, and whether a
+    batch of them is in flight."""
+
+    __slots__ = ("staged", "busy")
+
+    def __init__(self):
+        self.staged: Deque[Tuple[_Pending, List[Tuple[int, bytes]]]] = deque()
+        self.busy = False
+
+
 class TxnCoordinator:
     """Serializable transactions over several replica groups.
 
@@ -144,8 +173,8 @@ class TxnCoordinator:
         not given. Stores are attached in order, so group index ==
         tracker index.
 
-    A commit spanning several groups installs into them concurrently
-    under a deterministic join barrier (:meth:`_install_parallel`).
+    A commit spanning several groups installs into them concurrently,
+    one batch per group in flight (:meth:`_install`).
     """
 
     def __init__(
@@ -168,8 +197,10 @@ class TxnCoordinator:
         self.sim = self.stores[0].group.sim
         self._clock = 0
         self._next_txid = 1
-        self._committing: Optional[int] = None
-        self._latch_released = Event(self.sim, f"{name}.latch")
+        # Validated commits not yet published, by txid in commit order,
+        # and each group's queue of their installs.
+        self._pending: Dict[int, _Pending] = {}
+        self._queues = [_InstallQueue() for _ in self.stores]
         self.epoch = 0
         self.active: Dict[int, Transaction] = {}
         self.graph = SerializationGraph()
@@ -215,12 +246,9 @@ class TxnCoordinator:
     # -- lifecycle -----------------------------------------------------------------
 
     def begin(self, task: Task) -> Generator:
-        """Open a transaction; returns the :class:`Transaction`.
-
-        Blocks while a commit is publishing so the snapshot cannot
-        observe a half-visible transaction.
-        """
-        yield from self._await_latch(task)
+        """Open a transaction; returns the :class:`Transaction`. Never
+        parks: the snapshot is the clock's next tick (reads wait out
+        the pending commits before it that write their keys)."""
         txn = Transaction(
             txid=self._next_txid, snapshot_ts=self._tick(), epoch=self.epoch
         )
@@ -238,6 +266,7 @@ class TxnCoordinator:
                 args={"snapshot_ts": txn.snapshot_ts},
             )
         return txn
+        yield  # a generator like every verb a client task drives
 
     def read(self, task: Task, txn: Transaction, key: bytes) -> Generator:
         """Snapshot read; returns the value (``None`` = never written).
@@ -249,12 +278,16 @@ class TxnCoordinator:
         busy (replica 0 when idle): the slot may legitimately hold a
         *newer* record (installed after our snapshot, or an orphan of
         an unfinished commit) — both invisible here — but never an
-        older one, which would mean a stale copy served a read.
+        older one, which would mean a stale copy served a read. A
+        commit from before the snapshot still pending on the key is
+        waited out first.
         """
         self._check_active(txn)
         if key in txn.writes:
             self._observe(txn, "own-write", key, txn.writes[key])
             return txn.writes[key]
+        if self._pending:
+            yield from self._await_earlier(task, txn, lambda writes: key in writes)
         index = self.locate(key)
         store = self.stores[index]
         if not store.has_slot(key):
@@ -344,10 +377,13 @@ class TxnCoordinator:
                 self._rw(txn, other.txid, txn.txid, phantom=True)
 
     def _concurrent(self, txn: Transaction):
-        """Every other live transaction, then every committed one
-        whose commit came after ``txn``'s snapshot."""
+        """Every other live transaction but a pending commit from
+        before ``txn``'s snapshot, then every committed one whose
+        commit came after that snapshot."""
         for other in self.active.values():
-            if other.txid != txn.txid:
+            if other.txid != txn.txid and (
+                other.commit_ts is None or other.commit_ts > txn.snapshot_ts
+            ):
                 yield other
         for other in self._retained.values():
             if other.commit_ts > txn.snapshot_ts:
@@ -392,16 +428,17 @@ class TxnCoordinator:
         """Buffer an insert: a write to a key absent at the snapshot.
 
         Placement and buffering are exactly :meth:`write` — the key's
-        DB slot is assigned when the commit installs — but the intent
-        is checked: inserting a key this snapshot can already see is a
-        harness bug, not a race (a *concurrent* duplicate insert is a
-        race, and first-committer-wins settles it at commit).
+        DB slot is assigned when the commit validates — but the intent
+        is checked: inserting a key this snapshot can already see — or
+        will, once a commit from before it publishes — is a harness
+        bug, not a race (a *concurrent* duplicate insert is a race, and
+        first-committer-wins settles it at commit).
         """
         self._check_active(txn)
         store = self.stores[self.locate(key)]
-        if (
-            key not in txn.writes
-            and store.version_at(key, txn.snapshot_ts) is not None
+        if key not in txn.writes and (
+            store.version_at(key, txn.snapshot_ts) is not None
+            or self._earlier_writer(txn, lambda writes: key in writes)
         ):
             raise ValueError(
                 f"insert of key {key!r} visible at snapshot {txn.snapshot_ts}"
@@ -431,43 +468,29 @@ class TxnCoordinator:
 
         Four steps — plan, post, wait, record. The walk to the
         ``limit``-th visible key needs no network, so it runs first and
-        yields nowhere; the cross-check reads then go out as one batch
-        per group, all groups in flight together
-        (:meth:`_cross_check`); only when every batch is back — and the
-        transaction is still of this epoch — are reads, edges and
-        observations recorded, in key order. A scan therefore costs
-        one READ round trip however many keys and groups it covers,
-        and one that dies on the way records nothing.
+        yields nowhere (a pending commit from before the snapshot that
+        writes inside the range is waited out, and the walk redone);
+        the cross-check reads then go out as one batch per group, all
+        groups in flight together (:meth:`_cross_check`); only when
+        every batch is back — and the transaction is still of this
+        epoch — are reads, edges and observations recorded, in key
+        order. A scan therefore costs one READ round trip however many
+        keys and groups it covers, and one that dies on the way records
+        nothing.
         """
         self._check_active(txn)
         if limit < 1:
             raise ValueError("scan limit must be >= 1")
-        # Plan: walk the merged index to the limit-th visible key
-        # without yielding. Nothing consulted here can change while the
-        # reads below are in flight: versions at or below the snapshot
-        # are all published (begin waited out the latch), the key
-        # slices are copies, and the write buffer is this task's own.
-        merged = set()
-        for store in self.stores:
-            merged.update(store.keys_from(start))
-        merged.update(key for key in txn.writes if key >= start)
-        # (key, owning group or None for an own write, version served)
-        steps: List[Tuple[bytes, Optional[int], Optional[Version]]] = []
-        wanted: Dict[int, List[bytes]] = {}  # group -> keys to cross-check
-        served = 0
-        for key in sorted(merged):
-            if key in txn.writes:
-                steps.append((key, None, None))
-            else:
-                index = self.locate(key)
-                version = self.stores[index].version_at(key, txn.snapshot_ts)
-                steps.append((key, index, version))
-                if version is None:
-                    continue  # in the index, invisible at our snapshot
-                wanted.setdefault(index, []).append(key)
-            served += 1
-            if served == limit:
-                break
+        # Plan; wait out the earlier pending writers in range, replan.
+        steps, wanted, end = self._plan_scan(txn, start, limit)
+        while self._pending and (
+            yield from self._await_earlier(
+                task,
+                txn,
+                lambda writes: any(key_in_range(key, start, end) for key in writes),
+            )
+        ):
+            steps, wanted, end = self._plan_scan(txn, start, limit)
         replicas, durable = yield from self._cross_check(task, txn, wanted)
         # The yields may span a failover reset; a zombie scan must not
         # record observations or edges.
@@ -494,11 +517,6 @@ class TxnCoordinator:
                     slot is None or slot[0] < version.commit_ts,
                 )
             results.append((key, value))
-        # Next-key-locking convention: a full scan covers [start,
-        # last-returned]; one that exhausted the keyspace covers
-        # [start, +inf) — an insert anywhere past start would have
-        # changed its answer.
-        end = results[-1][0] if len(results) == limit else None
         txn.scans.append((start, end))
         # Writes inside the range by concurrent transactions — still
         # buffered, or published while the reads were out — are
@@ -514,6 +532,39 @@ class TxnCoordinator:
             TRACER.count("txn.scan")
             TRACER.count("txn.scan_reads", len(durable))
         return results
+
+    def _plan_scan(self, txn: Transaction, start: bytes, limit: int):
+        """Walk the merged index to the ``limit``-th visible key without
+        yielding; returns the steps ``(key, owning group or None for an
+        own write, version served)``, the keys to cross-check per group
+        and the range's end. Once ``scan`` has waited out the earlier
+        pending writers in the range, none of it changes under the
+        reads: the key slices are copies, the write buffer is ours."""
+        merged = set()
+        for store in self.stores:
+            merged.update(store.keys_from(start))
+        merged.update(key for key in txn.writes if key >= start)
+        steps: List[Tuple[bytes, Optional[int], Optional[Version]]] = []
+        wanted: Dict[int, List[bytes]] = {}  # group -> keys to cross-check
+        served = 0
+        for key in sorted(merged):
+            if key in txn.writes:
+                steps.append((key, None, None))
+            else:
+                index = self.locate(key)
+                version = self.stores[index].version_at(key, txn.snapshot_ts)
+                steps.append((key, index, version))
+                if version is None:
+                    continue  # in the index, invisible at our snapshot
+                wanted.setdefault(index, []).append(key)
+            served += 1
+            if served == limit:
+                # Next-key-locking convention: a full scan covers
+                # [start, last-returned]; one that exhausts the keyspace
+                # covers [start, +inf) — an insert anywhere past start
+                # would change its answer.
+                return steps, wanted, key
+        return steps, wanted, None
 
     def _cross_check(
         self, task: Task, txn: Transaction, wanted: Dict[int, List[bytes]]
@@ -600,119 +651,168 @@ class TxnCoordinator:
             # (no writes, no incoming rw edge), and a read that raised
             # an edge onto a settled pivot has aborted it already.
             return self._finalize(txn)
-        yield from self._await_latch(task)
-        self._check_active(txn)
-        self._committing = txn.txid
-        try:
-            # First-committer-wins: any committed version of a
-            # write-set key newer than our snapshot aborts us.
-            for key in sorted(txn.writes):
-                latest = self.stores[self.locate(key)].latest(key)
-                if latest is not None and latest.commit_ts > txn.snapshot_ts:
-                    self._abort(txn, "ww-conflict")
-                    raise TxnAborted(
-                        txn.txid,
-                        "ww-conflict",
-                        f"{key!r} written by T{latest.txid} after our snapshot",
-                    )
-            # Refresh rw edges from readers (key-granular or range)
-            # that observed state after our writes were buffered.
-            for key in sorted(txn.writes):
-                self._note_write_edges(txn, key)
-            self._abort_if_doomed(txn)
-            if self.mode == "ssi":
-                found = self.graph.pivot(txn.txid)
-                if found is not None:
-                    detail, reason = found
-                    self._abort(txn, reason)
-                    raise TxnAborted(txn.txid, reason, detail)
-            commit_ts = txn.commit_ts = self._tick()
-            per_group: Dict[int, List[Tuple[bytes, bytes]]] = {}
-            for key in sorted(txn.writes):
-                per_group.setdefault(self.locate(key), []).append(
-                    (key, txn.writes[key])
+        # Validation: no yield from here until the commit is queued.
+        # First-committer-wins: any version of a write-set key newer
+        # than our snapshot, published or pending, aborts us.
+        for key in sorted(txn.writes):
+            writer = self._newer_writer(txn, key)
+            if writer is not None:
+                self._abort(txn, "ww-conflict")
+                raise TxnAborted(
+                    txn.txid,
+                    "ww-conflict",
+                    f"{key!r} written by T{writer} after our snapshot",
                 )
-            if len(per_group) > 1:
-                yield from self._install_parallel(task, txn, per_group, commit_ts)
-            else:
-                [(index, items)] = per_group.items()
-                yield from self.stores[index].install(
-                    task, items, commit_ts, txn.txid
-                )
-            # A failover reset may have landed while installs were in
-            # flight: an epoch casualty must never publish (its durable
-            # records are orphans readers ignore by version metadata).
-            self._check_active(txn)
-            # Every group installed durably; publish synchronously so
-            # visibility is all-or-nothing across groups.
-            for index in sorted(per_group):
-                self.stores[index].publish(per_group[index], commit_ts, txn.txid)
-            return self._finalize(txn, commit_ts)
-        finally:
-            # A zombie of an older epoch no longer owns the latch: its
-            # late unwind must not release a successor's.
-            if self._committing == txn.txid:
-                self._release_latch()
-
-    def _await_latch(self, task: Task) -> Generator:
-        """Park until no commit holds the latch.
-
-        Costs nothing while parked: one wake per release, then a
-        re-check, because another woken waiter may have been
-        dispatched first and taken the latch.
-        """
-        while self._committing is not None:
-            yield from task.wait(self._latch_released)
-
-    def _release_latch(self) -> None:
-        """Clear the latch and wake every parked waiter, in the order
-        they parked."""
-        self._committing = None
-        released = self._latch_released
-        self._latch_released = Event(self.sim, released.name)
-        released.succeed()
-
-    def _install_parallel(
-        self,
-        task: Task,
-        txn: Transaction,
-        per_group: Dict[int, List[Tuple[bytes, bytes]]],
-        commit_ts: int,
-    ) -> Generator:
-        """Overlap per-group installs under a deterministic join barrier.
-
-        Sub-tasks are spawned in sorted group order, so each group's
-        WAL lock is *requested* in the same order as a one-group-at-a-
-        time install (deadlock freedom), but the chain replications run
-        concurrently: multi-group commit latency approaches the max of
-        the per-group installs instead of their sum. The join is
-        deterministic — the committer waits on every sub-task in
-        sorted order regardless of completion order — and a failure is
-        re-raised only after all sub-tasks have finished, so no
-        install outlives its commit attempt.
-        """
-        subs = []
-        for index in sorted(per_group):
-
-            def body(sub, index=index):
-                yield from self.stores[index].install(
-                    sub, per_group[index], commit_ts, txn.txid
-                )
-
-            subs.append(
-                task.os.spawn(body, name=f"{self.name}.install.g{index}")
+        # Refresh rw edges from readers (key-granular or range)
+        # that observed state after our writes were buffered.
+        for key in sorted(txn.writes):
+            self._note_write_edges(txn, key)
+        self._abort_if_doomed(txn)
+        if self.mode == "ssi":
+            found = self.graph.pivot(txn.txid)
+            if found is not None:
+                detail, reason = found
+                self._abort(txn, reason)
+                raise TxnAborted(txn.txid, reason, detail)
+        commit_ts = txn.commit_ts = self._tick()
+        per_group: Dict[int, List[Tuple[bytes, bytes]]] = {}
+        for key in sorted(txn.writes):
+            per_group.setdefault(self.locate(key), []).append(
+                (key, txn.writes[key])
             )
+        staged = {
+            index: self.stores[index].stage(items, commit_ts, txn.txid)
+            for index, items in sorted(per_group.items())
+        }
+        pending = _Pending(txn, per_group, Event(self.sim, f"{self.name}.publish"))
+        self._pending[txn.txid] = pending
+        for index, changes in staged.items():
+            self._queues[index].staged.append((pending, changes))
+        yield from self._install(task, pending)
+        if txn.status != "committed":  # a reset, or a failed batch
+            self._check_active(txn)
+            raise pending.error
+        return commit_ts
+
+    def _newer_writer(self, txn: Transaction, key: bytes) -> Optional[int]:
+        """The txid of a published, else pending, version of ``key``
+        newer than ``txn``'s snapshot."""
+        latest = self.stores[self.locate(key)].latest(key)
+        if latest is not None and latest.commit_ts > txn.snapshot_ts:
+            return latest.txid
+        for pending in self._pending.values():
+            other = pending.txn
+            if other.commit_ts > txn.snapshot_ts and key in other.writes:
+                return other.txid
+        return None
+
+    def _earlier_writer(self, txn: Transaction, covers) -> Optional[_Pending]:
+        """The newest pending commit before ``txn``'s snapshot whose
+        write set ``covers`` accepts (once it publishes, so has every
+        earlier one)."""
+        for pending in reversed(self._pending.values()):
+            if pending.txn.commit_ts < txn.snapshot_ts and covers(pending.txn.writes):
+                return pending
+        return None
+
+    def _await_earlier(self, task: Task, txn: Transaction, covers) -> Generator:
+        """Park while :meth:`_earlier_writer` finds a commit; returns
+        whether it parked."""
+        parked = False
+        while True:
+            pending = self._earlier_writer(txn, covers)
+            if pending is None:
+                return parked
+            yield from task.wait(pending.done)
+            # A failover reset wakes every waiter.
+            self._check_active(txn)
+            parked = True
+
+    def _install(self, task: Task, pending: _Pending) -> Generator:
+        """Get the commit's installs moving, then park until it has
+        published or died.
+
+        Each participant group with no batch in flight needs a writer:
+        the committer writes the last such group's next batch itself,
+        and spawns a flusher task (:meth:`_flush`) for the others; if
+        more has queued behind its batch, a flusher takes over.
+        """
+        lead = None
+        for index in sorted(pending.per_group):
+            queue = self._queues[index]
+            if not queue.busy:
+                queue.busy = True
+                if lead is not None:
+                    self._spawn_flusher(task, *lead)
+                lead = (index, queue)
+        if lead is not None:
+            index, queue = lead
+            yield from self._write_batch(task, index, queue)
+            if queue.staged and queue is self._queues[index]:
+                self._spawn_flusher(task, index, queue)
+            else:
+                queue.busy = False
+        yield from task.wait(pending.done)
+
+    def _spawn_flusher(self, task: Task, index: int, queue: _InstallQueue) -> None:
+        task.os.spawn(
+            lambda sub: self._flush(sub, index, queue),
+            name=f"{self.name}.install.g{index}",
+        )
+
+    def _flush(self, task: Task, index: int, queue: _InstallQueue) -> Generator:
+        """Write group ``index``'s queued batches until the queue is
+        empty or a reset has replaced it."""
+        while queue.staged and queue is self._queues[index]:
+            yield from self._write_batch(task, index, queue)
+        queue.busy = False
+
+    def _write_batch(self, task: Task, index: int, queue: _InstallQueue) -> Generator:
+        """Install the commits at the front of group ``index``'s queue
+        as one batch, then publish whatever that made ready.
+
+        A batch is everything queued since the previous one started,
+        cut only where the next commit would not fit the same WAL
+        record. Nothing is left to tune: a lone commit is a batch of
+        one, the same three ack waits as an unbatched install.
+        """
+        store = self.stores[index]
+        staged = queue.staged
+        batch = [staged.popleft()]
+        while staged and store.fits([c for _, c in batch] + [staged[0][1]]):
+            batch.append(staged.popleft())
         if TRACER.enabled:
-            TRACER.count("txn.install_parallel")
-        failure: Optional[BaseException] = None
-        for sub in subs:
-            try:
-                yield from task.wait(sub.process)
-            except Exception as exc:
-                if failure is None:
-                    failure = exc
-        if failure is not None:
-            raise failure
+            TRACER.count("txn.install_batch")
+            TRACER.count("txn.install_batched", len(batch))
+        try:
+            yield from store.install(task, [changes for _, changes in batch])
+        except Exception as exc:
+            # These never publish; the commits behind them may.
+            for pending, _ in batch:
+                if self._pending.pop(pending.txn.txid, None) is not None:
+                    pending.error = exc
+                    pending.done.succeed()
+            self._publish_ready()
+            return
+        if queue is self._queues[index]:  # else they died with their epoch
+            for pending, _ in batch:
+                pending.installing.discard(index)
+            self._publish_ready()
+
+    def _publish_ready(self) -> None:
+        """Publish, in commit order, each pending commit installed on
+        all its groups with no earlier one still pending. Synchronous:
+        a transaction's versions all appear at once to every task."""
+        while self._pending:
+            txid, pending = next(iter(self._pending.items()))
+            if pending.installing:
+                return
+            del self._pending[txid]
+            txn = pending.txn
+            for index, items in sorted(pending.per_group.items()):
+                self.stores[index].publish(items, txn.commit_ts, txid)
+            self._finalize(txn, txn.commit_ts)
+            pending.done.succeed()
 
     def _finalize(self, txn: Transaction, commit_ts: Optional[int] = None) -> int:
         if commit_ts is None:
@@ -768,18 +868,24 @@ class TxnCoordinator:
     def reset_after_failover(self, task: Task, index: int, new_group) -> Generator:
         """Re-point group ``index`` at its repaired chain and clean up.
 
-        Every transaction of the old epoch aborts (a commit parked on
-        the dead chain's ack never resumes; resumable stragglers die
-        at their next ``_check_active``), which leaves nothing live
-        and so retires every committed transaction from the SSI graph;
-        the commit latch is cleared, the store rebinds, and its WAL
+        Every transaction of the old epoch aborts (resumable stragglers
+        die at their next ``_check_active``), which leaves nothing live
+        and so retires every committed transaction from the SSI graph.
+        Every pending commit is failed — its committer and every reader
+        parked on it wake, and it never publishes — and every group's
+        install queue is replaced: a flusher parked forever on the dead
+        chain's ack keeps the old one, and a healthy group's flusher
+        finishes its batch and stops. The store rebinds, and its WAL
         recovers (stale lock broken, pending records drained). Returns
         drained-record count.
         """
         self.epoch += 1
         for txn in list(self.active.values()):
             self._abort(txn, "failover")
-        self._release_latch()
+        pending, self._pending = self._pending, {}
+        self._queues = [_InstallQueue() for _ in self.stores]
+        for entry in pending.values():
+            entry.done.succeed()
         store = self.stores[index]
         store.rebind(new_group)
         executed = yield from store.recover(task)

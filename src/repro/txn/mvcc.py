@@ -1,13 +1,13 @@
 """Versioned key storage over one replica group's WAL path.
 
 Each :class:`VersionedGroupStore` owns the keys placed on one
-``HyperLoopGroup``. Durable state rides the existing §5 recipe — a
-commit's writes for the group become one WAL record installed through
+``HyperLoopGroup``. Durable state rides the existing §5 recipe — the
+writes of a batch of commits become one WAL record installed through
 ``TransactionManager.transact`` (gWRITE append with the gCAS group lock
 beside it, gMEMCPY ExecuteAndAdvance, head advance with the gCAS unlock
-beside it: three ack waits however many keys) — so every replicated-log
-guarantee (atomic record application, redo idempotence, durability
-before execution) carries over unchanged.
+beside it: three ack waits however many keys and commits) — so every
+replicated-log guarantee (atomic record application, redo idempotence,
+durability before execution) carries over unchanged.
 
 On top of that, the store keeps the *version chain* snapshot reads
 need: an in-memory, coordinator-side history of committed versions per
@@ -42,6 +42,7 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 from ..hw.cpu import Task
 from ..storage.encoding import decode_version_record, encode_version_record
 from ..storage.transactions import TransactionManager
+from ..storage.wal import LogRecord
 
 __all__ = ["Version", "VersionedGroupStore", "DurableReads", "SlotExhausted"]
 
@@ -129,8 +130,8 @@ class VersionedGroupStore:
         self._slots: Dict[bytes, int] = {}  # key -> slot index
         self.versions: Dict[bytes, List[Version]] = {}  # ascending commit_ts
         # Ordered index over published keys: what snapshot scans walk.
-        # Maintained at publish time (commits are serialized by the
-        # coordinator latch, so insertion order is deterministic).
+        # Maintained at publish time (the coordinator publishes in
+        # commit order, so insertion order is deterministic).
         self._ordered: List[bytes] = []
         self.installs = 0
 
@@ -147,7 +148,7 @@ class VersionedGroupStore:
         """DB offset of the key's slot, assigning one on first write.
 
         Assignment is sequential in first-write order — deterministic,
-        because commits are serialized by the coordinator.
+        because the coordinator stages commits in commit order.
         """
         index = self._slots.get(key)
         if index is None:
@@ -161,20 +162,13 @@ class VersionedGroupStore:
 
     # -- commit path ---------------------------------------------------------------
 
-    def install(
-        self,
-        task: Task,
-        items: Sequence[Tuple[bytes, bytes]],
-        commit_ts: int,
-        txid: int,
-    ) -> Generator:
-        """Durably install a commit's writes for this group.
-
-        One WAL record carries every slot update, so the group's
-        changes apply atomically on all replicas. Visibility is
-        separate: callers :meth:`publish` only after *every*
-        participant group installed.
-        """
+    def stage(
+        self, items: Sequence[Tuple[bytes, bytes]], commit_ts: int, txid: int
+    ) -> List[Tuple[int, bytes]]:
+        """A commit's writes for this group as ``(db offset, version
+        record)`` changes, assigning each new key its slot. Yields
+        nowhere, so the coordinator stages at validation, in commit
+        order."""
         changes = []
         for key, value in items:
             record = encode_version_record(commit_ts, txid, key, value)
@@ -184,8 +178,27 @@ class VersionedGroupStore:
                     f"exceeds slot of {self.slot_size}B"
                 )
             changes.append((self.slot_offset(key), record))
-        yield from self.manager.transact(task, changes)
-        self.installs += 1
+        return changes
+
+    def fits(self, staged: Sequence[List[Tuple[int, bytes]]]) -> bool:
+        """Whether staged commits fit one WAL record together."""
+        changes = [change for changes in staged for change in changes]
+        size = LogRecord.make(0, changes).serialized_size
+        return size <= self.manager.layout.wal_size // 2
+
+    def install(
+        self, task: Task, staged: Sequence[List[Tuple[int, bytes]]]
+    ) -> Generator:
+        """Durably install staged commits as one WAL record, in commit
+        order (a later commit's write to a slot lands after an earlier
+        one's): the group's changes apply atomically on all replicas,
+        in three ack waits. Visibility is separate: callers
+        :meth:`publish` a commit once *every* participant installed it.
+        """
+        yield from self.manager.transact(
+            task, [change for changes in staged for change in changes]
+        )
+        self.installs += len(staged)
 
     def publish(
         self, items: Sequence[Tuple[bytes, bytes]], commit_ts: int, txid: int

@@ -29,8 +29,8 @@ GOLDEN = {
     ("client-crash", 7): "2ff47b5e9ff879c7fcbbb6ff469340e34e2349cad8e30e9cd1c69a1cc452cac9",
     ("txn-failover", 7): "3c8160cbf3aa603f58c810a1a8cc80ce75b0d1bc33c6024d122c57729e028ab4",
     ("txn-insert", 7): "7368a140cbd1864243100fee2b906c52ed51ab346c8f47b3a05ced70e84eb637",
-    ("txn-chaos", 7): "aeecc6dcfa63f2eb7701b51dcdaa3b48fda07dc6f84216e70235d2f398887fc4",
-    ("txn-double-failover", 7): "efa9a2689873d9d5388f1f3fed7b2d8bab46b118cff880570a6b4c3ddb70bf3e",
+    ("txn-chaos", 7): "c362b87201528aa28f2cc1eac7e92cfe40c33368c99e8d70999e1fd2a23cb1f1",
+    ("txn-double-failover", 7): "8714abcd779aa813c0f8b8f1da232d2c408d6b827a3a8fd6fbe7c04f0e3d8213",
     ("txn-reset-crash", 7): "10ebdbc3e5a621decbe8e091f4252c00e219eae9c38e45b5bb2980f40c2f061f",
     ("drop", 42): "535a4549705bcf35b956d8345b63f4a525b5bd4f672ebfc7f9852cb22f57caa7",
     ("lossy", 42): "df6c7576824b17652b256b3292e55a381244f5c068cecd4b9c7bfa0c42265b0f",
@@ -45,7 +45,7 @@ GOLDEN = {
     ("client-crash", 42): "814ffb711af2d2644078b9e86d2f96b8033b5f44ebc7f686533ed24763667e26",
     ("txn-failover", 42): "86e95e0f6fb9224837c6c218b2fa334e32482d1d775119ac379ce3b6aec837f4",
     ("txn-insert", 42): "4628a4190f7dbe488b61664dd91aa70aceef17a101857665b46f92badec4279d",
-    ("txn-chaos", 42): "9c03974ee5c5378e4382a74f2efbf9f6ffeff86e98f4eeb71665de28207d27fe",
+    ("txn-chaos", 42): "47649b1153d5e64bcaaffb25faf7cb4bbfff55844aaaef785721edc4c75f5707",
     ("txn-double-failover", 42): "d33a5738c0aa5bcad34ee78a69e50a8f0dd60c270379931a7c668c308404fbf5",
     ("txn-reset-crash", 42): "f581db2a86ac567d5a714bad16761cd656cd480f7f5461d5de310d7b3eb7bba9",
 }

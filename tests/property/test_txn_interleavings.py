@@ -23,6 +23,14 @@ All 200 verdicts — per mode and case, the cycle or ``"none"`` and the
 committed count — are pinned below. A change that only moves the
 schedule (a perf change on the txn path) must leave every one as it
 is.
+
+In that family ``commit`` blocks the one client task, so no two
+commits ever overlap. The second family runs each ``commit`` on a
+task of its own and moves on at once, over 400 cases: commits then
+overlap each other and the reads, scans and begins behind them (in
+about a third of the cases two or more are pending at once). It holds
+to the same rules — no cycle under ``ssi``, cycles under ``si`` — and
+its 800 verdicts are pinned too.
 """
 
 import functools
@@ -64,6 +72,51 @@ PINNED = {
 }
 
 
+# The overlapping-commit family, in the same form.
+OVERLAP_CASES = range(400)
+PINNED_OVERLAP = {
+    "ssi": (
+        "1221222223223222232223432333331133223323222132222322"
+        "4332233221423133342432223222232332221122232343322313"
+        "3232232212322222134321323123233233332333322332323222"
+        "3424333432323233334423222343233231231422134242323222"
+        "1222222333321332322123234323322332432232233221232233"
+        "3342322221121333232212122223344334223323423122232232"
+        "2332412223224122122233224234333323221132421323333222"
+        "332222331322312122322221233123222232",
+        {},
+    ),
+    "si": (
+        "1221222224223222232333432433331233223323222132232332"
+        "4332233321423133343432223322242332221132232344332313"
+        "3233242222432222134321323124233233333333322332323222"
+        "4424333432434233334433222343333232231422134242324222"
+        "1322222333321432322223234323322332432334233221232233"
+        "3342322222221333332223122323344334223323423122232232"
+        "2332412223324132123233224234343323222132421323333232"
+        "332222331322312122323321243223223232",
+        {
+            9: "T5 -rw-> T4 -rw-> T5",
+            16: "T2 -rw-> T3 -rw-> T2",
+            19: "T2 -rw-> T4 -rw-> T2",
+            31: "T2 -rw-> T4 -rw-> T2",
+            74: "T2 -rw-> T4 -rw-> T2",
+            77: "T2 -rw-> T5 -rw-> T2",
+            150: "T5 -rw-> T4 -rw-> T5",
+            168: "T2 -rw-> T3 -rw-> T2",
+            176: "T3 -rw-> T4 -rw-> T3",
+            227: "T3 -rw-> T4 -rw-> T3",
+            238: "T3 -rw-> T4 -rw-> T3",
+            269: "T2 -rw-> T3 -rw-> T2",
+            270: "T2 -rw-> T3 -rw-> T2",
+            304: "T2 -rw-> T3 -rw-> T2",
+            322: "T3 -rw-> T4 -rw-> T3",
+            348: "T2 -rw-> T3 -rw-> T2",
+        },
+    ),
+}
+
+
 def schedule(case):
     """The merged step list of one case: ``(txn index, step, key)``."""
     rng = random.Random(f"txn-interleavings/{case}")
@@ -84,13 +137,24 @@ def schedule(case):
     return merged
 
 
-def run_case(case, mode):
+def run_case(case, mode, overlap=False):
     """Run one case; returns the offline checker's verdict on what
-    committed (``"none"`` or the cycle) and the committed count."""
+    committed (``"none"`` or the cycle) and the committed count.
+
+    With ``overlap`` each ``commit`` runs on a task of its own and the
+    schedule moves on at once, so commits overlap each other and the
+    steps behind them; the client task joins every commit task at the end.
+    """
     sim = Simulator(seed=23)
     cluster = Cluster(sim, n_hosts=4, n_cores=4)
     coordinator = build_txn_system(sim, cluster, n_groups=2, mode=mode)
     done = {}
+
+    def commit(task, txn):
+        try:
+            yield from coordinator.commit(task, txn)
+        except TxnAborted:
+            pass
 
     def body(task):
         txn = yield from coordinator.begin(task)
@@ -98,6 +162,7 @@ def run_case(case, mode):
             coordinator.write(txn, key, b"seed" + key)
         yield from coordinator.commit(task, txn)
         txns = {}
+        committers = []
         for index, kind, key in schedule(case):
             if kind == "begin":
                 txns[index] = yield from coordinator.begin(task)
@@ -112,19 +177,26 @@ def run_case(case, mode):
                 elif kind == "write":
                     coordinator.write(txn, key, value)
                 elif kind == "insert":
-                    store = coordinator.stores[coordinator.locate(key)]
-                    if key in txn.writes or store.version_at(key, txn.snapshot_ts) is None:
+                    try:
                         coordinator.insert(txn, key, value)
-                    else:  # visible at the snapshot: an insert would be a caller bug
+                    except ValueError:  # visible at the snapshot
                         coordinator.write(txn, key, value)
                 elif kind == "scan":
                     yield from coordinator.scan(task, txn, key, 2)
+                elif kind == "commit" and overlap:
+                    committers.append(
+                        cluster[0].os.spawn(
+                            lambda sub, txn=txn: commit(sub, txn), f"commit{index}"
+                        )
+                    )
                 elif kind == "commit":
                     yield from coordinator.commit(task, txn)
                 else:
                     coordinator.abort(txn)
             except TxnAborted:
                 pass
+        for committer in committers:
+            yield from task.wait(committer.process)
         done["ok"] = True
 
     task = cluster[0].os.spawn(body, "client")
@@ -135,10 +207,12 @@ def run_case(case, mode):
 
 
 @functools.lru_cache(maxsize=None)
-def verdicts(mode):
-    """``{case: (cycle or "none", committed)}`` over every case (run
-    once per mode and shared by the tests below)."""
-    return {case: run_case(case, mode) for case in CASES}
+def verdicts(mode, overlap=False):
+    """``{case: (cycle or "none", committed)}`` over every case of a
+    family (run once per mode and family, and shared by the tests
+    below)."""
+    cases = OVERLAP_CASES if overlap else CASES
+    return {case: run_case(case, mode, overlap) for case in cases}
 
 
 @pytest.mark.parametrize("mode", ["ssi", "si"])
@@ -158,3 +232,23 @@ def test_ssi_commits_no_cycle_on_any_interleaving():
 def test_si_interleavings_find_cycles():
     cycles = [case for case, (cycle, _) in verdicts("si").items() if cycle != "none"]
     assert cycles
+
+
+@pytest.mark.parametrize("mode", ["ssi", "si"])
+def test_every_overlapping_verdict_matches_the_pin(mode):
+    committed, cycles = PINNED_OVERLAP[mode]
+    pinned = {
+        case: (cycles.get(case, "none"), int(committed[case]))
+        for case in OVERLAP_CASES
+    }
+    assert verdicts(mode, overlap=True) == pinned
+
+
+def test_ssi_commits_no_cycle_with_overlapping_commits():
+    verdict = verdicts("ssi", overlap=True)
+    assert {case: cycle for case, (cycle, _) in verdict.items() if cycle != "none"} == {}
+
+
+def test_si_finds_cycles_with_overlapping_commits():
+    verdict = verdicts("si", overlap=True)
+    assert [case for case, (cycle, _) in verdict.items() if cycle != "none"]

@@ -9,8 +9,9 @@ coordinator and the client host keep must not grow with the run:
 * the SSI graph holds, after every coordinator call, only live
   transactions and committed ones concurrent with a live one — commit
   after the oldest live snapshot — and nothing at rest;
+* no commit is pending and no install queued or in flight at rest;
 * the client host's task list is as long after 20N transactions as
-  after N (finished install sub-tasks leave it);
+  after N (finished install flushers leave it);
 * no read was served from a stale copy.
 
 On the uncontended two-client world of ``test_hot_path_budget.py``, a
@@ -140,6 +141,8 @@ def test_state_is_flat_from_n_to_20n_transactions(mix):
         assert not coordinator.active
         assert len(coordinator.graph) == 0  # nothing at rest
         assert coordinator._retiring == []
+        assert coordinator._pending == {}
+        assert not any(queue.busy or queue.staged for queue in coordinator._queues)
         assert coordinator.stale_reads == []
         assert coordinator.read_violations == []
     # Committed transactions did wait in the graph for live peers, and
@@ -149,7 +152,7 @@ def test_state_is_flat_from_n_to_20n_transactions(mix):
     if mix == "A":
         coordinator = long.coordinator
         assert coordinator.aborts_ww > 0 and coordinator.aborts_ssi > 0
-    # Finished clients and install sub-tasks have left the client host.
+    # Finished clients and install flushers have left the client host.
     assert short.tasks() == long.tasks()
 
 

@@ -4,9 +4,9 @@ Counts, not clocks: a fixed seeded YCSB-A run must cost exactly the
 same number of kernel dispatches and scheduler dispatches every time,
 and exactly the pinned number per committed transaction. Anything that
 manufactures events per wait — on the seed-7 world this gate used
-before, a sleep-poll on the commit latch cost 18,923 scheduler
-dispatches, one chain round trip per install step 4,700, instead of
-3,212 — turns this red on any host, without a timer.
+before, a sleep-poll on the since-retired commit latch cost 18,923
+scheduler dispatches, one chain round trip per install step 4,700,
+instead of 3,212 — turns this red on any host, without a timer.
 
 The world must commit every transaction, or the pin would count a
 give-up's retries. Seed 7 stopped doing so once reads of one replica
@@ -35,9 +35,10 @@ SEED = 10
 # At seed 8: 128,420 / 3,069 while every WAL append also wrote a tail
 # header; 110,315 / 3,072 while a completion thread woke each ack's
 # waiter; 107,540 / 2,367 before the SSI rules kept committed
-# transactions probed.
-KERNEL_DISPATCHES = 122_583
-CPU_DISPATCHES = 2_496
+# transactions probed. At seed 10: 122,583 / 2,496 while one global
+# latch serialized every commit from validation to publish.
+KERNEL_DISPATCHES = 111_568
+CPU_DISPATCHES = 1_795
 
 
 def _measure():
@@ -56,7 +57,7 @@ def test_ycsb_a_dispatch_counts_repeat_and_match_the_pin():
     assert (kernel, cpu) == _measure()[:2]
     assert report.committed == N_CLIENTS * TXNS_PER_CLIENT
     assert report.gave_up == 0 and report.errors == []
-    # 766.1 kernel / 15.6 scheduler dispatches per committed txn.
+    # 697.3 kernel / 11.2 scheduler dispatches per committed txn.
     assert (kernel, cpu) == (KERNEL_DISPATCHES, CPU_DISPATCHES)
 
 
@@ -64,8 +65,8 @@ def test_ycsb_a_dispatch_counts_repeat_and_match_the_pin():
 def test_uncontended_install_is_three_ack_waits_however_many_keys(n_keys):
     """One group's commit install waits for acks exactly three times:
     {record, lock gCAS} → {n × gMEMCPY} → {head advance, unlock
-    gCAS}. A fourth wait is a chain round trip back on the
-    critical path, under the global commit latch."""
+    gCAS}. A fourth wait is a chain round trip back on the critical
+    path of every commit queued on the group behind it."""
     sim = Simulator(seed=7)
     cluster = Cluster(sim, n_hosts=4, n_cores=4)
     coordinator = build_txn_system(sim, cluster, n_groups=1)
@@ -83,7 +84,7 @@ def test_uncontended_install_is_three_ack_waits_however_many_keys(n_keys):
             return wait(event)
 
         task.wait = counting_wait
-        yield from store.install(task, items, commit_ts=1, txid=1)
+        yield from store.install(task, [store.stage(items, commit_ts=1, txid=1)])
         finished["at"] = sim.now
 
     cluster[0].os.spawn(body, "installer")

@@ -50,7 +50,7 @@ def _run_schedule(sequential):
     """
     with pytest.MonkeyPatch.context() as patch:
         if sequential:
-            patch.setattr(TxnCoordinator, "_install_parallel", install_sequentially)
+            patch.setattr(TxnCoordinator, "_install", install_sequentially)
         return _schedule()
 
 

@@ -9,9 +9,8 @@ Three regression surfaces from the ISSUE:
   budget *before* retrying — every attempt spends at least
   ``max_wait_ns`` of virtual time blocked, so retries cannot busy-spin
   a dead group;
-* the no-retry control with sequential installs keeps its pinned
-  seed-7 outcome: 24/29 committed, four ssi-pivot aborts and one
-  ww-conflict, no anomaly.
+* the no-retry control keeps its pinned seed-7 outcome: 27/29
+  committed, two ssi-pivot aborts, no ww-conflict, no anomaly.
 """
 
 import random
@@ -138,21 +137,21 @@ def test_no_retry_sequential_control_keeps_its_seed_7_numbers():
     group at a time; with concurrent multi-group installs it reads the
     same seed-7 numbers.)
 
-    The pinned seed-7 outcome: 24 of 29 committed, five ssi-pivot
-    aborts (two from the write-skew pairs, three mix casualties) and no
-    ww-conflict, no anomaly (three ssi-pivot and two ww-conflicts
-    before committed transactions stayed probed by the SSI rules). (The first version of this workload
-    recorded 26/29 with three ssi-pivot aborts under the 2 us
-    sleep-poll commit latch; the wake-on-release latch, the three-wait
-    install, reads spread over every eligible replica, reads of one
-    replica overlapping in lanes and acks waking their waiter directly
-    (23/29 before) each moved the simulated schedule, not the
-    control's semantics.)
+    The pinned seed-7 outcome: 27 of 29 committed, two ssi-pivot
+    aborts (the write-skew pairs') and no ww-conflict, no anomaly.
+    (The first version of this workload recorded 26/29 with three
+    ssi-pivot aborts under the 2 us sleep-poll commit latch; the
+    wake-on-release latch, the three-wait install, reads spread over
+    every eligible replica, reads of one replica overlapping in lanes,
+    acks waking their waiter directly (23/29 before), committed
+    transactions staying probed by the SSI rules (24/29, five
+    ssi-pivot) and commits without the global latch each moved the
+    simulated schedule, not the control's semantics.)
     """
     report = run_txn_workload(seed=7, retry="none")
     assert report.attempted == 29
-    assert report.commits == 24
-    assert report.aborts_ssi == 5
+    assert report.commits == 27
+    assert report.aborts_ssi == 2
     assert report.aborts_ww == 0
     assert report.aborts_other == 0
     assert report.anomaly == "none"
