@@ -28,13 +28,16 @@ figures-smoke:   ## Fig 11 / Fig 12 shape assertions (simulated, exact; ~15 s)
 	$(PYTHON) -m pytest -q benchmarks/test_fig11_rocksdb.py benchmarks/test_fig12_mongodb.py
 
 OUT ?= outputs
-outputs:         ## every pinned CLI report, one file each, into OUT=<dir> (~20 s); diff -r two trees' OUT dirs
+outputs:         ## every pinned CLI report, one file each, into OUT=<dir> (~25 s); diff -r two trees' OUT dirs
 	mkdir -p $(OUT)
 	$(PYTHON) -m repro latency --ops 60 --seed 11 > $(OUT)/latency.txt
 	$(PYTHON) -m repro latency --ops 60 --seed 11 --primitive gcas > $(OUT)/latency-gcas.txt
 	$(PYTHON) -m repro txn --seed 7 > $(OUT)/txn.txt
 	$(PYTHON) -m repro txn --ycsb --mixes A,B,C,D,E,F --seed 7 > $(OUT)/txn-ycsb.txt
+	$(PYTHON) -m repro chaos --seed 1 > $(OUT)/chaos-1.txt
+	$(PYTHON) -m repro chaos --seed 7 > $(OUT)/chaos-7.txt
 	$(PYTHON) -m repro chaos --seed 42 > $(OUT)/chaos.txt
+	$(PYTHON) -m repro chaos --sweep 4 --seed 42 --workers 1 > $(OUT)/chaos-sweep.txt
 	$(PYTHON) -m repro fig2 > $(OUT)/fig2.txt
 	$(PYTHON) -m repro fig11 > $(OUT)/fig11.txt
 	$(PYTHON) -m repro fig12 > $(OUT)/fig12.txt

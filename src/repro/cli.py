@@ -680,7 +680,7 @@ def _cmd_chaos(args) -> int:
 
 def _chaos_sweep(args) -> int:
     from .faults import SCENARIOS, SWEEP_SCENARIOS, run_sweep, shrink_failure
-    from .faults.sweep import GENERATED, replay_command, run_generated
+    from .faults.sweep import GENERATED, replay_command
 
     names = args.scenario or list(SWEEP_SCENARIOS)
     known = set(SCENARIOS) | {GENERATED}
@@ -688,27 +688,13 @@ def _chaos_sweep(args) -> int:
     if unknown:
         print(f"unknown scenario(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
-    if args.sabotage is not None:
-        # Sabotage applies to generated runs only; route around the
-        # pool so the hook stays a plain function argument.
-        from .bench.parallel import RunResult, derive_seed, normalize_result
-        from .faults.sweep import build_report, make_sweep_specs
-
-        specs = make_sweep_specs(args.seed, args.sweep, names)
-        results = []
-        for spec in specs:
-            if spec.experiment == GENERATED:
-                output = run_generated(spec.seed, sabotage=args.sabotage)
-            else:
-                output = SCENARIOS[spec.experiment].run(spec.seed)
-            results.append(
-                RunResult(spec=spec, output=normalize_result(output))
-            )
-        report = build_report(args.seed, args.sweep, names, results)
-    else:
-        report = run_sweep(
-            args.seed, args.sweep, scenarios=names, workers=args.workers
-        )
+    report = run_sweep(
+        args.seed,
+        args.sweep,
+        scenarios=names,
+        workers=args.workers,
+        sabotage=args.sabotage,
+    )
     print(report.render())
     if report.ok:
         return 0

@@ -12,9 +12,10 @@ reproducible bit-for-bit:
 * :class:`FaultInjector` — the live object wiring a plan into the
   hardware: it installs itself as the fabric's fault filter and
   schedules node-level events on the sim clock.
-* :class:`ChaosScenario` machinery (:func:`run_scenario`,
-  :func:`run_matrix`) — pairs a workload with a plan and a set of
-  invariant checkers; ``python -m repro chaos`` runs the matrix.
+* :class:`~repro.faults.scenario.Scenario` — a chaos scenario as data
+  (cluster, plan, workload, recovery, invariant checks), all run by
+  one function; :func:`run_scenario` / :func:`run_matrix` run the
+  table, ``python -m repro chaos`` prints it.
 * :mod:`repro.faults.invariants` — the checks every scenario must
   hold: no acknowledged gWRITE lost, surviving replicas byte-identical,
   WAL recovery restores every committed operation, heartbeat suspicion

@@ -121,9 +121,13 @@ class FaultEvent:
         ):
             raise ValueError(f"{self.action} needs an at_ms, at_op or at_phase trigger")
 
+    @property
+    def where(self) -> str:
+        """The target host, the ``a|b`` host pair, or ``*`` for any."""
+        return self.target or (self.pair and "|".join(sorted(self.pair))) or "*"
+
     def describe(self) -> str:
         """Deterministic one-line rendering (shrunk-plan reports)."""
-        where = self.target or (self.pair and "|".join(sorted(self.pair))) or "*"
         if self.at_op is not None:
             when = f"at_op={self.at_op}"
         elif self.at_phase is not None:
@@ -141,7 +145,7 @@ class FaultEvent:
                 extra += f" +{self.extra_delay_ns}ns"
             elif self.action == "duplicate":
                 extra += f" x{self.duplicates}"
-        return f"{self.action}@{where} {when}{extra}"
+        return f"{self.action}@{self.where} {when}{extra}"
 
 
 @dataclass
@@ -250,9 +254,9 @@ class FaultInjector:
 
     # -- node events -------------------------------------------------------
 
-    def notify_op(self, completed: int = 1) -> None:
-        """Report workload progress; fires pending at-op-count events."""
-        self.op_count += completed
+    def notify_op(self) -> None:
+        """Report one completed workload op; fires pending at-op-count events."""
+        self.op_count += 1
         while self._op_events and self._op_events[0].at_op <= self.op_count:
             self._fire(self._op_events.pop(0))
 
@@ -272,7 +276,7 @@ class FaultInjector:
     def _fire(self, event: FaultEvent) -> None:
         action = event.action
         self._count(action)
-        self.fired.append((self.sim.now, self._describe(event)))
+        self.fired.append((self.sim.now, f"{action}@{event.where}"))
         if TRACER.enabled:
             TRACER.record(
                 self.sim.now,
@@ -289,23 +293,11 @@ class FaultInjector:
         if action == "heal":
             self.partitions.discard(frozenset(event.pair))
             return
+        # ``nic_<verb>`` calls the target's ``nic.<verb>()`` and
+        # ``host_<verb>`` the target host's ``<verb>()``.
         host = self.hosts[event.target]
-        if action == "nic_stall":
-            host.nic.stall()
-        elif action == "nic_resume":
-            host.nic.resume()
-        elif action == "nic_crash":
-            host.nic.crash()
-        elif action == "host_crash":
-            host.crash()
-        elif action == "host_restart":
-            host.restart()
-        elif action == "host_power_failure":
-            host.power_failure()
-
-    def _describe(self, event: FaultEvent) -> str:
-        where = event.target or (event.pair and "|".join(sorted(event.pair))) or "*"
-        return f"{event.action}@{where}"
+        owner, _, verb = action.partition("_")
+        getattr(host.nic if owner == "nic" else host, verb)()
 
     def _count(self, name: str) -> None:
         self.counters[name] = self.counters.get(name, 0) + 1

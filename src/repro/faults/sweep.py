@@ -34,21 +34,16 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..bench.harness import run_until
 from ..bench.parallel import RunResult, RunSpec, derive_seed, run_parallel
-from ..hw.host import Cluster
-from ..sim import MS, Simulator
 from .invariants import InvariantResult, tally_invariants
 from .plan import FaultInjector, FaultPlan
 from .scenario import (
     COMPOUND_SCENARIOS,
+    _STREAM,
+    Scenario,
     ScenarioReport,
-    _finish,
-    _group,
-    _injector,
-    _paced_writer,
-    _stream,
-    _stream_checks,
+    _no_hang,
+    _paced,
     run_scenario,
 )
 
@@ -104,39 +99,28 @@ def generate_plan(seed: int) -> FaultPlan:
                 at_ms = round(rng.uniform(0.0, 2.0), 3)
                 until_ms = round(at_ms + rng.uniform(0.5, 2.0), 3)
             target = rng.choice(_GEN_HOSTS) if rng.random() < 0.3 else None
+            window = dict(at_ms=at_ms, until_ms=until_ms, target=target)
             if kind == "drop":
                 plan.add(
-                    "drop",
-                    probability=round(rng.uniform(0.005, 0.03), 4),
-                    at_ms=at_ms,
-                    until_ms=until_ms,
-                    target=target,
+                    "drop", probability=round(rng.uniform(0.005, 0.03), 4), **window
                 )
             elif kind == "delay":
                 plan.add(
                     "delay",
                     probability=round(rng.uniform(0.01, 0.1), 4),
                     extra_delay_ns=rng.randrange(500, 5_000),
-                    at_ms=at_ms,
-                    until_ms=until_ms,
-                    target=target,
+                    **window,
                 )
             elif kind == "duplicate":
                 plan.add(
                     "duplicate",
                     probability=round(rng.uniform(0.005, 0.03), 4),
                     duplicates=rng.randint(1, 2),
-                    at_ms=at_ms,
-                    until_ms=until_ms,
-                    target=target,
+                    **window,
                 )
             else:
                 plan.add(
-                    "corrupt",
-                    probability=round(rng.uniform(0.005, 0.02), 4),
-                    at_ms=at_ms,
-                    until_ms=until_ms,
-                    target=target,
+                    "corrupt", probability=round(rng.uniform(0.005, 0.02), 4), **window
                 )
         elif kind == "stall":
             start = round(rng.uniform(0.2, 1.5), 3)
@@ -194,55 +178,35 @@ def run_generated(
     keep: Optional[Sequence[int]] = None,
     sabotage: Optional[str] = None,
 ) -> ScenarioReport:
-    """Run one generated plan against the gWRITE-stream harness.
+    """Run one generated plan against the paced gWRITE stream.
 
     ``keep`` replays an index subset of the generated plan (the
     shrinker's replay path); ``sabotage`` appends a deliberately
     broken invariant from :data:`SABOTAGES`. No ``fault-exercised``
     check here: a generated plan whose windows fall after the stream
-    legitimately fires nothing.
+    legitimately fires nothing. Ops are paced 100 µs apart to spread
+    them across fault windows, and the drain runs past the largest
+    generated window (heals land by ~3.5ms) plus retransmission tails.
     """
     plan = generate_plan(seed)
     if keep is not None:
         plan = plan.subset(keep)
-    name = GENERATED
-    sim = Simulator(seed=seed)
-    cluster = Cluster(sim, n_hosts=4, n_cores=4)
-    region_size = 1 << 12
-    group = _group(cluster[0], cluster.hosts[1:4], name, region_size=region_size)
-    injector = _injector(sim, cluster, plan)
-    n_ops = 20
-    ops = _stream(sim.rng("chaos-ops"), n_ops, region_size=region_size, slot=128)
-
-    model = bytearray(region_size)
-    acked: Dict[int, bytes] = {}
-    done: List[bool] = []
-    # Ops are paced 100 µs apart to spread them across fault windows.
-    cluster[0].os.spawn(
-        _paced_writer(group, ops, model, acked, injector, done, pace_ns=100_000),
-        name=f"{name}.writer",
-    )
-    hang = None
-    try:
-        run_until(sim, lambda: bool(done), deadline_ms=10_000)
-    except TimeoutError:
-        # A hang is a *finding*, not a crash: report it as a failed
-        # invariant so the sweep aggregates it and the shrinker can
-        # minimize the plan that caused it (e.g. an orphaned stall in
-        # a hand-replayed subset).
-        hang = f"workload stuck after {len(acked)}/{n_ops} acked ops"
-    # Drain past the largest generated window (heals land by ~3.5ms)
-    # plus retransmission tails.
-    sim.run(until=max(sim.now, int(4.0 * MS)) + 2 * MS)
-
-    invariants = [
-        InvariantResult("no-hang", hang is None, hang or f"{n_ops} ops completed"),
-        *_stream_checks(group, model, acked),
-    ]
+    checks = (_no_hang, *_STREAM)
     if sabotage is not None:
-        invariants.append(SABOTAGES[sabotage](injector))
-    notes = [f"plan: {'; '.join(plan.describe()) or '(empty)'}"]
-    return _finish(name, seed, sim, injector, n_ops, invariants, notes)
+        broken = SABOTAGES[sabotage]
+        checks += (lambda world: broken(world.injector),)
+    return Scenario(
+        GENERATED,
+        "a generated recoverable fault plan under a paced gWRITE stream",
+        events=tuple(plan.events),
+        workload=_paced(20, 100_000, slot=128),
+        checks=checks,
+        deadline_ms=10_000,
+        faults_end_ms=4,
+        region_size=1 << 12,
+        label=plan.label,
+        note="plan: " + ("; ".join(plan.describe()) or "(empty)"),
+    ).run(seed)
 
 
 # -- pool integration ---------------------------------------------------------------
@@ -266,16 +230,22 @@ def make_sweep_specs(
     base_seed: int,
     n_seeds: int,
     scenarios: Optional[Sequence[str]] = None,
+    sabotage: Optional[str] = None,
 ) -> List[RunSpec]:
-    """The sweep's spec list: seeds × scenarios, in deterministic order."""
+    """The sweep's spec list: seeds × scenarios, in deterministic order.
+
+    ``sabotage`` rides in the generated specs' parameters (it applies
+    to generated plans only), so a sabotaged sweep runs through the
+    pool like any other."""
     names = list(scenarios or SWEEP_SCENARIOS)
     specs: List[RunSpec] = []
     index = 0
     for _ in range(n_seeds):
         for name in names:
+            params = {"sabotage": sabotage} if sabotage and name == GENERATED else {}
             specs.append(
                 RunSpec.make(
-                    name, derive_seed(base_seed, index), runner="chaos"
+                    name, derive_seed(base_seed, index), runner="chaos", **params
                 )
             )
             index += 1
@@ -392,15 +362,19 @@ def run_sweep(
     n_seeds: int,
     scenarios: Optional[Sequence[str]] = None,
     workers: Optional[int] = None,
+    sabotage: Optional[str] = None,
 ) -> SweepReport:
     """Run the full sweep through the parallel pool and aggregate."""
     names = list(scenarios or SWEEP_SCENARIOS)
-    specs = make_sweep_specs(base_seed, n_seeds, names)
+    specs = make_sweep_specs(base_seed, n_seeds, names, sabotage)
     results = run_parallel(specs, workers=workers)
     return build_report(base_seed, n_seeds, names, results)
 
 
 # -- shrinking ----------------------------------------------------------------------
+
+
+_RECOVERY = {"nic_stall": "nic_resume", "partition": "heal"}
 
 
 def _shrink_units(plan: FaultPlan) -> List[List[int]]:
@@ -416,26 +390,14 @@ def _shrink_units(plan: FaultPlan) -> List[List[int]]:
     events = plan.events
     index = 0
     while index < len(events):
-        event = events[index]
-        nxt = events[index + 1] if index + 1 < len(events) else None
-        paired = nxt is not None and (
-            (
-                event.action == "nic_stall"
-                and nxt.action == "nic_resume"
-                and event.target == nxt.target
-            )
-            or (
-                event.action == "partition"
-                and nxt.action == "heal"
-                and event.pair == nxt.pair
-            )
+        event, following = events[index], events[index + 1 : index + 2]
+        paired = bool(following) and (
+            _RECOVERY.get(event.action) == following[0].action
+            and event.where == following[0].where
         )
-        if paired:
-            units.append([index, index + 1])
-            index += 2
-        else:
-            units.append([index])
-            index += 1
+        width = 2 if paired else 1
+        units.append(list(range(index, index + width)))
+        index += width
     return units
 
 

@@ -113,12 +113,14 @@ class TestFaultInjector:
     def test_at_op_trigger_fires_once(self):
         plan = FaultPlan(label="op").add("nic_stall", target="host1", at_op=5)
         sim, cluster, injector = _injector(4, plan)
-        injector.notify_op(4)
+        for _ in range(4):
+            injector.notify_op()
         assert not cluster[1].nic.halted
         injector.notify_op()
         assert cluster[1].nic.halted
         assert injector.counters["nic_stall"] == 1
-        injector.notify_op(10)
+        for _ in range(10):
+            injector.notify_op()
         assert injector.counters["nic_stall"] == 1
 
     def test_at_ms_trigger_dispatches_host_action(self):

@@ -123,6 +123,25 @@ class TestSweepDeterminism:
         assert serial.ok
         assert serial.runs == 4 and serial.passed == 4
 
+    def test_sabotage_rides_in_the_generated_specs_only(self):
+        specs = make_sweep_specs(
+            BASE_SEED, 1, ["client-crash", GENERATED], sabotage="any-fault"
+        )
+        assert [spec.kwargs for spec in specs] == [{}, {"sabotage": "any-fault"}]
+
+    def test_sabotaged_sweep_is_byte_identical_across_worker_counts(self):
+        scenarios = [GENERATED, "client-crash"]
+        serial = run_sweep(
+            BASE_SEED, 2, scenarios=scenarios, workers=1, sabotage="any-fault"
+        )
+        pooled = run_sweep(
+            BASE_SEED, 2, scenarios=scenarios, workers=2, sabotage="any-fault"
+        )
+        assert serial.render() == pooled.render()
+        tallies = serial.per_scenario
+        assert "sabotage-any-fault" in tallies[GENERATED]["invariants"]
+        assert "sabotage-any-fault" not in tallies["client-crash"]["invariants"]
+
     def test_default_scenarios_cover_the_compound_matrix(self):
         assert GENERATED in SWEEP_SCENARIOS
         assert len(SWEEP_SCENARIOS) >= 5
