@@ -28,7 +28,6 @@ from ..hw.host import Cluster
 from ..sim import MS, Simulator
 from ..storage.kvstore import ReplicatedKVStore
 from ..storage.recovery import ChainRepair, ClientReattach, HeartbeatMonitor
-from ..storage.transactions import TransactionManager
 from ..txn import TxnAborted, TxnCoordinator, VersionedGroupStore
 from ..txn.workload import Rendezvous
 from ..workloads.ycsb import WORKLOADS, YcsbWorkload
@@ -591,6 +590,7 @@ def _repair(spares, prefix=".g", after=None):
         world.drained = [None for _ in spares]
         world.reset_span = [[None, None] for _ in spares]
         world.resets_started, world.resets_done = 0, []
+        world.spliced = Rendezvous(world.sim) if len(spares) == 2 else None
         world.paused = lambda: any(repairer.paused for repairer in world.repairers)
         world.blocked = lambda: world.paused() or any(
             repairer.repairs > 0 and not rebound
@@ -630,11 +630,11 @@ def _pausing_reads(hook, notify_phase):
 def _reset(world, g, task, round_):
     """After-step: the coordinator's failover reset of group ``g`` once
     every repaired chain is spliced, so overlapping failovers sit
-    inside ``reset_after_failover`` at the same time. The poll is fine
-    grained: a reset only lasts tens of µs, so a coarse wakeup would
-    let one finish before the other starts."""
-    while not all(world.repairs):
-        yield from task.sleep(5_000)
+    inside ``reset_after_failover`` at the same time: two groups' resets
+    meet first (one round each), since a reset with nothing to drain
+    takes no simulated time and a later start would miss the other."""
+    if world.spliced is not None:
+        yield from world.spliced.arrive(task)
     world.reset_span[g][0] = world.sim.now
     drained = yield from world.coordinator.reset_after_failover(
         task, g, world.repairers[g].group
@@ -852,9 +852,7 @@ def _drive(spec: Scenario, seed: int) -> ScenarioReport:
     ]
     if spec.txn:
         stores = [
-            VersionedGroupStore(
-                TransactionManager(group, writer_id=index + 1), name=f"{name}.s{index}"
-            )
+            VersionedGroupStore(group, name=f"{name}.s{index}")
             for index, group in enumerate(world.groups)
         ]
         world.coordinator = TxnCoordinator(stores, mode="ssi", name=name)
@@ -1242,9 +1240,9 @@ _TABLE = (
     # mid-commit, and host3 (a survivor carried into the repaired
     # chain) dies the moment the first reset starts — zero phase delay
     # lands the crash inside the WAL drain, parking that reset on a
-    # dead ack forever. A second detect/repair round must splice again,
-    # break the parked reset's stale lock, and finish the drain — with
-    # the history anomaly-free and every acked write durable.
+    # dead ack forever (it has the crashed commit's zombie to scrub). A
+    # second detect/repair round must splice again and finish the drain
+    # — with the history anomaly-free and every acked write durable.
     Scenario(
         "txn-reset-crash",
         "survivor crash lands mid-reset_after_failover; second round recovers",

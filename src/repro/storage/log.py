@@ -399,9 +399,10 @@ class ReplicatedLog:
         """Execute every pending record in order, advancing the head
         once. ``beside`` ops are posted with the head advance and
         awaited in the same round trip (the §5 recipe posts its unlock
-        gCAS here). Returns ``(records executed, [result of each op])``.
+        gCAS here); zombies still to scrub go out even with nothing
+        pending. Returns ``(records executed, [result of each op])``.
         """
-        if self.head == self.tail and not beside:
+        if self.head == self.tail and not beside and not self._scrub:
             return 0, []
         gate = yield from self._enter(task)
         try:

@@ -64,10 +64,7 @@ class TransactionManager:
 
     def __init__(self, group, layout: Optional[RegionLayout] = None, writer_id: int = 1):
         self.group = group
-        self.layout = layout or RegionLayout(
-            wal_size=group.region_size // 4,
-            db_size=group.region_size - group.region_size // 4 - 128,
-        )
+        self.layout = layout or RegionLayout.for_region(group.region_size)
         self.log = ReplicatedLog(group, self.layout)
         self.locks = LockManager(group, lock_offset=self.layout.lock_offset)
         self.writer_id = writer_id
@@ -136,9 +133,8 @@ class TransactionManager:
         except GeneratorExit:
             # Abandoned mid-transaction (the chain died under us and
             # the parked task is being reclaimed). Unlocking requires
-            # yielding, which a closing generator cannot do — the
-            # failover path breaks the stale lock instead (see
-            # VersionedGroupStore.recover).
+            # yielding, which a closing generator cannot do — recovery
+            # breaks the stale lock instead (:meth:`recover`).
             raise
         except BaseException:
             yield from locks.wr_unlock(task, writer_id)

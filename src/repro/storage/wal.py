@@ -151,6 +151,11 @@ class RegionLayout:
     lock_offset: int = 0
     header_offset: int = 64
 
+    @classmethod
+    def for_region(cls, size: int) -> "RegionLayout":
+        """The default split of a region: a quarter WAL, the rest DB."""
+        return cls(wal_size=size // 4, db_size=size - size // 4 - 128)
+
     @property
     def wal_offset(self) -> int:
         return 128

@@ -29,9 +29,8 @@ consistent hash. Isolation is Serializable Snapshot Isolation:
   applies the SSI pivot rule (a transaction with both incoming and
   outgoing rw-antidependency edges aborts; ``mode="si"`` skips this —
   the write-skew control), then installs per participant group
-  through the group lock + replicated log, and finally publishes every
-  version in one synchronous step — all-or-nothing visibility across
-  groups.
+  through its replicated log, and finally publishes every version in
+  one synchronous step — all-or-nothing visibility across groups.
 
 The pivot rule needs every rw edge between concurrent transactions,
 and a committed one cannot abort itself any more (Cahill's SSI).
@@ -61,11 +60,13 @@ from before its snapshot writes its key (a ``scan``, while one writes
 inside its planned range), and ``insert`` counts such a write as
 visible. Each group queues its installs in commit order and has at
 most one batch in flight, written as one WAL record — group commit,
-one layer above the WAL's append runs. A commit publishes once all its
-groups have installed it and every earlier one has published or died;
-``commit`` returns after its own publish. A failover reset wakes every
-waiter and replaces every queue: a batch parked forever on a dead
-chain's ack keeps the old one.
+one layer above the WAL's append runs; as the one writer of the
+stores it owns, the coordinator takes no group lock. A failed batch
+aborts its commits (``install-failed``) and raises to each committer.
+A commit publishes once all its groups have installed it and every
+earlier one has published or died; ``commit`` returns after its own
+publish. A failover reset wakes every waiter and replaces every queue:
+a batch parked forever on a dead chain's ack keeps the old one.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ class TxnCoordinator:
     tracker:
         Shared :class:`AvailabilityTracker`; a fresh one is built if
         not given. Stores are attached in order, so group index ==
-        tracker index.
+        tracker index; a store another coordinator owns raises.
 
     A commit spanning several groups installs into them concurrently,
     one batch per group in flight (:meth:`_install`).
@@ -193,6 +194,9 @@ class TxnCoordinator:
         self.name = name
         self.tracker = tracker if tracker is not None else AvailabilityTracker()
         for store in self.stores:
+            if store.owner is not None:
+                raise ValueError(f"{store.name} already belongs to {store.owner.name}")
+            store.owner = self
             self.tracker.attach(store)
         self.sim = self.stores[0].group.sim
         self._clock = 0
@@ -222,6 +226,7 @@ class TxnCoordinator:
         self.aborts_phantom = 0
         self.aborts_unavailable = 0
         self.aborts_failover = 0
+        self.aborts_install = 0
         self.aborts_user = 0
 
     # -- placement ---------------------------------------------------------------
@@ -586,12 +591,12 @@ class TxnCoordinator:
             raise TxnAborted(txn.txid, "unavailable", str(exc)) from None
         # Post each group's batch, then wait for all: the round trips
         # overlap. This task holds a read lane of several channels at
-        # once, so it takes them in ascending group order — the order
-        # commit takes group locks in. A batch queues only once every
-        # lane of its replica is held, and then two scanners could each
-        # hold the last lane the other is queued for. It takes one lane
-        # per group, of any replica's channel: every wait-for edge still
-        # points to a higher group index, so no cycle can form.
+        # once, so it takes them in ascending group order. A batch
+        # queues only once every lane of its replica is held, and then
+        # two scanners could each hold the last lane the other is
+        # queued for. It takes one lane per group, of any replica's
+        # channel: every wait-for edge still points to a higher group
+        # index, so no cycle can form.
         durable: Dict[bytes, Optional[tuple]] = {}
         posted: List[DurableReads] = []
         try:
@@ -627,6 +632,7 @@ class TxnCoordinator:
             "ssi-phantom": "aborts_phantom",
             "unavailable": "aborts_unavailable",
             "failover": "aborts_failover",
+            "install-failed": "aborts_install",
         }.get(reason, "aborts_user")
         setattr(self, counter, getattr(self, counter) + 1)
         if TRACER.enabled:
@@ -689,9 +695,10 @@ class TxnCoordinator:
         for index, changes in staged.items():
             self._queues[index].staged.append((pending, changes))
         yield from self._install(task, pending)
-        if txn.status != "committed":  # a reset, or a failed batch
+        if txn.status != "committed":  # a failed batch, or a reset
+            if pending.error is not None:
+                raise pending.error
             self._check_active(txn)
-            raise pending.error
         return commit_ts
 
     def _newer_writer(self, txn: Transaction, key: bytes) -> Optional[int]:
@@ -790,6 +797,7 @@ class TxnCoordinator:
             # These never publish; the commits behind them may.
             for pending, _ in batch:
                 if self._pending.pop(pending.txn.txid, None) is not None:
+                    self._abort(pending.txn, "install-failed")
                     pending.error = exc
                     pending.done.succeed()
             self._publish_ready()
@@ -875,9 +883,8 @@ class TxnCoordinator:
         parked on it wake, and it never publishes — and every group's
         install queue is replaced: a flusher parked forever on the dead
         chain's ack keeps the old one, and a healthy group's flusher
-        finishes its batch and stops. The store rebinds, and its WAL
-        recovers (stale lock broken, pending records drained). Returns
-        drained-record count.
+        finishes its batch and stops. The store rebinds and drains its
+        pending records. Returns drained-record count.
         """
         self.epoch += 1
         for txn in list(self.active.values()):
@@ -903,5 +910,6 @@ class TxnCoordinator:
             "aborts_phantom": self.aborts_phantom,
             "aborts_unavailable": self.aborts_unavailable,
             "aborts_failover": self.aborts_failover,
+            "aborts_install": self.aborts_install,
             "aborts_user": self.aborts_user,
         }

@@ -1,13 +1,15 @@
 """Versioned key storage over one replica group's WAL path.
 
 Each :class:`VersionedGroupStore` owns the keys placed on one
-``HyperLoopGroup``. Durable state rides the existing §5 recipe — the
-writes of a batch of commits become one WAL record installed through
-``TransactionManager.transact`` (gWRITE append with the gCAS group lock
-beside it, gMEMCPY ExecuteAndAdvance, head advance with the gCAS unlock
-beside it: three ack waits however many keys and commits) — so every
-replicated-log guarantee (atomic record application, redo idempotence,
-durability before execution) carries over unchanged.
+``HyperLoopGroup`` and its :class:`ReplicatedLog`: the writes of a
+batch of commits become one WAL record, appended and then executed —
+three ack waits of ``[1, n, 1]`` group ops (record, gMEMCPYs, head
+advance) however many keys and commits — so every replicated-log
+guarantee (atomic record application, redo idempotence, durability
+before execution) carries over unchanged. The §5 recipe's group lock
+fences writers and locking readers from each other; there are none
+here: a store's ``owner`` is its one coordinator and only writer, with
+one install batch in flight in commit order, and reads lock nothing.
 
 On top of that, the store keeps the *version chain* snapshot reads
 need: an in-memory, coordinator-side history of committed versions per
@@ -25,12 +27,11 @@ can have every group's batch in flight before it waits for any;
 ``read_durable`` is the one-key case.
 
 ``rebind``/``recover`` are the failover half: after ``ChainRepair``
-splices in a replacement, the store points its manager at the new
-group, has the log replace its WAL mutex and append queue (the old
-mutex may be held forever by a task parked on the dead chain's ack,
-:meth:`ReplicatedLog.rebind`), breaks the stale group lock the
-crashed commit may have left in the copied image, and drains pending
-records so the ring cannot fill with orphans.
+splices in a replacement, the store points its log at the new group,
+which replaces its WAL mutex and append queue (the old mutex may be
+held forever by a task parked on the dead chain's ack,
+:meth:`ReplicatedLog.rebind`), and drains pending records so the ring
+cannot fill with orphans.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..hw.cpu import Task
 from ..storage.encoding import decode_version_record, encode_version_record
-from ..storage.transactions import TransactionManager
-from ..storage.wal import LogRecord
+from ..storage.log import ReplicatedLog
+from ..storage.wal import LogRecord, RegionLayout
 
 __all__ = ["Version", "VersionedGroupStore", "DurableReads", "SlotExhausted"]
 
@@ -104,26 +105,27 @@ class VersionedGroupStore:
 
     Parameters
     ----------
-    manager:
-        The group's :class:`~repro.storage.transactions.TransactionManager`;
-        commit installs ride its ``transact``.
+    group:
+        The replica group (HyperLoop or Naïve) the keys live on.
     slot_size:
         Bytes per key slot (version header + key + value must fit).
     """
 
     def __init__(
         self,
-        manager: TransactionManager,
+        group,
         slot_size: int = 256,
         name: str = "vstore",
     ):
-        self.manager = manager
+        self.layout = RegionLayout.for_region(group.region_size)
+        self.log = ReplicatedLog(group, self.layout)
         self.slot_size = slot_size
         self.name = name
+        self.owner = None  # the one coordinator, which claims it at attach
         # The final 16 bytes of the DB area stay free: they are the
         # slot a durable commit decision will take when the 2PC marker
         # of ``storage/twophase.py`` joins this recipe (ROADMAP item 3).
-        usable = manager.layout.db_size - 16
+        usable = self.layout.db_size - 16
         self.n_slots = usable // slot_size
         if self.n_slots < 1:
             raise ValueError("DB area too small for a single version slot")
@@ -137,7 +139,7 @@ class VersionedGroupStore:
 
     @property
     def group(self):
-        return self.manager.group
+        return self.log.group
 
     # -- placement ---------------------------------------------------------------
 
@@ -184,7 +186,7 @@ class VersionedGroupStore:
         """Whether staged commits fit one WAL record together."""
         changes = [change for changes in staged for change in changes]
         size = LogRecord.make(0, changes).serialized_size
-        return size <= self.manager.layout.wal_size // 2
+        return size <= self.layout.wal_size // 2
 
     def install(
         self, task: Task, staged: Sequence[List[Tuple[int, bytes]]]
@@ -192,12 +194,14 @@ class VersionedGroupStore:
         """Durably install staged commits as one WAL record, in commit
         order (a later commit's write to a slot lands after an earlier
         one's): the group's changes apply atomically on all replicas,
-        in three ack waits. Visibility is separate: callers
-        :meth:`publish` a commit once *every* participant installed it.
+        in three ack waits — the record, its gMEMCPYs, the head advance.
+        Visibility is separate: callers :meth:`publish` a commit once
+        *every* participant installed it.
         """
-        yield from self.manager.transact(
+        yield from self.log.append(
             task, [change for changes in staged for change in changes]
         )
+        yield from self.log.drain(task)
         self.installs += len(staged)
 
     def publish(
@@ -270,7 +274,7 @@ class VersionedGroupStore:
         slotted = sorted((key for key in keys if key in slots), key=slots.__getitem__)
         posted = None
         if slotted:
-            position = self.manager.layout.db_position
+            position = self.layout.db_position
             posted = yield from self.group.post_reads(
                 task,
                 replica,
@@ -296,40 +300,26 @@ class VersionedGroupStore:
         if index is None:
             return None
         raw = self.group.read_replica(
-            replica, self.manager.layout.db_position(index * self.slot_size), self.slot_size
+            replica, self.layout.db_position(index * self.slot_size), self.slot_size
         )
         return _decode_slot(raw, key)
 
     # -- failover ------------------------------------------------------------------
 
     def rebind(self, new_group) -> None:
-        """Point the store at the repaired group.
-
-        The replicated log's client-side state (head/tail/next_lsn) is
-        authoritative and survives — it covers exactly what the dead
-        chain acked, not what a parked appender had in flight; the
-        repair installed the full region image, so the new client
-        mirror and replica WALs match it. What a commit parked on the
-        dead chain's ack may hold forever — the WAL mutex and the
-        appends queued at it — is :meth:`ReplicatedLog.rebind`'s to
-        replace, and so is zeroing the records of theirs the image
-        holds past the tail.
-        """
-        self.manager.group = new_group
-        self.manager.log.rebind(new_group)
-        self.manager.locks.group = new_group
+        """Point the store's log at the repaired group
+        (:meth:`ReplicatedLog.rebind`: head/tail survive, the WAL mutex
+        a parked commit may hold forever does not)."""
+        self.log.rebind(new_group)
 
     def recover(self, task: Task) -> Generator:
-        """Post-repair cleanup: break our stale lock, drain the WAL.
-
-        If the dead commit crashed inside the critical section, the
-        image copied from the survivor has the group lock word set to
-        our writer id — clear it, then execute whatever the client
-        mirror says is pending (orphans included; readers ignore them
-        by version metadata). Returns the number of records drained.
-        """
-        yield from self.manager.break_stale_lock(task)
-        return (yield from self.manager.drain_locked(task))
+        """Post-repair cleanup: execute whatever the client mirror says
+        is pending (orphans included; readers ignore them by version
+        metadata) and post the zombie scrub :meth:`rebind` queued. No
+        lock to break: an install takes none. Returns the number of
+        records drained."""
+        executed, _ = yield from self.log.drain(task)
+        return executed
 
     def __repr__(self) -> str:
         return (

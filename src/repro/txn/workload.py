@@ -31,7 +31,6 @@ from ..bench.harness import run_until
 from ..core.group import HyperLoopGroup
 from ..hw.host import Cluster
 from ..sim import MS, Event, Simulator
-from ..storage.transactions import TransactionManager
 from .available_copies import AvailabilityTracker
 from .coordinator import TxnAborted, TxnCoordinator
 from .mvcc import VersionedGroupStore
@@ -153,10 +152,7 @@ def build_txn_system(
             rounds=16,
             name=f"{name}.g{index}",
         )
-        manager = TransactionManager(group, writer_id=index + 1)
-        stores.append(
-            VersionedGroupStore(manager, name=f"{name}.s{index}")
-        )
+        stores.append(VersionedGroupStore(group, name=f"{name}.s{index}"))
     tracker = AvailabilityTracker()
     return TxnCoordinator(stores, mode=mode, tracker=tracker, name=name)
 
@@ -324,6 +320,7 @@ def run_txn_workload(
         aborts_ssi=coordinator.aborts_ssi,
         aborts_other=coordinator.aborts_unavailable
         + coordinator.aborts_failover
+        + coordinator.aborts_install
         + coordinator.aborts_user,
         reads=coordinator.reads_observed,
         failovers=coordinator.tracker.failovers,

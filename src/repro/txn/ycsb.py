@@ -308,7 +308,8 @@ def run_ycsb_mix(
         inserts=n_inserts,
         scans=n_scans,
         aborts_unavailable=coordinator.aborts_unavailable,
-        aborts_other=coordinator.aborts_failover + coordinator.aborts_user,
+        aborts_other=coordinator.aborts_failover + coordinator.aborts_install
+        + coordinator.aborts_user,
         throughput_tps=(
             stats.committed / (sim_ms / 1000.0) if sim_ms else 0.0
         ),

@@ -9,7 +9,6 @@ from repro.hw import Cluster
 from repro.sim import MS, Simulator, US
 from repro.storage import RegionLayout
 from repro.storage.transactions import TransactionManager
-from repro.txn import VersionedGroupStore
 
 
 def make(seed=71, group_cls=HyperLoopGroup, **kwargs):
@@ -197,23 +196,6 @@ class TestRecovery:
         assert manager.locks.holder(0) == 0  # lock released
         db = manager.layout.db_position(0)
         assert group.read_replica(2, db, 12) == b"before-crash"
-
-    def test_versioned_store_recovery_breaks_the_same_stale_lock(self):
-        """The txn store's post-repair cleanup takes the manager's path:
-        the same lock-word read, gCAS and drain, in that order."""
-        sim, cluster, group, manager = make()
-        store = VersionedGroupStore(manager, name="vs")
-
-        def phase1(task):
-            yield from manager.transact(task, [(0, b"before-crash")], execute=False)
-            yield from manager.locks.wr_lock(task, manager.writer_id)
-            return True
-
-        drive(sim, cluster, phase1)
-        assert manager.locks.holder(0) == manager.writer_id
-        assert drive(sim, cluster, store.recover) == 1
-        assert manager.locks.holder(0) == 0
-        assert group.read_replica(2, manager.layout.db_position(0), 12) == b"before-crash"
 
     def test_a_lock_held_by_another_writer_is_not_broken(self):
         sim, cluster, group, manager = make()

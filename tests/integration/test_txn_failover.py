@@ -24,7 +24,6 @@ from repro.hw import Cluster
 from repro.sim import MS, Simulator
 from repro.storage.log import ReplicatedLog
 from repro.storage.recovery import ChainRepair, HeartbeatMonitor
-from repro.storage.transactions import TransactionManager
 from repro.txn import (
     AvailabilityTracker,
     TxnAborted,
@@ -68,33 +67,38 @@ def build_two_group_system(sim, cluster, name):
         name=f"{name}.b",
     )
     stores = [
-        VersionedGroupStore(TransactionManager(group_a, writer_id=1), name="s0"),
-        VersionedGroupStore(TransactionManager(group_b, writer_id=2), name="s1"),
+        VersionedGroupStore(group_a, name="s0"),
+        VersionedGroupStore(group_b, name="s1"),
     ]
     tracker = AvailabilityTracker()
     coordinator = TxnCoordinator(stores, mode="ssi", tracker=tracker, name=name)
     return coordinator, tracker, factory, group_a
 
 
+# The doomed commit's install on group A: its record, one gMEMCPY per
+# key of the group (seven of the twelve ``w`` keys), the head advance.
+POSTS = ["record", *(f"gmemcpy{index}" for index in range(7)), "head-advance"]
+
+
 class TestMid2pcCrash:
-    # Both crashes are triggered from the doomed commit's first group-A
-    # op (its WAL record), so they land mid-install however fast the
-    # protocol is (a fixed offset into the commit would not):
-    # * "mid-chain-on-record-ack" kills replica 1 the moment the record
-    #   is acked — the gMEMCPY and head-advance rounds are still to
-    #   come;
-    # * "head-on-record-post" kills the chain head the moment the
-    #   record is posted — the record dies in flight, no replica holds
-    #   it, and the client's tail must not cover it either
-    #   (the repair copies a survivor's image under the client's
-    #   head/tail).
-    @pytest.mark.parametrize(
-        "victim, crash_on_ack",
-        [(2, True), (1, False)],
-        ids=["mid-chain-on-record-ack", "head-on-record-post"],
-    )
+    # The crash is triggered from the doomed commit's group-A posts, so
+    # it lands at the same step of the install however fast the
+    # protocol is (a fixed offset into the commit would not). Every
+    # post of the install is swept, on the chain head (replica 0) and
+    # on the mid-chain replica, the moment the op is posted and the
+    # moment it is acked:
+    # * a crash on the record's post leaves no replica holding it, and
+    #   the client's tail must not cover it either (the repair copies
+    #   a survivor's image under the client's head/tail);
+    # * after the record's ack, the record is pending on the survivors
+    #   and the reset's drain re-applies it: an unpublished orphan;
+    # * on the head advance's ack the install is done, and the commit
+    #   publishes before the reset: it must survive the repair.
+    @pytest.mark.parametrize("post", range(len(POSTS)), ids=POSTS)
+    @pytest.mark.parametrize("crash_on_ack", [False, True], ids=["on-post", "on-ack"])
+    @pytest.mark.parametrize("victim", [1, 2], ids=["head", "mid-chain"])
     def test_replica_crash_mid_commit_replays_without_double_commit(
-        self, victim, crash_on_ack
+        self, victim, crash_on_ack, post
     ):
         sim = Simulator(seed=31)
         cluster = Cluster(sim, n_hosts=8, n_cores=4)
@@ -113,8 +117,7 @@ class TestMid2pcCrash:
         # Enough keys that the commit installs on both groups and the
         # in-flight window is wide.
         keys = [f"w{index:02d}".encode() for index in range(12)]
-        spans_both = {coordinator.locate(key) for key in keys}
-        assert spans_both == {0, 1}, "keys must span both groups"
+        assert sum(coordinator.locate(key) == 0 for key in keys) + 2 == len(POSTS)
 
         def seed(task):
             txn = yield from coordinator.begin(task)
@@ -127,13 +130,15 @@ class TestMid2pcCrash:
 
         progress = {
             "committing": False,
-            "crash_armed": False,
+            "posts": 0,
             "outcome": None,
             "rebound": False,
         }
+        doomed_txn = []
 
         def doomed(task):
             txn = yield from coordinator.begin(task)
+            doomed_txn.append(txn)
             for key in keys:
                 coordinator.write(txn, key, b"\x02" * 8)
             progress["committing"] = True
@@ -152,17 +157,19 @@ class TestMid2pcCrash:
             yield from coordinator.reset_after_failover(task, 0, repairer.group)
             progress["rebound"] = True
 
-        # Either way the commit parks on the dead chain's ack forever.
+        # Unless the last post was acked, the commit parks on the dead
+        # chain's ack forever.
         submit = group_a.submit
 
         def watched_submit(task, op):
             ack = yield from submit(task, op)
-            if progress["committing"] and not progress["crash_armed"]:
-                progress["crash_armed"] = True
-                if crash_on_ack:
-                    ack.add_callback(lambda _ack: cluster[victim].crash())
-                else:
-                    cluster[victim].crash()
+            if progress["committing"]:
+                progress["posts"] += 1
+                if progress["posts"] == post + 1:
+                    if crash_on_ack:
+                        ack.add_callback(lambda _ack: cluster[victim].crash())
+                    else:
+                        cluster[victim].crash()
             return ack
 
         group_a.submit = watched_submit
@@ -172,10 +179,26 @@ class TestMid2pcCrash:
         run_until(sim, lambda: progress["rebound"], deadline_ms=20_000)
 
         assert cluster[victim].down
-        # The doomed attempt was aborted by the epoch reset, not
-        # committed — and its parked generator must never finish it.
-        assert coordinator.aborts_failover >= 1
-        assert progress["outcome"] in (None, "aborted:failover")
+        # The doomed attempt committed only if its install was acked;
+        # else the epoch reset aborted it, and its parked generator
+        # must never finish it.
+        acked = crash_on_ack and POSTS[post] == "head-advance"
+        if acked:
+            assert progress["outcome"] == "committed"
+        else:
+            assert coordinator.aborts_failover >= 1
+            assert progress["outcome"] in (None, "aborted:failover")
+        # Every replica's slot holds the newest published version, or
+        # an orphan of the doomed attempt that never published.
+        [txn] = doomed_txn
+        for key in keys:
+            store = coordinator.stores[coordinator.locate(key)]
+            latest = store.latest(key)
+            assert latest.value == (b"\x02" if acked else b"\x01") * 8
+            for replica in range(store.group.group_size):
+                commit_ts, txid, _, value = store.read_durable_offline(replica, key)
+                orphan = not acked and txid == txn.txid and commit_ts > latest.commit_ts
+                assert orphan or (commit_ts, value) == (latest.commit_ts, latest.value)
 
         def replay_plain(task):
             txn = yield from coordinator.begin(task)
@@ -190,19 +213,20 @@ class TestMid2pcCrash:
         assert drive(sim, cluster, replay_plain) == b"\x03" * 8
         sim.run(until=sim.now + 5 * MS)
 
-        # Exactly seed + replay + check committed; the zombie never did.
-        assert coordinator.commits == 3
+        # Exactly seed + replay + check committed, and the doomed
+        # attempt only if it was acked; a zombie never did.
+        assert coordinator.commits == 3 + acked
         for key in keys:
             store = coordinator.stores[coordinator.locate(key)]
             chain = store.versions[key]
-            assert len(chain) == 2  # seed version + replayed version
+            assert len(chain) == 2 + acked  # seed [+ doomed] + replayed version
             assert chain[-1].value == b"\x03" * 8
             # The acked replay is durable on every member of the
             # repaired chain, not only in the client's version index.
             for replica in range(store.group.group_size):
                 assert store.read_durable_offline(replica, key)[3] == b"\x03" * 8
         for store in coordinator.stores:
-            log = store.manager.log
+            log = store.log
             assert log.head == log.tail
             for replica in range(store.group.group_size):
                 assert ReplicatedLog.recover_replica(store.group, log.layout, replica) == []
@@ -228,7 +252,7 @@ class TestAvailableCopiesRevalidation:
         group = HyperLoopGroup(
             client, cluster.hosts[1:4], region_size=1 << 14, rounds=16, name="ac.g0"
         )
-        store = VersionedGroupStore(TransactionManager(group, writer_id=1), name="ac")
+        store = VersionedGroupStore(group, name="ac")
         tracker = AvailabilityTracker()
         coordinator = TxnCoordinator([store], tracker=tracker, name="ac")
         phases = []

@@ -16,7 +16,6 @@ from repro.bench import run_until
 from repro.faults.invariants import check_read_your_writes, check_txn_acked_writes
 from repro.hw import Cluster
 from repro.sim import Simulator
-from repro.storage.transactions import TransactionManager
 from repro.txn import (
     AvailabilityTracker,
     TxnAborted,
@@ -36,8 +35,7 @@ def build_naive_txn_system(sim, cluster, name="naive-txn"):
             cluster[0], cluster.hosts[1:4], region_size=1 << 14, rounds=16,
             name=f"{name}.g{index}",
         )
-        manager = TransactionManager(group, writer_id=index + 1)
-        stores.append(VersionedGroupStore(manager, name=f"{name}.s{index}"))
+        stores.append(VersionedGroupStore(group, name=f"{name}.s{index}"))
     return TxnCoordinator(stores, mode="ssi", tracker=AvailabilityTracker(), name=name)
 
 

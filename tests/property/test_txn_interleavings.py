@@ -31,11 +31,20 @@ overlap each other and the reads, scans and begins behind them (in
 about a third of the cases two or more are pending at once). It holds
 to the same rules — no cycle under ``ssi``, cycles under ``si`` — and
 its 800 verdicts are pinned too.
+
+The cycle check trusts the coordinator's account of what each read
+saw. So every case also checks the values themselves, from facts the
+client holds: every written value names its writer (``T<txid><key>``,
+or ``seed<key>``), and every ``commit`` returns its commit timestamp.
+A ``read`` or a ``scan`` row must return the reader's own buffered
+write of the key, or else the value of the newest committed write of
+the key at or below the reader's snapshot (``None`` if there is none).
 """
 
 import functools
 
 import random
+import re
 
 import pytest
 
@@ -137,9 +146,41 @@ def schedule(case):
     return merged
 
 
+def _writer(value):
+    """The txid a value names (``"seed"`` for a seed value), or ``None``."""
+    if value is None:
+        return None
+    if value.startswith(b"seed"):
+        return "seed"
+    return int(re.fullmatch(rb"T(\d+)k\d", value).group(1))
+
+
+def misreads(served, written, committed):
+    """Every served value that is neither the reader's own write nor
+    the newest committed write of its key at or below the reader's
+    snapshot. ``served`` holds ``(reader txid, snapshot, key, value,
+    own)``, ``written`` maps a writer to the keys it wrote, and
+    ``committed`` a writer to the timestamp its ``commit`` returned."""
+    bad = []
+    for reader, snapshot, key, value, own in served:
+        if own:
+            expected = reader
+        else:
+            visible = [
+                (ts, writer)
+                for writer, ts in committed.items()
+                if key in written.get(writer, ()) and ts <= snapshot
+            ]
+            expected = max(visible)[1] if visible else None
+        if _writer(value) != expected:
+            bad.append((reader, key, value, expected))
+    return bad
+
+
 def run_case(case, mode, overlap=False):
     """Run one case; returns the offline checker's verdict on what
-    committed (``"none"`` or the cycle) and the committed count.
+    committed (``"none"`` or the cycle), the committed count, and the
+    reads that returned a value outside their snapshot (:func:`misreads`).
 
     With ``overlap`` each ``commit`` runs on a task of its own and the
     schedule moves on at once, so commits overlap each other and the
@@ -149,18 +190,26 @@ def run_case(case, mode, overlap=False):
     cluster = Cluster(sim, n_hosts=4, n_cores=4)
     coordinator = build_txn_system(sim, cluster, n_groups=2, mode=mode)
     done = {}
+    served, written, committed = [], {"seed": set(SEEDED)}, {}
 
     def commit(task, txn):
+        committed[txn.txid] = yield from coordinator.commit(task, txn)
+
+    def overlapped(task, txn):
         try:
-            yield from coordinator.commit(task, txn)
+            yield from commit(task, txn)
         except TxnAborted:
             pass
+
+    def serve(txn, key, value):
+        own = key in written.get(txn.txid, ())
+        served.append((txn.txid, txn.snapshot_ts, key, value, own))
 
     def body(task):
         txn = yield from coordinator.begin(task)
         for key in SEEDED:
             coordinator.write(txn, key, b"seed" + key)
-        yield from coordinator.commit(task, txn)
+        committed["seed"] = yield from coordinator.commit(task, txn)
         txns = {}
         committers = []
         for index, kind, key in schedule(case):
@@ -171,9 +220,11 @@ def run_case(case, mode, overlap=False):
             if txn.status != "active":
                 continue
             value = b"T%d%s" % (txn.txid, key or b"")
+            if kind in ("write", "insert"):
+                written.setdefault(txn.txid, set()).add(key)
             try:
                 if kind == "read":
-                    yield from coordinator.read(task, txn, key)
+                    serve(txn, key, (yield from coordinator.read(task, txn, key)))
                 elif kind == "write":
                     coordinator.write(txn, key, value)
                 elif kind == "insert":
@@ -182,15 +233,16 @@ def run_case(case, mode, overlap=False):
                     except ValueError:  # visible at the snapshot
                         coordinator.write(txn, key, value)
                 elif kind == "scan":
-                    yield from coordinator.scan(task, txn, key, 2)
+                    for row in (yield from coordinator.scan(task, txn, key, 2)):
+                        serve(txn, *row)
                 elif kind == "commit" and overlap:
                     committers.append(
                         cluster[0].os.spawn(
-                            lambda sub, txn=txn: commit(sub, txn), f"commit{index}"
+                            lambda sub, txn=txn: overlapped(sub, txn), f"commit{index}"
                         )
                     )
                 elif kind == "commit":
-                    yield from coordinator.commit(task, txn)
+                    yield from commit(task, txn)
                 else:
                     coordinator.abort(txn)
             except TxnAborted:
@@ -203,16 +255,24 @@ def run_case(case, mode, overlap=False):
     run_until(sim, lambda: "ok" in done or task.process.triggered, deadline_ms=20_000)
     if task.process.triggered and not task.process.ok:
         raise task.process.value
-    return describe_cycle(coordinator.history), len(coordinator.history) - 1
+    return (
+        describe_cycle(coordinator.history),
+        len(coordinator.history) - 1,
+        misreads(served, written, committed),
+    )
 
 
 @functools.lru_cache(maxsize=None)
-def verdicts(mode, overlap=False):
-    """``{case: (cycle or "none", committed)}`` over every case of a
-    family (run once per mode and family, and shared by the tests
-    below)."""
+def runs(mode, overlap=False):
+    """``{case: run_case(...)}`` over every case of a family (run once
+    per mode and family, and shared by the tests below)."""
     cases = OVERLAP_CASES if overlap else CASES
     return {case: run_case(case, mode, overlap) for case in cases}
+
+
+def verdicts(mode, overlap=False):
+    """``{case: (cycle or "none", committed)}`` over every case of a family."""
+    return {case: run[:2] for case, run in runs(mode, overlap).items()}
 
 
 @pytest.mark.parametrize("mode", ["ssi", "si"])
@@ -252,3 +312,10 @@ def test_ssi_commits_no_cycle_with_overlapping_commits():
 def test_si_finds_cycles_with_overlapping_commits():
     verdict = verdicts("si", overlap=True)
     assert [case for case, (cycle, _) in verdict.items() if cycle != "none"]
+
+
+@pytest.mark.parametrize("overlap", [False, True], ids=["one-task", "overlapping"])
+@pytest.mark.parametrize("mode", ["ssi", "si"])
+def test_every_read_returns_its_own_write_or_its_snapshot_version(mode, overlap):
+    bad = {case: run[2] for case, run in runs(mode, overlap).items() if run[2]}
+    assert bad == {}

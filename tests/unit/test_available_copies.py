@@ -22,7 +22,6 @@ from repro.core import HyperLoopGroup
 from repro.hw import Cluster
 from repro.rdma.reader import _LANES
 from repro.sim import Simulator
-from repro.storage.transactions import TransactionManager
 from repro.txn import (
     AvailabilityTracker,
     NoAvailableCopy,
@@ -51,7 +50,7 @@ class World:
             self.cluster[0], self.cluster.hosts[1:4], region_size=1 << 14,
             rounds=16, name="ac.g0",
         )
-        store = VersionedGroupStore(TransactionManager(self.group, writer_id=1), name="ac")
+        store = VersionedGroupStore(self.group, name="ac")
         self.tracker = AvailabilityTracker(poll_ns=10_000, max_wait_ns=50_000)
         self.coordinator = TxnCoordinator([store], tracker=self.tracker, name="ac")
 

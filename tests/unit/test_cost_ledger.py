@@ -11,9 +11,13 @@ Rows:
 
 * one primitive op — gWRITE, gMEMCPY, gCAS;
 * one WAL append = one gWRITE-chain op (the record; no tail header);
-* one commit install (``TransactionManager.transact``) over 1, 3 and
-  12 keys = its three waits: {record gWRITE, lock gCAS}, k gMEMCPYs,
-  {head gWRITE, unlock gCAS}.
+* one §5 transaction (``TransactionManager.transact``, what the KV and
+  doc stores run) over 1, 3 and 12 keys = its three waits: {record
+  gWRITE, lock gCAS}, k gMEMCPYs, {head gWRITE, unlock gCAS};
+* one txn commit install (``VersionedGroupStore.install``) over 1, 3
+  and 12 keys = the same three waits without the lock: {record
+  gWRITE}, k gMEMCPYs, {head gWRITE}. On HyperLoop at n = 3 that is
+  20 + 10k WQEs where ``transact`` costs 34 + 10k.
 
 Every fabric delivery is one message, and every WQE here sends one
 and gets one ack back, so deliveries = 2 × WQEs on both backends.
@@ -34,6 +38,7 @@ or an append, 3 for an install):
 """
 
 import functools
+import types
 
 import pytest
 
@@ -46,6 +51,7 @@ from repro.obs import tracing
 from repro.sim import Simulator
 from repro.storage import RegionLayout
 from repro.storage.transactions import TransactionManager
+from repro.txn import VersionedGroupStore
 
 SIZES = range(2, 6)
 BACKENDS = {"hyperloop": HyperLoopGroup, "naive": NaiveGroup}
@@ -77,15 +83,22 @@ def expected(backend, ops, n):
     return wqes, doorbells, 2 * wqes
 
 
+def changes(keys):
+    return [(64 * index, b"v" * 24) for index in range(keys)]
+
+
 def install(keys):
-    changes = [(64 * index, b"v" * 24) for index in range(keys)]
-    return lambda manager, task: manager.transact(task, changes)
+    return lambda world, task: world.manager.transact(task, changes(keys))
+
+
+def txn_install(keys):
+    return lambda world, task: world.store.install(task, [changes(keys)])
 
 
 PRIMITIVES = {
-    GWRITE: lambda manager, task: manager.group.gwrite(task, 8192, 256),
-    GMEMCPY: lambda manager, task: manager.group.gmemcpy(task, 8192, 12288, 256),
-    GCAS: lambda manager, task: manager.group.gcas(task, 0, 0, 0),
+    GWRITE: lambda world, task: world.group.gwrite(task, 8192, 256),
+    GMEMCPY: lambda world, task: world.group.gmemcpy(task, 8192, 12288, 256),
+    GCAS: lambda world, task: world.group.gcas(task, 0, 0, 0),
 }
 
 ROWS = {
@@ -96,9 +109,16 @@ ROWS = {
         )
         for keys in (1, 3, 12)
     },
+    **{
+        f"txn-install-{keys}-keys": (
+            txn_install(keys),
+            [GWRITE] + [GMEMCPY] * keys + [GWRITE],
+        )
+        for keys in (1, 3, 12)
+    },
     # Last: the record it leaves pending would be drained by an install.
     "append": (
-        lambda manager, task: manager.log.append(task, [(0, b"x" * 100)]),
+        lambda world, task: world.manager.log.append(task, [(0, b"x" * 100)]),
         [GWRITE],
     ),
 }
@@ -137,6 +157,10 @@ def ledger(backend, n, client_mode="event"):
         manager = TransactionManager(
             group, RegionLayout(wal_size=8192, db_size=8192), writer_id=1
         )
+        store = VersionedGroupStore(group)
+        # One WAL on the region: the store appends to the manager's log.
+        store.log = manager.log
+        world = types.SimpleNamespace(group=group, manager=manager, store=store)
 
         def cpu_since(task, mark):
             wakes, switches, records = mark
@@ -155,7 +179,7 @@ def ledger(backend, n, client_mode="event"):
 
         def body(task):
             for op in reversed(ops.values()):  # the installs drain the append
-                yield from op(manager, task)
+                yield from op(world, task)
             for name, op in ops.items():
                 yield from task.sleep(200_000)
                 before = dict(tracer.counters)
@@ -164,7 +188,7 @@ def ledger(backend, n, client_mode="event"):
                     client.os.context_switches,
                     len(tracer.records),
                 )
-                yield from op(manager, task)
+                yield from op(world, task)
                 out[name, "cpu"] = cpu_since(task, mark)
                 yield from task.sleep(200_000)
                 out[name] = tuple(
@@ -209,3 +233,12 @@ def test_client_cpu_of_one_op(backend, client_mode, op):
     for n in SIZES:
         got = ledger(backend, n, client_mode)[op, "cpu"]
         assert got == CPU[client_mode](WAITS[op]), (backend, client_mode, op, n)
+
+
+def test_a_txn_install_on_three_replicas_is_twenty_plus_ten_per_key_wqes():
+    """The lock gCAS pair is 14 of ``transact``'s 34 + 10k WQEs at n = 3;
+    a txn install takes no lock."""
+    for keys in (1, 3, 12):
+        got = ledger("hyperloop", 3)
+        assert got[f"txn-install-{keys}-keys"] == (20 + 10 * keys, 4 + 2 * keys, 40 + 20 * keys)
+        assert got[f"install-{keys}-keys"] == (34 + 10 * keys, 8 + 2 * keys, 68 + 20 * keys)

@@ -207,9 +207,9 @@ class TestOverlappedGroupOpsTraced:
             for event in document["traceEvents"]
             if event.get("cat") == "group" and event["ph"] == "X"
         ]
-        # 2 commits × 2 groups × (record + lock + 3 copies + head
-        # advance + unlock), every one a complete span with its round.
-        assert len(spans) == 2 * 2 * 7 == tracer.counters["group.ops"]
+        # 2 commits × 2 groups × (record + 3 copies + head advance),
+        # every one a complete span with its round.
+        assert len(spans) == 2 * 2 * 5 == tracer.counters["group.ops"]
         assert all(event["dur"] > 0 and "round" in event["args"] for event in spans)
         assert not any(
             event["ph"] in "BE" for event in document["traceEvents"] if event.get("cat") == "group"

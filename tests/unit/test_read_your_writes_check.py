@@ -169,7 +169,7 @@ def test_a_durable_slot_behind_the_version_chain_fails_the_check():
 
     def body(task):
         yield from put(task, b"first")
-        offset = store.manager.layout.db_position(store._slots[b"k"] * store.slot_size)
+        offset = store.layout.db_position(store._slots[b"k"] * store.slot_size)
         first = group.read_replica(0, offset, store.slot_size)
         yield from put(task, b"second")
         cache = group.replicas[0].nic.cache

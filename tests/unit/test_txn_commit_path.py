@@ -7,7 +7,7 @@ conflicting work may wait for: ``begin`` never parks, a read parks
 only on an earlier pending writer of its key, commits queued on one
 group ride one ``transact``, commits on disjoint groups overlap, and a
 failover reset releases every waiter and leaves the healthy group's
-queue draining.
+queue draining. A batch that fails aborts its commits.
 """
 
 from repro.hw import Cluster
@@ -273,3 +273,8 @@ def test_a_failed_batch_fails_its_commit_and_a_later_one_still_publishes():
     assert coordinator.stores[0].latest(second).value == OLD
     assert coordinator.stores[1].latest(other).value == NEW
     assert coordinator._pending == {}
+    # The failed commit aborted: it holds back no watermark, so every
+    # committed transaction retired from the SSI probes and graph.
+    assert coordinator.active == {}
+    assert coordinator._retained == {} and len(coordinator.graph) == 0
+    assert coordinator.aborts_install == 1
