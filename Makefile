@@ -33,6 +33,8 @@ outputs:         ## every pinned CLI report, one file each, into OUT=<dir> (~25 
 	$(PYTHON) -m repro latency --ops 60 --seed 11 > $(OUT)/latency.txt
 	$(PYTHON) -m repro latency --ops 60 --seed 11 --primitive gcas > $(OUT)/latency-gcas.txt
 	$(PYTHON) -m repro txn --seed 7 > $(OUT)/txn.txt
+	$(PYTHON) -m repro txn --seed 7 --mode si > $(OUT)/txn-si.txt
+	$(PYTHON) -m repro txn --seed 7 --retry backoff > $(OUT)/txn-backoff.txt
 	$(PYTHON) -m repro txn --ycsb --mixes A,B,C,D,E,F --seed 7 > $(OUT)/txn-ycsb.txt
 	$(PYTHON) -m repro chaos --seed 1 > $(OUT)/chaos-1.txt
 	$(PYTHON) -m repro chaos --seed 7 > $(OUT)/chaos-7.txt

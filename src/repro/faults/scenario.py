@@ -29,7 +29,7 @@ from ..sim import MS, Simulator
 from ..storage.kvstore import ReplicatedKVStore
 from ..storage.recovery import ChainRepair, ClientReattach, HeartbeatMonitor
 from ..txn import TxnAborted, TxnCoordinator, VersionedGroupStore
-from ..txn.workload import Rendezvous
+from ..txn.workload import Rendezvous, init_steps, rmw, run_txn, transfer, write_skew
 from ..workloads.ycsb import WORKLOADS, YcsbWorkload
 from .invariants import (
     InvariantResult,
@@ -190,8 +190,8 @@ def _run_ops(world, ops, name, pace_ns=0):
     ``("gmemcpy", src, dst, size)`` or ``("gcas", lock, compare,
     swap)`` on the first group, mirrored into the client's model (a
     landed gWRITE also into ``acked``; a gCAS that finds another value
-    is a linearizability violation), or ``("txn", spec)``, one
-    transaction spec run to its end."""
+    is a linearizability violation), or ``("txn", steps)``, one
+    transaction run to its end."""
     group, model, injector = world.group, world.model, world.injector
 
     def body(task):
@@ -207,7 +207,7 @@ def _run_ops(world, ops, name, pace_ns=0):
                 model[dst : dst + size] = model[src : src + size]
                 yield from group.gmemcpy(task, src, dst, size)
             elif op[0] == "txn":
-                yield from _txn_spec_runner(world.coordinator, op[1], {})(task)
+                yield from _txn_probe(world, op[1], {})(task)
             else:
                 _, lock, compare, swap = op
                 model[lock : lock + 8] = swap.to_bytes(8, "little")
@@ -384,43 +384,18 @@ def _kv_puts(world):
     return [world.client.os.spawn(body, name=f"{name}.writer")]
 
 
-def _txn_spec_runner(coordinator, spec, outcome):
-    """A one-shot task body running one transaction spec; it records
-    how the transaction ended in ``outcome["result"]``.
+def _txn_probe(world, steps, outcome):
+    """A one-shot task body running one transaction's steps
+    (:func:`~repro.txn.workload.run_txn`); it records how the
+    transaction ended in ``outcome["result"]``.
 
     The supervised writer spawns it as a probe sub-task so it can
     abandon it if its chain dies mid-commit (the coordinator's epoch
     guard keeps the zombie from committing after failover)."""
 
-    def bump(value):
-        current = int.from_bytes(value or b"\x00", "little")
-        return ((current + 1) & 0xFFFFFFFF).to_bytes(8, "little")
-
     def body(task):
-        txn = yield from coordinator.begin(task)
         try:
-            if spec[0] == "init":
-                for key in spec[1]:
-                    coordinator.write(txn, key, (1).to_bytes(8, "little"))
-            elif spec[0] == "rmw":
-                value = yield from coordinator.read(task, txn, spec[1])
-                coordinator.write(txn, spec[1], bump(value))
-            elif spec[0] == "insert":
-                coordinator.insert(txn, spec[1], (1).to_bytes(8, "little"))
-            elif spec[0] == "scan":
-                yield from coordinator.scan(task, txn, spec[1], spec[2])
-            elif spec[0] == "skew":  # read both keys, meet the other side, zero one
-                _, keys, written, rendezvous = spec
-                for key in keys:
-                    yield from coordinator.read(task, txn, key)
-                yield from rendezvous.arrive(task)
-                coordinator.write(txn, written, (0).to_bytes(8, "little"))
-            else:  # transfer
-                first = yield from coordinator.read(task, txn, spec[1])
-                second = yield from coordinator.read(task, txn, spec[2])
-                coordinator.write(txn, spec[1], bump(first))
-                coordinator.write(txn, spec[2], bump(second))
-            yield from coordinator.commit(task, txn)
+            yield from run_txn(task, world.coordinator, steps)
             outcome["result"] = "committed"
         except TxnAborted as exc:
             outcome["result"] = f"aborted:{exc.reason}"
@@ -433,58 +408,58 @@ def _keys(n):
 
 
 def _txn_mix(rng, keys, n):
-    """``n`` transaction specs, each a read-modify-write or a transfer."""
-    specs = []
+    """``n`` transactions, each a read-modify-write or a transfer."""
+    txns = []
     for _ in range(n):
         if rng.random() < 0.5:
-            specs.append(("rmw", rng.choice(keys)))
+            txns.append(rmw(rng.choice(keys)))
         else:
-            first, second = rng.sample(keys, 2)
-            specs.append(("transfer", first, second))
-    return specs
+            txns.append(transfer(*rng.sample(keys, 2)))
+    return txns
 
 
 def _init_and_mix(n, rng):
     """Initialise eight keys, then ``n`` mixed transactions over them."""
     keys = _keys(8)
-    return [("init", tuple(keys))] + _txn_mix(rng, keys, n)
+    return [init_steps(keys)] + _txn_mix(rng, keys, n)
 
 
 def _init_and_inserts(rng):
     """Initialise six keys, then cycle scan, read-modify-write, insert.
 
-    The crash fires when the sixth spec's notify lands, so spec 6 — an
-    insert by construction of the cycle — finds the replica dead while
-    its commit install is on the wire."""
+    The crash fires when the sixth transaction's notify lands, so
+    transaction 6 — an insert by construction of the cycle — finds the
+    replica dead while its commit install is on the wire."""
     keys = _keys(6)
-    specs = [("init", tuple(keys))]
+    txns = [init_steps(keys)]
     inserted = 0
     for index in range(1, 16):
         kind = ("scan", "rmw", "insert")[index % 3]  # index 6 -> insert
         if kind == "insert":
-            specs.append(("insert", f"n{inserted:02d}".encode()))
+            key = f"n{inserted:02d}".encode()
+            txns.append([("insert", key, (1).to_bytes(8, "little"))])
             inserted += 1
         elif kind == "scan":
-            specs.append(("scan", rng.choice(keys), 4))
+            txns.append([("scan", rng.choice(keys), 4)])
         else:
-            specs.append(("rmw", rng.choice(keys)))
-    return specs
+            txns.append(rmw(rng.choice(keys)))
+    return txns
 
 
 def _txn_specs(make):
-    """:func:`_supervise` over the transaction specs ``make(rng)`` gives."""
+    """:func:`_supervise` over the transactions ``make(rng)`` gives."""
 
     def start(world):
-        specs = make(world.sim.rng("chaos-ops"))
-        world.ops = len(specs)
+        txns = make(world.sim.rng("chaos-ops"))
+        world.ops = len(txns)
 
         def launch(index, view, outcome):
             return world.client.os.spawn(
-                _txn_spec_runner(world.coordinator, specs[index], outcome),
+                _txn_probe(world, txns[index], outcome),
                 name=f"{world.spec.name}.t{index}",
             )
 
-        return _supervise(world, len(specs), launch, lambda index: None)
+        return _supervise(world, len(txns), launch, lambda index: None)
 
     return start
 
@@ -492,7 +467,7 @@ def _txn_specs(make):
 def _txn_workers(world):
     """An init transaction, then two workers of six mixed transactions
     beside one rendezvoused write-skew pair."""
-    sim, coordinator, name = world.sim, world.coordinator, world.spec.name
+    sim, name = world.sim, world.spec.name
     keys = _keys(8)
     skew = (b"wsx", b"wsy")
     rng = sim.rng("chaos-ops")
@@ -501,15 +476,15 @@ def _txn_workers(world):
     world.ops = 1 + n_workers * ops_per_worker + 2
     rendezvous = Rendezvous(sim)
     spawn = world.client.os.spawn
-    init = _txn_spec_runner(coordinator, ("init", tuple(keys) + skew), {})
+    init = _txn_probe(world, init_steps(keys + list(skew)), {})
     started = spawn(init, name=f"{name}.init")
     run_until(sim, lambda: started.process.triggered, world.spec.deadline_ms)
     tasks = [
-        _run_ops(world, [("txn", spec) for spec in plan], f"w{worker}")
+        _run_ops(world, [("txn", steps) for steps in plan], f"w{worker}")
         for worker, plan in enumerate(plans)
     ]
     for side, written in enumerate(reversed(skew)):
-        pair = _txn_spec_runner(coordinator, ("skew", skew, written, rendezvous), {})
+        pair = _txn_probe(world, write_skew(skew, written, rendezvous), {})
         tasks.append(spawn(pair, name=f"{name}.ws{side}"))
     return tasks
 

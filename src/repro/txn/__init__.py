@@ -9,7 +9,9 @@ them together (:mod:`~repro.txn.coordinator`), abort-reason-aware
 retry policies (:mod:`~repro.txn.retry`), and two deterministic
 workload drivers: the shaped mix (:mod:`~repro.txn.workload`,
 ``python -m repro txn``) and transactional YCSB
-(:mod:`~repro.txn.ycsb`, ``python -m repro txn --ycsb``).
+(:mod:`~repro.txn.ycsb`, ``python -m repro txn --ycsb``), both writing
+transactions as step lists that one interpreter runs
+(:func:`~repro.txn.workload.run_txn`).
 """
 
 from .available_copies import AvailabilityTracker, NoAvailableCopy

@@ -79,9 +79,10 @@ from typing import Deque, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..hw.cpu import Task
 from ..obs.trace import TRACER
+from ..rdma.reader import PostedReads
 from ..sim import Event
 from .available_copies import AvailabilityTracker, NoAvailableCopy
-from .mvcc import DurableReads, Version, VersionedGroupStore
+from .mvcc import Version, VersionedGroupStore, decode_durable
 from .ssi import CommittedTxn, SerializationGraph, key_in_range
 
 __all__ = ["TxnCoordinator", "Transaction", "TxnAborted"]
@@ -278,12 +279,13 @@ class TxnCoordinator:
 
         Own buffered writes win (read-your-writes). Otherwise the
         owning group serves the newest version at the snapshot,
-        reading the durable slot as a cross-check from the
-        Available-Copies-eligible replica whose read channel is least
-        busy (replica 0 when idle): the slot may legitimately hold a
-        *newer* record (installed after our snapshot, or an orphan of
-        an unfinished commit) — both invisible here — but never an
-        older one, which would mean a stale copy served a read. A
+        reading the durable slot as a cross-check (:meth:`_cross_check`,
+        a scan's path with one key) from the Available-Copies-eligible
+        replica whose read channel is least busy (replica 0 when idle):
+        the slot may legitimately hold a *newer* record (installed
+        after our snapshot, or an orphan of an unfinished commit) —
+        both invisible here — but never an older one, which would mean
+        a stale copy served a read. A
         commit from before the snapshot still pending on the key is
         waited out first.
         """
@@ -302,12 +304,8 @@ class TxnCoordinator:
             self._abort_if_doomed(txn)
             self._observe(txn, "miss", key, None)
             return None
-        try:
-            replica = yield from self.tracker.choose(task, index)
-        except NoAvailableCopy as exc:
-            self._abort(txn, "unavailable")
-            raise TxnAborted(txn.txid, "unavailable", str(exc)) from None
-        durable = yield from store.read_durable(task, key, replica)
+        replicas, slots = yield from self._cross_check(task, txn, {index: [key]})
+        replica, durable = replicas[index], slots[key]
         # The yields above may span a failover reset; never record an
         # observation (or an edge) for a zombie attempt.
         self._check_active(txn)
@@ -598,19 +596,19 @@ class TxnCoordinator:
         # channel: every wait-for edge still points to a higher group
         # index, so no cycle can form.
         durable: Dict[bytes, Optional[tuple]] = {}
-        posted: List[DurableReads] = []
+        posted: List[Tuple[List[bytes], PostedReads]] = []
         try:
             for index in groups:
-                reads = yield from self.stores[index].post_durable(
+                keys, reads = yield from self.stores[index].post_durable(
                     task, wanted[index], replicas[index]
                 )
-                posted.append(reads)
-            for reads in posted:
-                durable.update((yield from reads.wait(task)))
+                posted.append((keys, reads))
+            for keys, reads in posted:
+                durable.update(decode_durable(keys, (yield from reads.wait(task))))
         finally:
-            # Whatever ended the scan early — an error completion, a
+            # Whatever ended the read early — an error completion, a
             # reclaimed zombie's close() — gives every lane back.
-            for reads in posted:
+            for _, reads in posted:
                 reads.abandon()
         return replicas, durable
 

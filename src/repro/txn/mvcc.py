@@ -22,9 +22,10 @@ replica reads can distinguish a visible version from a newer one — or
 from an orphan left by a commit that installed durably but crashed
 before publishing. Those reads have one form, many keys:
 :meth:`VersionedGroupStore.post_durable` posts the keys' slots as one
-READ batch and returns a :class:`DurableReads` to wait on, so a scan
-can have every group's batch in flight before it waits for any;
-``read_durable`` is the one-key case.
+READ batch and returns the reader's ticket to wait on, so a scan can
+have every group's batch in flight before it waits for any;
+:func:`decode_durable` turns the bytes into records. A snapshot read
+is the one-key case.
 
 ``rebind``/``recover`` are the failover half: after ``ChainRepair``
 splices in a replacement, the store points its log at the new group,
@@ -45,7 +46,7 @@ from ..storage.encoding import decode_version_record, encode_version_record
 from ..storage.log import ReplicatedLog
 from ..storage.wal import LogRecord, RegionLayout
 
-__all__ = ["Version", "VersionedGroupStore", "DurableReads", "SlotExhausted"]
+__all__ = ["Version", "VersionedGroupStore", "SlotExhausted", "decode_durable"]
 
 
 class SlotExhausted(RuntimeError):
@@ -68,36 +69,15 @@ def _decode_slot(raw: bytes, key: bytes):
     return decoded
 
 
-class DurableReads:
-    """Slot reads in flight for a set of keys
-    (:meth:`VersionedGroupStore.post_durable`).
-
-    Holds the replica's read channel until :meth:`wait` has returned
-    (or raised) or :meth:`abandon` gives it up; abandoning afterwards,
-    or twice, does nothing.
-    """
-
-    __slots__ = ("_keys", "_slotted", "_posted")
-
-    def __init__(self, keys: Sequence[bytes], slotted: List[bytes], posted):
-        self._keys = keys
-        self._slotted = slotted
-        self._posted = posted  # None: no key has a slot, nothing in flight
-
-    def wait(self, task: Task) -> Generator:
-        """Collect the batch; returns ``{key: decoded record or None}``
-        for every key asked for (see
-        :meth:`VersionedGroupStore.read_durable` for ``None``)."""
-        found = dict.fromkeys(self._keys)
-        if self._posted is not None:
-            raws = yield from self._posted.wait(task)
-            for key, raw in zip(self._slotted, raws):
-                found[key] = _decode_slot(raw, key)
-        return found
-
-    def abandon(self) -> None:
-        if self._posted is not None:
-            self._posted.abandon()
+def decode_durable(
+    keys: Sequence[bytes], raws: Sequence[bytes]
+) -> Dict[bytes, Optional[tuple]]:
+    """The slots a :meth:`VersionedGroupStore.post_durable` batch read,
+    decoded: ``{key: (commit_ts, txid, key, value) or None}`` for the
+    keys in the order the batch read them. ``None`` is an empty or torn
+    slot, or a record of a different key (possible only through
+    corruption — slots are never shared)."""
+    return {key: _decode_slot(raw, key) for key, raw in zip(keys, raws)}
 
 
 class VersionedGroupStore:
@@ -262,37 +242,22 @@ class VersionedGroupStore:
         self, task: Task, keys: Sequence[bytes], replica: int
     ) -> Generator:
         """Post one-sided reads of the keys' slots on a replica; returns
-        the :class:`DurableReads` to ``wait`` on.
+        the keys in the order the batch reads them and the
+        :class:`~repro.rdma.reader.PostedReads` to ``wait`` on, whose
+        bytes :func:`decode_durable` decodes. Every key must have a
+        slot (a published version has one).
 
         The slots go out as one batch in slot order — load and commit
         assign a group's slots in key order, so a scan's keys are
         almost always one run of adjacent slots, which the reader
-        fetches with a single READ. Keys never assigned a slot cost no
-        network; a batch of only such keys takes no channel at all.
+        fetches with a single READ.
         """
-        slots = self._slots
-        slotted = sorted((key for key in keys if key in slots), key=slots.__getitem__)
-        posted = None
-        if slotted:
-            position = self.layout.db_position
-            posted = yield from self.group.post_reads(
-                task,
-                replica,
-                [(position(slots[key] * self.slot_size), self.slot_size) for key in slotted],
-            )
-        return DurableReads(keys, slotted, posted)
-
-    def read_durable(self, task: Task, key: bytes, replica: int) -> Generator:
-        """One-sided read of the key's slot from a replica: the one-key
-        case of :meth:`post_durable`.
-
-        Returns the decoded ``(commit_ts, txid, key, value)`` record,
-        or ``None`` for an empty/torn slot, a slot the key was never
-        assigned, or a record belonging to a different key (possible
-        only through corruption — slots are never shared).
-        """
-        reads = yield from self.post_durable(task, [key], replica)
-        return (yield from reads.wait(task))[key]
+        slots, size = self._slots, self.slot_size
+        ordered = sorted(keys, key=slots.__getitem__)
+        position = self.layout.db_position
+        extents = [(position(slots[key] * size), size) for key in ordered]
+        posted = yield from self.group.post_reads(task, replica, extents)
+        return ordered, posted
 
     def read_durable_offline(self, replica: int, key: bytes):
         """Test/invariant hook: decode a replica's slot without the sim."""

@@ -168,11 +168,6 @@ class SerializationGraph:
         detail = f"T{min(ins)} -rw-> T{txid} -rw-> T{min(outs)}"
         return detail, ("ssi-phantom" if phantom else "ssi-pivot")
 
-    def pivot_detail(self, txid: int) -> Optional[str]:
-        """:meth:`pivot`'s description alone (compatibility helper)."""
-        found = self.pivot(txid)
-        return None if found is None else found[0]
-
 
 # -- offline reconstruction (the anomaly checker) ----------------------------------
 

@@ -5,9 +5,9 @@ over them, and drives a seeded mix of transaction shapes from
 concurrent worker tasks:
 
 * ``rmw`` — read a key, write back a bumped value.
-* ``transfer`` — read two keys (usually on different groups), move a
-  unit between them; the cross-group commit exercises the sorted
-  multi-group install path.
+* ``transfer`` — read two keys (usually on different groups), bump
+  both; the cross-group commit exercises the sorted multi-group
+  install path.
 * ``readonly`` — scan a few keys; populates wr/rw edges without ever
   being abortable.
 * ``write-skew pairs`` — the SI litmus test: two transactions
@@ -15,6 +15,13 @@ concurrent worker tasks:
   *other* key, then both try to commit. Plain SI admits both (the
   offline checker then finds the rw/rw cycle); SSI must abort exactly
   one per pair.
+
+A transaction is data: a list of steps (``read``, ``write``,
+``insert``, ``scan``, ``bump``, ``meet``) that :func:`run_txn` runs
+between ``begin`` and ``commit``. :func:`run_clients` is the one
+client loop this mix and transactional YCSB share — init, retrying
+workers, one-shot transactions, the drain — and the chaos
+scenarios run their transactions through :func:`run_txn` too.
 
 Everything is a pure function of ``(seed, parameters)``: key choices
 and values come from named ``sim.rng`` streams, timestamps from the
@@ -25,7 +32,8 @@ the workload twice and byte-diffs the output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Tuple
+from functools import partial
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..bench.harness import run_until
 from ..core.group import HyperLoopGroup
@@ -34,15 +42,21 @@ from ..sim import MS, Event, Simulator
 from .available_copies import AvailabilityTracker
 from .coordinator import TxnAborted, TxnCoordinator
 from .mvcc import VersionedGroupStore
-from .retry import RetryStats, make_policy, run_with_retries
+from .retry import RetryPolicy, RetryStats, make_policy, run_with_retries
 from .ssi import describe_cycle
 
 __all__ = [
     "Rendezvous",
+    "Step",
     "TxnWorkloadReport",
     "build_txn_system",
+    "run_clients",
+    "run_txn",
     "run_txn_workload",
 ]
+
+Step = Tuple[Any, ...]
+"""One step of a transaction (:func:`run_txn`)."""
 
 
 class Rendezvous:
@@ -157,14 +171,154 @@ def build_txn_system(
     return TxnCoordinator(stores, mode=mode, tracker=tracker, name=name)
 
 
+def bump_counter(value: Optional[bytes]) -> bytes:
+    """The shaped mix's bump: an 8-byte little-endian counter (a key
+    never written counts as 0)."""
+    current = int.from_bytes(value or b"\x00", "little")
+    return ((current + 1) & 0xFFFFFFFF).to_bytes(8, "little")
+
+
+def init_steps(keys: Sequence[bytes]) -> List[Step]:
+    """Set every key's counter to 1."""
+    return [("write", key, (1).to_bytes(8, "little")) for key in keys]
+
+
+def rmw(key: bytes) -> List[Step]:
+    """Read a key, write back its bumped counter."""
+    return [("read", key), ("bump", key, bump_counter)]
+
+
+def transfer(first: bytes, second: bytes) -> List[Step]:
+    """Read two keys, then bump both."""
+    return [
+        ("read", first),
+        ("read", second),
+        ("bump", first, bump_counter),
+        ("bump", second, bump_counter),
+    ]
+
+
+def write_skew(
+    keys: Sequence[bytes], written: bytes, rendezvous: Rendezvous
+) -> List[Step]:
+    """One side of a write-skew pair: read both keys, meet the other
+    side, zero ``written``."""
+    return [("read", key) for key in keys] + [
+        ("meet", rendezvous),
+        ("write", written, (0).to_bytes(8, "little")),
+    ]
+
+
+def run_txn(task, coordinator: TxnCoordinator, steps: Sequence[Step]) -> Generator:
+    """Run one transaction: ``begin``, each step in order, ``commit``.
+
+    One call is one attempt: a :class:`TxnAborted` from any verb
+    propagates, and a retry calls again on a fresh transaction. The
+    steps are ``("read", key)``, ``("write", key, value)``,
+    ``("insert", key, value)``, ``("scan", start, limit)``,
+    ``("bump", key, f)`` — write ``f(v)``, ``v`` the value this attempt
+    last read for ``key`` — and ``("meet", rendezvous)``.
+    """
+    txn = yield from coordinator.begin(task)
+    read: Dict[bytes, Optional[bytes]] = {}
+    for step in steps:
+        verb = step[0]
+        if verb == "read":
+            read[step[1]] = yield from coordinator.read(task, txn, step[1])
+        elif verb == "write":
+            coordinator.write(txn, step[1], step[2])
+        elif verb == "bump":
+            coordinator.write(txn, step[1], step[2](read[step[1]]))
+        elif verb == "insert":
+            coordinator.insert(txn, step[1], step[2])
+        elif verb == "scan":
+            yield from coordinator.scan(task, txn, step[1], step[2])
+        elif verb == "meet":
+            yield from step[1].arrive(task)
+        else:
+            raise ValueError(f"unknown transaction step {step!r}")
+    yield from coordinator.commit(task, txn)
+
+
+def run_clients(
+    cluster: Cluster,
+    coordinator: TxnCoordinator,
+    name: str,
+    init: Sequence[Step],
+    plans: Sequence[Sequence[Tuple[str, Sequence[Step]]]],
+    policy: RetryPolicy,
+    stats: RetryStats,
+    one_shots: Sequence[Tuple[str, str, Sequence[Step]]] = (),
+    deadline_ms: int = 10_000,
+) -> Tuple[Dict[str, List[int]], List[str]]:
+    """The client side of the shaped mix and of transactional YCSB.
+
+    ``<name>.init`` runs ``init`` alone. Then each worker
+    ``<name>.w<i>`` runs the ``(label, steps)`` transactions of
+    ``plans[i]`` in order, each through :func:`run_with_retries`, and
+    beside them each one-shot ``(task, label, steps)`` runs once as
+    ``<name>.<task>`` — no retry, no ``stats``, an abort ends it. Once
+    every client is done the world runs 2 ms more. Returns
+    ``{label: [attempted, committed]}`` and the groups' errors.
+    """
+    sim, spawn = cluster.sim, cluster[0].os.spawn
+    tally: Dict[str, List[int]] = {}
+    progress = {"init": False, "clients": 0}
+
+    def init_client(task):
+        yield from run_txn(task, coordinator, init)
+        progress["init"] = True
+
+    def worker(plan):
+        def body(task):
+            for label, steps in plan:
+                counts = tally.setdefault(label, [0, 0])
+                counts[0] += 1
+                attempt = partial(run_txn, coordinator=coordinator, steps=steps)
+                outcome, _, _ = yield from run_with_retries(
+                    task, policy, attempt, stats
+                )
+                if outcome == "committed":
+                    counts[1] += 1
+            progress["clients"] += 1
+
+        return body
+
+    def one_shot(label, steps):
+        def body(task):
+            counts = tally.setdefault(label, [0, 0])
+            counts[0] += 1
+            try:
+                yield from run_txn(task, coordinator, steps)
+                counts[1] += 1
+            except TxnAborted:
+                pass
+            progress["clients"] += 1
+
+        return body
+
+    spawn(init_client, name=f"{name}.init")
+    run_until(sim, lambda: progress["init"], deadline_ms=deadline_ms)
+    for index, plan in enumerate(plans):
+        spawn(worker(plan), name=f"{name}.w{index}")
+    for task_name, label, steps in one_shots:
+        spawn(one_shot(label, steps), name=f"{name}.{task_name}")
+    clients = len(plans) + len(one_shots)
+    run_until(sim, lambda: progress["clients"] == clients, deadline_ms=deadline_ms)
+    sim.run(until=sim.now + 2 * MS)
+    errors = [error for store in coordinator.stores for error in store.group.errors]
+    return tally, errors
+
+
+_WORKERS = 3
+
+
 def run_txn_workload(
     seed: int = 7,
     mode: str = "ssi",
     n_groups: int = 2,
     n_txns: int = 24,
-    n_workers: int = 3,
     write_skew_pairs: int = 2,
-    deadline_ms: int = 10_000,
     retry: str = "none",
 ) -> TxnWorkloadReport:
     """Run the full mix; returns the deterministic report.
@@ -187,134 +341,49 @@ def run_txn_workload(
     ]
     rng = sim.rng("txn-ops")
 
-    # Per-worker op plans, drawn up-front from one named stream.
-    plans: List[List[Tuple]] = []
-    per_worker = max(1, n_txns // n_workers)
-    for _ in range(n_workers):
-        plan = []
-        for _ in range(per_worker):
-            kind = rng.choice(["rmw", "rmw", "transfer", "readonly"])
-            if kind == "rmw":
-                plan.append(("rmw", rng.choice(keys)))
-            elif kind == "transfer":
-                first, second = rng.sample(keys, 2)
-                plan.append(("transfer", first, second))
-            else:
-                plan.append(("readonly", tuple(rng.sample(keys, 3))))
-        plans.append(plan)
-
-    mix_attempts: Dict[str, int] = {}
-    mix_commits: Dict[str, int] = {}
-    errors: List[str] = []
-    progress = {"init": False, "workers": 0, "pairs": 0}
-
-    def bump(value: Optional[bytes]) -> bytes:
-        current = int.from_bytes(value or b"\x00", "little")
-        return ((current + 1) & 0xFFFFFFFF).to_bytes(8, "little")
-
-    def init_body(task):
-        txn = yield from coordinator.begin(task)
-        for key in keys:
-            coordinator.write(txn, key, (1).to_bytes(8, "little"))
-        for x_key, y_key in skew_keys:
-            coordinator.write(txn, x_key, (1).to_bytes(8, "little"))
-            coordinator.write(txn, y_key, (1).to_bytes(8, "little"))
-        yield from coordinator.commit(task, txn)
-        progress["init"] = True
-
-    def attempt_spec(spec):
-        name = spec[0]
-
-        def attempt(task):
-            txn = yield from coordinator.begin(task)
-            if name == "rmw":
-                value = yield from coordinator.read(task, txn, spec[1])
-                coordinator.write(txn, spec[1], bump(value))
-            elif name == "transfer":
-                first = yield from coordinator.read(task, txn, spec[1])
-                second = yield from coordinator.read(task, txn, spec[2])
-                coordinator.write(txn, spec[1], bump(first))
-                coordinator.write(txn, spec[2], bump(second))
-            else:
-                for key in spec[1]:
-                    yield from coordinator.read(task, txn, key)
-            yield from coordinator.commit(task, txn)
-
-        return attempt
-
-    def run_spec(task, spec):
-        name = spec[0]
-        mix_attempts[name] = mix_attempts.get(name, 0) + 1
-        outcome, _, _ = yield from run_with_retries(
-            task, policy, attempt_spec(spec), retry_stats
-        )
-        if outcome == "committed":
-            mix_commits[name] = mix_commits.get(name, 0) + 1
-
-    def worker_body(worker):
-        def body(task):
-            for spec in plans[worker]:
-                yield from run_spec(task, spec)
-            progress["workers"] += 1
-
-        return body
+    # Every transaction is drawn up front from one named stream, then
+    # dealt to the workers in contiguous blocks, the first
+    # ``n_txns % _WORKERS`` workers one more each.
+    txns: List[Tuple[str, List[Step]]] = []
+    for _ in range(n_txns):
+        kind = rng.choice(["rmw", "rmw", "transfer", "readonly"])
+        if kind == "rmw":
+            txns.append((kind, rmw(rng.choice(keys))))
+        elif kind == "transfer":
+            txns.append((kind, transfer(*rng.sample(keys, 2))))
+        else:
+            txns.append((kind, [("read", key) for key in rng.sample(keys, 3)]))
+    share, extra = divmod(n_txns, _WORKERS)
+    plans, start = [], 0
+    for worker in range(_WORKERS):
+        end = start + share + (worker < extra)
+        plans.append(txns[start:end])
+        start = end
 
     # Write-skew pairs: a tiny rendezvous makes the overlap certain —
     # both sides read both keys before either writes, so the rw cycle
     # exists whenever both commit.
-    def skew_body(pair, side):
-        x_key, y_key = skew_keys[pair]
-        rendezvous = skew_state[pair]
-
-        def body(task):
-            mix_attempts["write-skew"] = mix_attempts.get("write-skew", 0) + 1
-            txn = yield from coordinator.begin(task)
-            try:
-                yield from coordinator.read(task, txn, x_key)
-                yield from coordinator.read(task, txn, y_key)
-                yield from rendezvous.arrive(task)
-                coordinator.write(
-                    txn, y_key if side == 0 else x_key, (0).to_bytes(8, "little")
+    one_shots = []
+    for pair, (x_key, y_key) in enumerate(skew_keys):
+        rendezvous = Rendezvous(sim)
+        for side, written in enumerate((y_key, x_key)):
+            one_shots.append(
+                (
+                    f"ws{pair}.{side}",
+                    "write-skew",
+                    write_skew((x_key, y_key), written, rendezvous),
                 )
-                yield from coordinator.commit(task, txn)
-                mix_commits["write-skew"] = mix_commits.get("write-skew", 0) + 1
-            except TxnAborted:
-                pass
-            progress["pairs"] += 1
-
-        return body
-
-    skew_state = [Rendezvous(sim) for _ in range(write_skew_pairs)]
-
-    cluster[0].os.spawn(init_body, name="txn.init")
-    run_until(sim, lambda: progress["init"], deadline_ms=deadline_ms)
-    for worker in range(n_workers):
-        cluster[0].os.spawn(worker_body(worker), name=f"txn.w{worker}")
-    for pair in range(write_skew_pairs):
-        for side in range(2):
-            cluster[0].os.spawn(
-                skew_body(pair, side), name=f"txn.ws{pair}.{side}"
             )
-    run_until(
-        sim,
-        lambda: progress["workers"] == n_workers
-        and progress["pairs"] == 2 * write_skew_pairs,
-        deadline_ms=deadline_ms,
+
+    init = init_steps(keys + [key for pair in skew_keys for key in pair])
+    tally, errors = run_clients(
+        cluster, coordinator, "txn", init, plans, policy, retry_stats, one_shots
     )
-    sim.run(until=sim.now + 2 * MS)
-
-    for store in coordinator.stores:
-        errors.extend(store.group.errors)
-
-    mix = [
-        (name, mix_attempts[name], mix_commits.get(name, 0))
-        for name in sorted(mix_attempts)
-    ]
     return TxnWorkloadReport(
         seed=seed,
         mode=mode,
         n_groups=n_groups,
-        attempted=1 + sum(mix_attempts.values()),
+        attempted=1 + sum(attempts for attempts, _ in tally.values()),
         commits=coordinator.commits,
         aborts_ww=coordinator.aborts_ww,
         aborts_ssi=coordinator.aborts_ssi,
@@ -327,7 +396,7 @@ def run_txn_workload(
         served=coordinator.tracker.served,
         anomaly=describe_cycle(coordinator.history),
         sim_ms=sim.now / MS,
-        mix=mix,
+        mix=[(label, *counts) for label, counts in sorted(tally.items())],
         errors=errors[:3],
         retry=policy.name,
         retry_attempts=retry_stats.attempts,

@@ -16,8 +16,11 @@ unseen keys by the coordinator's consistent hash (DB slots assigned
 at commit install); scans are snapshot range reads over the per-group
 ordered key indexes, with the covered range feeding SSI's phantom
 (``ssi-phantom``) detection. E's scan lengths are drawn from the
-workload's seeded scan stream, capped by ``max_scan`` to keep the
-simulated read fan-out bounded.
+workload's seeded scan stream, capped at 12 keys to keep the
+simulated read fan-out bounded. Each transaction is three operations
+turned into steps (:func:`~repro.txn.workload.run_txn`) up front and
+run by the shaped mix's client loop
+(:func:`~repro.txn.workload.run_clients`).
 
 Determinism: the operation stream comes from ``YcsbWorkload``'s own
 named streams (pure functions of ``(mix, seed)``), the retry jitter
@@ -29,16 +32,15 @@ pool, so its rendering is byte-identical for 1 worker and 8.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
-from ..bench.harness import run_until
 from ..bench.parallel import RunSpec, run_parallel
 from ..hw.host import Cluster
 from ..sim import MS, Simulator
 from ..workloads.ycsb import WORKLOADS, Operation, YcsbWorkload
-from .retry import RetryStats, make_policy, run_with_retries
+from .retry import RetryStats, make_policy
 from .ssi import describe_cycle
-from .workload import build_txn_system
+from .workload import Step, build_txn_system, run_clients
 
 __all__ = [
     "TXN_MIXES",
@@ -154,13 +156,17 @@ class YcsbSuiteReport:
         return "\n".join(lines)
 
 
-def _plan_txns(
-    workload: YcsbWorkload, n_txns: int, ops_per_txn: int
-) -> List[List[Operation]]:
+_OPS_PER_TXN = 3
+_VALUE_SIZE = 16
+_MAX_SCAN = 12
+_DEADLINE_MS = 30_000
+
+
+def _plan_txns(workload: YcsbWorkload, n_txns: int) -> List[List[Operation]]:
     """Draw the whole operation stream up-front, chunked into txns."""
-    stream = list(workload.operations(n_txns * ops_per_txn))
+    stream = list(workload.operations(n_txns * _OPS_PER_TXN))
     return [
-        stream[index * ops_per_txn : (index + 1) * ops_per_txn]
+        stream[index * _OPS_PER_TXN : (index + 1) * _OPS_PER_TXN]
         for index in range(n_txns)
     ]
 
@@ -172,11 +178,7 @@ def run_ycsb_mix(
     n_keys: int = 48,
     n_txns: int = 36,
     n_workers: int = 4,
-    ops_per_txn: int = 3,
-    value_size: int = 16,
     retry: str = "backoff",
-    deadline_ms: int = 30_000,
-    max_scan: int = 12,
 ) -> YcsbTxnReport:
     """Run one YCSB mix transactionally; returns the deterministic report."""
     try:
@@ -186,10 +188,10 @@ def run_ycsb_mix(
             f"unknown YCSB mix {mix!r}; supported mixes are "
             f"{'/'.join(TXN_MIXES)}"
         ) from None
-    if workload_mix.max_scan_length > max_scan:
+    if workload_mix.max_scan_length > _MAX_SCAN:
         # Bound E's simulated read fan-out; the draw still comes from
         # the workload's seeded scan stream, so reports stay pinned.
-        workload_mix = replace(workload_mix, max_scan_length=max_scan)
+        workload_mix = replace(workload_mix, max_scan_length=_MAX_SCAN)
 
     sim = Simulator(seed=seed)
     cluster = Cluster(sim, n_hosts=4, n_cores=4)
@@ -200,9 +202,9 @@ def run_ycsb_mix(
     stats = RetryStats()
 
     workload = YcsbWorkload(
-        workload_mix, record_count=n_keys, value_size=value_size, seed=seed
+        workload_mix, record_count=n_keys, value_size=_VALUE_SIZE, seed=seed
     )
-    txn_plans = _plan_txns(workload, n_txns, ops_per_txn)
+    txn_plans = _plan_txns(workload, n_txns)
     n_inserts = sum(
         1 for plan in txn_plans for op in plan if op.kind == "insert"
     )
@@ -213,79 +215,50 @@ def run_ycsb_mix(
     def keyname(index: int) -> bytes:
         return f"y{index:04d}".encode()
 
-    keys = [keyname(index) for index in range(n_keys)]
-
     def payload(key: int, txn_index: int) -> bytes:
         stamp = f"{mix}/{key}/{txn_index}".encode()
-        return (stamp * (value_size // len(stamp) + 1))[:value_size]
+        return (stamp * (_VALUE_SIZE // len(stamp) + 1))[:_VALUE_SIZE]
 
-    progress = {"init": False, "done": 0}
-
-    def init_body(task):
-        txn = yield from coordinator.begin(task)
-        for index, key in enumerate(keys):
-            coordinator.write(txn, key, payload(index, -1))
-        yield from coordinator.commit(task, txn)
-        progress["init"] = True
-
-    def bump(value: Optional[bytes], key: int, txn_index: int) -> bytes:
+    def stamp_bump(key: int, txn_index: int):
+        """YCSB's modify: this txn's payload, last byte the read one's + 1."""
         base = payload(key, txn_index)
-        counter = (value or b"\x00")[-1] if value else 0
-        return base[:-1] + bytes([(counter + 1) & 0xFF])
 
-    def attempt_txn(txn_index: int):
-        plan = txn_plans[txn_index]
+        def bump(value: Optional[bytes]) -> bytes:
+            counter = value[-1] if value else 0
+            return base[:-1] + bytes([(counter + 1) & 0xFF])
 
-        def attempt(task):
-            txn = yield from coordinator.begin(task)
-            for op in plan:
-                # Dynamic mixes draw keys from the grown keyspace, so
-                # names come straight from the operation index; reads
-                # can race an insert's commit and legitimately miss.
-                key = keyname(op.key)
-                if op.kind == "read":
-                    yield from coordinator.read(task, txn, key)
-                elif op.kind == "update":
-                    coordinator.write(txn, key, payload(op.key, txn_index))
-                elif op.kind == "insert":
-                    coordinator.insert(
-                        txn, key, payload(op.key, txn_index)
-                    )
-                elif op.kind == "scan":
-                    yield from coordinator.scan(
-                        task, txn, key, op.scan_length
-                    )
-                else:  # modify: YCSB's read-modify-write
-                    value = yield from coordinator.read(task, txn, key)
-                    coordinator.write(txn, key, bump(value, op.key, txn_index))
-            yield from coordinator.commit(task, txn)
+        return bump
 
-        return attempt
+    def steps(txn_index: int) -> List[Step]:
+        # Dynamic mixes draw keys from the grown keyspace, so names
+        # come straight from the operation index; reads can race an
+        # insert's commit and legitimately miss.
+        out: List[Step] = []
+        for op in txn_plans[txn_index]:
+            key = keyname(op.key)
+            if op.kind == "read":
+                out.append(("read", key))
+            elif op.kind == "update":
+                out.append(("write", key, payload(op.key, txn_index)))
+            elif op.kind == "insert":
+                out.append(("insert", key, payload(op.key, txn_index)))
+            elif op.kind == "scan":
+                out.append(("scan", key, op.scan_length))
+            else:  # modify: YCSB's read-modify-write
+                out += [("read", key), ("bump", key, stamp_bump(op.key, txn_index))]
+        return out
 
-    def worker_body(worker: int):
-        def body(task):
-            # Round-robin deal keeps per-worker load even and the
-            # txn->worker mapping a pure function of the indices.
-            for txn_index in range(worker, n_txns, n_workers):
-                yield from run_with_retries(
-                    task, policy, attempt_txn(txn_index), stats
-                )
-            progress["done"] += 1
-
-        return body
-
-    cluster[0].os.spawn(init_body, name="ycsb.init")
-    run_until(sim, lambda: progress["init"], deadline_ms=deadline_ms)
-    for worker in range(n_workers):
-        cluster[0].os.spawn(worker_body(worker), name=f"ycsb.w{worker}")
-    run_until(
-        sim, lambda: progress["done"] == n_workers, deadline_ms=deadline_ms
+    init = [("write", keyname(index), payload(index, -1)) for index in range(n_keys)]
+    # Round-robin deal keeps per-worker load even and the txn->worker
+    # mapping a pure function of the indices.
+    plans = [
+        [(mix, steps(txn_index)) for txn_index in range(worker, n_txns, n_workers)]
+        for worker in range(n_workers)
+    ]
+    _, errors = run_clients(
+        cluster, coordinator, "ycsb", init, plans, policy, stats,
+        deadline_ms=_DEADLINE_MS,
     )
-    sim.run(until=sim.now + 2 * MS)
-
-    errors: List[str] = []
-    for store in coordinator.stores:
-        errors.extend(store.group.errors)
 
     sim_ms = sim.now / MS
     return YcsbTxnReport(
@@ -294,7 +267,7 @@ def run_ycsb_mix(
         n_groups=n_groups,
         n_keys=n_keys,
         n_txns=n_txns,
-        ops=n_txns * ops_per_txn,
+        ops=n_txns * _OPS_PER_TXN,
         committed=stats.committed,
         gave_up=stats.gave_up,
         attempts=stats.attempts,

@@ -190,7 +190,7 @@ def test_cycles_expose_a_pivot_to_the_online_graph(history):
     for src, dst, kind in build_serialization_edges(history):
         if kind == "rw" and concurrent(by_id[src], by_id[dst]):
             graph.add_rw(src, dst)
-    assert any(graph.pivot_detail(txn.txid) for txn in history), (
+    assert any(graph.pivot(txn.txid) for txn in history), (
         f"cycle without a concurrent-rw pivot: {history}"
     )
 
@@ -246,11 +246,11 @@ def test_online_graph_matches_reference(ops):
         for txid in range(1, MAX_TXNS + 1):
             ins = sorted(r for r, w in edges if w == txid)
             outs = sorted(w for r, w in edges if r == txid)
-            detail = graph.pivot_detail(txid)
+            found = graph.pivot(txid)
             if ins and outs:
-                assert detail == f"T{ins[0]} -rw-> T{txid} -rw-> T{outs[0]}"
+                assert found[0] == f"T{ins[0]} -rw-> T{txid} -rw-> T{outs[0]}"
             else:
-                assert detail is None
+                assert found is None
 
 
 # -- pinned regressions -------------------------------------------------------------
@@ -267,7 +267,7 @@ def test_classic_write_skew_is_caught():
     graph = SerializationGraph()
     graph.add_rw(1, 2)
     graph.add_rw(2, 1)
-    assert graph.pivot_detail(1) and graph.pivot_detail(2)
+    assert graph.pivot(1) and graph.pivot(2)
 
 
 def test_serial_history_is_clean():

@@ -57,10 +57,10 @@ class TestSerializationGraph:
     def test_pivot_requires_both_edge_directions(self):
         graph = SerializationGraph()
         graph.add_rw(1, 2)
-        assert graph.pivot_detail(1) is None  # out only
-        assert graph.pivot_detail(2) is None  # in only
+        assert graph.pivot(1) is None  # out only
+        assert graph.pivot(2) is None  # in only
         graph.add_rw(2, 3)
-        assert graph.pivot_detail(2) == "T1 -rw-> T2 -rw-> T3"
+        assert graph.pivot(2) == ("T1 -rw-> T2 -rw-> T3", "ssi-pivot")
 
     def test_retire_leaves_its_edges_on_the_survivors(self):
         # 2 -rw-> 1 -rw-> 3: retiring the ends keeps 1 a pivot (an
@@ -86,12 +86,12 @@ class TestSerializationGraph:
         graph.add_rw(2, 3)
         graph.forget(2)
         graph.add_rw(4, 2)  # stale reuse must not resurrect old edges
-        assert graph.pivot_detail(2) is None
+        assert graph.pivot(2) is None
 
     def test_self_edges_ignored(self):
         graph = SerializationGraph()
         graph.add_rw(5, 5)
-        assert graph.pivot_detail(5) is None
+        assert graph.pivot(5) is None
 
     def test_pivot_reason_plain_vs_phantom(self):
         graph = SerializationGraph()
