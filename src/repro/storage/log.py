@@ -11,10 +11,13 @@ over either group implementation (HyperLoop or Naïve-RDMA):
   ``ExecuteAndAdvance()``: process the record at the head, issuing a
   gMEMCPY (+gFLUSH) per entry to copy it from the log into the
   database area on all replicas, then advance the replicated head
-  with a gWRITE (§5, "Log Processing"). :meth:`ReplicatedLog.drain`
-  does the same for every pending record at once.
+  with a gWRITE (§5, "Log Processing") that the next post carries.
+  :meth:`ReplicatedLog.drain` does the same for every pending record
+  at once.
 * :meth:`ReplicatedLog.truncate` — drop everything up to a logical
-  offset by advancing the head (log truncation after a checkpoint).
+  offset by advancing the head (log truncation after a checkpoint),
+  and wait for the header: ``truncate(task, up_to=log.head)`` makes
+  an owed head advance durable.
 
 The 16-byte WAL header holds ``(head, LSN at head)`` and is written
 only where the head moves. Recovery, the replicas' sync and the
@@ -34,6 +37,18 @@ an ack: gMEMCPY after the record's, head advance after the gMEMCPYs'.
 ``append_beside``/``drain`` let a caller's own ops (the §5 lock and
 unlock gCAS) share those waits.
 
+The head advance is not waited for at all unless a caller's ops ride
+with it. Once the gMEMCPYs are acked, every replica's DB holds the
+records; the header only tells a *recovering* replica where redo may
+start, and redo is idempotent. So it is *owed*: one rule covers it and
+the zombie scrub below — **gWRITEs the log owes go out ahead of the
+ops of the next post under the WAL mutex** (``_owed``; a post that
+fails owes them again). The next record therefore lands on every
+replica behind the header that frees its room, and a replica's header
+is at most one drain behind the client's: redo from it re-applies at
+most the last executed batch, byte for byte. A txn install (append,
+drain) is two ack waits, ``[1 (+ the owed header), n]``.
+
 Appends are **group-committed**, leader/follower as in RocksDB's
 write path. An appender queues its record at the WAL mutex and then
 takes the mutex; whoever gets it with its record still unwritten is
@@ -45,10 +60,10 @@ member's ``beside`` ops — posted back to back, one ack wait. A
 *follower* that reaches the mutex finds its record written and
 returns. A batch is whatever queued while the previous one was in
 flight, so there is nothing to tune — no batch size, no linger timer —
-and a lone appender is a batch of one that posts exactly ``[marker,]
-record, beside ops``. An append returns only after its record is
-gWRITE(+gFLUSH)ed on every replica. A batch stops at the first waiter
-that is not an appender (``drain``, ``truncate``,
+and a lone appender is a batch of one that posts exactly ``[owed
+gWRITEs,] [marker,] record, beside ops``. An append returns only after
+its record is gWRITE(+gFLUSH)ed on every replica. A batch stops at the
+first waiter that is not an appender (``drain``, ``truncate``,
 :meth:`ReplicatedLog.cut`), so whoever holds the mutex sees a log in
 which every record under ``tail`` has been handed back to its
 appender.
@@ -147,9 +162,10 @@ class ReplicatedLog:
         # concurrent application threads queue here, and the appenders
         # among them ride one leader's write.
         self._gate = _Gate(group.sim)
-        # gWRITEs of zeroed zombie records the next post under the
-        # mutex carries ahead of its own ops (see :meth:`rebind`).
-        self._scrub: List[OpSpec] = []
+        # gWRITEs the next post under the mutex carries ahead of its
+        # own ops: zeroed zombie records (see :meth:`rebind`) and the
+        # header of the last head advance.
+        self._owed: List[OpSpec] = []
         self._write_header_local()
 
     def rebind(self, new_group) -> None:
@@ -166,7 +182,7 @@ class ReplicatedLog:
         """
         self.group = new_group
         self._gate = _Gate(new_group.sim)
-        self._scrub = self._scrub_zombies()
+        self._owed = self._scrub_zombies()
 
     # -- local mirror helpers ----------------------------------------------------
 
@@ -249,11 +265,19 @@ class ReplicatedLog:
         return gate
 
     def _post_locked(self, task: Task, ops: Sequence[OpSpec]) -> Generator:
-        """:meth:`post_and_wait` from under the WAL mutex; the first
-        such post after a scrub was queued carries it ahead of ``ops``."""
-        scrub, self._scrub = self._scrub, []
-        results = yield from self.post_and_wait(task, [*scrub, *ops])
-        return results[len(scrub) :]
+        """:meth:`post_and_wait` from under the WAL mutex, carrying the
+        owed ops ahead of ``ops``. A post that raises owes them again
+        (unless a rebind took the log elsewhere meanwhile): a refused
+        post may not have sent them, and re-sending is harmless."""
+        gate = self._gate
+        owed, self._owed = self._owed, []
+        try:
+            results = yield from self.post_and_wait(task, [*owed, *ops])
+        except BaseException:
+            if gate is self._gate:
+                self._owed[:0] = owed
+            raise
+        return results[len(owed) :]
 
     def cut(self, task: Task) -> Generator:
         """Wait out the appends ahead of the caller; returns
@@ -311,7 +335,7 @@ class ReplicatedLog:
             # the replicas is a zombie the next post zeroes (unless a
             # rebind already took the log elsewhere).
             if gate is self._gate:
-                self._scrub += self._scrub_zombies()
+                self._owed += self._scrub_zombies()
             if isinstance(exc, Exception):
                 error = exc
             else:  # the leader's generator was closed under it
@@ -397,12 +421,13 @@ class ReplicatedLog:
 
     def drain(self, task: Task, beside: Sequence[OpSpec] = ()) -> Generator:
         """Execute every pending record in order, advancing the head
-        once. ``beside`` ops are posted with the head advance and
-        awaited in the same round trip (the §5 recipe posts its unlock
-        gCAS here); zombies still to scrub go out even with nothing
-        pending. Returns ``(records executed, [result of each op])``.
+        once. The head advance is owed to the next post; ``beside`` ops
+        are that post, awaited in one round trip with the header ahead
+        of them (the §5 recipe posts its unlock gCAS here). Whatever is
+        owed goes out even with nothing pending. Returns ``(records
+        executed, [result of each op])``.
         """
-        if self.head == self.tail and not beside and not self._scrub:
+        if self.head == self.tail and not beside and not self._owed:
             return 0, []
         gate = yield from self._enter(task)
         try:
@@ -430,21 +455,20 @@ class ReplicatedLog:
                 )
                 src += entry.length
         # The copies share the gMEMCPY chain (ordered among themselves)
-        # but the head advance rides the gWRITE chain: it is posted
-        # only after every copy's ack.
+        # but the head advance rides the gWRITE chain: it is owed only
+        # after every copy's ack, and goes out with the next post.
         yield from self._post_locked(task, copies)
-        posts = []
         if records:
             logical, record = records[-1]
             self.head = logical + record.serialized_size
             self.head_lsn = record.lsn + 1
-            posts.append(self._header_op())
-        results = yield from self._post_locked(task, [*posts, *beside])
-        return results[len(posts) :]
+            self._owe_header()
+        return (yield from self._post_locked(task, beside)) if beside else []
 
     def truncate(self, task: Task, up_to: Optional[int] = None) -> Generator:
         """Advance the head past executed records (≤ ``up_to``,
-        default: everything)."""
+        default: everything) and wait for the header, with whatever
+        else is owed."""
         # Under the mutex like every header write: the head's LSN is
         # read off the records under the tail.
         gate = yield from self._enter(task)
@@ -456,7 +480,8 @@ class ReplicatedLog:
                 )
             self.head_lsn = self._lsn_at(target)
             self.head = target
-            yield from self._post_locked(task, [self._header_op()])
+            self._owe_header()
+            yield from self._post_locked(task, ())
         finally:
             gate.mutex.release()
 
@@ -477,6 +502,12 @@ class ReplicatedLog:
         replicating them."""
         self._write_header_local()
         return OpSpec(GWRITE, offset=self.layout.head_offset, size=WAL_HEADER.size)
+
+    def _owe_header(self) -> None:
+        """Stage the head locally and owe its gWRITE (once)."""
+        op = self._header_op()
+        if op not in self._owed:
+            self._owed.append(op)
 
     def post_and_wait(self, task: Task, ops: Sequence[OpSpec]) -> Generator:
         """Post ``ops`` back to back, wait once for all their acks;

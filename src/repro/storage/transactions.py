@@ -23,6 +23,9 @@ for the ordering rule that makes this safe):
 2. every entry's gMEMCPY;
 3. the head-advance gWRITE, the unlock gCAS beside it.
 
+(The head advance alone would be owed to the log's next post, not
+waited for; the unlock makes wait 3 and carries the header with it.)
+
 A lock gCAS that loses on any replica (a reader or another writer
 holds it) falls into :meth:`LockManager.wr_lock`'s undo-and-retry
 loop; the record is already durable, exactly as when the lock was
@@ -105,12 +108,15 @@ class TransactionManager:
         return record.lsn
 
     def drain(self, task: Task) -> Generator:
-        """Execute every pending record in order. Returns the count.
+        """Execute every pending record in order and make the head
+        durable (``truncate`` to it), so a recovery reads the log clean.
+        Returns the count.
 
         Caller must hold the write lock (or be the recovery path with
         writes paused).
         """
         executed, _ = yield from self.log.drain(task)
+        yield from self.log.truncate(task, up_to=self.log.head)
         return executed
 
     def drain_locked(self, task: Task, held: Optional[list] = None) -> Generator:

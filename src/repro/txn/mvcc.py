@@ -3,10 +3,11 @@
 Each :class:`VersionedGroupStore` owns the keys placed on one
 ``HyperLoopGroup`` and its :class:`ReplicatedLog`: the writes of a
 batch of commits become one WAL record, appended and then executed —
-three ack waits of ``[1, n, 1]`` group ops (record, gMEMCPYs, head
-advance) however many keys and commits — so every replicated-log
-guarantee (atomic record application, redo idempotence, durability
-before execution) carries over unchanged. The §5 recipe's group lock
+two ack waits of ``[1, n]`` group ops (record, gMEMCPYs; the head
+advance is owed and rides ahead of the next install's record)
+however many keys and commits — so every replicated-log guarantee
+(atomic record application, redo idempotence, durability before
+execution) carries over unchanged. The §5 recipe's group lock
 fences writers and locking readers from each other; there are none
 here: a store's ``owner`` is its one coordinator and only writer, with
 one install batch in flight in commit order, and reads lock nothing.
@@ -31,8 +32,8 @@ is the one-key case.
 splices in a replacement, the store points its log at the new group,
 which replaces its WAL mutex and append queue (the old mutex may be
 held forever by a task parked on the dead chain's ack,
-:meth:`ReplicatedLog.rebind`), and drains pending records so the ring
-cannot fill with orphans.
+:meth:`ReplicatedLog.rebind`), drains pending records so the ring
+cannot fill with orphans, and makes the head durable.
 """
 
 from __future__ import annotations
@@ -174,9 +175,10 @@ class VersionedGroupStore:
         """Durably install staged commits as one WAL record, in commit
         order (a later commit's write to a slot lands after an earlier
         one's): the group's changes apply atomically on all replicas,
-        in three ack waits — the record, its gMEMCPYs, the head advance.
-        Visibility is separate: callers :meth:`publish` a commit once
-        *every* participant installed it.
+        in two ack waits — the record, its gMEMCPYs. The head advance
+        is owed: the next post on the log carries it ahead of its own
+        ops. Visibility is separate: callers :meth:`publish` a commit
+        once *every* participant installed it.
         """
         yield from self.log.append(
             task, [change for changes in staged for change in changes]
@@ -280,10 +282,12 @@ class VersionedGroupStore:
     def recover(self, task: Task) -> Generator:
         """Post-repair cleanup: execute whatever the client mirror says
         is pending (orphans included; readers ignore them by version
-        metadata) and post the zombie scrub :meth:`rebind` queued. No
-        lock to break: an install takes none. Returns the number of
+        metadata), post the zombie scrub :meth:`rebind` queued and make
+        the head durable, so no replica is left with anything to redo.
+        No lock to break: an install takes none. Returns the number of
         records drained."""
         executed, _ = yield from self.log.drain(task)
+        yield from self.log.truncate(task, up_to=self.log.head)
         return executed
 
     def __repr__(self) -> str:

@@ -17,19 +17,19 @@ from repro.txn import run_txn_workload, run_ycsb
 REPORTS = {
     "ssi": (
         lambda: run_txn_workload(seed=7).render(),
-        "3d8891f0404bb913d98c168362a20cced83408ee7381ed5fea44289477d20da6",
+        "529c1308898bc7fb8e41761150e797661077bdcabae27cd2041064b42490aa1d",
     ),
     "si": (
         lambda: run_txn_workload(seed=7, mode="si").render(),
-        "7c17541cabf6a4bb70b6c0edbf9c6e68e3378b22c27d5e1869eeca917bc26028",
+        "bfcc40a8935254aeb39b414f4686e1c20700be946227132b458616a58e31512f",
     ),
     "backoff": (
         lambda: run_txn_workload(seed=7, retry="backoff").render(),
-        "35f37eca09e63620619713890043c86c3368d8ce42254c98dc939018ee7acc8d",
+        "29893899538660b863e5d2c4567e1c73d002ab62e5becf74543fc335f07205b3",
     ),
     "ycsb-A-F": (
         lambda: run_ycsb(mixes=("A", "B", "C", "D", "E", "F"), seed=7).render(),
-        "66d203893cfc59430aad0015f43dc7949644d683428eceef11f22ef39b31b34d",
+        "bfe9a43b0ab77b034ae9dfcb7cb58a99af83f1802a9b2c714a0c620646dcafcb",
     ),
 }
 

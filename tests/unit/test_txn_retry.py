@@ -136,9 +136,8 @@ def test_no_retry_sequential_control_keeps_its_seed_7_numbers():
     group at a time; with concurrent multi-group installs it reads the
     same seed-7 numbers.)
 
-    The pinned seed-7 outcome: 26 of 29 committed, three ssi-pivot
-    aborts (the write-skew pairs' two and one more) and no ww-conflict,
-    no anomaly.
+    The pinned seed-7 outcome: 27 of 29 committed, two ssi-pivot
+    aborts (the write-skew pairs') and no ww-conflict, no anomaly.
     (The first version of this workload recorded 26/29 with three
     ssi-pivot aborts under the 2 us sleep-poll commit latch; the
     wake-on-release latch, the three-wait install, reads spread over
@@ -146,13 +145,15 @@ def test_no_retry_sequential_control_keeps_its_seed_7_numbers():
     acks waking their waiter directly (23/29 before), committed
     transactions staying probed by the SSI rules (24/29, five
     ssi-pivot), commits without the global latch (27/29, two
-    ssi-pivot) and installs without the group lock each moved the
-    simulated schedule, not the control's semantics.)
+    ssi-pivot), installs without the group lock (26/29, three
+    ssi-pivot) and installs that owe their head advance to the next
+    post each moved the simulated schedule, not the control's
+    semantics.)
     """
     report = run_txn_workload(seed=7, retry="none")
     assert report.attempted == 29
-    assert report.commits == 26
-    assert report.aborts_ssi == 3
+    assert report.commits == 27
+    assert report.aborts_ssi == 2
     assert report.aborts_ww == 0
     assert report.aborts_other == 0
     assert report.anomaly == "none"

@@ -32,10 +32,11 @@ TXNS_PER_CLIENT = 40
 # 44,967 / 2,224 / 3,254 before committed transactions stayed probed by
 # the SSI rules; 45,194 / 2,239 / 3,266 while one global latch
 # serialized every commit from validation to publish; 44,924 / 2,199 /
-# 3,246 while every install took the group lock.
-KERNEL_DISPATCHES = 39_459
-CPU_DISPATCHES = 2_199
-WQES_EXECUTED = 2_798
+# 3,246 while every install took the group lock; 39,459 / 2,199 / 2,798
+# while every install waited for its head advance.
+KERNEL_DISPATCHES = 38_836
+CPU_DISPATCHES = 2_156
+WQES_EXECUTED = 2_757
 # Reads routed to each replica of each group: concurrent scans spread
 # over every copy, and replica 0 (the idle choice) serves most.
 # Group 1 was [211, 110, 56] with a tail header behind every append;
@@ -45,8 +46,10 @@ WQES_EXECUTED = 2_798
 # committed transactions stayed probed by the SSI rules, and [[165, 108,
 # 74], [202, 119, 56], [152, 63, 26], [201, 112, 64]] under the global
 # commit latch, and [[201, 100, 46], [228, 101, 47], [172, 60, 17],
-# [226, 110, 48]] while every install took the group lock.
-SERVED = [[191, 111, 45], [222, 116, 37], [171, 70, 8], [213, 122, 49]]
+# [226, 110, 48]] while every install took the group lock, and [[191,
+# 111, 45], [222, 116, 37], [171, 70, 8], [213, 122, 49]] while every
+# install waited for its head advance.
+SERVED = [[195, 106, 53], [207, 114, 52], [156, 67, 17], [201, 118, 55]]
 
 ONE_READ_NS = 4_757
 
@@ -142,16 +145,17 @@ def test_ycsb_e_counts_repeat_and_match_the_pin(monkeypatch):
     assert report.gave_up == 0 and report.errors == []
     # Per-key round trips cost 72,691 / 5,057 / 4,969 here.
     assert counts == (KERNEL_DISPATCHES, CPU_DISPATCHES, WQES_EXECUTED)
-    # 2,765 slots cross-checked by 1,388 READs in 1,355 batches: a
+    # 2,747 slots cross-checked by 1,387 READs in 1,341 batches: a
     # group's share of a scan is almost always one run of slots
     # (2,763 / 1,413 / 1,350 while a completion thread woke each
     # ack's waiter, 2,725 / 1,362 / 1,334 before the SSI rules kept
     # committed transactions probed, 2,733 / 1,374 / 1,342 under the
     # global commit latch, 2,769 / 1,388 / 1,356 while every install
-    # took the group lock).
-    assert counters["txn.scan_reads"] == 2_765
-    assert counters["reader.wqes"] == 1_388
-    assert counters["reader.batches"] == 1_355
+    # took the group lock, 2,765 / 1,388 / 1,355 while every install
+    # waited for its head advance).
+    assert counters["txn.scan_reads"] == 2_747
+    assert counters["reader.wqes"] == 1_387
+    assert counters["reader.batches"] == 1_341
     tracker = coordinator.tracker
     assert tracker.served == SERVED
     assert all(count > 0 for group in tracker.served for count in group)

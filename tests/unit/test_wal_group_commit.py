@@ -543,14 +543,54 @@ class TestZombieScrub:
         assert self._recovered(fresh, world.layout) == [[b"\x01", b"\x04"]] * 3
 
 
-    def test_a_head_advance_lost_with_the_dead_chain_is_restated(self, backend):
-        """The chain head dies as a drain's header gWRITE is posted: A
-        is executed and the client's head is past it, but the survivor's
-        header is not. After rebind the header rides the first post, so
-        no replica recovers A again (nor stops a lap past the old head)."""
+    def test_a_refused_post_keeps_the_scrub_it_carried(self, backend):
+        """The first post after the failed batch carries the scrub, and
+        the group refuses it at its first submit, before anything goes
+        out. The mirror is already zeroed, so no re-scan finds the
+        zombie again: the scrub must stay owed, or D (B's length, B's
+        LSN) ends where C begins and every replica recovers C again."""
         world = World(backend)
         log = ReplicatedLog(world.group, world.layout)
-        world.run([world.appender(log, "A", b"\x01" * 100)])
+        original = world.group.submit
+        refuse = []
+
+        def failing_submit(task, op):
+            if op.kind == GCAS:  # fails once the records have landed
+                yield from task.sleep(50_000)
+                raise OSError("post failed")
+            if refuse:
+                refuse.clear()
+                raise OSError("post refused")
+            return (yield from original(task, op))
+
+        world.group.submit = failing_submit
+        lock = OpSpec(GCAS, offset=world.layout.lock_offset, compare=0, swap=1)
+        world.run(self._zombie_batch(world, log, lambda: None, beside=[lock]))
+        world.sim.run(until=world.sim.now + 100_000)
+        assert self._recovered(world.group, world.layout) == [[b"\x01", b"\x02", b"\x03"]] * 3
+        refuse.append(True)
+        world.run([world.appender(log, "refused", b"\x05" * 100)])
+        assert isinstance(world.outcomes[-1][1], OSError)
+        world.run([world.appender(log, "D", b"\x04" * 100)])  # B's length, B's LSN
+        assert world.outcomes[-1][1].lsn == 1
+        assert self._recovered(world.group, world.layout) == [[b"\x01", b"\x04"]] * 3
+
+    def test_a_head_advance_lost_with_the_dead_chain_is_restated(self, backend):
+        """A is executed and its head advance owed; the chain head dies
+        as B's post carries that header gWRITE ahead of B. The client's
+        head is past A, but the survivor's header is not. After rebind
+        the header rides the first post again, so no replica recovers A
+        again (nor stops a lap past the old head)."""
+        world = World(backend)
+        log = ReplicatedLog(world.group, world.layout)
+
+        def install(task):
+            yield from log.append(task, [(0, b"\x01" * 100)])
+            yield from log.drain(task)
+
+        world.run([world.spawn(install, "A")])
+        assert (log.head, log.head_lsn) == (record_size(100), 1)
+        assert world.header(0) == (0, 0)  # owed, not posted
         submit = world.group.submit
 
         def crashing_submit(task, op):
@@ -560,10 +600,10 @@ class TestZombieScrub:
             return ack
 
         world.group.submit = crashing_submit
-        drainer = world.spawn(lambda task: log.drain(task), "drain")
+        zombie = world.appender(log, "B", b"\x02" * 100)
         world.sim.run(until=world.sim.now + 1 * MS)
-        assert not drainer.process.triggered
-        assert (log.head, log.head_lsn) == (record_size(100), 1)
+        assert not zombie.process.triggered
+        assert (log.tail, log.next_lsn) == (record_size(100), 1)
         assert world.header(1) == (0, 0)  # the survivor never got it
         repair = ChainRepair(
             world.cluster[0], world.group,
@@ -577,8 +617,52 @@ class TestZombieScrub:
         world.run([world.spawn(repairer, "repair")], deadline_ms=50)
         fresh = repaired["group"]
         log.rebind(fresh)
-        world.run([world.appender(log, "B", b"\x02" * 100)])
-        assert self._recovered(fresh, world.layout) == [[b"\x02"]] * 3
+        world.run([world.appender(log, "C", b"\x03" * 100)])
+        assert self._recovered(fresh, world.layout) == [[b"\x03"]] * 3
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_installs_lapping_the_ring_leave_each_replica_a_log_from_its_own_header(backend):
+    """Lone installs (append, then drain) of mixed sizes lap a 1 KiB
+    ring three times, wrap markers and all. Ring room is judged against
+    the client's head, while each drain's head advance is only owed: it
+    rides the next record's post, ahead of it on the gWRITE chain. So
+    at every simulated instant — every ack included — a scan from each
+    replica's own header finds LSNs up to the last record written (or
+    the one in flight), and that header is no earlier than the previous
+    drain's head. A header posted behind the record lets a record that
+    laps onto the previous one land first, and the scan finds nothing."""
+    world = World(backend, wal_size=1024)
+    log = ReplicatedLog(world.group, world.layout)
+    heads = [0, 0]  # the client's LSN at head after each drain
+    appending = [False]
+    sizes = [464, 64, 476] * 4  # the 476s wrap and land on the 64s before them
+
+    def body(task):
+        for index, size in enumerate(sizes):
+            appending[0] = True
+            yield from log.append(task, [(8 * index, bytes([index + 1]) * size)])
+            appending[0] = False
+            yield from log.drain(task)
+            heads.append(log.head_lsn)
+
+    def check():
+        ends = {log.next_lsn - 1, log.next_lsn - 1 + appending[0]}
+        for replica in range(3):
+            head, lsn = world.header(replica)
+            raw = world.group.read_replica(replica, world.layout.wal_offset, 1024)
+            run = [record.lsn for _, record in scan_records(raw, head, lsn, 1024)]
+            assert lsn >= heads[-2], (replica, lsn, heads[-2])
+            assert lsn + len(run) - 1 in ends, (replica, lsn, run, ends)
+
+    task = world.spawn(body, "installer")
+    queue = world.sim._queue
+    while not task.process.triggered:
+        world.sim.run(until=queue[0][0])  # every event of the next instant
+        check()
+    assert task.process.ok, task.process.value
+    assert log.head == log.tail > 3 * 1024 and log.next_lsn == len(sizes)
+    assert world.header(0) == (log.head - record_size(476), len(sizes) - 1)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
