@@ -875,7 +875,7 @@ _STALL = (
     FaultEvent("nic_resume", target="host2", at_ms=2.0),
 )
 _TXN_NOTE = (
-    "committed={coordinator.commits} epoch={coordinator.epoch} "
+    "committed={coordinator.commits} epoch={coordinator.certifier.epoch} "
     "failover_aborts={coordinator.aborts_failover} reissued={reissued} "
     "retried={retried} read_failovers={coordinator.tracker.failovers}"
 )
@@ -1120,7 +1120,7 @@ _TABLE = (
         "txn-failover",
         "replica crash mid-commit -> repair -> txn epoch reset + replay",
         functools.partial(_init_and_mix, 17),
-        note=_TXN_NOTE.replace("epoch={coordinator.epoch} ", ""),
+        note=_TXN_NOTE.replace("epoch={coordinator.certifier.epoch} ", ""),
     ),
     # The in-flight insert's slot assignment survives as an orphan the
     # epoch guard keeps unpublished, and the replayed insert commits on

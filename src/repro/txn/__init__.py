@@ -3,9 +3,10 @@
 ``repro.txn`` layers general transactions on the replicated-log /
 group-write machinery: MVCC snapshot reads (:mod:`~repro.txn.mvcc`),
 an SSI serialization graph with pivot aborts (:mod:`~repro.txn.ssi`),
+the certifier that decides what commits (:mod:`~repro.txn.certify`),
 Available-Copies read placement under failures
-(:mod:`~repro.txn.available_copies`), the commit coordinator tying
-them together (:mod:`~repro.txn.coordinator`), abort-reason-aware
+(:mod:`~repro.txn.available_copies`), the commit coordinator doing the
+I/O around it (:mod:`~repro.txn.coordinator`), abort-reason-aware
 retry policies (:mod:`~repro.txn.retry`), and two deterministic
 workload drivers: the shaped mix (:mod:`~repro.txn.workload`,
 ``python -m repro txn``) and transactional YCSB
@@ -15,8 +16,9 @@ transactions as step lists that one interpreter runs
 """
 
 from .available_copies import AvailabilityTracker, NoAvailableCopy
-from .coordinator import Transaction, TxnAborted, TxnCoordinator
-from .mvcc import SlotExhausted, Version, VersionedGroupStore
+from .certify import Transaction, TxnAborted, Version
+from .coordinator import TxnCoordinator
+from .mvcc import SlotExhausted, VersionedGroupStore
 from .retry import (
     ExponentialBackoff,
     ImmediateRetry,

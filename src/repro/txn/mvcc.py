@@ -12,12 +12,11 @@ fences writers and locking readers from each other; there are none
 here: a store's ``owner`` is its one coordinator and only writer, with
 one install batch in flight in commit order, and reads lock nothing.
 
-On top of that, the store keeps the *version chain* snapshot reads
-need: an in-memory, coordinator-side history of committed versions per
-key (the client is the transaction coordinator; its memory of what it
-committed is authoritative, exactly like the replicated log's
-client-side head/tail). Each key owns one fixed-size DB slot holding
-the newest **installed** version as a self-describing record
+The store is also its group's :class:`~repro.txn.certify.VersionIndex`,
+the client-side version chains snapshot reads need (the client's
+memory of what it committed is authoritative, like the replicated
+log's head/tail). Each key owns one fixed-size DB slot holding the
+newest **installed** version as a self-describing record
 (:func:`~repro.storage.encoding.encode_version_record`), so one-sided
 replica reads can distinguish a visible version from a newer one — or
 from an orphan left by a commit that installed durably but crashed
@@ -38,29 +37,19 @@ cannot fill with orphans, and makes the head durable.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..hw.cpu import Task
 from ..storage.encoding import decode_version_record, encode_version_record
 from ..storage.log import ReplicatedLog
 from ..storage.wal import LogRecord, RegionLayout
+from .certify import VersionIndex
 
-__all__ = ["Version", "VersionedGroupStore", "SlotExhausted", "decode_durable"]
+__all__ = ["VersionedGroupStore", "SlotExhausted", "decode_durable"]
 
 
 class SlotExhausted(RuntimeError):
     """The group's DB area has no free slot for a new key."""
-
-
-@dataclass(frozen=True, slots=True)
-class Version:
-    """One committed version of a key."""
-
-    commit_ts: int
-    txid: int
-    value: bytes
 
 
 def _decode_slot(raw: bytes, key: bytes):
@@ -81,7 +70,7 @@ def decode_durable(
     return {key: _decode_slot(raw, key) for key, raw in zip(keys, raws)}
 
 
-class VersionedGroupStore:
+class VersionedGroupStore(VersionIndex):
     """Versioned keys on one replica group.
 
     Parameters
@@ -98,6 +87,7 @@ class VersionedGroupStore:
         slot_size: int = 256,
         name: str = "vstore",
     ):
+        super().__init__()
         self.layout = RegionLayout.for_region(group.region_size)
         self.log = ReplicatedLog(group, self.layout)
         self.slot_size = slot_size
@@ -111,11 +101,6 @@ class VersionedGroupStore:
         if self.n_slots < 1:
             raise ValueError("DB area too small for a single version slot")
         self._slots: Dict[bytes, int] = {}  # key -> slot index
-        self.versions: Dict[bytes, List[Version]] = {}  # ascending commit_ts
-        # Ordered index over published keys: what snapshot scans walk.
-        # Maintained at publish time (the coordinator publishes in
-        # commit order, so insertion order is deterministic).
-        self._ordered: List[bytes] = []
         self.installs = 0
 
     @property
@@ -177,8 +162,9 @@ class VersionedGroupStore:
         one's): the group's changes apply atomically on all replicas,
         in two ack waits — the record, its gMEMCPYs. The head advance
         is owed: the next post on the log carries it ahead of its own
-        ops. Visibility is separate: callers :meth:`publish` a commit
-        once *every* participant installed it.
+        ops. Visibility is separate: the certifier publishes a commit
+        (:meth:`VersionIndex.publish`) once *every* participant
+        installed it.
         """
         yield from self.log.append(
             task, [change for changes in staged for change in changes]
@@ -186,59 +172,7 @@ class VersionedGroupStore:
         yield from self.log.drain(task)
         self.installs += len(staged)
 
-    def publish(
-        self, items: Sequence[Tuple[bytes, bytes]], commit_ts: int, txid: int
-    ) -> None:
-        """Make installed versions visible to snapshot reads.
-
-        Synchronous (no yields): all of a transaction's versions
-        appear atomically with respect to every other task. A key's
-        first published version also enters the ordered key index —
-        this is how an insert becomes scannable.
-        """
-        for key, value in items:
-            chain = self.versions.setdefault(key, [])
-            if not chain:
-                insort(self._ordered, key)
-            chain.append(Version(commit_ts, txid, value))
-
-    # -- snapshot reads -----------------------------------------------------------
-
-    def version_at(self, key: bytes, ts: int) -> Optional[Version]:
-        """Newest published version visible at snapshot ``ts``."""
-        chain = self.versions.get(key)
-        if not chain:
-            return None
-        for version in reversed(chain):
-            if version.commit_ts <= ts:
-                return version
-        return None
-
-    def latest(self, key: bytes) -> Optional[Version]:
-        """Newest published version of a key (any snapshot)."""
-        chain = self.versions.get(key)
-        return chain[-1] if chain else None
-
-    def first_after(self, key: bytes, ts: int) -> Optional[Version]:
-        """Oldest published version newer than snapshot ``ts``: the one
-        whose writer a reader at ``ts`` must precede."""
-        first = None
-        for version in reversed(self.versions.get(key, ())):
-            if version.commit_ts <= ts:
-                break
-            first = version
-        return first
-
-    def keys_from(self, start: bytes) -> Tuple[bytes, ...]:
-        """Published keys ``>= start`` in ascending order, as of now.
-
-        Returns a snapshot slice (a scan yields between key reads, and
-        a commit publishing mid-scan must not shift the walk); keys
-        whose only versions are newer than the caller's snapshot still
-        appear — the caller must skip them, and note the rw edge they
-        imply.
-        """
-        return tuple(self._ordered[bisect_left(self._ordered, start) :])
+    # -- durable reads -------------------------------------------------------------
 
     def post_durable(
         self, task: Task, keys: Sequence[bytes], replica: int

@@ -20,9 +20,10 @@ semantics are otherwise identical.
 Two faces of the same graph live here:
 
 * :class:`SerializationGraph` — the online edge set (per-key and
-  range/phantom rw edges) the coordinator maintains while
-  transactions run; queried for the pivot rule at commit, and when
-  an edge lands on a transaction that can no longer abort.
+  range/phantom rw edges) the certifier (:mod:`~repro.txn.certify`)
+  maintains while transactions run; queried for the pivot rule at
+  validation, and when an edge lands on a transaction that can no
+  longer abort.
 * :func:`build_serialization_edges` / :func:`find_cycle` — the
   offline reconstruction over a committed history (ww + wr + rw
   edges, including predicate rw edges from each transaction's

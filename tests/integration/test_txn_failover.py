@@ -410,8 +410,8 @@ class TestResetMidScan:
         txn = seen["txn"]
         assert txn.reads == {} and txn.scans == []
         assert txn.observations == []
-        assert coordinator.graph.pivot(seen["writer"].txid) is None
-        assert not coordinator.graph._in and not coordinator.graph._out
+        assert coordinator.certifier.graph.pivot(seen["writer"].txid) is None
+        assert not coordinator.certifier.graph._in and not coordinator.certifier.graph._out
         assert coordinator.aborts_failover == 2  # scanner and writer
 
         def read_both(task):

@@ -90,7 +90,7 @@ def recorded(coordinator, txn):
         dict(txn.reads),
         list(txn.scans),
         list(txn.observations),
-        sorted(coordinator.graph._out.get(txn.txid, ())),
+        sorted(coordinator.certifier.graph._out.get(txn.txid, ())),
     )
 
 

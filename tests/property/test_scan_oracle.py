@@ -72,7 +72,7 @@ def scan_records(coordinator, txn, since=0):
         dict(txn.reads),
         list(txn.scans),
         txn.observations[since:],
-        sorted(coordinator.graph._out.get(txn.txid, ())),
+        sorted(coordinator.certifier.graph._out.get(txn.txid, ())),
     )
 
 
@@ -82,8 +82,8 @@ def reference_scan(coordinator, txn, start, limit):
     RDMA: ``(result, records)`` a scan issued now must produce."""
     reads, scans = dict(txn.reads), list(txn.scans)
     observations = []
-    edges = set(coordinator.graph._out.get(txn.txid, ()))
-    others = [t for t in coordinator.active.values() if t.txid != txn.txid]
+    edges = set(coordinator.certifier.graph._out.get(txn.txid, ()))
+    others = [t for t in coordinator.certifier.active.values() if t.txid != txn.txid]
 
     def note_read_edges(store, key):
         first = store.first_after(key, txn.snapshot_ts)

@@ -1,10 +1,10 @@
 """Property-test wall around the SSI checkers (hypothesis).
 
 Random small snapshot-isolation histories (≤5 transactions, ≤4 keys)
-are generated by simulating begin/commit interleavings with snapshot
-reads and first-committer-wins — exactly the histories the coordinator
-can produce in ``mode="si"`` — and checked three ways against a
-brute-force all-permutations serializability oracle:
+are generated by driving the certifier in ``mode="si"`` through random
+begin/commit interleavings — the coordinator's own snapshot reads and
+first-committer-wins, with no simulator — and checked three ways
+against a brute-force all-permutations serializability oracle:
 
 * Soundness of the offline checker: a history the oracle cannot
   serialize (no permutation reproduces every observed version and the
@@ -29,6 +29,7 @@ import itertools
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.txn.certify import Certifier, TxnAborted, VersionIndex
 from repro.txn.ssi import (
     CommittedTxn,
     SerializationGraph,
@@ -47,13 +48,14 @@ KEYS = [f"k{index}".encode() for index in range(MAX_KEYS)]
 
 @st.composite
 def si_histories(draw):
-    """A random committed SI history: snapshot reads, FCW writes.
+    """A random committed SI history, from ``Certifier(mode="si")``.
 
     Each transaction draws a read set and a write set; a random
-    interleaving of begin/commit events assigns timestamps. Reads
-    observe the newest version committed at or before the snapshot;
-    a transaction whose write set was overwritten after its snapshot
-    aborts (first-committer-wins) and never enters the history.
+    interleaving of begin/commit events orders them. At its begin a
+    transaction reads its read set at the snapshot, then buffers its
+    write set; at its commit it validates — first-committer-wins
+    aborts it if a write-set key was overwritten after its snapshot,
+    and it never enters the history — and publishes at once.
     """
     n_txns = draw(st.integers(1, MAX_TXNS))
     n_keys = draw(st.integers(1, MAX_KEYS))
@@ -67,52 +69,26 @@ def si_histories(draw):
     ]
     event_order = draw(st.permutations(list(range(2 * n_txns))))
 
-    # Position of each txn's two events; begin is the earlier one.
-    slots = {}
-    for ts, event in enumerate(event_order, start=1):
-        slots.setdefault(event // 2, []).append(ts)
-
-    committed_versions = {}  # key -> list of (commit_ts, txid), append order
-    history = []
-    # Process in commit order: every version a transaction can observe
-    # (commit_ts <= its begin) or conflict with (commit_ts in its
-    # begin..commit window) was installed by an earlier-committing
-    # transaction, so it is already present when we get there.
-    for index in sorted(range(n_txns), key=lambda t: max(slots[t])):
-        begin_ts, commit_ts = sorted(slots[index])
-        reads, writes = specs[index]
-        txid = index + 1
-        seen = {}
-        for key in reads:
-            versions = [
-                (ts, who)
-                for ts, who in committed_versions.get(key, [])
-                if ts <= begin_ts
-            ]
-            seen[key] = max(versions)[0] if versions else 0
-        # First-committer-wins: a write-set key overwritten after our
-        # snapshot aborts us — mirrors TxnCoordinator.commit.
-        conflicted = any(
-            any(
-                begin_ts < ts <= commit_ts
-                for ts, _ in committed_versions.get(key, [])
-            )
-            for key in writes
-        )
-        if conflicted:
+    certifier = Certifier([VersionIndex()], lambda key: 0, mode="si")
+    txns = {}
+    for event in event_order:
+        index = event // 2
+        if index not in txns:
+            reads, writes = specs[index]
+            txn = txns[index] = certifier.begin(0)
+            for key in reads:
+                certifier.read(txn, key)
+            for key in writes:
+                certifier.write(txn, key, b"v")
             continue
-        for key in writes:
-            committed_versions.setdefault(key, []).append((commit_ts, txid))
-        history.append(
-            CommittedTxn(
-                txid=txid,
-                begin_ts=begin_ts,
-                commit_ts=commit_ts,
-                reads=seen,
-                writes=tuple(writes),
-            )
-        )
-    return history
+        txn = txns[index]
+        try:
+            certifier.validate(txn, 0)
+        except TxnAborted:
+            continue
+        if txn.writes:
+            certifier.installed(0, [txn.txid])
+    return certifier.history
 
 
 # -- brute-force oracle -------------------------------------------------------------
@@ -180,7 +156,7 @@ def test_cycles_expose_a_pivot_to_the_online_graph(history):
     Fekete's dangerous-structure theorem for SI histories: every
     non-serializable execution contains a transaction with both an
     incoming and an outgoing rw-antidependency between concurrent
-    transactions. That pivot is what ``TxnCoordinator.commit`` aborts,
+    transactions. That pivot is what ``Certifier.validate`` aborts,
     so its existence here is exactly "SSI would have prevented this".
     """
     if find_cycle(history) is None:

@@ -13,9 +13,9 @@ install_sequentially)``) and diff the two paths.
 """
 
 
-def install_sequentially(coordinator, task, pending):
-    for index in sorted(pending.per_group):
+def install_sequentially(coordinator, task, groups, done):
+    for index in groups:
         queue = coordinator._queues[index]
         queue.busy = True
         yield from coordinator._flush(task, index, queue)
-    yield from task.wait(pending.done)
+    return (yield from task.wait(done))

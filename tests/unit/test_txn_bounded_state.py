@@ -41,7 +41,7 @@ KEYS = 48
 
 
 def graph_nodes(coordinator):
-    graph = coordinator.graph
+    graph = coordinator.certifier.graph
     return graph._in.keys() | graph._out.keys()
 
 
@@ -72,7 +72,7 @@ class BoundedWorld:
         coordinator = self.coordinator
         for txn in coordinator.history[len(self.commit_ts):]:
             self.commit_ts[txn.txid] = txn.commit_ts
-        live = coordinator.active
+        live = coordinator.certifier.active
         watermark = min(txn.snapshot_ts for txn in live.values()) if live else None
         retained = graph_nodes(coordinator) - live.keys()
         for txid in retained:
@@ -138,10 +138,10 @@ def test_state_is_flat_from_n_to_20n_transactions(mix):
     long = BoundedWorld(mix, 20 * N).run()
     for world in (short, long):
         coordinator = world.coordinator
-        assert not coordinator.active
-        assert len(coordinator.graph) == 0  # nothing at rest
-        assert coordinator._retiring == []
-        assert coordinator._pending == {}
+        assert not coordinator.certifier.active
+        assert len(coordinator.certifier.graph) == 0  # nothing at rest
+        assert coordinator.certifier._retiring == []
+        assert coordinator.certifier.pending == {}
         assert not any(queue.busy or queue.staged for queue in coordinator._queues)
         assert coordinator.stale_reads == []
         assert coordinator.read_violations == []

@@ -7,7 +7,8 @@ conflicting work may wait for: ``begin`` never parks, a read parks
 only on an earlier pending writer of its key, commits queued on one
 group ride one ``transact``, commits on disjoint groups overlap, and a
 failover reset releases every waiter and leaves the healthy group's
-queue draining. A batch that fails aborts its commits.
+queue draining. A batch that fails aborts its commits, and a validated
+commit refuses a caller's abort.
 """
 
 from repro.hw import Cluster
@@ -122,7 +123,7 @@ def test_begin_does_not_wait_for_an_installing_commit():
         yield from task.sleep(20 * US)
         asked = world.sim.now
         txn = yield from coordinator.begin(task)
-        begun.append((asked, world.sim.now, len(coordinator._pending), txn))
+        begun.append((asked, world.sim.now, len(coordinator.certifier.pending), txn))
 
     world.run(holder, world.spawn(beginner, "beginner"))
     [(asked, returned, pending, txn)] = begun
@@ -206,7 +207,7 @@ def test_a_failover_with_commits_in_flight_on_two_groups_wedges_nothing():
         world.spawn(world.reader(a, reads, 30 * US), "reader"),
     ]
     world.sim.run(until=world.sim.now + 50 * US)
-    assert len(coordinator._pending) == 4 and log == [] and reads == []
+    assert len(coordinator.certifier.pending) == 4 and log == [] and reads == []
     healthy = coordinator._queues[1]
     assert healthy.busy and len(healthy.staged) == 1
 
@@ -217,7 +218,7 @@ def test_a_failover_with_commits_in_flight_on_two_groups_wedges_nothing():
     assert not zombie.process.triggered
     assert sorted(entry[2] for entry in log) == ["failover"] * 3
     assert reads == [("abort", a, "failover")]
-    assert coordinator._pending == {} and coordinator.active == {}
+    assert coordinator.certifier.pending == {} and coordinator.certifier.active == {}
     # The healthy group's in-flight batch finished and stopped; nothing
     # of the old epoch published, and fresh commits on both groups go
     # through.
@@ -272,9 +273,67 @@ def test_a_failed_batch_fails_its_commit_and_a_later_one_still_publishes():
     assert done1 < failed <= done3
     assert coordinator.stores[0].latest(second).value == OLD
     assert coordinator.stores[1].latest(other).value == NEW
-    assert coordinator._pending == {}
+    assert coordinator.certifier.pending == {}
     # The failed commit aborted: it holds back no watermark, so every
     # committed transaction retired from the SSI probes and graph.
-    assert coordinator.active == {}
-    assert coordinator._retained == {} and len(coordinator.graph) == 0
+    assert coordinator.certifier.active == {}
+    assert coordinator.certifier._retained == {} and len(coordinator.certifier.graph) == 0
     assert coordinator.aborts_install == 1
+
+
+def test_a_validated_commit_refuses_abort_and_publishes():
+    """Past validation a commit counts as committed in every other
+    transaction's pivot checks, so a caller's ``abort`` while it
+    installs is refused: nothing is counted as aborted, and the commit
+    publishes as it would have."""
+    world = World()
+    coordinator = world.coordinator
+    key = world.keys[0][0]
+    seen = {}
+
+    def writer(task):
+        txn = seen["txn"] = yield from coordinator.begin(task)
+        coordinator.write(txn, key, NEW)
+        world.holds[txn.txid] = 50 * US
+        seen["commit_ts"] = yield from coordinator.commit(task, txn)
+
+    def aborter(task):
+        yield from task.sleep(20 * US)
+        try:
+            coordinator.abort(seen["txn"])
+        except ValueError as exc:
+            seen["refused"] = str(exc)
+
+    world.run(world.spawn(writer), world.spawn(aborter, "aborter"))
+    txn = seen["txn"]
+    assert seen["refused"] == f"T{txn.txid} passed validation and cannot abort"
+    assert coordinator.aborts_user == 0 and txn.abort_reason is None
+    assert txn.status == "committed" and coordinator.history[-1].txid == txn.txid
+    assert coordinator.stores[0].latest(key).value == NEW
+    assert seen["commit_ts"] == txn.commit_ts
+
+
+def test_a_commit_that_cannot_be_staged_aborts_and_later_ones_publish():
+    """A write set with no slot to go to (here a record larger than a
+    slot) fails at staging, after validation: the commit aborts like a
+    failed install and raises, holding back no later publish."""
+    world = World()
+    coordinator = world.coordinator
+    key, other = world.keys[0][:2]
+    seen, log = {}, []
+
+    def oversized(task):
+        txn = seen["txn"] = yield from coordinator.begin(task)
+        coordinator.write(txn, key, b"\x04" * 300)
+        try:
+            yield from coordinator.commit(task, txn)
+        except ValueError as exc:
+            seen["error"] = str(exc)
+
+    world.run(world.spawn(oversized))
+    assert "exceeds slot" in seen["error"]
+    assert seen["txn"].status == "aborted" and seen["txn"].abort_reason == "install-failed"
+    assert coordinator.aborts_install == 1
+    assert coordinator.certifier.pending == {} and coordinator.certifier.active == {}
+    world.run(world.spawn(world.writer([key, other], NEW, log)))
+    assert log[-1][0] == "commit" and coordinator.stores[0].latest(key).value == NEW

@@ -1,6 +1,6 @@
 """Committed transactions leave the SSI graph at the snapshot watermark.
 
-``TxnCoordinator._retire`` forgets a committed transaction once its
+``Certifier._retire`` forgets a committed transaction once its
 commit timestamp is below the oldest live snapshot. Every rw edge
 joins two transactions whose ``[snapshot, commit]`` intervals overlap,
 so a retired node can never take part in a later pivot check: the
@@ -27,10 +27,10 @@ from repro.sim import Simulator
 from repro.txn import (
     SerializationGraph,
     TxnAborted,
-    TxnCoordinator,
     build_txn_system,
     run_txn_workload,
 )
+from repro.txn.certify import Certifier
 from tests.property.test_scan_oracle import schedules, SEED_KEYS
 
 KEYS = [b"k0", b"k1", b"k2", b"k3"]
@@ -56,14 +56,14 @@ def drive(sim, cluster, body):
 
 
 def recorded(run, retire):
-    """``run()``'s result, and everything the coordinator decided while
+    """``run()``'s result, and everything the certifier decided while
     it ran: each pivot check and its answer, each abort and its reason,
     each commit and its timestamp. ``retire=False`` is the reference:
     committed transactions stay in the graph for good."""
     log = []
-    coordinators = []
+    certifiers = []
     pivot, abort, finalize = (
-        SerializationGraph.pivot, TxnCoordinator._abort, TxnCoordinator._finalize
+        SerializationGraph.pivot, Certifier._abort, Certifier._finalize
     )
 
     def logged_pivot(graph, txid):
@@ -71,38 +71,38 @@ def recorded(run, retire):
         log.append(("pivot", txid, found))
         return found
 
-    def logged_abort(coordinator, txn, reason):
+    def logged_abort(certifier, txn, reason):
         log.append(("abort", txn.txid, reason))
-        return abort(coordinator, txn, reason)
+        return abort(certifier, txn, reason)
 
-    def logged_finalize(coordinator, txn, commit_ts=None):
-        commit_ts = finalize(coordinator, txn, commit_ts)
+    def logged_finalize(certifier, txn, commit_ts):
+        commit_ts = finalize(certifier, txn, commit_ts)
         log.append(("commit", txn.txid, commit_ts))
-        if coordinator not in coordinators:
-            coordinators.append(coordinator)
+        if certifier not in certifiers:
+            certifiers.append(certifier)
         return commit_ts
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SerializationGraph, "pivot", logged_pivot)
-        patch.setattr(TxnCoordinator, "_abort", logged_abort)
-        patch.setattr(TxnCoordinator, "_finalize", logged_finalize)
+        patch.setattr(Certifier, "_abort", logged_abort)
+        patch.setattr(Certifier, "_finalize", logged_finalize)
         if not retire:
-            patch.setattr(TxnCoordinator, "_retire", lambda coordinator: None)
+            patch.setattr(Certifier, "_retire", lambda certifier: None)
         result = run()
-    return result, log, coordinators
+    return result, log, certifiers
 
 
 def assert_neutral(run):
     """Retiring and never retiring decide the same; the retiring
-    coordinator ends with an empty graph. Returns the reference's
-    coordinators."""
-    result, log, coordinators = recorded(run, retire=True)
+    certifier ends with an empty graph. Returns the reference's
+    certifiers."""
+    result, log, certifiers = recorded(run, retire=True)
     reference, reference_log, kept = recorded(run, retire=False)
     assert result == reference
     assert log == reference_log
-    assert [c.history for c in coordinators] == [c.history for c in kept]
-    for coordinator in coordinators:
-        assert len(coordinator.graph) == 0 and coordinator._retiring == []
+    assert [c.history for c in certifiers] == [c.history for c in kept]
+    for certifier in certifiers:
+        assert len(certifier.graph) == 0 and certifier._retiring == []
     return kept
 
 
@@ -237,7 +237,7 @@ class TestBoundaries:
         until T2 ends — commit or abort."""
         for end in ("commit", "abort"):
             sim, cluster, coordinator = make()
-            graph = coordinator.graph
+            graph = coordinator.certifier.graph
 
             def body(task):
                 reader = yield from coordinator.begin(task)
@@ -263,7 +263,7 @@ class TestBoundaries:
         before the reader's: T1 leaves at that moment, the reader does
         not."""
         sim, cluster, coordinator = make()
-        graph = coordinator.graph
+        graph = coordinator.certifier.graph
         queues = []
 
         def body(task):
@@ -273,13 +273,13 @@ class TestBoundaries:
             t1 = yield from coordinator.begin(task)
             coordinator.write(t1, b"x", b"new")
             t1_ts = yield from coordinator.commit(task, t1)
-            queues.append(list(coordinator._retiring))
+            queues.append(list(coordinator.certifier._retiring))
             later = yield from coordinator.begin(task)
             reader_ts = yield from coordinator.commit(task, reader)
-            queues.append(list(coordinator._retiring))
+            queues.append(list(coordinator.certifier._retiring))
             assert t1.txid in graph._in
             coordinator.abort(oldest)
-            queues.append(list(coordinator._retiring))
+            queues.append(list(coordinator.certifier._retiring))
             assert t1.txid not in graph._in and t1.txid not in graph._out
             yield from coordinator.commit(task, later)
             assert oldest.snapshot_ts < t1_ts < later.snapshot_ts < reader_ts
@@ -287,11 +287,11 @@ class TestBoundaries:
 
         t1, reader = drive(sim, cluster, body)
         assert queues == [[t1], [t1, reader], [reader]]
-        assert len(graph) == 0 and coordinator._retiring == []
+        assert len(graph) == 0 and coordinator.certifier._retiring == []
 
     def test_failover_reset_retires_everything(self):
         sim, cluster, coordinator = make()
-        graph = coordinator.graph
+        graph = coordinator.certifier.graph
 
         def body(task):
             reader = yield from coordinator.begin(task)
@@ -308,4 +308,4 @@ class TestBoundaries:
         before, status = drive(sim, cluster, body)
         assert before == 2
         assert status == "aborted" and coordinator.aborts_failover == 1
-        assert len(graph) == 0 and coordinator._retiring == []
+        assert len(graph) == 0 and coordinator.certifier._retiring == []
