@@ -194,14 +194,17 @@ class TestTenancySweep:
 class TestRingSizing:
     def test_small_rings_expose_replenishment(self, benchmark):
         """With a generously sized ring the replica CPU's refill work
-        never gates an operation; with a tiny ring the pipeline
-        periodically stalls on maintenance (visible in the tail)."""
+        never gates an operation. A replica re-arms half a lap as soon
+        as half a lap is consumed, so on idle replicas a tiny ring does
+        not stall either; under 6 tenants per replica core the refill
+        waits for the scheduler and the tiny ring's tail shows it."""
         n_ops = scaled(1200, 300)
 
-        def run_with_rounds(rounds):
+        def run_with_rounds(rounds, tenants):
             sim = Simulator(seed=52)
             cluster = Cluster(sim, n_hosts=4, n_cores=8)
-            _spawn_background(cluster, cluster.hosts[1:], 6)
+            if tenants:
+                _spawn_background(cluster, cluster.hosts[1:], tenants)
             group = HyperLoopGroup(
                 cluster[0],
                 cluster.hosts[1:],
@@ -227,25 +230,31 @@ class TestRingSizing:
             return recorder.stats()
 
         def run():
-            return {rounds: run_with_rounds(rounds) for rounds in (16, 4096)}
+            return {
+                (rounds, tenants): run_with_rounds(rounds, tenants)
+                for rounds, tenants in ((16, 6), (4096, 6), (16, 0))
+            }
 
         results = benchmark.pedantic(run, rounds=1, iterations=1)
         rows = [
-            (rounds, round(stats.mean, 1), round(stats.p99, 1), round(stats.maximum, 0))
-            for rounds, stats in results.items()
+            (rounds, tenants, round(stats.mean, 1), round(stats.p99, 1), round(stats.maximum, 0))
+            for (rounds, tenants), stats in results.items()
         ]
         print()
         print(
             format_table(
                 "Ablation: pre-posted round budget (HyperLoop, us)",
-                ["rounds", "avg", "p99", "max"],
+                ["rounds", "tenants/core", "avg", "p99", "max"],
                 rows,
             )
         )
-        small, big = results[16], results[4096]
+        small, big, quiet = results[16, 6], results[4096, 6], results[16, 0]
         assert big.maximum < 100, "big rings should never stall"
         assert small.maximum > big.maximum, (
             "tiny rings must show replenishment stalls"
+        )
+        assert quiet.maximum <= big.maximum, (
+            "on idle replicas refills trail consumption: no stall beyond a big ring's"
         )
         benchmark.extra_info["stall_max_us_small_ring"] = round(small.maximum, 0)
 

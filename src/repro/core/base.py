@@ -20,7 +20,7 @@ per-chain flows and waiter maps hook in through :meth:`_path`.
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, List, Optional, Sequence
+from typing import Dict, Generator, Iterable, List, Optional, Sequence, Tuple
 
 from ..hw.cpu import Task
 from ..hw.host import Host
@@ -308,3 +308,76 @@ class GroupBase:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name} g={self.g} durable={self.durable}>"
+
+
+class RingRefill:
+    """One replica's refill task, the rule both NIC-offloaded groups share.
+
+    Re-arms a ring's rounds half a lap at a time once half a lap is
+    retired, the only CPU work a replica does for a group (§5.1). It
+    wakes on a threshold on the ring's recv CQ at that point (CQ
+    moderation: refills trail consumption) and on the one pending
+    ``maintenance_interval`` tick, which drains CQs and surfaces errors.
+    Each ring keeps one threshold waiter, replaced once it fired or its
+    NIC crashed (a crash drops them). A ring (``group._rings``) has
+    ``rounds``, ``lap``, ``advance_lap``, ``replica_cqs``, ``error_label``.
+    """
+
+    def __init__(self, group: GroupBase, replica: int):
+        self.group = group
+        self.replica = replica
+        self.nic = group.replicas[replica].nic
+        self.parked: Optional[Event] = None  # what the task sleeps on
+        self.armed: Dict[object, Tuple[Event, int]] = {}  # ring -> (waiter, NIC crashes)
+
+    def nudge(self, _event: Event) -> None:
+        parked = self.parked
+        if parked is not None and not parked.triggered:
+            parked.succeed()
+
+    def due(self, ring) -> bool:
+        """Whether ``ring`` has half a lap to re-arm; if not, keep one
+        threshold waiter armed for the completion that may bring it."""
+        posted, retired, cq = ring.lap(self.replica)
+        point = posted - ring.rounds + max(ring.rounds // 2, 1)
+        if retired >= point:
+            return True
+        armed = self.armed.get(ring)
+        if armed is None or armed[0].triggered or armed[1] != self.nic.crashes:
+            # The recv CQ counts a round before its send rings retire
+            # it, so a wake can come a round early: then the next one.
+            waiter = cq.threshold_event(max(point, cq.completions_total + 1))
+            waiter.add_callback(self.nudge)
+            self.armed[ring] = (waiter, self.nic.crashes)
+        return False
+
+    def body(self, task: Task) -> Generator:
+        group, replica = self.group, self.replica
+        for ring in group._rings(replica):
+            self.due(ring)
+        ticked = True
+        while True:
+            if ticked:
+                tick = group.sim.timeout(group.maintenance_interval)
+                tick.add_callback(self.nudge)
+            # A waiter that fired while the task ran is a wake it owes.
+            if not tick.triggered and not any(w.triggered for w, _ in self.armed.values()):
+                self.parked = group.sim.event()
+                yield from task.wait(self.parked)
+            if group._stopping:
+                return
+            # Wakeup + ring/CQ state checks.
+            yield from task.compute(500)
+            ticked = tick.triggered
+            for ring in group._rings(replica):
+                # The programs are lap-invariant, so a re-arm is a
+                # doorbell write per ring, not WQE re-serialization.
+                while self.due(ring):
+                    ring.advance_lap(replica, max(ring.rounds // 2, 1))
+                    yield from task.compute(300)
+                if ticked:
+                    # Keep hardware queues bounded; surface NIC errors.
+                    for cq in ring.replica_cqs(replica):
+                        for cqe in cq.poll(1 << 16):
+                            if not cqe.ok:
+                                group.errors.append(f"{ring.error_label(replica)}: {cqe!r}")

@@ -25,8 +25,9 @@ patching). The tail replica acks the client with a WRITE_WITH_IMM
 carrying the result map.
 
 Everything a replica executes per operation is done by its NIC; the
-replica CPU only refills consumed rounds, off the critical path (see
-:class:`repro.core.group.HyperLoopGroup`).
+replica CPU only re-arms consumed rounds, half a lap at a time once its
+recv CQ shows half a lap consumed, off the critical path (see
+:class:`repro.core.base.RingRefill`).
 """
 
 from __future__ import annotations
@@ -476,6 +477,11 @@ class Chain:
             retired = min(retired, state.qp_loop.hw.send_consumer // self.spr_loop)
         return retired
 
+    def lap(self, replica: int):
+        """``(posted, retired, recv CQ counting rounds)`` on a replica."""
+        state = self.replicas[replica]
+        return state.posted_rounds, self.retired_rounds(replica), state.qp_prev.recv_cq
+
     def advance_lap(self, replica: int, rounds: int) -> None:
         """Re-arm ``rounds`` consumed rounds on a replica's rings.
 
@@ -490,6 +496,18 @@ class Chain:
         if state.qp_loop is not None:
             state.qp_loop.advance_send_producer(rounds * self.spr_loop)
         state.posted_rounds += rounds
+
+    def replica_cqs(self, replica: int):
+        """Every CQ a replica's rings complete into, in drain order."""
+        state = self.replicas[replica]
+        cqs = [state.qp_prev.recv_cq, state.qp_prev.send_cq]
+        for qp in (state.qp_next, state.qp_loop):
+            if qp is not None:
+                cqs += [qp.send_cq, qp.recv_cq]
+        return cqs
+
+    def error_label(self, replica: int) -> str:
+        return f"r{replica} {self.primitive}"
 
     def post_ack_recv(self) -> None:
         """Post one client-side RECV for a tail WRITE_IMM ack."""

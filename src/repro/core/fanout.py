@@ -30,15 +30,14 @@ chains, reproduced among NIC-offloaded designs.
 from __future__ import annotations
 
 import struct
-from typing import Generator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from ..hw.cpu import Task
 from ..hw.host import Host
 from ..hw.nic import AccessFlags
 from ..hw.wqe import FLAG_SGL, FLAG_SIGNALED, FLAG_VALID, Opcode, Wqe, WQE_SIZE
 from ..rdma.verbs import QueuePair
 from ..sim import US
-from .base import GroupBase
+from .base import GroupBase, RingRefill
 from .chain import GWRITE, OpSpec
 
 __all__ = ["HyperFanoutGroup"]
@@ -315,46 +314,33 @@ class HyperFanoutGroup(GroupBase):
 
     # -- primary maintenance ----------------------------------------
 
-    def _retired_rounds(self) -> int:
+    def lap(self, replica: int):
+        """The primary's ``(posted, retired, recv CQ counting rounds)``."""
         retired = self.primary_qp.hw.recv_consumer
         retired = min(retired, self.trigger_qp.hw.send_consumer // self.spr_trigger)
         for qp in self.backup_qps:
             retired = min(retired, qp.hw.send_consumer // self.spr_backup)
         retired = min(retired, self.primary_ack_qp.hw.send_consumer // 2)
-        return retired
+        return self.posted_rounds, retired, self.primary_qp.recv_cq
+
+    def advance_lap(self, replica: int, rounds: int) -> None:
+        self.primary_qp.advance_recv_producer(rounds)
+        self.trigger_qp.advance_send_producer(rounds * self.spr_trigger)
+        for qp in self.backup_qps:
+            qp.advance_send_producer(rounds * self.spr_backup)
+        self.primary_ack_qp.advance_send_producer(rounds * 2)
+        self.posted_rounds += rounds
+
+    def replica_cqs(self, replica: int):
+        return [self.primary_qp.recv_cq, self.primary_qp.send_cq, self.trigger_qp.send_cq,
+                self.shared_cq, self.primary_ack_qp.send_cq]
+
+    def error_label(self, replica: int) -> str:
+        return "primary"
+
+    def _rings(self, replica: int):
+        return (self,)
 
     def _spawn(self):
-        yield self.replicas[0].os.spawn(self._maintenance_body(), name=f"{self.name}.maint")
-
-    def _maintenance_body(self):
-        def body(task: Task) -> Generator:
-            while True:
-                yield from task.sleep(self.maintenance_interval)
-                if self._stopping:
-                    return
-                yield from task.compute(500)
-                half_lap = max(self.rounds // 2, 1)
-                while self._retired_rounds() >= self.posted_rounds - self.rounds + half_lap:
-                    self.primary_qp.advance_recv_producer(half_lap)
-                    self.trigger_qp.advance_send_producer(half_lap * self.spr_trigger)
-                    for qp in self.backup_qps:
-                        qp.advance_send_producer(half_lap * self.spr_backup)
-                    self.primary_ack_qp.advance_send_producer(half_lap * 2)
-                    self.posted_rounds += half_lap
-                    yield from task.compute(300)
-                for cq in self._primary_cqs():
-                    for cqe in cq.poll(1 << 16):
-                        if not cqe.ok:
-                            self.errors.append(f"primary: {cqe!r}")
-
-        return body
-
-    def _primary_cqs(self):
-        cqs = [
-            self.primary_qp.recv_cq,
-            self.primary_qp.send_cq,
-            self.trigger_qp.send_cq,
-            self.shared_cq,
-            self.primary_ack_qp.send_cq,
-        ]
-        return cqs
+        refill = RingRefill(self, 0)
+        yield self.replicas[0].os.spawn(refill.body, name=f"{self.name}.maint")

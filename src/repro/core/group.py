@@ -34,12 +34,11 @@ never builds the gMEMCPY and gCAS chains.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from ..hw.cpu import Task
 from ..hw.host import Host
 from ..sim import Event, Resource, US
-from .base import GroupBase
+from .base import GroupBase, RingRefill
 from .chain import Chain, GCAS, GMEMCPY, GWRITE, OpSpec
 
 __all__ = ["HyperLoopGroup"]
@@ -63,7 +62,9 @@ class HyperLoopGroup(GroupBase):
         Size in bytes of the replicated data region on every node.
     rounds:
         Pre-posted rounds per chain; at most ``rounds // 2``
-        operations may be in flight per primitive.
+        operations may be in flight per primitive. A replica re-arms
+        half a lap once half a lap is consumed, woken by its recv CQ
+        (:class:`~repro.core.base.RingRefill`).
     durable:
         Interleave gFLUSH with every gwrite/gmemcpy (§4.2).
     nvm:
@@ -78,8 +79,8 @@ class HyperLoopGroup(GroupBase):
         CQs (dedicated-core clients, e.g. the latency microbenchmark).
         See :mod:`repro.core.acks`.
     maintenance_interval:
-        How often replica CPUs wake to refill rounds (off the
-        critical path).
+        How often replica CPUs wake to drain CQs and surface NIC
+        errors (off the critical path); refills do not wait for it.
     """
 
     def __init__(
@@ -112,6 +113,7 @@ class HyperLoopGroup(GroupBase):
             for primitive in self.primitives
         }
         self._waiters: Dict[str, Dict[int, Event]] = {}  # per built chain
+        self._refills = []  # one per replica once started
         if autostart:
             self.start()
 
@@ -143,6 +145,8 @@ class HyperLoopGroup(GroupBase):
         # every loop over the chains is independent of first use.
         built = {**self.chains, primitive: chain}
         self.chains = {p: built[p] for p in self.primitives if p in built}
+        for refill in self._refills:  # tasks parked before it existed
+            refill.due(chain)
         return chain
 
     # -- the data path: one chain per primitive ----------------------------------------
@@ -158,59 +162,12 @@ class HyperLoopGroup(GroupBase):
         return self.chains[op.kind].client_post(op)
 
     def _spawn(self):
+        self._refills = [RingRefill(self, index) for index in range(self.g)]
         for index, host in enumerate(self.replicas):
-            yield host.os.spawn(self._maintenance_body(index), name=f"{self.name}.r{index}.maint")
+            yield host.os.spawn(self._refills[index].body, name=f"{self.name}.r{index}.maint")
 
-    def _maintenance_body(self, index: int) -> Generator:
-        """Replica-side task: refill consumed rounds, drain CQs.
-
-        This is the only CPU work replicas ever do for the group, and
-        it is batched and off the critical path (§5.1: "Replicas need
-        to wake up periodically off the critical path").
-        """
-
-        def body(task: Task) -> Generator:
-            while True:
-                yield from task.sleep(self.maintenance_interval)
-                if self._stopping:
-                    return
-                # Timer wakeup + ring/CQ state checks.
-                yield from task.compute(500)
-                for chain in self.chains.values():
-                    state = chain.replicas[index]
-                    # Re-arm consumed rounds in half-lap batches: the
-                    # programs are lap-invariant, so this is a doorbell
-                    # write per ring, not WQE re-serialization.
-                    half_lap = max(chain.rounds // 2, 1)
-                    while (
-                        chain.retired_rounds(index)
-                        >= state.posted_rounds - chain.rounds + half_lap
-                    ):
-                        chain.advance_lap(index, half_lap)
-                        yield from task.compute(300)
-                    # Drain CQs so hardware queues stay bounded; check
-                    # for errors the NIC surfaced.
-                    for cq in self._replica_cqs(chain, index):
-                        cqes = cq.poll(1 << 16)
-                        for cqe in cqes:
-                            if not cqe.ok:
-                                self.errors.append(
-                                    f"r{index} {chain.primitive}: {cqe!r}"
-                                )
-
-        return body
-
-    def _replica_cqs(self, chain: Chain, index: int):
-        state = chain.replicas[index]
-        cqs = [
-            state.qp_prev.recv_cq,
-            state.qp_prev.send_cq,
-            state.qp_next.send_cq,
-            state.qp_next.recv_cq,
-        ]
-        if state.qp_loop is not None:
-            cqs.extend([state.qp_loop.send_cq, state.qp_loop.recv_cq])
-        return cqs
+    def _rings(self, replica: int):
+        return self.chains.values()
 
     def stats(self) -> Dict[str, int]:
         """Operational counters (observability surface)."""

@@ -862,9 +862,14 @@ class NicQp:
         if self.recv_consumer >= self.recv_producer:
             # Ring dry: look again one hop after the recv doorbell rings.
             sim = self.nic.sim
-            self._await_recv_kick().add_callback(
-                lambda _rung: sim.call_in(0, self._rx_deliver, msg, ok)
-            )
+            kick = self._await_recv_kick()
+            if TRACER.enabled:
+                TRACER.count("nic.rx_ring_dry")
+                dry_from = sim.now
+                kick.add_callback(
+                    lambda _rung: TRACER.count("nic.rx_ring_dry_ns", sim.now - dry_from)
+                )
+            kick.add_callback(lambda _rung: sim.call_in(0, self._rx_deliver, msg, ok))
             return
         wqe = self._read_recv_wqe(self.recv_consumer)
         self.recv_consumer += 1

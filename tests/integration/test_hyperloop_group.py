@@ -8,9 +8,13 @@ the headline property that replica CPUs stay off the critical path.
 
 import pytest
 
+from repro.bench import run_until
 from repro.core import HyperLoopGroup, SKIP_SENTINEL
 from repro.hw import Cluster
+from repro.obs import tracing
 from repro.sim import MS, Simulator, US
+from repro.sim.events import Timeout
+from repro.txn import run_ycsb_mix
 
 
 def make_group(n_replicas=3, seed=11, **kwargs):
@@ -392,3 +396,133 @@ class TestMixedWorkload:
         # Maintenance did run (replica CPU > 0) but stays under 2% of
         # a core per replica (doorbell laps + timer bookkeeping only).
         assert 0 < group.replica_cpu_ns() < 0.02 * sim.now * 3
+
+
+def run_client(sim, cluster, body):
+    """Run ``body`` as the client task until it returns (the replica
+    tasks' ticks never drain the event queue)."""
+    task = cluster[0].os.spawn(body, "client")
+    run_until(sim, lambda: task.process.triggered, deadline_ms=2000)
+    if not task.process.ok:
+        raise task.process.value
+
+
+def back_to_back(sim, cluster, group, n_ops, primitive="gwrite"):
+    """Latencies of ``n_ops`` blocking ops issued back to back."""
+    latencies = []
+
+    def body(task):
+        group.write_local(0, b"b" * 256)
+        for _ in range(n_ops):
+            start = sim.now
+            if primitive == "gwrite":
+                yield from group.gwrite(task, 0, 256)
+            else:
+                yield from group.gcas(task, 512, 0, 0)
+            latencies.append(sim.now - start)
+
+    run_client(sim, cluster, body)
+    return latencies
+
+
+def wakes(event, refill):
+    return refill.nudge in (event._callbacks or ())
+
+
+def threshold_waiters(group):
+    """Per chain and replica, the refill task's threshold waiters on
+    the chain's round counter (the NIC's WAITs wait there too)."""
+    return [
+        sum(wakes(event, refill) for _, event in state.qp_prev.recv_cq._threshold_waiters)
+        for chain in group.chains.values()
+        for state, refill in zip(chain.replicas, group._refills)
+    ]
+
+
+def pending_ticks(sim, refill):
+    """Queued timers that would wake ``refill``'s task."""
+    return sum(
+        1
+        for entry in sim._queue
+        if isinstance(entry[2], Timeout)
+        and not entry[2].triggered
+        and wakes(entry[2], refill)
+    )
+
+
+class TestRingRefill:
+    """Refills trail consumption: a replica re-arms half a lap as soon
+    as its recv CQ shows half a lap consumed, not on the next
+    ``maintenance_interval`` tick (which only drains CQs)."""
+
+    @pytest.mark.parametrize("rounds", [8, 16])
+    def test_back_to_back_ops_never_find_a_ring_dry(self, rounds):
+        # With refills on the 200 us tick alone, one op per half lap
+        # waited for it: max 66 us at 16 rounds, 138 us at 8, against
+        # 9 us unloaded.
+        sim, cluster, group = make_group(rounds=rounds)
+        latencies = back_to_back(sim, cluster, group, 600)
+        unloaded = min(latencies)
+        # The first op builds the chain and pays the cold caches.
+        assert max(latencies[1:]) <= 2 * unloaded
+        assert not group.errors
+
+    def test_a_chain_built_after_the_tasks_parked_is_refilled(self):
+        sim, cluster, group = make_group(rounds=8)
+        back_to_back(sim, cluster, group, 40)
+        assert "gcas" not in group.chains
+        latencies = back_to_back(sim, cluster, group, 200, primitive="gcas")
+        assert max(latencies[1:]) <= 2 * min(latencies)
+
+    def test_wake_state_stays_bounded(self):
+        """One pending tick per task and one threshold waiter per chain
+        CQ, however many half laps go by: ``HwCq.push`` scans its
+        waiters on every completion."""
+        sim, cluster, group = make_group(rounds=8)
+        samples = []
+
+        def body(task):
+            group.write_local(0, b"w" * 64)
+            for index in range(5000):
+                if index % 4 == 0:
+                    yield from group.gcas(task, 512, 0, 0)
+                else:
+                    yield from group.gwrite(task, 0, 64)
+                if index % 97 == 0:
+                    samples.append(
+                        (threshold_waiters(group), [pending_ticks(sim, r) for r in group._refills])
+                    )
+
+        run_client(sim, cluster, body)
+        assert len(samples) > 50
+        for waiters, ticks in samples + [(threshold_waiters(group), [])]:
+            assert max(waiters) <= 1
+            assert all(count <= 1 for count in ticks)
+        assert not group.errors
+
+    def test_a_nic_crash_does_not_strand_the_task(self):
+        """A NIC crash drops its CQs' threshold waiters (and strands the
+        chain, which ``ChainRepair`` replaces); the replica's task still
+        wakes on its tick, re-arms its waiter and exits at ``stop()``."""
+        sim, cluster, group = make_group(rounds=8, maintenance_interval=100 * US)
+        back_to_back(sim, cluster, group, 20)
+        nic = cluster.hosts[2].nic
+        nic.crash()
+        nic.restart()
+        assert threshold_waiters(group) == [1, 0, 1]
+        ran = group._tasks[1].cpu_ns
+        sim.run(until=sim.now + 200 * US)
+        assert threshold_waiters(group) == [1, 1, 1]
+        assert group._tasks[1].cpu_ns > ran
+        group.stop()
+        sim.run(until=sim.now + 200 * US)
+        assert all(task.process.triggered for task in group._tasks)
+
+    def test_a_txn_run_never_finds_a_ring_dry(self):
+        """The traced count of messages that found a replica's RECV
+        ring empty, on a short YCSB-A run over ``rounds=16`` groups."""
+        with tracing(record_kernel=False) as tracer:
+            report = run_ycsb_mix(mix="A", seed=10, n_txns=160, n_workers=4)
+        assert report.committed == 160
+        assert tracer.counters.get("nic.rx_ring_dry", 0) == 0
+        assert tracer.counters.get("nic.rx_ring_dry_ns", 0) == 0

@@ -185,9 +185,11 @@ def test_an_op_leaves_nothing_for_the_collector_however_long_the_run(world_class
 # the ack handler built a first-of-N event over its CQs' per wake; it now
 # waits on one completion channel. 7,412 while every fabric message
 # (20 per gWRITE) fired a drain-time Event into its delivery; the
-# delivery is now queued directly.
+# delivery is now queued directly. 3,412 while the replica tasks slept
+# on bare ticks; a tick now wakes them through the one event each parks
+# on (a ring's half-lap threshold is the other way in), 150 per run.
 RESUMES = 3_749
-EVENT_OBJECTS = 3_412
+EVENT_OBJECTS = 3_562
 DISPATCHES = 21_829
 PINNED_OPS = 200
 

@@ -33,9 +33,10 @@ TXNS_PER_CLIENT = 40
 # the SSI rules; 45,194 / 2,239 / 3,266 while one global latch
 # serialized every commit from validation to publish; 44,924 / 2,199 /
 # 3,246 while every install took the group lock; 39,459 / 2,199 / 2,798
-# while every install waited for its head advance.
-KERNEL_DISPATCHES = 38_836
-CPU_DISPATCHES = 2_156
+# while every install waited for its head advance; 38,836 / 2,156 /
+# 2,757 while replicas re-armed their rings only on the 200 us tick.
+KERNEL_DISPATCHES = 39_127
+CPU_DISPATCHES = 2_231
 WQES_EXECUTED = 2_757
 # Reads routed to each replica of each group: concurrent scans spread
 # over every copy, and replica 0 (the idle choice) serves most.
