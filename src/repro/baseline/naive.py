@@ -47,7 +47,8 @@ _KINDS = {GWRITE: 1, GMEMCPY: 2, GCAS: 3}
 
 @dataclass
 class NaiveParams:
-    """CPU costs of the software data path (per message)."""
+    """CPU costs of the software data path (per message). Noticing one
+    costs a polling daemon what it costs every poller (``Task.poll_wait``)."""
 
     parse_ns: int = 600
     """Receive handling: completion demux + command parse."""
@@ -59,8 +60,6 @@ class NaiveParams:
     """CPU copy throughput ~ 8 GB/s including cache effects."""
     flush_base_ns: int = 300
     """Fixed cost of a durability flush (clflush/fence sequence)."""
-    poll_slice_ns: int = 200
-    """CPU burned per empty poll iteration in polling mode."""
 
 
 class _ReplicaPlumbing:
@@ -113,8 +112,7 @@ class NaiveGroup(GroupBase):
             raise ValueError(f"bad replica_mode {replica_mode!r}")
         self.params = params or NaiveParams()
         super().__init__(
-            client, replicas, region_size, rounds, durable, nvm, name, client_mode,
-            client_core, check_ns=self.params.poll_slice_ns, check_every_pass=True,
+            client, replicas, region_size, rounds, durable, nvm, name, client_mode, client_core
         )
         self.replica_mode = replica_mode
         self.replica_cores = list(replica_cores or [None] * len(replicas))
@@ -332,9 +330,7 @@ class NaiveGroup(GroupBase):
             cq = plumbing.qp_prev.recv_cq
             while not self._stopping:
                 if self.replica_mode == "polling":
-                    yield from task.poll_wait(
-                        cq.next_event(), check_ns=params.poll_slice_ns
-                    )
+                    yield from task.poll_wait(cq.next_event())
                 else:
                     yield from task.wait(cq.next_event())
                 cqes = cq.poll(64)

@@ -12,7 +12,9 @@ op's ack event, in round order. Who runs it is the ``client_mode``:
   thread in between. It pays the poll, :data:`POLL_NS` per ack, as it
   resumes (:meth:`AckReaper.wait`).
 * ``"polling"`` — a client thread that busy-polls the channel and pays
-  the poll itself; waiters resume at no further charge.
+  the poll itself; waiters resume at no further charge. It spins only
+  while every ack CQ is empty, so it notices acks as every poller does
+  (``Task.poll_wait``: one check per spin, none for a queued ack).
 """
 
 from __future__ import annotations
@@ -55,24 +57,16 @@ class _AckQueue:
 class AckReaper:
     """A group's client-side ack handling (see the module docstring).
 
-    ``errors`` is the group's error list. ``check_ns`` is what the
-    polling thread pays to notice a completion; with
-    ``check_every_pass`` it pays it on every pass, not only after
-    spinning (the Naïve and fan-out pollers always have).
+    ``errors`` is the group's error list; all four group types poll alike.
     """
 
-    def __init__(
-        self, sim: Simulator, name: str, client_mode: str, errors: List[str],
-        check_ns: int = 200, check_every_pass: bool = False,
-    ):
+    def __init__(self, sim: Simulator, name: str, client_mode: str, errors: List[str]):
         if client_mode not in ("event", "polling"):
             raise ValueError(f"bad client_mode {client_mode!r}")
         self.sim = sim
         self.name = name
         self.client_mode = client_mode
         self.errors = errors
-        self.check_ns = check_ns
-        self.check_every_pass = check_every_pass
         self.channel = CompletionChannel(sim, f"{name}.acks")
         self.queues: List[_AckQueue] = []
         self._owner: Dict[HwCq, _AckQueue] = {}
@@ -161,8 +155,8 @@ class AckReaper:
         while not self.stopped:
             yield from self._drain_send_errors(task)
             pending = [queue for queue in self.queues if queue.cq.entries]
-            if self.check_every_pass or not pending:
-                yield from task.poll_wait(self.channel.next_event(), check_ns=self.check_ns)
+            if not pending:
+                yield from task.poll_wait(self.channel.next_event())
                 if self.stopped:
                     return
                 yield from self._drain_send_errors(task)

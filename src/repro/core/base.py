@@ -40,9 +40,7 @@ class GroupBase:
 
     The constructor allocates the client region, registers one region
     per replica (in NVM when ``nvm``) and builds the read path, in that
-    order; a subclass then builds its data path. ``reaper`` is passed
-    to :class:`~repro.core.acks.AckReaper` (each type's polling
-    cadence).
+    order; a subclass then builds its data path.
     """
 
     primitives = (GWRITE, GMEMCPY, GCAS)
@@ -51,12 +49,12 @@ class GroupBase:
     def __init__(
         self, client: Host, replicas: Sequence[Host], region_size: int, rounds: int,
         durable: bool, nvm: bool, name: str, client_mode: str = "event",
-        client_core: Optional[int] = None, **reaper,
+        client_core: Optional[int] = None,
     ):
         if not replicas:
             raise ValueError("a group needs at least one replica")
         self.errors: List[str] = []
-        self._acks = AckReaper(client.sim, name, client_mode, self.errors, **reaper)
+        self._acks = AckReaper(client.sim, name, client_mode, self.errors)
         self.client = client
         self.replicas = list(replicas)
         self.g = len(self.replicas)

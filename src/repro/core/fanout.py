@@ -73,8 +73,7 @@ class HyperFanoutGroup(GroupBase):
         if len(replicas) < 2:
             raise ValueError("fan-out needs a primary and at least one backup")
         super().__init__(
-            client, replicas, region_size, rounds, durable, nvm, name, client_mode,
-            client_core, check_ns=100, check_every_pass=True,
+            client, replicas, region_size, rounds, durable, nvm, name, client_mode, client_core
         )
         self.maintenance_interval = maintenance_interval
         self.n_backups = self.g - 1

@@ -49,7 +49,10 @@ from collections import deque
 from ..obs.trace import TRACER
 from ..sim import Event, Simulator, US, MS
 
-__all__ = ["SchedParams", "OperatingSystem", "Task", "Core"]
+__all__ = ["SchedParams", "OperatingSystem", "Task", "Core", "POLL_CHECK_NS"]
+
+POLL_CHECK_NS = 200
+"""CPU a busy-poller spends to notice an event it spun for."""
 
 
 NEW = "new"
@@ -214,7 +217,7 @@ class Task:
         yield from self._await_dispatch()
         return value
 
-    def poll_wait(self, event: Event, check_ns: int = 100) -> Generator:
+    def poll_wait(self, event: Event) -> Generator:
         """Busy-poll for ``event`` while holding the CPU.
 
         Models a polling thread faithfully but in O(preemptions)
@@ -225,9 +228,11 @@ class Task:
         detected until the task runs again — which is exactly why
         polling under multi-tenancy has terrible tails.
 
-        Returns the event's value. ``check_ns`` is the detection cost
-        once the event has fired.
+        Returns the event's value. The one polling rule: noticing the
+        event costs :data:`POLL_CHECK_NS`, once, and only if it had not
+        fired when the call began; one already pending costs nothing.
         """
+        spun = not event.triggered
         on_fire = self._on_polled_event
         while True:
             if self.state != RUNNING:
@@ -249,8 +254,8 @@ class Task:
             if event.triggered:
                 break
             self.os._grant_ended(self, preempted=self._preempted, more_work=True)
-        if check_ns:
-            yield from self.compute(check_ns)
+        if spun:
+            yield from self.compute(POLL_CHECK_NS)
         if not event.ok:
             raise event.value if isinstance(event.value, BaseException) else RuntimeError(event.value)
         return event.value

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..sim import Simulator
-from .cpu import OperatingSystem, SchedParams
+from .cpu import OperatingSystem
 from .memory import MemorySystem
 from .network import Fabric
 from .nic import NicParams, Rnic
@@ -24,14 +24,13 @@ class Host:
         n_cores: int = 16,
         dram_size: int = 1 << 26,
         nvm_size: int = 1 << 26,
-        sched_params: Optional[SchedParams] = None,
         nic_params: Optional[NicParams] = None,
         hyperloop_driver: bool = True,
     ):
         self.sim = sim
         self.name = name
         self.memory = MemorySystem(dram_size=dram_size, nvm_size=nvm_size)
-        self.os = OperatingSystem(sim, n_cores=n_cores, params=sched_params, name=name)
+        self.os = OperatingSystem(sim, n_cores=n_cores, name=name)
         self.nic = Rnic(sim, name, self.memory, fabric, params=nic_params)
         # Imported here to keep repro.hw importable without pulling the
         # verbs layer in at module-import time (verbs imports repro.hw).
@@ -93,7 +92,6 @@ class Cluster:
         n_cores: int = 16,
         dram_size: int = 1 << 26,
         nvm_size: int = 1 << 26,
-        sched_params: Optional[SchedParams] = None,
         nic_params: Optional[NicParams] = None,
         propagation_ns: int = 1300,
     ):
@@ -107,7 +105,6 @@ class Cluster:
                 n_cores=n_cores,
                 dram_size=dram_size,
                 nvm_size=nvm_size,
-                sched_params=sched_params,
                 nic_params=nic_params,
             )
             for i in range(n_hosts)

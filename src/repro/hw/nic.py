@@ -347,6 +347,7 @@ class NicQp:
         self._rx_idle = False
         self._kick_event: Optional[Event] = None
         self._recv_kick_event: Optional[Event] = None
+        self._parked_wait: Optional[Event] = None  # the WAIT the tx engine is parked on
         # Kick events are re-created every engine lap; formatting their
         # names per lap shows up in profiles, so build them once.
         self._kick_name = f"qp{qpn}.kick"
@@ -505,7 +506,11 @@ class NicQp:
                 cq.wait_consumed = target
                 wait_from = sim.now
                 if cq.completions_total < target:
-                    yield cq.threshold_event(target)
+                    parked = self._parked_wait = cq.threshold_event(target)
+                    yield parked
+                    if self._parked_wait is not parked:
+                        continue  # voided by a crash: re-read the WAIT after restart
+                    self._parked_wait = None
                 yield sim.timeout(params.wait_fallthrough_ns)
                 if TRACER.enabled:
                     TRACER.record(
@@ -1160,12 +1165,16 @@ class Rnic:
             qp.ingress.clear()
             qp._pending.clear()
             qp._reply_cache.clear()
+            parked, qp._parked_wait = qp._parked_wait, None
+            if parked is not None:
+                parked.succeed()
         # WAIT WQE state is on-NIC and volatile: armed threshold
         # waiters die with the crash and their unfulfilled
         # reservations are voided, or post-restart completions could
         # satisfy a pre-crash WAIT against a stale wait_consumed
-        # claim. (stall() deliberately keeps them: state survives a
-        # firmware hiccup.)
+        # claim; a send engine parked on one (woken above) re-reads
+        # its WAIT after restart. (stall() deliberately keeps them:
+        # state survives a firmware hiccup.)
         for cq in self.cqs.values():
             cq.invalidate_waiters()
         if TRACER.enabled:

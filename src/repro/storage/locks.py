@@ -31,6 +31,7 @@ __all__ = ["LockManager", "LockTimeout"]
 
 _READER_UNIT = 1 << 32
 _WRITER_MASK = (1 << 32) - 1
+_RETRY_BACKOFF_NS = 2_000  # sleep between lock retries
 
 
 class LockTimeout(RuntimeError):
@@ -45,10 +46,9 @@ def _check_writer(writer_id: int) -> None:
 class LockManager:
     """Client-side lock operations for one replicated region."""
 
-    def __init__(self, group, lock_offset: int = 0, retry_backoff_ns: int = 2_000):
+    def __init__(self, group, lock_offset: int = 0):
         self.group = group
         self.lock_offset = lock_offset
-        self.retry_backoff_ns = retry_backoff_ns
         self.acquisitions = 0
         self.conflicts = 0
 
@@ -101,7 +101,7 @@ class LockManager:
                 raise LockTimeout(
                     f"wr_lock({writer_id}) failed after {attempts} attempts"
                 )
-            yield from task.sleep(self.retry_backoff_ns * min(attempts, 16))
+            yield from task.sleep(_RETRY_BACKOFF_NS * min(attempts, 16))
 
     def wr_unlock(self, task: Task, writer_id: int) -> Generator:
         """Release the group write lock held by ``writer_id``."""
@@ -139,7 +139,7 @@ class LockManager:
             attempts += 1
             if attempts >= max_retries:
                 raise LockTimeout(f"rd_lock(replica={replica}) failed")
-            yield from task.sleep(self.retry_backoff_ns * min(attempts, 16))
+            yield from task.sleep(_RETRY_BACKOFF_NS * min(attempts, 16))
 
     def rd_unlock(self, task: Task, replica: int, max_retries: int = 100) -> Generator:
         """Drop a shared read lock on one replica."""
@@ -161,7 +161,7 @@ class LockManager:
             attempts += 1
             if attempts >= max_retries:
                 raise LockTimeout(f"rd_unlock(replica={replica}) failed")
-            yield from task.sleep(self.retry_backoff_ns)
+            yield from task.sleep(_RETRY_BACKOFF_NS)
 
     # -- helpers ---------------------------------------------------------------------------
 

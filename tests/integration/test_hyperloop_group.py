@@ -501,9 +501,9 @@ class TestRingRefill:
         assert not group.errors
 
     def test_a_nic_crash_does_not_strand_the_task(self):
-        """A NIC crash drops its CQs' threshold waiters (and strands the
-        chain, which ``ChainRepair`` replaces); the replica's task still
-        wakes on its tick, re-arms its waiter and exits at ``stop()``."""
+        """A NIC crash drops its CQs' threshold waiters; the replica's
+        task still wakes on its tick, re-arms its waiter and exits at
+        ``stop()``."""
         sim, cluster, group = make_group(rounds=8, maintenance_interval=100 * US)
         back_to_back(sim, cluster, group, 20)
         nic = cluster.hosts[2].nic
@@ -517,6 +517,22 @@ class TestRingRefill:
         group.stop()
         sim.run(until=sim.now + 200 * US)
         assert all(task.process.triggered for task in group._tasks)
+
+    def test_a_restarted_nic_keeps_serving_the_chain(self):
+        """A crash drops the threshold waiter a send engine is parked on
+        at its next WAIT. With no op in flight nothing is lost, and
+        connection state survives ``restart()``: the engine re-reads
+        its WAIT and the chain carries on (it used to hang there, every
+        op through that QP parked with no error)."""
+        sim, cluster, group = make_group(rounds=8)
+        back_to_back(sim, cluster, group, 20)
+        nic = cluster.hosts[2].nic
+        nic.crash()
+        nic.restart()
+        latencies = back_to_back(sim, cluster, group, 200)
+        assert len(latencies) == 200
+        assert group.chain("gwrite").next_round == 220
+        assert not group.errors
 
     def test_a_txn_run_never_finds_a_ring_dry(self):
         """The traced count of messages that found a replica's RECV

@@ -320,11 +320,15 @@ class TestNicFaults:
         assert cqes[0].status == WC_RETRY_EXCEEDED
 
     def test_crash_voids_armed_wait_state(self, rig):
-        """Regression: WAIT state is on-NIC volatile. A WAIT armed
-        before a crash must not be satisfied by post-restart
-        completions (pre-fix, the threshold waiter survived
-        ``crash()`` in ``HwCq._threshold_waiters`` and its stale
-        ``wait_consumed`` reservation let the chained WQE fire)."""
+        """Regression: WAIT state is on-NIC volatile. A crash voids the
+        reservation of the WAIT a send engine is parked on; after
+        ``restart()`` (connection state survives) the engine re-reads
+        the WAIT from its ring and arms it afresh, so a completion that
+        came before the crash counts toward nothing (pre-fix, the
+        threshold waiter survived ``crash()`` in
+        ``HwCq._threshold_waiters`` and its stale ``wait_consumed``
+        reservation let the chained WQE fire on the first post-restart
+        completion)."""
         sim, cluster, a, b, qp_a, qp_b, buf_a, buf_b, mr_b = rig
         mr_a = a.dev.reg_mr(buf_a, AccessFlags.ALL_REMOTE)
         # On host B: a second QP back to A, pre-loaded with a WAIT
@@ -332,8 +336,16 @@ class TestNicFaults:
         qp_b2 = b.dev.create_qp(name="b2")
         qp_a2 = a.dev.create_qp(name="a2")
         qp_b2.connect(qp_a2)
-        buf_b.write(200, b"stale-fwd")
+        buf_b.write(200, b"fresh-fwd")
         watched = qp_b.recv_cq
+
+        def complete_one():
+            total = watched.completions_total
+            qp_b.post_recv(Wqe(local_addr=buf_b.addr + 400, length=64))
+            qp_a.post_send(Wqe(opcode=Opcode.SEND, length=4, local_addr=buf_a.addr))
+            run_until(sim, lambda: watched.completions_total > total)
+            sim.run(until=sim.now + 1 * MS)
+
         qp_b2.post_send(Wqe(opcode=Opcode.WAIT, compare=2, swap=watched.cqn))
         qp_b2.post_send(
             Wqe(
@@ -348,23 +360,20 @@ class TestNicFaults:
         sim.run(until=1 * MS)
         # The WAIT is armed: it reserved two completions up front.
         assert watched.wait_consumed == 2
-        assert watched.completions_total == 0
+        complete_one()
+        assert watched.completions_total == 1
         b.nic.crash()
         # Crash reconciles the unfulfilled reservation.
-        assert watched.wait_consumed == watched.completions_total == 0
+        assert watched.wait_consumed == watched.completions_total == 1
         b.nic.restart()
-        # Drive two *post-restart* completions into the watched CQ
-        # (recv rings live in host memory and survived the crash).
-        qp_b.post_recv(Wqe(local_addr=buf_b.addr + 400, length=64))
-        qp_b.post_recv(Wqe(local_addr=buf_b.addr + 464, length=64))
-        qp_a.post_send(Wqe(opcode=Opcode.SEND, length=4, local_addr=buf_a.addr))
-        qp_a.post_send(Wqe(opcode=Opcode.SEND, length=4, local_addr=buf_a.addr))
-        run_until(sim, lambda: watched.completions_total >= 2)
-        sim.run(until=sim.now + 5 * MS)
-        # The pre-crash WAIT must not have fallen through: the chained
-        # WRITE never executed and never completed.
+        # One post-restart completion would have met the stale
+        # reservation; the re-read WAIT needs two of its own.
+        complete_one()
         assert qp_b2.send_cq.completions_total == 0
         assert a.nic.cache.read(buf_a.addr + 300, 9) == bytes(9)
+        complete_one()
+        assert qp_b2.send_cq.completions_total == 1
+        assert a.nic.cache.read(buf_a.addr + 300, 9) == b"fresh-fwd"
 
     def test_stall_preserves_armed_wait_state(self, rig):
         """Counterpoint: ``stall()`` is a firmware hiccup — WAIT state

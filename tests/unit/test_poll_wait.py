@@ -7,7 +7,7 @@ event while descheduled.
 
 import pytest
 
-from repro.hw.cpu import OperatingSystem, SchedParams
+from repro.hw.cpu import POLL_CHECK_NS, OperatingSystem, SchedParams
 from repro.sim import MS, Simulator, US
 
 
@@ -52,22 +52,22 @@ class TestPollWait:
         sim.run()
         assert task.cpu_ns < 10 * US
 
-    def test_pretriggered_event_is_fast(self):
+    def test_pretriggered_event_costs_nothing(self):
+        """A completion already pending needs no spin, so it costs no
+        detection: zero CPU and zero time."""
         sim = Simulator()
         os_ = make_os(sim)
 
         def poller(task):
             event = sim.event()
             event.succeed("now")
-            before = sim.now
-            value = yield from task.poll_wait(event, check_ns=100)
-            return (value, sim.now - before)
+            before, ran = sim.now, task.cpu_ns
+            value = yield from task.poll_wait(event)
+            return (value, sim.now - before, task.cpu_ns - ran)
 
         task = os_.spawn(poller, "p")
         sim.run()
-        value, took = task.process.value
-        assert value == "now"
-        assert took <= 10 * US
+        assert task.process.value == ("now", 0, 0)
 
     def test_descheduled_poller_misses_the_event(self):
         """The defining behaviour: while another task holds the core,
@@ -166,16 +166,18 @@ class TestGrants:
         wakes = []
 
         def poller(task):
-            yield from task.poll_wait(sim.timeout(10 * US), check_ns=0)
+            yield from task.poll_wait(sim.timeout(10 * US))
             wakes.append(sim.now)
             yield from task.wait(sim.timeout(50 * MS))  # outlives the timer
             wakes.append(sim.now)
 
         os_.spawn(poller, "p")
         sim.run()
-        # 5 us to be dispatched, 10 us of polling; the timer of that
-        # grant fires 2 ms in (the interactive credit), during the sleep.
-        assert wakes == [15 * US, 50 * MS + 15 * US]
+        # 5 us to be dispatched, 10 us of polling, the 200 ns check:
+        # 15.2 us. The timer of that grant fires 2 ms in (the
+        # interactive credit), during the sleep.
+        woke = 15 * US + POLL_CHECK_NS
+        assert wakes == [woke, 50 * MS + woke]
 
     def test_a_preempt_check_between_timer_and_resume_still_preempts(self):
         """The scheduler's check can land in the nanosecond a grant's
