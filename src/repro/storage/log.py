@@ -13,7 +13,9 @@ over either group implementation (HyperLoop or Naïve-RDMA):
   database area on all replicas, then advance the replicated head
   with a gWRITE (§5, "Log Processing") that the next post carries.
   :meth:`ReplicatedLog.drain` does the same for every pending record
-  at once.
+  at once. :meth:`ReplicatedLog.append_executed` appends a record and
+  executes it in one post: its DB images go out as gWRITEs behind it
+  on the same chain.
 * :meth:`ReplicatedLog.truncate` — drop everything up to a logical
   offset by advancing the head (log truncation after a checkpoint),
   and wait for the header: ``truncate(task, up_to=log.head)`` makes
@@ -35,19 +37,22 @@ chain and costs one round trip, a record's gMEMCPYs go out back to
 back and cost one more, and only the cross-chain dependencies wait for
 an ack: gMEMCPY after the record's, head advance after the gMEMCPYs'.
 ``append_beside``/``drain`` let a caller's own ops (the §5 lock and
-unlock gCAS) share those waits.
+unlock gCAS) share those waits. ``append_executed`` needs no second
+wait: its images ride the record's own chain, so no replica executes
+one before it holds the record.
 
 The head advance is not waited for at all unless a caller's ops ride
-with it. Once the gMEMCPYs are acked, every replica's DB holds the
-records; the header only tells a *recovering* replica where redo may
-start, and redo is idempotent. So it is *owed*: one rule covers it and
-the zombie scrub below — **gWRITEs the log owes go out ahead of the
-ops of the next post under the WAL mutex** (``_owed``; a post that
-fails owes them again). The next record therefore lands on every
-replica behind the header that frees its room, and a replica's header
-is at most one drain behind the client's: redo from it re-applies at
-most the last executed batch, byte for byte. A txn install (append,
-drain) is two ack waits, ``[1 (+ the owed header), n]``.
+with it. Once the gMEMCPYs (or images) are acked, every replica's DB
+holds the records; the header only tells a *recovering* replica where
+redo may start, and redo is idempotent. So it is *owed*: one rule
+covers it and the zombie scrub below — **gWRITEs the log owes go out
+ahead of the ops of the next post under the WAL mutex** (``_owed``; a
+post that fails owes them again). The next record therefore lands on
+every replica behind the header that frees its room, and a replica's
+header is at most one executed batch behind the client's: redo from
+it re-applies at most that batch, byte for byte. A txn install
+(``append_executed``) is one ack wait of ``[(the owed header,) 1 + n]``
+gWRITEs.
 
 Appends are **group-committed**, leader/follower as in RocksDB's
 write path. An appender queues its record at the WAL mutex and then
@@ -105,14 +110,18 @@ __all__ = ["ReplicatedLog"]
 
 
 class _Append:
-    """One append queued at the WAL mutex. The leader that writes it
-    fills in ``result`` — ``(record, beside results)`` — or ``error``."""
+    """One append queued at the WAL mutex, executed or not. The leader
+    that writes it fills in ``result`` — ``(record, beside results)``
+    — or ``error``."""
 
-    __slots__ = ("changes", "ops", "result", "error")
+    __slots__ = ("changes", "ops", "execute", "result", "error")
 
-    def __init__(self, changes: List[Tuple[int, bytes]], ops: Sequence[OpSpec]):
+    def __init__(
+        self, changes: List[Tuple[int, bytes]], ops: Sequence[OpSpec], execute: bool
+    ):
         self.changes = changes
         self.ops = ops
+        self.execute = execute
         self.result: Optional[Tuple[LogRecord, list]] = None
         self.error: Optional[Exception] = None
 
@@ -300,7 +309,7 @@ class ReplicatedLog:
         ``changes`` are ``(db_offset, data)`` pairs. Durability
         follows the group's ``durable`` setting (gFLUSH interleaved).
         """
-        record, _ = yield from self.append_beside(task, changes, ())
+        record, _ = yield from self._append(task, _Append(changes, (), execute=False))
         return record
 
     def append_beside(
@@ -309,7 +318,23 @@ class ReplicatedLog:
         """:meth:`append` with ``ops`` posted behind the record and
         awaited in the same round trip (the §5 recipe posts its lock
         gCAS here). Returns ``(record, [result of each op])``."""
-        entry = _Append(changes, ops)
+        return (yield from self._append(task, _Append(changes, ops, execute=False)))
+
+    def append_executed(self, task: Task, changes: List[Tuple[int, bytes]]) -> Generator:
+        """:meth:`append` that also executes the record, in the same
+        post and the same ack wait: each change's DB image goes out as
+        a gWRITE behind the record. Ops on one chain execute in post
+        order, so every replica holds the record before any image it
+        covers, and redo from it stays idempotent. Once acked, the
+        head moves past the record and its advance is owed to the next
+        post. Records already pending (a failover's) are drained first,
+        so none of them lands over an image. A post that fails may
+        leave images on some replicas beside a zombie record that the
+        next post scrubs. Returns the :class:`LogRecord`."""
+        record, _ = yield from self._append(task, _Append(changes, (), execute=True))
+        return record
+
+    def _append(self, task: Task, entry: _Append) -> Generator:
         gate = yield from self._enter(task, entry)
         try:
             if not entry.settled:
@@ -322,10 +347,12 @@ class ReplicatedLog:
 
     def _lead(self, task: Task, gate: _Gate) -> Generator:
         """Write the run of appends at the front of the gate's queue —
-        the caller's first — as one batch and settle every member."""
+        the caller's first, and all executed or none — as one batch
+        and settle every member."""
         queue = gate.queue
+        execute = queue[0].execute
         batch = []
-        while queue and queue[0] is not None:
+        while queue and queue[0] is not None and queue[0].execute == execute:
             batch.append(queue.popleft())
         try:
             yield from self._write_batch(task, batch)
@@ -346,12 +373,17 @@ class ReplicatedLog:
             raise
 
     def _write_batch(self, task: Task, batch: List[_Append]) -> Generator:
-        """Lay ``batch`` out from the tail, post it with every member's
-        ops, wait once, then move the tail."""
+        """Lay ``batch`` out from the tail, post it with its images (an
+        executed batch) and every member's ops, wait once, then move
+        the tail, and the head past an executed batch."""
+        execute = batch[0].execute
+        if execute and self.head != self.tail:
+            yield from self._execute_locked(task, self.pending_records(), ())
         layout = self.layout
         group = self.group
         tail, lsn = self.tail, self.next_lsn
         extents: List[List[int]] = []  # [region offset, size], adjacent runs merged
+        images: List[OpSpec] = []
         written = []
 
         def stage(offset: int, data: bytes) -> None:
@@ -381,14 +413,21 @@ class ReplicatedLog:
                 # Stamp a wrap marker and skip to the ring start.
                 stage(layout.wal_position(tail), struct.pack("<I", WRAP_MAGIC))
             stage(layout.wal_position(start), raw)
+            if execute:
+                for offset, data in member.changes:
+                    dst = layout.db_position(offset)
+                    group.write_local(dst, data)
+                    images.append(OpSpec(GWRITE, offset=dst, size=len(data)))
             tail = start + len(raw)
             lsn += 1
             written.append((member, record))
         if not written:
             return
-        # [Wrap marker,] records, then the beside ops: the records are
-        # durable once acked, and the scan from the head finds them.
+        # [Wrap marker,] records, images, then the beside ops: the
+        # records are durable once acked, and the scan from the head
+        # finds them.
         posts = [OpSpec(GWRITE, offset=offset, size=size) for offset, size in extents]
+        posts += images
         cursor = len(posts)
         for member, _ in written:
             posts.extend(member.ops)
@@ -402,6 +441,9 @@ class ReplicatedLog:
         # abandoned on the dead chain's ack had in flight.
         self.tail = tail
         self.next_lsn = lsn
+        if execute:
+            self.head, self.head_lsn = tail, lsn
+            self._owe_header()
         for member, record in written:
             member.result = (record, results[cursor : cursor + len(member.ops)])
             cursor += len(member.ops)

@@ -431,9 +431,9 @@ class TxnCoordinator:
         A batch is everything queued since the previous one started,
         cut only where the next commit would not fit the same WAL
         record. Nothing is left to tune: a lone commit is a batch of
-        one, the same two ack waits (``[1, n]`` group ops, the previous
-        batch's head advance riding with the record) as an unbatched
-        install.
+        one, the same one ack wait (``1 + n`` gWRITEs, the previous
+        batch's head advance riding ahead of the record) as an
+        unbatched install.
         """
         store = self.stores[index]
         staged = queue.staged

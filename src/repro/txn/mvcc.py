@@ -2,15 +2,16 @@
 
 Each :class:`VersionedGroupStore` owns the keys placed on one
 ``HyperLoopGroup`` and its :class:`ReplicatedLog`: the writes of a
-batch of commits become one WAL record, appended and then executed —
-two ack waits of ``[1, n]`` group ops (record, gMEMCPYs; the head
-advance is owed and rides ahead of the next install's record)
-however many keys and commits — so every replicated-log guarantee
-(atomic record application, redo idempotence, durability before
-execution) carries over unchanged. The §5 recipe's group lock
-fences writers and locking readers from each other; there are none
-here: a store's ``owner`` is its one coordinator and only writer, with
-one install batch in flight in commit order, and reads lock nothing.
+batch of commits become one WAL record, appended and executed in one
+post — one ack wait of ``1 + n`` gWRITEs (the record, then each slot's
+image behind it on the same chain; the head advance is owed and rides
+ahead of the next install's record) however many keys and commits —
+so every replicated-log guarantee (atomic record application, redo
+idempotence, durability before execution) carries over unchanged. The
+§5 recipe's group lock fences writers and locking readers from each
+other; there are none here: a store's ``owner`` is its one coordinator
+and only writer, with one install batch in flight in commit order,
+and reads lock nothing.
 
 The store is also its group's :class:`~repro.txn.certify.VersionIndex`,
 the client-side version chains snapshot reads need (the client's
@@ -20,7 +21,8 @@ newest **installed** version as a self-describing record
 (:func:`~repro.storage.encoding.encode_version_record`), so one-sided
 replica reads can distinguish a visible version from a newer one — or
 from an orphan left by a commit that installed durably but crashed
-before publishing. Those reads have one form, many keys:
+before publishing, or by an install whose post failed after some of
+its images landed. Those reads have one form, many keys:
 :meth:`VersionedGroupStore.post_durable` posts the keys' slots as one
 READ batch and returns the reader's ticket to wait on, so a scan can
 have every group's batch in flight before it waits for any;
@@ -160,16 +162,16 @@ class VersionedGroupStore(VersionIndex):
         """Durably install staged commits as one WAL record, in commit
         order (a later commit's write to a slot lands after an earlier
         one's): the group's changes apply atomically on all replicas,
-        in two ack waits — the record, its gMEMCPYs. The head advance
-        is owed: the next post on the log carries it ahead of its own
+        in one ack wait — the record and its slot images
+        (:meth:`ReplicatedLog.append_executed`). The head advance is
+        owed: the next post on the log carries it ahead of its own
         ops. Visibility is separate: the certifier publishes a commit
         (:meth:`VersionIndex.publish`) once *every* participant
         installed it.
         """
-        yield from self.log.append(
+        yield from self.log.append_executed(
             task, [change for changes in staged for change in changes]
         )
-        yield from self.log.drain(task)
         self.installs += len(staged)
 
     # -- durable reads -------------------------------------------------------------

@@ -30,7 +30,7 @@ GOLDEN = {
     ("client-crash", 1): "7fd55bd0e4214c3b34feba4d84aac964a696817d7bde009fcb0e4720ca3ec1da",
     ("txn-failover", 1): "1aa178c769eb6a15c0288e49858365e0e8090cddf115d9d8429e23e684b19fe5",
     ("txn-insert", 1): "29088361c32f039ab882639293fd1998397757242209dd8b369c86663335201c",
-    ("txn-chaos", 1): "f0a2b7e2c34094bdf187d5f46d1a09895d14f8675fc3b543de43c18a90742ec8",
+    ("txn-chaos", 1): "0728bfac7f2d1529f59472aa0168d7f1a0521c5c751425d58bf642ab372bfcca",
     ("txn-double-failover", 1): "94ae9093fe2af87fdbd1b702ade9e8c76efb738dd34494d21b6c4523c03f9ed0",
     ("txn-reset-crash", 1): "ed9878ae1d788a5a09b74bd9a946c4039e48700a82921fd1f3fb4c70aaf4948a",
     ("drop", 7): "cbd276fa5b9e44896ac0bdff6b3ef533830348bf761034e821deb57670f9a112",
@@ -46,7 +46,7 @@ GOLDEN = {
     ("client-crash", 7): "2ff47b5e9ff879c7fcbbb6ff469340e34e2349cad8e30e9cd1c69a1cc452cac9",
     ("txn-failover", 7): "3c8160cbf3aa603f58c810a1a8cc80ce75b0d1bc33c6024d122c57729e028ab4",
     ("txn-insert", 7): "7368a140cbd1864243100fee2b906c52ed51ab346c8f47b3a05ced70e84eb637",
-    ("txn-chaos", 7): "f9dad3a99781dd3049af710d2900e7998c7ddf1b8f4a583975850d4cee737531",
+    ("txn-chaos", 7): "f577d83b594ac2510e1bb7d7484db20407eee753f487e63b9fa8b47fe0e6f501",
     ("txn-double-failover", 7): "cbfa6d0c8437734b7a211013852c1e19afcf53bd72e2cc7693b94a8064653dc0",
     ("txn-reset-crash", 7): "10ebdbc3e5a621decbe8e091f4252c00e219eae9c38e45b5bb2980f40c2f061f",
     ("drop", 42): "535a4549705bcf35b956d8345b63f4a525b5bd4f672ebfc7f9852cb22f57caa7",
@@ -62,7 +62,7 @@ GOLDEN = {
     ("client-crash", 42): "814ffb711af2d2644078b9e86d2f96b8033b5f44ebc7f686533ed24763667e26",
     ("txn-failover", 42): "86e95e0f6fb9224837c6c218b2fa334e32482d1d775119ac379ce3b6aec837f4",
     ("txn-insert", 42): "4628a4190f7dbe488b61664dd91aa70aceef17a101857665b46f92badec4279d",
-    ("txn-chaos", 42): "7fa105c6a35027bca0c895722665425296425e27a46335e4aa1885179e1670b7",
+    ("txn-chaos", 42): "271d5d6f9b03bfc5daf3897d29ff1f2217b16acaf823f33c24d5f8739274baf7",
     ("txn-double-failover", 42): "e467c20d5f54b5c633a69216b1ca02e13d03f5bfa2a32704483f8685150c62e6",
     ("txn-reset-crash", 42): "f581db2a86ac567d5a714bad16761cd656cd480f7f5461d5de310d7b3eb7bba9",
 }

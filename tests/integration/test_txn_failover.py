@@ -30,6 +30,7 @@ from repro.txn import (
     TxnCoordinator,
     VersionedGroupStore,
 )
+from tests.reference.published_durable import published_is_durable
 
 
 def drive(sim, cluster, body, until_ms=20_000):
@@ -75,10 +76,11 @@ def build_two_group_system(sim, cluster, name):
     return coordinator, tracker, factory, group_a
 
 
-# The doomed commit's install on group A: the seed commit's head
-# advance, owed to the next post and carried ahead of the record, then
-# one gMEMCPY per key of the group (seven of the twelve ``w`` keys).
-POSTS = ["owed-header", "record", *(f"gmemcpy{index}" for index in range(7))]
+# The doomed commit's install on group A, one post and one ack wait:
+# the seed commit's head advance, owed to the next post and carried
+# ahead of the record, the record, then one slot image gWRITE per key
+# of the group (seven of the twelve ``w`` keys).
+POSTS = ["owed-header", "record", *(f"image{index}" for index in range(7))]
 
 
 def assert_redo_changes_nothing(store, replica):
@@ -108,16 +110,26 @@ class TestMid2pcCrash:
     # * a crash on the record's post leaves no replica holding it, and
     #   the client's tail must not cover it either (the repair copies
     #   a survivor's image under the client's head/tail);
-    # * after the record's ack, the record is pending on the survivors
-    #   and the reset's drain re-applies it: an unpublished orphan;
-    # * on the last gMEMCPY's ack the install is done (the head advance
+    # * the images go out behind the record on its chain, so they can
+    #   reach some replicas behind a record that was never acked: the
+    #   record is a zombie that the next post scrubs, and the images
+    #   are unpublished orphans, which readers tell apart by
+    #   ``(commit_ts, txid)``;
+    # * on the last image's ack the install is done (the head advance
     #   is only owed), and the commit publishes before the reset: it
     #   must survive the repair.
+    # Every publish, the seed's and the replay's included, finds its
+    # versions in every replica's slots.
+    @pytest.fixture
+    def published(self):
+        with published_is_durable() as seen:
+            yield seen
+
     @pytest.mark.parametrize("post", range(len(POSTS)), ids=POSTS)
     @pytest.mark.parametrize("crash_on_ack", [False, True], ids=["on-post", "on-ack"])
     @pytest.mark.parametrize("victim", [1, 2], ids=["head", "mid-chain"])
     def test_replica_crash_mid_commit_replays_without_double_commit(
-        self, victim, crash_on_ack, post
+        self, victim, crash_on_ack, post, published
     ):
         sim = Simulator(seed=31)
         cluster = Cluster(sim, n_hosts=8, n_cores=4)
@@ -201,13 +213,14 @@ class TestMid2pcCrash:
         run_until(sim, lambda: progress["rebound"], deadline_ms=20_000)
 
         assert cluster[victim].down
-        # The install is acked once the last copy's ack is back: always
+        # The install is acked once the last image's ack is back: always
         # when the crash waits for that ack, never when it strikes at a
-        # post. The copies go out back to back, so an earlier copy's ack
-        # may find the later ones past the victim (on the head, from the
-        # first copy's ack on). The doomed attempt committed only if its
-        # install was acked; else the epoch reset aborted it, and its
-        # parked generator must never finish it.
+        # post. The install's ops go out back to back, so an earlier op's
+        # ack may find the later ones past the victim (on the head from
+        # the third image's ack on, mid-chain from the fifth's). The
+        # doomed attempt committed only if its install was acked; else
+        # the epoch reset aborted it, and its parked generator must
+        # never finish it.
         acked = bool(last_acked)
         if not crash_on_ack:
             assert not acked
@@ -261,6 +274,7 @@ class TestMid2pcCrash:
         assert check_no_serialization_anomaly(coordinator).ok
         assert check_read_your_writes(coordinator).ok
         assert check_txn_acked_writes(coordinator).ok
+        assert published["checked"] > 0 and published["violations"] == []
 
 
 class TestAvailableCopiesRevalidation:

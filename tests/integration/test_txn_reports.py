@@ -17,19 +17,19 @@ from repro.txn import run_txn_workload, run_ycsb
 REPORTS = {
     "ssi": (
         lambda: run_txn_workload(seed=7).render(),
-        "529c1308898bc7fb8e41761150e797661077bdcabae27cd2041064b42490aa1d",
+        "304e1dbbdb8f9a10e383b434f645179074a1879062d49fe7dca562fd004c563f",
     ),
     "si": (
         lambda: run_txn_workload(seed=7, mode="si").render(),
-        "bfcc40a8935254aeb39b414f4686e1c20700be946227132b458616a58e31512f",
+        "f13468f6f3f4e2d4f698a6c2f5c8d0d46959aa7ee43e50ad8b7077de2eedb4e5",
     ),
     "backoff": (
         lambda: run_txn_workload(seed=7, retry="backoff").render(),
-        "29893899538660b863e5d2c4567e1c73d002ab62e5becf74543fc335f07205b3",
+        "660c0944905c945b3c8bb4a3b3302bda5159cb52626c87761317664024d6cf8e",
     ),
     "ycsb-A-F": (
         lambda: run_ycsb(mixes=("A", "B", "C", "D", "E", "F"), seed=7).render(),
-        "bfe9a43b0ab77b034ae9dfcb7cb58a99af83f1802a9b2c714a0c620646dcafcb",
+        "1a68e08f90bb6432a31a74b8abaea5c7c3ae802820236393551d32b2fbe2a834",
     ),
 }
 

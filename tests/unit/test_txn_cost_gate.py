@@ -40,9 +40,11 @@ SEED = 10
 # 1,795 while every install took the group lock; 77,679 / 1,751 while
 # every install waited for its head advance; 76,672 / 1,554 while
 # replicas re-armed their rings only on the 200 us tick (nine messages
-# found a RECV ring dry); each half lap consumed now wakes the replica.
-KERNEL_DISPATCHES = 77_460
-CPU_DISPATCHES = 1_959
+# found a RECV ring dry); each half lap consumed now wakes the replica;
+# 77,460 / 1,959 while every install waited a second time, for its
+# gMEMCPYs (one ack wake and its dispatches fewer per install now).
+KERNEL_DISPATCHES = 75_833
+CPU_DISPATCHES = 1_779
 
 
 def _measure():
@@ -61,19 +63,20 @@ def test_ycsb_a_dispatch_counts_repeat_and_match_the_pin():
     assert (kernel, cpu) == _measure()[:2]
     assert report.committed == N_CLIENTS * TXNS_PER_CLIENT
     assert report.gave_up == 0 and report.errors == []
-    # 484.1 kernel / 12.2 scheduler dispatches per committed txn.
+    # 474.0 kernel / 11.1 scheduler dispatches per committed txn.
     assert (kernel, cpu) == (KERNEL_DISPATCHES, CPU_DISPATCHES)
 
 
 @pytest.mark.parametrize("n_keys", [1, 3, 12])
-def test_uncontended_install_is_two_ack_waits_however_many_keys(n_keys):
-    """One group's commit install waits for acks exactly twice:
-    {record} → {n × gMEMCPY}, no group lock. The head advance is owed,
-    not waited for: the next install carries it ahead of its record,
-    {head advance, record} → {n × gMEMCPY}. A third wait is a chain
-    round trip back on the critical path of every commit queued on the
-    group behind it, and a lock gCAS beside the record is an op more in
-    its wait."""
+def test_uncontended_install_is_one_ack_wait_however_many_keys(n_keys):
+    """One group's commit install waits for acks exactly once:
+    {record, n × slot image gWRITE}, no group lock. The images ride the
+    record's chain, which executes in post order, so none lands before
+    the record. The head advance is owed, not waited for: the next
+    install carries it ahead of its record, {head advance, record,
+    n × image}. A second wait is a chain round trip back on the
+    critical path of every commit queued on the group behind it, and a
+    lock gCAS beside the record is an op more in its wait."""
     sim = Simulator(seed=7)
     cluster = Cluster(sim, n_hosts=4, n_cores=4)
     coordinator = build_txn_system(sim, cluster, n_groups=1)
@@ -97,6 +100,6 @@ def test_uncontended_install_is_two_ack_waits_however_many_keys(n_keys):
 
     cluster[0].os.spawn(body, "installer")
     run_until(sim, lambda: "at" in finished, deadline_ms=100)
-    assert rounds == [1, n_keys, 2, n_keys]
+    assert rounds == [1 + n_keys, 2 + n_keys]
     for key, _ in items:
         assert store.read_durable_offline(1, key)[2] == key

@@ -10,14 +10,26 @@ parallel path finishes the multi-group schedule in strictly less
 virtual time. Raw timestamps are excluded on purpose: the clock
 advances differently when installs overlap, and that is the entire
 point.
+
+Whatever the path, a commit publishes only once its versions are in
+every replica's slots (``tests/reference/published_durable.py``), and
+an install posts gWRITEs only.
 """
 
 import pytest
 
 from repro.bench import run_until
+from repro.core import HyperFanoutGroup
 from repro.hw import Cluster
 from repro.sim import Simulator
-from repro.txn import TxnAborted, TxnCoordinator, build_txn_system
+from repro.txn import (
+    TxnAborted,
+    TxnCoordinator,
+    VersionedGroupStore,
+    build_txn_system,
+    run_ycsb_mix,
+)
+from tests.reference.published_durable import published_is_durable
 from tests.reference.sequential_install import install_sequentially
 
 KEYS = [f"s{index:02d}".encode() for index in range(9)]
@@ -165,3 +177,46 @@ def test_parallel_installs_match_the_sequential_oracle():
     # finishes the same schedule in strictly less virtual time.
     assert parallel["sim_ns"] < sequential["sim_ns"]
 
+
+def test_every_publish_finds_its_versions_on_every_replica():
+    """Published implies durable, over 160 YCSB-A transactions on four
+    ``rounds=16`` groups: at each publish, every replica of the group
+    holds each published key's slot at that version or newer."""
+    with published_is_durable() as seen:
+        report = run_ycsb_mix(mix="A", seed=10, n_txns=160, n_workers=4)
+    assert report.committed == 160
+    assert seen["checked"] > 0 and seen["violations"] == []
+
+
+def test_installs_post_gwrites_only():
+    """An install is a record and its slot images, all gWRITEs, so a
+    group that offers no other primitive (the §7 fan-out) runs
+    transactions: five commits over six keys on two groups, then a
+    read of each key."""
+    sim = Simulator(seed=3)
+    cluster = Cluster(sim, n_hosts=4, n_cores=4)
+    groups = [
+        HyperFanoutGroup(cluster[0], cluster.hosts[1:4], region_size=1 << 16, name=f"f{i}")
+        for i in range(2)
+    ]
+    coordinator = TxnCoordinator(
+        [VersionedGroupStore(group, name=f"s{i}") for i, group in enumerate(groups)]
+    )
+    keys = [b"k%d" % index for index in range(6)]
+
+    def body(task):
+        for round_ in range(5):
+            txn = yield from coordinator.begin(task)
+            for key in keys:
+                coordinator.write(txn, key, b"v%d" % round_)
+            yield from coordinator.commit(task, txn)
+        txn = yield from coordinator.begin(task)
+        values = []
+        for key in keys:
+            values.append((yield from coordinator.read(task, txn, key)))
+        yield from coordinator.commit(task, txn)
+        return values
+
+    assert _drive(sim, cluster, body) == [b"v4"] * len(keys)
+    assert coordinator.commits == 6
+    assert {coordinator.locate(key) for key in keys} == {0, 1}

@@ -34,10 +34,13 @@ TXNS_PER_CLIENT = 40
 # serialized every commit from validation to publish; 44,924 / 2,199 /
 # 3,246 while every install took the group lock; 39,459 / 2,199 / 2,798
 # while every install waited for its head advance; 38,836 / 2,156 /
-# 2,757 while replicas re-armed their rings only on the 200 us tick.
-KERNEL_DISPATCHES = 39_127
-CPU_DISPATCHES = 2_231
-WQES_EXECUTED = 2_757
+# 2,757 while replicas re-armed their rings only on the 200 us tick;
+# 39,127 / 2,231 / 2,757 while every install waited a second time, for
+# its gMEMCPYs (the 41 WQEs fewer are all READs: an image gWRITE costs
+# what a gMEMCPY did).
+KERNEL_DISPATCHES = 37_750
+CPU_DISPATCHES = 2_163
+WQES_EXECUTED = 2_716
 # Reads routed to each replica of each group: concurrent scans spread
 # over every copy, and replica 0 (the idle choice) serves most.
 # Group 1 was [211, 110, 56] with a tail header behind every append;
@@ -49,8 +52,10 @@ WQES_EXECUTED = 2_757
 # commit latch, and [[201, 100, 46], [228, 101, 47], [172, 60, 17],
 # [226, 110, 48]] while every install took the group lock, and [[191,
 # 111, 45], [222, 116, 37], [171, 70, 8], [213, 122, 49]] while every
-# install waited for its head advance.
-SERVED = [[195, 106, 53], [207, 114, 52], [156, 67, 17], [201, 118, 55]]
+# install waited for its head advance, and [[195, 106, 53], [207, 114,
+# 52], [156, 67, 17], [201, 118, 55]] while every install waited a
+# second time, for its gMEMCPYs.
+SERVED = [[159, 114, 73], [172, 124, 75], [139, 82, 25], [168, 125, 77]]
 
 ONE_READ_NS = 4_757
 
@@ -146,17 +151,18 @@ def test_ycsb_e_counts_repeat_and_match_the_pin(monkeypatch):
     assert report.gave_up == 0 and report.errors == []
     # Per-key round trips cost 72,691 / 5,057 / 4,969 here.
     assert counts == (KERNEL_DISPATCHES, CPU_DISPATCHES, WQES_EXECUTED)
-    # 2,747 slots cross-checked by 1,387 READs in 1,341 batches: a
+    # 2,724 slots cross-checked by 1,346 READs in 1,333 batches: a
     # group's share of a scan is almost always one run of slots
     # (2,763 / 1,413 / 1,350 while a completion thread woke each
     # ack's waiter, 2,725 / 1,362 / 1,334 before the SSI rules kept
     # committed transactions probed, 2,733 / 1,374 / 1,342 under the
     # global commit latch, 2,769 / 1,388 / 1,356 while every install
     # took the group lock, 2,765 / 1,388 / 1,355 while every install
-    # waited for its head advance).
-    assert counters["txn.scan_reads"] == 2_747
-    assert counters["reader.wqes"] == 1_387
-    assert counters["reader.batches"] == 1_341
+    # waited for its head advance, 2,747 / 1,387 / 1,341 while every
+    # install waited a second time, for its gMEMCPYs).
+    assert counters["txn.scan_reads"] == 2_724
+    assert counters["reader.wqes"] == 1_346
+    assert counters["reader.batches"] == 1_333
     tracker = coordinator.tracker
     assert tracker.served == SERVED
     assert all(count > 0 for group in tracker.served for count in group)

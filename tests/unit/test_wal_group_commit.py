@@ -63,10 +63,12 @@ class World:
     def spawn(self, body, name):
         return self.cluster[0].os.spawn(body, name)
 
-    def appender(self, log, name, data):
+    def appender(self, log, name, data, offset=0, executed=False):
+        verb = log.append_executed if executed else log.append
+
         def body(task):
             try:
-                outcome = yield from log.append(task, [(0, data)])
+                outcome = yield from verb(task, [(offset, data)])
             except Exception as exc:  # the test inspects what was raised
                 outcome = exc
             self.outcomes.append((name, outcome))
@@ -287,6 +289,104 @@ class TestBatchFailures:
         assert world.posts == []
         assert all("WAL full" in str(outcome) for _, outcome in world.outcomes)
         assert (log.tail, log.next_lsn) == (2 * size, 2)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestExecutedAppends:
+    def test_an_executed_append_drains_what_is_pending_first(self, backend):
+        """A plain append leaves its record pending. An executed append
+        executes it first (its gMEMCPY, in a wait of its own), so no
+        older record lands over an image; then it posts [owed header,
+        record, image] in one wait and moves the head past its record,
+        owing that advance in turn."""
+        world = World(backend)
+        log = ReplicatedLog(world.group, world.layout)
+        first, second = record_size(100), record_size(60)
+
+        def body(task):
+            yield from log.append(task, [(0, b"\x01" * 100)])
+            world.posts.clear()
+            yield from log.append_executed(task, [(0, b"\x02" * 60)])
+
+        world.run([world.spawn(body, "writer")])
+        layout = world.layout
+        wal, db = layout.wal_offset, layout.db_offset
+        assert world.posts == [
+            ("gmemcpy", db, 100),
+            ("gwrite", layout.head_offset, 16),
+            ("gwrite", wal + first, second),
+            ("gwrite", db, 60),
+        ]
+        assert (log.head, log.head_lsn) == (log.tail, log.next_lsn) == (first + second, 2)
+        for replica in range(3):
+            assert world.header(replica) == (first, 1)
+            records = ReplicatedLog.recover_replica(world.group, layout, replica)
+            assert [record.lsn for record in records] == [1]  # redo is idempotent
+            assert world.group.read_replica(replica, db, 100) == b"\x02" * 60 + b"\x01" * 40
+
+    def test_a_batch_is_all_executed_appends_or_none(self, backend):
+        """Queued behind a lone leader, executed and plain appends
+        alternate, so each leads a batch of one: a plain record never
+        rides an executed batch whose head advance would skip it."""
+        world = World(backend)
+        log = ReplicatedLog(world.group, world.layout)
+        tasks = [
+            world.appender(log, f"a{i}", bytes([i + 1]) * 100, 128 * i, executed=i % 2)
+            for i in range(4)
+        ]
+        world.run(tasks)
+        layout = world.layout
+        wal, db, size = layout.wal_offset, layout.db_offset, record_size(100)
+        assert world.posts == [
+            ("gwrite", wal, size),  # a0
+            ("gmemcpy", db, 100),  # a1 drains a0 first
+            ("gwrite", layout.head_offset, 16),
+            ("gwrite", wal + size, size),
+            ("gwrite", db + 128, 100),
+            ("gwrite", layout.head_offset, 16),  # a2 carries a1's advance
+            ("gwrite", wal + 2 * size, size),
+            ("gmemcpy", db + 256, 100),  # a3 drains a2 first
+            ("gwrite", layout.head_offset, 16),
+            ("gwrite", wal + 3 * size, size),
+            ("gwrite", db + 384, 100),
+        ]
+        assert log.head == log.tail == 4 * size
+        for replica in range(3):
+            raw = world.group.read_replica(replica, db, 512)
+            assert [raw[128 * i : 128 * i + 100] for i in range(4)] == [
+                bytes([i + 1]) * 100 for i in range(4)
+            ]
+
+    def test_a_refused_member_stages_no_image(self, backend):
+        """The member that does not fit the ring gets WAL-full, and not
+        a byte of its image reaches the client's mirror of the DB area;
+        the members around it are executed there and on every
+        replica."""
+        world = World(backend, wal_size=1024)
+        log = ReplicatedLog(world.group, world.layout)
+        layout = world.layout
+        first, fits, too_big = record_size(100), record_size(400), record_size(450)
+        # After `first` executes, `too_big` needs a wrap onto it.
+        assert 1024 - first - fits < too_big
+        members = [
+            ("first", 100, 0), ("fits", 400, 128), ("too-big", 450, 1024), ("small", 50, 2048)
+        ]
+        tasks = [
+            world.appender(log, name, bytes([i + 1]) * size, offset, executed=True)
+            for i, (name, size, offset) in enumerate(members)
+        ]
+        world.run(tasks)
+        outcomes = dict(world.outcomes)
+        assert "WAL full" in str(outcomes["too-big"])
+        expected = bytearray(layout.db_size)
+        for i, (name, size, offset) in enumerate(members):
+            if name != "too-big":
+                assert outcomes[name].lsn == min(i, 2)
+                expected[offset : offset + size] = bytes([i + 1]) * size
+        db = (layout.db_offset, layout.db_size)
+        assert world.group.client_region.read(*db) == expected
+        for replica in range(3):
+            assert world.group.read_replica(replica, *db) == expected
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -621,12 +721,16 @@ class TestZombieScrub:
         assert self._recovered(fresh, world.layout) == [[b"\x03"]] * 3
 
 
+@pytest.mark.parametrize("executed", [False, True], ids=["append-drain", "append-executed"])
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_installs_lapping_the_ring_leave_each_replica_a_log_from_its_own_header(backend):
-    """Lone installs (append, then drain) of mixed sizes lap a 1 KiB
-    ring three times, wrap markers and all. Ring room is judged against
-    the client's head, while each drain's head advance is only owed: it
-    rides the next record's post, ahead of it on the gWRITE chain. So
+def test_installs_lapping_the_ring_leave_each_replica_a_log_from_its_own_header(
+    backend, executed
+):
+    """Lone installs (append, then drain; or one executed append) of
+    mixed sizes lap a 1 KiB ring three times, wrap markers and all.
+    Ring room is judged against the client's head, while each install's
+    head advance is only owed: it rides the next record's post, ahead
+    of it on the gWRITE chain. So
     at every simulated instant — every ack included — a scan from each
     replica's own header finds LSNs up to the last record written (or
     the one in flight), and that header is no earlier than the previous
@@ -641,9 +745,14 @@ def test_installs_lapping_the_ring_leave_each_replica_a_log_from_its_own_header(
     def body(task):
         for index, size in enumerate(sizes):
             appending[0] = True
-            yield from log.append(task, [(8 * index, bytes([index + 1]) * size)])
+            changes = [(8 * index, bytes([index + 1]) * size)]
+            if executed:
+                yield from log.append_executed(task, changes)
+            else:
+                yield from log.append(task, changes)
+                appending[0] = False
+                yield from log.drain(task)
             appending[0] = False
-            yield from log.drain(task)
             heads.append(log.head_lsn)
 
     def check():
