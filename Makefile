@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-unit gates perf-smoke e2e e2e-quick figures-smoke outputs
+.PHONY: test test-unit gates pins perf-smoke e2e e2e-quick figures-smoke outputs
 
 test:            ## tier-1 suite (unit + integration + benchmarks)
 	$(PYTHON) -m pytest -x -q
@@ -9,11 +9,14 @@ test:            ## tier-1 suite (unit + integration + benchmarks)
 test-unit:       ## fast unit tests only
 	$(PYTHON) -m pytest -x -q tests/unit
 
-gates:           ## exact count gates: dispatches, WQEs, doorbells, chain ops, garbage per op, chains built, txn state flat in run length, per-op cost ledger (~25 s)
+gates:           ## exact count gates: dispatches, WQEs, doorbells, chain ops, garbage per op, chains built, txn state flat in run length, per-op cost ledger, the pin table's consistency (~25 s)
 	$(PYTHON) -m pytest -q tests/unit/test_txn_cost_gate.py tests/unit/test_txn_scan_gate.py \
 		tests/unit/test_wal_group_commit.py::TestBatchShape tests/unit/test_hot_path_budget.py \
 		tests/unit/test_group_lazy_chains.py tests/unit/test_txn_bounded_state.py \
-		tests/unit/test_cost_ledger.py
+		tests/unit/test_cost_ledger.py tests/unit/test_pins.py
+
+pins:            ## re-measure every pin of tests/pins.json (NAMES="a b" for some); prints old -> new, writes nothing if a gate fails (~40 s)
+	$(PYTHON) -m tests.pins $(NAMES)
 
 perf-smoke:      ## kernel and NIC microbenchmarks as tests (fails on errors, not timing)
 	$(PYTHON) -m pytest -x -q benchmarks/test_perf_kernel.py

@@ -368,7 +368,7 @@ class TestQpScalability:
             if topology == "chain":
                 group = HyperLoopGroup(
                     cluster[0], cluster.hosts[1:5], region_size=1 << 14,
-                    rounds=32, primitives=("gwrite",), name=f"p{index}",
+                    rounds=32, name=f"p{index}",
                 )
             else:
                 group = HyperFanoutGroup(

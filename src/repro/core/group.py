@@ -34,12 +34,12 @@ never builds the gMEMCPY and gCAS chains.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from ..hw.host import Host
 from ..sim import Event, Resource, US
 from .base import GroupBase, RingRefill
-from .chain import Chain, GCAS, GMEMCPY, GWRITE, OpSpec
+from .chain import Chain, GWRITE, OpSpec
 
 __all__ = ["HyperLoopGroup"]
 
@@ -69,10 +69,6 @@ class HyperLoopGroup(GroupBase):
         Interleave gFLUSH with every gwrite/gmemcpy (§4.2).
     nvm:
         Place replica regions in NVM (battery-backed DRAM).
-    primitives:
-        The chains the group *may* build. Each is built on its first
-        operation (or an explicit :meth:`chain` call); an operation
-        on a primitive not listed raises ``RuntimeError``.
     client_mode:
         ``"event"`` — an ack wakes the task waiting on the op (normal
         tenants); ``"polling"`` — a client thread busy-polls the ack
@@ -91,21 +87,16 @@ class HyperLoopGroup(GroupBase):
         rounds: int = 256,
         durable: bool = True,
         nvm: bool = True,
-        primitives: Sequence[str] = (GWRITE, GMEMCPY, GCAS),
         client_mode: str = "event",
         maintenance_interval: int = 200 * US,
         client_core: Optional[int] = None,
         name: str = "group",
         autostart: bool = True,
     ):
-        for primitive in primitives:
-            if primitive not in (GWRITE, GMEMCPY, GCAS):
-                raise ValueError(f"unknown primitive {primitive!r}")
         super().__init__(
             client, replicas, region_size, rounds, durable, nvm, name, client_mode, client_core
         )
         self.maintenance_interval = maintenance_interval
-        self.primitives: Tuple[str, ...] = tuple(primitives)
         # Built chains only, keyed in ``primitives`` order (see chain()).
         self.chains: Dict[str, Chain] = {}
         self._flow: Dict[str, Resource] = {
@@ -129,8 +120,6 @@ class HyperLoopGroup(GroupBase):
         chain = self.chains.get(primitive)
         if chain is not None:
             return chain
-        if primitive not in self.primitives:
-            raise RuntimeError(f"group built without the {primitive} chain")
         chain = Chain(self, primitive, self.durable, self.rounds)
         queue = self._acks.attach(
             chain.ack_qp.recv_cq, chain.parse_result_map, chain.post_ack_recv,

@@ -130,7 +130,7 @@ class _WireMsg:
     """One RC transport message (request or response). Built
     positionally on the hot path: one per message on the wire."""
 
-    kind: str  # send | write | write_imm | read | cas | ack | resp
+    kind: str  # send | write | write_imm | read | cas | ack | resp | nak
     src_qpn: int
     dst_qpn: int
     seq: int = 0
@@ -369,6 +369,7 @@ class NicQp:
         # responder side tracks the next expected sequence number and
         # keeps recent replies for duplicate-request re-ACKs.
         self._rx_next_seq = 0
+        self._nak_seq = -1  # the expected seq last NAKed: one NAK per gap
         self._reply_cache: "OrderedDict[int, Tuple[_WireMsg, int]]" = OrderedDict()
 
     # -- driver-facing ---------------------------------------------------------
@@ -694,19 +695,18 @@ class NicQp:
                 TRACER.count("nic.retry_exceeded")
             self._drain_pending()
             return
+        nic.sim.call_in(nic.params.retransmit_timeout_ns, self._retransmit_check, seq)
+        self._resend(pending)
+
+    def _resend(self, pending: _PendingSend) -> None:
+        nic = self.nic
         pending.retries += 1
         if TRACER.enabled:
             TRACER.record(
-                nic.sim.now,
-                "i",
-                "fault",
-                "retransmit",
-                pid=nic.name,
-                tid=f"qp{self.qpn}/tx",
-                args={"seq": seq, "retry": pending.retries},
+                nic.sim.now, "i", "fault", "retransmit", pid=nic.name, tid=f"qp{self.qpn}/tx",
+                args={"seq": pending.seq, "retry": pending.retries},
             )
             TRACER.count("nic.retransmits")
-        nic.sim.call_in(nic.params.retransmit_timeout_ns, self._retransmit_check, seq)
         nic.transmit(self.remote[0], pending.msg, pending.nbytes)
 
     def _on_response(self, msg: _WireMsg) -> None:
@@ -793,20 +793,30 @@ class NicQp:
     def _rx_check(self, msg: _WireMsg) -> None:
         if msg.kind in ("ack", "resp"):
             self._on_response(msg)
+        elif msg.kind == "nak":  # go back to the seq the responder expects
+            for pending in self._pending:
+                if pending.seq >= msg.seq and not pending.done and pending.msg:
+                    self._resend(pending)  # its timer stays armed
         elif msg.seq != self._rx_next_seq:
             # RC in-order exactly-once execution. A replayed seq is a
             # retransmit of an executed request whose reply was lost:
             # re-send the cached reply without re-executing. A future
-            # seq is a gap the requester will retransmit into
-            # (go-back-N); drop it silently.
+            # seq is a gap: drop it, and NAK the expected seq so the
+            # requester goes back to it (go-back-N; a lost NAK leaves
+            # the gap to the requester's timer).
             if msg.seq < self._rx_next_seq:
                 cached = self._reply_cache.get(msg.seq)
                 if cached is not None:
                     self.nic.transmit(self.remote[0], cached[0], cached[1])
                 if TRACER.enabled:
                     TRACER.count("nic.rx_duplicates")
-            elif TRACER.enabled:
-                TRACER.count("nic.rx_out_of_order")
+            else:
+                if self._nak_seq != self._rx_next_seq:
+                    self._nak_seq = self._rx_next_seq
+                    nak = _WireMsg("nak", self.qpn, msg.src_qpn, self._nak_seq)
+                    self.nic.transmit(self.remote[0], nak, 0)
+                if TRACER.enabled:
+                    TRACER.count("nic.rx_out_of_order")
         else:
             self._rx_next_seq += 1
             delay = self.nic.params.rx_process_ns + self.nic.qp_context_penalty(self.qpn)

@@ -13,6 +13,16 @@ from repro.bench.experiments import (
     microbench_latency,
     microbench_throughput,
 )
+from tests.pins import assert_pinned
+
+
+def measure_fig8():
+    """§6.1 Fig 8: 1 KiB HyperLoop gWRITE at the default seed and load,
+    p50 and p99 in sim µs. A simulation result, identical on every
+    host: a change that moves it changed the simulated schedule."""
+    result = microbench_latency("hyperloop", message_size=1024, n_ops=500)
+    assert not result.errors
+    return {"p50_us": round(result.stats.p50, 3), "p99_us": round(result.stats.p99, 4)}
 
 
 class TestMicrobench:
@@ -36,13 +46,7 @@ class TestMicrobench:
         assert not result.errors
 
     def test_fig8_reference_point(self):
-        """§6.1 Fig 8: 1 KiB HyperLoop gWRITE at the default seed and
-        load. A simulation result, identical on every host: a change
-        that moves it changed the simulated schedule."""
-        result = microbench_latency("hyperloop", message_size=1024, n_ops=500)
-        assert round(result.stats.p50, 3) == 9.536
-        assert round(result.stats.p99, 4) == 19.5755
-        assert not result.errors
+        assert_pinned("fig8", measure_fig8())
 
     def test_throughput(self):
         result = microbench_throughput(

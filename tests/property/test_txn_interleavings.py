@@ -16,13 +16,12 @@ teeth. Under ``mode="ssi"`` no case may end on a cycle. Cases 16, 19
 and 77 did while committed transactions left the SSI probes at commit
 (the committed-reader, read-only and committed-pivot holes of
 ``test_txn_ssi.py``); since they stay probed until the watermark
-passes them, those cases abort one transaction more, as do 20, 47, 50
-and 59 (250 committed before, 243 now).
+passes them, those cases abort one transaction more.
 
 All 200 verdicts — per mode and case, the cycle or ``"none"`` and the
-committed count — are pinned below. A change that only moves the
-schedule (a perf change on the txn path) must leave every one as it
-is.
+committed count — are pinned in ``tests/pins.json``
+(``txn-interleavings``). A change that only moves the schedule (a perf
+change on the txn path) must leave every one as it is.
 
 In that family ``commit`` blocks the one client task, so no two
 commits ever overlap. The second family runs each ``commit`` on a
@@ -30,7 +29,7 @@ task of its own and moves on at once, over 400 cases: commits then
 overlap each other and the reads, scans and begins behind them (in
 about a third of the cases two or more are pending at once). It holds
 to the same rules — no cycle under ``ssi``, cycles under ``si`` — and
-its 800 verdicts are pinned too.
+its 800 verdicts are pinned too (``txn-interleavings-overlap``).
 
 The cycle check trusts the coordinator's account of what each read
 saw. So every case also checks the values themselves, from facts the
@@ -52,78 +51,14 @@ from repro.bench import run_until
 from repro.hw import Cluster
 from repro.sim import Simulator
 from repro.txn import TxnAborted, build_txn_system, describe_cycle
+from tests.pins import assert_pinned
 
 # Two keys exist from the start; the other two are born by inserts.
 SEEDED = [b"k0", b"k1"]
 KEYS = SEEDED + [b"k2", b"k3"]
 CASES = range(100)
-
-# Case -> committed transactions, one digit per case, and the cases
-# that end on a cycle.
-PINNED = {
-    "ssi": (
-        "1221222223223223132223432333331133233323222132222422"
-        "433323322142323334343212322223233222112233234432",
-        {},
-    ),
-    "si": (
-        "1221222224223223232333432433331233233323222132232432"
-        "433323332142323334343222332224233222113233234433",
-        {
-            9: "T5 -rw-> T4 -rw-> T5",
-            16: "T2 -rw-> T3 -rw-> T2",
-            19: "T2 -rw-> T4 -rw-> T2",
-            31: "T2 -rw-> T4 -rw-> T2",
-            74: "T2 -rw-> T4 -rw-> T2",
-            77: "T2 -rw-> T5 -rw-> T2",
-        },
-    ),
-}
-
-
-# The overlapping-commit family, in the same form.
-OVERLAP_CASES = range(400)
-PINNED_OVERLAP = {
-    "ssi": (
-        "1221222223223222232223432333331133223323222132222322"
-        "4332233221423133342432223222232332221122232343322313"
-        "3232232212322222134321323123233233332333322332323222"
-        "3424333432323233334423222343233231231422134242323222"
-        "1222222333321332322123234323322332432232233221232233"
-        "3342322221121333232212122223344334223323423122232232"
-        "2332412223224122122233224234333323221132421323333222"
-        "332222331322312122322221233123222232",
-        {},
-    ),
-    "si": (
-        "1221222224223222232333432433331233223323222132232332"
-        "4332233321423133343432223322242332221132232344332313"
-        "3233242222432222134321323124233233333333322332323222"
-        "4424333432434233334433222343333232231422134242324222"
-        "1322222333321432322223234323322332432334233221232233"
-        "3342322222221333332223122323344334223323423122232232"
-        "2332412223324132123233224234343323222132421323333232"
-        "332222331322312122323321243223223232",
-        {
-            9: "T5 -rw-> T4 -rw-> T5",
-            16: "T2 -rw-> T3 -rw-> T2",
-            19: "T2 -rw-> T4 -rw-> T2",
-            31: "T2 -rw-> T4 -rw-> T2",
-            74: "T2 -rw-> T4 -rw-> T2",
-            77: "T2 -rw-> T5 -rw-> T2",
-            150: "T5 -rw-> T4 -rw-> T5",
-            168: "T2 -rw-> T3 -rw-> T2",
-            176: "T3 -rw-> T4 -rw-> T3",
-            227: "T3 -rw-> T4 -rw-> T3",
-            238: "T3 -rw-> T4 -rw-> T3",
-            269: "T2 -rw-> T3 -rw-> T2",
-            270: "T2 -rw-> T3 -rw-> T2",
-            304: "T2 -rw-> T3 -rw-> T2",
-            322: "T3 -rw-> T4 -rw-> T3",
-            348: "T2 -rw-> T3 -rw-> T2",
-        },
-    ),
-}
+OVERLAP_CASES = range(400)  # the overlapping-commit family
+MODES = ("ssi", "si")
 
 
 def schedule(case):
@@ -275,13 +210,38 @@ def verdicts(mode, overlap=False):
     return {case: run[:2] for case, run in runs(mode, overlap).items()}
 
 
-@pytest.mark.parametrize("mode", ["ssi", "si"])
-def test_every_verdict_matches_the_pin(mode):
-    committed, cycles = PINNED[mode]
-    pinned = {
-        case: (cycles.get(case, "none"), int(committed[case])) for case in CASES
+def pinned_form(mode, overlap=False):
+    """A family's verdicts as the table holds them: committed
+    transactions, one digit per case, and the cases that end on a
+    cycle."""
+    verdict = verdicts(mode, overlap)
+    return {
+        "committed": "".join(str(committed) for _, committed in verdict.values()),
+        "cycles": {case: cycle for case, (cycle, _) in verdict.items() if cycle != "none"},
     }
-    assert verdicts(mode) == pinned
+
+
+def _measure(overlap):
+    """Both modes' verdicts, after the family's own checks: no cycle
+    under SSI, cycles under SI, every read value right."""
+    forms = {mode: pinned_form(mode, overlap) for mode in MODES}
+    assert forms["ssi"]["cycles"] == {}
+    assert forms["si"]["cycles"]
+    assert all(not run[2] for mode in MODES for run in runs(mode, overlap).values())
+    return forms
+
+
+def measure():
+    return _measure(overlap=False)
+
+
+def measure_overlap():
+    return _measure(overlap=True)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_every_verdict_matches_the_pin(mode):
+    assert_pinned("txn-interleavings", pinned_form(mode), key=mode)
 
 
 def test_ssi_commits_no_cycle_on_any_interleaving():
@@ -294,14 +254,9 @@ def test_si_interleavings_find_cycles():
     assert cycles
 
 
-@pytest.mark.parametrize("mode", ["ssi", "si"])
+@pytest.mark.parametrize("mode", MODES)
 def test_every_overlapping_verdict_matches_the_pin(mode):
-    committed, cycles = PINNED_OVERLAP[mode]
-    pinned = {
-        case: (cycles.get(case, "none"), int(committed[case]))
-        for case in OVERLAP_CASES
-    }
-    assert verdicts(mode, overlap=True) == pinned
+    assert_pinned("txn-interleavings-overlap", pinned_form(mode, overlap=True), key=mode)
 
 
 def test_ssi_commits_no_cycle_with_overlapping_commits():

@@ -58,23 +58,6 @@ class TestConstruction:
         group.start()
         assert group._tasks
 
-    def test_selective_primitives(self, cluster):
-        group = HyperLoopGroup(
-            cluster[0], cluster.hosts[1:4], region_size=1 << 16,
-            rounds=8, primitives=("gwrite",), autostart=False,
-        )
-        assert group.primitives == ("gwrite",)
-        assert group.chains == {}  # built on first use
-        with pytest.raises(RuntimeError, match="gcas"):
-            group.chain("gcas")
-
-    def test_unknown_primitive_rejected_at_construction(self, cluster):
-        with pytest.raises(ValueError, match="gscan"):
-            HyperLoopGroup(
-                cluster[0], cluster.hosts[1:4], region_size=1 << 16,
-                rounds=8, primitives=("gwrite", "gscan"), autostart=False,
-            )
-
     def test_regions_in_nvm_by_default(self, cluster):
         group = HyperLoopGroup(
             cluster[0], cluster.hosts[1:4], region_size=1 << 16,
@@ -115,26 +98,6 @@ class TestLocalAccess:
             rounds=8, autostart=False,
         )
         assert group.read_replica(0, 0, 16) == bytes(16)
-
-
-class TestMissingChain:
-    def test_op_without_chain_raises(self, cluster):
-        group = HyperLoopGroup(
-            cluster[0], cluster.hosts[1:4], region_size=1 << 16,
-            rounds=8, primitives=("gwrite",),
-        )
-        done = {}
-
-        def body(task):
-            try:
-                yield from group.gcas(task, 0, 0, 1)
-            except RuntimeError as exc:
-                done["error"] = str(exc)
-            yield from task.sleep(0)
-
-        cluster[0].os.spawn(body, "c")
-        cluster[0].sim.run(until=1_000_000)
-        assert "gcas" in done["error"]
 
 
 class TestStats:

@@ -285,10 +285,9 @@ def test_gflush_on_a_non_durable_group_raises(kind):
     assert ops_posted(group) == 0
 
 
-@pytest.mark.parametrize("kind", ["hyperloop", *FANOUTS])
+@pytest.mark.parametrize("kind", FANOUTS)
 def test_a_primitive_the_group_does_not_run_raises_at_submit(kind):
-    options = {"primitives": (GWRITE,)} if kind == "hyperloop" else {}
-    sim, cluster, group = make(kind, **options)
+    sim, cluster, group = make(kind)
 
     def body(task):
         raised = 0

@@ -17,12 +17,15 @@ transaction system — run warm with the cyclic collector off, as
       event per ack wake);
 (iii) one warm durable gWRITE from a lone polling client costs exactly
       the pinned number of generator resumes, event-object
-      constructions and kernel dispatches — and none of the resumes
-      is the NIC receive path's, which is stages, not a process.
+      constructions and kernel dispatches (``tests/pins.json``,
+      ``hot-path.*``) — and none of the resumes is the NIC receive
+      path's, which is stages, not a process.
 
 A legitimate change to the kernel, CPU or NIC model moves the pins of
-(iii); re-measure, and say in CHANGES.md what moved them. The bounds
-of (i) and (ii) are the point of the file and should not move.
+(iii); re-measure with ``python -m tests.pins hot-path.gwrite-profile
+hot-path.gwrite-dispatches``, and say in CHANGES.md what moved them.
+The bounds of (i) and (ii) are the point of the file and should not
+move.
 """
 
 import gc
@@ -39,6 +42,7 @@ from repro.obs import tracing
 from repro.sim.events import AllOf, Event, Timeout
 from repro.sim.kernel import Process
 from repro.txn import build_txn_system
+from tests.pins import assert_pinned
 
 WARMUP_OPS = 100
 SHORT_RUN = 300
@@ -179,19 +183,7 @@ def test_an_op_leaves_nothing_for_the_collector_however_long_the_run(world_class
     assert alive_long - alive_short <= per_op * world.long_run
 
 
-# Per 200 warm gWRITEs of the lone client.
-# Before: 10,349 resumes (6,600 of them NicQp._ingress_engine), 13,637
-# event objects, the same 21,829 dispatches. 7,812 event objects while
-# the ack handler built a first-of-N event over its CQs' per wake; it now
-# waits on one completion channel. 7,412 while every fabric message
-# (20 per gWRITE) fired a drain-time Event into its delivery; the
-# delivery is now queued directly. 3,412 while the replica tasks slept
-# on bare ticks; a tick now wakes them through the one event each parks
-# on (a ring's half-lap threshold is the other way in), 150 per run.
-RESUMES = 3_749
-EVENT_OBJECTS = 3_562
-DISPATCHES = 21_829
-PINNED_OPS = 200
+PINNED_OPS = 200  # warm gWRITEs of the lone client per pinned count
 
 
 def _profile(n_ops):
@@ -223,7 +215,8 @@ def _profile(n_ops):
     return calls
 
 
-def test_a_warm_gwrite_costs_the_pinned_resumes_and_allocations():
+def measure_gwrite_profile():
+    """Resumes and event objects of ``PINNED_OPS`` warm gWRITEs."""
     calls = _profile(PINNED_OPS)
     nic_resumes = {
         home: count for home, count in calls.items()
@@ -232,8 +225,11 @@ def test_a_warm_gwrite_costs_the_pinned_resumes_and_allocations():
     # The receive path resumes nothing; the send engine is the NIC's
     # one process.
     assert set(nic_resumes) == {("hw/nic.py", "_send_engine")}
-    assert calls["resumes"] == RESUMES  # 18.7 per op, was 51.7
-    assert calls["event objects"] == EVENT_OBJECTS  # 17.1 per op, was 68.2
+    return {"resumes": calls["resumes"], "event_objects": calls["event objects"]}
+
+
+def test_a_warm_gwrite_costs_the_pinned_resumes_and_allocations():
+    assert_pinned("hot-path.gwrite-profile", measure_gwrite_profile())
 
 
 def test_a_fabric_message_constructs_no_event():
@@ -271,11 +267,16 @@ def test_a_fabric_message_constructs_no_event():
     assert constructed["event objects"] == 0
 
 
-def test_a_warm_gwrite_costs_the_same_kernel_dispatches_as_before():
-    """The stages hand on through the event queue exactly where the
-    generator yielded: no hop added, none removed."""
+def measure_gwrite_dispatches():
+    """Kernel dispatches of ``PINNED_OPS`` warm gWRITEs."""
     with tracing(record_kernel=False) as tracer:
         world = LoneClientWorld().start()
         before = tracer.dispatches
         world.run(PINNED_OPS)
-        assert tracer.dispatches - before == DISPATCHES  # 109.1 per op
+        return {"dispatches": tracer.dispatches - before}
+
+
+def test_a_warm_gwrite_costs_the_same_kernel_dispatches_as_before():
+    """The stages hand on through the event queue exactly where the
+    generator yielded: no hop added, none removed."""
+    assert_pinned("hot-path.gwrite-dispatches", measure_gwrite_dispatches())

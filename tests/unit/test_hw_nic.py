@@ -18,6 +18,7 @@ from repro.rdma import (
     Wqe,
 )
 from repro.sim import Simulator, MS, US
+from tests.pins import assert_pinned
 
 
 @pytest.fixture
@@ -623,10 +624,10 @@ class TestRingManagement:
 class TestSameTimestampArrivals:
     """Eight messages reach one QP in the same nanosecond while another
     QP of the NIC receives and sends: what runs when is decided by
-    queue order alone. The expectation below was recorded at the commit
-    before the receive path became a stage pipeline; the pipeline must
-    reproduce it record for record, and in the same number of kernel
-    dispatches."""
+    queue order alone. The expectation (``tests/pins.json``,
+    ``nic.burst``) was recorded at the commit before the receive path
+    became a stage pipeline; the pipeline must reproduce it record for
+    record, and in the same number of kernel dispatches."""
 
     @staticmethod
     def _run():
@@ -700,8 +701,12 @@ class TestSameTimestampArrivals:
             ]
             state = {
                 "dispatches": tracer.dispatches,
-                "recv_cqes_b1": [(c.wr_id, c.opcode, c.imm) for c in qp_b1.recv_cq.poll()],
-                "recv_cqes_b2": [(c.wr_id, c.opcode, c.imm) for c in qp_b2.recv_cq.poll()],
+                "recv_cqes_b1": [
+                    (c.wr_id, Opcode.NAMES[c.opcode], c.imm) for c in qp_b1.recv_cq.poll()
+                ],
+                "recv_cqes_b2": [
+                    (c.wr_id, Opcode.NAMES[c.opcode], c.imm) for c in qp_b2.recv_cq.poll()
+                ],
                 "send_cqes_b2": [c.wr_id for c in qp_b2.send_cq.poll()],
                 "landed": b.nic.cache.read(buf_b.addr, 32),
                 "cas_word": b.nic.cache.read(buf_b.addr + 512, 8),
@@ -710,44 +715,14 @@ class TestSameTimestampArrivals:
         return records, state
 
     def test_interleaving_matches_the_recorded_one(self):
-        records, state = self._run()
-        assert state == EXPECTED_BURST_STATE
-        assert records == EXPECTED_BURST_RECORDS
+        assert_pinned("nic.burst", measure_burst())
 
 
-EXPECTED_BURST_STATE = {
-    "dispatches": 88,
-    "recv_cqes_b1": [(1, Opcode.WRITE_IMM, 9), (3, Opcode.SEND, None)],
-    "recv_cqes_b2": [(2, Opcode.SEND, None)],
-    "send_cqes_b2": [77],
-    "landed": b"w0w0w0w0w1w1w1w1wiwiwiwiw6w6w6w6",
-    "cas_word": (7).to_bytes(8, "little"),
-    "at_a": b"from b!!",
-}
-# (start ns, host, thread, span, duration ns), in the order emitted: a
-# span is emitted when it ends. Both QPs start cold, so each one's
-# first message pays the 800 ns context fetch; the CAS (250 ns) and the
-# 128-byte READ (2 ns) are what push the first QP off the 150 ns grid.
-EXPECTED_BURST_RECORDS = [
-    (0, "host1", "qp1/rx", "doorbell.recv", 0),
-    (0, "host1", "qp2/rx", "doorbell.recv", 0),
-    (10000, "host1", "qp2/tx", "doorbell.send", 0),
-    (10000, "host1", "qp2/tx", "WRITE", 150),
-    (10000, "host1", "qp1/rx", "rx.write", 950),
-    (10000, "host1", "qp2/rx", "rx.write", 950),
-    (10950, "host1", "qp1/rx", "rx.write", 150),
-    (10950, "host1", "qp2/rx", "rx.send", 150),
-    (11100, "host1", "qp1/rx", "rx.read", 150),
-    (11100, "host1", "qp2/rx", "rx.read", 150),
-    (11250, "host1", "qp1/rx", "rx.cas", 150),
-    (11251, "host1", "qp2/rx", "rx.write", 150),
-    (11650, "host1", "qp1/rx", "rx.write_imm", 150),
-    (11800, "host1", "qp1/rx", "rx.read", 150),
-    (11952, "host1", "qp1/rx", "rx.write", 150),
-    (12102, "host1", "qp1/rx", "rx.send", 150),
-    (11459, "host0", "qp2/rx", "rx.write", 950),
-    (15000, "host1", "qp1/rx", "doorbell.recv", 0),
-]
+def measure_burst():
+    """The burst's end state, and its NIC records as (start ns, host,
+    thread, span, duration ns) in the order emitted."""
+    records, state = TestSameTimestampArrivals._run()
+    return {"state": state, "records": records}
 
 
 class TestSameTimestampFaultVerdicts:
@@ -756,14 +731,14 @@ class TestSameTimestampFaultVerdicts:
     drops, delays, corrupts and duplicates requests and replies among
     them. What runs when is decided by queue order alone. The run must
     match the one-pop reference loop dispatch for dispatch, and the
-    record below, made at the commit before a fabric message stopped
-    being an egress event: the same dispatch instants, the same NIC,
-    fabric and fault records, the same end state."""
+    recorded run (``tests/pins.json``, ``nic.fault-verdicts``): the
+    same dispatch instants, the same NIC, fabric and fault records, the
+    same end state."""
 
     # Verdicts by filter call: the twelve requests of the burst come
     # first (four per source, sources in order), replies after them.
     VERDICTS = {
-        1: dict(drop=True),  # host0's 2nd WRITE: the rest is a gap the responder drops
+        1: dict(drop=True),  # host0's 2nd WRITE: the rest is a gap, dropped and NAKed once
         5: dict(extra_delay_ns=8),  # host1's 2nd WRITE lands beside its READ
         7: dict(corrupt=True),  # host1's WRITE_IMM fails the ICRC check
         9: dict(duplicates=2),  # host2's WRITE arrives three times
@@ -854,7 +829,8 @@ class TestSameTimestampFaultVerdicts:
                     if name.startswith(("nic.rx_", "fault.", "fabric."))
                 },
                 "recv_cqes": [
-                    [(c.wr_id, c.opcode, c.status, c.imm) for c in qp.recv_cq.poll()]
+                    [(c.wr_id, Opcode.NAMES[c.opcode], c.status, c.imm)
+                     for c in qp.recv_cq.poll()]
                     for _, qp in pairs
                 ],
                 "send_cqes_d0": [(c.wr_id, c.status) for c in pairs[0][1].send_cq.poll()],
@@ -874,33 +850,11 @@ class TestSameTimestampFaultVerdicts:
         assert self._run() == batched
 
     def test_matches_the_recorded_run(self):
-        kernel, records, calls, state, digest = self._run()
-        assert state == EXPECTED_VERDICT_STATE
-        assert digest == EXPECTED_VERDICT_DIGEST, (calls, records)
+        assert_pinned("nic.fault-verdicts", measure_fault_verdicts())
 
 
-# Recorded at the parent commit (90 dispatches, 47 records, 24 filter
-# calls); the digest covers the dispatch instants, every non-kernel
-# record and the filter's call log.
-EXPECTED_VERDICT_STATE = {
-    "dispatches": 90,
-    "filter_calls": 24,
-    "faults": (2, 2, 2, 3),
-    "rx_messages": [3, 2, 5, 13],
-    "counters": {
-        "fabric.deliveries": 23,
-        "fault.fabric.corrupt": 2,
-        "fault.fabric.delay": 2,
-        "fault.fabric.drop": 2,
-        "fault.fabric.duplicate": 2,
-        "fault.fabric.icrc_drops": 2,
-        "nic.rx_duplicates": 2,
-        "nic.rx_messages": 9,
-        "nic.rx_out_of_order": 2,
-    },
-    "recv_cqes": [[], [], [(2, Opcode.SEND, 0, None)]],
-    "send_cqes_d0": [(77, 0)],
-    "landed": "1db7bfd751d876bb",
-    "at_host0": b"from d0!",
-}
-EXPECTED_VERDICT_DIGEST = "4538c66d14f258cf0da1b7611e81b5abd1a2dee4273ca3797b003316fa6b4bec"
+def measure_fault_verdicts():
+    """The burst's end state, and a digest of its dispatch instants,
+    every non-kernel record and the filter's call log."""
+    _, _, _, state, digest = TestSameTimestampFaultVerdicts._run()
+    return {"state": state, "digest": digest}

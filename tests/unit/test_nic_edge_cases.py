@@ -271,13 +271,14 @@ class TestSequenceCheck:
     def test_future_sequence_is_dropped_unexecuted(self):
         """Go-back-N responder: a sequence number ahead of the expected
         one is a gap the requester will retransmit into — no execution,
-        no reply, the expected number does not move. (The replayed half
-        is ``test_faults.py::test_duplicate_after_ack_is_deduped``.)"""
+        no ack, one NAK naming the expected number, which does not
+        move. (The replayed half is
+        ``test_faults.py::test_duplicate_after_ack_is_deduped``.)"""
         from dataclasses import replace
 
         from repro.obs import tracing
 
-        captured, acks = [], []
+        captured, acks, naks = [], [], []
 
         def tap(src, dst, payload, nbytes):
             kind = getattr(payload, "kind", None)
@@ -285,6 +286,8 @@ class TestSequenceCheck:
                 captured.append((src, dst, payload, nbytes))
             elif kind == "ack":
                 acks.append(payload)
+            elif kind == "nak":
+                naks.append(payload.seq)
             return None
 
         with tracing(record_kernel=False) as tracer:
@@ -299,8 +302,40 @@ class TestSequenceCheck:
             sim.run(until=200 * US)
             assert b.nic.cache.read(buf_b.addr, 8) == b"msg00000"
             assert qp_b.hw._rx_next_seq == 1 and len(acks) == 1
-            assert tracer.counters["nic.rx_out_of_order"] == 1
+            assert tracer.counters["nic.rx_out_of_order"] == 1 and naks == [1]
             # The stream goes on where it was.
             _write(qp_a, buf_a, buf_b, mr_b, 1)
             sim.run(until=300 * US)
             assert qp_b.hw._rx_next_seq == 2 and len(acks) == 2
+
+    def test_a_gap_is_refilled_long_before_the_retransmit_timer(self):
+        """One request among four in flight is lost: the first request
+        behind the gap draws one NAK naming it, and the requester
+        re-sends every unacked request from there at once (go-back-N),
+        instead of each waiting out its own retransmit timer."""
+        from repro.hw.network import FaultVerdict
+        from repro.obs import tracing
+
+        sent = []
+
+        def drop_the_second_write(src, dst, payload, nbytes):
+            if getattr(payload, "kind", None) == "write":
+                sent.append(payload.seq)
+                if len(sent) == 2:
+                    return FaultVerdict(drop=True)
+            return None
+
+        with tracing(record_kernel=False) as tracer:
+            sim, a, b, qp_a, qp_b, buf_a, buf_b, mr_b = _rig()
+            a.nic.fabric.install_fault_filter(drop_the_second_write)
+            for index in range(4):
+                _write(qp_a, buf_a, buf_b, mr_b, index)
+            sim.run(until=a.nic.params.retransmit_timeout_ns // 10)
+            assert [(c.wr_id, c.ok) for c in qp_a.send_cq.poll()] == [
+                (index, True) for index in range(4)
+            ]
+            assert sent == [0, 1, 2, 3, 1, 2, 3]
+            assert tracer.counters["nic.rx_out_of_order"] == 2
+            assert tracer.counters["nic.retransmits"] == 3
+        for index in range(4):
+            assert b.nic.cache.read(buf_b.addr + index * 8, 8) == b"msg%05d" % index

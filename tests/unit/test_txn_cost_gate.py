@@ -2,21 +2,18 @@
 
 Counts, not clocks: a fixed seeded YCSB-A run must cost exactly the
 same number of kernel dispatches and scheduler dispatches every time,
-and exactly the pinned number per committed transaction. Anything that
-manufactures events per wait — on the seed-7 world this gate used
-before, a sleep-poll on the since-retired commit latch cost 18,923
-scheduler dispatches, one chain round trip per install step 4,700,
-instead of 3,212 — turns this red on any host, without a timer.
+and exactly the pinned number (``tests/pins.json``, ``txn-cost-gate``).
+Anything that manufactures events per wait — a sleep-poll, a chain
+round trip per install step — turns this red on any host, without a
+timer.
 
 The world must commit every transaction, or the pin would count a
-give-up's retries. Seed 7 stopped doing so once reads of one replica
-overlapped (one of 160 gave up at its sixth attempt), so the gate ran
-seed 8, where all 160 committed, until committed transactions stayed
-probed by the SSI rules up to the watermark; seeds 8 and 9 then give
-one up, and the gate runs seed 10, where all 160 commit.
+give-up's retries: at seed 10 all 160 commit (``docs/perf-log.md``,
+*Pin history*, has the seeds it ran before).
 
 A legitimate change to the kernel, NIC, group or txn layers moves the
-pins; re-measure, and say in CHANGES.md what moved them.
+pins; re-measure with ``python -m tests.pins txn-cost-gate``, and say
+in CHANGES.md what moved them.
 """
 
 import pytest
@@ -27,24 +24,12 @@ from repro.obs import tracing
 from repro.sim import Simulator
 from repro.sim.events import AllOf
 from repro.txn import build_txn_system, run_ycsb_mix
+from tests.pins import assert_pinned
 
 N_CLIENTS = 4
 TXNS_PER_CLIENT = 40
 
 SEED = 10
-# At seed 8: 128,420 / 3,069 while every WAL append also wrote a tail
-# header; 110,315 / 3,072 while a completion thread woke each ack's
-# waiter; 107,540 / 2,367 before the SSI rules kept committed
-# transactions probed. At seed 10: 122,583 / 2,496 while one global
-# latch serialized every commit from validation to publish; 111,568 /
-# 1,795 while every install took the group lock; 77,679 / 1,751 while
-# every install waited for its head advance; 76,672 / 1,554 while
-# replicas re-armed their rings only on the 200 us tick (nine messages
-# found a RECV ring dry); each half lap consumed now wakes the replica;
-# 77,460 / 1,959 while every install waited a second time, for its
-# gMEMCPYs (one ack wake and its dispatches fewer per install now).
-KERNEL_DISPATCHES = 75_833
-CPU_DISPATCHES = 1_779
 
 
 def _measure():
@@ -58,13 +43,17 @@ def _measure():
     return tracer.dispatches, tracer.counters["cpu.dispatches"], report
 
 
-def test_ycsb_a_dispatch_counts_repeat_and_match_the_pin():
+def measure_ycsb_a():
+    """The gate's own checks, then its pinned counts."""
     kernel, cpu, report = _measure()
     assert (kernel, cpu) == _measure()[:2]
     assert report.committed == N_CLIENTS * TXNS_PER_CLIENT
     assert report.gave_up == 0 and report.errors == []
-    # 474.0 kernel / 11.1 scheduler dispatches per committed txn.
-    assert (kernel, cpu) == (KERNEL_DISPATCHES, CPU_DISPATCHES)
+    return {"kernel_dispatches": kernel, "cpu_dispatches": cpu}
+
+
+def test_ycsb_a_dispatch_counts_repeat_and_match_the_pin():
+    assert_pinned("txn-cost-gate", measure_ycsb_a())
 
 
 @pytest.mark.parametrize("n_keys", [1, 3, 12])

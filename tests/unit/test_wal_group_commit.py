@@ -7,7 +7,8 @@ once on an idle log, the first leads a batch of one, the other N-1
 queue behind it and ride the second. The edge cases (leader failure,
 WAL-full per member, a wrap inside a batch, beside results, power
 failure mid-batch, failover) run over both backends; the exact count
-gates at the bottom are the ones CHANGES.md quotes.
+gates at the bottom compare their measured counts with
+``tests/pins.json`` (``wal.*``).
 """
 
 import struct
@@ -24,6 +25,7 @@ from repro.core.chain import GCAS, OpSpec
 from repro.storage import ChainRepair, RegionLayout, ReplicatedKVStore, ReplicatedLog
 from repro.storage.transactions import TransactionManager
 from repro.storage.wal import WRAP_MAGIC, LogRecord, scan_records
+from tests.pins import assert_pinned
 
 BACKENDS = {"hyperloop": HyperLoopGroup, "naive": NaiveGroup}
 
@@ -920,24 +922,20 @@ def test_eight_concurrent_puts_cost_two_chain_ops(backend):
         assert len(kv.recover_from_replica(replica)) == 9
 
 
-def test_eight_concurrent_puts_finish_in_two_round_trips():
-    """One lone put is 11.60 sim us here (12.19 with a tail header);
-    the last of 8 used to finish at 83.1 (eight round trips in turn),
-    now at 23.9 (two)."""
+def measure_first_put():
+    """Sim ns of the first of 8 concurrent puts: a lone put's round
+    trip; the other seven ride the second."""
     _, finished, _ = _eight_puts_on_a_warm_idle_group("hyperloop")
-    assert finished[0] == 11_600
-    assert max(finished) < 35_000
+    assert max(finished) < 35_000  # two round trips, not eight in turn
+    return {"sim_ns": finished[0]}
+
+
+def test_eight_concurrent_puts_finish_in_two_round_trips():
+    assert_pinned("wal.first-put", measure_first_put())
 
 
 N_WRITERS = 8
 PUTS_PER_WRITER = 50
-
-# 86,450 before group commit; 22,958 while the group built its idle
-# gMEMCPY and gCAS chains (their engines' start-up dispatches); 22,914
-# while every batch also wrote a tail header.
-KERNEL_DISPATCHES = 12_824
-NIC_WQES = 1_000  # 8,000 before group commit, 2,000 with a tail header
-WAL_BATCHES = 100  # two cohorts of four writers take turns; was 400 of one
 
 
 def _measure_closed_loop_writers():
@@ -962,10 +960,14 @@ def _measure_closed_loop_writers():
     )
 
 
-def test_closed_loop_writers_repeat_exactly_and_match_the_pin():
+def measure_closed_loop():
     """8 writers x 50 puts: counts, not clocks, as in test_txn_cost_gate."""
     measured = _measure_closed_loop_writers()
     assert measured == _measure_closed_loop_writers()
     kernel, wqes, batches, records = measured
     assert records == N_WRITERS * PUTS_PER_WRITER
-    assert (kernel, wqes, batches) == (KERNEL_DISPATCHES, NIC_WQES, WAL_BATCHES)
+    return {"kernel_dispatches": kernel, "nic_wqes": wqes, "wal_batches": batches}
+
+
+def test_closed_loop_writers_repeat_exactly_and_match_the_pin():
+    assert_pinned("wal.closed-loop", measure_closed_loop())
