@@ -238,6 +238,12 @@ class GroupBase:
         (:meth:`AckReaper.wait <repro.core.acks.AckReaper.wait>`)."""
         return (yield from self._acks.wait(task, acks))
 
+    def would_wait(self, op: OpSpec) -> bool:
+        """Whether :meth:`submit` would wait for a flow slot to post
+        ``op`` (building its chain on first use, as submit would)."""
+        flow = self._path(op.kind)[0]
+        return flow.in_use >= flow.capacity
+
     def submit(self, task: Task, op: OpSpec) -> Generator:
         """Post ``op``; returns its ack event.
 

@@ -15,7 +15,10 @@ over either group implementation (HyperLoop or Naïve-RDMA):
   :meth:`ReplicatedLog.drain` does the same for every pending record
   at once. :meth:`ReplicatedLog.append_executed` appends a record and
   executes it in one post: its DB images go out as gWRITEs behind it
-  on the same chain.
+  on the same chain. Its posting half,
+  :meth:`ReplicatedLog.post_executed`, returns with the WAL mutex held
+  until the caller waits, so a caller may post to other logs first;
+  it posts no more than the group's flow window takes without waiting.
 * :meth:`ReplicatedLog.truncate` — drop everything up to a logical
   offset by advancing the head (log truncation after a checkpoint),
   and wait for the header: ``truncate(task, up_to=log.head)`` makes
@@ -47,7 +50,7 @@ holds the records; the header only tells a *recovering* replica where
 redo may start, and redo is idempotent. So it is *owed*: one rule
 covers it and the zombie scrub below — **gWRITEs the log owes go out
 ahead of the ops of the next post under the WAL mutex** (``_owed``; a
-post that fails owes them again). The next record therefore lands on
+post or wait that fails owes them again). The next record therefore lands on
 every replica behind the header that frees its room, and a replica's
 header is at most one executed batch behind the client's: redo from
 it re-applies at most that batch, byte for byte. A txn install
@@ -110,11 +113,16 @@ __all__ = ["ReplicatedLog"]
 
 
 class _Append:
-    """One append queued at the WAL mutex, executed or not. The leader
-    that writes it fills in ``result`` — ``(record, beside results)``
-    — or ``error``."""
+    """One append queued at the WAL mutex, executed or not, and once
+    posted the handle that holds the mutex (``gate``) until
+    :meth:`wait`. The leader that writes it fills in ``result`` —
+    ``(record, beside results)`` — or ``error``; a leader's own entry
+    keeps its ``batch``, laid out as ``plan``, the ``owed`` gWRITEs it
+    carries, the ``acks`` of the ops it posted and the ops the group's
+    flow window held back (``unposted``)."""
 
-    __slots__ = ("changes", "ops", "execute", "result", "error")
+    __slots__ = ("changes", "ops", "execute", "result", "error", "log", "gate", "batch",
+                 "plan", "owed", "acks", "unposted")
 
     def __init__(
         self, changes: List[Tuple[int, bytes]], ops: Sequence[OpSpec], execute: bool
@@ -124,10 +132,64 @@ class _Append:
         self.execute = execute
         self.result: Optional[Tuple[LogRecord, list]] = None
         self.error: Optional[Exception] = None
+        self.batch: List[_Append] = []
+        self.owed: List[OpSpec] = []
+        self.acks: list = []
+        self.unposted: Deque[OpSpec] = deque()
 
     @property
     def settled(self) -> bool:
         return self.result is not None or self.error is not None
+
+    @property
+    def last_ack(self):
+        """The ack of the last op posted so far, ``None`` if none was.
+        An executed append posts gWRITEs only, on one chain that acks
+        in post order, so this one fires last."""
+        return self.acks[-1] if self.acks else None
+
+    def post_more(self, task: Task) -> Generator:
+        """Post the unposted ops back to back while the group's flow
+        window takes them without waiting, and at least one; the rest
+        go out from the next ``post_more`` or ``wait``. So a caller
+        with posts on several logs never parks inside one whose chain
+        stopped acking. Returns the append."""
+        group, unposted = self.log.group, self.unposted
+        try:
+            while unposted:
+                self.acks.append((yield from group.submit(task, unposted.popleft())))
+                if unposted and group.would_wait(unposted[0]):
+                    break
+        except BaseException as exc:
+            self.log._abandon(self, exc)
+            self.gate.mutex.release()
+            raise
+        return self
+
+    def wait(self, task: Task) -> Generator:
+        """Post the rest, wait for the acks, settle the log and every
+        member, release the mutex; returns ``result`` or raises
+        ``error``."""
+        log = self.log
+        try:
+            if self.acks or self.unposted:
+                try:
+                    for op in self.unposted:
+                        self.acks.append((yield from log.group.submit(task, op)))
+                    self.unposted.clear()
+                    results = yield from log.group.wait(task, self.acks)
+                except BaseException as exc:
+                    log._abandon(self, exc)
+                    raise
+                log._settle(self, results[len(self.owed) :])
+        finally:
+            self.gate.mutex.release()
+            # The leader is a member of its own batch and plan: a cycle
+            # that only the garbage collector would reclaim.
+            self.batch, self.plan = [], ()
+        if self.error is not None:
+            raise self.error
+        return self.result
 
 
 class _Gate:
@@ -330,52 +392,64 @@ class ReplicatedLog:
         post. Records already pending (a failover's) are drained first,
         so none of them lands over an image. A post that fails may
         leave images on some replicas beside a zombie record that the
-        next post scrubs. Returns the :class:`LogRecord`."""
-        record, _ = yield from self._append(task, _Append(changes, (), execute=True))
+        next post scrubs. :meth:`post_executed`, then its wait; returns
+        the :class:`LogRecord`."""
+        posted = yield from self.post_executed(task, changes)
+        record, _ = yield from posted.wait(task)
         return record
 
-    def _append(self, task: Task, entry: _Append) -> Generator:
-        gate = yield from self._enter(task, entry)
-        try:
-            if not entry.settled:
-                yield from self._lead(task, gate)
-        finally:
-            gate.mutex.release()
-        if entry.error is not None:
-            raise entry.error
-        return entry.result
+    def post_executed(self, task: Task, changes: List[Tuple[int, bytes]]) -> Generator:
+        """The posting half of :meth:`append_executed`: take the WAL
+        mutex, lay the batch out, post ``[owed header,] record,
+        images`` and return the append, whose ``wait`` settles it and
+        releases the mutex (the caller may post elsewhere first)."""
+        return (yield from self._post(task, _Append(changes, (), execute=True)))
 
-    def _lead(self, task: Task, gate: _Gate) -> Generator:
-        """Write the run of appends at the front of the gate's queue —
-        the caller's first, and all executed or none — as one batch
-        and settle every member."""
-        queue = gate.queue
-        execute = queue[0].execute
-        batch = []
-        while queue and queue[0] is not None and queue[0].execute == execute:
+    def _append(self, task: Task, entry: _Append) -> Generator:
+        return (yield from (yield from self._post(task, entry)).wait(task))
+
+    def _post(self, task: Task, entry: _Append) -> Generator:
+        """Take the WAL mutex; unless another leader wrote ``entry``
+        meanwhile, post the run of appends at the front of the gate's
+        queue — the caller's first, and all executed or none — as one
+        batch. Returns ``entry``."""
+        entry.log = self
+        entry.gate = gate = yield from self._enter(task, entry)
+        if entry.settled:
+            return entry
+        queue, batch = gate.queue, entry.batch
+        while queue and queue[0] is not None and queue[0].execute == entry.execute:
             batch.append(queue.popleft())
         try:
-            yield from self._write_batch(task, batch)
+            yield from self._post_batch(task, entry)
         except BaseException as exc:
-            # Nobody stays parked on a batch that will not be acked,
-            # and nothing of it is under the tail; what of it reached
-            # the replicas is a zombie the next post zeroes (unless a
-            # rebind already took the log elsewhere).
-            if gate is self._gate:
-                self._owed += self._scrub_zombies()
-            if isinstance(exc, Exception):
-                error = exc
-            else:  # the leader's generator was closed under it
-                error = RuntimeError("WAL append abandoned by the leader of its batch")
-            for member in batch:
-                if not member.settled:
-                    member.error = error
+            self._abandon(entry, exc)
+            gate.mutex.release()
             raise
+        return (yield from entry.post_more(task))
 
-    def _write_batch(self, task: Task, batch: List[_Append]) -> Generator:
-        """Lay ``batch`` out from the tail, post it with its images (an
-        executed batch) and every member's ops, wait once, then move
-        the tail, and the head past an executed batch."""
+    def _abandon(self, posted: _Append, exc: BaseException) -> None:
+        """Nobody stays parked on a batch that will not be acked, and
+        nothing of it is under the tail. Unless a rebind took the log
+        elsewhere, what its post carried is owed again and what of it
+        reached the replicas is a zombie the next post zeroes."""
+        if posted.gate is self._gate:
+            self._owed[:0] = posted.owed
+            self._owed += self._scrub_zombies()
+        if isinstance(exc, Exception):
+            error = exc
+        else:  # the leader's generator was closed under it
+            error = RuntimeError("WAL append abandoned by the leader of its batch")
+        for member in posted.batch:
+            if not member.settled:
+                member.error = error
+
+    def _post_batch(self, task: Task, posted: _Append) -> Generator:
+        """Lay ``posted``'s batch out from the tail and queue its ops
+        to post: the owed ones, the records, the images (an executed
+        batch) and every member's ops. The wait (:meth:`_settle`)
+        moves the tail, and the head past an executed batch."""
+        batch = posted.batch
         execute = batch[0].execute
         if execute and self.head != self.tail:
             yield from self._execute_locked(task, self.pending_records(), ())
@@ -428,10 +502,16 @@ class ReplicatedLog:
         # finds them.
         posts = [OpSpec(GWRITE, offset=offset, size=size) for offset, size in extents]
         posts += images
-        cursor = len(posts)
+        posted.plan = (written, tail, lsn, len(posts))
         for member, _ in written:
             posts.extend(member.ops)
-        results = yield from self._post_locked(task, posts)
+        posted.owed, self._owed = self._owed, []
+        posted.unposted.extend((*posted.owed, *posts))
+
+    def _settle(self, posted: _Append, results: list) -> None:
+        """``posted``'s batch is acked: hand each member its record and
+        the results of its ops."""
+        written, tail, lsn, cursor = posted.plan
         if TRACER.enabled:
             TRACER.count("wal.batches")
             TRACER.count("wal.records", len(written))
@@ -441,7 +521,7 @@ class ReplicatedLog:
         # abandoned on the dead chain's ack had in flight.
         self.tail = tail
         self.next_lsn = lsn
-        if execute:
+        if posted.execute:
             self.head, self.head_lsn = tail, lsn
             self._owe_header()
         for member, record in written:

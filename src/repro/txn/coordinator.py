@@ -15,10 +15,13 @@ only while a pending commit from before its snapshot writes its key (a
 ``scan``, while one writes inside its planned range). Each group queues
 its installs in commit order with at most one batch in flight, written
 as one WAL record; as the one writer of its stores, the coordinator
-takes no group lock. A failed batch aborts its commits
-(``install-failed``) and raises to each committer. A failover reset
-wakes every waiter and replaces every queue: a batch parked forever on
-a dead chain's ack keeps the old one.
+takes no group lock. The committers write the batches themselves, and
+no task is spawned on the commit path: a committer posts, waits for
+and settles the batches of its groups, and hands a freed group to the
+committer of the next commit queued there. A failed batch aborts its
+commits (``install-failed``) and raises to each committer. A failover
+reset wakes every waiter and replaces every queue: a batch parked
+forever on a dead chain's ack keeps the old one.
 
 A read's observation (what it served, from which replica, whether the
 durable copy was behind the snapshot) goes on
@@ -55,13 +58,14 @@ _ABORT_COUNTERS = {
 
 class _InstallQueue:
     """One group's staged installs ``(txid, changes)``, in commit
-    order, and whether a batch of them is in flight."""
+    order, and the batch of them in ``flight``: ``(txids, posted
+    append)``, posted and settled by one committer."""
 
-    __slots__ = ("staged", "busy")
+    __slots__ = ("staged", "flight")
 
     def __init__(self):
         self.staged: Deque[Tuple[int, List[Tuple[int, bytes]]]] = deque()
-        self.busy = False
+        self.flight: Optional[tuple] = None
 
 
 class TxnCoordinator:
@@ -95,9 +99,14 @@ class TxnCoordinator:
             self.tracker.attach(store)
         self.sim = self.stores[0].group.sim
         # The event each pending commit's committer and its keys'
-        # readers park on, by txid, and each group's queue of installs.
+        # readers park on, by txid; the event each committer parks on
+        # in its install loop, by txid; each group's queue of installs;
+        # and, traced, when each commit held back by publish order
+        # finished installing.
         self._done: Dict[int, Event] = {}
+        self._wakes: Dict[int, Event] = {}
         self._queues = [_InstallQueue() for _ in self.stores]
+        self._held: Dict[int, int] = {}
         # What the read-your-writes invariant needs of the observations:
         # snapshot reads served, the stale ones, and own-write reads of
         # a key a committed transaction's write set lacks.
@@ -362,9 +371,10 @@ class TxnCoordinator:
             self.certifier.install_failed([txn.txid])  # no slot to install into
             raise
         done = self._done[txn.txid] = Event(self.sim, f"{self.name}.publish")
+        done.add_callback(lambda _: self._wake(txn.txid))
         for index, changes in staged.items():
             self._queues[index].staged.append((txn.txid, changes))
-        error = yield from self._install(task, staged, done)
+        error = yield from self._install(task, txn.txid, staged, done)
         if txn.status != "committed":  # a failed batch, or a reset
             if error is not None:
                 raise error
@@ -384,49 +394,57 @@ class TxnCoordinator:
             self.certifier.check_active(txn)
             parked = True
 
-    def _install(self, task: Task, groups, done: Event) -> Generator:
-        """Get the commit's installs moving, then park until it has
-        published or died; returns the error that failed its batch, if
-        one did.
+    def _install(self, task: Task, txid: int, groups, done: Event) -> Generator:
+        """Write the commit's installs from its own task, spawning
+        none, until it has published or died; returns the error that
+        failed its batch, if one did. Each round settles every batch it
+        posted whose acks are in, or posts what the flow window held
+        back of it; posts the next batch of each idle group still
+        queueing this commit; and parks on one wake event, which a
+        posted batch's acks, ``done`` or a hand-off fire. It waits for
+        acks nowhere else, so a batch stuck on a dead chain holds no
+        other group's WAL mutex."""
+        flights: Dict[int, _InstallQueue] = {}
+        try:
+            while True:
+                wake = self._wakes[txid] = Event(self.sim, f"{self.name}.wake")
+                for index, queue in list(flights.items()):
+                    posted = queue.flight[1]
+                    if posted.last_ack is not None and not posted.last_ack.triggered:
+                        continue
+                    if not posted.unposted:
+                        del flights[index]
+                        yield from self._settle(task, index, queue)
+                    elif not (yield from self._post(task, index, queue, txid)):
+                        del flights[index]
+                if done.triggered:
+                    if not flights:
+                        return done.value
+                else:
+                    for index in groups:
+                        queue = self._queues[index]
+                        if not queue.flight and any(t == txid for t, _ in queue.staged):
+                            if (yield from self._post(task, index, queue, txid)):
+                                flights[index] = queue
+                yield from task.wait(wake)
+        finally:
+            self._wakes.pop(txid, None)
 
-        Each participant group with no batch in flight needs a writer:
-        the committer writes the last such group's next batch itself,
-        and spawns a flusher task (:meth:`_flush`) for the others; if
-        more has queued behind its batch, a flusher takes over.
-        """
-        lead = None
-        for index in groups:
-            queue = self._queues[index]
-            if not queue.busy:
-                queue.busy = True
-                if lead is not None:
-                    self._spawn_flusher(task, *lead)
-                lead = (index, queue)
-        if lead is not None:
-            index, queue = lead
-            yield from self._write_batch(task, index, queue)
-            if queue.staged and queue is self._queues[index]:
-                self._spawn_flusher(task, index, queue)
-            else:
-                queue.busy = False
-        return (yield from task.wait(done))
+    def _wake(self, txid: int) -> None:
+        wake = self._wakes.get(txid)
+        if wake is not None and not wake.triggered:
+            wake.succeed()
 
-    def _spawn_flusher(self, task: Task, index: int, queue: _InstallQueue) -> None:
-        task.os.spawn(
-            lambda sub: self._flush(sub, index, queue),
-            name=f"{self.name}.install.g{index}",
-        )
+    def _hand_off(self, queue: _InstallQueue) -> None:
+        """An idle queue wakes the committer of its first commit."""
+        if not queue.flight and queue.staged:
+            self._wake(queue.staged[0][0])
 
-    def _flush(self, task: Task, index: int, queue: _InstallQueue) -> Generator:
-        """Write group ``index``'s queued batches until the queue is
-        empty or a reset has replaced it."""
-        while queue.staged and queue is self._queues[index]:
-            yield from self._write_batch(task, index, queue)
-        queue.busy = False
-
-    def _write_batch(self, task: Task, index: int, queue: _InstallQueue) -> Generator:
-        """Install the commits at the front of group ``index``'s queue
-        as one batch, then publish whatever that made ready.
+    def _post(self, task: Task, index: int, queue: _InstallQueue, owner: int) -> Generator:
+        """Post the commits at the front of group ``index``'s queue as
+        one batch — or, with a batch in flight, what the group's flow
+        window held back of it — whose acks wake committer ``owner``;
+        returns whether it posted.
 
         A batch is everything queued since the previous one started,
         cut only where the next commit would not fit the same WAL
@@ -435,28 +453,76 @@ class TxnCoordinator:
         batch's head advance riding ahead of the record) as an
         unbatched install.
         """
-        store = self.stores[index]
-        staged = queue.staged
-        batch = [staged.popleft()]
-        while staged and store.fits([c for _, c in batch] + [staged[0][1]]):
-            batch.append(staged.popleft())
-        if TRACER.enabled:
-            TRACER.count("txn.install_batch")
-            TRACER.count("txn.install_batched", len(batch))
-        txids = [txid for txid, _ in batch]
+        if queue.flight:
+            txids, posted = queue.flight
+            step = posted.post_more(task)
+        else:
+            store = self.stores[index]
+            staged = queue.staged
+            batch = [staged.popleft()]
+            while staged and store.fits([c for _, c in batch] + [staged[0][1]]):
+                batch.append(staged.popleft())
+            if TRACER.enabled:
+                TRACER.count("txn.install_batch")
+                TRACER.count("txn.install_batched", len(batch))
+            txids = [txid for txid, _ in batch]
+            queue.flight = (txids, None)
+            step = store.post_install(task, [changes for _, changes in batch])
         try:
-            yield from store.install(task, [changes for _, changes in batch])
+            posted = yield from step
         except Exception as exc:
-            # These never publish, and their committers get the error;
-            # the commits behind them may publish.
-            for txn in self.certifier.install_failed(txids):
-                self._done.pop(txn.txid).succeed(exc)
-            for txn in self.certifier.publish_ready():
-                self._done.pop(txn.txid).succeed()
+            self._failed(queue, txids, exc)
+            return False
+        queue.flight = (txids, posted)
+        if posted.last_ack is not None:
+            posted.last_ack.add_callback(lambda _: self._wake(owner))
+        return True
+
+    def _settle(self, task: Task, index: int, queue: _InstallQueue) -> Generator:
+        """Wait out group ``index``'s acked batch, paying the ack poll;
+        publish whatever that made ready and hand the group on."""
+        txids, posted = queue.flight
+        try:
+            yield from posted.wait(task)
+        except Exception as exc:
+            self._failed(queue, txids, exc)
             return
+        queue.flight = None
+        self.stores[index].installs += len(txids)
         if queue is self._queues[index]:  # else they died with their epoch
-            for txn in self.certifier.installed(index, txids):
-                self._done.pop(txn.txid).succeed()
+            self._publish(self.certifier.installed(index, txids), txids)
+            self._hand_off(queue)
+
+    def _failed(self, queue: _InstallQueue, txids: List[int], exc: Exception) -> None:
+        """A batch failed: its commits never publish, leave every
+        queue, and raise to their committers; the commits behind them
+        may publish."""
+        queue.flight = None
+        failed = self.certifier.install_failed(txids)
+        for txn in failed:
+            self._done.pop(txn.txid).succeed(exc)
+        self._publish(self.certifier.publish_ready())
+        dead = {txn.txid for txn in failed}
+        for other in self._queues:
+            other.staged = deque(entry for entry in other.staged if entry[0] not in dead)
+            self._hand_off(other)
+
+    def _publish(self, txns: List[Transaction], installed: Sequence[int] = ()) -> None:
+        """Release the published commits' waiters. Traced, count each
+        publish held back after the commit's last install (``installed``
+        just settled): ``txn.publish_held`` and ``txn.publish_hold_ns``."""
+        now = self.sim.now
+        for txn in txns:
+            self._done.pop(txn.txid).succeed()
+            since = self._held.pop(txn.txid, None)
+            if since is not None:
+                TRACER.count("txn.publish_held")
+                TRACER.count("txn.publish_hold_ns", now - since)
+        if TRACER.enabled:
+            pending = self.certifier.pending
+            for txid in installed:
+                if txid in pending and not pending[txid].installing:
+                    self._held[txid] = now
 
     # -- failover ------------------------------------------------------------------
 
@@ -468,14 +534,15 @@ class TxnCoordinator:
         die at their next liveness check) and every pending commit is
         dropped — its committer and every reader parked on it wake, and
         it never publishes. Every group's install queue is replaced: a
-        flusher parked forever on the dead chain's ack keeps the old
-        one, and a healthy group's flusher finishes its batch and
-        stops. The store rebinds and drains its pending records.
-        Returns drained-record count.
+        committer parked forever on the dead chain's ack keeps the old
+        one, and one with a batch in flight on a healthy group settles
+        it, releasing that WAL mutex, and returns. The store rebinds
+        and drains its pending records. Returns drained-record count.
         """
         self.certifier.reset()
         done, self._done = self._done, {}
         self._queues = [_InstallQueue() for _ in self.stores]
+        self._held = {}
         for event in done.values():
             event.succeed()
         store = self.stores[index]

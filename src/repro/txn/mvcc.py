@@ -103,7 +103,7 @@ class VersionedGroupStore(VersionIndex):
         if self.n_slots < 1:
             raise ValueError("DB area too small for a single version slot")
         self._slots: Dict[bytes, int] = {}  # key -> slot index
-        self.installs = 0
+        self.installs = 0  # commits installed, counted as each batch settles
 
     @property
     def group(self):
@@ -156,23 +156,23 @@ class VersionedGroupStore(VersionIndex):
         size = LogRecord.make(0, changes).serialized_size
         return size <= self.layout.wal_size // 2
 
-    def install(
+    def post_install(
         self, task: Task, staged: Sequence[List[Tuple[int, bytes]]]
     ) -> Generator:
-        """Durably install staged commits as one WAL record, in commit
-        order (a later commit's write to a slot lands after an earlier
-        one's): the group's changes apply atomically on all replicas,
-        in one ack wait — the record and its slot images
-        (:meth:`ReplicatedLog.append_executed`). The head advance is
-        owed: the next post on the log carries it ahead of its own
-        ops. Visibility is separate: the certifier publishes a commit
-        (:meth:`VersionIndex.publish`) once *every* participant
+        """Post the install of staged commits as one WAL record, in
+        commit order (a later commit's write to a slot lands after an
+        earlier one's): the group's changes apply atomically on all
+        replicas, in one ack wait — the record and its slot images
+        (:meth:`ReplicatedLog.post_executed`). Returns the append to
+        ``wait`` on, which holds the WAL mutex until then. The head
+        advance is owed: the next post on the log carries it ahead of
+        its own ops. Visibility is separate: the certifier publishes a
+        commit (:meth:`VersionIndex.publish`) once *every* participant
         installed it.
         """
-        yield from self.log.append_executed(
+        return (yield from self.log.post_executed(
             task, [change for changes in staged for change in changes]
-        )
-        self.installs += len(staged)
+        ))
 
     # -- durable reads -------------------------------------------------------------
 

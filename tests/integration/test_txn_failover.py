@@ -277,6 +277,68 @@ class TestMid2pcCrash:
         assert published["checked"] > 0 and published["violations"] == []
 
 
+def test_a_chain_dead_under_a_long_install_holds_no_healthy_group():
+    """A commit's batch on group B has more ops than B's flow window
+    (``rounds // 2``), and B's head dies as the batch's first op goes
+    out, so the rest can never be posted. Its committer posted the
+    group-A batch first; that batch settles on its own acks all the
+    same, so A's WAL mutex is free, and once B has failed over a
+    fresh commit on A goes through."""
+    sim = Simulator(seed=31)
+    cluster = Cluster(sim, n_hosts=8, n_cores=4)
+    client = cluster[0]
+    coordinator, tracker, factory, group_a = build_two_group_system(sim, cluster, "long")
+    group_b = coordinator.stores[1].group
+    monitor = HeartbeatMonitor(
+        client, cluster.hosts[4:7], interval=2 * MS, miss_threshold=3, name="long.hb"
+    )
+    repairer = ChainRepair(client, group_b, factory, on_phase=tracker.on_repair_phase(1))
+    keys = [f"w{index:02d}".encode() for index in range(30)]
+    on_b = [key for key in keys if coordinator.locate(key) == 1]
+    assert len(on_b) + 2 > group_b.rounds // 2  # record, images: past the window
+
+    def commit(keys, value):
+        def body(task):
+            txn = yield from coordinator.begin(task)
+            for key in keys:
+                coordinator.write(txn, key, value)
+            yield from coordinator.commit(task, txn)
+            return True
+
+        return body
+
+    assert drive(sim, cluster, commit(keys, b"\x01" * 8))
+    submit = group_b.submit
+    armed = []
+
+    def crashing_submit(task, op):
+        ack = yield from submit(task, op)
+        if armed:
+            armed.clear()
+            cluster[4].crash()
+        return ack
+
+    group_b.submit = crashing_submit
+    rebound = []
+
+    def recoverer(task):
+        index = yield from monitor.wait_for_suspicion(task)
+        monitor.stop_beats(index)
+        yield from repairer.repair(task, index, cluster[7], copy_from=1)
+        yield from coordinator.reset_after_failover(task, 1, repairer.group)
+        rebound.append(True)
+
+    armed.append(True)
+    doomed = client.os.spawn(commit(keys, b"\x02" * 8), "long.doomed")
+    client.os.spawn(recoverer, "long.recover")
+    run_until(sim, lambda: rebound, deadline_ms=200)
+    assert not doomed.process.triggered  # parked for good on B's dead chain
+    assert coordinator.stores[0].log._gate.mutex.in_use == 0
+    on_a = [key for key in keys if coordinator.locate(key) == 0]
+    assert drive(sim, cluster, commit(on_a[:1], b"\x03" * 8), until_ms=200)
+    assert coordinator.stores[0].latest(on_a[0]).value == b"\x03" * 8
+
+
 class TestAvailableCopiesRevalidation:
     def test_restarted_replica_excluded_until_rewritten(self):
         sim = Simulator(seed=47)

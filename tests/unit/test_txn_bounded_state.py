@@ -9,9 +9,10 @@ coordinator and the client host keep must not grow with the run:
 * the SSI graph holds, after every coordinator call, only live
   transactions and committed ones concurrent with a live one — commit
   after the oldest live snapshot — and nothing at rest;
-* no commit is pending and no install queued or in flight at rest;
+* no commit is pending, no install queued or in flight, and no
+  committer parked for a wake or a hand-off at rest;
 * the client host's task list is as long after 20N transactions as
-  after N (finished install flushers leave it);
+  after N;
 * no read was served from a stale copy.
 
 On the uncontended two-client world of ``test_hot_path_budget.py``, a
@@ -62,7 +63,7 @@ class BoundedWorld:
         stream = workload.operations(OPS_PER_TXN * n_txns)
         self.plan = [list(islice(stream, OPS_PER_TXN)) for _ in range(n_txns)]
         self.commit_ts = {}  # txid -> commit_ts, from the history
-        self.checks = self.peak_retained = 0
+        self.checks = self.peak_retained = self.peak_queued = 0
 
     @staticmethod
     def key(index):
@@ -82,6 +83,10 @@ class BoundedWorld:
             )
         self.checks += 1
         self.peak_retained = max(self.peak_retained, len(retained))
+        # Parked committers, and each group's queued installs: each a
+        # live commit.
+        queued = max(len(queue.staged) for queue in coordinator._queues)
+        self.peak_queued = max(self.peak_queued, len(coordinator._wakes), queued)
 
     def run(self):
         coordinator = self.coordinator
@@ -142,7 +147,8 @@ def test_state_is_flat_from_n_to_20n_transactions(mix):
         assert len(coordinator.certifier.graph) == 0  # nothing at rest
         assert coordinator.certifier._retiring == []
         assert coordinator.certifier.pending == {}
-        assert not any(queue.busy or queue.staged for queue in coordinator._queues)
+        assert not any(queue.flight or queue.staged for queue in coordinator._queues)
+        assert coordinator._wakes == {} and coordinator._done == {}
         assert coordinator.stale_reads == []
         assert coordinator.read_violations == []
     # Committed transactions did wait in the graph for live peers, and
@@ -152,7 +158,10 @@ def test_state_is_flat_from_n_to_20n_transactions(mix):
     if mix == "A":
         coordinator = long.coordinator
         assert coordinator.aborts_ww > 0 and coordinator.aborts_ssi > 0
-    # Finished clients and install flushers have left the client host.
+    # The wake map and each install queue never held more than one
+    # entry per client, however long the run.
+    assert 0 < short.peak_queued <= long.peak_queued <= CLIENTS
+    # Finished clients have left the client host.
     assert short.tasks() == long.tasks()
 
 

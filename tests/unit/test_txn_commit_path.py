@@ -20,12 +20,27 @@ OLD = b"\x01" * 8
 NEW = b"\x02" * 8
 
 
+class _Failing:
+    """A posted batch that its chain fails: the wait returns once the
+    acks are in, then raises ``error``."""
+
+    def __init__(self, posted, error):
+        self.posted, self.error = posted, error
+
+    def __getattr__(self, name):
+        return getattr(self.posted, name)
+
+    def wait(self, task):
+        yield from self.posted.wait(task)
+        raise self.error
+
+
 class World:
     """A two-group system with eight keys seeded and installs that can
     be held: ``holds[txid]`` (an int of ns, or an event that may never
     fire) delays the batch carrying that commit before it posts — the
     stand-in for a commit whose chain round trips take that long — and
-    an exception there fails the batch."""
+    an exception there fails the batch once its acks are in."""
 
     def __init__(self, seed=23):
         self.sim = Simulator(seed=seed)
@@ -34,7 +49,7 @@ class World:
         self.holds = {}
         self.batches = {0: [], 1: []}  # group -> txids of each transact
         for index, store in enumerate(self.coordinator.stores):
-            store.install = self._held(index, store.install)
+            store.post_install = self._held(index, store.post_install)
         # Four keys on each group.
         by_group = {0: [], 1: []}
         for number in range(64):
@@ -43,19 +58,21 @@ class World:
         self.keys = {index: keys[:4] for index, keys in by_group.items()}
         self.run(self.spawn(self.writer([*self.keys[0], *self.keys[1]], OLD)))
 
-    def _held(self, index, install):
+    def _held(self, index, post_install):
         def wrapper(task, staged):
             txids = [decode_version_record(changes[0][1])[1] for changes in staged]
             self.batches[index].append(txids)
+            error = None
             for txid in txids:
                 hold = self.holds.pop(txid, None)
                 if isinstance(hold, Exception):
-                    raise hold
-                if isinstance(hold, Event):
+                    error = hold
+                elif isinstance(hold, Event):
                     yield from task.wait(hold)
                 elif hold:
                     yield from task.sleep(hold)
-            yield from install(task, staged)
+            posted = yield from post_install(task, staged)
+            return posted if error is None else _Failing(posted, error)
 
         return wrapper
 
@@ -209,7 +226,7 @@ def test_a_failover_with_commits_in_flight_on_two_groups_wedges_nothing():
     world.sim.run(until=world.sim.now + 50 * US)
     assert len(coordinator.certifier.pending) == 4 and log == [] and reads == []
     healthy = coordinator._queues[1]
-    assert healthy.busy and len(healthy.staged) == 1
+    assert healthy.flight and len(healthy.staged) == 1
 
     def reset(task):
         yield from coordinator.reset_after_failover(task, 0, coordinator.stores[0].group)
@@ -222,7 +239,7 @@ def test_a_failover_with_commits_in_flight_on_two_groups_wedges_nothing():
     # The healthy group's in-flight batch finished and stopped; nothing
     # of the old epoch published, and fresh commits on both groups go
     # through.
-    assert not healthy.busy and coordinator._queues[1] is not healthy
+    assert not healthy.flight and coordinator._queues[1] is not healthy
     assert coordinator.stores[1].latest(c).value == OLD
     fresh = []
     world.run(
@@ -231,7 +248,7 @@ def test_a_failover_with_commits_in_flight_on_two_groups_wedges_nothing():
     )
     assert [entry[0] for entry in fresh] == ["commit", "commit"]
     assert coordinator.stores[1].latest(c).value == NEW
-    assert not any(queue.busy or queue.staged for queue in coordinator._queues)
+    assert not any(queue.flight or queue.staged for queue in coordinator._queues)
 
 
 def test_a_batch_is_cut_where_the_next_commit_would_not_fit_one_record():

@@ -23,7 +23,7 @@ from repro.hw import Cluster
 from repro.obs import tracing
 from repro.sim import Simulator
 from repro.sim.events import AllOf
-from repro.txn import build_txn_system, run_ycsb_mix
+from repro.txn import build_txn_system, run_ycsb_mix, ycsb
 from tests.pins import assert_pinned
 
 N_CLIENTS = 4
@@ -83,8 +83,9 @@ def test_uncontended_install_is_one_ack_wait_however_many_keys(n_keys):
             return wait(event)
 
         task.wait = counting_wait
-        yield from store.install(task, [store.stage(items, commit_ts=1, txid=1)])
-        yield from store.install(task, [store.stage(items, commit_ts=2, txid=2)])
+        for commit_ts in (1, 2):
+            staged = store.stage(items, commit_ts=commit_ts, txid=commit_ts)
+            yield from (yield from store.post_install(task, [staged])).wait(task)
         finished["at"] = sim.now
 
     cluster[0].os.spawn(body, "installer")
@@ -92,3 +93,24 @@ def test_uncontended_install_is_one_ack_wait_however_many_keys(n_keys):
     assert rounds == [1 + n_keys, 2 + n_keys]
     for key, _ in items:
         assert store.read_durable_offline(1, key)[2] == key
+
+
+def test_the_client_host_switches_at_most_once_per_worker_and_once_more():
+    """Installs are written by the committers themselves, so no task
+    is spawned on the commit path: a task started there pays a context
+    switch and pushes a client off its core, which pays another when
+    it resumes. The 160-transaction run's client host (4 cores, one
+    worker each) makes at most ``n_workers + 1`` context switches."""
+    clusters = []
+
+    def cluster(*args, **kwargs):
+        clusters.append(Cluster(*args, **kwargs))
+        return clusters[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ycsb, "Cluster", cluster)
+        report = run_ycsb_mix(
+            mix="A", seed=SEED, n_txns=N_CLIENTS * TXNS_PER_CLIENT, n_workers=N_CLIENTS
+        )
+    assert report.committed == N_CLIENTS * TXNS_PER_CLIENT
+    assert clusters[0][0].os.context_switches <= N_CLIENTS + 1

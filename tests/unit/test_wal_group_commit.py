@@ -390,6 +390,94 @@ class TestExecutedAppends:
         for replica in range(3):
             assert world.group.read_replica(replica, *db) == expected
 
+    def test_a_posted_executed_append_holds_the_mutex_until_its_wait(self, backend):
+        """``post_executed`` posts [owed header, record, image] and
+        returns with the WAL mutex held: an append that queues meanwhile
+        posts nothing, however long ago the acks came in, until the
+        wait settles the batch. It then carries the header that batch
+        owes ahead of its record."""
+        world = World(backend)
+        log = ReplicatedLog(world.group, world.layout)
+        layout = world.layout
+        wal, db = layout.wal_offset, layout.db_offset
+        first, second, plain = record_size(100), record_size(60), record_size(50)
+        seen = {}
+
+        def appender(task):
+            record = yield from log.append(task, [(256, b"\x03" * 50)])
+            world.outcomes.append(("plain", record))
+
+        def poster(task):
+            yield from log.append_executed(task, [(0, b"\x01" * 100)])
+            world.posts.clear()
+            posted = yield from log.post_executed(task, [(128, b"\x02" * 60)])
+            seen["posted"] = list(world.posts)
+            world.spawn(appender, "plain")
+            yield from task.sleep(1 * MS)
+            seen["queued"] = (list(world.posts), list(world.outcomes))
+            record, _ = yield from posted.wait(task)
+            seen["record"] = record
+
+        world.run([world.spawn(poster, "poster")])
+        world.sim.run(until=world.sim.now + 1 * MS)
+        header = ("gwrite", layout.head_offset, 16)
+        executed = [header, ("gwrite", wal + first, second), ("gwrite", db + 128, 60)]
+        assert seen["posted"] == executed
+        assert seen["queued"] == (executed, [])
+        assert seen["record"].lsn == 1
+        assert world.posts == executed + [header, ("gwrite", wal + first + second, plain)]
+        [(name, record)] = world.outcomes
+        assert name == "plain" and record.lsn == 2
+        assert (log.head, log.tail) == (first + second, first + second + plain)
+
+    def test_a_failed_wait_owes_what_it_carried_and_its_scrub(self, backend):
+        """B's batch reached every replica but its wait failed: B is a
+        zombie past the tail, zeroed in the mirror, and the header B
+        carried is owed again beside B's scrub. C carries both, and its
+        wait fails too: both stay owed — the mirror no longer shows B,
+        so no re-scan would find it again — and C's scrub joins them.
+        D (B's length, B's LSN) goes out behind all three."""
+        world = World(backend)
+        log = ReplicatedLog(world.group, world.layout)
+        layout = world.layout
+        wal, db = layout.wal_offset, layout.db_offset
+        size, short = record_size(100), record_size(60)
+        wait = world.group.wait
+
+        def failing_wait(task, acks):
+            yield from wait(task, acks)
+            raise OSError("wait failed")
+
+        def body(task):
+            yield from log.append_executed(task, [(0, b"\x01" * 100)])
+            world.group.wait = failing_wait
+            for name, data in (("B", b"\x02" * 100), ("C", b"\x03" * 60)):
+                posted = yield from log.post_executed(task, [(128, data)])
+                try:
+                    yield from posted.wait(task)
+                except OSError as exc:
+                    world.outcomes.append((name, exc))
+            del world.group.wait
+            world.posts.clear()
+            world.outcomes.append(("D", (yield from log.append_executed(task, [(256, b"\x04" * 100)]))))
+
+        world.run([world.spawn(body, "writer")])
+        outcomes = dict(world.outcomes)
+        assert isinstance(outcomes["B"], OSError) and isinstance(outcomes["C"], OSError)
+        assert outcomes["D"].lsn == 1
+        assert world.posts == [
+            ("gwrite", layout.head_offset, 16),
+            ("gwrite", wal + size, size),  # B zeroed
+            ("gwrite", wal + size, short),  # C zeroed
+            ("gwrite", wal + size, size),  # D
+            ("gwrite", db + 256, 100),
+        ]
+        for replica in range(3):
+            records = ReplicatedLog.recover_replica(world.group, layout, replica)
+            assert [(record.lsn, record.entries[0].data[:1]) for record in records] == [
+                (1, b"\x04")
+            ]
+
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestBesideResults:
