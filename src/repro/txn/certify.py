@@ -41,12 +41,17 @@ __all__ = [
 
 
 class TxnAborted(Exception):
-    """The transaction cannot commit (or continue)."""
+    """The transaction cannot commit (or continue). A contention abort
+    names its ``peers`` — the newer writer it lost to, or its rw
+    neighbours — and the coordinator sets ``after``, the publish event
+    of the newest one still pending."""
 
-    def __init__(self, txid: int, reason: str, detail: str = ""):
+    def __init__(self, txid: int, reason: str, detail: str = "", peers: Sequence[int] = ()):
         self.txid = txid
         self.reason = reason
         self.detail = detail
+        self.peers = tuple(peers)
+        self.after = None
         super().__init__(
             f"T{txid} aborted: {reason}" + (f" ({detail})" if detail else "")
         )
@@ -311,7 +316,7 @@ class Certifier:
             writer = self._newer_writer(txn, key)
             if writer is not None:
                 detail = f"{key!r} written by T{writer} after our snapshot"
-                self._fail(txn, (detail, "ww-conflict"))
+                self._fail(txn, (detail, "ww-conflict"), (writer,))
         # Refresh rw edges from readers (key-granular or range)
         # that observed state after our writes were buffered.
         for key in sorted(txn.writes):
@@ -473,11 +478,13 @@ class Certifier:
 
     # -- endings ---------------------------------------------------------------------
 
-    def _fail(self, txn: Transaction, why: Tuple[str, str]) -> None:
-        """Abort ``txn`` for ``why`` = (detail, reason), and raise."""
+    def _fail(self, txn: Transaction, why: Tuple[str, str], peers=None) -> None:
+        """Abort ``txn`` for ``why`` = (detail, reason), and raise
+        naming ``peers`` (by default its rw neighbours)."""
         detail, reason = why
+        peers = self.graph.neighbours(txn.txid) if peers is None else peers
         self._abort(txn, reason)
-        raise TxnAborted(txn.txid, reason, detail)
+        raise TxnAborted(txn.txid, reason, detail, peers)
 
     def _abort(self, txn: Transaction, reason: str) -> None:
         txn.status = "aborted"

@@ -21,7 +21,9 @@ and settles the batches of its groups, and hands a freed group to the
 committer of the next commit queued there. A failed batch aborts its
 commits (``install-failed``) and raises to each committer. A failover
 reset wakes every waiter and replaces every queue: a batch parked
-forever on a dead chain's ack keeps the old one.
+forever on a dead chain's ack keeps the old one. A contention abort
+carries the publish event of its newest pending peer (``_step``), for
+a retry to wait on.
 
 A read's observation (what it served, from which replica, whether the
 durable copy was behind the snapshot) goes on
@@ -171,13 +173,13 @@ class TxnCoordinator:
         index = self.locate(key)
         if not self.stores[index].has_slot(key):
             # Never written anywhere: the initial state, no network.
-            certifier.read(txn, key)
+            self._step(certifier.read, txn, key)
             self._observe(txn, "miss", key, None)
             return None
         replicas, slots = yield from self._cross_check(task, txn, {index: [key]})
         # The yields above may span a failover reset: the certifier
         # refuses a zombie attempt before it records anything.
-        version = certifier.read(txn, key)
+        version = self._step(certifier.read, txn, key)
         if version is None:
             value, stale = None, False
         else:
@@ -216,7 +218,7 @@ class TxnCoordinator:
 
     def write(self, txn: Transaction, key: bytes, value: bytes) -> None:
         """Buffer a write (visible to this transaction's reads only)."""
-        self.certifier.write(txn, key, value)
+        self._step(self.certifier.write, txn, key, value)
         if TRACER.enabled:
             TRACER.count("txn.write")
 
@@ -224,7 +226,7 @@ class TxnCoordinator:
         """Buffer an insert: a write to a key absent at the snapshot
         (:meth:`Certifier.insert`); its DB slot is assigned when the
         commit validates."""
-        self.certifier.insert(txn, key, value)
+        self._step(self.certifier.insert, txn, key, value)
         if TRACER.enabled:
             TRACER.count("txn.write")
             TRACER.count("txn.insert")
@@ -280,7 +282,7 @@ class TxnCoordinator:
                     slot is None or slot[0] < version.commit_ts,
                 )
             results.append((key, value))
-        certifier.record_scan(txn, start, end, steps)
+        self._step(certifier.record_scan, txn, start, end, steps)
         if TRACER.enabled:
             TRACER.count("txn.scan")
             TRACER.count("txn.scan_reads", len(durable))
@@ -329,6 +331,16 @@ class TxnCoordinator:
                 reads.abandon()
         return replicas, durable
 
+    def _step(self, step, txn: Transaction, *args):
+        """Call a certifier step; a contention abort it raises carries,
+        as ``after``, the publish event of its newest peer still
+        pending (``None`` if none is)."""
+        try:
+            return step(txn, *args)
+        except TxnAborted as exc:
+            exc.after = next((self._done[t] for t in reversed(self._done) if t in exc.peers), None)
+            raise
+
     def abort(self, txn: Transaction, reason: str = "user") -> None:
         """Caller-initiated abort; idempotent once the transaction has
         ended. A validated commit cannot abort (``ValueError``)."""
@@ -357,7 +369,7 @@ class TxnCoordinator:
     def commit(self, task: Task, txn: Transaction) -> Generator:
         """Commit; returns the commit timestamp or raises
         :class:`TxnAborted` (the transaction is already cleaned up)."""
-        commit_ts = self.certifier.validate(txn, self.sim.now)
+        commit_ts = self._step(self.certifier.validate, txn, self.sim.now)
         if txn.status == "committed":
             return commit_ts  # read-only: nothing to install
         # Still no yield: stage and queue in commit order.

@@ -2,26 +2,25 @@
 
 A transaction abort is not one thing. SSI pivot aborts and
 first-committer-wins conflicts are *contention*: the transaction lost
-a race it can win on a later attempt, and hammering the coordinator
-immediately just re-creates the race — capped exponential backoff
-with jitter is the classic answer (what the SafarDB evaluation calls
-retry-amplification is exactly this loop measured). ``unavailable``
-aborts are different: the Available-Copies read path already blocked
-for its full bounded budget (``AvailabilityTracker.max_wait_ns``)
-before giving up, so the wait is built in and a retry only needs a
-short re-probe delay. Failover/epoch casualties are the workload
-harness's business (replay on the repaired chain), not a policy's —
-policies treat them as fatal.
+a race to the peers the abort names (``TxnAborted.peers``), and a
+retry that begins before they have published re-creates the race —
+the loop the SafarDB evaluation measures as retry amplification.
+``unavailable`` aborts are different: the Available-Copies read
+already blocked for its full budget (``max_wait_ns``), so a retry only
+needs a short re-probe delay. Failover/epoch casualties are the
+workload harness's business (replay on the repaired chain); policies
+treat them as fatal.
 
 Three policies ship, forming the experiment's control ladder:
 
-* :class:`NoRetry` — the control; aborted transactions are dropped,
-  reproducing the PR 7 workload numbers exactly.
+* :class:`NoRetry` — the control; aborted transactions are dropped.
 * :class:`ImmediateRetry` — retry at once, capped attempts; the
   "naive client" that maximizes retry amplification under contention.
-* :class:`ExponentialBackoff` — capped exponential delay with
-  *seeded* equal-jitter drawn from a named ``sim.rng`` stream, so a
-  backoff schedule replays bit-for-bit from the plan seed.
+* :class:`ExponentialBackoff` — a contention abort whose newest peer is
+  still pending (``TxnAborted.after``) waits for its publish and begins
+  again at once, drawing no jitter; the wait is never refused, since
+  the peer ending is progress. Any other abort sleeps a capped
+  exponential delay with *seeded* equal-jitter.
 
 Determinism: a policy's randomness comes only from the
 ``random.Random`` handed to it (workloads pass ``sim.rng("txn-retry")``),
@@ -75,6 +74,11 @@ class RetryPolicy:
     def next_delay_ns(self, attempt: int, reason: str) -> Optional[int]:
         raise NotImplementedError
 
+    def peer_wait(self, exc: TxnAborted):
+        """The pending publish event the next attempt waits for instead
+        of a delay, or ``None``: only backoff waits for a peer."""
+        return None
+
     def __repr__(self) -> str:
         return f"<RetryPolicy {self.name}>"
 
@@ -112,18 +116,18 @@ class ImmediateRetry(RetryPolicy):
 
 
 class ExponentialBackoff(RetryPolicy):
-    """Capped exponential backoff with seeded equal-jitter.
+    """Wait for a contention abort's pending peer, else back off.
 
-    Contention aborts wait ``base_ns * 2**(attempt-1)`` capped at
-    ``cap_ns``, half of it fixed and half drawn uniformly from the
-    policy's RNG (equal jitter: bounded below, de-synchronized above).
-    ``unavailable`` aborts wait a flat ``availability_delay_ns`` —
-    the Available-Copies read already blocked for the full budget, so
-    the policy only spaces out re-probes. Everything else is fatal.
-
-    The RNG must be a dedicated stream (``sim.rng("txn-retry")``): the
-    schedule is then a pure function of the plan seed and replays
-    bit-for-bit, which the regression tests assert.
+    A contention abort whose peer is pending (:meth:`peer_wait`) begins
+    again when the peer publishes or dies. One with none waits
+    ``base_ns * 2**(attempt-1)`` capped at ``cap_ns``, half fixed and
+    half drawn uniformly from the policy's RNG (equal jitter: bounded
+    below, de-synchronized above). ``unavailable`` aborts wait a flat
+    ``availability_delay_ns``: the Available-Copies read already
+    blocked for the full budget. Everything else is fatal. The RNG must
+    be a dedicated stream (``sim.rng("txn-retry")``), so the schedule
+    replays bit-for-bit from the plan seed, as the regression tests
+    assert.
     """
 
     name = "backoff"
@@ -145,6 +149,10 @@ class ExponentialBackoff(RetryPolicy):
         self.cap_ns = cap_ns
         self.max_attempts = max_attempts
         self.availability_delay_ns = availability_delay_ns
+
+    def peer_wait(self, exc: TxnAborted):
+        after = exc.after
+        return after if after is not None and not after.triggered else None
 
     def next_delay_ns(self, attempt: int, reason: str) -> Optional[int]:
         if attempt >= self.max_attempts:
@@ -181,12 +189,14 @@ class RetryStats:
     retries: int = 0  # attempts after the first
     gave_up: int = 0  # logical transactions abandoned
     committed: int = 0  # logical transactions that committed
-    backoff_ns: int = 0  # total virtual time slept between attempts
+    backoff_ns: int = 0  # total virtual time spent between attempts
+    peer_waits: int = 0  # retries that waited for a peer's publish
     by_reason: Dict[str, int] = field(default_factory=dict)  # retried aborts
 
-    def note_retry(self, reason: str, delay_ns: int) -> None:
+    def note_retry(self, reason: str, spent_ns: int, waited: bool = False) -> None:
         self.retries += 1
-        self.backoff_ns += delay_ns
+        self.backoff_ns += spent_ns
+        self.peer_waits += waited
         self.by_reason[reason] = self.by_reason.get(reason, 0) + 1
 
     @property
@@ -220,19 +230,23 @@ def run_with_retries(
         try:
             result = yield from attempt(task)
         except TxnAborted as exc:
-            delay = policy.next_delay_ns(number, exc.reason)
+            after = policy.peer_wait(exc)
+            delay = 0 if after is not None else policy.next_delay_ns(number, exc.reason)
             if delay is None:
                 if stats is not None:
                     stats.gave_up += 1
                 if TRACER.enabled:
                     TRACER.count(f"txn.giveup.{exc.reason}")
                 return (f"aborted:{exc.reason}", number, None)
-            if stats is not None:
-                stats.note_retry(exc.reason, delay)
             if TRACER.enabled:
                 TRACER.count(f"txn.retry.{exc.reason}")
-            if delay:
+            aborted = task.sim.now
+            if after is not None:
+                yield from task.wait(after)
+            elif delay:
                 yield from task.sleep(delay)
+            if stats is not None:
+                stats.note_retry(exc.reason, task.sim.now - aborted, after is not None)
             continue
         if stats is not None:
             stats.committed += 1

@@ -121,6 +121,10 @@ class SerializationGraph:
         ``retire``)."""
         return len(self._in.keys() | self._out.keys())
 
+    def neighbours(self, txid: int) -> Tuple[int, ...]:
+        """Every transaction with an rw edge to or from ``txid``."""
+        return tuple(sorted(self._in.get(txid, set()) | self._out.get(txid, set())))
+
     def forget(self, txid: int) -> None:
         """Drop a finished transaction and every edge touching it."""
         for peer in self._out.pop(txid, ()):

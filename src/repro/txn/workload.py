@@ -102,6 +102,7 @@ class TxnWorkloadReport:
     retries: int = 0
     gave_up: int = 0
     backoff_ms: float = 0.0
+    peer_waits: int = 0
     amplification: float = 0.0
     retry_by_reason: List[Tuple[str, int]] = field(default_factory=list)
 
@@ -130,11 +131,14 @@ class TxnWorkloadReport:
             reasons = " ".join(
                 f"{reason}={count}" for reason, count in self.retry_by_reason
             )
+            aborted = self.retries + self.gave_up
+            per_commit = aborted / max(1, self.retry_attempts - aborted)
             lines.append(
                 f"    retry {self.retry}: attempts={self.retry_attempts} "
                 f"retries={self.retries} gave_up={self.gave_up} "
                 f"amplification={self.amplification:.2f} "
-                f"backoff={self.backoff_ms:.3f}ms"
+                f"aborts/commit={per_commit:.2f} "
+                f"peer_waits={self.peer_waits} backoff={self.backoff_ms:.3f}ms"
                 + (f" [{reasons}]" if reasons else "")
             )
         lines.append(f"    serialization anomaly: {self.anomaly}")
@@ -403,6 +407,7 @@ def run_txn_workload(
         retries=retry_stats.retries,
         gave_up=retry_stats.gave_up,
         backoff_ms=retry_stats.backoff_ns / MS,
+        peer_waits=retry_stats.peer_waits,
         amplification=retry_stats.amplification,
         retry_by_reason=sorted(retry_stats.by_reason.items()),
     )

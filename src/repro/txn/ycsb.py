@@ -81,6 +81,7 @@ class YcsbTxnReport:
     sim_ms: float
     anomaly: str
     aborts_phantom: int = 0
+    peer_waits: int = 0
     inserts: int = 0
     scans: int = 0
     errors: List[str] = field(default_factory=list)
@@ -112,11 +113,11 @@ class YcsbTxnReport:
             f"gave_up={self.gave_up}",
         ]
         if self.inserts or self.scans:
-            lines.append(
-                f"        inserts={self.inserts} scans={self.scans}"
-            )
+            lines.append(f"        inserts={self.inserts} scans={self.scans}")
         lines.append(
-            f"        retries={self.retries} backoff={self.backoff_ms:.3f}ms "
+            f"        retries={self.retries} peer_waits={self.peer_waits} "
+            f"aborts/commit={self.aborts / self.committed if self.committed else 0.0:.2f} "
+            f"backoff={self.backoff_ms:.3f}ms "
             f"sim_time={self.sim_ms:.3f}ms anomaly={self.anomaly}"
         )
         return "\n".join(
@@ -205,12 +206,8 @@ def run_ycsb_mix(
         workload_mix, record_count=n_keys, value_size=_VALUE_SIZE, seed=seed
     )
     txn_plans = _plan_txns(workload, n_txns)
-    n_inserts = sum(
-        1 for plan in txn_plans for op in plan if op.kind == "insert"
-    )
-    n_scans = sum(
-        1 for plan in txn_plans for op in plan if op.kind == "scan"
-    )
+    kinds = [op.kind for plan in txn_plans for op in plan]
+    n_inserts, n_scans = kinds.count("insert"), kinds.count("scan")
 
     def keyname(index: int) -> bytes:
         return f"y{index:04d}".encode()
@@ -274,6 +271,7 @@ def run_ycsb_mix(
         retries=stats.retries,
         amplification=stats.amplification,
         backoff_ms=stats.backoff_ns / MS,
+        peer_waits=stats.peer_waits,
         retry=policy.name,
         aborts_ww=coordinator.aborts_ww,
         aborts_ssi=coordinator.aborts_ssi,

@@ -28,7 +28,8 @@ What keeps it small, all of it sound:
   (:func:`final_states`).
 
 ``test_the_reductions_lose_no_history`` checks the last one against a
-run without the commuting rule. Each committed history goes to the
+run without the commuting rule. Every abort on the way is checked to
+name its peers (:func:`check_peers`), the commit a retry waits for. Each committed history goes to the
 brute-force oracle of ``test_ssi_oracle.py``: ``ssi`` must commit no
 non-serializable history, and ``si`` must show write skew and Fekete,
 O'Neil and O'Neil's read-only anomaly. Tier-1 runs a slice — every
@@ -137,11 +138,32 @@ class Run:
                     certifier.read(txn, action[1])
                 else:
                     certifier.write(txn, action[1], b"T%d" % txn.txid)
-        except TxnAborted:
+        except TxnAborted as exc:
+            check_peers(certifier, txn, exc)
             self.stage[slot] = DONE
         if self.stage[slot] == DONE:
             # The certifier keeps what it still needs of the transaction.
             self.txns[slot], self.n_ops[slot] = None, 0
+
+
+def check_peers(certifier, txn, exc):
+    """Every abort here is contention, and names a peer; a
+    ``ww-conflict``'s peer holds a version of a key ``txn`` wrote newer
+    than its snapshot, published or pending."""
+    assert exc.reason in ("ww-conflict", "ssi-pivot", "ssi-phantom"), exc
+    assert exc.peers and txn.txid not in exc.peers, exc
+    if exc.reason == "ww-conflict":
+        holders = {
+            version.txid
+            for key in txn.writes
+            for version in certifier.indexes[0].versions.get(key, ())
+            if version.commit_ts > txn.snapshot_ts
+        } | {
+            pending.txn.txid
+            for pending in certifier.pending.values()
+            if pending.txn.commit_ts > txn.snapshot_ts and pending.txn.writes.keys() & txn.writes.keys()
+        }
+        assert len(exc.peers) == 1 and exc.peers[0] in holders, (exc, holders)
 
 
 def step_class(step):

@@ -11,6 +11,10 @@ The world must commit every transaction, or the pin would count a
 give-up's retries: at seed 10 all 160 commit (``docs/perf-log.md``,
 *Pin history*, has the seeds it ran before).
 
+The same run's retries — attempts, aborts by reason, peer waits and
+sleeps — are the ``txn-retry-split`` pin: the work a contended run
+wastes, beside what it costs.
+
 A legitimate change to the kernel, NIC, group or txn layers moves the
 pins; re-measure with ``python -m tests.pins txn-cost-gate``, and say
 in CHANGES.md what moved them.
@@ -54,6 +58,38 @@ def measure_ycsb_a():
 
 def test_ycsb_a_dispatch_counts_repeat_and_match_the_pin():
     assert_pinned("txn-cost-gate", measure_ycsb_a())
+
+
+def measure_retry_split():
+    """The same run's wasted work: attempts, aborts by reason, and the
+    retries that waited for a pending peer's publish or slept."""
+    report = run_ycsb_mix(
+        mix="A", seed=SEED, n_txns=N_CLIENTS * TXNS_PER_CLIENT, n_workers=N_CLIENTS
+    )
+    assert report.committed == N_CLIENTS * TXNS_PER_CLIENT
+    assert report.gave_up == 0 and report.anomaly == "none"
+    return {
+        "attempts": report.attempts,
+        "aborts_ww": report.aborts_ww,
+        "aborts_ssi": report.aborts_ssi,
+        "aborts_phantom": report.aborts_phantom,
+        "peer_waits": report.peer_waits,
+        "sleeps": report.retries - report.peer_waits,
+    }
+
+
+def test_ycsb_a_retry_split_matches_the_pin():
+    assert_pinned("txn-retry-split", measure_retry_split())
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_contended_ycsb_a_gives_up_nothing(seed):
+    """A retry that waits for its peer still gets through: 160
+    transactions on 48 keys, default backoff budget, none given up and
+    no cycle."""
+    report = run_ycsb_mix("A", seed=seed, n_txns=160)
+    assert report.committed == 160 and report.gave_up == 0
+    assert report.anomaly == "none" and report.errors == []
 
 
 @pytest.mark.parametrize("n_keys", [1, 3, 12])

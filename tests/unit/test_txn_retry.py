@@ -1,6 +1,6 @@
-"""Retry-policy semantics: schedules, budgets, and the no-retry control.
+"""Retry-policy semantics: schedules, budgets, peer waits and the no-retry control.
 
-Three regression surfaces from the ISSUE:
+Four regression surfaces:
 
 * backoff schedules are a pure function of the plan seed — two
   policies built from the same named stream replay bit-for-bit, and
@@ -10,10 +10,14 @@ Three regression surfaces from the ISSUE:
   ``max_wait_ns`` of virtual time blocked, so retries cannot busy-spin
   a dead group;
 * the no-retry control keeps its pinned seed-7 outcome: 27/29
-  committed, two ssi-pivot aborts, no ww-conflict, no anomaly.
+  committed, two ssi-pivot aborts, no ww-conflict, no anomaly;
+* a backoff retry whose abort names a pending peer waits for that
+  peer's publish (or its failed install, or a failover reset) and
+  begins again in that nanosecond, drawing nothing from its stream.
 """
 
 import random
+from functools import partial
 
 import pytest
 
@@ -27,13 +31,17 @@ from repro.txn import (
     ImmediateRetry,
     NoRetry,
     RetryStats,
+    TxnAborted,
     TxnCoordinator,
     VersionedGroupStore,
+    build_txn_system,
     make_policy,
     run_with_retries,
     run_txn_workload,
 )
 from repro.txn.retry import AVAILABILITY_REASONS, CONTENTION_REASONS
+from repro.txn.ssi import find_cycle
+from repro.txn.workload import bump_counter, run_txn
 
 
 # -- policy unit semantics ----------------------------------------------------------
@@ -259,3 +267,187 @@ def test_unavailable_retries_respect_the_blocking_budget():
         lambda task: run_with_retries(task, NoRetry(), attempt, None),
     )
     assert outcome == "committed" and attempts == 1
+
+
+# -- a retry waits for the commit it lost to ----------------------------------------
+
+HOT = b"hot"
+
+
+def _ww_race(policy, patch_install=None, beside=None, published_first=False, seed=5):
+    """Loser L and winner W of one key. L begins, W begins 100 ns
+    later, writes the key and commits; 1 us after its begin L writes
+    the key and commits, and loses (``ww-conflict``) to W, which is
+    still installing — or, with ``published_first``, L commits only
+    once W has published. ``patch_install(store)`` may replace W's
+    install; ``beside(task, seen)`` runs on a task of its own. Returns
+    what the run saw."""
+    sim = Simulator(seed=seed)
+    cluster = Cluster(sim, n_hosts=4, n_cores=4)
+    coordinator = build_txn_system(sim, cluster, n_groups=1)
+    if patch_install is not None:
+        patch_install(coordinator.stores[0])
+    seen = {"starts": [], "coordinator": coordinator, "sim": sim}
+    stats = seen["stats"] = RetryStats()
+
+    def attempt(task):
+        seen["starts"].append(sim.now)
+        txn = yield from coordinator.begin(task)
+        coordinator.write(txn, HOT, b"L")
+        if len(seen["starts"]) == 1:
+            yield from task.sleep(1_000)
+            winner = seen["winner"]
+            if published_first:
+                while winner.status == "active":
+                    yield from task.sleep(1_000)
+            else:
+                assert winner.txid in coordinator.certifier.pending  # installing
+                coordinator._done[winner.txid].add_callback(
+                    lambda _: seen.setdefault("released", sim.now)
+                )
+        try:
+            yield from coordinator.commit(task, txn)
+        except TxnAborted as exc:
+            seen.setdefault("aborted", sim.now)
+            seen.setdefault("exc", exc)
+            raise
+
+    def loser(task):
+        seen["outcome"] = yield from run_with_retries(task, policy, attempt, stats)
+
+    def winner(task):
+        yield from task.sleep(100)
+        txn = seen["winner"] = yield from coordinator.begin(task)
+        coordinator.write(txn, HOT, b"W")
+        try:
+            yield from coordinator.commit(task, txn)
+        except Exception as exc:  # a failed install or a reset
+            seen["winner_error"] = exc
+
+    tasks = [cluster[0].os.spawn(loser, "loser"), cluster[0].os.spawn(winner, "winner")]
+    if beside is not None:
+        tasks.append(cluster[0].os.spawn(lambda task: beside(task, seen), "beside"))
+    run_until(sim, lambda: "outcome" in seen or _died(tasks), deadline_ms=100)
+    _died(tasks)
+    return seen
+
+
+def _died(tasks):
+    for task in tasks:
+        if task.process.triggered and not task.process.ok:
+            raise task.process.value
+    return False
+
+
+def test_a_ww_loser_begins_again_in_the_nanosecond_its_winner_publishes():
+    rng = random.Random("peer-wait")
+    state = rng.getstate()
+    seen = _ww_race(ExponentialBackoff(rng))
+    exc, stats = seen["exc"], seen["stats"]
+    assert exc.reason == "ww-conflict"
+    assert exc.peers == (seen["winner"].txid,)
+    assert seen["winner"].status == "committed"
+    assert seen["outcome"] == ("committed", 2, None)
+    # No sleep and no jitter draw: the second attempt begins when the
+    # winner's publish event fires.
+    assert seen["starts"][1] == seen["released"] > seen["aborted"]
+    assert rng.getstate() == state
+    assert stats.peer_waits == 1 and stats.retries == 1
+    assert stats.backoff_ns == seen["released"] - seen["aborted"]
+
+
+def _failing_install(store, after_ns=3_000):
+    """The store's next install fails ``after_ns`` after it is posted,
+    having written nothing."""
+    real = store.post_install
+
+    def post_install(task, batches):
+        store.post_install = real  # the next install goes through
+        yield from task.sleep(after_ns)
+        raise RuntimeError("chain down")
+
+    store.post_install = post_install
+
+
+def test_the_winners_failed_install_wakes_the_loser():
+    seen = _ww_race(ExponentialBackoff(random.Random(1)), patch_install=_failing_install)
+    assert isinstance(seen["winner_error"], RuntimeError)
+    assert seen["winner"].abort_reason == "install-failed"
+    assert seen["outcome"] == ("committed", 2, None)
+    assert seen["starts"][1] == seen["released"]
+    assert seen["stats"].peer_waits == 1
+
+
+def test_a_failover_reset_wakes_the_loser():
+    def resetter(task, seen):
+        coordinator = seen["coordinator"]
+        while "aborted" not in seen:
+            yield from task.sleep(100)
+        assert seen["winner"].txid in coordinator.certifier.pending
+        seen["reset_at"] = seen["sim"].now
+        yield from coordinator.reset_after_failover(task, 0, coordinator.stores[0].group)
+
+    # The winner's install is out for 20 us: the reset lands first.
+    seen = _ww_race(
+        ExponentialBackoff(random.Random(1)),
+        patch_install=partial(_failing_install, after_ns=20_000),
+        beside=resetter,
+    )
+    assert seen["winner"].abort_reason == "failover"
+    assert seen["outcome"] == ("committed", 2, None)
+    assert seen["starts"][1] == seen["released"] == seen["reset_at"]
+    assert seen["stats"].peer_waits == 1
+
+
+def test_with_no_pending_peer_the_backoff_schedule_is_todays():
+    """The winner has published when the loser commits: the loser
+    sleeps the jittered delay, drawn from the same stream as before."""
+    seen = _ww_race(ExponentialBackoff(random.Random("same")), published_first=True)
+    exc, stats = seen["exc"], seen["stats"]
+    assert exc.reason == "ww-conflict" and exc.peers == (seen["winner"].txid,)
+    assert exc.after is None
+    delay = ExponentialBackoff(random.Random("same")).next_delay_ns(1, "ww-conflict")
+    assert seen["starts"][1] - seen["aborted"] == delay
+    assert stats.backoff_ns == delay and stats.peer_waits == 0
+
+
+def test_none_and_immediate_never_wait_for_a_peer():
+    seen = _ww_race(NoRetry())
+    assert seen["exc"].after is not None  # the peer was pending
+    assert seen["outcome"] == ("aborted:ww-conflict", 1, None)
+    assert seen["stats"].retries == 0 and seen["stats"].backoff_ns == 0
+    seen = _ww_race(ImmediateRetry())
+    assert seen["outcome"] == ("committed", 2, None)
+    assert seen["starts"][1] == seen["aborted"]  # at once, the peer still pending
+    assert seen["stats"].peer_waits == 0 and seen["stats"].backoff_ns == 0
+    for policy in (NoRetry(), ImmediateRetry()):
+        assert policy.peer_wait(seen["exc"]) is None
+
+
+def test_eight_clients_on_one_hot_key_give_up_nothing():
+    """Read-modify-write of one counter from 8 clients on 4 cores, 5
+    transactions each, default backoff: every one commits, in one
+    serial order."""
+    sim = Simulator(seed=8)
+    cluster = Cluster(sim, n_hosts=4, n_cores=4)
+    coordinator = build_txn_system(sim, cluster, n_groups=1)
+    policy = make_policy("backoff", rng=sim.rng("txn-retry"))
+    stats = RetryStats()
+    finished = []
+
+    def client(task):
+        for _ in range(5):
+            attempt = partial(
+                run_txn, coordinator=coordinator, steps=[("read", HOT), ("bump", HOT, bump_counter)]
+            )
+            yield from run_with_retries(task, policy, attempt, stats)
+        finished.append(task.name)
+
+    for index in range(8):
+        cluster[0].os.spawn(client, f"hot.c{index}")
+    run_until(sim, lambda: len(finished) == 8, deadline_ms=1_000)
+    assert stats.gave_up == 0 and stats.committed == 40
+    assert stats.retries > 0 and stats.peer_waits > 0
+    assert find_cycle(coordinator.history) is None
+    latest = coordinator.stores[0].latest(HOT)
+    assert int.from_bytes(latest.value, "little") == 40
