@@ -332,9 +332,8 @@ class TxnCoordinator:
         return replicas, durable
 
     def _step(self, step, txn: Transaction, *args):
-        """Call a certifier step; a contention abort it raises carries,
-        as ``after``, the publish event of its newest peer still
-        pending (``None`` if none is)."""
+        """Call a certifier step; an abort it raises carries, as ``after``,
+        the publish event of its newest peer still pending, or None."""
         try:
             return step(txn, *args)
         except TxnAborted as exc:

@@ -18,9 +18,10 @@ Three policies ship, forming the experiment's control ladder:
   "naive client" that maximizes retry amplification under contention.
 * :class:`ExponentialBackoff` — a contention abort whose newest peer is
   still pending (``TxnAborted.after``) waits for its publish and begins
-  again at once, drawing no jitter; the wait is never refused, since
-  the peer ending is progress. Any other abort sleeps a capped
-  exponential delay with *seeded* equal-jitter.
+  again at once, drawing no jitter. The peer ending is progress, so a
+  waited attempt counts toward neither the cap nor the window. Any
+  other abort sleeps a capped exponential delay with *seeded*
+  equal-jitter.
 
 Determinism: a policy's randomness comes only from the
 ``random.Random`` handed to it (workloads pass ``sim.rng("txn-retry")``),
@@ -65,8 +66,9 @@ class RetryPolicy:
 
     ``next_delay_ns(attempt, reason)`` returns the virtual-time delay
     before the next attempt, or ``None`` to give up. ``attempt`` is the
-    1-based number of the attempt that just aborted, so a policy with
-    ``max_attempts=3`` returns ``None`` once ``attempt >= 3``.
+    1-based number of the attempt that just aborted (attempts a peer
+    wait followed not counted), so with ``max_attempts=3`` it is
+    ``None`` once ``attempt >= 3``.
     """
 
     name = "?"
@@ -75,8 +77,7 @@ class RetryPolicy:
         raise NotImplementedError
 
     def peer_wait(self, exc: TxnAborted):
-        """The pending publish event the next attempt waits for instead
-        of a delay, or ``None``: only backoff waits for a peer."""
+        """The pending event to wait for instead of a delay, or None."""
         return None
 
     def __repr__(self) -> str:
@@ -126,8 +127,7 @@ class ExponentialBackoff(RetryPolicy):
     ``availability_delay_ns``: the Available-Copies read already
     blocked for the full budget. Everything else is fatal. The RNG must
     be a dedicated stream (``sim.rng("txn-retry")``), so the schedule
-    replays bit-for-bit from the plan seed, as the regression tests
-    assert.
+    replays bit-for-bit from the plan seed.
     """
 
     name = "backoff"
@@ -193,7 +193,7 @@ class RetryStats:
     peer_waits: int = 0  # retries that waited for a peer's publish
     by_reason: Dict[str, int] = field(default_factory=dict)  # retried aborts
 
-    def note_retry(self, reason: str, spent_ns: int, waited: bool = False) -> None:
+    def note_retry(self, reason: str, spent_ns: int, waited: bool) -> None:
         self.retries += 1
         self.backoff_ns += spent_ns
         self.peer_waits += waited
@@ -220,7 +220,7 @@ def run_with_retries(
     Returns ``("committed", attempts, result)`` or
     ``("aborted:<reason>", attempts, None)`` once the policy gives up.
     """
-    number = 0
+    number = waited = 0  # attempts; those a peer wait followed
     while True:
         number += 1
         if stats is not None:
@@ -231,7 +231,7 @@ def run_with_retries(
             result = yield from attempt(task)
         except TxnAborted as exc:
             after = policy.peer_wait(exc)
-            delay = 0 if after is not None else policy.next_delay_ns(number, exc.reason)
+            delay = 0 if after is not None else policy.next_delay_ns(number - waited, exc.reason)
             if delay is None:
                 if stats is not None:
                     stats.gave_up += 1
@@ -242,6 +242,7 @@ def run_with_retries(
                 TRACER.count(f"txn.retry.{exc.reason}")
             aborted = task.sim.now
             if after is not None:
+                waited += 1
                 yield from task.wait(after)
             elif delay:
                 yield from task.sleep(delay)

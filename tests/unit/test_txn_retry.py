@@ -24,7 +24,7 @@ import pytest
 from repro.bench import run_until
 from repro.hw import Cluster
 from repro.core import HyperLoopGroup
-from repro.sim import MS, Simulator
+from repro.sim import MS, Event, Simulator
 from repro.txn import (
     AvailabilityTracker,
     ExponentialBackoff,
@@ -274,7 +274,7 @@ def test_unavailable_retries_respect_the_blocking_budget():
 HOT = b"hot"
 
 
-def _ww_race(policy, patch_install=None, beside=None, published_first=False, seed=5):
+def _ww_race(policy, patch_install=None, beside=None, published_first=False):
     """Loser L and winner W of one key. L begins, W begins 100 ns
     later, writes the key and commits; 1 us after its begin L writes
     the key and commits, and loses (``ww-conflict``) to W, which is
@@ -282,7 +282,7 @@ def _ww_race(policy, patch_install=None, beside=None, published_first=False, see
     once W has published. ``patch_install(store)`` may replace W's
     install; ``beside(task, seen)`` runs on a task of its own. Returns
     what the run saw."""
-    sim = Simulator(seed=seed)
+    sim = Simulator(seed=5)
     cluster = Cluster(sim, n_hosts=4, n_cores=4)
     coordinator = build_txn_system(sim, cluster, n_groups=1)
     if patch_install is not None:
@@ -451,3 +451,39 @@ def test_eight_clients_on_one_hot_key_give_up_nothing():
     assert find_cycle(coordinator.history) is None
     latest = coordinator.stores[0].latest(HOT)
     assert int.from_bytes(latest.value, "little") == 40
+
+
+def test_an_attempt_a_peer_wait_followed_is_not_held_against_the_budget():
+    """With ``max_attempts=2``: a first abort waits for its peer, a
+    second one finds none and sleeps the first window's delay, and the
+    third attempt commits."""
+    sim = Simulator(seed=1)
+    cluster = Cluster(sim, n_hosts=2, n_cores=2)
+    peer = Event(sim, "peer.publish")
+    waited = TxnAborted(1, "ww-conflict", peers=(9,))
+    waited.after = peer
+    aborts = iter([waited, TxnAborted(2, "ssi-pivot", peers=(9,))])
+    starts = []
+
+    def attempt(task):
+        starts.append(sim.now)
+        exc = next(aborts, None)
+        if exc is not None:
+            raise exc
+        return "done"
+        yield
+
+    def publisher(task):
+        yield from task.sleep(5_000)
+        starts.append(("published", sim.now))
+        peer.succeed()
+
+    cluster[0].os.spawn(publisher, "publisher")
+    stats = RetryStats()
+    policy = ExponentialBackoff(random.Random(2), max_attempts=2)
+    outcome = _drive(sim, cluster, lambda task: run_with_retries(task, policy, attempt, stats))
+    assert outcome == ("committed", 3, "done")
+    delay = ExponentialBackoff(random.Random(2)).next_delay_ns(1, "ssi-pivot")
+    first, (_, published), second, third = starts
+    assert second == published > first and third - second == delay
+    assert stats.peer_waits == 1 and stats.backoff_ns == published - first + delay
